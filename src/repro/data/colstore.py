@@ -228,8 +228,9 @@ class ColumnStore:
         self.relation_name: str = name
         self.schema = schema
         self.version = version
-        self.rows = rows
-        self.row_count = len(rows)
+        self._rows = rows
+        self._row_source = None
+        self.row_count = int(multiplicities.shape[0])
         self.multiplicities = multiplicities
         self._encodings: Dict[int, ColumnEncoding] = {}
         self._float_columns: Dict[str, Optional[np.ndarray]] = {}
@@ -242,29 +243,36 @@ class ColumnStore:
 
     @classmethod
     def from_tuplestore(cls, name: str, schema, store) -> "ColumnStore":
-        """Zero-copy columnar view over a :class:`~repro.data.tuplestore.TupleStore`.
+        """The dense snapshot of a :class:`~repro.data.tuplestore.TupleStore`.
 
-        The encodings alias the store's live value dictionaries and code
-        arrays, the multiplicities alias its multiplicity array, and ``rows``
-        aliases its row list — nothing is re-encoded or copied.  The caller
-        (``Relation.column_store``) compacts tombstones away first and guards
-        the wrapper by the store's ``(version, epoch)`` pair: a snapshot must
-        not be read once the owning relation mutated again (in-place
-        multiplicity netting writes through the aliased arrays).
+        Never a re-encode.  While the store holds no tombstone the snapshot
+        is a zero-copy alias: the encodings alias the store's live value
+        dictionaries and code arrays, the multiplicities its multiplicity
+        array, ``rows`` its row list — valid until the owning relation
+        mutates again (in-place netting writes through the aliased arrays;
+        ``Relation.column_store`` guards on the version).  Otherwise the live
+        slots are gathered, one vectorised take per array — array for array
+        what a sweep followed by an alias would expose — and ``rows`` is
+        gathered on first touch.
         """
         tuplestore_stats.bump("zero_copy_snapshots")
         snapshot = cls.__new__(cls)
-        snapshot._init_from(
-            name,
-            schema,
-            store.rows_list(),
-            store.multiplicities_view(),
-            store.version,
-        )
+        stored = store.rows_list()
+        multiplicities = store.multiplicities_view()
+        if store.zeros:
+            keep = store.live_slots()
+            snapshot._init_from(name, schema, None, multiplicities[keep], store.version)
+            # The list object, not the store: a later sweep replaces the
+            # store's list and appends only ever extend this one.
+            snapshot._row_source = (stored, keep)
+        else:
+            keep = None
+            snapshot._init_from(name, schema, stored, multiplicities, store.version)
         for position in range(len(schema.names)):
+            codes = store.column_codes_view(position)
             snapshot._encodings[position] = ColumnEncoding(
                 store.column_values(position),
-                store.column_codes_view(position),
+                codes if keep is None else codes[keep],
             )
         return snapshot
 
@@ -296,6 +304,20 @@ class ColumnStore:
 
     def __len__(self) -> int:
         return self.row_count
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """The row tuples, aligned with ``multiplicities``.
+
+        An aliased row list may have grown past ``row_count`` under later
+        appends; a gathered snapshot materialises its list here, once
+        (racing readers of a pinned snapshot at worst duplicate the work).
+        """
+        rows = self._rows
+        if rows is None:
+            stored, keep = self._row_source
+            rows = self._rows = [stored[slot] for slot in keep.tolist()]
+        return rows
 
     # -- per-attribute encodings ---------------------------------------------------------
 

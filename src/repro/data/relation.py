@@ -6,11 +6,12 @@ code arrays, one signed multiplicity array, and a row-key hash index.
 Multiplicities live in the ring of integers, which gives the uniform
 treatment of inserts (+1) and deletes (-1) described in Section 3.1 of the
 paper — a natural join multiplies multiplicities while a union adds them,
-and a multiplicity netting to zero deletes the tuple (physically dropped by
-the store's periodic compaction).
+and a multiplicity netting to zero deletes the tuple (its slot is reclaimed
+by the store's amortised compaction, which no reader can observe).
 
-The columnar view (:meth:`column_store`) is a zero-copy wrapper over the
-store's own arrays, not a snapshot re-encode; the tuple-at-a-time protocol
+The columnar view (:meth:`column_store`) is the store's dense snapshot — a
+zero-copy alias of its arrays, or one gather of the live slots while
+tombstones exist — never a re-encode; the tuple-at-a-time protocol
 (``items``, ``expanded_rows`` & co.) survives as iterators over the stored
 row tuples for the interpreted/naive engines and the algebra layer.
 """
@@ -206,23 +207,23 @@ class Relation:
         self._store.unpin()
 
     def compact_storage(self) -> None:
-        """Force a tombstone sweep even while snapshot pins are held.
+        """Sweep the store's tombstones now (see :meth:`TupleStore.compact`).
 
-        The publish path wants dense arrays for the next generation's
-        snapshot; the sweep replaces (never mutates) the stored arrays, so
-        already-pinned generations keep reading their original buffers.
+        Never needed for correctness — the store reclaims space on its own,
+        amortised over mutations, and no snapshot can tell whether a sweep
+        ran; already-pinned generations keep reading their original buffers.
         """
-        if self._store.zeros:
-            self._store.compact(force=True)
+        self._store.compact()
 
     def column_store(self):
-        """The cached dictionary-encoded columnar view of this relation.
+        """The cached dictionary-encoded dense snapshot of this relation.
 
-        A zero-copy wrapper over the tuple store's live code, multiplicity
-        and dictionary arrays — building one never re-encodes the relation.
-        Tombstoned rows are compacted away first, so the view is dense; any
-        later mutation bumps :attr:`version` and the next call re-wraps the
-        (already encoded) arrays.  See :mod:`repro.data.colstore`.
+        The live rows in first-insertion-since-last-death order: a zero-copy
+        alias of the tuple store's code, multiplicity and dictionary arrays
+        while it holds no tombstone, one vectorised gather of the live slots
+        otherwise — never a re-encode and never a sweep.  Any later mutation
+        bumps :attr:`version` and the next call snapshots again.  See
+        :mod:`repro.data.colstore`.
         """
         from repro.data.colstore import ColumnStore
 
@@ -231,9 +232,6 @@ class Relation:
         cached = self._column_store
         if cached is not None and self._column_store_key == key:
             return cached
-        if store.zeros:
-            store.compact()
-            key = (store.version, store.epoch)
         snapshot = ColumnStore.from_tuplestore(self.name, self.schema, store)
         self._column_store = snapshot
         self._column_store_key = key
@@ -283,31 +281,26 @@ class Relation:
         return relation
 
     def partition(self, assignments, parts: int) -> List["Relation"]:
-        """Split into ``parts`` relations by a per-slot assignment array.
+        """Split into ``parts`` relations by a per-row assignment array.
 
-        ``assignments`` maps each *storage slot* (post-compaction order, the
-        order :meth:`column_store` exposes) to a part in ``[0, parts)``.
-        Each child is built through :meth:`TupleStore.take` — code arrays
+        ``assignments`` maps each row of the dense snapshot (the order
+        :meth:`column_store` exposes) to a part in ``[0, parts)``.  Each
+        child is built through :meth:`TupleStore.take` — code arrays
         gathered, dictionaries shallow-copied, row tuples shared by reference
-        — so no child ever re-materialises or re-encodes its rows.  Tombstones
-        are compacted away first so slots align with the live rows.
+        — so no child ever re-materialises or re-encodes its rows.
         """
         import numpy as np
 
         store = self._store
-        if store.zeros:
-            store.compact()
-        store.flush_encodings()
+        live = store.live_slots()
         assignments = np.asarray(assignments, dtype=np.int64)
-        if assignments.shape[0] != store.row_count:
+        if assignments.shape[0] != live.shape[0]:
             raise RelationError(
                 f"partition of {self.name!r}: {assignments.shape[0]} assignments "
-                f"for {store.row_count} stored rows"
+                f"for {live.shape[0]} live rows"
             )
         return [
-            Relation.from_store(
-                self.name, store.take(np.nonzero(assignments == part)[0])
-            )
+            Relation.from_store(self.name, store.take(live[assignments == part]))
             for part in range(parts)
         ]
 

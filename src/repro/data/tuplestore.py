@@ -15,10 +15,11 @@ storage:
 - one **float64 multiplicity array** aligned with the rows (signed —
   multiplicities live in the ring of integers, exactly representable in
   float64 far beyond any realistic count);
-- a **row-key hash index** (row tuple -> slot) driving multiset *netting*:
-  re-inserting a known row adjusts its multiplicity in place, and a
-  multiplicity reaching zero leaves a **tombstone** that periodic
-  :meth:`~TupleStore.compact` passes drop;
+- a **row-key hash index** (row tuple -> slot) over the *live* slots, driving
+  multiset *netting*: an update of a stored row adjusts its multiplicity in
+  place; a multiplicity reaching zero leaves a **tombstone** and drops the
+  row from the index at that moment, so a tombstone is never revived and a
+  re-insert always appends a new slot;
 - an **array-slice change log**: a pure-append mutation is logged as a
   ``(start, end)`` slice of the store's own arrays instead of a materialised
   pair list, so batched ingest pays O(1) log bookkeeping.
@@ -28,33 +29,38 @@ the tuple-at-a-time consumers — the interpreted/specialised executor scans,
 the relational algebra, ``expanded_rows`` — read them back without decoding;
 everything vectorised reads the code and multiplicity arrays directly.
 
-Zero-copy contract
-------------------
-:meth:`~repro.data.colstore.ColumnStore.from_tuplestore` wraps the live
-arrays of this store (codes, multiplicities, row list, value dictionaries)
-without copying.  Such a snapshot is only valid while the owning relation's
-``(version, epoch)`` pair is unchanged: any logical mutation bumps the
-version (and may mutate a multiplicity *in place*), and a :meth:`compact`
-bumps the epoch (rows move).  Every consumer already guards on the version —
-the relation's cache additionally guards on the epoch — so a stale snapshot
-is never read.
+The dense-snapshot contract
+---------------------------
+The **dense snapshot** of a store is its live rows in slot order, which —
+because dead slots are never revived — is *the live rows in
+first-insertion-since-last-death order*: a pure function of the applied
+deltas, never of when tombstones were swept.
+:meth:`~repro.data.colstore.ColumnStore.from_tuplestore` builds it without
+re-encoding anything: a zero-copy alias of the store's arrays while no
+tombstone exists, one vectorised gather of the live slots otherwise.  An
+aliasing snapshot is only valid while the owning relation's version is
+unchanged (a later mutation may net a multiplicity *in place*); every
+consumer guards on the version.
+
+:meth:`~TupleStore.compact` is amortised space reclamation and never
+observable: it runs from the mutation path once tombstones make up a quarter
+of the stored rows (and number at least :data:`COMPACT_MIN_ZEROS`), drops
+them preserving slot order, and bumps the epoch.  Pickling persists the
+dense form for the same reason — a checkpoint's bytes do not depend on when
+the last sweep happened.
 
 Snapshot pinning
 ----------------
-The serving layer (:mod:`repro.serving`) hands zero-copy snapshots to
-concurrent reader threads while a single writer keeps mutating the store.
+The serving layer (:mod:`repro.serving`) hands snapshots to concurrent
+reader threads while a single writer keeps mutating the store.
 :meth:`~TupleStore.pin` marks the *current* physical arrays as referenced by
-such a snapshot generation; while any pin is held
-
-- in-place multiplicity netting into a pinned slot first detaches the
-  multiplicity buffer copy-on-write (the pinned view keeps the old buffer,
-  which is never written again), and
-- :meth:`~TupleStore.compact` defers (``force=True`` overrides it for the
-  writer-side publish path — compaction *replaces* the row list, code and
-  multiplicity arrays rather than mutating them, so pinned views stay intact).
-
-Appends never need protection: they write at slots at or beyond every pinned
-view's length, and a buffer reallocation leaves the old buffer untouched.
+such a snapshot generation; while any pin is held, in-place multiplicity
+netting into a pinned slot first detaches the multiplicity buffer
+copy-on-write (the pinned view keeps the old buffer, which is never written
+again).  Nothing else needs protection: appends write at slots at or beyond
+every pinned view's length (a buffer reallocation leaves the old buffer
+untouched), and a sweep *replaces* the row list, code and multiplicity
+arrays rather than mutating them.
 
 The module-level :data:`tuplestore_stats` counters make the storage claims
 testable: ``full_encodes`` counts legacy whole-relation re-encodes (the
@@ -115,7 +121,6 @@ tuplestore_stats: StatsCounters = StatsCounters({
     "zero_copy_snapshots": 0,  # ColumnStore.from_tuplestore handoffs
     "compactions": 0,       # tombstone sweeps
     "batch_appends": 0,     # vectorised add_batch calls
-    "deferred_compactions": 0,  # compactions skipped because a snapshot was pinned
     "mult_copy_on_write": 0,    # multiplicity buffers detached to protect a pin
 })
 
@@ -129,7 +134,7 @@ def reset_tuplestore_stats() -> None:
 CHANGE_LOG_LIMIT = 128
 
 #: Compaction triggers once this many tombstones accumulate (and they make up
-#: at least a quarter of the stored rows) — see :meth:`TupleStore.add_batch`.
+#: at least a quarter of the stored rows) — see :meth:`TupleStore._maybe_compact`.
 COMPACT_MIN_ZEROS = 64
 
 
@@ -303,12 +308,12 @@ class TupleStore:
     __slots__ = ("schema", "_rows", "_row_index", "_mults", "_columns",
                  "_encoded_count", "live", "zeros", "total", "version", "epoch",
                  "_log", "_log_floor", "_slice_floor",
-                 "pins", "_pin_floor", "_cow_pending", "_compact_deferred")
+                 "pins", "_pin_floor", "_cow_pending")
 
     def __init__(self, schema) -> None:
         self.schema = schema
         self._rows: List[Tuple] = []
-        self._row_index: Dict[Tuple, int] = {}
+        self._row_index: Dict[Tuple, int] = {}     # live rows only
         self._mults = _GrowArray(np.float64)
         self._columns: List[_ColumnCodes] = [_ColumnCodes() for _ in schema.names]
         # Rows below this position are dictionary-encoded; the tail is
@@ -328,12 +333,10 @@ class TupleStore:
         # Snapshot pinning (see the module docstring): how many snapshot
         # generations reference this store's buffers, whether the *current*
         # multiplicity buffer is among the referenced ones (netting below
-        # the pin floor must then detach it copy-on-write), and whether a
-        # compaction was deferred while pins were held.
+        # the pin floor must then detach it copy-on-write).
         self.pins = 0
         self._pin_floor = 0
         self._cow_pending = False
-        self._compact_deferred = False
 
     # -- basic reads -------------------------------------------------------------------
 
@@ -349,8 +352,7 @@ class TupleStore:
         return int(self._mults.data[slot])
 
     def __contains__(self, row: Tuple) -> bool:
-        slot = self._row_index.get(row)
-        return slot is not None and self._mults.data[slot] != 0.0
+        return row in self._row_index
 
     def iter_rows(self) -> Iterator[Tuple]:
         """Live rows (non-zero multiplicity), in storage order."""
@@ -374,11 +376,15 @@ class TupleStore:
     # -- zero-copy accessors (consumed by ColumnStore.from_tuplestore) ------------------
 
     def rows_list(self) -> List[Tuple]:
-        """The raw row list (tombstones included — compact first for snapshots)."""
+        """The raw row list, one entry per slot (tombstones included)."""
         return self._rows
 
     def multiplicities_view(self) -> np.ndarray:
         return self._mults.view()
+
+    def live_slots(self) -> np.ndarray:
+        """The slots of the dense snapshot: non-zero multiplicity, in order."""
+        return _KERNELS.compact_keep(self._mults.view())
 
     def column_values(self, position: int) -> List[object]:
         self.flush_encodings()
@@ -395,22 +401,17 @@ class TupleStore:
 
         Writer-side only (call under whatever serializes mutations).  While
         pins are held, netting into a slot below the pin floor detaches the
-        multiplicity buffer copy-on-write and non-forced compaction defers,
-        so every array a pinned :class:`~repro.data.colstore.ColumnStore`
-        aliases stays bit-identical to its pin-time content.
+        multiplicity buffer copy-on-write, so every array a pinned
+        :class:`~repro.data.colstore.ColumnStore` aliases stays bit-identical
+        to its pin-time content.
         """
         self.pins += 1
         self._cow_pending = True
         self._pin_floor = self._mults.size
 
     def unpin(self) -> None:
-        """Release one pin.  Safe from any thread holding the manager's lock.
-
-        Deliberately does *not* run a deferred compaction — that would move
-        physical work onto a reader thread racing the writer; the writer's
-        next mutation (or forced publish-time compaction) picks it up via
-        :meth:`_maybe_compact`.
-        """
+        """Release one pin (flips counters only, so safe from a reader
+        thread holding the manager's lock)."""
         if self.pins <= 0:
             raise RuntimeError("TupleStore.unpin without a matching pin")
         self.pins -= 1
@@ -498,19 +499,20 @@ class TupleStore:
                     new_mults.append(float(multiplicity))
                 else:
                     # The same new row repeated inside one delta nets into
-                    # its pending append entry (it may net out to a
-                    # tombstone, exactly as the scalar path left it).
+                    # its pending append entry.
                     new_mults[position] += multiplicity
             else:
                 existing_slots.append(slot)
                 existing_deltas.append(float(multiplicity))
         if new_rows:
             mult_array = np.asarray(new_mults, dtype=np.float64)
+            if not mult_array.all():
+                # New rows that net out inside the delta are never stored:
+                # a slot that was never live is invisible to every snapshot.
+                alive = np.flatnonzero(mult_array)
+                new_rows = [new_rows[position] for position in alive.tolist()]
+                mult_array = mult_array[alive]
             self._append_rows(new_rows, mult_array)
-            netted_out = int((mult_array == 0.0).sum())
-            if netted_out:
-                self.live -= netted_out
-                self.zeros += netted_out
         if existing_slots:
             slots = np.asarray(existing_slots, dtype=np.int64)
             floor = self._slice_floor
@@ -520,12 +522,21 @@ class TupleStore:
                 # A netted slot is visible to a pinned snapshot; writing it
                 # in place would tear that snapshot's multiplicities.
                 self._detach_mults()
+            mults = self._mults.data
             live_delta, zeros_delta, total_delta = _KERNELS.net_deltas(
-                self._mults.data, slots, np.asarray(existing_deltas, dtype=np.float64)
+                mults, slots, np.asarray(existing_deltas, dtype=np.float64)
             )
             self.live += live_delta
             self.zeros += zeros_delta
             self.total += total_delta
+            if zeros_delta:
+                # Every netted slot was live (the index holds live rows
+                # only), so a zero here is a slot that died just now; it
+                # leaves the index and is never revived.
+                rows = self._rows
+                drop = self._row_index.pop
+                for slot in slots[mults[slots] == 0.0].tolist():
+                    drop(rows[slot], None)
         if pairs:
             if not existing_slots and len(new_rows) == len(pairs):
                 tuplestore_stats.bump("batch_appends")
@@ -554,7 +565,6 @@ class TupleStore:
         # immutable) ones, and nothing references the fresh arrays yet.
         self._cow_pending = False
         self._pin_floor = 0
-        self._compact_deferred = False
         self._drop_log()
 
     def _apply_one(self, row: Tuple, multiplicity: int) -> None:
@@ -573,13 +583,11 @@ class TupleStore:
                 # place would tear that snapshot's multiplicities.
                 self._detach_mults()
             mults = self._mults.data
-            before = mults[slot]
-            updated = before + multiplicity
+            updated = mults[slot] + multiplicity
             mults[slot] = updated
-            if before == 0.0 and updated != 0.0:
-                self.zeros -= 1
-                self.live += 1
-            elif before != 0.0 and updated == 0.0:
+            if updated == 0.0:
+                # The slot dies: it leaves the index and is never revived.
+                del self._row_index[row]
                 self.zeros += 1
                 self.live -= 1
         self.total += multiplicity
@@ -598,57 +606,54 @@ class TupleStore:
     # -- compaction --------------------------------------------------------------------
 
     def _maybe_compact(self) -> None:
-        if self._compact_deferred and not self.pins:
-            self.compact()
-            return
         if self.zeros >= COMPACT_MIN_ZEROS and self.zeros * 4 >= len(self._rows):
             self.compact()
 
-    def compact(self, force: bool = False) -> None:
+    def compact(self) -> None:
         """Drop tombstoned rows, preserving storage order of the survivors.
 
-        Physical reorganisation only — the logical content (and therefore the
+        Space reclamation only: the dense snapshot (and therefore the
         version) is unchanged, but slots move, so the epoch is bumped and any
-        slice-form log groups are first materialised to explicit pairs.
-
-        While snapshot pins are held the sweep is deferred (recorded in
-        ``tuplestore_stats["deferred_compactions"]``) unless ``force`` is
-        given.  Forcing is safe for the pinned snapshots themselves — the
+        slice-form log groups are first materialised to explicit pairs.  The
         sweep *replaces* the row list, multiplicity buffer and code arrays
-        rather than mutating them, so pinned views keep reading their
-        original arrays — but only the writer-side publish path should do it
-        (it wants dense arrays for the next generation's snapshot).
+        rather than mutating them, so it is safe under snapshot pins — pinned
+        views keep reading their original arrays.
         """
         if self.zeros == 0:
             return
-        if self.pins and not force:
-            if not self._compact_deferred:
-                self._compact_deferred = True
-                tuplestore_stats.bump("deferred_compactions")
-            return
         self._materialise_slices()
-        self.flush_encodings()
-        mults = self._mults.view()
-        keep = _KERNELS.compact_keep(mults)
-        rows = self._rows
-        self._rows = [rows[slot] for slot in keep.tolist()]
-        self._row_index = {row: slot for slot, row in enumerate(self._rows)}
-        kept_mults = _GrowArray(np.float64, capacity=max(keep.size, 1))
-        kept_mults.extend(mults[keep])
-        self._mults = kept_mults
-        for column in self._columns:
-            codes = _GrowArray(np.int64, capacity=max(keep.size, 1))
-            codes.extend(column.codes.view()[keep])
-            column.codes = codes
+        self._rows, self._mults, codes = self._gather(self.live_slots())
+        for column, kept in zip(self._columns, codes):
+            column.codes = kept
         self._encoded_count = len(self._rows)
         self.zeros = 0
+        self._index_live_rows()
         self.epoch += 1
         # The fresh buffers are not referenced by any pinned snapshot (the
         # pins keep the pre-sweep arrays, which are immutable from here on).
         self._cow_pending = False
         self._pin_floor = 0
-        self._compact_deferred = False
         tuplestore_stats.bump("compactions")
+
+    def _gather(self, slots: np.ndarray) -> Tuple[List[Tuple], _GrowArray, List[_GrowArray]]:
+        """Fresh row list, multiplicity array and per-column code arrays
+        holding exactly the given slots, in the given order."""
+        self.flush_encodings()
+        capacity = max(slots.size, 1)
+        mults = _GrowArray(np.float64, capacity=capacity)
+        mults.extend(self._mults.view()[slots])
+        codes = []
+        for column in self._columns:
+            kept = _GrowArray(np.int64, capacity=capacity)
+            kept.extend(column.codes.view()[slots])
+            codes.append(kept)
+        rows = self._rows
+        return [rows[slot] for slot in slots.tolist()], mults, codes
+
+    def _index_live_rows(self) -> None:
+        """Rebuild the row index from the live slots (dead ones stay out)."""
+        rows = self._rows
+        self._row_index = {rows[slot]: slot for slot in self.live_slots().tolist()}
 
     # -- the change log ----------------------------------------------------------------
 
@@ -729,24 +734,35 @@ class TupleStore:
     # -- checkpoint pickling -----------------------------------------------------------
 
     def __getstate__(self) -> Dict:
-        """Persist logical content; shed process-local machinery.
+        """Persist the dense form; shed process-local machinery.
 
-        Snapshot pins are reader bookkeeping of *this* process — a restored
-        store has no readers, so the pin state resets.  The row index is
-        derivable from the row list and rebuilt on load.
+        Tombstones are left out (gathered away, the store itself untouched),
+        so the pickled bytes depend on the update history only, like every
+        other snapshot.  Snapshot pins are reader bookkeeping of *this*
+        process — a restored store has no readers, so the pin state resets.
+        The row index is derivable from the row list and rebuilt on load.
         """
         state = {name: getattr(self, name) for name in self.__slots__}
+        if self.zeros:
+            self._materialise_slices()   # slots shift; the log must not name them
+            rows, mults, codes = self._gather(self.live_slots())
+            columns = []
+            for column, kept in zip(self._columns, codes):
+                dense = _ColumnCodes()
+                dense.values, dense.codes = column.values, kept
+                columns.append(dense)
+            state.update(_rows=rows, _mults=mults, _columns=columns,
+                         _encoded_count=len(rows), zeros=0, _slice_floor=None)
         del state["_row_index"]
         state["pins"] = 0
         state["_pin_floor"] = 0
         state["_cow_pending"] = False
-        state["_compact_deferred"] = False
         return state
 
     def __setstate__(self, state: Dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self._row_index = {row: slot for slot, row in enumerate(self._rows)}
+        self._index_live_rows()
 
     # -- copying -----------------------------------------------------------------------
 
@@ -761,27 +777,21 @@ class TupleStore:
         shard out of a parent relation costs O(selected + distinct), not
         O(selected × arity) dictionary work.  The row tuples are shared by
         reference (they are immutable).  Tombstoned slots may be passed; they
-        carry over as tombstones.
+        carry over as tombstones (dead in the child's index too).
         """
-        self.flush_encodings()
         slots = np.asarray(slots, dtype=np.int64)
         clone = TupleStore(self.schema)
-        rows = self._rows
-        clone._rows = [rows[slot] for slot in slots.tolist()]
-        clone._row_index = {row: slot for slot, row in enumerate(clone._rows)}
-        picked = self._mults.view()[slots]
-        clone._mults = _GrowArray(np.float64, capacity=max(slots.size, 1))
-        clone._mults.extend(picked)
-        for position, column in enumerate(self._columns):
-            child = clone._columns[position]
+        clone._rows, clone._mults, codes = self._gather(slots)
+        for column, child, kept in zip(self._columns, clone._columns, codes):
             child.values = list(column.values)
             child.index = dict(column.index)
-            child.codes = _GrowArray(np.int64, capacity=max(slots.size, 1))
-            child.codes.extend(column.codes.view()[slots])
+            child.codes = kept
+        picked = clone._mults.view()
         clone._encoded_count = len(clone._rows)
         clone.live = int((picked != 0.0).sum())
         clone.zeros = slots.size - clone.live
         clone.total = float(picked.sum())
+        clone._index_live_rows()
         return clone
 
     def copy(self) -> "TupleStore":

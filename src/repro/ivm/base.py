@@ -171,15 +171,13 @@ class JoinIndex:
         store = self.relation.column_store()
         codes, tuples = store.codes_for(self.key_attributes)
         per_code: List[Dict[Tuple, int]] = [{} for _ in tuples]
-        multiplicities = store.multiplicities
-        for position, code in enumerate(codes.tolist()):
-            multiplicity = int(multiplicities[position])
-            if multiplicity == 0:
-                # Tombstones: while a pinned snapshot defers compaction the
-                # store may expose netted-to-zero rows; `_drain` pops rows
-                # that net to zero, so the rebuild must drop them too.
-                continue
-            per_code[code][store.rows[position]] = multiplicity
+        # The column store is dense (live rows only), so no zero-multiplicity
+        # guard is needed to match `_drain`, which pops rows that net to zero.
+        for code, row, multiplicity in zip(
+            codes.tolist(), store.rows, store.multiplicities.tolist()
+        ):
+            per_code[code][row] = int(multiplicity)
+        # The empty key of an empty relation is the one code without a row.
         self._buckets = {
             key: bucket for key, bucket in zip(tuples, per_code) if bucket
         }

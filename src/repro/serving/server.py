@@ -287,6 +287,9 @@ class QueryServer:
     def _read_query(self, batch: AggregateBatch) -> ReadResult:
         start = time.perf_counter()
         snapshot = self.manager.acquire()
+        # Stamped after the pin: a generation published between `start` and
+        # the acquire would otherwise be younger than the read (negative age).
+        age = time.perf_counter() - snapshot.created_at
         prefix = snapshot.prefix
         try:
             # Any raise below — engine evaluation, the injected reader
@@ -303,13 +306,14 @@ class QueryServer:
         finally:
             self.manager.release(snapshot)
         latency = time.perf_counter() - start
-        age = start - snapshot.created_at
         self.stats.record_read(snapshot.generation, latency, age)
         return ReadResult("query", snapshot.generation, prefix, value, latency, age)
 
     def _read_statistics(self) -> ReadResult:
         start = time.perf_counter()
         snapshot = self.manager.acquire()
+        # Stamped after the pin, as in `_read_query`.
+        age = time.perf_counter() - snapshot.created_at
         prefix = snapshot.prefix
         try:
             try:
@@ -322,7 +326,6 @@ class QueryServer:
         finally:
             self.manager.release(snapshot)
         latency = time.perf_counter() - start
-        age = start - snapshot.created_at
         self.stats.record_read(snapshot.generation, latency, age)
         return ReadResult("statistics", snapshot.generation, prefix, value, latency, age)
 

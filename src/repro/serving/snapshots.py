@@ -1,27 +1,27 @@
 """Epoch-pinned snapshot generations over the maintained database.
 
-The serving layer's consistency story is built on the TupleStore's zero-copy
-snapshot contract: a :class:`~repro.data.colstore.ColumnStore` wraps the
-store's live arrays and is valid while the ``(version, epoch)`` pair is
-unchanged.  For one caller the relation's cache enforces that; for *many
-concurrent readers against one writer* the :class:`SnapshotManager` turns
-the contract into refcounted **generations**:
+The serving layer's consistency story is built on the TupleStore's
+dense-snapshot contract (see :mod:`repro.data.tuplestore`): a relation's
+:class:`~repro.data.colstore.ColumnStore` is its live rows in
+first-insertion-since-last-death order — a function of the applied updates
+alone — aliasing the store's arrays where it can.  For one caller the
+relation's cache keeps such an alias valid; for *many concurrent readers
+against one writer* the :class:`SnapshotManager` turns the contract into
+refcounted **generations**:
 
 - The writer, after each applied batch, calls :meth:`SnapshotManager.publish`:
-  tombstones are force-compacted (safe — compaction replaces arrays, it never
-  mutates them), every relation's dense columnar wrapper is captured into a
-  read-only :class:`SnapshotDatabase`, and each backing store is pinned
-  (:meth:`repro.data.tuplestore.TupleStore.pin`).
+  every relation's dense snapshot is captured into a read-only
+  :class:`SnapshotDatabase` and each backing store is pinned
+  (:meth:`repro.data.tuplestore.TupleStore.pin`).  Publishing never sweeps
+  tombstones; reclaiming their space is the store's own amortised business.
 - Readers call :meth:`~SnapshotManager.acquire`/:meth:`~SnapshotManager.release`
   around each read; acquire hands out the current generation and bumps its
-  refcount — no reader ever mutates a store (not even lazily: the wrappers
-  were materialised at publish time).
+  refcount — no reader ever mutates a store.
 - While a generation is pinned, the writer's in-place multiplicity netting
-  detaches the multiplicity buffer copy-on-write and automatic compaction
-  defers, so a pinned generation's arrays are immutable until its last
-  reader releases it *and* it has been superseded — only then are the pins
-  returned (the deferred sweep runs on the writer's next mutation, never on
-  a reader thread).
+  detaches the multiplicity buffer copy-on-write, and a sweep replaces the
+  store's arrays instead of mutating them, so a pinned generation's arrays
+  are immutable until its last reader releases it *and* it has been
+  superseded — only then are the pins returned.
 
 The manager itself is thread-safe (one lock around the generation table);
 ``publish`` must only ever be called from the single serialized writer path.
@@ -78,18 +78,14 @@ class SnapshotRelation:
         return self._snapshot
 
     def items(self) -> Iterator[Tuple[Tuple, int]]:
-        """Live ``(row, multiplicity)`` pairs of the pinned snapshot.
+        """The ``(row, multiplicity)`` pairs of the pinned (dense) snapshot.
 
-        Bounded by the snapshot's frozen ``row_count`` — the shared row list
+        ``zip`` stops at the frozen multiplicity array — the shared row list
         may have grown past it under the writer's later appends.
         """
         snapshot = self._snapshot
-        rows = snapshot.rows
-        multiplicities = snapshot.multiplicities
-        for position in range(snapshot.row_count):
-            multiplicity = multiplicities[position]
-            if multiplicity != 0.0:
-                yield rows[position], int(multiplicity)
+        for row, multiplicity in zip(snapshot.rows, snapshot.multiplicities.tolist()):
+            yield row, int(multiplicity)
 
     def __iter__(self) -> Iterator[Tuple]:
         for row, _multiplicity in self.items():
@@ -191,19 +187,17 @@ class SnapshotManager:
     def publish(self, statistics=None, prefix: int = 0) -> Snapshot:
         """Cut (or reuse) the generation for the database's current state.
 
-        Writer-side only.  Tombstones left by the batch are force-compacted
-        first so the captured snapshot is dense — identical, array for
-        array, to what a serial replay of the same update prefix would
-        expose.  When no relation changed since the current generation (a
-        fully cancelling batch), the current generation is reused and only
-        its prefix advances.
+        Writer-side only.  Every relation's dense snapshot is captured —
+        identical, array for array, to what a serial replay of the same
+        update prefix would expose, whenever either side last swept its
+        tombstones.  When no relation changed since the current generation
+        (a fully cancelling batch), the current generation is reused and
+        only its prefix advances.
         """
         fault_point("snapshot.publish")
         with self._lock:
             database = self._database
             current = self._current
-            for relation in database:
-                relation.compact_storage()
             keys = {relation.name: relation.storage_key for relation in database}
             if (
                 current is not None
@@ -279,9 +273,8 @@ class SnapshotManager:
         if snapshot._refs < 0:
             raise RuntimeError("snapshot released more often than acquired")
         if snapshot._refs == 0 and snapshot is not self._current:
-            # Last reader of a superseded generation: return the store pins.
-            # unpin() only flips counters — any deferred compaction runs on
-            # the writer's next mutation, never on this (reader) thread.
+            # Last reader of a superseded generation: return the store pins
+            # (unpin() only flips counters; no physical work on this thread).
             for relation in snapshot._pinned:
                 relation.unpin()
             snapshot._pinned = []
@@ -309,8 +302,7 @@ class SnapshotManager:
         """Drop the manager's hold on the current generation.
 
         Outstanding reader acquisitions stay valid; once they release, the
-        last generation's pins are returned and the store resumes normal
-        compaction on the writer's next mutation.
+        last generation's pins are returned.
         """
         with self._lock:
             current, self._current = self._current, None

@@ -9,10 +9,10 @@ write mutating a pinned multiplicity) shows up as a bitwise mismatch long
 before it would trip a tolerance.
 
 Alongside the differential schedules: hypothesis property tests that
-netting/compaction can never invalidate a pinned snapshot, the epoch
-deferral contract at the store level, `JoinIndex.mark_stale()` vs a pinned
-older snapshot, the thread-safe stats counters, and the maintainer's
-single-writer gate.
+netting and a sweep executed under the pin can never change a pinned
+snapshot, the threshold sweep running under a pin, `JoinIndex.mark_stale()`
+vs a pinned older snapshot, the thread-safe stats counters, and the
+maintainer's single-writer gate.
 
 No ``pytest-timeout`` locally — every helper thread is joined with an
 explicit timeout and asserted dead, so a deadlocked schedule fails instead
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.aggregates import covariance_batch
 from repro.data import Relation, Schema
 from repro.data.tuplestore import (
+    COMPACT_MIN_ZEROS,
     StatsCounters,
     reset_tuplestore_stats,
     tuplestore_stats,
@@ -238,9 +239,34 @@ def test_manager_refcounts_and_retires_generations(serving_source):
 # -- pinned snapshots vs netting and compaction ----------------------------------------
 
 
+def _frozen_copy(snapshot):
+    """Everything a reader can see of a snapshot, copied out."""
+    return (
+        np.asarray(snapshot.multiplicities).copy(),
+        list(snapshot.rows[: snapshot.row_count]),
+        [snapshot.encoding(name).codes.copy() for name in snapshot.schema.names],
+        [
+            [snapshot.encoding(name).values[code] for code in snapshot.encoding(name).codes]
+            for name in snapshot.schema.names
+        ],
+    )
+
+
+def _assert_frozen(snapshot, frozen):
+    multiplicities, rows, codes, decoded = _frozen_copy(snapshot)
+    assert np.array_equal(multiplicities, frozen[0]), (
+        "netting tore a pinned multiplicity in place"
+    )
+    assert rows == frozen[1]
+    assert all(np.array_equal(now, then) for now, then in zip(codes, frozen[2]))
+    assert decoded == frozen[3]
+    assert [tuple(values) for values in zip(*decoded)] == rows
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=11),
@@ -249,57 +275,89 @@ def test_manager_refcounts_and_retires_generations(serving_source):
         max_size=80,
     ),
 )
-def test_pinned_snapshot_survives_netting_and_compaction(seed, later_events):
-    """Property: no post-pin mutation can change a pinned snapshot's arrays."""
+def test_pinned_snapshot_survives_netting_and_a_sweep_under_the_pin(
+    seed, swept_first, later_events
+):
+    """Property: no post-pin mutation — netting, appends, a real sweep run
+    while the pin is held, netting into the swept buffers — can change a
+    pinned snapshot's multiplicities, codes or rows.  Both snapshot forms:
+    the zero-copy alias (store swept first) and the gather over tombstones.
+    """
     relation = Relation("R", SCHEMA)
     for row, multiplicity in random_row_events(seed % 1000, length=200):
         relation.add(row, multiplicity)
-    relation.compact_storage()
+    if swept_first:
+        relation.compact_storage()
+    store = relation._store
     snapshot = relation.column_store()
+    assert (store.zeros == 0) == np.shares_memory(
+        snapshot.multiplicities, store.multiplicities_view()
+    )
     relation.pin()
     try:
         universe = [(f"k{index % 6}", index % 4) for index in range(12)]
-        frozen_multiplicities = np.asarray(snapshot.multiplicities).copy()
-        frozen_rows = list(snapshot.rows[: snapshot.row_count])
-        store = relation._store
-        epoch_at_pin = store.epoch
-        for index, multiplicity in later_events:
+        frozen = _frozen_copy(snapshot)
+        half = len(later_events) // 2
+        for index, multiplicity in later_events[:half]:
             relation.add(universe[index], multiplicity)
-        store.compact()          # must defer, not sweep, while pinned
-        store.flush_encodings()
-        assert store.epoch == epoch_at_pin, "compaction ran under a pinned snapshot"
-        assert np.array_equal(
-            np.asarray(snapshot.multiplicities), frozen_multiplicities
-        ), "netting tore a pinned multiplicity in place"
-        assert list(snapshot.rows[: snapshot.row_count]) == frozen_rows
+        epoch, tombstones = store.epoch, store.zeros
+        relation.compact_storage()      # a real sweep, pin or no pin
+        assert store.zeros == 0
+        assert store.epoch == epoch + (1 if tombstones else 0)
+        _assert_frozen(snapshot, frozen)
+        for index, multiplicity in later_events[half:]:
+            relation.add(universe[index], multiplicity)
+        _assert_frozen(snapshot, frozen)
     finally:
         relation.unpin()
 
 
-def test_compaction_defers_while_pinned_and_resumes_after(serving_source):
+def test_threshold_sweep_runs_under_a_pin():
+    """The amortised sweep does not wait for readers: it replaces the
+    store's arrays, so the generation pinned on the old ones stays frozen."""
     reset_tuplestore_stats()
+    count = COMPACT_MIN_ZEROS * 4
+    rows = [(f"k{index % 7}", index) for index in range(count)]
     relation = Relation("R", SCHEMA)
-    for row, multiplicity in random_row_events(3, length=300):
-        relation.add(row, multiplicity)
-    relation.compact_storage()
+    relation.add_batch(rows, [1] * count)
     store = relation._store
+    snapshot = relation.column_store()
     relation.pin()
-    epoch_at_pin = store.epoch
-    # Net some live rows down to zero so there is something to compact.
-    for row, multiplicity in list(relation.items())[:5]:
-        relation.add(row, -multiplicity)
-    assert store.zeros > 0
-    store.compact()
-    assert store.epoch == epoch_at_pin
-    assert store._compact_deferred
-    assert tuplestore_stats["deferred_compactions"] >= 1
+    frozen = _frozen_copy(snapshot)
+    epoch = store.epoch
+    relation.add_batch(rows[::2], [-1] * (count // 2))   # half the store dies
+    assert store.pins == 1
+    assert store.epoch == epoch + 1, "the sweep waited for the pin"
+    assert store.zeros == 0 and store.row_count == count // 2
+    assert tuplestore_stats["compactions"] == 1
+    # The netting detached the pinned multiplicity buffer before the sweep.
+    assert tuplestore_stats["mult_copy_on_write"] == 1
+    _assert_frozen(snapshot, frozen)
+    assert dict(relation.items()) == {row: 1 for row in rows[1::2]}
     relation.unpin()
-    # The deferred sweep runs on the writer's next mutation, not on unpin.
-    assert store.epoch == epoch_at_pin
-    relation.add(("k0", 0), 1)
-    assert store.epoch > epoch_at_pin
-    assert store.zeros == 0
-    assert not store._compact_deferred
+    assert store.epoch == epoch + 1     # unpin never runs physical work
+
+
+def test_snapshot_age_is_never_negative(serving_source):
+    """A generation published between a read's start and its pin is not
+    younger than the read: the age is stamped after the pin."""
+    source, query = serving_source
+    server = QueryServer(FIVM(source, query, FEATURES), readers=1)
+    stream = random_update_stream(source, seed=17, length=20)
+    acquire = server.manager.acquire
+
+    def acquire_after_a_publish():
+        server.apply_batch(stream)
+        return acquire()
+
+    server.manager.acquire = acquire_after_a_publish
+    read = server.statistics()
+    server.close()
+    assert read.prefix == 1
+    assert read.snapshot_age_s >= 0
+    results, _expected, stats, _batches = _run_schedule(FIVM, source, query, seed=505)
+    assert all(read.snapshot_age_s >= 0 for read in results)
+    assert stats["snapshot_age_p50_s"] >= 0
 
 
 def test_join_index_mark_stale_vs_pinned_snapshot(serving_source):

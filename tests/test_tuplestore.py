@@ -5,14 +5,17 @@ multiplicities are applied both to a :class:`~repro.data.relation.Relation`
 (backed by :class:`~repro.data.tuplestore.TupleStore`) and to a plain
 ``dict[tuple, int]`` reference model, and every observable — netting,
 deletion-to-zero, membership, totals, the change log, version bumps — must
-agree.  Compaction and the zero-copy snapshot contract are covered
-explicitly, and a regression test pins the headline storage claim: a full
+agree.  Compaction and the dense-snapshot contract (history-determined
+snapshots whether or not a sweep ran, the tombstone space bound, restored
+and partitioned stores) are covered explicitly, and a regression test pins
+the headline storage claim: a full
 IVM insert/delete stream never triggers a whole-relation re-encode
 (``tuplestore_stats["full_encodes"] == 0``) on any of the three strategies.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -106,7 +109,7 @@ def test_deletion_to_zero_leaves_no_observable_row():
     assert ("a", 1) not in relation
     assert len(relation) == 0
     assert list(relation.items()) == []
-    # The columnar snapshot is dense: the cancelled row was compacted away.
+    # The columnar snapshot is dense: the cancelled row is not in it.
     store = relation.column_store()
     assert store.row_count == 0
 
@@ -157,9 +160,13 @@ def test_column_store_is_zero_copy_and_epoch_guarded():
     assert fresh is not store
     assert fresh.row_count == len(relation)
     assert tuplestore_stats["full_encodes"] == 0
-    # Compaction alone (same version) also invalidates via the epoch guard.
     relation.add(("c", 3), -1)
     assert relation.cached_column_store() is None
+    # Over a tombstone the snapshot is a gather: dense, and not an alias.
+    masked = relation.column_store()
+    assert inner.zeros == 1 and masked.row_count == len(relation) == 2
+    assert not np.shares_memory(masked.multiplicities, inner.multiplicities_view())
+    assert tuplestore_stats["full_encodes"] == 0
 
 
 def test_snapshot_codes_round_trip_after_mixed_mutations():
@@ -193,6 +200,189 @@ def test_distinct_count_ignores_dictionary_ghosts():
     store = relation.column_store()
     assert store.distinct_count(("k",)) == 1
     assert store.distinct_count(("k", "v")) == 1
+
+
+# -- the dense-snapshot contract -------------------------------------------------------
+#
+# Dense snapshot = live rows in first-insertion-since-last-death order, a
+# function of the applied deltas alone; physical compaction is amortised
+# space reclamation and never observable.
+
+UNIVERSE = [(f"k{index % 4}", index) for index in range(10)]
+
+_DELTAS = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(UNIVERSE) - 1),
+            # Deletes, re-inserts, in-delta cancellations (+1/-1 of one row
+            # in one list) and out-of-order delete-before-insert (a negative
+            # multiplicity on an absent row) all come out of this alphabet.
+            st.sampled_from([1, 1, -1, -1, 2, -2]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    max_size=40,
+)
+
+
+def _model_apply(model: dict, delta) -> None:
+    """The contract, executably: a dict keeps first-insertion order and a
+    deleted-then-reinserted key goes to the end.  A delta is netted first."""
+    netted: dict = {}
+    for row, multiplicity in delta:
+        netted[row] = netted.get(row, 0) + multiplicity
+    for row, multiplicity in netted.items():
+        if multiplicity:
+            _reference_apply(model, row, multiplicity)
+
+
+def _dense(relation):
+    """What a reader sees: rows, multiplicities, per-column decoded values."""
+    store = relation.column_store()
+    decoded = [
+        [store.encoding(name).values[code] for code in store.encoding(name).codes]
+        for name in store.schema.names
+    ]
+    assert store.row_count == len(store.multiplicities) == len(decoded[0])
+    return list(store.rows[: store.row_count]), store.multiplicities.tolist(), decoded
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DELTAS, st.randoms(use_true_random=False))
+def test_dense_snapshot_is_a_function_of_the_update_history(deltas, rng):
+    """One signed stream into two relations — one swept at random points,
+    one never — gives identical dense snapshots at every step, equal to the
+    first-insertion-since-last-death order of the model."""
+    swept, never = Relation("R", SCHEMA), Relation("R", SCHEMA)
+    model: dict = {}
+    for delta in deltas:
+        delta = [(UNIVERSE[index], multiplicity) for index, multiplicity in delta]
+        _model_apply(model, delta)
+        for relation in (swept, never):
+            if len(delta) == 1:
+                relation.add(*delta[0])
+            else:
+                relation.add_batch([row for row, _m in delta], [m for _r, m in delta])
+        if rng.random() < 0.3:
+            swept.compact_storage()
+            assert swept._store.zeros == 0
+        rows, multiplicities, decoded = _dense(swept)
+        assert (rows, multiplicities, decoded) == _dense(never)
+        assert list(zip(rows, multiplicities)) == list(model.items())
+        assert [tuple(values) for values in zip(*decoded)] == rows
+        _assert_matches_model(never, model)
+
+
+def test_tombstones_stay_below_the_space_bound():
+    """After every mutation of a delete-heavy stream the tombstones number
+    fewer than COMPACT_MIN_ZEROS or a quarter of the stored rows."""
+    relation = Relation("R", SCHEMA)
+    store = relation._store
+    rng = random.Random(13)
+    live: list = []
+    fresh = iter(range(10**6))
+    swept = store.epoch
+    for _step in range(400):
+        if live and rng.random() < 0.55:
+            rng.shuffle(live)
+            victims = [live.pop() for _ in range(min(len(live), rng.randint(1, 9)))]
+            relation.add_batch(victims, [-1] * len(victims))
+        elif rng.random() < 0.5:
+            row = (f"k{rng.randint(0, 5)}", next(fresh))
+            live.append(row)
+            relation.add(row, 1)
+        else:
+            rows = [(f"k{rng.randint(0, 5)}", next(fresh)) for _ in range(rng.randint(2, 12))]
+            live.extend(rows)
+            relation.add_batch(rows, [1] * len(rows))
+        assert store.zeros < max(COMPACT_MIN_ZEROS, store.row_count / 4 + 1)
+        assert store.live == len(live) == store.row_count - store.zeros
+    assert store.epoch > swept, "the stream never reached the sweep threshold"
+    assert sorted(relation) == sorted(live)
+
+
+def _masked_relation():
+    """A relation whose store carries tombstones in the middle and a
+    re-inserted row at the end."""
+    relation = Relation("R", SCHEMA)
+    relation.add_batch([("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)], [1, 2, 3, 4, 5])
+    relation.add(("b", 2), -2)
+    relation.add_batch([("c", 4), ("b", 2)], [-4, 7])
+    assert relation._store.zeros == 2 and relation._store.row_count == 6
+    expected = [(("a", 1), 1), (("a", 3), 3), (("b", 5), 5), (("b", 2), 7)]
+    return relation, expected
+
+
+def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
+    from repro.engine.lmfao import _sub_relation_from_mask
+    from repro.ivm.base import JoinIndex
+    from repro.serving import SnapshotManager
+
+    relation, expected = _masked_relation()
+    snapshot = relation.column_store()
+    # ColumnStore.rows: gathered on first touch, aligned with multiplicities.
+    assert snapshot._rows is None
+    assert list(zip(snapshot.rows, snapshot.multiplicities.tolist())) == expected
+    assert snapshot.rows is snapshot.rows
+    assert snapshot.float_column("v").tolist() == [1.0, 3.0, 5.0, 2.0]
+    # SnapshotRelation.items() over the published generation.
+    manager = SnapshotManager(Database([relation]))
+    published = manager.publish().database.relation("R")
+    assert relation._store.zeros == 2, "publish must not sweep"
+    assert list(published.items()) == expected and len(published) == 4
+    # The writer moves on (and sweeps); the generation does not.
+    relation.add(("a", 1), -1)
+    relation.compact_storage()
+    assert list(published.items()) == expected
+    manager.close()
+    # JoinIndex._ensure and _sub_relation_from_mask over a masked store.
+    relation, expected = _masked_relation()
+    index = JoinIndex(relation, ["k"])
+    assert index.buckets == {
+        ("a",): {("a", 1): 1, ("a", 3): 3},
+        ("b",): {("b", 5): 5, ("b", 2): 7},
+    }
+    snapshot = relation.column_store()
+    sub = _sub_relation_from_mask(relation, snapshot, snapshot.float_column("v") > 2.5)
+    assert list(sub.items()) == [(("a", 3), 3), (("b", 5), 5)]
+
+
+def test_restored_and_partitioned_stores_never_revive_a_dead_slot():
+    """Pickle round trip, partition() and take() of a store holding
+    tombstones: the copy indexes live slots only, so a later delete +
+    re-insert lays rows out exactly like the never-copied twin."""
+
+    def churn(relation):
+        relation.add(("a", 3), -3)                      # another death
+        relation.add_batch([("c", 4), ("a", 3), ("b", 2)], [1, 1, -7])
+        relation.add(("b", 2), 2)                       # dead again, re-inserted again
+        return _dense(relation)
+
+    twin, _expected = _masked_relation()
+    want = churn(twin)
+
+    relation, expected = _masked_relation()
+    restored = pickle.loads(pickle.dumps(relation))
+    assert relation._store.zeros == 2                   # pickling left the store alone
+    assert restored._store.zeros == 0                   # ... and persisted the dense form
+    assert list(restored.items()) == expected
+    assert restored.version == relation.version
+    assert churn(restored) == want
+
+    relation, expected = _masked_relation()
+    (whole,) = relation.partition(np.zeros(4, dtype=np.int64), 1)
+    assert list(whole.items()) == expected
+    assert churn(whole) == want
+    with pytest.raises(ValueError, match="4 live rows"):
+        relation.partition(np.zeros(6, dtype=np.int64), 1)
+
+    # take() may be handed tombstoned slots; they stay dead in the child.
+    relation, expected = _masked_relation()
+    child = Relation.from_store("R", relation._store.take(np.arange(6)))
+    assert child._store.zeros == 2 and ("c", 4) not in child
+    assert list(child.items()) == expected
+    assert churn(child) == want
 
 
 # -- version bumps and the change log --------------------------------------------------
