@@ -7,6 +7,12 @@ for every dataset.  The shape to check: each added optimisation does not slow
 the engine down, and specialisation + sharing give a multiplicative win.
 (Parallelisation uses threads and is GIL-bound in pure Python, so its
 contribution is expected to be small here; see EXPERIMENTS.md.)
+
+The engine itself has no switches for the steps it ablates: the staircase is
+assembled here.  The two scan-based steps drive the planner bottom-up with a
+per-node scan — the interpreted one below, and the engine's tuple scan
+(``scan_node_views``) — and the no-sharing steps evaluate one aggregate at a
+time, each on a fresh engine, so nothing is shared across aggregates.
 """
 
 from __future__ import annotations
@@ -15,45 +21,155 @@ import time
 
 import pytest
 
-from repro.aggregates import covariance_batch
-from repro.engine import EngineOptions, LMFAOEngine
+from repro.aggregates import AggregateBatch, covariance_batch
+from repro.engine import EngineOptions, LMFAOEngine, plan_batch
+from repro.engine.executor import EMPTY_GROUP, restrict_signature, scan_node_views
+from repro.query import build_join_tree
 
+
+def interpreted_node_views(node, relation, signatures, designation, child_views):
+    """Row-dict based scan: the unspecialised (interpretation-heavy) code path.
+
+    This models an engine without workload compilation: every row is converted
+    to a dictionary and every attribute access resolves names at runtime.
+    """
+    names = relation.schema.names
+    here = node.relation_name
+    conn_attributes = sorted(node.connection_attributes())
+    results = {}
+    for signature in signatures:
+        children = [
+            (
+                sorted(child.attributes & node.attributes),
+                child_views[
+                    (child.relation_name, restrict_signature(signature, child, designation))
+                ],
+            )
+            for child in node.children
+        ]
+        result = results[signature] = {}
+        for row, multiplicity in relation.items():
+            row_dict = dict(zip(names, row))
+            if not all(
+                condition.test(row_dict[condition.attribute])
+                for condition in signature.filters
+                if designation[condition.attribute] == here
+            ):
+                continue
+            factor = float(multiplicity)
+            for attribute, exponent in signature.product:
+                if designation[attribute] == here:
+                    factor *= float(row_dict[attribute]) ** exponent
+            local_group = tuple(
+                (attribute, row_dict[attribute])
+                for attribute in signature.group_by
+                if designation[attribute] == here
+            )
+            partial = [(local_group, factor)]
+            for child_attributes, child_view in children:
+                entries = child_view.get(
+                    tuple(row_dict[attribute] for attribute in child_attributes)
+                )
+                if not entries:
+                    partial = []
+                    break
+                partial = [
+                    (group_pairs + child_pairs, value * child_value)
+                    for group_pairs, value in partial
+                    for child_pairs, child_value in entries.items()
+                ]
+            if not partial:
+                continue
+            conn_key = tuple(row_dict[attribute] for attribute in conn_attributes)
+            groups = result.setdefault(conn_key, {})
+            for group_pairs, value in partial:
+                key = tuple(sorted(group_pairs)) if group_pairs else EMPTY_GROUP
+                groups[key] = groups.get(key, 0.0) + value
+    return results
+
+
+def evaluate_by_scan(database, join_tree, batch, node_views):
+    """Evaluate ``batch`` bottom-up, ``node_views`` computing each node's views."""
+    plan = plan_batch(batch, join_tree)
+    views = {}
+    for node in join_tree.post_order():
+        name = node.relation_name
+        computed = node_views(
+            node, database.relation(name), plan.views_per_node[name], plan.designation, views
+        )
+        for signature, view in computed.items():
+            views[(name, signature)] = view
+    root = join_tree.root.relation_name
+    return {
+        decomposition.aggregate.name: LMFAOEngine._extract(
+            decomposition.aggregate, views[(root, decomposition.root_signature)]
+        )
+        for decomposition in plan.decompositions
+    }
+
+
+def _one_at_a_time(batch):
+    return [AggregateBatch(aggregate.name, [aggregate]) for aggregate in batch]
+
+
+def _scan_step(node_views):
+    def run(database, query, root, batch):
+        join_tree = build_join_tree(query.hypergraph(database), root=root)
+        for single in _one_at_a_time(batch):
+            evaluate_by_scan(database, join_tree, single, node_views)
+
+    return run
+
+
+def _engine_step(share, parallel=False):
+    def run(database, query, root, batch):
+        options = EngineOptions(root_relation=root, parallel=parallel)
+        for part in [batch] if share else _one_at_a_time(batch):
+            with LMFAOEngine(database, query, options) as engine:
+                engine.evaluate(part)
+
+    return run
+
+
+#: The staircase: ``(name, run(database, query, root, batch))``.  Every step
+#: evaluates over the same (cost-picked) root so only the technique varies.
 CONFIGURATIONS = [
-    ("baseline", EngineOptions(specialize=False, columnar=False, share=False, parallel=False)),
-    ("+specialisation", EngineOptions(specialize=True, columnar=False, share=False, parallel=False)),
-    ("+columnar", EngineOptions(specialize=True, columnar=True, share=False, parallel=False)),
-    ("+sharing", EngineOptions(specialize=True, columnar=True, share=True, parallel=False)),
-    ("+parallelisation", EngineOptions(specialize=True, columnar=True, share=True, parallel=True)),
+    ("baseline", _scan_step(interpreted_node_views)),
+    ("+specialisation", _scan_step(scan_node_views)),
+    ("+columnar", _engine_step(share=False)),
+    ("+sharing", _engine_step(share=True)),
+    ("+parallelisation", _engine_step(share=True, parallel=True)),
 ]
 
-#: Since PR 8 the interpreted (``specialize=False``) and tuple-specialized
-#: (``columnar=False``) paths are *correctness oracles*, not production
-#: engines: every result still has to match them bit-for-bit on small inputs
-#: (see ``tests/test_executor_equivalence.py``), but timing them on large
-#: data only measures Python interpreter overhead the columnar path exists
-#: to avoid.  Sweeps skip the oracle configurations for databases above this
-#: many total base rows — the bench scales stay under it, so the Figure-6
-#: staircase is unchanged where it is asserted on.
+#: The two scan steps are per-row Python: timing them on large data only
+#: measures the interpreter overhead the columnar path exists to avoid.
+#: Sweeps skip them for databases above this many total base rows — the
+#: bench scales stay under it, so the Figure-6 staircase is unchanged where
+#: it is asserted on.
 ORACLE_ROW_CAP = 5000
 
 ORACLE_CONFIGURATIONS = ("baseline", "+specialisation")
 
 
 def oracle_capped(name: str, database) -> bool:
-    """True when an oracle configuration should be skipped for ``database``."""
+    """True when a scan configuration should be skipped for ``database``."""
     if name not in ORACLE_CONFIGURATIONS:
         return False
     return sum(len(relation) for relation in database) > ORACLE_ROW_CAP
 
 
-def _run_configuration(database, query, batch, options, rounds=2):
+def cost_root(database, query) -> str:
+    """The root every step evaluates over: the engine's cost-based pick."""
+    return LMFAOEngine(database, query).join_tree.root.relation_name
+
+
+def _run_configuration(database, query, root, batch, run, rounds=2):
     # Best-of-n: single-round timings on a busy machine flake the staircase
     # assertions below.
     best = float("inf")
     for _ in range(rounds):
-        engine = LMFAOEngine(database, query, options)
         started = time.perf_counter()
-        engine.evaluate(batch)
+        run(database, query, root, batch)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -62,11 +178,12 @@ def _run_configuration(database, query, batch, options, rounds=2):
 def test_figure6_optimisation_ablation(benchmark, bench_datasets, dataset_name):
     database, query, spec = bench_datasets[dataset_name]
     batch = covariance_batch(spec.continuous_features, spec.categorical_features)
+    root = cost_root(database, query)
 
     def run_all():
         return {
-            name: _run_configuration(database, query, batch, options)
-            for name, options in CONFIGURATIONS
+            name: _run_configuration(database, query, root, batch, run)
+            for name, run in CONFIGURATIONS
             if not oracle_capped(name, database)
         }
 
@@ -75,7 +192,7 @@ def test_figure6_optimisation_ablation(benchmark, bench_datasets, dataset_name):
     baseline = timings["baseline"]
 
     print(f"\n=== Figure 6 ({dataset_name}): covariance batch, {len(batch)} aggregates ===")
-    for name, _options in CONFIGURATIONS:
+    for name, _run in CONFIGURATIONS:
         if name not in timings:
             continue
         speedup = baseline / max(timings[name], 1e-9)
@@ -87,3 +204,16 @@ def test_figure6_optimisation_ablation(benchmark, bench_datasets, dataset_name):
     assert timings["+columnar"] < timings["+specialisation"] * 1.05
     assert timings["+sharing"] < timings["+columnar"] * 1.05
     assert baseline / timings["+sharing"] > 1.5
+
+
+def test_scan_steps_agree_with_the_engine(bench_datasets):
+    """The bench-local oracles compute what the engine computes."""
+    database, query, spec = bench_datasets["retailer"]
+    batch = covariance_batch(spec.continuous_features[:3], spec.categorical_features[:1])
+    engine = LMFAOEngine(database, query)
+    expected = engine.evaluate(batch).values
+    for node_views in (interpreted_node_views, scan_node_views):
+        values = evaluate_by_scan(database, engine.join_tree, batch, node_views)
+        assert set(values) == set(expected)
+        for name, value in expected.items():
+            assert values[name] == pytest.approx(value)

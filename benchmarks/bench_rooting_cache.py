@@ -18,6 +18,7 @@ import pytest
 from repro.aggregates import covariance_batch
 from repro.engine import EngineOptions, LMFAOEngine
 from repro.engine.executor import STAT_CACHED
+from repro.engine.statistics import widest_relation
 
 
 def _covariance(spec):
@@ -31,7 +32,11 @@ def test_rooting_cost_vs_widest(benchmark, bench_datasets, dataset_name):
 
     def run():
         cost = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
-        widest = LMFAOEngine(database, query, EngineOptions(root_strategy="widest"))
+        widest = LMFAOEngine(
+            database,
+            query,
+            EngineOptions(root_relation=widest_relation(database, query.relation_names)),
+        )
         return {
             "cost_root": cost.join_tree.root.relation_name,
             "widest_root": widest.join_tree.root.relation_name,

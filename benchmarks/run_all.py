@@ -22,32 +22,31 @@ recovery cost after a single-tuple update).
 
 Since PR 3 it also records the batched-IVM update-throughput sweep of
 Figure 4 (right) (``ivm_throughput``: all three strategies at batch sizes
-1/100/1000/10000 against the seed commit's per-tuple loop), the delta-aware
-view-cache comparison (``ivm_delta_cache``: single-tuple update loops with
-delta refresh on vs full eviction), and the batch-aware rooting comparison
-(``rooting_batch``: the static cost model vs per-batch planned-signature
-costs on a full and a narrow batch).
+1/100/1000/10000 against the seed commit's per-tuple loop) and the
+batch-aware rooting comparison (``rooting_batch``: the static cost model vs
+per-batch planned-signature costs on a full and a narrow batch).
 
 Since PR 4 it additionally records the fused multi-delta pass comparison
 (``ivm_fused``: F-IVM per-relation vs fused one-pass vs fused+parallel
 propagation, with the batch-100 fused figure compared against the PR-3
-recorded throughput) and the root-payload patching comparison
-(``root_patching``: fact-rooted single-tuple update loops with the cached
-root view patched by a propagated delta vs recomputed from scratch).
+recorded throughput).
+
+The PR-3 ``ivm_delta_cache`` and PR-4 ``root_patching`` comparisons (delta
+refresh / root patching on vs off vs ``"auto"``) ended with PR 14: the
+adaptive policy is the engine's only behaviour, so nothing is left to
+compare, and ``BENCH_PR8.json`` is the archived evidence.
 
 Since PR 5 it records the array-native storage figures (``storage``):
 small-batch F-IVM throughput (batch 1/10/100) on the tuple-store backend
 against the PR-4 recorded figures, CSV ingest throughput of the batched
 columnar path vs a per-row ``add`` loop, the store's memory footprint via
 ``sys.getsizeof`` sampling against a plain ``dict[tuple, int]``, and the
-``tuplestore_stats`` counters of an insert/delete stream (``full_encodes``
-must stay 0).
+``tuplestore_stats`` counters of an insert/delete stream.
 
 Since PR 8 (``--pr 8``) it additionally records the per-kernel
 microbenchmark of the pluggable kernel backends (``kernel_microbench``,
-from ``bench_kernels.py``), extends ``ivm_delta_cache`` with the
-``delta_refresh="auto"`` policy and a medium-batch phase, and — because
-absolute throughputs are machine-bound — renames the raw sweep to
+from ``bench_kernels.py``) and — because absolute throughputs are
+machine-bound — renames the raw sweep to
 ``ivm_throughput_local`` while the gated figure becomes the same-machine
 ``ivm_rebaseline`` ratio: pass ``--rebaseline-repo`` a checkout of the
 baseline PR's code (e.g. a git worktree at the PR-5 commit) and both sides
@@ -90,6 +89,7 @@ from repro.aggregates import covariance_batch  # noqa: E402
 from repro.aggregates.spec import Aggregate, AggregateBatch  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.engine import EngineOptions, LMFAOEngine, MaterializedJoinEngine  # noqa: E402
+from repro.engine.statistics import widest_relation  # noqa: E402
 from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update  # noqa: E402
 
 
@@ -118,8 +118,8 @@ LARGE_SCALES = {
 }
 
 #: LMFAO evaluate() seconds of the seed commit (2f9b836), measured on the
-#: reference machine with the same scales, specialize=True + share=True,
-#: minimum over repeated runs.  Re-measure with --seed-repo.
+#: reference machine with the same scales, default options, minimum over
+#: repeated runs.  Re-measure with --seed-repo.
 SEED_REFERENCE = {
     "bench": {
         "retailer": {"C": 0.03535, "R": 0.02904},
@@ -155,22 +155,6 @@ IVM_STRATEGIES = {
     "higher_order": HigherOrderIVM,
     "fivm": FIVM,
 }
-
-
-#: The Figure-6 knob staircase, taken from the benchmark script itself so the
-#: recorded trajectory always measures the configurations the suite asserts on.
-ABLATION = [
-    (
-        name,
-        dict(
-            specialize=options.specialize,
-            columnar=options.columnar,
-            share=options.share,
-            parallel=options.parallel,
-        ),
-    )
-    for name, options in _figure6.CONFIGURATIONS
-]
 
 
 def _best_of(callable_, rounds: int) -> float:
@@ -209,27 +193,26 @@ def _figure4_timings(scales, rounds: int):
 
 
 def _figure6_timings(scales, rounds: int):
-    """Ablation of the optimisation knobs for the covariance batch.
+    """Ablation of the optimisation staircase for the covariance batch.
 
-    The interpreted/tuple oracle configurations are skipped above
-    ``ORACLE_ROW_CAP`` base rows (see ``bench_figure6_ablation.py``) — the
+    The steps are the callables of ``bench_figure6_ablation.CONFIGURATIONS``,
+    so the recorded trajectory always measures what the suite asserts on.
+    The two scan steps are skipped above ``ORACLE_ROW_CAP`` base rows — the
     bench scales this figure records stay under the cap, so the recorded
     staircase is unaffected; the guard keeps any future large-scale sweep
-    from timing the oracles.
+    from timing per-row Python.
     """
     figure = {}
     for dataset, scale in scales.items():
         database, query, spec = load_dataset(dataset, **scale)
         batch = covariance_batch(spec.continuous_features, spec.categorical_features)
+        root = _figure6.cost_root(database, query)
         figure[dataset] = {}
-        for name, options in ABLATION:
+        for name, run in _figure6.CONFIGURATIONS:
             if _figure6.oracle_capped(name, database):
                 figure[dataset][name] = None
                 continue
-            timing = _best_of(
-                lambda: LMFAOEngine(database, query, EngineOptions(**options)).evaluate(batch),
-                rounds,
-            )
+            timing = _best_of(lambda: run(database, query, root, batch), rounds)
             figure[dataset][name] = round(timing, 6)
     return figure
 
@@ -258,11 +241,10 @@ def _rooting_timings(scales, rounds: int):
             return best
 
         cost_engine = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
-        widest_engine = LMFAOEngine(database, query, EngineOptions(root_strategy="widest"))
         cost_root = cost_engine.join_tree.root.relation_name
-        widest_root = widest_engine.join_tree.root.relation_name
+        widest_root = widest_relation(database, query.relation_names)
         cost_seconds = best_seconds(EngineOptions(root_strategy="cost"))
-        widest_seconds = best_seconds(EngineOptions(root_strategy="widest"))
+        widest_seconds = best_seconds(EngineOptions(root_relation=widest_root))
         # The strategy picks were already timed above; only the remaining
         # candidates need fresh measurements for the exhaustive sweep.
         measured = {cost_root: cost_seconds, widest_root: widest_seconds}
@@ -329,12 +311,11 @@ def _view_cache_timings(scales, rounds: int):
 
 
 #: The three F-IVM propagation modes compared by the PR-4 fused figure:
-#: (name, fused pass on?, engine options whose ``parallel_deltas`` knob the
-#: harness forwards to the maintainer).
+#: (name, fused pass on?, ``parallel_deltas`` on?).
 IVM_FUSED_MODES = [
-    ("per_relation", False, EngineOptions()),
-    ("fused", True, EngineOptions()),
-    ("fused_parallel", True, EngineOptions(parallel_deltas=True)),
+    ("per_relation", False, False),
+    ("fused", True, False),
+    ("fused_parallel", True, True),
 ]
 
 
@@ -386,7 +367,7 @@ def _ivm_fused_timings(scale, scale_name, rounds):
     # machine states for every mode.
     best = {
         (mode, batch_size): (0.0, {})
-        for mode, _fused, _options in IVM_FUSED_MODES
+        for mode, _fused, _parallel in IVM_FUSED_MODES
         for batch_size in (100, 1000)
     }
     for round_index in range(rounds):
@@ -394,14 +375,14 @@ def _ivm_fused_timings(scale, scale_name, rounds):
             IVM_FUSED_MODES[round_index % len(IVM_FUSED_MODES):]
             + IVM_FUSED_MODES[: round_index % len(IVM_FUSED_MODES)]
         )
-        for mode, fused, options in order:
+        for mode, fused, parallel in order:
             for batch_size in (100, 1000):
                 maintainer = FIVM(
                     database,
                     query,
                     features,
                     fused_deltas=fused,
-                    parallel_deltas=options.parallel_deltas,
+                    parallel_deltas=parallel,
                 )
                 started = time.perf_counter()
                 for start in range(0, len(updates), batch_size):
@@ -412,7 +393,7 @@ def _ivm_fused_timings(scale, scale_name, rounds):
                         throughput,
                         dict(maintainer.executor_stats),
                     )
-    for mode, _fused, _options in IVM_FUSED_MODES:
+    for mode, _fused, _parallel in IVM_FUSED_MODES:
         entry = {}
         for batch_size in (100, 1000):
             throughput, stats = best[(mode, batch_size)]
@@ -428,57 +409,6 @@ def _ivm_fused_timings(scale, scale_name, rounds):
                 )
             entry[str(batch_size)] = record
         figure["modes"][mode] = entry
-    return figure
-
-
-def _root_patching_timings(scales, rounds, loop_updates: int = 10):
-    """Single-tuple update loops with the root view patched vs recomputed.
-
-    The engine is rooted at the fact relation (the configuration where the
-    PR-3 gap — "the root always recomputes fully" — actually hurts: every
-    update invalidates the most expensive node).  ``root_patching`` splices
-    a propagated delta view into the cached root extraction instead.
-    """
-    figure = {}
-    for dataset, scale in scales.items():
-        database, query, spec = load_dataset(dataset, **scale)
-        batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-        fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-        rows = list(database.relation(fact))[:loop_updates]
-
-        def run(patching):
-            engine = LMFAOEngine(
-                database,
-                query,
-                EngineOptions(root_relation=fact, root_patching=patching),
-            )
-            engine.evaluate(batch)
-            patched = 0
-            started = time.perf_counter()
-            for row in rows:
-                database.relation(fact).add(row, 1)
-                result = engine.evaluate(batch)
-                patched += result.executor_stats.get("root_patches", 0)
-            elapsed = time.perf_counter() - started
-            for row in rows:
-                database.relation(fact).add(row, -1)
-            return elapsed, patched
-
-        on_best, patched = float("inf"), 0
-        off_best = float("inf")
-        for _ in range(rounds):
-            elapsed, count = run(True)
-            if elapsed < on_best:
-                on_best, patched = elapsed, count
-            off_best = min(off_best, run(False)[0])
-        figure[dataset] = {
-            "root_relation": fact,
-            "updates": len(rows),
-            "patch_seconds": round(on_best, 6),
-            "full_root_seconds": round(off_best, 6),
-            "speedup": round(off_best / max(on_best, 1e-12), 2),
-            "root_patches": patched,
-        }
     return figure
 
 
@@ -498,8 +428,7 @@ def _storage_timings(scale, scale_name, rounds):
     ``add`` loop over the same parsed rows.  ``memory`` samples the store's
     footprint via ``sys.getsizeof`` against a plain ``dict[tuple, int]`` of
     the same content (the seed's system of record).  ``counters`` replays an
-    insert/delete stream and records the ``tuplestore_stats`` — a non-zero
-    ``full_encodes`` here is a storage regression.
+    insert/delete stream and records the ``tuplestore_stats``.
     """
     import sys as _sys
     import tempfile
@@ -651,106 +580,6 @@ def _ivm_throughput_timings(scale, rounds: int, seed_reference):
                 record["speedup_vs_seed"] = round(best / seed_throughput, 2)
             entry["batch_sizes"][str(batch_size)] = record
         figure["strategies"][name] = entry
-    return figure
-
-
-def _delta_cache_timings(scales, rounds: int, loop_updates: int = 10,
-                         medium_batch: int = 100):
-    """Update loops: delta-aware cache refresh vs full eviction vs auto.
-
-    Two phases per ``delta_refresh`` policy (``True``, ``False``, ``"auto"``):
-
-    - **small** — ``loop_updates`` single-tuple inserts to the fact relation,
-      each followed by a re-evaluate.  The static refresh path's home turf.
-    - **medium** — one netted batch of ``medium_batch`` row inserts (above
-      the static ``delta_refresh_limit``, below the change-log capacity),
-      then a re-evaluate.  The static-on policy bails to a full recompute
-      here; ``"auto"`` may keep refreshing when the batch touches a small
-      fraction of a large view's groups (see
-      ``EngineOptions.refresh_budget``).
-
-    The recorded ``auto_vs_best_static`` ratio is the acceptance metric for
-    the adaptive policy: total auto seconds over the better static total.
-    """
-    figure = {}
-    for dataset, scale in scales.items():
-        database, query, spec = load_dataset(dataset, **scale)
-        batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-        fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-        all_rows = list(database.relation(fact))
-        rows = all_rows[:loop_updates]
-        warmup_rows = all_rows[loop_updates : loop_updates + 2] or rows[:1]
-        medium_rows = all_rows[:medium_batch]
-        ones = [1] * len(medium_rows)
-        undo = [-1] * len(medium_rows)
-
-        def run(options):
-            engine = LMFAOEngine(database, query, options)
-            engine.evaluate(batch)
-            # Steady-state warmup, identical for every policy: a couple of
-            # untimed update+evaluate iterations prime the delta machinery
-            # (change logs, combined-key codings) and — for "auto" — the
-            # per-node cost estimates, so the timed loop measures the
-            # policy's steady state rather than its cold start (the same
-            # convention as _rooting_batch_timings.steady_state).
-            for row in warmup_rows:
-                database.relation(fact).add(row, 1)
-                engine.evaluate(batch)
-            refreshed = 0
-            started = time.perf_counter()
-            for row in rows:
-                database.relation(fact).add(row, 1)
-                result = engine.evaluate(batch)
-                refreshed += result.executor_stats.get("views_delta_refreshed", 0)
-                refreshed += result.executor_stats.get("root_patches", 0)
-            small = time.perf_counter() - started
-            started = time.perf_counter()
-            database.relation(fact).add_batch(medium_rows, ones)
-            result = engine.evaluate(batch)
-            medium = time.perf_counter() - started
-            refreshed += result.executor_stats.get("views_delta_refreshed", 0)
-            refreshed += result.executor_stats.get("root_patches", 0)
-            for row in warmup_rows:
-                database.relation(fact).add(row, -1)
-            for row in rows:
-                database.relation(fact).add(row, -1)
-            database.relation(fact).add_batch(medium_rows, undo)
-            return small, medium, refreshed
-
-        policies = {"on": True, "off": False, "auto": "auto"}
-        best = {name: (float("inf"), float("inf"), 0) for name in policies}
-        for _ in range(rounds):
-            for name, policy in policies.items():
-                small, medium, refreshed = run(EngineOptions(delta_refresh=policy))
-                if small + medium < best[name][0] + best[name][1]:
-                    best[name] = (small, medium, refreshed)
-        on_small, on_medium, on_refreshed = best["on"]
-        off_small, off_medium, _ = best["off"]
-        auto_small, auto_medium, auto_refreshed = best["auto"]
-        best_static_total = min(on_small + on_medium, off_small + off_medium)
-        auto_total = auto_small + auto_medium
-        figure[dataset] = {
-            "updated_relation": fact,
-            "updates": len(rows),
-            "medium_batch_rows": len(medium_rows),
-            # The original small-phase figures keep their PR-3 names.
-            "delta_refresh_seconds": round(on_small, 6),
-            "full_eviction_seconds": round(off_small, 6),
-            "speedup": round(off_small / max(on_small, 1e-12), 2),
-            "views_delta_refreshed": on_refreshed,
-            "auto_seconds": round(auto_small, 6),
-            "medium": {
-                "delta_refresh_seconds": round(on_medium, 6),
-                "full_eviction_seconds": round(off_medium, 6),
-                "auto_seconds": round(auto_medium, 6),
-            },
-            "auto_total_seconds": round(auto_total, 6),
-            "best_static_total_seconds": round(best_static_total, 6),
-            "auto_vs_best_static": round(
-                best_static_total / max(auto_total, 1e-12), 2
-            ),
-            "auto_views_refreshed": auto_refreshed,
-        }
     return figure
 
 
@@ -1038,7 +867,7 @@ def main() -> None:
         },
         "engine_options": {
             "defaults": vars(EngineOptions()),
-            "ablation": {name: options for name, options in ABLATION},
+            "ablation": [name for name, _run in _figure6.CONFIGURATIONS],
         },
         "scales": {"bench": BENCH_SCALES, "large": LARGE_SCALES},
         "figures": {},
@@ -1085,8 +914,8 @@ def main() -> None:
         rooting_scales, arguments.rounds
     )
 
-    # PR 3: the IVM update-throughput sweep (Figure 4 right), the delta-aware
-    # view cache, and batch-aware rooting.  From PR 8 on, the sweep records
+    # PR 3: the IVM update-throughput sweep (Figure 4 right) and batch-aware
+    # rooting.  From PR 8 on, the sweep records
     # under a ``_local_`` name the trajectory checker deliberately does not
     # gate — absolute throughputs are machine-bound and this container is
     # far slower than the PR-5 recording's; the gated figure is the
@@ -1106,15 +935,7 @@ def main() -> None:
             Path(arguments.rebaseline_repo), arguments.baseline_pr,
             BENCH_SCALES["retailer"], (1, 100), max(arguments.rounds, 5),
         )
-    report["figures"][f"ivm_delta_cache_{rooting_label}"] = _delta_cache_timings(
-        rooting_scales, arguments.rounds
-    )
     report["figures"][f"rooting_batch_{rooting_label}"] = _rooting_batch_timings(
-        rooting_scales, arguments.rounds
-    )
-
-    # PR 4: root-payload patching (the fused-pass figure ran first, above).
-    report["figures"][f"root_patching_{rooting_label}"] = _root_patching_timings(
         rooting_scales, arguments.rounds
     )
 
@@ -1166,10 +987,8 @@ def main() -> None:
         else f"{throughput_prefix}_large"
     )
     ivm = report["figures"][ivm_label]
-    delta_cache = report["figures"][f"ivm_delta_cache_{rooting_label}"]
     fused_label = "ivm_fused_bench" if arguments.skip_large else "ivm_fused_large"
     fused = report["figures"][fused_label]
-    root_patch = report["figures"][f"root_patching_{rooting_label}"]
     storage_label = "storage_bench" if arguments.skip_large else "storage_large"
     storage = report["figures"][storage_label]
     report["headline"] = {
@@ -1178,7 +997,6 @@ def main() -> None:
             for size, record in storage["ivm_batches"].items()
         },
         "storage_csv_ingest_speedup": storage["csv_ingest"]["speedup_vs_per_row"],
-        "storage_full_encodes": storage["counters"]["full_encodes"],
         "large_scale_speedups_vs_seed": {
             dataset: {name: entry.get("speedup_vs_seed") for name, entry in batches.items()}
             for dataset, batches in large.items()
@@ -1197,25 +1015,14 @@ def main() -> None:
             }
             for name, entry in ivm["strategies"].items()
         },
-        "delta_cache_refresh_speedup": {
-            dataset: entry["speedup"] for dataset, entry in delta_cache.items()
-        },
         "ivm_fused_speedup_vs_pr3": {
             size: record.get("speedup_vs_pr3")
             for size, record in fused["modes"]["fused"].items()
         },
-        "root_patching_speedup": {
-            dataset: entry["speedup"] for dataset, entry in root_patch.items()
-        },
     }
-    if arguments.pr >= 8:
-        report["headline"]["delta_refresh_auto_vs_best_static"] = {
-            dataset: entry["auto_vs_best_static"]
-            for dataset, entry in delta_cache.items()
-        }
-        rebaseline = report["figures"].get("ivm_rebaseline_bench")
-        if rebaseline is not None:
-            report["headline"]["ivm_rebaseline_ratio_vs_pr5"] = rebaseline["ratios"]
+    rebaseline = report["figures"].get("ivm_rebaseline_bench")
+    if rebaseline is not None:
+        report["headline"]["ivm_rebaseline_ratio_vs_pr5"] = rebaseline["ratios"]
     if arguments.pr >= 9:
         durability = report["figures"]["durability_bench"]
         report["headline"]["durability_journal_ratios"] = {
@@ -1259,25 +1066,15 @@ def main() -> None:
         f"{report['headline']['ivm_batched_speedup_vs_seed_per_tuple']}"
     )
     print(
-        "delta-cache refresh speedup: "
-        f"{report['headline']['delta_cache_refresh_speedup']}"
-    )
-    print(
         "fused pass speedup vs PR-3 recorded F-IVM: "
         f"{report['headline']['ivm_fused_speedup_vs_pr3']}"
     )
-    print(f"root patching speedup: {report['headline']['root_patching_speedup']}")
     print(
         "array-native storage: small-batch IVM vs PR-4 "
         f"{report['headline']['storage_small_batch_speedup_vs_pr4']}, "
         f"CSV ingest {report['headline']['storage_csv_ingest_speedup']}x vs "
-        f"per-row add, full_encodes={report['headline']['storage_full_encodes']}"
+        "per-row add"
     )
-    if "delta_refresh_auto_vs_best_static" in report.get("headline", {}):
-        print(
-            "delta_refresh='auto' vs best static: "
-            f"{report['headline']['delta_refresh_auto_vs_best_static']}"
-        )
     if "ivm_rebaseline_ratio_vs_pr5" in report.get("headline", {}):
         print(
             "same-machine F-IVM ratio vs baseline checkout: "

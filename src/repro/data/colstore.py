@@ -205,26 +205,8 @@ class ColumnStore:
     group-by keys each pay their cost once per store lifetime.
     """
 
-    def __init__(self, relation, version: Optional[int] = None) -> None:
-        # The legacy snapshot constructor: materialise and re-encode every
-        # row.  Relation.column_store() takes the zero-copy
-        # :meth:`from_tuplestore` path instead; anything still landing here
-        # pays the full encode and is counted so regressions are visible.
-        tuplestore_stats.bump("full_encodes")
-        rows: List[Tuple] = []
-        multiplicities: List[float] = []
-        for row, multiplicity in relation.items():
-            rows.append(row)
-            multiplicities.append(float(multiplicity))
-        self._init_from(
-            relation.name,
-            relation.schema,
-            rows,
-            np.asarray(multiplicities, dtype=np.float64),
-            relation.version if version is None else version,
-        )
-
-    def _init_from(self, name, schema, rows, multiplicities, version) -> None:
+    def __init__(self, name, schema, rows, multiplicities, version) -> None:
+        # Built through from_tuplestore / from_rows, which own the encoding.
         self.relation_name: str = name
         self.schema = schema
         self.version = version
@@ -256,18 +238,17 @@ class ColumnStore:
         gathered on first touch.
         """
         tuplestore_stats.bump("zero_copy_snapshots")
-        snapshot = cls.__new__(cls)
         stored = store.rows_list()
         multiplicities = store.multiplicities_view()
         if store.zeros:
             keep = store.live_slots()
-            snapshot._init_from(name, schema, None, multiplicities[keep], store.version)
+            snapshot = cls(name, schema, None, multiplicities[keep], store.version)
             # The list object, not the store: a later sweep replaces the
             # store's list and appends only ever extend this one.
             snapshot._row_source = (stored, keep)
         else:
             keep = None
-            snapshot._init_from(name, schema, stored, multiplicities, store.version)
+            snapshot = cls(name, schema, stored, multiplicities, store.version)
         for position in range(len(schema.names)):
             codes = store.column_codes_view(position)
             snapshot._encodings[position] = ColumnEncoding(
@@ -292,15 +273,13 @@ class ColumnStore:
         flows through the same dictionary encodings, combined key codes and
         float columns as any base relation.
         """
-        store = cls.__new__(cls)
-        store._init_from(
+        return cls(
             name,
             schema,
             list(rows),
             np.asarray(multiplicities, dtype=np.float64),
             version,
         )
-        return store
 
     def __len__(self) -> int:
         return self.row_count

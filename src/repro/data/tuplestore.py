@@ -63,9 +63,8 @@ untouched), and a sweep *replaces* the row list, code and multiplicity
 arrays rather than mutating them.
 
 The module-level :data:`tuplestore_stats` counters make the storage claims
-testable: ``full_encodes`` counts legacy whole-relation re-encodes (the
-regression suite asserts it stays 0 across IVM streams), ``compactions``
-counts tombstone sweeps.
+testable: ``zero_copy_snapshots`` counts dense-snapshot handoffs,
+``compactions`` counts tombstone sweeps.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class StatsCounters(dict):
 
     Plain ``stats[key] += 1`` is a read-modify-write of three bytecodes and
     loses increments when several threads race it (serving readers all bump
-    ``zero_copy_snapshots``/``full_encodes`` through their snapshot reads).
+    ``zero_copy_snapshots`` through their snapshot reads).
     Mutating call sites go through :meth:`bump`; reads stay plain dict
     lookups — under the GIL a lookup is atomic, and a reader observing a
     counter one bump early is fine.
@@ -117,7 +116,6 @@ class StatsCounters(dict):
 
 #: Global storage-behaviour counters (see the module docstring).
 tuplestore_stats: StatsCounters = StatsCounters({
-    "full_encodes": 0,      # legacy ColumnStore(relation) whole-relation encodes
     "zero_copy_snapshots": 0,  # ColumnStore.from_tuplestore handoffs
     "compactions": 0,       # tombstone sweeps
     "batch_appends": 0,     # vectorised add_batch calls

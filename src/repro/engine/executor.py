@@ -6,28 +6,21 @@ attributes shared with its parent) to a map from group-by assignments to the
 partial sum-product value.  Views are computed by scanning the node's relation
 once, combining each tuple with the already-computed views of the children.
 
-Three code paths implement the scan, from slowest to fastest:
+One code path computes views: ``_evaluate_family``, fully vectorised over
+the relation's dictionary-encoded :class:`~repro.data.colstore.ColumnStore` —
+filters are evaluated per distinct value and gathered through codes,
+connection/group-by keys become integer row codes, and child views (including
+*grouped, multi-entry* ones) are joined through CSR-style offset tables, with
+no per-row Python at all.  It handles every signature whose product
+attributes decode to floats; the rest (``views_tuple_fallback``) go through
+:func:`scan_node_views`, a tuple-at-a-time scan with pre-resolved column
+positions that doubles as the view-level reference of the equivalence tests
+and as the "+specialisation" step of the Figure-6 benchmark.
 
-``_scan_interpreted``
-    every row becomes a dictionary and every attribute access resolves names
-    at runtime — the unspecialised baseline;
-``_scan_specialized``
-    tuple-at-a-time with pre-resolved column positions — the classic
-    code-specialisation step;
-``_evaluate_columnar``
-    fully vectorised over the relation's dictionary-encoded
-    :class:`~repro.data.colstore.ColumnStore`: filters are evaluated per
-    distinct value and gathered through codes, connection/group-by keys
-    become integer row codes, and child views (including *grouped,
-    multi-entry* ones) are joined through CSR-style offset tables — no
-    per-row Python at all.
-
-The columnar path handles every signature whose product attributes are
-numeric; only non-numeric products fall back to the specialised scan.  The
-per-path view counts are reported through the ``stats`` dictionary so callers
-(and benchmarks) can assert which path actually ran; views the engine served
-from its cross-evaluate cache never reach this module and are counted under
-:data:`STAT_CACHED` by the engine itself.
+The per-path view counts are reported through the ``stats`` dictionary so
+callers (and benchmarks) can assert which path actually ran; views the engine
+served from its cross-evaluate cache never reach this module and are counted
+under :data:`STAT_CACHED` by the engine itself.
 """
 
 from __future__ import annotations
@@ -56,8 +49,6 @@ EMPTY_GROUP: Tuple = ()
 #: Keys used in the executor statistics dictionary.
 STAT_COLUMNAR = "views_columnar"
 STAT_TUPLE_FALLBACK = "views_tuple_fallback"
-STAT_TUPLE_SPECIALIZED = "views_tuple_specialized"
-STAT_INTERPRETED = "views_interpreted"
 #: Views served from the engine's cross-evaluate view cache (never computed
 #: here; the key exists so one stats dictionary covers all view outcomes).
 STAT_CACHED = "views_cached"
@@ -253,66 +244,6 @@ def _scan_specialized(
                     factor,
                 )
             ]
-            for child_positions, child_view in task.child_views:
-                child_key = tuple(row[position] for position in child_positions)
-                entries = child_view.get(child_key)
-                if not entries:
-                    alive = False
-                    break
-                expanded: List[Tuple[Tuple, float]] = []
-                for group_pairs, value in partial:
-                    for child_pairs, child_value in entries.items():
-                        expanded.append((group_pairs + child_pairs, value * child_value))
-                partial = expanded
-            if not alive:
-                continue
-
-            groups = task.result.setdefault(conn_key, {})
-            for group_pairs, value in partial:
-                key = tuple(sorted(group_pairs)) if group_pairs else EMPTY_GROUP
-                groups[key] = groups.get(key, 0.0) + value
-
-
-def _scan_interpreted(
-    relation: Relation,
-    conn_attributes: Sequence[str],
-    tasks: Sequence[_SignatureTask],
-    node: JoinTreeNode,
-    designation: Mapping[str, str],
-) -> None:
-    """Row-dict based scan: the unspecialised (interpretation-heavy) code path.
-
-    This models an engine without workload compilation: every row is converted
-    to a dictionary and every attribute access resolves names at runtime.
-    """
-    names = relation.schema.names
-    here = node.relation_name
-    for row, multiplicity in relation.items():
-        row_dict = dict(zip(names, row))
-        conn_key = tuple(row_dict[attribute] for attribute in conn_attributes)
-        for task in tasks:
-            signature = task.signature
-            alive = True
-            for condition in signature.filters:
-                if designation[condition.attribute] == here and not condition.test(
-                    row_dict[condition.attribute]
-                ):
-                    alive = False
-                    break
-            if not alive:
-                continue
-
-            factor = float(multiplicity)
-            for attribute, exponent in signature.product:
-                if designation[attribute] == here:
-                    factor *= float(row_dict[attribute]) ** exponent
-
-            local_group = tuple(
-                (attribute, row_dict[attribute])
-                for attribute in signature.group_by
-                if designation[attribute] == here
-            )
-            partial: List[Tuple[Tuple, float]] = [(local_group, factor)]
             for child_positions, child_view in task.child_views:
                 child_key = tuple(row[position] for position in child_positions)
                 entries = child_view.get(child_key)
@@ -1101,7 +1032,7 @@ def _build_families(
     node: JoinTreeNode,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    restrict_cache: Optional[Dict[Tuple[ViewSignature, str], ViewSignature]] = None,
+    restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature],
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
@@ -1115,11 +1046,10 @@ def _build_families(
         children = []
         for child, attributes in key_attributes:
             cache_key = (signature, child.relation_name)
-            restricted = None if restrict_cache is None else restrict_cache.get(cache_key)
+            restricted = restrict_cache.get(cache_key)
             if restricted is None:
                 restricted = restrict_signature(signature, child, designation)
-                if restrict_cache is not None:
-                    restrict_cache[cache_key] = restricted
+                restrict_cache[cache_key] = restricted
             children.append(((child.relation_name, restricted), attributes))
         local_attributes = tuple(
             attribute for attribute in signature.group_by if designation[attribute] == here
@@ -1362,105 +1292,65 @@ def _context_for(
     return context
 
 
+def scan_node_views(
+    node: JoinTreeNode,
+    relation: Relation,
+    signatures: Sequence[ViewSignature],
+    designation: Mapping[str, str],
+    child_views: Mapping[Tuple[str, ViewSignature], View],
+) -> Dict[ViewSignature, View]:
+    """The views of ``signatures`` at one node by a single tuple-at-a-time scan.
+
+    The engine's fallback for signatures the columnar path cannot take (a
+    product attribute that does not decode to floats), and the semantics the
+    columnar views are tested against.
+    """
+    conn_attributes = sorted(node.connection_attributes())
+    conn_positions = [relation.schema.index_of(attribute) for attribute in conn_attributes]
+    tasks = [
+        _prepare_task(node, relation, signature, designation, child_views)
+        for signature in signatures
+    ]
+    _scan_specialized(relation, conn_positions, tasks)
+    return {task.signature: task.result for task in tasks}
+
+
 def compute_node_views(
     node: JoinTreeNode,
     relation: Relation,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
     child_views: Mapping[Tuple[str, ViewSignature], View],
-    specialize: bool = True,
-    share_scans: bool = True,
-    columnar: bool = True,
     context_cache: Optional[MutableMapping[Tuple, ColumnarContext]] = None,
     stats: Optional[MutableMapping[str, int]] = None,
 ) -> Dict[ViewSignature, View]:
     """Compute the views for all ``signatures`` at one node.
 
-    With ``specialize`` the evaluation is compiled: to vectorised operations
-    over the relation's dictionary-encoded column store when ``columnar`` is
-    on (falling back to a position-resolved tuple scan only for non-numeric
-    product attributes), or to the tuple scan for every signature when it is
-    off.  Without ``specialize`` every row is interpreted through dictionary
-    lookups.  ``share_scans=True`` shares the per-node precomputation (and
-    the scan) across all signatures; otherwise each signature re-encodes and
-    re-scans the relation, modelling an engine without scan sharing.
-    ``context_cache`` (used by the engine) carries columnar contexts across
-    batch evaluations; ``stats`` counts how many views each path computed.
+    The distinct signatures are grouped into view families and evaluated
+    vectorised over the relation's column store, sharing the per-node
+    precomputation; signatures with a non-numeric product attribute fall
+    back to :func:`scan_node_views`.  ``context_cache`` (used by the engine)
+    carries columnar contexts across batch evaluations; ``stats`` counts how
+    many views each path computed.
     """
     conn_attributes = sorted(node.connection_attributes())
-    conn_positions = [relation.schema.index_of(attribute) for attribute in conn_attributes]
-
+    context = _context_for(node, relation, conn_attributes, context_cache)
+    child_tables: Dict[Tuple[str, ViewSignature], _ChildTable] = {}
     results: Dict[ViewSignature, View] = {}
-
-    def tick(key: str, amount: int = 1) -> None:
-        if stats is not None:
-            stats[key] = stats.get(key, 0) + amount
-
-    if specialize and columnar:
-        remaining = []
-        if share_scans:
-            distinct: List[ViewSignature] = []
-            seen = set()
-            for signature in signatures:
-                if signature not in seen:
-                    seen.add(signature)
-                    distinct.append(signature)
-            context = _context_for(node, relation, conn_attributes, context_cache)
-            child_tables: Dict[Tuple[str, ViewSignature], _ChildTable] = {}
-            for family in _build_families(
-                node, distinct, designation, context.restrict_cache
-            ):
-                computed, fallback = _evaluate_family(
-                    context, node, family, designation, child_views, child_tables
-                )
-                results.update(computed)
-                remaining.extend(fallback)
-                tick(STAT_COLUMNAR, len(computed))
-                tick(STAT_TUPLE_FALLBACK, len(fallback))
-        else:
-            # No sharing: every signature runs its own single-view pipeline
-            # (its own family, key codings, filter masks and child joins), so
-            # the ablation measures what *pipeline* sharing buys.  The
-            # dictionary encoding itself is served by the relation's cached
-            # column store — re-encoding per signature measured storage
-            # duplication no real engine would exhibit, and the IVM paths
-            # mutating relations mid-stream made the duplicate snapshots
-            # actively misleading.
-            for signature in signatures:
-                context = ColumnarContext(node, relation, conn_attributes)
-                (family,) = _build_families(node, [signature], designation)
-                computed, fallback = _evaluate_family(
-                    context, node, family, designation, child_views, {}
-                )
-                if fallback:
-                    remaining.extend(fallback)
-                    tick(STAT_TUPLE_FALLBACK)
-                else:
-                    results[signature] = computed[signature]
-                    tick(STAT_COLUMNAR)
-    elif specialize:
-        remaining = list(signatures)
-        tick(STAT_TUPLE_SPECIALIZED, len(remaining))
-    else:
-        remaining = list(signatures)
-        tick(STAT_INTERPRETED, len(remaining))
-
+    remaining: List[ViewSignature] = []
+    for family in _build_families(
+        node, list(dict.fromkeys(signatures)), designation, context.restrict_cache
+    ):
+        computed, fallback = _evaluate_family(
+            context, node, family, designation, child_views, child_tables
+        )
+        results.update(computed)
+        remaining.extend(fallback)
+    if stats is not None:
+        stats[STAT_COLUMNAR] = stats.get(STAT_COLUMNAR, 0) + len(results)
+        stats[STAT_TUPLE_FALLBACK] = stats.get(STAT_TUPLE_FALLBACK, 0) + len(remaining)
     if remaining:
-        tasks = [
-            _prepare_task(node, relation, signature, designation, child_views)
-            for signature in remaining
-        ]
-        task_groups: List[List[_SignatureTask]]
-        if share_scans:
-            task_groups = [list(tasks)]
-        else:
-            task_groups = [[task] for task in tasks]
-        for group in task_groups:
-            if specialize:
-                _scan_specialized(relation, conn_positions, group)
-            else:
-                _scan_interpreted(relation, conn_attributes, group, node, designation)
-        for task in tasks:
-            results[task.signature] = task.result
-
+        results.update(
+            scan_node_views(node, relation, remaining, designation, child_views)
+        )
     return {signature: results[signature] for signature in signatures}

@@ -10,9 +10,9 @@ over a feature-extraction query without materialising the join:
    views rooted at it, optionally in parallel across independent nodes;
 4. assemble the final aggregate values at the root.
 
-The three optimisation flags — ``specialize``, ``share`` and ``parallel`` —
-mirror the ablation of Figure 6; with all of them off the engine behaves like
-the AC/DC baseline (plain aggregate pushdown, one aggregate at a time).
+Specialisation (the vectorised columnar executor) and sharing are always on;
+the Figure-6 ablation that takes them away again lives in
+``benchmarks/bench_figure6_ablation.py``, not behind switches here.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from collections import OrderedDict
 
 import numpy as np
 
-from repro import kernels
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -49,16 +48,15 @@ from repro.engine.executor import (
 from repro.engine.deltas import rows_matching_keys
 from repro.engine.plan import BatchPlan, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
-from repro.engine.statistics import (
-    RootChoice,
-    choose_root,
-    choose_root_for_batch,
-    widest_relation,
-)
+from repro.engine.statistics import RootChoice, choose_root, choose_root_for_batch
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 
 AggregateValue = Union[float, Dict[Tuple, float]]
+
+#: The stale ``(signature, cached view)`` entries one logged change set can
+#: refresh, the ``(row, signed multiplicity)`` changes, and the key budget.
+_RefreshGroup = Tuple[List[Tuple[ViewSignature, View]], List[Tuple[Tuple, int]], int]
 
 
 def _sub_relation_from_mask(relation: Relation, store, mask) -> Relation:
@@ -119,138 +117,93 @@ def _root_group_hint(view: View) -> int:
     return len(groups) if groups is not None else 0
 
 
+#: The adaptive refresh budget (see :func:`refresh_budget`): a stale cached
+#: view is refreshed through the delta paths while the logged change set and
+#: the changed-key set it induces stay within ``max(REFRESH_KEY_FLOOR,
+#: groups // REFRESH_GROUP_DIVISOR)`` — a floor that keeps small views on the
+#: splice path, and a quarter of the groups beyond which a full recompute is
+#: judged cheaper.
+REFRESH_KEY_FLOOR = 64
+REFRESH_GROUP_DIVISOR = 4
+
+
+def refresh_budget(group_hint: int) -> int:
+    """The changed-key budget the delta paths may spend on one cached view."""
+    return max(REFRESH_KEY_FLOOR, int(group_hint) // REFRESH_GROUP_DIVISOR)
+
+
+def _patched_root_view(old_view: View, delta_view: View) -> View:
+    """The cached root view plus a propagated delta view.
+
+    A columnar view is patched in place on its arrays; a view the in-place
+    patch cannot represent (a plain dict from the tuple fallback or an empty
+    join, or a delta group that does not align with the view's attribute
+    sequence) is merged into a fresh nested dict.
+    """
+    if isinstance(old_view, ColumnarView) and old_view.apply_root_delta(
+        _root_delta_items(delta_view)
+    ):
+        return old_view
+    merged: Dict[Tuple, Dict[Tuple, float]] = dict(old_view.items())
+    for conn_key, delta_groups in delta_view.items():
+        base = dict(merged.get(conn_key, {}))
+        for pairs, value in delta_groups.items():
+            base[pairs] = base.get(pairs, 0.0) + value
+        merged[conn_key] = base
+    return merged
+
+
 @dataclass
 class EngineOptions:
-    """Optimisation switches of the engine.
+    """The engine's configuration.
 
-    The first four flags (``specialize``, ``columnar``, ``share``,
-    ``parallel``) are the staircase ablated in Figure 6.  The remaining knobs
-    control the cost-based planner and the cross-evaluate view cache:
-
+    ``parallel`` / ``workers``
+        Evaluate independent join-tree nodes of one level concurrently on a
+        thread pool of ``workers`` threads (``None``: derived from the cpu
+        count).
     ``root_relation``
         Force a specific join-tree root (overrides ``root_strategy``).
     ``root_strategy``
         ``"cost"`` (default) scores every candidate root with the
         statistics-based model of :mod:`repro.engine.statistics` and picks
-        the cheapest; ``"widest"`` restores the seed heuristic (root at the
-        widest, then largest, relation) for ablation.
+        the cheapest once, at construction; ``"cost-batch"`` re-scores per
+        batch shape with the planned signature counts and re-roots on
+        :meth:`LMFAOEngine.evaluate`.
     ``cache_views``
         Keep computed views alive across :meth:`LMFAOEngine.evaluate` calls,
         keyed by ``(node, signature)`` and guarded by the versions of every
         relation in the node's subtree — an unchanged subtree is never
         recomputed, so repeated identical batches (IVM refresh loops,
         benchmark rounds, gradient-descent steps re-deriving the same
-        statistics) skip almost all view work.  Only effective together with
-        ``share`` (without sharing the ablation must re-do the work).
+        statistics) skip almost all view work, and a cached view whose
+        subtree saw a small update is refreshed through the delta paths
+        (:meth:`LMFAOEngine._try_delta_refresh`) instead of recomputed.
     ``view_cache_size``
         Upper bound on cached views per engine; least-recently-used entries
         are evicted beyond it.
-    ``delta_refresh``
-        With ``cache_views``: instead of recomputing a cached view whose
-        subtree saw a *small* update from scratch, recompute only its changed
-        key groups (derived from the mutated relation's change log) and
-        splice them into the cached view — see
-        :meth:`LMFAOEngine._try_delta_refresh`.  Accepts ``True`` (always
-        attempt, bounded by the static ``delta_refresh_limit``), ``False``
-        (always recompute), or ``"auto"``: the engine decides per view from
-        two signals — the touched-group fraction of the netted batch (the
-        budget is sized per view, so a batch touching a small fraction of a
-        large view's groups delta-refreshes even past the static limit while
-        one touching most of a small view recomputes; see
-        :meth:`EngineOptions.refresh_budget`) and the *measured* per-view
-        costs of the two paths at each node (see
-        :meth:`LMFAOEngine._auto_refresh_pays` — nodes whose full recompute
-        is observably cheaper than the splice machinery fall back to it).
-    ``delta_refresh_limit``
-        Delta-refresh only engages while the logged change set and the
-        changed-key set stay at or below this size; larger deltas fall back
-        to the plain recompute.  Under ``delta_refresh="auto"`` this is the
-        budget *floor*, raised for views with many groups.
-    ``kernel_backend``
-        Which :mod:`repro.kernels` backend the engine activates at
-        construction: ``"numpy"``, ``"numba"`` (raises when numba is not
-        importable), or ``"auto"`` (the default — keep whatever the
-        process-global registry resolved, i.e. the ``REPRO_KERNEL_BACKEND``
-        environment variable or numba-if-available).  The registry is
-        process-global, so a non-auto setting affects every engine and
-        maintainer in the process.
-    ``root_patching``
-        With ``delta_refresh``: patch stale cached *root* views by
-        propagating the logged delta up the join tree as a signed delta view
-        and adding it into the cached extraction, instead of recomputing the
-        root from scratch — see :meth:`LMFAOEngine._try_patch_root`.
-    ``columnar_root_patch``
-        How the propagated delta is spliced into a cached columnar root
-        view: on (the default) the ``ColumnarView`` arrays are patched in
-        place — existing group entries are plain ``sums[code] += delta``
-        updates, allocation-free for arbitrarily wide group-bys — and the
-        view stays array-native for the extraction; off restores the PR-4
-        behaviour of merging into a nested dict (kept as the fallback, and
-        still taken when a view cannot be patched in place).
-    ``parallel_deltas``
-        The GIL-free subtree-parallelism knob of the fused IVM delta pass
-        (see :class:`repro.ivm.fivm.FIVM` and
-        :class:`repro.engine.executor.SubtreeScheduler`).  Carried here so
-        one options object configures an engine and the maintainers built
-        alongside it (the benchmark harnesses forward it); the engine's own
-        node-level parallelism stays under ``parallel``.
     """
 
-    specialize: bool = True     # compiled (columnar or tuple) access vs per-row dict interpretation
-    columnar: bool = True       # with specialize: vectorise over the dictionary-encoded column store
-    share: bool = True          # share views across aggregates and scans across views
-    parallel: bool = False      # evaluate independent join-tree nodes concurrently
-    workers: Optional[int] = None   # None: derived from os.cpu_count()
+    parallel: bool = False
+    workers: Optional[int] = None
     root_relation: Optional[str] = None
-    root_strategy: str = "cost"     # "cost" | "widest" | "cost-batch"
+    root_strategy: str = "cost"     # "cost" | "cost-batch"
     cache_views: bool = True
     view_cache_size: int = 512
-    delta_refresh: "Union[bool, str]" = True   # True | False | "auto"
-    delta_refresh_limit: int = 64
-    root_patching: bool = True
-    columnar_root_patch: bool = True
-    parallel_deltas: bool = False
-    kernel_backend: str = "auto"    # "auto" | "numpy" | "numba"
 
     def __post_init__(self) -> None:
-        if self.delta_refresh not in (True, False, "auto"):
+        if self.root_strategy not in ("cost", "cost-batch"):
             raise ValueError(
-                f"delta_refresh must be True, False or 'auto', "
-                f"got {self.delta_refresh!r}"
+                f"unknown root_strategy {self.root_strategy!r}; "
+                "expected 'cost' or 'cost-batch'"
             )
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            # Spelling check only; whether "numba" is actually importable is
-            # set_backend's call (RuntimeError at engine construction).
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                "expected 'auto', 'numpy' or 'numba'"
-            )
-
-    def refresh_budget(self, group_hint: int = 0) -> int:
-        """The changed-key budget delta refresh may spend on one view.
-
-        Static modes return ``delta_refresh_limit`` unchanged.  Under
-        ``"auto"`` the budget scales with the view: up to a quarter of its
-        groups (``group_hint``) may be refreshed before a full recompute is
-        judged cheaper, with the static limit as the floor — so small views
-        keep the proven static behaviour while large views stop bailing out
-        on deltas that touch a tiny fraction of their groups.
-        """
-        limit = int(self.delta_refresh_limit)
-        if self.delta_refresh == "auto":
-            return max(limit, int(group_hint) // 4)
-        return limit
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1 or None, got {self.workers!r}")
 
     def resolved_workers(self) -> int:
         """The thread-pool size: explicit ``workers`` or a cpu-count default."""
-        if self.workers:
+        if self.workers is not None:
             return self.workers
         return max(2, min(16, os.cpu_count() or 2))
-
-    @staticmethod
-    def baseline() -> "EngineOptions":
-        """The AC/DC-like baseline: pushdown only, no further optimisations."""
-        return EngineOptions(specialize=False, share=False, parallel=False)
 
 
 @dataclass
@@ -322,13 +275,8 @@ class LMFAOEngine:
         self.database = database
         self.query = query
         self.options = options or EngineOptions()
-        if self.options.kernel_backend != "auto":
-            # "auto" deliberately leaves the process-global registry alone —
-            # the import-time resolution (env var / autodetect) stands, and
-            # default-options engines never undo an explicit set_backend().
-            kernels.set_backend(self.options.kernel_backend)
         #: How the root was picked (candidate costs included); None when the
-        #: caller forced ``root_relation`` or asked for the widest heuristic.
+        #: caller forced ``root_relation``.
         self.root_choice: Optional[RootChoice] = None
         self.join_tree = self._build_join_tree()
         # Columnar contexts survive across evaluate() calls: repeated batch
@@ -359,12 +307,12 @@ class LMFAOEngine:
         self._batch_roots_by_id: Dict[int, Tuple[AggregateBatch, str]] = {}
         # Observed per-view costs (EWMA seconds), per node: what a full
         # recompute of one of the node's views costs vs what refreshing one
-        # through the delta paths costs.  The delta_refresh="auto" policy
-        # consults these before attempting a refresh — the touched-group
-        # fraction bounds how much splicing is worth *trying*, but only a
-        # measured comparison can tell whether this node's recompute is so
-        # cheap that the refresh machinery loses outright (the PR-5
-        # crossover observation).
+        # through the delta paths costs.  The refresh policy consults these
+        # before attempting a refresh — the touched-group fraction bounds
+        # how much splicing is worth *trying*, but only a measured
+        # comparison can tell whether this node's recompute is so cheap
+        # that the refresh machinery loses outright (the PR-5 crossover
+        # observation).
         self._recompute_cost: Dict[str, float] = {}
         self._refresh_cost: Dict[str, float] = {}
         # Parked per-root state for cost-batch rerooting: alternating batch
@@ -377,28 +325,17 @@ class LMFAOEngine:
 
     def _build_join_tree(self) -> JoinTree:
         hypergraph = self.query.hypergraph(self.database)
-        if self.options.root_strategy not in ("cost", "widest", "cost-batch"):
-            raise ValueError(
-                f"unknown root_strategy {self.options.root_strategy!r}; "
-                "expected 'cost', 'widest' or 'cost-batch'"
-            )
         root = self.options.root_relation
-        if root is None:
-            if self.options.root_strategy in ("cost", "cost-batch"):
-                # cost-batch starts from the batch-independent choice and
-                # re-roots per batch on evaluate (see _reroot_for_batch).
-                unrooted = build_join_tree(hypergraph)
-                self.root_choice = choose_root(self.database, unrooted)
-                root = self.root_choice.root
-                if root == unrooted.root.relation_name:
-                    return unrooted
-                return unrooted.rerooted(root)
-            root = self._default_root()
-        return build_join_tree(hypergraph, root=root)
-
-    def _default_root(self) -> str:
-        """The seed heuristic: root at the widest relation (the fact table)."""
-        return widest_relation(self.database, self.query.relation_names)
+        if root is not None:
+            return build_join_tree(hypergraph, root=root)
+        # cost-batch starts from the batch-independent choice and re-roots
+        # per batch on evaluate (see _reroot_for_batch).
+        unrooted = build_join_tree(hypergraph)
+        self.root_choice = choose_root(self.database, unrooted)
+        root = self.root_choice.root
+        if root == unrooted.root.relation_name:
+            return unrooted
+        return unrooted.rerooted(root)
 
     def rebind_database(self, database: Database) -> None:
         """Point the engine at another database with the same query schema.
@@ -429,7 +366,7 @@ class LMFAOEngine:
     # -- evaluation ------------------------------------------------------------------------
 
     def plan(self, batch: AggregateBatch) -> BatchPlan:
-        return plan_batch(batch, self.join_tree, share_views=self.options.share)
+        return plan_batch(batch, self.join_tree)
 
     def close(self) -> None:
         """Release the worker pool, cached columnar contexts and cached views."""
@@ -582,19 +519,18 @@ class LMFAOEngine:
     ) -> Dict[Tuple[str, ViewSignature], View]:
         """Evaluate all planned views bottom-up over the join tree.
 
-        With ``cache_views`` (and ``share``) on, each node's signatures are
-        first resolved against the cross-evaluate view cache: an entry hits
-        when the versions of *all* relations in the node's subtree are
-        unchanged since the view was computed — the view's value depends on
-        nothing else once the tree and designation are fixed.  Hits are
+        With ``cache_views`` on, each node's signatures are first resolved
+        against the cross-evaluate view cache: an entry hits when the
+        versions of *all* relations in the node's subtree are unchanged
+        since the view was computed — the view's value depends on nothing
+        else once the tree and designation are fixed.  Hits are
         served as-is (and count as ``views_cached`` in the stats); only the
         missing signatures reach the executor, and freshly computed views are
         inserted back with LRU eviction beyond ``view_cache_size``.
         """
         views: Dict[Tuple[str, ViewSignature], View] = {}
         levels = self._nodes_by_depth()
-        share = self.options.share
-        cache = self._view_cache if (self.options.cache_views and share) else None
+        cache = self._view_cache if self.options.cache_views else None
 
         def resolve_cached(node: JoinTreeNode) -> Tuple[List[ViewSignature], Tuple[int, ...]]:
             """Serve cache hits for one node; return the signatures left to compute.
@@ -632,22 +568,14 @@ class LMFAOEngine:
         def store_cached(
             node: JoinTreeNode, versions: Tuple[int, ...], computed: Dict[ViewSignature, View]
         ) -> None:
-            if cache is None:
-                return
-            limit = max(int(self.options.view_cache_size), 0)
-            for signature, view in computed.items():
-                cache[(node.relation_name, signature)] = (versions, view)
-                cache.move_to_end((node.relation_name, signature))
-            while len(cache) > limit:
-                cache.popitem(last=False)
+            if cache is not None:
+                self._cache_views(node.relation_name, versions, computed)
 
         def run_node(
             node: JoinTreeNode,
             signatures: Sequence[ViewSignature],
             node_stats: Optional[Dict[str, int]],
         ) -> Dict[ViewSignature, View]:
-            # Deduplicate for the result dictionary but keep the full list when
-            # sharing is off so the (redundant) work is actually performed.
             started = time.perf_counter()
             computed = compute_node_views(
                 node,
@@ -655,10 +583,7 @@ class LMFAOEngine:
                 signatures,
                 plan.designation,
                 views,
-                specialize=self.options.specialize,
-                share_scans=share,
-                columnar=self.options.columnar,
-                context_cache=self._context_cache if share else None,
+                context_cache=self._context_cache,
                 stats=node_stats,
             )
             if signatures:
@@ -713,14 +638,26 @@ class LMFAOEngine:
 
     # -- delta-aware cache refresh -------------------------------------------------------
 
+    def _cache_views(
+        self, name: str, versions: Tuple[int, ...], computed: Mapping[ViewSignature, View]
+    ) -> None:
+        """Insert one node's views as most-recently-used; evict beyond the bound."""
+        cache = self._view_cache
+        for signature, view in computed.items():
+            cache[(name, signature)] = (versions, view)
+            cache.move_to_end((name, signature))
+        limit = max(int(self.options.view_cache_size), 0)
+        while len(cache) > limit:
+            cache.popitem(last=False)
+
     @staticmethod
     def _observe_cost(table: Dict[str, float], name: str, seconds: float) -> None:
         """Fold one per-view cost observation into the node's EWMA."""
         previous = table.get(name)
         table[name] = seconds if previous is None else 0.5 * previous + 0.5 * seconds
 
-    def _auto_refresh_pays(self, name: str) -> bool:
-        """Whether ``delta_refresh="auto"`` should attempt a refresh at this node.
+    def _refresh_pays(self, name: str) -> bool:
+        """Whether a stale view at this node should attempt a delta refresh.
 
         Optimistic until both sides are measured (the initial evaluate
         records every node's recompute cost, the first attempted refresh
@@ -737,6 +674,52 @@ class LMFAOEngine:
             return True
         return refresh <= recompute
 
+    def _refreshable_groups(
+        self,
+        node: JoinTreeNode,
+        stale: List[Tuple[ViewSignature, Tuple[Tuple[int, ...], View]]],
+        versions: Tuple[int, ...],
+        group_hint: Callable[[View], int],
+    ) -> Tuple[List[ViewSignature], Dict[Tuple[str, int], _RefreshGroup]]:
+        """Sort a node's stale cache entries into recompute vs delta-refresh.
+
+        An entry qualifies for the delta paths when the measured costs say a
+        refresh pays at this node (:meth:`_refresh_pays`), exactly one
+        relation in the node's subtree changed since the entry was cached,
+        and that relation's change log still covers the gap within the
+        view's budget (:func:`refresh_budget`, sized from ``group_hint`` of
+        the largest member — views cached for the same node share their
+        group structure, so that is the honest fraction denominator for all
+        of them).  Returns the signatures left for a full recompute, and per
+        ``(changed relation, cached version)`` the qualifying ``(signature,
+        cached view)`` members, the logged changes and the budget.
+        """
+        if not self._refresh_pays(node.relation_name):
+            return [signature for signature, _entry in stale], {}
+        names = self._subtree_names[node.relation_name]
+        pending: List[ViewSignature] = []
+        candidates: Dict[Tuple[str, int], List[Tuple[ViewSignature, View]]] = {}
+        for signature, (old_versions, old_view) in stale:
+            changed = [
+                (name, old)
+                for name, old, new in zip(names, old_versions, versions)
+                if old != new
+            ]
+            if len(changed) != 1:
+                pending.append(signature)
+                continue
+            candidates.setdefault(changed[0], []).append((signature, old_view))
+
+        groups: Dict[Tuple[str, int], _RefreshGroup] = {}
+        for (changed_name, old_version), members in candidates.items():
+            limit = refresh_budget(max(group_hint(view) for _sig, view in members))
+            changes = self.database.relation(changed_name).changes_since(old_version)
+            if changes is None or len(changes) > limit:
+                pending.extend(signature for signature, _view in members)
+                continue
+            groups[(changed_name, old_version)] = (members, changes, limit)
+        return pending, groups
+
     def _changed_conn_keys(
         self,
         target: JoinTreeNode,
@@ -751,8 +734,7 @@ class LMFAOEngine:
         each ancestor's are the connection keys of its rows whose child key
         is affected — read off the (fresh, because only ``changed_name``
         mutated) column stores.  None when the set outgrows ``limit`` (the
-        caller's per-view refresh budget — static ``delta_refresh_limit`` or
-        the adaptive one, see :meth:`EngineOptions.refresh_budget`).
+        caller's per-view refresh budget, see :func:`refresh_budget`).
         """
         node = self.join_tree.node(changed_name)
         relation = self.database.relation(changed_name)
@@ -788,69 +770,34 @@ class LMFAOEngine:
     ) -> List[ViewSignature]:
         """Refresh stale cached views in place where a small delta allows it.
 
-        A stale entry qualifies when exactly one relation in the node's
-        subtree changed since it was cached, that relation's change log still
-        covers the gap, and the induced changed-key set at the node stays
-        small.  The node's view is then recomputed only over the rows
-        carrying an affected connection key (with the current child views)
-        and spliced into the cached entries — entries for unaffected keys are
-        untouched by construction, since a row only ever contributes to its
-        own connection key.  Returns the signatures that still need a full
+        For the entries :meth:`_refreshable_groups` lets through, whose
+        induced changed-key set at the node also stays within the budget,
+        the node's view is recomputed only over the rows carrying an
+        affected connection key (with the current child views) and spliced
+        into the cached entries — entries for unaffected keys are untouched
+        by construction, since a row only ever contributes to its own
+        connection key.  Returns the signatures that still need a full
         compute.
         """
-        options = self.options
-        if not options.delta_refresh:
-            return [signature for signature, _entry in stale]
         if node.parent is None:
             # The root has a single (empty) connection key, so key-group
             # splicing degenerates to a full recompute; patch the root's
             # *payload* instead: propagate the delta view up and add it.
             return self._try_patch_root(node, stale, versions, plan, views, stats)
-        if options.delta_refresh == "auto" and not self._auto_refresh_pays(
-            node.relation_name
-        ):
-            return [signature for signature, _entry in stale]
-        names = self._subtree_names[node.relation_name]
-        pending: List[ViewSignature] = []
-        candidates: Dict[Tuple[str, int], List[Tuple[ViewSignature, View]]] = {}
-        for signature, (old_versions, old_view) in stale:
-            changed = [
-                (name, old)
-                for name, old, new in zip(names, old_versions, versions)
-                if old != new
-            ]
-            if len(changed) != 1:
-                pending.append(signature)
-                continue
-            candidates.setdefault(changed[0], []).append((signature, old_view))
-
-        groups: Dict[Tuple[str, int], List[Tuple[ViewSignature, View]]] = {}
-        key_sets: Dict[Tuple[str, int], List[Tuple]] = {}
-        for group_key, members in candidates.items():
-            # Budget per changed-relation group: views cached for the same
-            # node share their group structure, so the largest member's key
-            # count is the honest fraction denominator for all of them.
-            limit = options.refresh_budget(
-                max(_conn_key_hint(view) for _sig, view in members)
-            )
-            changes = self.database.relation(group_key[0]).changes_since(group_key[1])
-            if changes is None or len(changes) > limit:
-                pending.extend(signature for signature, _view in members)
-                continue
-            changed_keys = self._changed_conn_keys(node, group_key[0], changes, limit)
+        pending, groups = self._refreshable_groups(node, stale, versions, _conn_key_hint)
+        name = node.relation_name
+        refreshed_count = 0
+        refresh_seconds = 0.0
+        for (changed_name, _old_version), (members, changes, limit) in groups.items():
+            signatures = [signature for signature, _view in members]
+            changed_keys = self._changed_conn_keys(node, changed_name, changes, limit)
             if changed_keys is None:
-                pending.extend(signature for signature, _view in members)
+                pending.extend(signatures)
                 continue
-            groups[group_key] = members
-            key_sets[group_key] = changed_keys
-
-        refresh_started = time.perf_counter()
-        for group_key, members in groups.items():
-            changed_keys = key_sets[group_key]
-            refreshed = self._refresh_key_groups(
-                node, [signature for signature, _view in members], changed_keys, plan, views
-            )
+            refresh_started = time.perf_counter()
+            refreshed = self._refresh_key_groups(node, signatures, changed_keys, plan, views)
             changed_set = set(changed_keys)
+            spliced: Dict[ViewSignature, View] = {}
             for signature, old_view in members:
                 replacement = refreshed[signature]
                 # The merged dict shares the untouched group dictionaries by
@@ -867,23 +814,16 @@ class LMFAOEngine:
                 new_view.patched_table = patch_child_table(
                     _table_for(old_view), changed_keys, replacement
                 )
-                views[(node.relation_name, signature)] = new_view
-                self._view_cache[(node.relation_name, signature)] = (versions, new_view)
-                self._view_cache.move_to_end((node.relation_name, signature))
+                views[(name, signature)] = spliced[signature] = new_view
+            self._cache_views(name, versions, spliced)
+            refresh_seconds += time.perf_counter() - refresh_started
+            refreshed_count += len(members)
+        if refreshed_count:
+            self._observe_cost(self._refresh_cost, name, refresh_seconds / refreshed_count)
             if stats is not None:
                 stats[STAT_DELTA_REFRESHED] = (
-                    stats.get(STAT_DELTA_REFRESHED, 0) + len(members)
+                    stats.get(STAT_DELTA_REFRESHED, 0) + refreshed_count
                 )
-        if groups:
-            self._observe_cost(
-                self._refresh_cost,
-                node.relation_name,
-                (time.perf_counter() - refresh_started)
-                / sum(len(members) for members in groups.values()),
-            )
-            cache_limit = max(int(options.view_cache_size), 0)
-            while len(self._view_cache) > cache_limit:
-                self._view_cache.popitem(last=False)
         return pending
 
     def _try_patch_root(
@@ -900,53 +840,20 @@ class LMFAOEngine:
         A root view's value is *linear* in any single relation of the join:
         replacing that relation by its logged signed delta (and keeping every
         other relation as-is) evaluates to exactly the root view's change.
-        When exactly one relation mutated since a root view was cached and
-        its change log still covers the gap, the engine therefore computes a
-        *delta view* — the changed rows at the mutated node, pushed up the
-        root path by joining each ancestor's rows against the delta's
-        connection keys with the (unchanged) sibling views — and splices it
-        into the cached root view by plain value addition
-        (:meth:`_propagate_root_delta`).  This is the F-IVM delta rule
-        applied to the engine's view signatures; the patched extraction can
-        keep group entries whose contributions cancelled to ~0.0 (a full
-        recompute drops them), which is why equivalence holds to float
-        tolerance rather than bitwise.  Returns the signatures that still
-        need a full recompute.
+        For the entries :meth:`_refreshable_groups` lets through, the engine
+        therefore computes a *delta view* — the changed rows at the mutated
+        node, pushed up the root path by joining each ancestor's rows against
+        the delta's connection keys with the (unchanged) sibling views — and
+        splices it into the cached root view by plain value addition
+        (:meth:`_propagate_root_delta`, :func:`_patched_root_view`).  This is
+        the F-IVM delta rule applied to the engine's view signatures; the
+        patched extraction can keep group entries whose contributions
+        cancelled to ~0.0 (a full recompute drops them), which is why
+        equivalence holds to float tolerance rather than bitwise.  Returns
+        the signatures that still need a full recompute.
         """
-        options = self.options
-        if not options.root_patching:
-            return [signature for signature, _entry in stale]
-        if options.delta_refresh == "auto" and not self._auto_refresh_pays(
-            root.relation_name
-        ):
-            return [signature for signature, _entry in stale]
-        names = self._subtree_names[root.relation_name]
-        pending: List[ViewSignature] = []
-        candidates: Dict[Tuple[str, int], List[Tuple[ViewSignature, View]]] = {}
-        for signature, (old_versions, old_view) in stale:
-            changed = [
-                (name, old)
-                for name, old, new in zip(names, old_versions, versions)
-                if old != new
-            ]
-            if len(changed) != 1:
-                pending.append(signature)
-                continue
-            candidates.setdefault(changed[0], []).append((signature, old_view))
-
-        groups: Dict[Tuple[str, int], Tuple[List[Tuple[ViewSignature, View]],
-                                            List[Tuple[Tuple, int]], int]] = {}
-        for group_key, members in candidates.items():
-            limit = options.refresh_budget(
-                max(_root_group_hint(view) for _sig, view in members)
-            )
-            changes = self.database.relation(group_key[0]).changes_since(group_key[1])
-            if changes is None or len(changes) > limit:
-                pending.extend(signature for signature, _view in members)
-                continue
-            groups[group_key] = (members, changes, limit)
-
-        use_columnar = bool(options.columnar_root_patch)
+        pending, groups = self._refreshable_groups(root, stale, versions, _root_group_hint)
+        name = root.relation_name
         patched_count = 0
         patch_started = time.perf_counter()
         for (changed_name, _old_version), (members, changes, limit) in groups.items():
@@ -957,41 +864,21 @@ class LMFAOEngine:
             if deltas is None:
                 pending.extend(signatures)
                 continue
+            patched: Dict[ViewSignature, View] = {}
             for signature, old_view in members:
-                delta_view = deltas[signature]
-                patched: Optional[View] = None
-                if use_columnar and isinstance(old_view, ColumnarView):
-                    # Splice the delta into the cached view's arrays in
-                    # place; the dict merge below stays as the fallback for
-                    # views the in-place patch cannot represent.
-                    if old_view.apply_root_delta(_root_delta_items(delta_view)):
-                        patched = old_view
-                if patched is None:
-                    merged: Dict[Tuple, Dict[Tuple, float]] = dict(old_view.items())
-                    for conn_key, delta_groups in delta_view.items():
-                        base = dict(merged.get(conn_key, {}))
-                        for pairs, value in delta_groups.items():
-                            base[pairs] = base.get(pairs, 0.0) + value
-                        merged[conn_key] = base
-                    patched = merged
-                views[(root.relation_name, signature)] = patched
-                self._view_cache[(root.relation_name, signature)] = (versions, patched)
-                self._view_cache.move_to_end((root.relation_name, signature))
-            patched_count += len(members)
-            if stats is not None:
-                stats[STAT_ROOT_PATCHED] = (
-                    stats.get(STAT_ROOT_PATCHED, 0) + len(members)
+                views[(name, signature)] = patched[signature] = _patched_root_view(
+                    old_view, deltas[signature]
                 )
+            self._cache_views(name, versions, patched)
+            patched_count += len(members)
         if patched_count:
             self._observe_cost(
                 self._refresh_cost,
-                root.relation_name,
+                name,
                 (time.perf_counter() - patch_started) / patched_count,
             )
-        if groups:
-            cache_limit = max(int(self.options.view_cache_size), 0)
-            while len(self._view_cache) > cache_limit:
-                self._view_cache.popitem(last=False)
+            if stats is not None:
+                stats[STAT_ROOT_PATCHED] = stats.get(STAT_ROOT_PATCHED, 0) + patched_count
         return pending
 
     def _propagate_root_delta(
@@ -1049,11 +936,6 @@ class LMFAOEngine:
             per_node_signatures[0],
             plan.designation,
             views,
-            specialize=self.options.specialize,
-            share_scans=self.options.share,
-            columnar=self.options.columnar,
-            context_cache=None,
-            stats=None,
         )
         for position in range(1, len(path)):
             child = path[position - 1]
@@ -1083,11 +965,6 @@ class LMFAOEngine:
                 per_node_signatures[position],
                 plan.designation,
                 overlay,
-                specialize=self.options.specialize,
-                share_scans=self.options.share,
-                columnar=self.options.columnar,
-                context_cache=None,
-                stats=None,
             )
         return dict(zip(signatures, (current[s] for s in signatures)))
 
@@ -1117,11 +994,6 @@ class LMFAOEngine:
             signatures,
             plan.designation,
             views,
-            specialize=self.options.specialize,
-            share_scans=self.options.share,
-            columnar=self.options.columnar,
-            context_cache=None,
-            stats=None,
         )
 
     def _nodes_by_depth(self) -> Dict[int, List[JoinTreeNode]]:

@@ -190,19 +190,14 @@ def decompose_aggregate(
     )
 
 
-def plan_batch(
-    batch: AggregateBatch,
-    join_tree: JoinTree,
-    share_views: bool = True,
-) -> BatchPlan:
+def plan_batch(batch: AggregateBatch, join_tree: JoinTree) -> BatchPlan:
     """Plan a batch over a join tree.
 
-    With ``share_views`` the distinct signatures per node are deduplicated
-    (LMFAO's sharing); without it every aggregate keeps its own copies, which
-    models the baseline engines that evaluate the batch one aggregate at a
-    time.  Aggregates with additive-inequality conditions cannot be pushed
-    past joins and are reported in ``unsupported`` so the engine can fall back
-    to evaluation over the join for them.
+    The signatures per node are deduplicated across the batch (LMFAO's
+    sharing); an engine without sharing is modelled by planning one
+    aggregate at a time.  Aggregates with additive-inequality conditions
+    cannot be pushed past joins and are reported in ``unsupported`` so the
+    engine can fall back to evaluation over the join for them.
     """
     known_attributes = set(join_tree.attributes())
     designation = designate_attributes(join_tree)
@@ -237,12 +232,9 @@ def plan_batch(
     seen_per_node: Dict[str, set] = {name: set() for name in views_per_node}
     for decomposition in decompositions:
         for relation_name, signature in decomposition.signatures.items():
-            if share_views:
-                seen = seen_per_node[relation_name]
-                if signature not in seen:
-                    seen.add(signature)
-                    views_per_node[relation_name].append(signature)
-            else:
+            seen = seen_per_node[relation_name]
+            if signature not in seen:
+                seen.add(signature)
                 views_per_node[relation_name].append(signature)
 
     return BatchPlan(

@@ -27,8 +27,8 @@ covariance and regression-tree batches of the paper) induce one signature per
 feature pair designated inside the subtree, and ``payload`` counts the
 single-relation (non-join) attributes as a feature proxy.  The model is
 deliberately batch-independent so the engine can pick the root once at
-construction time; forcing the seed heuristic back on is one
-:class:`~repro.engine.lmfao.EngineOptions` knob away (``root_strategy``).
+construction time; comparing against the seed heuristic is a matter of
+passing ``root_relation=widest_relation(...)``.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def estimate_root_costs_for_batch(
             if join_tree.root.relation_name == candidate
             else join_tree.rerooted(candidate)
         )
-        plan = plan_batch(batch, tree, share_views=True)
+        plan = plan_batch(batch, tree)
         total = 0.0
         for node in tree.nodes():
             stats = statistics[node.relation_name]

@@ -285,8 +285,7 @@ class CovarianceMaintainer(abc.ABC):
         ``schema_database`` (see :mod:`repro.engine.statistics`) — when the
         schema database carries representative data this picks the root that
         minimises view-tree work, and when it is empty the choice degrades to
-        the widest-relation heuristic that ``root_strategy="widest"`` forces
-        unconditionally (the seed behaviour).  ``root_strategy="largest"``
+        the widest-relation heuristic.  ``root_strategy="largest"``
         roots at the relation with the most rows in the schema database: for
         *maintenance* (as opposed to batch evaluation) the dominant cost is
         the leaf-to-root propagation distance weighted by each relation's
@@ -314,16 +313,16 @@ class CovarianceMaintainer(abc.ABC):
         # streaming experiment of Figure 4 (right) starts from nothing.
         self.database = schema_database.empty_copy()
         hypergraph = query.hypergraph(schema_database)
-        if root_strategy not in ("cost", "widest", "largest"):
+        if root_strategy not in ("cost", "largest"):
             raise ValueError(
                 f"unknown root_strategy {root_strategy!r}; "
-                "expected 'cost', 'widest' or 'largest'"
+                "expected 'cost' or 'largest'"
             )
         root = root_relation
         if root is None:
             if root_strategy == "cost":
                 root = choose_root(schema_database, build_join_tree(hypergraph)).root
-            elif root_strategy == "largest":
+            else:
                 root = max(
                     query.relation_names,
                     key=lambda name: (
@@ -331,11 +330,6 @@ class CovarianceMaintainer(abc.ABC):
                         schema_database.relation(name).arity,
                         name,
                     ),
-                )
-            else:
-                root = max(
-                    query.relation_names,
-                    key=lambda name: (schema_database.relation(name).arity, name),
                 )
         self.join_tree: JoinTree = build_join_tree(hypergraph, root=root)
         self._designation = self._designate_features()

@@ -21,8 +21,7 @@ Selection
 ---------
 ``set_backend(name)`` with ``"numpy"``, ``"numba"`` or ``"auto"`` (numba if
 importable, else numpy).  The initial backend comes from the
-``REPRO_KERNEL_BACKEND`` environment variable (default ``"auto"``); engines
-forward :attr:`repro.engine.lmfao.EngineOptions.kernel_backend` here.  The
+``REPRO_KERNEL_BACKEND`` environment variable (default ``"auto"``).  The
 active backend is process-global — kernels are pure functions over arrays,
 so the only per-backend state is which function object is bound.
 

@@ -78,9 +78,10 @@ class QueryServer:
     engine against its first pinned generation and rebinds it afterwards.
     Reader engines force the maintainer's join-tree root (identical plans
     for identical batches, the precondition for bitwise-stable answers) and
-    disable the writer-oriented delta paths — a pinned snapshot never
-    reports changes, so delta refresh and root patching could only add
-    overhead, never hits.
+    evaluate single-threaded inside their pool thread.  A pinned snapshot
+    never reports changes (``SnapshotRelation.changes_since`` answers
+    ``None``), so readers recompute stale views rather than delta-refresh
+    them without being told to.
 
     ``maintainer`` is anything speaking the maintainer contract —
     ``database`` / ``join_tree`` / ``query`` / ``apply_batch`` /
@@ -120,12 +121,7 @@ class QueryServer:
         self._reader_options = replace(
             base,
             root_relation=maintainer.join_tree.root.relation_name,
-            root_strategy="cost",
-            cache_views=True,
-            delta_refresh=False,
-            root_patching=False,
             parallel=False,
-            parallel_deltas=False,
         )
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, readers), thread_name_prefix="serving-reader"

@@ -56,9 +56,13 @@ def test_plan_shares_views_across_aggregates(small_retailer, small_retailer_quer
     tree = build_join_tree(
         small_retailer_query.hypergraph(small_retailer), root="Inventory"
     )
-    shared = plan_batch(batch, tree, share_views=True)
-    unshared = plan_batch(batch, tree, share_views=False)
-    assert shared.total_views < unshared.total_views
+    shared = plan_batch(batch, tree)
+    # Without sharing every aggregate would be planned on its own.
+    one_at_a_time = sum(
+        plan_batch(AggregateBatch(aggregate.name, [aggregate]), tree).total_views
+        for aggregate in batch
+    )
+    assert shared.total_views < one_at_a_time == shared.total_views_without_sharing
     assert shared.sharing_factor() > 1.0
     assert shared.summary()["aggregates"] == len(batch)
 
@@ -138,22 +142,22 @@ def test_inequality_fallback_matches_naive(toy_database, toy_query):
 @pytest.mark.parametrize(
     "options",
     [
-        EngineOptions(specialize=True, share=True, parallel=False),
-        EngineOptions(specialize=True, share=False, parallel=False),
-        EngineOptions(specialize=False, share=True, parallel=False),
-        EngineOptions(specialize=False, share=False, parallel=False),
-        EngineOptions(specialize=True, share=True, parallel=True, workers=2),
+        EngineOptions(parallel=False),
+        EngineOptions(parallel=True, workers=2),
     ],
-    ids=["fast", "no-share", "interpreted", "baseline", "parallel"],
+    ids=["fast", "parallel"],
 )
 def test_all_option_combinations_agree(toy_database, toy_query, options):
     batch = covariance_batch(["price"], ["dish", "day"])
     _assert_engines_agree(toy_database, toy_query, batch, options)
 
 
-def test_engine_root_selection_defaults_to_widest_relation(small_retailer, small_retailer_query):
+def test_engine_root_selection_defaults_to_the_cost_based_pick(
+    small_retailer, small_retailer_query
+):
     engine = LMFAOEngine(small_retailer, small_retailer_query)
-    assert engine.join_tree.root.relation_name in small_retailer_query.relation_names
+    assert engine.root_choice is not None and engine.root_choice.strategy == "cost"
+    assert engine.join_tree.root.relation_name == engine.root_choice.ranked()[0][0]
     # Forcing the fact table as root must give the same results.
     forced = LMFAOEngine(
         small_retailer, small_retailer_query, EngineOptions(root_relation="Inventory")

@@ -1,10 +1,11 @@
-"""Equivalence of the three executor paths on randomized acyclic queries.
+"""The columnar executor against the tuple scan on randomized acyclic queries.
 
-The engine has three code paths — interpreted (per-row dictionaries),
-tuple-specialized (position-resolved scan) and columnar (vectorised over the
-dictionary-encoded column store).  They must be *indistinguishable* on any
-query the planner accepts: same views, same group keys (including groups
-whose contributions cancel to exactly 0.0), same values.
+The engine computes views vectorised over the dictionary-encoded column
+store; the position-resolved tuple scan (``scan_node_views``, the engine's
+fallback for non-numeric products) defines the semantics.  The two must be
+*indistinguishable* on any query the planner accepts: same views, same group
+keys (including groups whose contributions cancel to exactly 0.0), same
+values — and both agree with the materialised join.
 
 The random databases use signed multiplicities, so cancellation, empty join
 branches, grouped multi-entry child views and filtered children all occur.
@@ -19,35 +20,34 @@ import pytest
 
 from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp
 from repro.data import Database, Relation, Schema
-from repro.engine import EngineOptions, LMFAOEngine, MaterializedJoinEngine
-from repro.engine.executor import (
-    STAT_COLUMNAR,
-    STAT_INTERPRETED,
-    STAT_TUPLE_FALLBACK,
-    STAT_TUPLE_SPECIALIZED,
-)
-
-PATHS = {
-    "interpreted": EngineOptions(specialize=False, share=True),
-    "tuple": EngineOptions(specialize=True, columnar=False, share=True),
-    "columnar": EngineOptions(specialize=True, columnar=True, share=True),
-}
-
-#: Since PR 8 the interpreted and tuple paths are correctness oracles only:
-#: they define the semantics the columnar path must reproduce, and every
-#: database this suite feeds them stays under this row cap (large-scale
-#: sweeps exclude them — see ``benchmarks/bench_figure6_ablation.py`` and
-#: the demotion note in ``docs/architecture.md``).
-ORACLE_ROW_CAP = 256
+from repro.engine import LMFAOEngine, MaterializedJoinEngine
+from repro.engine.executor import STAT_COLUMNAR, STAT_TUPLE_FALLBACK, scan_node_views
 
 
-def _check_oracle_cap(database) -> None:
-    total = sum(len(relation) for relation in database)
-    assert total <= ORACLE_ROW_CAP, (
-        f"oracle-path test database has {total} rows (cap {ORACLE_ROW_CAP}); "
-        "the interpreted/tuple paths are correctness oracles, not engines — "
-        "keep their inputs small"
-    )
+def _evaluate_checked(database, query, batch):
+    """Evaluate on the engine, checking every view against the tuple scan.
+
+    Each node's views are re-derived by ``scan_node_views`` from the engine's
+    own child views, so agreement at every node is agreement of the whole
+    bottom-up evaluation: same connection keys, same group keys (zero-sum
+    groups included), same values.
+    """
+    engine = LMFAOEngine(database, query)
+    result = engine.evaluate(batch)
+    plan = engine.plan(batch)
+    views = engine._evaluate_views(plan)    # cache hits: the views `result` read
+    for node in engine.join_tree.nodes():
+        name = node.relation_name
+        scanned = scan_node_views(
+            node, database.relation(name), plan.views_per_node[name],
+            plan.designation, views,
+        )
+        for signature, expected in scanned.items():
+            view = views[(name, signature)]
+            assert set(view) == set(expected), (name, signature)
+            for key, groups in expected.items():
+                assert _exact_equal(dict(view[key]), groups), (name, signature, key)
+    return result
 
 
 def _random_database(rng: random.Random) -> Database:
@@ -126,42 +126,27 @@ def _tolerant_equal(left, right):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_all_executor_paths_identical_on_random_queries(seed):
+def test_columnar_views_identical_to_tuple_scan_on_random_queries(seed):
     from repro.query import ConjunctiveQuery
 
     rng = random.Random(seed)
     database = _random_database(rng)
-    _check_oracle_cap(database)
     query = ConjunctiveQuery(["F", "D1", "D2", "E"])
     batch = _batch()
 
-    results = {}
-    stats = {}
-    for name, options in PATHS.items():
-        outcome = LMFAOEngine(database, query, options).evaluate(batch)
-        results[name] = outcome.values
-        stats[name] = outcome.executor_stats
+    # Every view agrees exactly with the tuple scan (checked inside), and
+    # nothing fell off the columnar fast path.
+    outcome = _evaluate_checked(database, query, batch)
+    assert outcome.executor_stats.get(STAT_COLUMNAR, 0) > 0
+    assert outcome.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
 
-    # The three paths agree exactly: same keys (zero-sum groups included).
-    for name in ("tuple", "columnar"):
-        for aggregate_name, value in results["interpreted"].items():
-            assert _exact_equal(value, results[name][aggregate_name]), (
-                seed, name, aggregate_name,
-            )
-
-    # Each path actually ran, and nothing fell off the columnar fast path.
-    assert stats["interpreted"].get(STAT_INTERPRETED, 0) > 0
-    assert stats["tuple"].get(STAT_TUPLE_SPECIALIZED, 0) > 0
-    assert stats["columnar"].get(STAT_COLUMNAR, 0) > 0
-    assert stats["columnar"].get(STAT_TUPLE_FALLBACK, 0) == 0
-
-    # And all of them agree with the materialised-join baseline.
+    # And the values agree with the materialised-join baseline.
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
-    for aggregate_name, value in results["columnar"].items():
+    for aggregate_name, value in outcome.values.items():
         assert _tolerant_equal(value, naive.values[aggregate_name]), (seed, aggregate_name)
 
 
-def test_cancelling_multiplicities_keep_zero_groups_on_every_path():
+def test_cancelling_multiplicities_keep_zero_groups_on_both_paths():
     """Groups whose contributions cancel to exactly 0.0 stay in the result.
 
     Regression test: the pre-columnar vectorised path dropped groups whose
@@ -192,17 +177,16 @@ def test_cancelling_multiplicities_keep_zero_groups_on_every_path():
             Aggregate.sum_of(["m"], group_by=["k"], name="sum_m_k"),
         ],
     )
-    for name, options in PATHS.items():
-        result = LMFAOEngine(database, query, options).evaluate(batch)
-        count_k = result.grouped("count_k")
-        # Group k=1 has multiplicities +1 and -1: the count cancels to 0.0
-        # but the group must remain visible on every path.
-        assert count_k[(1,)] == pytest.approx(0.0), name
-        assert count_k[(2,)] == pytest.approx(2.0), name
-        sum_m_k = result.grouped("sum_m_k")
-        assert sum_m_k[(1,)] == pytest.approx(2.0 - 3.0), name
-        # F carries (2, 5) with multiplicity 2 and D matches once: 5 * 2.
-        assert sum_m_k[(2,)] == pytest.approx(10.0), name
+    result = _evaluate_checked(database, query, batch)
+    count_k = result.grouped("count_k")
+    # Group k=1 has multiplicities +1 and -1: the count cancels to 0.0
+    # but the group must remain visible on both paths.
+    assert count_k[(1,)] == pytest.approx(0.0)
+    assert count_k[(2,)] == pytest.approx(2.0)
+    sum_m_k = result.grouped("sum_m_k")
+    assert sum_m_k[(1,)] == pytest.approx(2.0 - 3.0)
+    # F carries (2, 5) with multiplicity 2 and D matches once: 5 * 2.
+    assert sum_m_k[(2,)] == pytest.approx(10.0)
 
 
 def test_columnar_handles_grouped_multi_child_views_without_fallback():
@@ -259,11 +243,10 @@ def test_big_integer_join_keys_stay_exact():
             Aggregate.sum_of(["m"], filters=[Filter("k", FilterOp.EQ, big + 1)], name="sum_m_k1"),
         ],
     )
-    for name, options in PATHS.items():
-        result = LMFAOEngine(database, query, options).evaluate(batch)
-        # Only the (big, 10) row joins; the (big + 1, 200) row has no match.
-        assert result.scalar("sum_m") == pytest.approx(10.0), name
-        assert result.scalar("sum_m_k1") == pytest.approx(0.0), name
+    result = _evaluate_checked(database, query, batch)
+    # Only the (big, 10) row joins; the (big + 1, 200) row has no match.
+    assert result.scalar("sum_m") == pytest.approx(10.0)
+    assert result.scalar("sum_m_k1") == pytest.approx(0.0)
 
 
 def test_cross_map_cache_does_not_grow_across_child_mutations():
@@ -316,10 +299,9 @@ def test_int_float_key_domains_do_not_collapse_big_integers():
     )
     query = ConjunctiveQuery(["F", "D"])
     batch = AggregateBatch("mixed-kinds", [Aggregate.count(name="count")])
-    for name, options in PATHS.items():
-        result = LMFAOEngine(database, query, options).evaluate(batch)
-        # Only big == float(big) joins; big + 1 != 2.0**53 under Python equality.
-        assert result.scalar("count") == pytest.approx(1.0), name
+    result = _evaluate_checked(database, query, batch)
+    # Only big == float(big) joins; big + 1 != 2.0**53 under Python equality.
+    assert result.scalar("count") == pytest.approx(1.0)
 
 
 def test_columnar_views_compare_equal_before_materialisation():
@@ -344,7 +326,7 @@ def test_columnar_views_compare_equal_before_materialisation():
 
     def fresh_view():
         return compute_node_views(
-            leaf, database["D"], [signature], designation, {}, specialize=True
+            leaf, database["D"], [signature], designation, {}
         )[signature]
 
     left, right = fresh_view(), fresh_view()
@@ -372,9 +354,8 @@ def test_filtered_out_nonfinite_rows_do_not_poison_sums():
         "inf",
         [Aggregate.sum_of(["m"], filters=[Filter("m", FilterOp.LE, 100)], name="sum_small")],
     )
-    for name, options in PATHS.items():
-        result = LMFAOEngine(database, query, options).evaluate(batch)
-        assert result.scalar("sum_small") == pytest.approx(2.0), name
+    result = _evaluate_checked(database, query, batch)
+    assert result.scalar("sum_small") == pytest.approx(2.0)
 
 
 def test_mixed_int_float_column_keeps_huge_ints_distinct():
@@ -398,10 +379,9 @@ def test_mixed_int_float_column_keeps_huge_ints_distinct():
     )
     query = ConjunctiveQuery(["F", "D"])
     batch = AggregateBatch("mixed-col", [Aggregate.count(name="count")])
-    for name, options in PATHS.items():
-        result = LMFAOEngine(database, query, options).evaluate(batch)
-        # Only the int key big + 1 matches D; float(big) is a different value.
-        assert result.scalar("count") == pytest.approx(1.0), name
+    result = _evaluate_checked(database, query, batch)
+    # Only the int key big + 1 matches D; float(big) is a different value.
+    assert result.scalar("count") == pytest.approx(1.0)
 
 
 def test_extraction_is_stable_after_view_materialisation():
@@ -432,3 +412,38 @@ def test_extraction_is_stable_after_view_materialisation():
     len(root_view)                                  # materialise the dict shape
     again = engine._extract(batch[0], root_view)
     assert again == fresh
+
+
+def test_non_numeric_product_column_falls_back_to_the_tuple_scan():
+    """A product column that does not decode to floats takes the tuple scan.
+
+    The filter keeps the scan away from the undecodable value; the columnar
+    path cannot build the column at all and hands the signature over.
+    """
+    from repro.query import ConjunctiveQuery
+
+    database = Database(
+        [
+            Relation(
+                "F",
+                Schema.from_names(["k", "m"], ["k"]),
+                multiplicities={(1, 2.0): 1, (1, "n/a"): 1, (2, 5.0): 2},
+            ),
+            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7), (2, 9)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
+    batch = AggregateBatch(
+        "fallback",
+        [
+            Aggregate.sum_of(
+                ["m", "x"], filters=[Filter("m", FilterOp.NE, "n/a")], name="sum_mx"
+            ),
+            Aggregate.count(name="count"),
+        ],
+    )
+    result = LMFAOEngine(database, query).evaluate(batch)
+    assert result.executor_stats.get(STAT_TUPLE_FALLBACK, 0) > 0
+    assert result.executor_stats.get(STAT_COLUMNAR, 0) > 0
+    assert result.scalar("sum_mx") == pytest.approx(2.0 * 7 + 2 * 5.0 * 9)
+    assert result.scalar("count") == pytest.approx(4.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.aggregates.spec import Aggregate, Filter, FilterOp
 from repro.data import Relation, Schema
-from repro.engine.executor import compute_node_views, restrict_signature
+from repro.engine.executor import compute_node_views, restrict_signature, scan_node_views
 from repro.engine.plan import ViewSignature, decompose_aggregate, designate_attributes
 from repro.factorized import factorize_join
 from repro.factorized.aggregates import aggregate_over_factorization
@@ -116,9 +116,7 @@ def test_compute_node_views_leaf_and_root(star_pieces):
 
     leaf = tree.node("D")
     leaf_signature = decomposition.signature_at("D")
-    leaf_views = compute_node_views(
-        leaf, database["D"], [leaf_signature], designation, {}, specialize=True
-    )
+    leaf_views = compute_node_views(leaf, database["D"], [leaf_signature], designation, {})
     view = leaf_views[leaf_signature]
     assert view[("a",)][()] == pytest.approx(10.0)
     assert view[("b",)][()] == pytest.approx(20.0)
@@ -131,13 +129,12 @@ def test_compute_node_views_leaf_and_root(star_pieces):
         [root_signature],
         designation,
         {("D", leaf_signature): view},
-        specialize=True,
     )
     total = root_views[root_signature][()][()]
     assert total == pytest.approx(1.0 * 10 + 2.0 * 10 + 3.0 * 20)
 
 
-def test_vectorized_and_interpreted_paths_agree(star_pieces):
+def test_vectorized_and_tuple_scan_paths_agree(star_pieces):
     database, query, tree, designation = star_pieces
     aggregates = [
         Aggregate.count(name="count"),
@@ -148,24 +145,24 @@ def test_vectorized_and_interpreted_paths_agree(star_pieces):
         decomposition = decompose_aggregate(aggregate, tree, designation)
         leaf = tree.node("D")
         leaf_signature = decomposition.signature_at("D")
-        for specialize in (True, False):
-            leaf_view = compute_node_views(
-                leaf, database["D"], [leaf_signature], designation, {}, specialize=specialize
+        root_views = []
+        for node_views in (compute_node_views, scan_node_views):
+            leaf_view = node_views(
+                leaf, database["D"], [leaf_signature], designation, {}
             )[leaf_signature]
-            root_view = compute_node_views(
-                tree.root,
-                database["F"],
-                [decomposition.root_signature],
-                designation,
-                {("D", leaf_signature): leaf_view},
-                specialize=specialize,
-            )[decomposition.root_signature]
-            if specialize:
-                reference = root_view
-            else:
-                for key, groups in reference.items():
-                    for group_key, value in groups.items():
-                        assert root_view.get(key, {}).get(group_key, 0.0) == pytest.approx(value)
+            root_views.append(
+                node_views(
+                    tree.root,
+                    database["F"],
+                    [decomposition.root_signature],
+                    designation,
+                    {("D", leaf_signature): leaf_view},
+                )[decomposition.root_signature]
+            )
+        vectorised, scanned = root_views
+        assert set(vectorised) == set(scanned)
+        for key, groups in scanned.items():
+            assert dict(vectorised[key]) == pytest.approx(groups)
 
 
 def test_view_signature_count_only():

@@ -338,12 +338,8 @@ def test_root_patching_matches_full_recompute(root):
     batch = covariance_batch(spec.continuous_features, spec.categorical_features)
     fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
     options = dict(root_relation=fact) if root == "fact" else {}
-    patching = LMFAOEngine(
-        database, query, EngineOptions(root_patching=True, **options)
-    )
-    recompute = LMFAOEngine(
-        database, query, EngineOptions(root_patching=False, **options)
-    )
+    patching = LMFAOEngine(database, query, EngineOptions(**options))
+    recompute = LMFAOEngine(database, query, EngineOptions(cache_views=False, **options))
     patching.evaluate(batch)
     recompute.evaluate(batch)
     rng = random.Random(29)
@@ -362,26 +358,23 @@ def test_root_patching_matches_full_recompute(root):
     assert patched > 0
 
 
-def test_root_patching_respects_delta_refresh_limit():
+def test_root_patching_respects_the_refresh_budget():
     database, query, spec = load_dataset(
         "retailer", inventory_rows=300, stores=5, items=15, dates=8
     )
     batch = covariance_batch(spec.continuous_features, spec.categorical_features)
     fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(
-        database,
-        query,
-        EngineOptions(root_relation=fact, delta_refresh_limit=0),
-    )
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
     engine.evaluate(batch)
-    row = next(iter(database.relation(fact)))
-    database.relation(fact).add(row, 1)
+    # 100 logged changes: inside the change log, past the 64-key budget floor
+    # (and past a quarter of this root view's groups).
+    rows = list(database.relation(fact))[:100]
+    database.relation(fact).add_batch(rows, [1] * len(rows))
     result = engine.evaluate(batch)
-    # Limit 0 disables patching; the root recomputes and stays correct.
+    # The delta is not patched in; the root recomputes and stays correct.
     assert result.executor_stats.get(STAT_ROOT_PATCHED, 0) == 0
     reference = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
     _engine_values_match(result.values, reference.evaluate(batch).values)
-    database.relation(fact).add(row, -1)
 
 
 def test_root_patching_handles_deletions_to_float_tolerance():

@@ -9,8 +9,8 @@ Four layers of coverage for :mod:`repro.kernels`:
   strategies, where the package's determinism contract promises *bitwise*
   identical payloads (the suites use dyadic feature values so even
   ``segment_sum``'s backend-defined association cannot differ);
-- backend selection (``set_backend`` / ``EngineOptions.kernel_backend``)
-  including the guarded-import failure modes when numba is absent;
+- backend selection (``set_backend``) including the guarded-import failure
+  modes when numba is absent;
 - the observability path: ``enable_kernel_stats`` counters flowing into
   ``executor_stats`` and ``QueryServer.serving_stats()``.
 
@@ -25,9 +25,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.aggregates import Aggregate, AggregateBatch
 from repro.data import Database, Relation, Schema
-from repro.engine import EngineOptions, LMFAOEngine
 from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
 from repro.kernels import numba_backend, numpy_backend
 from repro.query import ConjunctiveQuery
@@ -497,82 +495,6 @@ def test_selection_honours_availability(restore_backend):
         assert kernels.available_backends() == ("numpy", "numba")
         assert kernels.set_backend("auto") == "numba"
         assert kernels.set_backend("numba") == "numba"
-
-
-def test_engine_options_validate_kernel_backend():
-    with pytest.raises(ValueError, match="kernel_backend"):
-        EngineOptions(kernel_backend="fortran")
-    with pytest.raises(ValueError, match="delta_refresh"):
-        EngineOptions(delta_refresh="sometimes")
-
-
-def test_engine_forwards_kernel_backend(restore_backend):
-    database, query = _dyadic_star_database()
-    if not NUMBA_MISSING:
-        kernels.set_backend("numba")
-    LMFAOEngine(database, query, EngineOptions(kernel_backend="numpy"))
-    assert kernels.current_backend() == "numpy"
-    if NUMBA_MISSING:
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            LMFAOEngine(database, query, EngineOptions(kernel_backend="numba"))
-
-
-# -- the adaptive delta-refresh policy --------------------------------------------------
-
-
-def test_refresh_budget_scales_only_under_auto():
-    static = EngineOptions(delta_refresh=True, delta_refresh_limit=64)
-    assert static.refresh_budget(100_000) == 64
-    adaptive = EngineOptions(delta_refresh="auto", delta_refresh_limit=64)
-    assert adaptive.refresh_budget(0) == 64
-    assert adaptive.refresh_budget(10) == 64
-    assert adaptive.refresh_budget(1_000) == 250
-
-
-def _star_batch():
-    return AggregateBatch(
-        "kernels_pr8",
-        [
-            Aggregate.count(name="count"),
-            Aggregate.sum_of(["m"], name="sum_m"),
-            Aggregate.sum_of(["m", "x"], name="sum_mx"),
-            Aggregate.sum_of(["y"], group_by=["k1"], name="y_by_k1"),
-        ],
-    )
-
-
-def _assert_values_close(reference, candidate):
-    assert set(reference.values) == set(candidate.values)
-    for name, value in reference.values.items():
-        other = candidate.values[name]
-        if isinstance(value, dict):
-            assert set(value) == set(other), name
-            for key in value:
-                assert math.isclose(value[key], other[key], rel_tol=1e-9, abs_tol=1e-9), name
-        else:
-            assert math.isclose(value, other, rel_tol=1e-9, abs_tol=1e-9), name
-
-
-def test_delta_refresh_auto_matches_both_static_policies():
-    """"auto" must agree with static refresh/evict on every update step."""
-    database, query = _dyadic_star_database()
-    engines = {
-        policy: LMFAOEngine(database, query, EngineOptions(delta_refresh=policy))
-        for policy in (True, False, "auto")
-    }
-    batch = _star_batch()
-    results = {policy: engine.evaluate(batch) for policy, engine in engines.items()}
-    _assert_values_close(results[False], results[True])
-    _assert_values_close(results[False], results["auto"])
-    fact = database["F"]
-    for step in range(6):
-        row = (step % 3, (step + 1) % 3, 0.125 * (step + 1))
-        fact.add(row)
-        if step % 2:
-            fact.remove(row)
-        results = {policy: engine.evaluate(batch) for policy, engine in engines.items()}
-        _assert_values_close(results[False], results[True])
-        _assert_values_close(results[False], results["auto"])
 
 
 # -- observability ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ Covers the three guarantees of the planning/caching subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -33,6 +34,7 @@ from repro.engine.executor import (
     STAT_DELTA_REFRESHED,
     STAT_ROOT_PATCHED,
 )
+from repro.engine.statistics import widest_relation
 from repro.query import ConjunctiveQuery, build_join_tree
 
 
@@ -93,7 +95,11 @@ def test_cost_based_and_widest_agree_on_views(small_yelp):
     """Regression: the optimizer must never change *what* is computed."""
     database, query, batch = small_yelp
     cost_based = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
-    widest = LMFAOEngine(database, query, EngineOptions(root_strategy="widest"))
+    widest = LMFAOEngine(
+        database,
+        query,
+        EngineOptions(root_relation=widest_relation(database, query.relation_names)),
+    )
     _assert_results_equal(cost_based.evaluate(batch), widest.evaluate(batch))
 
 
@@ -140,24 +146,32 @@ def test_estimate_root_costs_penalises_hosting_every_signature_at_the_fact_table
     assert costs["Reviews"] == max(costs.values())
 
 
-def test_widest_strategy_restores_the_seed_heuristic(small_yelp):
+def test_forced_root_records_no_root_choice(small_yelp):
     database, query, _batch = small_yelp
-    engine = LMFAOEngine(database, query, EngineOptions(root_strategy="widest"))
+    widest = widest_relation(database, query.relation_names)
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation=widest))
     assert engine.root_choice is None
-    widest = max(
-        query.relation_names,
-        key=lambda name: (
-            database.relation(name).arity,
-            len(database.relation(name)),
-            name,
-        ),
-    )
     assert engine.join_tree.root.relation_name == widest
 
 
-def test_unknown_root_strategy_is_rejected(toy_database, toy_query):
-    with pytest.raises(ValueError, match="root_strategy"):
-        LMFAOEngine(toy_database, toy_query, EngineOptions(root_strategy="random"))
+def test_engine_options_surface():
+    """The whole configuration surface: a new knob has to edit this test."""
+    assert [field.name for field in dataclasses.fields(EngineOptions)] == [
+        "parallel",
+        "workers",
+        "root_relation",
+        "root_strategy",
+        "cache_views",
+        "view_cache_size",
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(root_strategy="bogus"), dict(workers=0), dict(workers=-1)]
+)
+def test_invalid_options_are_rejected_at_construction(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        EngineOptions(**bad)
 
 
 def test_choose_root_falls_back_to_widest_on_empty_databases(toy_database, toy_query):
@@ -316,7 +330,7 @@ def test_cached_views_agree_with_fresh_engine_on_yelp(small_yelp):
 # -- columnar root-view splice ----------------------------------------------------------
 
 
-def _root_patch_loop(options, steps=6):
+def _root_patch_loop(steps=6):
     """Shared driver: update loop on a fact-rooted yelp engine.
 
     Returns the engine, its results per step, and how many root patches ran.
@@ -326,9 +340,7 @@ def _root_patch_loop(options, steps=6):
     database, query, spec = load_dataset("yelp", review_rows=250, businesses=20, users=25)
     batch = covariance_batch(spec.continuous_features, spec.categorical_features)
     fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(
-        database, query, EngineOptions(root_relation=fact, **options)
-    )
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
     engine.evaluate(batch)
     rng = _random.Random(31)
     rows = list(database.relation(fact))
@@ -343,32 +355,12 @@ def _root_patch_loop(options, steps=6):
     return database, query, batch, results, patched
 
 
-def test_columnar_root_patch_matches_dict_fallback_and_recompute():
-    """Both splice modes must agree with each other and with a fresh engine."""
-    _db1, _q1, _b1, columnar, patched_columnar = _root_patch_loop(
-        dict(columnar_root_patch=True)
-    )
-    database, query, batch, dict_mode, patched_dict = _root_patch_loop(
-        dict(columnar_root_patch=False)
-    )
-    assert patched_columnar > 0 and patched_dict > 0
-    for left, right in zip(columnar, dict_mode):
-        assert set(left.values) == set(right.values)
-        for name, value in left.values.items():
-            other = right.values[name]
-            if isinstance(value, dict):
-                shared = set(value) | set(other)
-                assert all(
-                    math.isclose(
-                        value.get(key, 0.0), other.get(key, 0.0),
-                        rel_tol=1e-7, abs_tol=1e-7,
-                    )
-                    for key in shared
-                )
-            else:
-                assert math.isclose(value, other, rel_tol=1e-7, abs_tol=1e-7)
+def test_root_patch_loop_matches_a_fresh_engine():
+    """Every step of a patched update loop agrees with a recompute."""
+    database, query, batch, results, patched = _root_patch_loop()
+    assert patched > 0
     fresh = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(batch)
-    final = dict_mode[-1]
+    final = results[-1]
     for name, value in fresh.values.items():
         other = final.values[name]
         if isinstance(value, dict):
@@ -378,6 +370,29 @@ def test_columnar_root_patch_matches_dict_fallback_and_recompute():
             )
         else:
             assert math.isclose(value, other, rel_tol=1e-7, abs_tol=1e-7)
+
+
+def test_root_patch_merges_into_a_view_that_is_not_array_native():
+    """The nested-dict merge behind the in-place splice.
+
+    An empty root relation caches a plain (empty) dict view; the first
+    insert patches it through the merge path, and later inserts keep
+    patching the merged dict.
+    """
+    database = _star_database()
+    for row in list(database["F"]):
+        database["F"].remove(row)
+    query = ConjunctiveQuery(["F", "D1", "D2"])
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
+    engine.evaluate(_star_batch())
+    # Pin the policy on "refresh pays" so every step patches, whatever the clock says.
+    engine._recompute_cost = dict.fromkeys(query.relation_names, float("inf"))
+    for row in [(1, 1, 2), (2, 2, 5), (1, 2, 3)]:
+        database["F"].add(row)
+        result = engine.evaluate(_star_batch())
+        assert result.executor_stats.get(STAT_ROOT_PATCHED, 0) > 0
+        expected = LMFAOEngine(database, query).evaluate(_star_batch())
+        _assert_results_equal(expected, result)
 
 
 def test_columnar_root_patch_keeps_the_view_array_native():
@@ -443,10 +458,3 @@ def test_maintainer_uses_cost_based_root_on_populated_schema_database(small_yelp
     )
     tree = build_join_tree(query.hypergraph(database))
     assert maintainer.join_tree.root.relation_name == choose_root(database, tree).root
-    widest = FIVM(
-        database, query, ["review_stars", "useful"], root_strategy="widest"
-    )
-    assert widest.join_tree.root.relation_name == max(
-        query.relation_names,
-        key=lambda name: (database.relation(name).arity, name),
-    )

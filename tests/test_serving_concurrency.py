@@ -38,7 +38,7 @@ from repro.data.tuplestore import (
     tuplestore_stats,
 )
 from repro.datasets import retailer_database, retailer_query
-from repro.engine import LMFAOEngine
+from repro.engine import EngineOptions, LMFAOEngine
 from repro.ivm import FIVM, HigherOrderIVM, Update
 from repro.ivm.base import JoinIndex
 from repro.serving import QueryServer, SnapshotManager
@@ -504,6 +504,50 @@ def test_serving_stats_block_shape(serving_source):
     assert block["writes"] == 1
     assert block["read_latency_p99_s"] >= block["read_latency_p50_s"] >= 0.0
     assert block["reads_per_epoch_max"] >= block["reads_per_epoch_mean"] > 0
+
+
+def test_readers_recompute_stale_views_and_stay_single_threaded(serving_source, monkeypatch):
+    """What the reader engines must do without being configured to.
+
+    A pinned snapshot reports no change log, so across published generations
+    a reader's stale views are recomputed — never delta-refreshed or
+    root-patched — and a caller's ``parallel=True`` does not reach the
+    readers (they already run inside the server's pool).
+    """
+    source, query = serving_source
+    reader_stats = []
+    evaluate = LMFAOEngine.evaluate
+
+    def recording_evaluate(self, batch):
+        result = evaluate(self, batch)
+        reader_stats.append(dict(result.executor_stats))
+        return result
+
+    monkeypatch.setattr(LMFAOEngine, "evaluate", recording_evaluate)
+    maintainer = FIVM(source, query, FEATURES)
+    stream = random_update_stream(source, seed=37, length=40)
+    batch = covariance_batch(FEATURES)
+    with QueryServer(
+        maintainer, options=EngineOptions(parallel=True), readers=1
+    ) as server:
+        assert server.reader_options().parallel is False
+        assert (
+            server.reader_options().root_relation
+            == maintainer.join_tree.root.relation_name
+        )
+        generations = set()
+        for start in range(0, len(stream), 10):
+            server.apply_batch(stream[start : start + 10])
+            generations.add(server.query(batch).generation)
+    assert len(generations) >= 3
+    assert len(reader_stats) == len(generations)
+    recomputed = 0
+    for stats in reader_stats:
+        assert "views_delta_refreshed" not in stats and "root_patches" not in stats
+        recomputed += stats.get("views_columnar", 0)
+    # One reader engine served every generation: the later reads found stale
+    # cache entries and recomputed them.
+    assert recomputed > reader_stats[0].get("views_columnar", 0)
 
 
 def test_rebind_database_rejects_schema_mismatch(serving_source):
