@@ -9,16 +9,21 @@ once, combining each tuple with the already-computed views of the children.
 One code path computes views: ``_evaluate_family``, fully vectorised over
 the relation's dictionary-encoded :class:`~repro.data.colstore.ColumnStore` —
 filters are evaluated per distinct value and gathered through codes,
-connection/group-by keys become integer row codes, and child views (including
-*grouped, multi-entry* ones) are joined through CSR-style offset tables, with
-no per-row Python at all.  It handles every signature whose product
+connection/group-by keys become integer row codes, and child views are joined
+in code space with no per-row Python at all.  The views a node produces over
+one key shape form a :class:`_ViewBundle` (one key coding, one value column
+per view), and a parent evaluates *all* signatures reading the same child key
+shapes in one pipeline (:class:`_ViewFamily`): group-free child views are
+gathered by key code, *grouped, multi-entry* ones expand the rows through
+CSR-style offset tables.  The path handles every signature whose product
 attributes decode to floats; the rest (``views_tuple_fallback``) go through
 :func:`scan_node_views`, a tuple-at-a-time scan with pre-resolved column
 positions that doubles as the view-level reference of the equivalence tests
 and as the "+specialisation" step of the Figure-6 benchmark.
 
-The per-path view counts are reported through the ``stats`` dictionary so
-callers (and benchmarks) can assert which path actually ran; views the engine
+The per-path view counts (and ``view_pipelines``, the shared pipelines that
+computed them) are reported through the ``stats`` dictionary so callers (and
+benchmarks) can assert which path actually ran; views the engine
 served from its cross-evaluate cache never reach this module and are counted
 under :data:`STAT_CACHED` by the engine itself.
 """
@@ -30,7 +35,7 @@ import threading as _threading
 from concurrent.futures import ThreadPoolExecutor as _ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter as _itemgetter
-from typing import Callable, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -48,6 +53,9 @@ EMPTY_GROUP: Tuple = ()
 
 #: Keys used in the executor statistics dictionary.
 STAT_COLUMNAR = "views_columnar"
+#: Shared pipelines run (one per view family, see :class:`_ViewFamily`) to
+#: compute the :data:`STAT_COLUMNAR` views.
+STAT_PIPELINES = "view_pipelines"
 STAT_TUPLE_FALLBACK = "views_tuple_fallback"
 #: Views served from the engine's cross-evaluate view cache (never computed
 #: here; the key exists so one stats dictionary covers all view outcomes).
@@ -489,21 +497,23 @@ def patch_child_table(
     return table
 
 
-class ColumnarView(dict):
-    """A view held in columnar form, materialising its dict shape lazily.
+class _ViewBundle:
+    """The key coding shared by every view one pipeline produced.
 
-    The arrays describe one entry per *key code*: ``conn_ids[code]`` /
-    ``group_ids[code]`` index the decoded connection-key and group-pair
-    dictionaries, ``sums[code]`` is the aggregated value, and ``present``
-    (when not None) lists the codes that actually received contributions.
-    A parent node's columnar evaluation consumes :meth:`table` directly —
-    the nested-dict shape is only built if somebody *reads* the view as a
-    mapping (the root extraction, the tuple-scan fallback, or tests).
+    All views a node computes over the same key shape — same connection key,
+    same locally-designated group-by, the same grouped children — are columns
+    of one bundle: the code -> (connection key, group key) decoding lives
+    here once, each :class:`ColumnarView` adds its own value column and
+    presence.  A *flat* bundle (no group-by anywhere in the subtree: exactly
+    one entry per connection key, so a code *is* the producing store's key
+    code) needs no table at all — a parent resolves row -> code once per
+    child store and gathers whichever columns its outputs need.  The other
+    bundles are joined through a CSR table per view (:meth:`table`), whose
+    shape is built once per distinct presence and shared by the columns.
     """
 
-    __slots__ = ("_conn_ids", "_group_ids", "_conn_keys", "_group_keys",
-                 "_sums", "_present", "_ready", "_table", "_conn_columns",
-                 "_group_attrs", "_conn_store", "_root_index")
+    __slots__ = ("conn_ids", "group_ids", "conn_keys", "group_keys",
+                 "conn_columns", "group_attrs", "conn_store", "flat", "_shapes")
 
     def __init__(
         self,
@@ -511,24 +521,111 @@ class ColumnarView(dict):
         group_ids: _np.ndarray,
         conn_keys: List[Tuple],
         group_keys: List[Tuple],
-        sums: _np.ndarray,
-        present: Optional[_np.ndarray],
-        conn_columns: Optional[List[_np.ndarray]] = None,
-        group_attrs: Optional[Tuple[str, ...]] = None,
-        conn_store: Optional[ColumnStore] = None,
+        conn_columns: Optional[List[_np.ndarray]],
+        group_attrs: Optional[Tuple[str, ...]],
+        conn_store: ColumnStore,
+        flat: bool = False,
+    ) -> None:
+        self.conn_ids = conn_ids
+        self.group_ids = group_ids
+        self.conn_keys = conn_keys
+        self.group_keys = group_keys
+        self.conn_columns = conn_columns
+        self.group_attrs = group_attrs
+        self.conn_store = conn_store
+        self.flat = flat
+        # id(presence mask) -> (the mask, pinned so the id stays unique; CSR shape)
+        self._shapes: Dict[int, Tuple] = {}
+
+    def with_root_groups(self, group_keys: List[Tuple]) -> "_ViewBundle":
+        """A private copy with new root group keys appended (one per new code).
+
+        Copy-on-write for :meth:`ColumnarView.apply_root_delta`: the patched
+        column moves to the copy, its siblings keep this bundle untouched.
+        """
+        first = len(self.group_keys)
+        return _ViewBundle(
+            _np.concatenate((self.conn_ids, _np.zeros(len(group_keys), dtype=_np.int64))),
+            _np.concatenate(
+                (self.group_ids, _np.arange(first, first + len(group_keys), dtype=_np.int64))
+            ),
+            self.conn_keys,
+            self.group_keys + group_keys,
+            self.conn_columns,
+            self.group_attrs,
+            self.conn_store,
+        )
+
+    def table(self, sums: _np.ndarray, present: Optional[_np.ndarray]) -> _ChildTable:
+        """CSR form of one column, grouped by connection key."""
+        shape = self._shapes.get(id(present))
+        if shape is None:
+            if present is None:
+                codes = _np.arange(len(self.conn_ids), dtype=_np.int64)
+            else:
+                codes = _np.nonzero(present)[0]
+            conn = self.conn_ids[codes]
+            order = _np.argsort(conn, kind="stable")
+            selected = codes[order]
+            conn_sorted = conn[order]
+            if selected.size:
+                boundaries = _np.nonzero(_np.diff(conn_sorted))[0] + 1
+                starts = _np.concatenate(([0], boundaries))
+                offsets = _np.concatenate((starts, [selected.size]))
+                distinct = conn_sorted[starts]
+            else:
+                offsets = _np.zeros(1, dtype=_np.int64)
+                distinct = _np.empty(0, dtype=_np.int64)
+            distinct_keys = [self.conn_keys[conn_id] for conn_id in distinct.tolist()]
+            slot_index = {key: slot for slot, key in enumerate(distinct_keys)}
+            key_columns = None
+            if self.conn_columns is not None:
+                key_columns = [column[distinct] for column in self.conn_columns]
+            group_ids = self.group_ids[selected]
+            has_groups = any(
+                self.group_keys[gid] != EMPTY_GROUP for gid in _np.unique(group_ids).tolist()
+            )
+            shape = (present, selected, slot_index, offsets.astype(_np.int64, copy=False),
+                     group_ids, has_groups, key_columns, distinct)
+            self._shapes[id(present)] = shape
+        _pinned, selected, slot_index, offsets, group_ids, has_groups, key_columns, distinct = shape
+        return _ChildTable(
+            slot_index,
+            offsets,
+            sums[selected],
+            group_ids,
+            self.group_keys,
+            has_groups,
+            key_columns,
+            self.group_attrs,
+            distinct,
+            (self.conn_store, len(self.conn_keys)),
+        )
+
+
+class ColumnarView(dict):
+    """One column of a :class:`_ViewBundle`, materialising its dict shape lazily.
+
+    The bundle decodes a *key code* into its connection key and group pairs;
+    the view holds ``sums[code]``, the aggregated value, and ``present`` — a
+    boolean per code marking the codes that actually received contributions
+    (None: all of them).  A parent node's columnar evaluation consumes the
+    arrays directly — the nested-dict shape is only built if somebody *reads*
+    the view as a mapping (the root extraction, the tuple-scan fallback, or
+    tests).
+    """
+
+    __slots__ = ("_bundle", "_sums", "_present", "_ready", "_table", "_root_index")
+
+    def __init__(
+        self, bundle: _ViewBundle, sums: _np.ndarray, present: Optional[_np.ndarray]
     ) -> None:
         super().__init__()
-        self._conn_ids = conn_ids
-        self._group_ids = group_ids
-        self._conn_keys = conn_keys
-        self._group_keys = group_keys
+        self._bundle = bundle
         self._sums = sums
         self._present = present
         self._ready = False
         self._table: Optional[_ChildTable] = None
-        self._conn_columns = conn_columns
-        self._group_attrs = group_attrs
-        self._conn_store = conn_store
         # Canonical group pairs -> entry code, built by the first
         # apply_root_delta and maintained across patches.
         self._root_index: Optional[Dict[Tuple, int]] = None
@@ -538,12 +635,16 @@ class ColumnarView(dict):
     def _codes(self) -> _np.ndarray:
         if self._present is None:
             return _np.arange(len(self._sums), dtype=_np.int64)
-        return self._present
+        return _np.nonzero(self._present)[0]
 
     @property
     def group_attrs(self) -> Optional[Tuple[str, ...]]:
         """The fixed attribute sequence of every group key, when known."""
-        return self._group_attrs
+        return self._bundle.group_attrs
+
+    def flat_store(self) -> Optional[ColumnStore]:
+        """The store whose key codes index this view's arrays, when flat."""
+        return self._bundle.conn_store if self._bundle.flat else None
 
     def conn_key_count_hint(self) -> int:
         """Roughly how many distinct connection keys the view holds.
@@ -555,7 +656,7 @@ class ColumnarView(dict):
         """
         if self._ready:
             return dict.__len__(self)
-        return len(self._conn_keys)
+        return len(self._bundle.conn_keys)
 
     def entry_count_hint(self) -> int:
         """Roughly how many (connection key, group) entries the view holds.
@@ -566,7 +667,7 @@ class ColumnarView(dict):
         if self._ready:
             return sum(len(groups) for groups in dict.values(self))
         if self._present is not None:
-            return len(self._present)
+            return int(_np.count_nonzero(self._present))
         return len(self._sums)
 
     def group_items(self) -> Optional[List[Tuple[Tuple, float]]]:
@@ -576,14 +677,15 @@ class ColumnarView(dict):
         materialising the nested dict; None when a real connection key exists
         (or the dict shape was already built — then reading it is cheaper).
         """
-        if self._ready or self._conn_keys != [()]:
+        bundle = self._bundle
+        if self._ready or bundle.conn_keys != [()]:
             return None
         codes = self._codes()
-        group_keys = self._group_keys
+        group_keys = bundle.group_keys
         return [
             (group_keys[group_id], value)
             for group_id, value in zip(
-                self._group_ids[codes].tolist(), self._sums[codes].tolist()
+                bundle.group_ids[codes].tolist(), self._sums[codes].tolist()
             )
         ]
 
@@ -592,19 +694,21 @@ class ColumnarView(dict):
 
         ``items`` are ``(group pairs, value)`` entries of a propagated delta
         view over the same signature.  Entries whose group key already exists
-        are added straight into :attr:`_sums` — allocation-free, however wide
-        the group-by — and only genuinely new group keys append to the
-        arrays (copy-on-write, since a view family shares its key arrays).
+        are added straight into :attr:`_sums` — this view's own column,
+        allocation-free however wide the group-by — and only genuinely new
+        group keys append to the arrays (copy-on-write: the view moves to a
+        private copy of its bundle, the sibling columns are untouched).
         Returns False when the view is not patchable in place (a real
         connection key, or a delta group that cannot be aligned with the
         view's fixed attribute sequence); the caller then falls back to the
         nested-dict merge.
         """
-        if self._conn_keys != [()]:
+        bundle = self._bundle
+        if bundle.conn_keys != [()]:
             return False
-        attrs = self._group_attrs
-        group_keys = self._group_keys
-        group_ids = self._group_ids
+        attrs = bundle.group_attrs
+        group_keys = bundle.group_keys
+        group_ids = bundle.group_ids
         index = self._root_index
         if index is None:
             codes = self._codes()
@@ -650,23 +754,14 @@ class ColumnarView(dict):
             index[canonical] = len(self._sums) + position
 
         if appended:
-            # The key arrays may be shared with sibling views of the same
-            # family: extend copies, never the originals.
-            base_keys = len(group_keys)
-            self._group_keys = list(group_keys) + [pairs for pairs, _v in appended]
-            new_gids = _np.arange(base_keys, base_keys + len(appended), dtype=_np.int64)
-            self._group_ids = _np.concatenate((group_ids, new_gids))
-            self._conn_ids = _np.concatenate(
-                (self._conn_ids, _np.zeros(len(appended), dtype=_np.int64))
-            )
-            new_codes = _np.arange(
-                len(self._sums), len(self._sums) + len(appended), dtype=_np.int64
-            )
+            self._bundle = bundle.with_root_groups([pairs for pairs, _v in appended])
             self._sums = _np.concatenate(
                 (self._sums, _np.asarray([v for _p, v in appended], dtype=_np.float64))
             )
             if self._present is not None:
-                self._present = _np.concatenate((self._present, new_codes))
+                self._present = _np.concatenate(
+                    (self._present, _np.ones(len(appended), dtype=bool))
+                )
         # Derived shapes are stale now; rebuild lazily on next read.
         self._table = None
         if self._ready:
@@ -677,52 +772,15 @@ class ColumnarView(dict):
     def table(self) -> _ChildTable:
         """CSR form grouped by connection key (built without the dict shape)."""
         if self._table is None:
-            codes = self._codes()
-            conn = self._conn_ids[codes]
-            order = _np.argsort(conn, kind="stable")
-            selected = codes[order]
-            conn_sorted = conn[order]
-            if selected.size:
-                boundaries = _np.nonzero(_np.diff(conn_sorted))[0] + 1
-                starts = _np.concatenate(([0], boundaries))
-                offsets = _np.concatenate((starts, [selected.size]))
-                distinct = conn_sorted[starts]
-            else:
-                offsets = _np.zeros(1, dtype=_np.int64)
-                distinct = _np.empty(0, dtype=_np.int64)
-            distinct_keys = [self._conn_keys[conn_id] for conn_id in distinct.tolist()]
-            slot_index = {key: slot for slot, key in enumerate(distinct_keys)}
-            key_columns = None
-            if self._conn_columns is not None:
-                key_columns = [column[distinct] for column in self._conn_columns]
-            group_ids = self._group_ids[selected]
-            referenced = set(_np.unique(group_ids).tolist())
-            has_groups = any(
-                self._group_keys[gid] != EMPTY_GROUP for gid in referenced
-            )
-            conn_space = None
-            if self._conn_store is not None:
-                conn_space = (self._conn_store, len(self._conn_keys))
-            self._table = _ChildTable(
-                slot_index,
-                offsets.astype(_np.int64, copy=False),
-                self._sums[selected],
-                group_ids,
-                self._group_keys,
-                has_groups,
-                key_columns,
-                self._group_attrs,
-                distinct,
-                conn_space,
-            )
+            self._table = self._bundle.table(self._sums, self._present)
         return self._table
 
     # -- lazy dict materialisation ---------------------------------------------------------
 
     def _canonical_keys(self) -> List[Tuple]:
         """Group keys in the canonical attribute-sorted order of the scans."""
-        attrs = self._group_attrs
-        keys = self._group_keys
+        attrs = self._bundle.group_attrs
+        keys = self._bundle.group_keys
         if attrs is None or not attrs or list(attrs) == sorted(attrs):
             return keys
         permutation = sorted(range(len(attrs)), key=attrs.__getitem__)
@@ -735,12 +793,13 @@ class ColumnarView(dict):
         if not self._ready:
             self._ready = True
             codes = self._codes()
-            conn_keys = self._conn_keys
+            bundle = self._bundle
+            conn_keys = bundle.conn_keys
             group_keys = self._canonical_keys()
             setdefault = dict.setdefault
             for conn_id, group_id, value in zip(
-                self._conn_ids[codes].tolist(),
-                self._group_ids[codes].tolist(),
+                bundle.conn_ids[codes].tolist(),
+                bundle.group_ids[codes].tolist(),
                 self._sums[codes].tolist(),
             ):
                 groups = setdefault(self, conn_keys[conn_id], {})
@@ -875,8 +934,8 @@ class ColumnarContext:
         self._base_keys: Dict[Tuple[str, ...], _BaseKeys] = {}
         # (signature, child relation) -> restricted child signature
         self.restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature] = {}
-        # (key attrs, child store id) -> (store ref, parent key code -> child key code)
-        self._cross_maps: Dict[Tuple, Tuple[object, Optional[_np.ndarray]]] = {}
+        # (key attrs, child relation) -> (child store, parent key code -> child key code)
+        self._cross_maps: Dict[Tuple, Tuple[ColumnStore, _np.ndarray]] = {}
 
     def filter_mask(self, condition) -> _np.ndarray:
         """Boolean row mask for one filter, evaluated over the dictionary.
@@ -911,28 +970,32 @@ class ColumnarContext:
         return self.store.codes_for(attributes)
 
     def cross_map(
-        self, key_attributes: Tuple[str, ...], table: "_ChildTable"
-    ) -> Optional[_np.ndarray]:
+        self, key_attributes: Tuple[str, ...], child_store: ColumnStore
+    ) -> _np.ndarray:
         """Parent key code -> child-store key code (or -1), cached per store pair.
 
-        Every view of the same child reuses this one mapping; only a cheap
-        slot scatter remains per view.
+        Every view of the same child reuses this one mapping: typed key
+        dictionaries are matched fully vectorised, anything else probes the
+        child store's key index once per distinct parent key.
         """
-        if table.conn_space is None:
-            return None
-        child_store, _size = table.conn_space
         # Keyed by relation name, not store identity: when the child mutates,
         # the fresh store *replaces* the stale entry instead of accumulating
         # one pinned snapshot per mutation over the engine's lifetime.
-        key = (key_attributes, child_store.relation_name)  # type: ignore[attr-defined]
+        key = (key_attributes, child_store.relation_name)
         cached = self._cross_maps.get(key)
         if cached is not None and cached[0] is child_store:
             return cached[1]
         parent_columns = self.store.key_columns(key_attributes)
-        child_columns = child_store.key_columns(key_attributes)  # type: ignore[attr-defined]
+        child_columns = child_store.key_columns(key_attributes)
         mapping = None
         if parent_columns is not None and child_columns is not None:
             mapping = _match_key_columns(parent_columns, child_columns)
+        if mapping is None:
+            index = child_store.key_index(key_attributes)
+            row_keys = self.store.codes_for(key_attributes)[1]
+            mapping = _np.fromiter(
+                (index.get(key, -1) for key in row_keys), dtype=_np.int64, count=len(row_keys)
+            )
         self._cross_maps[key] = (child_store, mapping)
         return mapping
 
@@ -1012,19 +1075,25 @@ def _slot_mapping(
 
 @dataclass
 class _ViewFamily:
-    """A group of signatures at one node sharing everything but their weights.
+    """The signatures at one node that one shared pipeline evaluates.
 
-    Signatures with identical locally-designated group-by attributes and
-    identical child views differ only in which numeric columns they multiply
-    and which filters zero rows out — so the engine evaluates the whole
-    family with one shared pipeline (one key coding, one child-join
-    expansion) and a *weight matrix* with one column per signature.  This is
-    the columnar analogue of LMFAO compiling all aggregates of a batch into
-    one generated scan per node.
+    Signatures with the same locally-designated group-by attributes whose
+    child views have the same *key shape* differ only in weights: which
+    numeric columns they multiply, which filters zero rows out, and which
+    value column of each child they read.  Per child, the key shape is the
+    producing store when the child view is flat (see :class:`_ViewBundle`:
+    every such view is indexed by that store's key codes, whatever its
+    signature or the batch that computed it) and the child view itself
+    otherwise (grouped, patched and plain-dict children expand the pipeline
+    rows through their own CSR table).  This is the columnar analogue of
+    LMFAO's multi-output operator: one scan of the node per key shape, not
+    one per combination of child signatures.
     """
 
     local_attributes: Tuple[str, ...]
-    children: List[Tuple[Tuple[str, ViewSignature], Tuple[str, ...]]]
+    #: Per child: join-key attributes, the flat views' store (None: expand
+    #: through the first member's table), and one child view per signature.
+    children: List[Tuple[Tuple[str, ...], Optional[ColumnStore], List[View]]]
     signatures: List[ViewSignature]
 
 
@@ -1033,35 +1102,41 @@ def _build_families(
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
     restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature],
+    child_views: Mapping[Tuple[str, ViewSignature], View],
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
-    key_attributes = [
-        (child, tuple(sorted(child.attributes & node.attributes)))
-        for child in node.children
+    children = [
+        (child, tuple(sorted(child.attributes & node.attributes))) for child in node.children
     ]
     families: Dict[Tuple, _ViewFamily] = {}
-    ordered: List[_ViewFamily] = []
     for signature in signatures:
-        children = []
-        for child, attributes in key_attributes:
+        local_attributes = tuple(a for a in signature.group_by if designation[a] == here)
+        key: List[object] = [local_attributes]
+        views: List[View] = []
+        stores: List[Optional[ColumnStore]] = []
+        for child, _attributes in children:
             cache_key = (signature, child.relation_name)
             restricted = restrict_cache.get(cache_key)
             if restricted is None:
                 restricted = restrict_signature(signature, child, designation)
                 restrict_cache[cache_key] = restricted
-            children.append(((child.relation_name, restricted), attributes))
-        local_attributes = tuple(
-            attribute for attribute in signature.group_by if designation[attribute] == here
-        )
-        key = (tuple(pair[0] for pair in children), local_attributes)
-        family = families.get(key)
+            view = child_views[(child.relation_name, restricted)]
+            store = view.flat_store() if isinstance(view, ColumnarView) else None
+            views.append(view)
+            stores.append(store)
+            key.append(restricted if store is None else id(store))
+        family = families.get(tuple(key))
         if family is None:
-            family = _ViewFamily(local_attributes, children, [])
-            families[key] = family
-            ordered.append(family)
+            family = families[tuple(key)] = _ViewFamily(
+                local_attributes,
+                [(attributes, store, []) for (_child, attributes), store in zip(children, stores)],
+                [],
+            )
         family.signatures.append(signature)
-    return ordered
+        for (_attributes, _store, members), view in zip(family.children, views):
+            members.append(view)
+    return list(families.values())
 
 
 def _evaluate_family(
@@ -1069,142 +1144,146 @@ def _evaluate_family(
     node: JoinTreeNode,
     family: _ViewFamily,
     designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, ViewSignature], View],
-    child_tables: MutableMapping[Tuple[str, ViewSignature], _ChildTable],
+    joins: MutableMapping[Tuple[int, int], Tuple[Optional[_ChildTable], _np.ndarray]],
 ) -> Tuple[Dict[ViewSignature, View], List[ViewSignature]]:
     """Vectorised evaluation of one view family.
 
     Returns the computed views plus the signatures that must fall back to the
     tuple scan (only those whose product references a non-numeric column).
-    Filters *zero* a signature's weight column instead of dropping rows, so
-    filtered and unfiltered signatures share the pipeline; per-signature
-    presence columns (0/1 riding along unweighted) keep the semantics of the
-    tuple scans — a group exists iff at least one row passing the signature's
-    filters reached it, even when the contributions cancel to exactly 0.0.
+    The join structure — row -> child key code per flat child store, row
+    expansion through the CSR table of every other child, the output key
+    coding — is resolved once; each signature then costs one weight column
+    (multiplicity x local product, *zeroed* rather than dropped where a local
+    filter fails, x one gathered value column per child) and one ``bincount``.
+    The scratch is that one column, never a rows x outputs matrix.  Presence
+    keeps the semantics of the tuple scan — a group exists iff at least one
+    row passing the signature's filters, with the signature's own child
+    entries present, reached it, even when the contributions cancel to
+    exactly 0.0 — and is computed once per distinct (filters, child presence)
+    pattern, so sibling outputs share their presence arrays by identity.
     """
     here = node.relation_name
     store = context.store
-    results: Dict[ViewSignature, View] = {}
     if store.row_count == 0:
-        for signature in family.signatures:
-            results[signature] = {}
-        return results, []
+        return {signature: {} for signature in family.signatures}, []
 
-    # Per-signature weight columns (multiplicity x local product, zeroed by
-    # local filters) and presence columns for the filtered signatures.
-    weight_columns: List[_np.ndarray] = []
-    presence_columns: List[Optional[_np.ndarray]] = []
-    computed: List[ViewSignature] = []
+    # Local weight columns (multiplicity x local product, zeroed by the local
+    # filters), shared by the signatures with the same product and filters.
+    local: Dict[Tuple, Optional[_np.ndarray]] = {}
+    masks: Dict[Tuple, Optional[_np.ndarray]] = {}
+    # (signature, its position in the family, weights, local filters)
+    computed: List[Tuple[ViewSignature, int, _np.ndarray, Tuple]] = []
     fallback: List[ViewSignature] = []
-    for signature in family.signatures:
-        weights = store.multiplicities
-        supported = True
-        for attribute, exponent in signature.product:
-            if designation[attribute] != here:
-                continue
-            column = store.float_column(attribute)
-            if column is None:
-                supported = False
-                break
-            weights = weights * (column if exponent == 1 else column ** exponent)
-        if not supported:
+    for member, signature in enumerate(family.signatures):
+        product = tuple(pair for pair in signature.product if designation[pair[0]] == here)
+        filters = tuple(c for c in signature.filters if designation[c.attribute] == here)
+        if filters not in masks:
+            mask: Optional[_np.ndarray] = None
+            for condition in filters:
+                condition_mask = context.filter_mask(condition)
+                mask = condition_mask if mask is None else (mask & condition_mask)
+            masks[filters] = mask
+        if (product, filters) not in local:
+            weights: Optional[_np.ndarray] = store.multiplicities
+            for attribute, exponent in product:
+                column = store.float_column(attribute)
+                if column is None:
+                    weights = None
+                    break
+                weights = weights * (column if exponent == 1 else column ** exponent)
+            if weights is not None and masks[filters] is not None:
+                # np.where, not multiplication: `inf * 0` would turn a filtered-out
+                # non-finite row into NaN, while the tuple scan skips it entirely.
+                weights = _np.where(masks[filters], weights, 0.0)
+            local[(product, filters)] = weights
+        weights = local[(product, filters)]
+        if weights is None:
             fallback.append(signature)
-            continue
-        mask: Optional[_np.ndarray] = None
-        for condition in signature.filters:
-            if designation[condition.attribute] != here:
-                continue
-            condition_mask = context.filter_mask(condition)
-            mask = condition_mask if mask is None else (mask & condition_mask)
-        if mask is not None:
-            # np.where, not multiplication: `inf * 0` would turn a filtered-out
-            # non-finite row into NaN, while the tuple scan skips it entirely.
-            weights = _np.where(mask, weights, 0.0)
-        computed.append(signature)
-        weight_columns.append(weights)
-        presence_columns.append(None if mask is None else mask.astype(_np.float64))
+        else:
+            computed.append((signature, member, weights, filters))
+    results: Dict[ViewSignature, View] = {}
     if not computed:
         return results, fallback
 
-    def all_empty() -> Tuple[Dict[ViewSignature, View], List[ViewSignature]]:
-        for signature in computed:
-            results[signature] = {}
-        return results, fallback
-
-    matrix = _np.stack(weight_columns, axis=1)            # (rows, signatures)
-    filtered = [p for p in presence_columns if p is not None]
-    presence = _np.stack(filtered, axis=1) if filtered else None
     base = context.base_keys(family.local_attributes)
     codes = base.codes
 
-    # Child views: vectorised hash-join through per-key CSR offsets.  A row
-    # matching a key with several group entries expands into several output
-    # rows; rows without a match die (their key is absent from the join).
+    # Child joins, resolved once for the whole family.  A flat child only
+    # contributes the row -> key code gather (its columns are read per output
+    # below); any other child is a vectorised hash-join through per-key CSR
+    # offsets: a row matching a key with several group entries expands into
+    # several pipeline rows.  Rows without a match die either way.
+    # Per child: its columnar views (one per signature) and the pipeline rows'
+    # key codes when flat, None and the rows' entry values otherwise.
+    joined: List[Tuple[Optional[List[Any]], _np.ndarray]] = []
     components: List[_np.ndarray] = []
     decoders: List[List[Tuple]] = []
     decoder_attrs: List[Optional[Tuple[str, ...]]] = []
     rows: Optional[_np.ndarray] = None    # original row index per pipeline row
-    for table_key, key_attributes in family.children:
-        table = child_tables.get(table_key)
-        if table is None:
-            table = _table_for(child_views[table_key])
-            child_tables[table_key] = table
-        row_codes, row_keys = context.child_key_codes(key_attributes)
-        # At most one probe per *distinct* key combination, never per row —
-        # and when both sides are columnar, one cached store-to-store code
-        # mapping plus a slot scatter, with no per-key work at all.
-        cross = context.cross_map(key_attributes, table)
-        if cross is not None and table.slot_conn_ids is not None:
-            space = table.conn_space[1] if table.conn_space else 0
-            inverse = _np.full(max(space, 1), -1, dtype=_np.int64)
-            inverse[table.slot_conn_ids] = _np.arange(
-                table.slot_conn_ids.size, dtype=_np.int64
-            )
-            slot_of_key = _np.where(cross >= 0, inverse[cross], -1)
-        else:
-            slot_of_key = _slot_mapping(store, key_attributes, table, row_keys)
-        slots = slot_of_key[row_codes] if rows is None else slot_of_key[row_codes[rows]]
+    for position, (key_attributes, child_store, members) in enumerate(family.children):
+        join_key = (position, id(child_store if child_store is not None else members[0]))
+        resolved = joins.get(join_key)
+        if resolved is None:
+            row_codes, row_keys = context.child_key_codes(key_attributes)
+            # At most one probe per *distinct* key combination, never per row —
+            # and when both sides are columnar, one cached store-to-store code
+            # mapping (plus a slot scatter for a table), no per-key work at all.
+            table: Optional[_ChildTable] = None
+            if child_store is not None:
+                slot_of_key = context.cross_map(key_attributes, child_store)
+            else:
+                table = _table_for(members[0])
+                if table.conn_space is not None:
+                    cross = context.cross_map(key_attributes, table.conn_space[0])
+                    inverse = _np.full(max(table.conn_space[1], 1), -1, dtype=_np.int64)
+                    inverse[table.slot_conn_ids] = _np.arange(
+                        table.slot_conn_ids.size, dtype=_np.int64
+                    )
+                    slot_of_key = _np.where(cross >= 0, inverse[cross], -1)
+                else:
+                    slot_of_key = _slot_mapping(store, key_attributes, table, row_keys)
+            resolved = joins[join_key] = (table, slot_of_key[row_codes])
+        table, slots = resolved
+        if rows is not None:
+            slots = slots[rows]
         live = slots >= 0
-        all_live = bool(live.all())
-        if all_live and bool((table.counts[slots] == 1).all()):
+        if bool(live.all()) and (table is None or bool((table.counts[slots] == 1).all())):
             # Every row matches exactly one entry: plain gather, no expansion.
-            entries = table.offsets[slots]
-            matrix = matrix * table.values[entries][:, None]
-            if table.has_groups:
-                components.append(table.group_ids[entries])
-                decoders.append(table.group_pairs)
-                decoder_attrs.append(table.group_attrs)
-            continue
-        counts = _np.zeros(slots.size, dtype=_np.int64)
-        if all_live:
-            counts = table.counts[slots]
+            entries = slots if table is None else table.offsets[slots]
         else:
-            counts[live] = table.counts[slots[live]]
-        total = int(counts.sum())
-        if total == 0:
-            return all_empty()
-        repeats = _np.repeat(_np.arange(slots.size), counts)
-        starts = _np.zeros(slots.size, dtype=_np.int64)
-        starts[live] = table.offsets[slots[live]]
-        exclusive = _np.cumsum(counts) - counts
-        within = _np.arange(total, dtype=_np.int64) - _np.repeat(exclusive, counts)
-        entries = _np.repeat(starts, counts) + within
-        matrix = matrix[repeats] * table.values[entries][:, None]
-        if presence is not None:
-            presence = presence[repeats]
-        codes = codes[repeats]
-        rows = repeats if rows is None else rows[repeats]
-        components = [component[repeats] for component in components]
+            counts = _np.zeros(slots.size, dtype=_np.int64)
+            counts[live] = 1 if table is None else table.counts[slots[live]]
+            total = int(counts.sum())
+            if total == 0:
+                return {entry[0]: {} for entry in computed}, fallback
+            repeats = _np.repeat(_np.arange(slots.size), counts)
+            if table is None:
+                entries = slots[repeats]
+            else:
+                starts = _np.zeros(slots.size, dtype=_np.int64)
+                starts[live] = table.offsets[slots[live]]
+                exclusive = _np.cumsum(counts) - counts
+                within = _np.arange(total, dtype=_np.int64) - _np.repeat(exclusive, counts)
+                entries = _np.repeat(starts, counts) + within
+            codes = codes[repeats]
+            rows = repeats if rows is None else rows[repeats]
+            components = [component[repeats] for component in components]
+            joined = [(views, aligned[repeats]) for views, aligned in joined]
+        if table is None:
+            joined.append((members, entries))
+            continue
+        joined.append((None, table.values[entries]))
         if table.has_groups:
             components.append(table.group_ids[entries])
             decoders.append(table.group_pairs)
             decoder_attrs.append(table.group_attrs)
 
+    everywhere: Optional[_np.ndarray] = None   # presence shared by the unfiltered outputs
     if not components:
         # Base codes are dense: bincount directly, no re-uniquing needed.
         size = base.size
-        contributing = _np.bincount(codes, minlength=size)
-        shared_present = _np.nonzero(contributing)[0]
+        if rows is not None:       # else every code still has the rows that defined it
+            everywhere = _np.bincount(codes, minlength=size) != 0
         conn_ids, group_ids = base.conn_ids, base.group_ids
         conn_keys, group_keys = base.conn_keys, base.group_keys
         group_attrs: Optional[Tuple[str, ...]] = base.group_attrs
@@ -1212,7 +1291,7 @@ def _evaluate_family(
         columns = [codes] + components
         cardinalities = [max(base.size, 1)] + [max(len(d), 1) for d in decoders]
         codes, combos = combine_codes(columns, cardinalities)
-        size = combos.shape[0]
+        size = combos.shape[0]     # every combo stems from at least one pipeline row
         conn_ids = base.conn_ids[combos[:, 0]]
         conn_keys = base.conn_keys
         # Compact the group identity: a code combines (connection, group) but
@@ -1227,50 +1306,66 @@ def _evaluate_family(
         group_ids, group_combos = combine_codes(group_columns, group_cardinalities)
         base_group_keys = base.group_keys
         group_keys = []
+        # When every child's group pairs have one attribute sequence, the pairs
+        # stay in concatenation order: the sequence travels with the bundle
+        # and canonical (attribute-sorted) keys are only produced at
+        # dict-materialisation boundaries.
+        group_attrs = None
         if all(attrs is not None for attrs in decoder_attrs):
-            # Group pairs stay in concatenation order; the attribute sequence
-            # travels with the view and canonical (attribute-sorted) keys are
-            # only produced at dict-materialisation boundaries.
-            group_attrs: Optional[Tuple[str, ...]] = base.group_attrs + tuple(
+            group_attrs = base.group_attrs + tuple(
                 attribute for attrs in decoder_attrs for attribute in attrs  # type: ignore[union-attr]
             )
-            append = group_keys.append
-            for combo in group_combos.tolist():
-                pairs = base_group_keys[combo[0]]
-                for decoder, pair_code in zip(decoders, combo[1:]):
-                    pairs = pairs + decoder[pair_code]
-                append(pairs)
-        else:
-            group_attrs = None
-            for combo in group_combos.tolist():
-                pairs = base_group_keys[combo[0]]
-                for decoder, pair_code in zip(decoders, combo[1:]):
-                    pairs = pairs + decoder[pair_code]
-                group_keys.append(tuple(sorted(pairs)) if pairs else EMPTY_GROUP)
-        shared_present = None  # every combo stems from at least one pipeline row
+        for combo in group_combos.tolist():
+            pairs = base_group_keys[combo[0]]
+            for decoder, pair_code in zip(decoders, combo[1:]):
+                pairs = pairs + decoder[pair_code]
+            if group_attrs is None:
+                pairs = tuple(sorted(pairs)) if pairs else EMPTY_GROUP
+            group_keys.append(pairs)
+    bundle = _ViewBundle(
+        conn_ids, group_ids, conn_keys, group_keys, base.conn_columns, group_attrs, store,
+        flat=not components and not family.local_attributes,
+    )
 
-    filtered_position = 0
-    scalar_sums: Optional[_np.ndarray] = None
-    if size == 1:
-        # One key (scalar views): column sums replace per-signature bincounts.
-        scalar_sums = matrix.sum(axis=0)
-    for position, signature in enumerate(computed):
-        if scalar_sums is not None:
-            sums = scalar_sums[position : position + 1]
-        else:
-            sums = _np.bincount(codes, weights=matrix[:, position], minlength=size)
-        if presence_columns[position] is None:
-            present = shared_present
-        else:
-            passing = _np.bincount(
-                codes, weights=presence[:, filtered_position], minlength=size
-            )
-            filtered_position += 1
-            present = _np.nonzero(passing)[0]
-        results[signature] = ColumnarView(
-            conn_ids, group_ids, conn_keys, group_keys, sums, present,
-            base.conn_columns, group_attrs, store,
-        )
+    def alive_rows(filters: Tuple, member: int) -> Optional[_np.ndarray]:
+        """The pipeline rows one output counts, None when it counts them all."""
+        alive = masks[filters]
+        if alive is not None and rows is not None:
+            alive = alive[rows]
+        for views, aligned in joined:
+            if views is not None and views[member]._present is not None:
+                reached = views[member]._present[aligned]
+                alive = reached if alive is None else alive & reached
+        return alive
+
+    presence: Dict[Tuple, Optional[_np.ndarray]] = {}
+    # A dead row holds a 0.0 factor (zeroed weight, absent child key), which a
+    # non-finite one turns into NaN — silently here, repaired below.
+    with _np.errstate(invalid="ignore"):
+        for signature, member, weights, filters in computed:
+            column = weights if rows is None else weights[rows]
+            pattern: Tuple = (filters,)
+            for views, aligned in joined:
+                if views is None:
+                    column = column * aligned
+                else:
+                    column = column * views[member]._sums[aligned]
+                    pattern += (id(views[member]._present),)
+            sums = _np.bincount(codes, weights=column, minlength=size)
+            if pattern not in presence:
+                alive = alive_rows(filters, member)
+                present = everywhere
+                if alive is not None:
+                    present = _np.bincount(codes, weights=alive, minlength=size) != 0
+                presence[pattern] = None if present is None or bool(present.all()) else present
+            if not _np.isfinite(sums).all():
+                # The tuple scan skips dead rows: recount with them masked out.
+                alive = alive_rows(filters, member)
+                if alive is not None:
+                    sums = _np.bincount(
+                        codes, weights=_np.where(alive, column, 0.0), minlength=size
+                    )
+            results[signature] = ColumnarView(bundle, sums, presence[pattern])
     return results, fallback
 
 
@@ -1335,18 +1430,18 @@ def compute_node_views(
     """
     conn_attributes = sorted(node.connection_attributes())
     context = _context_for(node, relation, conn_attributes, context_cache)
-    child_tables: Dict[Tuple[str, ViewSignature], _ChildTable] = {}
+    joins: Dict[Tuple[int, int], Tuple[Optional[_ChildTable], _np.ndarray]] = {}
     results: Dict[ViewSignature, View] = {}
     remaining: List[ViewSignature] = []
-    for family in _build_families(
-        node, list(dict.fromkeys(signatures)), designation, context.restrict_cache
-    ):
-        computed, fallback = _evaluate_family(
-            context, node, family, designation, child_views, child_tables
-        )
+    families = _build_families(
+        node, list(dict.fromkeys(signatures)), designation, context.restrict_cache, child_views
+    )
+    for family in families:
+        computed, fallback = _evaluate_family(context, node, family, designation, joins)
         results.update(computed)
         remaining.extend(fallback)
     if stats is not None:
+        stats[STAT_PIPELINES] = stats.get(STAT_PIPELINES, 0) + len(families)
         stats[STAT_COLUMNAR] = stats.get(STAT_COLUMNAR, 0) + len(results)
         stats[STAT_TUPLE_FALLBACK] = stats.get(STAT_TUPLE_FALLBACK, 0) + len(remaining)
     if remaining:

@@ -128,42 +128,24 @@ def designate_attributes(join_tree: JoinTree) -> Dict[str, str]:
     return designation
 
 
-def _signature_for_subtree(
-    aggregate: Aggregate,
-    node: JoinTreeNode,
-    designation: Mapping[str, str],
-    subtree_relations: Optional[FrozenSet[str]] = None,
-) -> ViewSignature:
-    """The restriction of ``aggregate`` to the nodes of ``node``'s subtree."""
-    if subtree_relations is None:
-        subtree_relations = frozenset(child.relation_name for child in node.subtree_nodes())
+def _restrict_product(product, relations: FrozenSet[str], designation: Mapping[str, str]):
+    counts: Dict[str, int] = {}
+    for attribute in product:
+        if designation[attribute] in relations:
+            counts[attribute] = counts.get(attribute, 0) + 1
+    return tuple(sorted(counts.items()))
 
-    product_counts: Dict[str, int] = {}
-    for attribute, exponent in aggregate.product_multiplicities().items():
-        if designation[attribute] in subtree_relations:
-            product_counts[attribute] = exponent
-    group_by = tuple(
+
+def _restrict_group_by(group_by, relations: FrozenSet[str], designation: Mapping[str, str]):
+    return tuple(sorted(a for a in group_by if designation[a] in relations))
+
+
+def _restrict_filters(filters, relations: FrozenSet[str], designation: Mapping[str, str]):
+    return tuple(
         sorted(
-            attribute
-            for attribute in aggregate.group_by
-            if designation[attribute] in subtree_relations
-        )
-    )
-    filters = tuple(
-        sorted(
-            (
-                condition
-                for condition in aggregate.filters
-                if designation[condition.attribute] in subtree_relations
-            ),
+            (c for c in filters if designation[c.attribute] in relations),
             key=lambda condition: (condition.attribute, condition.op.value, str(condition.value)),
         )
-    )
-    return ViewSignature(
-        relation_name=node.relation_name,
-        product=tuple(sorted(product_counts.items())),
-        group_by=group_by,
-        filters=filters,
     )
 
 
@@ -172,22 +154,52 @@ def decompose_aggregate(
     join_tree: JoinTree,
     designation: Mapping[str, str],
     subtree_relations: Optional[Mapping[str, FrozenSet[str]]] = None,
+    memo: Optional[Dict[Tuple, Dict[str, Tuple]]] = None,
 ) -> AggregateDecomposition:
-    """Decompose one aggregate into its per-node view signatures."""
+    """Decompose one aggregate into its per-node view signatures.
+
+    The signature at a node is the restriction of the aggregate to the
+    relations of the node's subtree (``subtree_relations``, derived from the
+    tree when omitted).  The aggregates of a batch repeat their parts — a
+    CART node batch is three products times a hundred filter sets — so
+    :func:`plan_batch` passes one ``memo`` for the whole batch and each
+    distinct product, group-by and filter tuple is restricted (and its
+    filters re-sorted) once per node instead of once per aggregate.
+    """
+    if subtree_relations is None:
+        subtree_relations = _subtree_relations(join_tree)
+    if memo is None:
+        memo = {}
+
+    def restricted(restrict, part) -> Dict[str, Tuple]:
+        per_node = memo.get((restrict, part))
+        if per_node is None:
+            per_node = memo[(restrict, part)] = {
+                name: restrict(part, relations, designation)
+                for name, relations in subtree_relations.items()
+            }
+        return per_node
+
+    products = restricted(_restrict_product, aggregate.product)
+    groups = restricted(_restrict_group_by, aggregate.group_by)
+    filters = restricted(_restrict_filters, aggregate.filters)
     signatures = {
-        node.relation_name: _signature_for_subtree(
-            aggregate,
-            node,
-            designation,
-            subtree_relations.get(node.relation_name) if subtree_relations else None,
-        )
-        for node in join_tree.nodes()
+        name: ViewSignature(name, products[name], groups[name], filters[name])
+        for name in subtree_relations
     }
     return AggregateDecomposition(
         aggregate=aggregate,
         signatures=signatures,
         root_signature=signatures[join_tree.root.relation_name],
     )
+
+
+def _subtree_relations(join_tree: JoinTree) -> Dict[str, FrozenSet[str]]:
+    """Per node (in tree order): the relation names of its subtree."""
+    return {
+        node.relation_name: frozenset(child.relation_name for child in node.subtree_nodes())
+        for node in join_tree.nodes()
+    }
 
 
 def plan_batch(batch: AggregateBatch, join_tree: JoinTree) -> BatchPlan:
@@ -201,12 +213,8 @@ def plan_batch(batch: AggregateBatch, join_tree: JoinTree) -> BatchPlan:
     """
     known_attributes = set(join_tree.attributes())
     designation = designate_attributes(join_tree)
-    subtree_relations = {
-        node.relation_name: frozenset(
-            child.relation_name for child in node.subtree_nodes()
-        )
-        for node in join_tree.nodes()
-    }
+    subtree_relations = _subtree_relations(join_tree)
+    memo: Dict[Tuple, Dict[str, Tuple]] = {}
     decompositions: List[AggregateDecomposition] = []
     unsupported: List[Aggregate] = []
 
@@ -223,7 +231,7 @@ def plan_batch(batch: AggregateBatch, join_tree: JoinTree) -> BatchPlan:
                 "that do not occur in the query"
             )
         decompositions.append(
-            decompose_aggregate(aggregate, join_tree, designation, subtree_relations)
+            decompose_aggregate(aggregate, join_tree, designation, subtree_relations, memo)
         )
 
     views_per_node: Dict[str, List[ViewSignature]] = {

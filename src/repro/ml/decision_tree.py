@@ -110,10 +110,12 @@ class _TreeLearnerBase:
             owners = database.relations_with_attribute(feature)
             if not owners:
                 continue
-            values = sorted(float(value) for value in owners[0].column(feature))
-            if not values:
+            values = owners[0].column_store().float_column(feature)
+            if values is None:
+                raise ValueError(f"continuous feature {feature!r} is not numeric")
+            if not values.size:
                 continue
-            low, high = values[0], values[-1]
+            low, high = float(values.min()), float(values.max())
             if high <= low:
                 thresholds[feature] = [low]
                 continue
@@ -288,14 +290,6 @@ class DecisionTreeClassifier(_TreeLearnerBase):
     grouped counts (``SUM(1) GROUP BY target``) under the candidate filters.
     """
 
-    def _class_counts(self, engine, filters) -> Dict[object, float]:
-        batch = AggregateBatch(name="class_counts")
-        batch.add(Aggregate.count(group_by=[self.target], filters=filters, name="classes"))
-        result = engine.evaluate(batch)
-        self.batches_evaluated += 1
-        self.aggregates_evaluated += 1
-        return {key[0]: value for key, value in result.grouped("classes").items()}
-
     @staticmethod
     def _gini(counts: Mapping[object, float]) -> Tuple[float, float]:
         total = sum(counts.values())
@@ -304,8 +298,46 @@ class DecisionTreeClassifier(_TreeLearnerBase):
         gini = 1.0 - sum((count / total) ** 2 for count in counts.values())
         return gini, total
 
+    def _candidates(
+        self, thresholds, categories
+    ) -> List[Tuple[str, Optional[float], Optional[object], Filter]]:
+        """Every candidate split: (feature, threshold, category, its true-branch filter)."""
+        candidates: List[Tuple[str, Optional[float], Optional[object], Filter]] = []
+        for feature, feature_thresholds in thresholds.items():
+            for threshold in feature_thresholds:
+                candidates.append(
+                    (feature, threshold, None, Filter(feature, FilterOp.GE, threshold))
+                )
+        for feature, feature_categories in categories.items():
+            if feature == self.target:
+                continue
+            for value in feature_categories:
+                candidates.append((feature, None, value, Filter(feature, FilterOp.EQ, value)))
+        return candidates
+
     def _grow(self, engine, node_filters, depth, thresholds, categories) -> TreeNode:
-        counts = self._class_counts(engine, node_filters)
+        # One batch per tree node, as in the regressor: the node's class counts
+        # and — unless the depth limit makes it a leaf anyway — those of every
+        # candidate's true branch.
+        candidates = self._candidates(thresholds, categories) if depth < self.max_depth else []
+        batch = AggregateBatch(name="class_counts")
+        batch.add(Aggregate.count(group_by=[self.target], filters=node_filters, name="node"))
+        for position, (_feature, _threshold, _category, condition) in enumerate(candidates):
+            batch.add(
+                Aggregate.count(
+                    group_by=[self.target],
+                    filters=node_filters + (condition,),
+                    name=f"left:{position}",
+                )
+            )
+        result = engine.evaluate(batch)
+        self.batches_evaluated += 1
+        self.aggregates_evaluated += len(batch)
+
+        def class_counts(name: str) -> Dict[object, float]:
+            return {key[0]: value for key, value in result.grouped(name).items()}
+
+        counts = class_counts("node")
         gini, total = self._gini(counts)
         majority = max(counts, key=counts.get) if counts else None
         node = TreeNode(prediction=majority, count=total, depth=depth, impurity=gini)  # type: ignore[arg-type]
@@ -314,34 +346,8 @@ class DecisionTreeClassifier(_TreeLearnerBase):
 
         best_cost = gini * total
         best_condition: Optional[Tuple[str, Optional[float], Optional[object]]] = None
-        candidates: List[Tuple[str, Optional[float], Optional[object], Filter, Filter]] = []
-        for feature, feature_thresholds in thresholds.items():
-            for threshold in feature_thresholds:
-                candidates.append(
-                    (
-                        feature,
-                        threshold,
-                        None,
-                        Filter(feature, FilterOp.GE, threshold),
-                        Filter(feature, FilterOp.LT, threshold),
-                    )
-                )
-        for feature, feature_categories in categories.items():
-            if feature == self.target:
-                continue
-            for value in feature_categories:
-                candidates.append(
-                    (
-                        feature,
-                        None,
-                        value,
-                        Filter(feature, FilterOp.EQ, value),
-                        Filter(feature, FilterOp.NE, value),
-                    )
-                )
-
-        for feature, threshold, category, true_filter, false_filter in candidates:
-            left_counts = self._class_counts(engine, node_filters + (true_filter,))
+        for position, (feature, threshold, category, _condition) in enumerate(candidates):
+            left_counts = class_counts(f"left:{position}")
             left_gini, left_total = self._gini(left_counts)
             right_total = total - left_total
             if left_total < self.min_samples or right_total < self.min_samples:

@@ -67,6 +67,45 @@ def test_plan_shares_views_across_aggregates(small_retailer, small_retailer_quer
     assert shared.summary()["aggregates"] == len(batch)
 
 
+def test_plan_memo_returns_the_plan_of_one_aggregate_at_a_time(
+    small_retailer, small_retailer_query
+):
+    """Sharing the restrictions across a batch changes no signature.
+
+    A CART node batch repeats three products over a hundred filter sets; the
+    planner restricts each distinct part once per node.  The result must be
+    what decomposing every aggregate on its own gives, in the same order.
+    """
+    from repro.aggregates import decision_tree_node_batch
+    from repro.engine.plan import decompose_aggregate
+
+    node_filters = (Filter("prize", FilterOp.GE, 100.0), Filter("maxtemp", FilterOp.LT, 20))
+    batch = decision_tree_node_batch(
+        "inventoryunits",
+        ["prize", "maxtemp", "population"],
+        ["category"],
+        thresholds={"prize": [50.0, 100.0, 100], "maxtemp": [20.0, 5.0]},
+        categories={"category": small_retailer["Items"].active_domain("category")},
+        node_filters=node_filters,
+    )
+    batch.add(Aggregate.sum_of(["prize", "prize"], group_by=["zip", "category"], name="grouped"))
+    tree = build_join_tree(small_retailer_query.hypergraph(small_retailer), root="Stores")
+    plan = plan_batch(batch, tree)
+    designation = designate_attributes(tree)
+    assert plan.designation == designation
+    seen = {name: [] for name in plan.views_per_node}
+    for aggregate, decomposition in zip(batch, plan.decompositions):
+        alone = decompose_aggregate(aggregate, tree, designation)
+        assert decomposition.aggregate is aggregate
+        assert decomposition.signatures == alone.signatures
+        assert list(decomposition.signatures) == list(alone.signatures)
+        assert decomposition.root_signature == alone.root_signature
+        for name, signature in alone.signatures.items():
+            if signature not in seen[name]:
+                seen[name].append(signature)
+    assert plan.views_per_node == seen
+
+
 def test_plan_rejects_unknown_attributes(toy_database, toy_query):
     tree = build_join_tree(toy_query.hypergraph(toy_database), root="Orders")
     batch = AggregateBatch("bad", [Aggregate.sum_of(["nonexistent"])])

@@ -18,13 +18,30 @@ import random
 
 import pytest
 
-from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp
+from repro.aggregates import (
+    Aggregate,
+    AggregateBatch,
+    Filter,
+    FilterOp,
+    decision_tree_node_batch,
+)
 from repro.data import Database, Relation, Schema
-from repro.engine import LMFAOEngine, MaterializedJoinEngine
-from repro.engine.executor import STAT_COLUMNAR, STAT_TUPLE_FALLBACK, scan_node_views
+from repro.datasets import favorita_database, favorita_query, retailer_database, retailer_query
+from repro.datasets.favorita import FAVORITA_FEATURES
+from repro.datasets.retailer import RETAILER_FEATURES
+from repro.engine import EngineOptions, LMFAOEngine, MaterializedJoinEngine
+from repro.engine.executor import (
+    STAT_COLUMNAR,
+    STAT_PIPELINES,
+    STAT_TUPLE_FALLBACK,
+    ColumnarView,
+    compute_node_views,
+    scan_node_views,
+)
+from repro.ml import DecisionTreeRegressor
 
 
-def _evaluate_checked(database, query, batch):
+def _evaluate_checked(database, query, batch, options=None):
     """Evaluate on the engine, checking every view against the tuple scan.
 
     Each node's views are re-derived by ``scan_node_views`` from the engine's
@@ -32,7 +49,7 @@ def _evaluate_checked(database, query, batch):
     bottom-up evaluation: same connection keys, same group keys (zero-sum
     groups included), same values.
     """
-    engine = LMFAOEngine(database, query)
+    engine = LMFAOEngine(database, query, options)
     result = engine.evaluate(batch)
     plan = engine.plan(batch)
     views = engine._evaluate_views(plan)    # cache hits: the views `result` read
@@ -447,3 +464,143 @@ def test_non_numeric_product_column_falls_back_to_the_tuple_scan():
     assert result.executor_stats.get(STAT_COLUMNAR, 0) > 0
     assert result.scalar("sum_mx") == pytest.approx(2.0 * 7 + 2 * 5.0 * 9)
     assert result.scalar("count") == pytest.approx(4.0)
+
+
+
+# -- view bundles: CART node batches --------------------------------------------------------
+
+
+def _tree_case(dataset):
+    """A small database, its query, feature spec and two filters on different relations."""
+    if dataset == "retailer":
+        database = retailer_database(inventory_rows=400, stores=6, items=15, dates=8, seed=3)
+        return database, retailer_query(), RETAILER_FEATURES, (
+            Filter("prize", FilterOp.GE, 100.0),       # Items
+            Filter("maxtemp", FilterOp.LT, 20.0),      # Weather
+        )
+    database = favorita_database(sales_rows=300, stores=6, items=20, dates=10, seed=5)
+    return database, favorita_query(), FAVORITA_FEATURES, (
+        Filter("oilprice", FilterOp.GE, 50.0),         # Oil
+        Filter("transactions", FilterOp.LT, 2500),     # Transactions
+    )
+
+
+def _tree_node_batch(database, query, spec, node_filters=(), grouped_extras=True):
+    """The batch the tree learner evaluates at one node, plus two grouped extras.
+
+    The grouped aggregates put a grouped child view beside the group-free
+    ones at the parent of the relation owning the categorical feature.
+    """
+    learner = DecisionTreeRegressor(spec["target"], spec["continuous"], spec["categorical"])
+    batch = decision_tree_node_batch(
+        spec["target"],
+        learner.continuous,
+        learner.categorical,
+        thresholds=learner._thresholds(database, query),
+        categories=learner._categories(database),
+        node_filters=node_filters,
+    )
+    if grouped_extras:
+        feature = spec["categorical"][0]
+        batch.add(Aggregate.count(group_by=[feature], filters=node_filters, name="grouped_count"))
+        batch.add(
+            Aggregate.sum_of(
+                [spec["target"]], group_by=[feature], filters=node_filters, name="grouped_sum"
+            )
+        )
+    return batch
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["depth0", "two-node-filters"])
+@pytest.mark.parametrize("dataset", ["retailer", "favorita"])
+def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
+    """Every bundled view of a CART node batch is what ``scan_node_views`` derives.
+
+    Hundreds of signatures per node that differ in one child view each: the
+    bundled pipeline must still give every output its own presence (a
+    candidate filter can empty a key its siblings keep) and must join the
+    grouped child views next to the flat ones.
+    """
+    database, query, spec, node_filters = _tree_case(dataset)
+    batch = _tree_node_batch(database, query, spec, node_filters if filtered else ())
+    outcome = _evaluate_checked(database, query, batch)
+    assert outcome.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
+    naive = MaterializedJoinEngine(database, query).evaluate(batch)
+    for name, value in outcome.values.items():
+        assert _tolerant_equal(value, naive.values[name]), name
+
+    # The interesting shapes did occur: columns of one bundle with different
+    # key sets, and a node that computed flat and grouped bundles side by side.
+    engine = LMFAOEngine(database, query)
+    bundles = {}
+    for (name, _signature), view in engine._evaluate_views(engine.plan(batch)).items():
+        assert isinstance(view, ColumnarView)
+        bundles.setdefault(id(view._bundle), (name, view._bundle, []))[2].append(view)
+    assert any(
+        len({frozenset(view) for view in views}) > 1 for _name, _bundle, views in bundles.values()
+    )
+    flat_nodes = {name for name, bundle, _views in bundles.values() if bundle.flat}
+    grouped_nodes = {name for name, bundle, _views in bundles.values() if not bundle.flat}
+    assert flat_nodes & grouped_nodes
+
+
+def test_retailer_tree_batch_runs_one_pipeline_per_node_and_key_shape():
+    """The root-node tree batch scans each relation once per key shape.
+
+    At the parent commit this batch (rooted at Stores) ran 319 pipelines —
+    one per distinct combination of child signatures: 1 + 14 + 1 + 42 + 261
+    over Items, Inventory, Demographics, Weather, Stores.
+    """
+    database = retailer_database(inventory_rows=3000, stores=60, items=80, dates=20, seed=1)
+    query = retailer_query()
+    batch = _tree_node_batch(database, query, RETAILER_FEATURES, grouped_extras=False)
+    assert len(batch) > 300
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation="Stores"))
+    result = engine.evaluate(batch)
+    assert result.executor_stats[STAT_COLUMNAR] == result.views_computed
+    assert result.executor_stats[STAT_PIPELINES] <= 16
+
+    # The two big nodes on their own, against the same child views.
+    plan = engine.plan(batch)
+    views = engine._evaluate_views(plan)
+    for name, limit in (("Inventory", 2), ("Weather", 4)):
+        stats = {}
+        signatures = plan.views_per_node[name]
+        assert len(signatures) > 10 * limit
+        compute_node_views(
+            engine.join_tree.node(name), database.relation(name), signatures,
+            plan.designation, views, stats=stats,
+        )
+        assert stats[STAT_COLUMNAR] == len(signatures)
+        assert stats[STAT_PIPELINES] <= limit
+
+
+def test_dead_rows_with_nonfinite_weights_do_not_poison_bundled_sums():
+    """A row whose child entry a sibling filter removed is skipped, inf or not.
+
+    The bundled pipeline keeps such a row with a 0.0 child factor instead of
+    dropping it; ``inf * 0.0`` must not leak into the key's sum.
+    """
+    from repro.query import ConjunctiveQuery
+
+    database = Database(
+        [
+            Relation(
+                "F",
+                Schema.from_names(["k", "m"], ["k"]),
+                multiplicities={(1, 2.0): 1, (2, float("inf")): 1, (2, 3.0): 1},
+            ),
+            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7), (2, 9)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
+    batch = AggregateBatch(
+        "dead-inf",
+        [
+            Aggregate.sum_of(["m"], filters=[Filter("x", FilterOp.LE, 8)], name="sum_x_small"),
+            Aggregate.count(name="count"),
+        ],
+    )
+    result = _evaluate_checked(database, query, batch, EngineOptions(root_relation="F"))
+    assert result.scalar("sum_x_small") == pytest.approx(2.0)
+    assert result.scalar("count") == pytest.approx(3.0)

@@ -192,6 +192,92 @@ def test_classification_tree_beats_majority_class(small_favorita, small_favorita
     assert accuracy >= majority_accuracy - 1e-9
 
 
+def _count_nodes(node):
+    return 1 if node.is_leaf else 1 + _count_nodes(node.left) + _count_nodes(node.right)
+
+
+def test_classification_tree_asks_one_batch_per_node_and_learns_the_same_tree(
+    small_favorita, small_favorita_query, small_retailer, small_retailer_query
+):
+    """One batch per tree node, and the trees the per-candidate batches learned.
+
+    The expected renderings were produced by the classifier that evaluated a
+    one-aggregate batch per candidate split (61 and 445 batches here).
+    """
+    tree = DecisionTreeClassifier(
+        target="holiday_type",
+        continuous=["transactions", "oilprice"],
+        categorical=["city"],
+        max_depth=2,
+        min_samples=20,
+    )
+    root = tree.fit(small_favorita, small_favorita_query)
+    assert tree.batches_evaluated == _count_nodes(root) == 7
+    assert root.render() == "\n".join(
+        [
+            "if oilprice >= 59.5278:",
+            "  if oilprice >= 79.5511:",
+            "    predict 'none' (n=96)",
+            "  else:",
+            "    predict 'regional' (n=55)",
+            "else:",
+            "  if oilprice >= 52.8533:",
+            "    predict 'local' (n=30)",
+            "  else:",
+            "    predict 'national' (n=119)",
+        ]
+    )
+
+    tree = DecisionTreeClassifier(
+        target="category",
+        continuous=["prize", "maxtemp", "inventoryunits"],
+        categorical=["rain"],
+        max_depth=3,
+        min_samples=10,
+    )
+    root = tree.fit(small_retailer, small_retailer_query)
+    assert tree.batches_evaluated == _count_nodes(root) == 13
+    assert root.render() == "\n".join(
+        [
+            "if prize >= 267.566:",
+            "  if maxtemp >= 8.25667:",
+            "    if maxtemp >= 25.3189:",
+            "      predict 'grocery' (n=21)",
+            "    else:",
+            "      predict 'grocery' (n=46)",
+            "  else:",
+            "    if maxtemp >= -0.274444:",
+            "      predict 'grocery' (n=11)",
+            "    else:",
+            "      predict 'grocery' (n=16)",
+            "else:",
+            "  if prize >= 59.4244:",
+            "    if prize >= 178.362:",
+            "      predict 'garden' (n=123)",
+            "    else:",
+            "      predict 'toys' (n=155)",
+            "  else:",
+            "    predict 'electronics' (n=28)",
+        ]
+    )
+
+
+def test_tree_thresholds_come_from_the_column_extremes(small_retailer, small_retailer_query):
+    """Equi-spaced thresholds between a feature's min and max, bit for bit."""
+    features = ["prize", "maxtemp", "rain", "population"]
+    learner = DecisionTreeRegressor("inventoryunits", features, threshold_count=5)
+    thresholds = learner._thresholds(small_retailer, small_retailer_query)
+    assert list(thresholds) == features
+    for feature, values in thresholds.items():
+        column = sorted(
+            float(value)
+            for value in small_retailer.relations_with_attribute(feature)[0].column(feature)
+        )
+        low, high = column[0], column[-1]
+        step = (high - low) / 6
+        assert values == [round(low + step * position, 6) for position in range(1, 6)]
+
+
 # -- k-means ------------------------------------------------------------------------------------------------
 
 

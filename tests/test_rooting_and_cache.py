@@ -18,7 +18,7 @@ import math
 
 import pytest
 
-from repro.aggregates import Aggregate, AggregateBatch, covariance_batch
+from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp, covariance_batch
 from repro.data import Database, Relation, Schema
 from repro.datasets import load_dataset
 from repro.engine import (
@@ -443,6 +443,118 @@ def test_columnar_root_patch_appends_new_group_entries():
     assert all(
         math.isclose(want.get(key, 0.0), got.get(key, 0.0), rel_tol=1e-9, abs_tol=1e-9)
         for key in set(want) | set(got)
+    )
+
+
+# -- bundle columns are patched copy-on-write -------------------------------------------
+
+
+def _assert_close(expected, result):
+    for name, value in expected.values.items():
+        other = result.values[name]
+        if isinstance(value, dict):
+            assert all(
+                math.isclose(value.get(key, 0.0), other.get(key, 0.0), rel_tol=1e-9, abs_tol=1e-9)
+                for key in set(value) | set(other)
+            ), name
+        else:
+            assert math.isclose(value, other, rel_tol=1e-9, abs_tol=1e-9), name
+
+
+def _bundle_engine(batch):
+    """A fact-rooted star engine, warmed on ``batch`` and pinned on "refresh pays"."""
+    database = _star_database()
+    query = ConjunctiveQuery(["F", "D1", "D2"])
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
+    engine.evaluate(batch)
+    engine._recompute_cost = dict.fromkeys(query.relation_names, float("inf"))
+    return database, query, engine
+
+
+def _cached_bundles(engine, node):
+    """Per bundle of the columnar views cached for ``node``: how many columns it has."""
+    columns = {}
+    for (name, _signature), (_versions, view) in engine._view_cache.items():
+        if name == node and hasattr(view, "_bundle"):
+            columns[id(view._bundle)] = columns.get(id(view._bundle), 0) + 1
+    return sorted(columns.values())
+
+
+def test_root_patch_on_one_bundle_column_leaves_its_siblings_alone():
+    """Patching one root view in place must not touch the other columns.
+
+    The root views of one key shape are columns of one bundle.  A batch that
+    reads only one of them after an update patches that column alone — value
+    adds in place, and a delta with an unseen group key appends to a private
+    copy of the bundle; the siblings are patched by their own delta when they
+    are next read, and must then agree with a fresh engine (a shared array
+    would have been patched twice).
+    """
+    grouped = [
+        Aggregate.sum_of(["m"], group_by=["k1"], name="m_by_k1"),
+        Aggregate.count(group_by=["k1"], name="count_by_k1"),
+        Aggregate.sum_of(["m", "x"], group_by=["k1"], name="mx_by_k1"),
+    ]
+    scalars = [
+        Aggregate.count(name="count"),
+        Aggregate.sum_of(["m"], name="sum_m"),
+        Aggregate.sum_of(["m", "y"], name="sum_my"),
+    ]
+    full = AggregateBatch("full", grouped + scalars)
+    database, query, engine = _bundle_engine(full)
+    # One bundle per key shape: the scalars; the two views grouped through the
+    # same D1 child view (k1 is designated to D1); the one with its own.
+    assert _cached_bundles(engine, "F") == [1, 2, 3]
+
+    database["D1"].add((3, 30))                            # k1=3 becomes joinable (recompute)
+    engine.evaluate(full)
+    database["F"].add((3, 1, 6))                           # unseen group key: appends
+    database["F"].add((1, 1, 2), 2)                        # existing keys: in-place adds
+    one = engine.evaluate(AggregateBatch("one", [grouped[0], scalars[1]]))
+    assert one.executor_stats.get(STAT_ROOT_PATCHED, 0) == 2
+    rest = engine.evaluate(full)
+    assert rest.executor_stats.get(STAT_ROOT_PATCHED, 0) == 4
+    assert rest.executor_stats.get(STAT_CACHED, 0) >= 2
+    expected = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full)
+    _assert_close(expected, rest)
+    _assert_close(expected, engine.evaluate(full))         # and the patched cache is stable
+
+
+def test_delta_refresh_of_one_bundle_column_leaves_its_siblings_alone():
+    """Splicing one non-root view out of its bundle keeps the other columns valid.
+
+    After a small update below D1, a batch that reads one of D1's views
+    refreshes only that one (it leaves the bundle as a patched view); its
+    siblings stay columns of the old bundle until their own refresh, and the
+    parent then joins patched and bundled children side by side.
+    """
+    full = AggregateBatch(
+        "full",
+        [
+            Aggregate.count(name="count"),
+            Aggregate.sum_of(["x"], name="sum_x"),
+            Aggregate.sum_of(["m", "x"], name="sum_mx"),
+            Aggregate.sum_of(["x", "x"], name="sum_xx"),
+            Aggregate.sum_of(["x"], filters=[Filter("x", FilterOp.GE, 15)], name="sum_x_big"),
+        ],
+    )
+    database, query, engine = _bundle_engine(full)
+    assert _cached_bundles(engine, "D1") == [4]            # count, x, x^2, filtered x
+
+    database["D1"].add((1, 100))
+    one = engine.evaluate(AggregateBatch("one", [full[1]]))
+    assert one.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 1
+    expected = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full)
+    assert math.isclose(one.scalar("sum_x"), expected.scalar("sum_x"), rel_tol=1e-9)
+
+    rest = engine.evaluate(full)
+    assert rest.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 3
+    _assert_close(expected, rest)
+    database["D1"].add((2, 5))
+    again = engine.evaluate(full)
+    assert again.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 4
+    _assert_close(
+        LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full), again
     )
 
 
