@@ -22,13 +22,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.tuplestore import (
-    _GrowArray,
-    _ints_exceed_float64_precision,
-    tuplestore_stats,
-)
+from repro.data.tuplestore import _GrowArray, tuplestore_stats
 
-__all__ = ["ColumnEncoding", "ColumnStore", "DeltaColumnStore", "combine_codes"]
+__all__ = [
+    "ColumnEncoding",
+    "ColumnStore",
+    "DeltaColumnStore",
+    "StagedDelta",
+    "combine_codes",
+]
 
 #: Cap on the mixed-radix cardinality product; above it combined keys fall
 #: back to row-wise ``np.unique(axis=0)`` to avoid int64 overflow.
@@ -83,6 +85,16 @@ class ColumnEncoding:
             self._sortable = as_sortable_array(self.values)
             self._sortable_ready = True
         return self._sortable
+
+
+def _ints_exceed_float64_precision(values) -> bool:
+    """True when an int in ``values`` would lose identity as a float64."""
+    return any(
+        isinstance(value, int) and not isinstance(value, bool) and (
+            value > 2 ** 53 or value < -(2 ** 53)
+        )
+        for value in values
+    )
 
 
 def as_sortable_array(values: Sequence[object]) -> Optional[np.ndarray]:
@@ -426,7 +438,10 @@ class _DeltaKey:
 
     Holds the key dictionary (tuple -> code), the per-entry code array, and
     one growable *bucket* of entry positions per code — the incrementally
-    maintained CSR the batched IVM propagation joins against.
+    maintained CSR the batched IVM propagation joins against.  Appending is
+    two steps — :meth:`encode` turns rows into codes (registering unseen
+    keys), :meth:`append` files entries under them — so a delta staged ahead
+    of its commit is probed once and its codes are usable in between.
     """
 
     __slots__ = ("positions", "index", "keys", "codes", "buckets",
@@ -454,7 +469,7 @@ class _DeltaKey:
         return self.index.get(key[0] if self.scalar else key)
 
     def append_one(self, row: Tuple, entry: int) -> None:
-        """Single-row :meth:`extend` without per-call array machinery."""
+        """Single-row :meth:`encode` + :meth:`append` without array machinery."""
         if self.scalar:
             probe = row[self.positions[0]]
             key = (probe,)
@@ -470,45 +485,55 @@ class _DeltaKey:
         if self.track_buckets:
             self.buckets[code].append(entry)
 
-    def extend(self, columns: Sequence[Sequence], count: int, base: int) -> None:
-        """Encode ``count`` new entries (``base..``) from transposed columns.
+    def encode(self, columns: Sequence[Sequence], count: int) -> np.ndarray:
+        """Key codes of ``count`` rows given as transposed columns.
 
-        ``columns`` is the caller's one-time ``zip(*rows)`` transpose, shared
-        by every registered key and float column of the store — probing reads
-        whole C-level columns instead of indexing each row tuple per key.
+        Unseen keys are registered (with an empty bucket); no entry is
+        appended.  ``columns`` is the caller's one-time ``zip(*rows)``
+        transpose, shared by every registered key of the store — probing
+        reads whole C-level columns, in one C-level pass when every key is
+        already known.
         """
-        index = self.index
-        keys = self.keys
-        buckets = self.buckets
         positions = self.positions
-        track = self.track_buckets
         if not positions:
             # The empty key (a root's connection key): every row codes to 0.
-            if not keys:
-                index[()] = 0
-                keys.append(())
-                buckets.append([])
-            self.codes.extend([0] * count)
-            if track:
-                buckets[0].extend(range(base, base + count))
-            return
-        codes: List[int] = []
+            if not self.keys:
+                self.index[()] = 0
+                self.keys.append(())
+                self.buckets.append([])
+            return np.zeros(count, dtype=np.int64)
+        index = self.index
         scalar = self.scalar
         if scalar:
             probes: Sequence = columns[positions[0]]
         else:
             probes = list(zip(*(columns[position] for position in positions)))
-        for offset, probe in enumerate(probes):
-            code = index.get(probe)
-            if code is None:
-                code = len(keys)
-                index[probe] = code
-                keys.append((probe,) if scalar else probe)
-                buckets.append([])
-            codes.append(code)
-            if track:
-                buckets[code].append(base + offset)
+        try:
+            return np.fromiter(
+                map(index.__getitem__, probes), dtype=np.int64, count=count
+            )
+        except KeyError:
+            # At least one unseen key: one setdefault per row registers them
+            # in first-occurrence order.
+            keys = self.keys
+            buckets = self.buckets
+            assign = index.setdefault
+            codes: List[int] = []
+            for probe in probes:
+                code = assign(probe, len(keys))
+                if code == len(keys):
+                    keys.append((probe,) if scalar else probe)
+                    buckets.append([])
+                codes.append(code)
+            return np.fromiter(codes, dtype=np.int64, count=count)
+
+    def append(self, codes: np.ndarray, base: int) -> None:
+        """Append entries ``base..`` carrying the given (encoded) key codes."""
         self.codes.extend(codes)
+        if self.track_buckets:
+            buckets = self.buckets
+            for entry, code in enumerate(codes.tolist(), base):
+                buckets[code].append(entry)
 
     def bucket_array(self, code: int) -> np.ndarray:
         bucket = self.buckets[code]
@@ -517,6 +542,21 @@ class _DeltaKey:
             cached = np.asarray(bucket, dtype=np.int64)
             self._bucket_arrays[code] = cached
         return cached
+
+
+class StagedDelta:
+    """One delta encoded by :meth:`DeltaColumnStore.stage`, not yet appended.
+
+    ``columns`` is the transpose of the rows, ``codes`` maps every registered
+    key (its attribute tuple) to one code per row.
+    """
+
+    __slots__ = ("columns", "multiplicities", "codes")
+
+    def __init__(self, columns, multiplicities, codes) -> None:
+        self.columns: List[Tuple] = columns
+        self.multiplicities: np.ndarray = multiplicities
+        self.codes: Dict[Tuple[str, ...], np.ndarray] = codes
 
 
 class DeltaColumnStore:
@@ -531,9 +571,17 @@ class DeltaColumnStore:
     joins) are linear in the multiplicity, so a cancelling +1/-1 pair of
     entries contributes exactly zero.
 
-    The batched IVM path maintains one such store per base relation as its
+    The batched IVM path maintains one such store per parent relation as its
     columnar mirror: a propagation hop is then a bucket concatenation plus
     pure array gathers, independent of the relation's total size.
+
+    Two ways in.  :meth:`append_rows` buffers rows and encodes them on the
+    next read (the per-tuple path).  :meth:`stage` encodes a whole delta —
+    one transpose, one probe per row and registered key — and hands the
+    codes back *without* appending: no reader sees the delta until
+    :meth:`commit` files it.  The IVM batch path stages an update group,
+    joins it against the child views through the staged codes, and commits
+    once the rows are in the base relation; the buffer flushes the same way.
 
     Columns and keys must be registered before the first append (the store
     keeps no raw rows to backfill from).
@@ -614,29 +662,46 @@ class DeltaColumnStore:
         multiplicities = self._pending_multiplicities
         self._pending_rows = []
         self._pending_multiplicities = []
-        self._append_encoded(rows, multiplicities)
-
-    def _append_encoded(self, rows: Sequence[Tuple], multiplicities) -> None:
-        base = self.entry_count
-        if not rows:
+        if len(rows) > 1:
+            self.commit(self.stage(rows, multiplicities))
             return
-        if len(rows) == 1:
-            # The per-tuple update path: scalar appends, no array round-trips.
-            row = rows[0]
-            self._multiplicities.append(float(multiplicities[0]))
-            for attribute, (position, values) in self._floats.items():
-                values.append(float(row[position]))
-            for state in self._keys.values():
-                state.append_one(row, base)
-            self.entry_count = base + 1
-            return
-        columns = list(zip(*rows))
-        self._multiplicities.extend(np.asarray(multiplicities, dtype=np.float64))
-        for attribute, (position, values) in self._floats.items():
-            values.extend(np.asarray(columns[position], dtype=np.float64))
+        # The per-tuple update path: scalar appends, no array round-trips.
+        row = rows[0]
+        self._multiplicities.append(multiplicities[0])
+        for position, values in self._floats.values():
+            values.append(float(row[position]))
         for state in self._keys.values():
-            state.extend(columns, len(rows), base)
-        self.entry_count = base + len(rows)
+            state.append_one(row, self.entry_count)
+        self.entry_count += 1
+
+    def stage(self, rows: Sequence[Tuple], multiplicities) -> "StagedDelta":
+        """Encode one delta without appending it (see the class docstring).
+
+        Keys the store has not seen are registered, so the codes stay valid,
+        but no entry exists until :meth:`commit`: :meth:`buckets_for`,
+        :meth:`key_codes` and the other readers do not see the delta.
+        """
+        self._flush()
+        columns = list(zip(*rows))
+        return StagedDelta(
+            columns,
+            np.asarray(multiplicities, dtype=np.float64),
+            {
+                key: state.encode(columns, len(rows))
+                for key, state in self._keys.items()
+            },
+        )
+
+    def commit(self, staged: "StagedDelta") -> None:
+        """Append a delta :meth:`stage` encoded, at the store's current end."""
+        self._flush()
+        base = self.entry_count
+        self._multiplicities.extend(staged.multiplicities)
+        for position, values in self._floats.values():
+            values.extend(np.asarray(staged.columns[position], dtype=np.float64))
+        for key, state in self._keys.items():
+            state.append(staged.codes[key], base)
+        self.entry_count = base + staged.multiplicities.shape[0]
 
     # -- columnar access -----------------------------------------------------------------
 
@@ -654,6 +719,13 @@ class DeltaColumnStore:
         self._flush()
         state = self._keys[tuple(attributes)]
         return state.codes.view(), state.keys
+
+    def probe_keys(
+        self, attributes: Sequence[str], keys: Sequence[Tuple]
+    ) -> List[Optional[int]]:
+        """The code of each key tuple (None when no row ever carried it)."""
+        self._flush()
+        return list(map(self._keys[tuple(attributes)].probe, keys))
 
     def buckets_for(
         self, attributes: Sequence[str], keys: Sequence[Tuple]

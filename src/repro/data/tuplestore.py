@@ -9,9 +9,10 @@ storage:
 - one **dictionary-encoded code array** per attribute (``values`` in
   first-occurrence order plus an ``int64`` code per row), grown in place and
   flushed *lazily*: mutations append rows and multiplicities only, and the
-  pending tail is encoded — vectorised, once — when a columnar snapshot is
-  actually requested, so neither the update path nor the snapshot ever pays
-  a whole-relation re-encode;
+  pending tail is encoded — one transpose, then per column one C-level pass
+  over the dictionary (:meth:`_ColumnCodes.extend_values`, the only encode
+  path) — when a columnar snapshot is actually requested, so neither the
+  update path nor the snapshot ever pays a whole-relation re-encode;
 - one **float64 multiplicity array** aligned with the rows (signed —
   multiplicities live in the ring of integers, exactly representable in
   float64 far beyond any realistic count);
@@ -19,7 +20,9 @@ storage:
   multiset *netting*: an update of a stored row adjusts its multiplicity in
   place; a multiplicity reaching zero leaves a **tombstone** and drops the
   row from the index at that moment, so a tombstone is never revived and a
-  re-insert always appends a new slot;
+  re-insert always appends a new slot.  A batch probes the index once, in
+  one C-level pass, and distinct new rows enter it in another — no per-row
+  Python on the pure-append path;
 - an **array-slice change log**: a pure-append mutation is logged as a
   ``(start, end)`` slice of the store's own arrays instead of a materialised
   pair list, so batched ingest pays O(1) log bookkeeping.
@@ -34,7 +37,11 @@ The dense-snapshot contract
 The **dense snapshot** of a store is its live rows in slot order, which —
 because dead slots are never revived — is *the live rows in
 first-insertion-since-last-death order*: a pure function of the applied
-deltas, never of when tombstones were swept.
+deltas, never of when tombstones were swept.  So are its encodings: a
+column's dictionary lists the values in first-occurrence order over the rows
+ever stored (under Python equality — the first occurrence also decides
+whether ``1`` or ``1.0`` is kept), hence ``values`` *and* ``codes`` are a
+function of the history, independent of how flushes chunked it.
 :meth:`~repro.data.colstore.ColumnStore.from_tuplestore` builds it without
 re-encoding anything: a zero-copy alias of the store's arrays while no
 tombstone exists, one vectorised gather of the live slots otherwise.  An
@@ -81,7 +88,7 @@ from repro.kernels import get_kernels
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
-__all__ = ["TupleStore", "tuplestore_stats", "reset_tuplestore_stats"]
+__all__ = ["TupleStore", "net_rows", "tuplestore_stats", "reset_tuplestore_stats"]
 
 
 class StatsCounters(dict):
@@ -221,59 +228,44 @@ class _ColumnCodes:
         self.index = {value: position for position, value in enumerate(self.values)}
 
     def extend_values(self, raw: Sequence[object]) -> None:
-        """Vectorised bulk encode: one ``np.unique`` + one dictionary probe
-        per *distinct* value, then a single gather for the code array."""
-        count = len(raw)
-        if count == 0:
-            return
-        if count <= 32:
-            # Small tails (per-batch flushes under streaming updates, and
-            # per-publish flushes in the serving layer) are dominated by the
-            # fixed np.unique/asarray overhead below — plain dictionary
-            # probes win by an order of magnitude at this size.
-            code_of = self.code_of
-            self.codes.extend([code_of(value) for value in raw])
-            return
-        kinds = set(map(type, raw))
+        """Bulk encode, the one path: codes in first-occurrence order.
+
+        A batch whose values are all known is one C-level pass over the
+        dictionary; the first unseen value ends that attempt and every value
+        costs one ``setdefault`` instead.  Either way a value's code is the
+        position of its first occurrence in the column's history (under
+        Python equality, as the row index compares rows), so dictionary and
+        codes do not depend on how the history was cut into flushes.
+        """
+        index = self.index
         try:
-            if kinds <= {int, bool} or kinds == {str} or (
-                kinds <= {int, bool, float}
-                and not _ints_exceed_float64_precision(raw)
-            ):
-                if kinds <= {int, bool}:
-                    array = np.asarray(raw, dtype=np.int64)
-                    distinct, inverse = np.unique(array, return_inverse=True)
-                    distinct_values: List[object] = [
-                        int(value) for value in distinct.tolist()
-                    ]
-                elif kinds == {str}:
-                    distinct, inverse = np.unique(np.asarray(raw), return_inverse=True)
-                    distinct_values = distinct.tolist()
-                else:
-                    array = np.asarray(raw, dtype=np.float64)
-                    distinct, inverse = np.unique(array, return_inverse=True)
-                    distinct_values = distinct.tolist()
-                mapping = np.empty(len(distinct_values), dtype=np.int64)
-                for position, value in enumerate(distinct_values):
-                    mapping[position] = self.code_of(value)
-                self.codes.extend(mapping[inverse.reshape(-1)])
-                return
-        except (TypeError, ValueError, OverflowError):
-            pass
-        # Mixed or non-primitive column: per-value dictionary probes.
-        code_of = self.code_of
-        self.codes.extend(
-            np.fromiter((code_of(value) for value in raw), dtype=np.int64, count=count)
-        )
+            codes = np.fromiter(
+                map(index.__getitem__, raw), dtype=np.int64, count=len(raw)
+            )
+        except KeyError:
+            values = self.values
+            assign = index.setdefault
+            codes = []
+            for value in raw:
+                code = assign(value, len(values))
+                if code == len(values):
+                    values.append(value)
+                codes.append(code)
+        self.codes.extend(codes)
 
 
-def _ints_exceed_float64_precision(values) -> bool:
-    """True when an int in ``values`` would lose identity as a float64."""
-    return any(
-        isinstance(value, int) and not isinstance(value, bool) and (
-            value > 2 ** 53 or value < -(2 ** 53)
-        )
-        for value in values
+def net_rows(
+    rows: Sequence[Tuple], multiplicities: Sequence[int]
+) -> Tuple[List[Tuple], List[int]]:
+    """Net a delta per row: repeated rows add up at their first position and
+    rows netting to zero are dropped — the general branch behind the
+    distinct-rows fast paths of netting and :meth:`TupleStore.add_batch`."""
+    netted: Dict[Tuple, int] = {}
+    for row, multiplicity in zip(rows, multiplicities):
+        netted[row] = netted.get(row, 0) + multiplicity
+    return (
+        [row for row, multiplicity in netted.items() if multiplicity],
+        [multiplicity for multiplicity in netted.values() if multiplicity],
     )
 
 
@@ -467,62 +459,46 @@ class TupleStore:
     def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> None:
         """Apply one signed delta in a single pass (one version bump, one log group).
 
-        The rows are resolved against the row index once: brand-new rows
-        are bulk-appended with vectorised per-column encoding (and logged
-        as an array slice when the whole delta was a pure append of
-        distinct rows), while rows netting into existing slots go through
-        the active kernel backend's ``net_deltas`` — one vectorised pass
-        with the zero-crossing live/tombstone/total bookkeeping folded in,
-        replacing the per-row scalar fallback of PR 5.
+        The rows are resolved against the row index once, in one C-level
+        probe.  Rows the index does not hold are bulk-appended — no per-row
+        loop when they are distinct, the shape the IVM batch path hands over
+        after netting — with their encoding deferred to the next flush, and
+        logged as an array slice when the whole delta was such an append.
+        Rows netting into existing slots go through the active kernel
+        backend's ``net_deltas`` — one vectorised pass with the
+        zero-crossing live/tombstone/total bookkeeping folded in.
         """
         self.version += 1
-        get_slot = self._row_index.get
         start = len(self._rows)
-        pairs: List[Tuple[Tuple, int]] = []
-        new_rows: List[Tuple] = []
-        new_mults: List[float] = []
-        new_position: Dict[Tuple, int] = {}
-        existing_slots: List[int] = []
-        existing_deltas: List[float] = []
-        for row, multiplicity in zip(rows, multiplicities):
-            if multiplicity == 0:
-                continue
-            pairs.append((row, multiplicity))
-            slot = get_slot(row)
-            if slot is None:
-                position = new_position.get(row)
-                if position is None:
-                    new_position[row] = len(new_rows)
-                    new_rows.append(row)
-                    new_mults.append(float(multiplicity))
-                else:
-                    # The same new row repeated inside one delta nets into
-                    # its pending append entry.
-                    new_mults[position] += multiplicity
-            else:
-                existing_slots.append(slot)
-                existing_deltas.append(float(multiplicity))
-        if new_rows:
-            mult_array = np.asarray(new_mults, dtype=np.float64)
-            if not mult_array.all():
-                # New rows that net out inside the delta are never stored:
-                # a slot that was never live is invisible to every snapshot.
-                alive = np.flatnonzero(mult_array)
-                new_rows = [new_rows[position] for position in alive.tolist()]
-                mult_array = mult_array[alive]
-            self._append_rows(new_rows, mult_array)
-        if existing_slots:
-            slots = np.asarray(existing_slots, dtype=np.int64)
+        if 0 in multiplicities:
+            kept = [position for position, m in enumerate(multiplicities) if m != 0]
+            rows = [rows[position] for position in kept]
+            multiplicities = [multiplicities[position] for position in kept]
+        slots = list(map(self._row_index.get, rows))
+        stored = len(rows) - slots.count(None)
+        new_rows, new_mults = rows, multiplicities
+        if stored:
+            new_rows = [row for row, slot in zip(rows, slots) if slot is None]
+            new_mults = [m for m, slot in zip(multiplicities, slots) if slot is None]
+        appended = self._append_rows(new_rows, new_mults)
+        if stored:
+            slots_array = np.asarray(
+                [slot for slot in slots if slot is not None], dtype=np.int64
+            )
+            deltas = np.asarray(
+                [m for m, slot in zip(multiplicities, slots) if slot is not None],
+                dtype=np.float64,
+            )
             floor = self._slice_floor
-            if floor is not None and int(slots.max()) >= floor:
+            if floor is not None and int(slots_array.max()) >= floor:
                 self._materialise_slices()
-            if self._cow_pending and int(slots.min()) < self._pin_floor:
+            if self._cow_pending and int(slots_array.min()) < self._pin_floor:
                 # A netted slot is visible to a pinned snapshot; writing it
                 # in place would tear that snapshot's multiplicities.
                 self._detach_mults()
             mults = self._mults.data
             live_delta, zeros_delta, total_delta = _KERNELS.net_deltas(
-                mults, slots, np.asarray(existing_deltas, dtype=np.float64)
+                mults, slots_array, deltas
             )
             self.live += live_delta
             self.zeros += zeros_delta
@@ -531,20 +507,20 @@ class TupleStore:
                 # Every netted slot was live (the index holds live rows
                 # only), so a zero here is a slot that died just now; it
                 # leaves the index and is never revived.
-                rows = self._rows
+                stored_rows = self._rows
                 drop = self._row_index.pop
-                for slot in slots[mults[slots] == 0.0].tolist():
-                    drop(rows[slot], None)
-        if pairs:
-            if not existing_slots and len(new_rows) == len(pairs):
+                for slot in slots_array[mults[slots_array] == 0.0].tolist():
+                    drop(stored_rows[slot], None)
+        if len(rows):
+            if appended == len(rows):
                 tuplestore_stats.bump("batch_appends")
-                self._log_slice(self.version, start, start + len(new_rows))
-            elif len(pairs) >= CHANGE_LOG_LIMIT:
+                self._log_slice(self.version, start, start + appended)
+            elif len(rows) >= CHANGE_LOG_LIMIT:
                 # A delta this large exceeds what any log consumer would
                 # replay; drop coverage instead of pinning it in memory.
                 self._drop_log()
             else:
-                self._log_pairs(self.version, pairs)
+                self._log_pairs(self.version, list(zip(rows, multiplicities)))
         self._maybe_compact()
 
     def clear(self) -> None:
@@ -590,16 +566,32 @@ class TupleStore:
                 self.live -= 1
         self.total += multiplicity
 
-    def _append_rows(self, rows: List[Tuple], multiplicities: np.ndarray) -> None:
-        """Bulk append of brand-new rows (encoding deferred to the next flush)."""
+    def _append_rows(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> int:
+        """Bulk append of rows the index does not hold (non-zero
+        multiplicities; encoding deferred to the next flush).
+
+        Returns the number of slots appended.  Distinct rows — what netting
+        hands over — cost one C-level index update and no per-row loop; the
+        index growing by less than the row count is what gives repeated
+        rows away.
+        """
+        index = self._row_index
         base = len(self._rows)
-        row_index = self._row_index
-        for offset, row in enumerate(rows):
-            row_index[row] = base + offset
+        absent = len(index)
+        index.update(zip(rows, range(base, base + len(rows))))
+        if len(index) - absent < len(rows):
+            # The same new row repeated inside one delta nets into one
+            # entry; one netting to zero is never stored (a slot that was
+            # never live is invisible to every snapshot).
+            for row in rows:
+                index.pop(row, None)
+            rows, multiplicities = net_rows(rows, multiplicities)
+            index.update(zip(rows, range(base, base + len(rows))))
         self._rows.extend(rows)
         self._mults.extend(multiplicities)
         self.live += len(rows)
-        self.total += float(multiplicities.sum())
+        self.total += float(sum(multiplicities))
+        return len(rows)
 
     # -- compaction --------------------------------------------------------------------
 
@@ -801,7 +793,7 @@ class TupleStore:
             rows.append(row)
             multiplicities.append(multiplicity)
         if rows:
-            clone._append_rows(rows, np.asarray(multiplicities, dtype=np.float64))
+            clone._append_rows(rows, multiplicities)
         return clone
 
     # -- introspection -----------------------------------------------------------------

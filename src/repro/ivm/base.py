@@ -35,6 +35,7 @@ import numpy as np
 from repro.data.colstore import ColumnStore
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.data.tuplestore import net_rows
 from repro.engine.deltas import csr_from_codes, key_codes_for
 from repro.kernels import kernel_stats, kernel_stats_enabled
 from repro.engine.statistics import choose_root
@@ -65,35 +66,29 @@ def net_update_stream(
     dropped; raises (without side effects) if any update's arity disagrees
     with its relation's schema.
     """
-    arities: Dict[str, int] = {}
-    schemas: Dict[str, Sequence[str]] = {}
-    grouped: Dict[str, Dict[Tuple, int]] = {}
-    grouped_get = grouped.get
+    split: Dict[str, Tuple[List[Tuple], List[int]]] = {}
     for update in updates:
-        name = update.relation_name
-        row = update.row
-        bucket = grouped_get(name)
-        if bucket is None:
-            bucket = grouped[name] = {}
-            relation = database.relation(name)
-            arities[name] = relation.arity
-            schemas[name] = list(relation.schema.names)
-        if len(row) != arities[name]:
+        group = split.get(update.relation_name)
+        if group is None:
+            group = split[update.relation_name] = ([], [])
+        group[0].append(update.row)
+        group[1].append(update.multiplicity)
+    for relation_name, (rows, _multiplicities) in split.items():
+        relation = database.relation(relation_name)
+        if set(map(len, rows)) != {relation.arity}:
+            row = next(row for row in rows if len(row) != relation.arity)
             raise ValueError(
                 f"update row {row!r} has arity {len(row)}, but relation "
-                f"{name!r} has schema {schemas[name]} (arity {arities[name]})"
+                f"{relation_name!r} has schema {list(relation.schema.names)} "
+                f"(arity {relation.arity})"
             )
-        bucket[row] = bucket.get(row, 0) + update.multiplicity
     groups: List[Tuple[str, List[Tuple], List[int]]] = []
-    for relation_name, bucket in grouped.items():
-        rows: List[Tuple] = []
-        netted: List[int] = []
-        for row, multiplicity in bucket.items():
-            if multiplicity != 0:
-                rows.append(row)
-                netted.append(multiplicity)
+    for relation_name, (rows, multiplicities) in split.items():
+        # Distinct rows (a bulk load) are netted as they stand.
+        if len(dict.fromkeys(rows)) < len(rows) or 0 in multiplicities:
+            rows, multiplicities = net_rows(rows, multiplicities)
         if rows:
-            groups.append((relation_name, rows, netted))
+            groups.append((relation_name, rows, multiplicities))
     return groups
 
 
@@ -299,9 +294,10 @@ class CovarianceMaintainer(abc.ABC):
         self.features = tuple(features)
         self.ring = CovarianceRing(len(self.features))
         #: Counters mirroring ``BatchResult.executor_stats``: strategies with
-        #: a fused path record ``delta_passes`` (fused traversals run) and
-        #: ``delta_pass_ns`` (time spent inside them), so benchmarks can
-        #: attribute maintenance time without profiling.
+        #: a fused path record ``delta_passes`` (fused traversals run),
+        #: ``delta_pass_ns`` (time spent inside them) and ``slot_map_probes``
+        #: (dictionary probes resolving mirror keys to view slots), so
+        #: benchmarks can attribute maintenance time without profiling.
         self.executor_stats: Dict[str, int] = {}
         # Maintainers are single-writer by contract: updates mutate mirrors,
         # indexes and payload stores with no internal synchronisation.  The

@@ -22,7 +22,11 @@ two equivalent code paths over one state:
   append-only columnar encodings whose per-key row buckets play the role of
   the executor's CSR tables, kept current incrementally so a hop never pays
   an O(rows) re-encode.  The same factorised delta rule, with every ring
-  operation vectorised over the group.
+  operation vectorised over the group.  A batch row is indexed *once* per
+  mirror key: the mirror stages an update group (codes computed, nothing
+  visible yet), the group's own delta gathers child-view slots from the
+  staged codes through the per-(parent, child) :class:`_SlotMap`\\ s the
+  hops also use, and ``_after_delta_group`` commits the staged entries.
 
 The batched path is *fused* across relations: instead of one leaf-to-root
 propagation per touched relation, ``apply_batch`` runs a single
@@ -34,6 +38,9 @@ delta to the node's view, and performs *one* hop towards the parent.  The
 fixed per-hop costs — key-code translation, bucket CSR assembly, sibling
 slot-map lookups, payload gathers — are thereby paid once per *node*, not
 once per (relation, ancestor) pair, which is what dominated small batches.
+The slot maps resolve from *new* keys on either side, never by re-probing
+outstanding misses, so facts arriving long before their dimension rows cost
+nothing extra per hop.
 
 Correctness of the fusion follows from telescoping the product delta: with
 children processed in tree order, a child's hop multiplies the views of
@@ -55,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.colstore import DeltaColumnStore
+from repro.data.colstore import DeltaColumnStore, StagedDelta
 from repro.data.database import Database
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.engine.executor import SubtreeScheduler
@@ -67,23 +74,44 @@ from repro.rings.covariance import CovarianceBlock, CovariancePayload, PayloadSc
 
 
 class _SlotMap:
-    """Mirror key code -> payload-store slot, maintained incrementally.
+    """Mirror key code -> slot of one child view, for one (parent, child) pair.
 
-    Store slots never move once assigned (keys are never evicted), so a
-    resolved entry stays valid forever; only the ``-1`` misses are re-probed,
-    and only when the target view has gained keys since the last lookup.
+    Both sides only grow — a mirror never forgets a key, a view never evicts
+    one and its slots never move — so every entry is settled by one
+    dictionary probe: a mirror key is probed against the view when the
+    mirror registers it (staged keys included), and a ``-1`` miss is filled
+    when the *view* gains the key, by probing the keys the view gained since
+    the last lookup against the mirror.  Outstanding misses are never
+    re-probed, so ``probes`` stays below mirror keys + view keys however
+    late the dimension rows arrive.  A cache over mirror and view: left out
+    of checkpoints, rebuilt on first use.
     """
 
-    __slots__ = ("view", "mapping", "size", "view_len")
+    __slots__ = ("view", "mirror", "attributes", "mapping", "size", "view_len",
+                 "probes")
 
-    def __init__(self, view: "PayloadStore") -> None:
+    def __init__(
+        self, view: PayloadStore, mirror: DeltaColumnStore, attributes: Tuple[str, ...]
+    ) -> None:
         self.view = view
+        self.mirror = mirror
+        self.attributes = attributes
         self.mapping = np.full(16, -1, dtype=np.int64)
         self.size = 0
-        self.view_len = -1
+        self.view_len = 0
+        self.probes = 0
 
-    def lookup(self, key_list: List[Tuple]) -> np.ndarray:
+    def lookup(self) -> np.ndarray:
         view = self.view
+        _codes, key_list = self.mirror.key_codes(self.attributes)
+        if len(view) > self.view_len:
+            gained = view.keys(self.view_len)
+            codes = self.mirror.probe_keys(self.attributes, gained)
+            for slot, code in enumerate(codes, self.view_len):
+                if code is not None and code < self.size:
+                    self.mapping[code] = slot
+            self.view_len += len(gained)
+            self.probes += len(gained)
         needed = len(key_list)
         if needed > self.size:
             if needed > self.mapping.shape[0]:
@@ -94,14 +122,8 @@ class _SlotMap:
                 grown[: self.size] = self.mapping[: self.size]
                 self.mapping = grown
             self.mapping[self.size : needed] = view.slots_for(key_list[self.size :])
+            self.probes += needed - self.size
             self.size = needed
-        if len(view) != self.view_len:
-            missing = np.nonzero(self.mapping[: self.size] == -1)[0]
-            if missing.size:
-                self.mapping[missing] = view.slots_for(
-                    [key_list[position] for position in missing.tolist()]
-                )
-            self.view_len = len(view)
         return self.mapping[: self.size]
 
 
@@ -209,8 +231,11 @@ class FIVM(CovarianceMaintainer):
             for child in node.children:
                 mirror.register_key(self._conn_attrs[child.relation_name])
             self._mirrors[node.relation_name] = mirror
-        # (parent, sibling) -> cached mirror-key-code -> sibling-view-slot map.
+        # Caches, left out of checkpoints: (parent, child) -> the mirror key
+        # code -> child view slot map, and per relation the update group its
+        # mirror staged for the batch being applied.
         self._slot_maps: Dict[Tuple[str, str], _SlotMap] = {}
+        self._staged: Dict[str, StagedDelta] = {}
         # The per-tuple path's fused ring workspace (see PayloadScratch).
         self._scratch = PayloadScratch(len(self.features))
         # The fused pass's traversal plan: tree levels deepest-first, each a
@@ -237,9 +262,25 @@ class FIVM(CovarianceMaintainer):
     def _conn_key(self, relation_name: str, row: Tuple) -> Tuple:
         return tuple(row[position] for position in self._conn_positions[relation_name])
 
-    def _child_key(self, parent_name: str, child_name: str, row: Tuple) -> Tuple:
-        positions = self._child_key_positions[(parent_name, child_name)]
-        return tuple(row[position] for position in positions)
+    def _slot_map(self, parent_name: str, child_name: str) -> _SlotMap:
+        """The (lazily built) mirror key code -> child view slot map."""
+        pair = (parent_name, child_name)
+        slot_map = self._slot_maps.get(pair)
+        if slot_map is None:
+            slot_map = self._slot_maps[pair] = _SlotMap(
+                self._views[child_name],
+                self._mirrors[parent_name],
+                self._conn_attrs[child_name],
+            )
+        return slot_map
+
+    def __getstate__(self) -> Dict:
+        """Checkpoints carry state, not caches: slot maps and staged groups
+        are derivable from the mirrors and views and rebuilt on first use."""
+        state = super().__getstate__()
+        state["_slot_maps"] = {}
+        state["_staged"] = {}
+        return state
 
     # -- per-tuple maintenance ------------------------------------------------------------------
 
@@ -311,12 +352,21 @@ class FIVM(CovarianceMaintainer):
         The group is lifted into one block, joined against the (current)
         child views, and grouped by the node's connection key — the starting
         delta both the per-relation and the fused propagation push upwards.
-        The rows are transposed once (``zip(*rows)``) so feature columns and
-        key probes read whole C-level columns instead of indexing every row
-        tuple per attribute.
+        A node with children stages the group in its mirror first: one
+        transpose and one probe per row and key, shared by the child joins
+        below and by :meth:`_after_delta_group`, which commits the entries
+        once the rows are in the base relation.  Until then the mirror does
+        not show them — a child's hop in the same pass must not see its
+        parent's new rows (the telescoped product counts that pair here,
+        against the updated child view).
         """
         relation_name = node.relation_name
-        columns = list(zip(*rows))
+        mirror = self._mirrors.get(relation_name)
+        if mirror is None:  # a leaf: no child to join, nothing hops into it
+            columns = list(zip(*rows))
+        else:
+            staged = self._staged[relation_name] = mirror.stage(rows, multiplicities)
+            columns = staged.columns
 
         # Lift the whole group in one block (scaled by its multiplicities).
         plan = self._lift_plans[relation_name]
@@ -327,22 +377,18 @@ class FIVM(CovarianceMaintainer):
             features, multiplicities, [target for _source, target in plan]
         )
 
-        # Join the lifted delta against the children's views (one slot probe
-        # per row); rows whose key misses any child view produce no delta.
+        # Join the lifted delta against the children's views: the staged
+        # child-key codes gathered through the slot maps the hops share;
+        # rows whose key misses any child view produce no delta.
         alive = np.arange(len(rows), dtype=np.int64)
         gathers: List[Tuple[PayloadStore, np.ndarray]] = []
         for child in node.children:
-            positions = self._child_key_positions[(relation_name, child.relation_name)]
-            view = self._views[child.relation_name]
-            if len(positions) == 1:
-                row_keys = [(value,) for value in columns[positions[0]]]
-            else:
-                row_keys = list(zip(*(columns[position] for position in positions)))
-            slots = view.slots_for(row_keys)
+            codes = staged.codes[self._conn_attrs[child.relation_name]]
+            slots = self._slot_map(relation_name, child.relation_name).lookup()[codes]
             live = slots >= 0
             if not live.all():
                 alive = alive[live[alive]]
-            gathers.append((view, slots))
+            gathers.append((self._views[child.relation_name], slots))
         if alive.size == 0:
             return None
         if alive.size < len(rows):
@@ -460,6 +506,7 @@ class FIVM(CovarianceMaintainer):
             "fused multi-delta pass entered without the writer gate"
         )
         started = time.perf_counter_ns()
+        probes_before = sum(slot_map.probes for slot_map in self._slot_maps.values())
         grouped: Dict[str, Tuple[List[Tuple], np.ndarray]] = {
             name: (rows, multiplicities) for name, rows, multiplicities in groups
         }
@@ -532,6 +579,13 @@ class FIVM(CovarianceMaintainer):
         stats["delta_pass_ns"] = (
             stats.get("delta_pass_ns", 0) + time.perf_counter_ns() - started
         )
+        # Summed per map after the pass, not bumped from inside the (possibly
+        # pooled) hops: the count is exact whatever the schedule.
+        stats["slot_map_probes"] = (
+            stats.get("slot_map_probes", 0)
+            + sum(slot_map.probes for slot_map in self._slot_maps.values())
+            - probes_before
+        )
 
     def _multiply_mirror_lift(
         self,
@@ -601,20 +655,13 @@ class FIVM(CovarianceMaintainer):
         for sibling in parent.children:
             if sibling is node:
                 continue
-            codes, key_list = mirror.key_codes(
-                self._conn_attrs[sibling.relation_name]
-            )
-            view = self._views[sibling.relation_name]
-            map_key = (parent.relation_name, sibling.relation_name)
-            slot_map = self._slot_maps.get(map_key)
-            if slot_map is None:
-                slot_map = _SlotMap(view)
-                self._slot_maps[map_key] = slot_map
-            slots = slot_map.lookup(key_list)[codes[positions]]
+            codes, _keys = mirror.key_codes(self._conn_attrs[sibling.relation_name])
+            slot_map = self._slot_map(parent.relation_name, sibling.relation_name)
+            slots = slot_map.lookup()[codes[positions]]
             live = slots >= 0
             if not live.all():
                 alive = alive[live[alive]]
-            gathers.append((view, slots))
+            gathers.append((self._views[sibling.relation_name], slots))
         if alive.size == 0:
             return None
         if alive.size < positions.size:
@@ -656,7 +703,7 @@ class FIVM(CovarianceMaintainer):
     def _after_delta_group(self, relation_name, rows, multiplicities) -> None:
         mirror = self._mirrors.get(relation_name)
         if mirror is not None:
-            mirror.append_rows(rows, multiplicities)
+            mirror.commit(self._staged.pop(relation_name))
 
     # -- results -----------------------------------------------------------------------------------
 

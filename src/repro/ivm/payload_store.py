@@ -58,8 +58,9 @@ class PayloadStore:
     def __contains__(self, key: Tuple) -> bool:
         return key in self._slots
 
-    def keys(self) -> List[Tuple]:
-        return list(self._keys)
+    def keys(self, start: int = 0) -> List[Tuple]:
+        """The keys in slot order, from slot ``start`` on (a copy)."""
+        return self._keys[start:]
 
     # -- capacity ------------------------------------------------------------------------
 

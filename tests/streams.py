@@ -14,7 +14,12 @@ from typing import List, Sequence, Tuple
 
 from repro.ivm import Update
 
-__all__ = ["random_update_stream", "random_row_events", "random_event_batches"]
+__all__ = [
+    "random_update_stream",
+    "random_row_events",
+    "random_event_batches",
+    "facts_first_batches",
+]
 
 
 def random_update_stream(
@@ -101,3 +106,34 @@ def random_event_batches(
         batch_multiplicities = [rng.choice(multiplicities) for _ in range(size)]
         out.append((rows, batch_multiplicities))
     return out
+
+
+def facts_first_batches(
+    database,
+    fact: str,
+    seed: int,
+    fact_batch: int = 50,
+    trickle: int = 3,
+) -> List[List[Update]]:
+    """Every fact row before any dimension row, then the dimensions trickling in.
+
+    The adversarial order for an insert path that resolves fact keys against
+    dimension views: every fact row first misses all of them, and each later
+    batch of ``trickle`` shuffled dimension rows resolves a few of the
+    outstanding misses.
+    """
+    rng = random.Random(seed)
+    facts = [Update(fact, row, m) for row, m in database.relation(fact).items()]
+    dimensions = [
+        Update(relation.name, row, m)
+        for relation in database
+        if relation.name != fact
+        for row, m in relation.items()
+    ]
+    rng.shuffle(facts)
+    rng.shuffle(dimensions)
+    return [
+        updates[start : start + size]
+        for updates, size in ((facts, fact_batch), (dimensions, trickle))
+        for start in range(0, len(updates), size)
+    ]

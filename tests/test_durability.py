@@ -251,6 +251,8 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
     restored = clone.database.relation("Inventory")
     assert restored._store.pins == 0
     assert restored.cached_column_store() is None
+    # Slot maps are caches over mirrors and views: not in the file.
+    assert maintainer._slot_maps and not clone._slot_maps and not clone._staged
     assert _payloads_equal(clone.statistics(), maintainer.statistics())
 
 
@@ -293,6 +295,39 @@ def test_recover_matches_uninterrupted_run(tmp_path, source):
     assert result.prefix == len(batches)
     assert result.quarantined == []
     assert _payloads_equal(result.maintainer.statistics(), maintainer.statistics())
+
+
+def test_dimension_update_right_after_recover_reads_rebuilt_slot_maps(tmp_path, source):
+    """A checkpoint carries no slot maps; the first hop after ``recover()``
+    rebuilds them from the mirrors and views and lands bit for bit where the
+    process that never stopped does."""
+    database, query = source
+    stream = random_update_stream(database, seed=43, length=160, cancel_fraction=0.3)
+    opts = DurabilityOptions(tmp_path, sync="fsync")
+    journal = BatchJournal(opts.journal_path, sync="fsync")
+    maintainer = FIVM(database, query, FEATURES)
+    for start in range(0, len(stream), 40):
+        groups = maintainer.net_updates(stream[start : start + 40])
+        seq = journal.append(groups)
+        maintainer.apply_groups(groups)
+    CheckpointStore(tmp_path).write(maintainer, seq, prefix=4)
+    journal.close()
+    recovered = recover(opts).maintainer
+    assert maintainer._slot_maps and not recovered._slot_maps
+    item = next(iter(database.relation("Items")))
+    store = next(iter(database.relation("Stores")))
+    repriced = item[:-1] + (item[-1] + 1.0,)
+    for batch in (
+        [Update("Items", item, -1), Update("Items", repriced, 1)],
+        [Update("Stores", store, -1), Update("Items", repriced, -1)],
+        [Update("Stores", store, 1), Update("Items", item, 1)] + stream[:30],
+    ):
+        maintainer.apply_batch(batch)
+        recovered.apply_batch(batch)
+        assert _payloads_equal(recovered.statistics(), maintainer.statistics())
+    assert recovered._slot_maps and recovered._slot_maps.keys() <= maintainer._slot_maps.keys()
+    for pair, slot_map in recovered._slot_maps.items():
+        assert slot_map.lookup().tolist() == maintainer._slot_maps[pair].lookup().tolist()
 
 
 def test_recover_without_checkpoint_needs_factory(tmp_path, source):

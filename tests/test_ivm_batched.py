@@ -204,6 +204,51 @@ def test_delta_column_store_appends_and_buckets():
     assert positions.tolist() == [1, 3, 0, 2]
 
 
+def test_delta_column_store_stage_is_invisible_until_commit():
+    """A staged delta has its key codes (unseen keys registered) but no entry:
+    no reader sees it before the commit, and the commit lands exactly what
+    ``append_rows`` would have."""
+    schema = Schema.from_names(["k", "j", "x"], categorical_names=["k", "j"])
+
+    def build():
+        store = DeltaColumnStore("R", schema)
+        store.register_float("x")
+        store.register_key(("k",))
+        store.register_key(("j", "k"), track_buckets=False)
+        store.append_rows([("a", 1, 1.0), ("b", 1, 2.0)], [1, 1])
+        store.append_rows([("b", 2, 3.0)], [1])     # still pending at stage time
+        return store
+
+    delta = [("c", 1, 5.0), ("a", 2, 6.0), ("c", 1, 7.0)], [1, -1, 2]
+    store, appended = build(), build()
+    staged = store.stage(*delta)
+    assert staged.columns[0] == ("c", "a", "c")
+    assert staged.codes[("k",)].tolist() == [2, 0, 2]
+    assert staged.codes[("j", "k")].tolist() == [3, 4, 3]
+    # Registered, so the codes stay valid — but nothing is there yet.
+    assert len(store) == store.entry_count == 3
+    codes, keys = store.key_codes(("k",))
+    assert codes.tolist() == [0, 1, 1] and keys == [("a",), ("b",), ("c",)]
+    assert store.probe_keys(("k",), [("c",), ("zz",)]) == [2, None]
+    offsets, positions = store.buckets_for(("k",), [("c",), ("a",)])
+    assert offsets.tolist() == [0, 0, 1] and positions.tolist() == [0]
+    assert store.multiplicities.tolist() == [1.0, 1.0, 1.0]
+    # A per-tuple append slipping in between lands before the staged entries.
+    store.append_rows([("a", 1, 4.0)], [1])
+    appended.append_rows([("a", 1, 4.0)], [1])
+    store.commit(staged)
+    appended.append_rows(*delta)
+    assert len(store) == len(appended) == 7
+    for attributes in (("k",), ("j", "k")):
+        codes, keys = store.key_codes(attributes)
+        expected_codes, expected_keys = appended.key_codes(attributes)
+        assert codes.tolist() == expected_codes.tolist() and keys == expected_keys
+    offsets, positions = store.buckets_for(("k",), [("c",), ("a",)])
+    assert offsets.tolist() == [0, 2, 5] and positions.tolist() == [4, 6, 0, 3, 5]
+    assert store.float_column("x").tolist() == appended.float_column("x").tolist()
+    assert store.multiplicities.tolist() == appended.multiplicities.tolist()
+
+
 def test_delta_column_store_requires_registration_before_append():
     schema = Schema.from_names(["k", "x"], categorical_names=["k"])
     store = DeltaColumnStore("R", schema)

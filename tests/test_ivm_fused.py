@@ -29,7 +29,8 @@ from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.engine.executor import STAT_ROOT_PATCHED, SubtreeScheduler
 from repro.ivm import FIVM, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
-from streams import random_update_stream
+from repro.sharding import ShardedMaintainer
+from streams import facts_first_batches, random_update_stream
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
 
@@ -40,11 +41,11 @@ def ivm_source():
     return database, retailer_query()
 
 
-def _payloads_match(left, right):
+def _payloads_match(left, right, rtol=1e-5, atol=1e-8):
     return (
-        np.isclose(left.count, right.count)
-        and np.allclose(left.sums, right.sums)
-        and np.allclose(left.moments, right.moments)
+        np.isclose(left.count, right.count, rtol=rtol, atol=atol)
+        and np.allclose(left.sums, right.sums, rtol=rtol, atol=atol)
+        and np.allclose(left.moments, right.moments, rtol=rtol, atol=atol)
     )
 
 
@@ -103,6 +104,217 @@ def test_fused_interleaves_with_per_tuple(ivm_source):
             maintainer.apply_batch(stream[cursor : cursor + step])
             cursor += step
     assert _payloads_match(maintainer.statistics(), maintainer.recompute_statistics())
+
+
+# -- adversarial arrival orders ---------------------------------------------------------
+#
+# The insert path indexes a batch row once per index it lands in: the mirror
+# stages an update group's key codes before the pass, the own-delta join and
+# every later hop read them through shared (parent, child) slot maps, and a
+# slot map resolves a miss only when the child view gains the key.  These
+# streams aim at exactly that machinery; every one is checked after every
+# batch on all four routes to the same state.
+
+#: The documented agreement of float results summed in different orders
+#: (docs/architecture.md, "Horizontal sharding").
+RTOL, ATOL = 1e-9, 1e-6
+
+
+def _payloads_close(left, right):
+    return _payloads_match(left, right, rtol=RTOL, atol=ATOL)
+
+
+class _FourRoutes:
+    """One stream into the fused pass, the per-relation pass, the per-tuple
+    path and the journal's ``apply_groups(net_updates(U))`` replay."""
+
+    def __init__(self, database, query):
+        self.fused = FIVM(database, query, FEATURES)
+        self.unfused = FIVM(database, query, FEATURES, fused_deltas=False)
+        self.per_tuple = FIVM(database, query, FEATURES)
+        self.replayed = FIVM(database, query, FEATURES)
+
+    def apply(self, batch):
+        self.fused.apply_batch(batch)
+        self.unfused.apply_batch(batch)
+        for update in batch:
+            if update.multiplicity:
+                self.per_tuple.apply(update)
+        self.replayed.apply_groups(self.replayed.net_updates(batch))
+        fused = self.fused.statistics()
+        # Replay retraces the batch float for float; the other two routes
+        # sum in another order.
+        assert _payloads_identical(fused, self.replayed.statistics())
+        assert _payloads_close(fused, self.unfused.statistics())
+        assert _payloads_close(fused, self.per_tuple.statistics())
+        assert _payloads_close(fused, self.fused.recompute_statistics())
+        return fused
+
+
+def _all_rows(database, keep=lambda name, row: True):
+    return [
+        Update(relation.name, row, multiplicity)
+        for relation in database
+        for row, multiplicity in relation.items()
+        if keep(relation.name, row)
+    ]
+
+
+def test_dimensions_trickling_in_after_every_fact(ivm_source):
+    database, query = ivm_source
+    batches = facts_first_batches(database, "Inventory", seed=5)
+    routes = _FourRoutes(database, query)
+    with ShardedMaintainer(
+        database, query, FEATURES, shards=2, executor="serial"
+    ) as sharded:
+        for batch in batches:
+            fused = routes.apply(batch)
+            sharded.apply_batch(batch)
+            assert _payloads_close(sharded.statistics(), fused)
+    # Nothing joined until the last dimension arrived; by the end all does.
+    assert fused.count == len(database.relation("Inventory"))
+
+
+def test_slot_maps_probe_each_key_once(ivm_source):
+    """The algorithmic claim, as a count: resolving mirror keys to view slots
+    costs one dictionary probe per mirror key and one per view key — not one
+    per outstanding miss and hop, which is what facts-before-dimensions made
+    of the re-probing lookup."""
+    database, query = ivm_source
+    maintainer = FIVM(database, query, FEATURES)
+    for batch in facts_first_batches(database, "Inventory", seed=5):
+        maintainer.apply_batch(batch)
+    assert maintainer._slot_maps
+    # Every batch here ran the fused pass, which is what the stat counts.
+    assert maintainer.executor_stats["slot_map_probes"] == sum(
+        slot_map.probes for slot_map in maintainer._slot_maps.values()
+    )
+    for (parent, child), slot_map in maintainer._slot_maps.items():
+        view = maintainer._views[child]
+        _codes, mirror_keys = maintainer._mirrors[parent].key_codes(
+            maintainer._conn_attrs[child]
+        )
+        # Resolved in full (this lookup picks up what the last batch added):
+        # every mirror key the view holds has its slot ...
+        assert slot_map.lookup().tolist() == [view.slot_of(key) for key in mirror_keys]
+        # ... for one probe per key on either side, at most.
+        assert 0 < slot_map.probes <= len(mirror_keys) + len(view)
+        settled = slot_map.probes
+        slot_map.lookup()
+        assert slot_map.probes == settled
+
+
+def test_dimension_row_deleted_and_reinserted(ivm_source):
+    database, query = ivm_source
+    routes = _FourRoutes(database, query)
+    loaded = routes.apply(_all_rows(database))
+    store = next(iter(database.relation("Stores")))
+    item = next(iter(database.relation("Items")))
+    weather = next(iter(database.relation("Weather")))
+    census = next(iter(database.relation("Demographics")))
+    gone = routes.apply([Update("Stores", store, -1), Update("Items", item, -1)])
+    assert gone.count < loaded.count
+    # Back in a later batch: the views kept the keys, the slot maps their slots.
+    back = routes.apply([Update("Items", item, 1), Update("Stores", store, 1)])
+    assert back.count == loaded.count
+    # Out and in again inside one batch nets to nothing for those rows.
+    same = routes.apply(
+        [
+            Update("Weather", weather, -1),
+            Update("Demographics", census, -1),
+            Update("Weather", weather, 1),
+            Update("Demographics", census, 1),
+            Update("Items", item, -1),
+            Update("Items", item[:-1] + (item[-1] + 1.0,), 1),
+        ]
+    )
+    assert same.count == loaded.count
+
+
+def test_parent_and_child_rows_of_one_key_in_one_batch(ivm_source):
+    """A batch brings a store, its census row, its weather and its inventory
+    at once.  The parent's staged rows are invisible to the child's hop (the
+    hop sees the mirror before the batch); the pair is counted once, by the
+    parent's own delta against the updated child view."""
+    database, query = ivm_source
+    stores = database.relation("Stores")
+    locn, zipcode = next(iter(stores))[:2]
+    other_zips = {row[1] for row in stores if row[0] != locn}
+
+    def of_the_store(name, row):
+        if name in ("Stores", "Inventory", "Weather"):
+            return row[0] == locn
+        if name == "Demographics":
+            return row[0] == zipcode and zipcode not in other_zips
+        return False
+
+    routes = _FourRoutes(database, query)
+    before = routes.apply(_all_rows(database, lambda name, row: not of_the_store(name, row)))
+    batch = _all_rows(database, of_the_store)
+    assert {update.relation_name for update in batch} >= {"Stores", "Inventory", "Weather"}
+    random.Random(2).shuffle(batch)
+    after = routes.apply(batch)
+    assert after.count == len(database.relation("Inventory")) > before.count
+    # And the whole database as one batch: every parent row with its children.
+    assert _payloads_close(_FourRoutes(database, query).apply(_all_rows(database)), after)
+
+
+def test_duplicates_cancelling_pairs_and_zero_multiplicities_in_one_batch(ivm_source):
+    database, query = ivm_source
+    rng = random.Random(13)
+    rows = _all_rows(database)
+    rng.shuffle(rows)
+    routes = _FourRoutes(database, query)
+    for start in range(0, len(rows), 40):
+        batch = []
+        for update in rows[start : start + 40]:
+            batch.append(update)
+            kind = rng.randrange(5)
+            if kind == 0:    # a duplicate: the row nets to multiplicity 2 ...
+                batch.append(update)
+            elif kind == 1:  # ... a pair that cancels inside the batch ...
+                batch.extend([update, Update(update.relation_name, update.row, -1)])
+            elif kind == 2:  # ... a no-op ...
+                batch.append(Update(update.relation_name, update.row, 0))
+            elif kind == 3:  # ... and a row that nets to nothing at all.
+                ghost = update.row[:-1] + (-7.5,)
+                batch.extend(
+                    [
+                        Update(update.relation_name, ghost, 2),
+                        Update(update.relation_name, ghost, -2),
+                    ]
+                )
+        rng.shuffle(batch)
+        routes.apply(batch)
+    assert routes.fused.statistics().count > len(database.relation("Inventory"))
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("fused", [True, False])
+def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
+    ivm_source, position, fused
+):
+    database, query = ivm_source
+    stream = random_update_stream(database, seed=29, length=160)
+    maintainer = FIVM(database, query, FEATURES, fused_deltas=fused)
+    twin = FIVM(database, query, FEATURES, fused_deltas=fused)
+    maintainer.apply_batch(stream[:80])
+    twin.apply_batch(stream[:80])
+    poisoned = list(stream[80:])
+    bad = Update("Items", next(iter(database.relation("Items")))[:-1], 1)
+    poisoned.insert({"first": 0, "middle": 40, "last": len(poisoned)}[position], bad)
+    versions = {relation.name: relation.version for relation in maintainer.database}
+    mirrors = {name: len(mirror) for name, mirror in maintainer._mirrors.items()}
+    with pytest.raises(ValueError, match="arity"):
+        maintainer.apply_batch(poisoned)
+    assert {r.name: r.version for r in maintainer.database} == versions
+    assert {name: len(mirror) for name, mirror in maintainer._mirrors.items()} == mirrors
+    assert maintainer.view_sizes() == twin.view_sizes()
+    assert _payloads_identical(maintainer.statistics(), twin.statistics())
+    # The batch without the bad row then lands exactly as if nothing happened.
+    maintainer.apply_batch(stream[80:])
+    twin.apply_batch(stream[80:])
+    assert _payloads_identical(maintainer.statistics(), twin.statistics())
 
 
 # -- parallel subtree schedule ----------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
@@ -267,6 +267,54 @@ def test_dense_snapshot_is_a_function_of_the_update_history(deltas, rng):
         assert list(zip(rows, multiplicities)) == list(model.items())
         assert [tuple(values) for values in zip(*decoded)] == rows
         _assert_matches_model(never, model)
+
+
+#: Rows whose columns exercise every dictionary: a numeric column mixing ints
+#: and floats (in neither sorted nor type order), strings, and small ints.
+MIXED_SCHEMA = Schema.from_names(["n", "s", "i"], categorical_names=["s", "i"])
+MIXED_UNIVERSE = [
+    ((97 * index) % 120 if index % 3 else (97 * index) % 120 + 0.5, f"s{index % 7}", index % 5)
+    for index in range(120)
+]
+
+_CHUNKED_DELTAS = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(MIXED_UNIVERSE) - 1),
+            st.sampled_from([1, 1, 1, -1, 2]),
+        ),
+        min_size=1,
+        max_size=80,     # flushed tails both below and above 32 rows
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CHUNKED_DELTAS)
+@example([[(index, 1) for index in range(10)], [(index, 1) for index in range(5, 60)]])
+@example([[(index, 1) for index in range(40)], [(3, -1)], [(index, 1) for index in range(30, 90)]])
+def test_snapshot_codes_do_not_depend_on_when_the_store_was_flushed(deltas):
+    """The strengthened contract: dictionaries *and* codes are a function of
+    the update history.  One stream into two relations — one snapshotted (so
+    its pending tail is encoded) after every delta, one only at the end —
+    gives equal values, value types and code arrays, column for column."""
+    eager, lazy = Relation("R", MIXED_SCHEMA), Relation("R", MIXED_SCHEMA)
+    for delta in deltas:
+        rows = [MIXED_UNIVERSE[index] for index, _m in delta]
+        multiplicities = [m for _index, m in delta]
+        for relation in (eager, lazy):
+            relation.add_batch(rows, multiplicities)
+        eager.column_store()
+    one, other = eager.column_store(), lazy.column_store()
+    assert one.rows[: one.row_count] == other.rows[: other.row_count]
+    for name in MIXED_SCHEMA.names:
+        left, right = one.encoding(name), other.encoding(name)
+        assert left.values == right.values
+        assert list(map(type, left.values)) == list(map(type, right.values))
+        assert np.array_equal(left.codes, right.codes)
+        # First occurrence in the history, whatever was flushed when.
+        assert len(set(left.values)) == len(left.values)
 
 
 def test_tombstones_stay_below_the_space_bound():
