@@ -442,6 +442,10 @@ class _DeltaKey:
     two steps — :meth:`encode` turns rows into codes (registering unseen
     keys), :meth:`append` files entries under them — so a delta staged ahead
     of its commit is probed once and its codes are usable in between.
+
+    Its pickled state is ``positions``, ``track_buckets``, ``keys`` and
+    ``codes``; the key dictionary and the buckets are rebuilt from them on
+    load, and the bucket-array cache starts empty.
     """
 
     __slots__ = ("positions", "index", "keys", "codes", "buckets",
@@ -542,6 +546,29 @@ class _DeltaKey:
             cached = np.asarray(bucket, dtype=np.int64)
             self._bucket_arrays[code] = cached
         return cached
+
+    def __getstate__(self) -> Dict:
+        return {"positions": self.positions, "track_buckets": self.track_buckets,
+                "keys": self.keys, "codes": self.codes}
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__init__(state["positions"], state["track_buckets"])
+        self.keys = keys = state["keys"]
+        self.codes = state["codes"]
+        self.index = {
+            (key[0] if self.scalar else key): code for code, key in enumerate(keys)
+        }
+        codes = self.codes.view()
+        if self.track_buckets and codes.size:
+            # Entries grouped by code, entry order kept within a bucket: a
+            # stable sort of the codes, cut at the cumulative bucket sizes.
+            entries = np.argsort(codes, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()
+            self.buckets = [
+                entries[start:end] for start, end in zip([0] + ends[:-1], ends)
+            ]
+        else:
+            self.buckets = [[] for _key in keys]
 
 
 class StagedDelta:

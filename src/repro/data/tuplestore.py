@@ -144,7 +144,11 @@ COMPACT_MIN_ZEROS = 64
 
 
 class _GrowArray:
-    """An amortised-doubling numpy array (scalar/array append + zero-copy view)."""
+    """An amortised-doubling numpy array (scalar/array append + zero-copy view).
+
+    Its pickled state is the occupied prefix only — the doubling slack is
+    capacity, not content — and a restored array owns its memory.
+    """
 
     __slots__ = ("data", "size")
 
@@ -178,11 +182,13 @@ class _GrowArray:
         return self.data[: self.size]
 
     def __getstate__(self) -> Dict:
-        # Checkpoint pickling: persist only the occupied prefix — the
-        # amortised-doubling slack is capacity, not content.
-        return {"data": self.data[: self.size].copy(), "size": self.size}
+        # State is the occupied prefix, handed out as a view: the pickler
+        # copies it once (in-band) or not at all (protocol 5, out-of-band).
+        return {"data": self.data[: self.size], "size": self.size}
 
     def __setstate__(self, state: Dict) -> None:
+        # Copy into memory this array owns: the unpickled buffer may be a
+        # window of a checkpoint file's read buffer.
         stored = state["data"]
         self.size = state["size"]
         self.data = np.empty(max(self.size, 1), dtype=stored.dtype)
@@ -724,34 +730,36 @@ class TupleStore:
     # -- checkpoint pickling -----------------------------------------------------------
 
     def __getstate__(self) -> Dict:
-        """Persist the dense form; shed process-local machinery.
+        """The store's state: schema, dense rows, multiplicities, encodings
+        and counters.
 
-        Tombstones are left out (gathered away, the store itself untouched),
-        so the pickled bytes depend on the update history only, like every
-        other snapshot.  Snapshot pins are reader bookkeeping of *this*
-        process — a restored store has no readers, so the pin state resets.
-        The row index is derivable from the row list and rebuilt on load.
+        Tombstones are left out (gathered away, the store itself untouched)
+        and the pending tail is encoded first, so the pickled bytes depend on
+        the update history only, like every other snapshot.  Everything else
+        is derived or process-local and starts afresh in :meth:`__setstate__`:
+        the row index, the reader-pin bookkeeping, the physical-layout epoch,
+        and the bounded change log — a restored store answers
+        ``changes_since`` for the versions it saw itself.
         """
-        state = {name: getattr(self, name) for name in self.__slots__}
+        self.flush_encodings()
+        rows, mults, columns = self._rows, self._mults, self._columns
         if self.zeros:
-            self._materialise_slices()   # slots shift; the log must not name them
             rows, mults, codes = self._gather(self.live_slots())
             columns = []
             for column, kept in zip(self._columns, codes):
                 dense = _ColumnCodes()
                 dense.values, dense.codes = column.values, kept
                 columns.append(dense)
-            state.update(_rows=rows, _mults=mults, _columns=columns,
-                         _encoded_count=len(rows), zeros=0, _slice_floor=None)
-        del state["_row_index"]
-        state["pins"] = 0
-        state["_pin_floor"] = 0
-        state["_cow_pending"] = False
-        return state
+        return {"schema": self.schema, "_rows": rows, "_mults": mults,
+                "_columns": columns, "live": self.live, "total": self.total,
+                "version": self.version}
 
     def __setstate__(self, state: Dict) -> None:
+        self.__init__(state["schema"])  # derived and process-local fields start afresh
         for name, value in state.items():
             setattr(self, name, value)
+        self._encoded_count = len(self._rows)
+        self._log_floor = self.version
         self._index_live_rows()
 
     # -- copying -----------------------------------------------------------------------

@@ -43,6 +43,7 @@ FAULT_POINTS = (
     "journal.append",     # BatchJournal.append, before the record is written
     "journal.sync",       # BatchJournal, after the write, before flush/fsync
     "checkpoint.write",   # CheckpointStore.write, before the temp file exists
+    "checkpoint.sections",  # CheckpointStore.write, between stream and array sections
     "checkpoint.publish", # CheckpointStore.write, before the atomic rename
     "snapshot.publish",   # SnapshotManager.publish, before the generation cut
     "reader.query",       # QueryServer read execution, after the pin

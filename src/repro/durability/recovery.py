@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.journal import BatchJournal, SYNC_POLICIES, JournalError
@@ -64,6 +64,9 @@ class RecoveryResult:
     checkpoint_seq: int       # seq of the checkpoint the replay started from
     replayed_batches: int     # journal records replayed on top of it
     quarantined: List[int] = field(default_factory=list)  # seqs skipped on replay error
+    #: ``(path, reason)`` per newer checkpoint file that failed validation
+    #: and was passed over for the one the replay started from.
+    skipped_checkpoints: List[Tuple[Path, str]] = field(default_factory=list)
 
 
 def recover(
@@ -73,11 +76,12 @@ def recover(
 ) -> RecoveryResult:
     """Reconstruct the maintainer from the durability directory.
 
-    Loads the newest checkpoint that validates (corrupt ones are skipped);
-    without any checkpoint, ``maintainer_factory`` must build the empty
-    maintainer the journal's full history replays into.  Journal records at
-    or before the checkpoint's sequence are already folded into its state
-    and are skipped; the tail replays in order through ``apply_groups``.
+    Loads the newest checkpoint that validates (corrupt ones are skipped and
+    reported in ``skipped_checkpoints``); without any checkpoint,
+    ``maintainer_factory`` must build the empty maintainer the journal's full
+    history replays into.  Journal records at or before the checkpoint's
+    sequence are already folded into its state and are skipped; the tail
+    replays in order through ``apply_groups``.
 
     A record whose replay raises (a poison batch journaled before its
     propagation failed, with no surviving abort record) may have mutated the
@@ -137,4 +141,5 @@ def recover(
         checkpoint_seq=checkpoint_seq,
         replayed_batches=replayed,
         quarantined=quarantined,
+        skipped_checkpoints=store.last_skipped,
     )

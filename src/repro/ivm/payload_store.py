@@ -12,6 +12,11 @@ both code paths maintain one state.
 Keys are never evicted when their payload cancels to zero — exactly the
 behaviour of the seed's dict views, whose entries also lingered at zero — so
 the store size is bounded by the number of distinct join keys ever seen.
+
+What a pickle (a checkpoint, a maintainer shipped to a shard worker) carries
+is the state alone: ``dimension``, ``support``, the keys in slot order and
+their payload rows.  The key -> slot dictionary and the doubling capacity are
+rebuilt on load, into arrays the restored store owns.
 """
 
 from __future__ import annotations
@@ -57,6 +62,21 @@ class PayloadStore:
 
     def __contains__(self, key: Tuple) -> bool:
         return key in self._slots
+
+    def __getstate__(self) -> Dict:
+        used = len(self._keys)
+        return {"dimension": self.dimension, "support": self.support,
+                "_keys": self._keys, "counts": self.counts[:used],
+                "sums": self.sums[:used], "moments": self.moments[:used]}
+
+    def __setstate__(self, state: Dict) -> None:
+        keys = state["_keys"]
+        self.__init__(state["dimension"], capacity=len(keys))
+        self.support = state["support"]
+        self._keys = keys
+        self._slots = {key: slot for slot, key in enumerate(keys)}
+        for name in ("counts", "sums", "moments"):
+            getattr(self, name)[: len(keys)] = state[name]
 
     def keys(self, start: int = 0) -> List[Tuple]:
         """The keys in slot order, from slot ``start`` on (a copy)."""

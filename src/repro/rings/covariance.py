@@ -182,6 +182,11 @@ class PayloadScratch:
         self.moments = np.zeros((dimension, dimension))
         self._view: Optional["CovarianceBlock"] = None
 
+    def __reduce__(self):
+        # A workspace, not state: pickling carries the dimension only.  (A
+        # copied ``_view`` would stop aliasing the buffers it is a view of.)
+        return (PayloadScratch, (self.sums.shape[0],))
+
     def reset_lift(self, multiplicity: float, pairs) -> None:
         """Load ``scale(lift(row), multiplicity)``; ``pairs`` lists the
         ``(feature position, value)`` entries of the row's designated

@@ -109,6 +109,7 @@ class QueryServer:
         self._journal: Optional[BatchJournal] = None
         self._checkpoints: Optional[CheckpointStore] = None
         self._batches_since_checkpoint = 0
+        self._prefix = _start_prefix
         if durability is not None:
             self._journal = BatchJournal(durability.journal_path, sync=durability.sync)
             self._checkpoints = CheckpointStore(
@@ -116,7 +117,7 @@ class QueryServer:
             )
             # The seed checkpoint: every recovery has a base state to replay
             # the journal tail into, even before the first periodic one.
-            self._checkpoints.write(maintainer, self._journal.last_seq, _start_prefix)
+            self._write_checkpoint()
         base = options or EngineOptions()
         self._reader_options = replace(
             base,
@@ -128,7 +129,6 @@ class QueryServer:
         )
         self._local = threading.local()
         self._writer_lock = threading.Lock()
-        self._prefix = _start_prefix
         self._closed = False
         # Publish the initial generation so reads never race the first write.
         self.manager.publish(self.maintainer.statistics(), prefix=self._prefix)
@@ -241,18 +241,21 @@ class QueryServer:
     def _maybe_checkpoint(self) -> None:
         if self._checkpoints is None or self.durability is None:
             return
-        interval = self.durability.checkpoint_interval
-        if interval <= 0:
-            return
+        # Every committed batch counts, periodic checkpoints or not: the lag
+        # is the replay debt a crash at this instant would incur.
         self._batches_since_checkpoint += 1
-        if self._batches_since_checkpoint < interval:
+        interval = self.durability.checkpoint_interval
+        if interval <= 0 or self._batches_since_checkpoint < interval:
             return
-        assert self._journal is not None
-        self._checkpoints.write(self.maintainer, self._journal.last_seq, self._prefix)
-        self._batches_since_checkpoint = 0
+        self._write_checkpoint()
         self.stats.record_checkpoint(
             self._checkpoints.last_write_seconds, self._checkpoints.last_size_bytes
         )
+
+    def _write_checkpoint(self) -> None:
+        assert self._checkpoints is not None and self._journal is not None
+        self._checkpoints.write(self.maintainer, self._journal.last_seq, self._prefix)
+        self._batches_since_checkpoint = 0
 
     @property
     def prefix(self) -> int:
@@ -377,13 +380,12 @@ class QueryServer:
         self.manager.close()
         if self._journal is not None:
             # A clean shutdown checkpoints the final state so the next
-            # recovery replays nothing; crashes skip this path by definition
+            # recovery replays nothing (with no batch since the last write
+            # there is nothing to fold); crashes skip this path by definition
             # and fall back to the last periodic (or seed) checkpoint.
             with self._writer_lock:
-                if self._checkpoints is not None:
-                    self._checkpoints.write(
-                        self.maintainer, self._journal.last_seq, self._prefix
-                    )
+                if self._batches_since_checkpoint:
+                    self._write_checkpoint()
                 self._journal.close()
 
     def __enter__(self) -> "QueryServer":

@@ -254,6 +254,24 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
     # Slot maps are caches over mirrors and views: not in the file.
     assert maintainer._slot_maps and not clone._slot_maps and not clone._staged
     assert _payloads_equal(clone.statistics(), maintainer.statistics())
+    # Derived structures are absent from the pickled state, not merely equal
+    # after the load: each class names what it persists.
+    key_states = [
+        key.__getstate__()
+        for mirror in maintainer._mirrors.values()
+        for key in mirror._keys.values()
+    ]
+    assert key_states and all(
+        set(state) == {"positions", "track_buckets", "keys", "codes"} for state in key_states
+    )
+    for view in maintainer._views.values():
+        state = view.__getstate__()
+        assert "_slots" not in state and len(state["counts"]) == len(view)
+    state = relation._store.__getstate__()
+    assert not {"_log", "_log_floor", "_slice_floor", "_row_index", "pins"} & set(state)
+    blob = pickle.dumps(maintainer, protocol=4)
+    for name in (b"_bucket_arrays", b"_slots", b"_row_index", b"_log"):
+        assert name not in blob
 
 
 # -- the grouped apply path ------------------------------------------------------------
@@ -525,6 +543,39 @@ def test_reader_exception_releases_pin_and_counts(tmp_path):
         server.query(batch)
         assert server.manager.active_generations == 1
         assert server.serving_stats()["reads"] == 2
+
+
+def test_checkpoint_lag_counts_every_committed_batch(tmp_path):
+    """The lag is the replay debt of a crash right now — also on a server
+    that never checkpoints periodically; a close with no debt writes nothing."""
+    database, query = _server_source()
+    stream = random_update_stream(database, seed=37, length=120)
+    batches = [stream[start : start + 20] for start in range(0, len(stream), 20)]
+
+    def lag(server):
+        return server.serving_stats()["checkpoint_lag_batches"]
+
+    never = DurabilityOptions(tmp_path / "never", checkpoint_interval=0)
+    with QueryServer(FIVM(database, query, FEATURES), durability=never) as server:
+        for count, batch in enumerate(batches[:3], 1):
+            server.apply_batch(batch)
+            assert lag(server) == count
+        written = server._checkpoints.written
+    assert server._checkpoints.written == written + 1      # close folded the debt
+    assert server._batches_since_checkpoint == 0 and recover(never).replayed_batches == 0
+
+    every_two = DurabilityOptions(tmp_path / "two", checkpoint_interval=2)
+    with QueryServer(FIVM(database, query, FEATURES), durability=every_two) as server:
+        lags = []
+        for batch in batches[:4]:
+            server.apply_batch(batch)
+            lags.append(lag(server))
+        assert lags == [1, 0, 1, 0]
+        written = server._checkpoints.written
+        assert written == 3                                 # seed + two periodic
+    assert server._checkpoints.written == written           # nothing to fold
+    result = recover(every_two)
+    assert result.prefix == 4 and result.replayed_batches == 0
 
 
 def test_server_recover_resumes_serving(tmp_path):

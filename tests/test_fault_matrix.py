@@ -3,7 +3,8 @@
 Each case launches ``durability_child.py`` in a subprocess: a durable
 :class:`~repro.serving.QueryServer` streaming a randomized cancel-heavy
 1000-update stream in batches, with a ``kill`` fault installed at one
-labeled trigger point (journal append, checkpoint write, snapshot publish).
+labeled trigger point (journal append, checkpoint write, between a checkpoint's
+in-band stream and its array sections, snapshot publish).
 SIGKILL is the hardest single-machine crash — no buffers flush, no finally
 blocks run — so whatever the recovery reconstructs is exactly what the sync
 policy durably preserved.
@@ -38,6 +39,7 @@ CHILD = Path(durability_child.__file__).resolve()
 CRASH_POINTS = [
     ("journal.append", 7),
     ("checkpoint.write", 3),
+    ("checkpoint.sections", 3),
     ("snapshot.publish", 9),
 ]
 
