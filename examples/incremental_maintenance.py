@@ -4,7 +4,8 @@ An initially empty retailer database receives a stream of tuple inserts.
 F-IVM maintains the covariance matrix with ring payloads; after every bulk of
 inserts the linear-regression model is refreshed by resuming gradient descent
 from the previous parameters — a few milliseconds instead of retraining from
-scratch over the join.
+scratch over the join.  (The three-way throughput comparison of Figure 4
+against first-order and higher-order IVM is ``benchmarks/bench_figure4_ivm.py``.)
 
 Run with:  python examples/incremental_maintenance.py
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix
 from repro.datasets import RETAILER_FEATURES, retailer_database, retailer_query
-from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
+from repro.ivm import FIVM, Update
 from repro.ml import RidgeRegression
 
 
@@ -43,20 +44,6 @@ def main() -> None:
     ]
     random.Random(7).shuffle(updates)
     print(f"streaming {len(updates)} tuple inserts into an initially empty database")
-
-    print("\n== throughput of the three maintenance strategies ==")
-    strategies = {
-        "first-order IVM": FirstOrderIVM,
-        "higher-order IVM": HigherOrderIVM,
-        "F-IVM": FIVM,
-    }
-    sample = updates[:1500]
-    for name, strategy in strategies.items():
-        maintainer = strategy(full, query, features)
-        started = time.perf_counter()
-        maintainer.apply_batch(sample)
-        elapsed = time.perf_counter() - started
-        print(f"  {name:17s} {len(sample) / elapsed:10.0f} tuples/second")
 
     print("\n== model refresh with F-IVM (bulk of 500 inserts at a time) ==")
     maintainer = FIVM(full, query, features)

@@ -280,9 +280,8 @@ class ColumnStore:
     ) -> "ColumnStore":
         """A store over explicit rows — the *delta relation* constructor.
 
-        The batched IVM path encodes an update batch (rows plus signed
-        multiplicities, no backing :class:`Relation`) this way, so a delta
-        flows through the same dictionary encodings, combined key codes and
+        Rows plus signed multiplicities with no backing :class:`Relation`
+        flow through the same dictionary encodings, combined key codes and
         float columns as any base relation.
         """
         return cls(

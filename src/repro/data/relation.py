@@ -238,13 +238,7 @@ class Relation:
         return snapshot
 
     def cached_column_store(self):
-        """The cached store only if it is current — never triggers a rebuild.
-
-        Update-heavy code (the batched IVM propagation) asks this first: a
-        fresh store means the vectorised CSR path over the full encoding is
-        free, while ``None`` means the caller should fall back to its
-        incrementally maintained indexes.
-        """
+        """The cached store only if it is current — never triggers a rebuild."""
         store = self._store
         if (
             self._column_store is not None

@@ -15,10 +15,8 @@ from repro.engine.statistics import (
     RelationStatistics,
     RootChoice,
     choose_root,
-    choose_root_for_batch,
     collect_statistics,
     estimate_root_costs,
-    estimate_root_costs_for_batch,
 )
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "RelationStatistics",
     "RootChoice",
     "choose_root",
-    "choose_root_for_batch",
     "collect_statistics",
     "estimate_root_costs",
-    "estimate_root_costs_for_batch",
 ]

@@ -1,28 +1,18 @@
-"""Reusable columnar delta machinery: CSR grouping and join-key alignment.
+"""Reusable columnar delta machinery: join-key alignment and keyed deltas.
 
-The vectorised executor joins child views through CSR-style offset tables and
-matches join keys in code space; the batched IVM path propagates *delta
-relations* through the join tree with exactly the same primitives.  This
-module is the shared home for that machinery:
+The vectorised executor matches join keys in code space, the engine's
+delta-refresh paths restrict a relation to the rows joining a few affected
+keys, and the fused IVM pass merges keyed payload blocks on its way up the
+join tree.  This module is the shared home for those primitives:
 
 - :func:`match_key_columns` — vectorised key matching between two typed key
   dictionaries (factored out of :mod:`repro.engine.executor`);
-- :func:`csr_from_codes` — group the rows of a store by key code into
-  ``(offsets, order)`` CSR form;
-- :func:`expand_matches` — the `np.repeat` expansion joining a coded item
-  array against a CSR table (items with code ``-1`` drop out);
-- :func:`key_codes_for` — align arbitrary key tuples with a
-  :class:`~repro.data.colstore.ColumnStore`'s code space, typed-vectorised
-  when possible and via the store's cached key index otherwise.
-
-Since PR 4 it also hosts the *multi-delta pass* primitives shared by the
-fused IVM propagation:
-
+- :func:`rows_matching_keys` — the row mask of a store's rows whose key is
+  one of a small set;
 - :func:`merge_keyed_deltas` — deterministically merge several keyed payload
   blocks (the per-relation deltas arriving at one join-tree node) into one;
-- :func:`subtree_schedule` — the level/parent-group traversal plan a fused
-  leaf-to-root pass follows, which is also the unit of independence the
-  subtree scheduler parallelises over.
+- :func:`subtree_schedule` — the traversal order a fused leaf-to-root pass
+  follows.
 
 Everything here is pure array manipulation over dictionary-encoded keys —
 no per-row Python on any hot path.
@@ -34,14 +24,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.colstore import ColumnStore, as_sortable_array
+from repro.data.colstore import ColumnStore
 
 __all__ = [
     "match_key_columns",
-    "csr_from_codes",
-    "expand_matches",
-    "key_codes_for",
-    "typed_key_columns",
     "merge_keyed_deltas",
     "rows_matching_keys",
     "subtree_schedule",
@@ -112,46 +98,6 @@ def match_key_columns(
     return np.where(matches, order[clipped], -1).astype(np.int64, copy=False)
 
 
-def csr_from_codes(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Group row positions by key code: ``(offsets, order)`` in CSR form.
-
-    ``order[offsets[code] : offsets[code + 1]]`` are the row positions whose
-    key has ``code``; built with one stable argsort, no Python loop.
-    """
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=size)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64, copy=False)
-    return offsets, order.astype(np.int64, copy=False)
-
-
-def expand_matches(
-    item_codes: np.ndarray, offsets: np.ndarray, order: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Join items against a CSR table: ``(item_index, member_row)`` pairs.
-
-    ``item_codes[i]`` is item ``i``'s key code in the table's code space (or
-    ``-1`` for no match).  Item ``i`` expands into one output pair per member
-    row of its bucket; items with empty buckets or code ``-1`` disappear —
-    the CSR analogue of a join dropping dangling tuples.
-    """
-    live = item_codes >= 0
-    counts = np.zeros(item_codes.size, dtype=np.int64)
-    if live.any():
-        bucket_sizes = offsets[1:] - offsets[:-1]
-        counts[live] = bucket_sizes[item_codes[live]]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    item_index = np.repeat(np.arange(item_codes.size, dtype=np.int64), counts)
-    starts = np.zeros(item_codes.size, dtype=np.int64)
-    starts[live] = offsets[item_codes[live]]
-    exclusive = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(exclusive, counts)
-    member_rows = order[np.repeat(starts, counts) + within]
-    return item_index, member_rows
-
-
 def merge_keyed_deltas(contributions, concatenate: Callable):
     """Merge keyed payload blocks into one ``(keys, block)`` delta.
 
@@ -163,8 +109,8 @@ def merge_keyed_deltas(contributions, concatenate: Callable):
     ``segment_sum``; ``concatenate`` stacks the blocks (payload-type
     specific, e.g. ``CovarianceBlock.concatenate``).  Both the key order and
     the floating-point reduction order are therefore fully determined by the
-    contribution order, which is what keeps the parallel subtree schedule
-    bit-identical to the sequential pass.
+    contribution order, which is what makes a journal replay retrace the
+    original pass bit for bit.
     """
     if len(contributions) == 1:
         return contributions[0]
@@ -194,64 +140,21 @@ def merge_keyed_deltas(contributions, concatenate: Callable):
     return merged_keys, merged
 
 
-def subtree_schedule(join_tree) -> List[List[List]]:
-    """The traversal plan of a fused leaf-to-root multi-delta pass.
+def subtree_schedule(join_tree) -> List:
+    """The traversal order of a fused leaf-to-root multi-delta pass.
 
-    Returns the join tree's nodes as *levels* in deepest-first order; each
-    level is a list of *parent groups* — the nodes of the level sharing one
-    parent, in the parent's child order.  Two groups of one level touch
-    disjoint state during a propagation hop (each node writes its own view
-    and its own parent's pending delta, and reads only sibling views inside
-    its group), so groups are the unit the subtree scheduler may dispatch
-    concurrently; *within* a group the order is significant — a node's delta
-    must land in its view before a later sibling's hop reads it.
+    Returns the join tree's nodes deepest level first, each level in tree
+    order — so every node comes after all of its children, and the children
+    of one parent stay in the parent's child order.  That order is
+    significant: a node's delta must land in its view before a later
+    sibling's hop reads it.
     """
-    levels: Dict[int, Dict[Optional[str], List]] = {}
+    levels: Dict[int, List] = {}
 
     def visit(node, depth: int) -> None:
-        parent = node.parent.relation_name if node.parent is not None else None
-        levels.setdefault(depth, {}).setdefault(parent, []).append(node)
+        levels.setdefault(depth, []).append(node)
         for child in node.children:
             visit(child, depth + 1)
 
     visit(join_tree.root, 0)
-    return [
-        list(levels[depth].values()) for depth in sorted(levels, reverse=True)
-    ]
-
-
-def typed_key_columns(keys: Sequence[Tuple]) -> Optional[List[np.ndarray]]:
-    """Per-position typed arrays over a list of key tuples (None when mixed)."""
-    if not keys or not keys[0]:
-        return None
-    columns = [
-        as_sortable_array([key[position] for key in keys])
-        for position in range(len(keys[0]))
-    ]
-    if any(column is None for column in columns):
-        return None
-    return columns  # type: ignore[return-value]
-
-
-def key_codes_for(
-    keys: Sequence[Tuple], store: ColumnStore, attributes: Tuple[str, ...]
-) -> np.ndarray:
-    """Code (or -1) of each key tuple in ``store``'s key space for ``attributes``.
-
-    Keys whose positions all reduce to comparable typed arrays are matched
-    fully vectorised against the store's key columns; anything else probes
-    the store's cached key index once per key.
-    """
-    if attributes:
-        store_columns = store.key_columns(attributes)
-        if store_columns is not None:
-            columns = typed_key_columns(keys)
-            if columns is not None:
-                mapped = match_key_columns(columns, store_columns)
-                if mapped is not None:
-                    return mapped
-    index = store.key_index(attributes)
-    get = index.get
-    return np.fromiter(
-        (get(key, -1) for key in keys), dtype=np.int64, count=len(keys)
-    )
+    return [node for depth in sorted(levels, reverse=True) for node in levels[depth]]

@@ -30,12 +30,9 @@ under :data:`STAT_CACHED` by the engine itself.
 
 from __future__ import annotations
 
-import os as _os
-import threading as _threading
-from concurrent.futures import ThreadPoolExecutor as _ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter as _itemgetter
-from typing import Any, Callable, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -68,77 +65,6 @@ STAT_DELTA_REFRESHED = "views_delta_refreshed"
 #: delta view of a small update instead of recomputing the root from scratch
 #: (see ``LMFAOEngine._try_patch_root``); counted by the engine.
 STAT_ROOT_PATCHED = "root_patches"
-
-
-class SubtreeScheduler:
-    """Dispatches independent join-tree work units onto one shared thread pool.
-
-    The fused multi-delta pass (see :mod:`repro.ivm.fivm`) processes one tree
-    level at a time; within a level, the per-parent node groups of
-    :func:`repro.engine.deltas.subtree_schedule` touch disjoint maintainer
-    state, so they can run concurrently.  The hot work inside a group is
-    numpy-heavy enough to release the GIL, which is what makes threads pay
-    off despite CPython.  The pool is shared process-wide (maintainers come
-    and go per benchmark round; one pool avoids thread churn) and built
-    lazily on the first parallel dispatch.
-
-    Determinism: the scheduler only ever runs *whole groups*, each on a
-    single thread, and joins them all before returning (a level barrier).
-    Group results land in per-group state, never in shared accumulators, so
-    the observable outcome is identical to running the groups sequentially —
-    bit-identical, not merely equivalent up to float reassociation.
-    """
-
-    _pool: Optional[_ThreadPoolExecutor] = None
-    _lock = _threading.Lock()
-
-    @classmethod
-    def pool(cls) -> _ThreadPoolExecutor:
-        if cls._pool is None:
-            with cls._lock:
-                if cls._pool is None:
-                    workers = max(2, min(16, _os.cpu_count() or 2))
-                    cls._pool = _ThreadPoolExecutor(
-                        max_workers=workers,
-                        thread_name_prefix="subtree-delta",
-                    )
-        return cls._pool
-
-    @classmethod
-    def run_groups(cls, units: Sequence[Callable[[], None]]) -> None:
-        """Run the given thunks concurrently and wait for all of them.
-
-        A single unit runs inline (no dispatch overhead), as does everything
-        on a single-core machine — threads cannot overlap there, so the
-        dispatch cost would be pure loss; the sequential order is the same
-        one the pool's determinism guarantees, so results are unchanged.
-        Failures propagate after every submitted unit has finished, so the
-        caller never observes a half-processed level.
-        """
-        if len(units) == 1 or (_os.cpu_count() or 1) < 2:
-            inline_error: Optional[Exception] = None
-            for unit in units:
-                try:
-                    unit()
-                except Exception as exc:
-                    # Only plain failures are deferred until the level
-                    # completes; KeyboardInterrupt and friends must abort
-                    # immediately.
-                    if inline_error is None:
-                        inline_error = exc
-            if inline_error is not None:
-                raise inline_error
-            return
-        futures = [cls.pool().submit(unit) for unit in units]
-        error: Optional[Exception] = None
-        for future in futures:
-            try:
-                future.result()
-            except Exception as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
 
 
 def restrict_signature(

@@ -48,7 +48,7 @@ from repro.engine.executor import (
 from repro.engine.deltas import rows_matching_keys
 from repro.engine.plan import BatchPlan, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
-from repro.engine.statistics import RootChoice, choose_root, choose_root_for_batch
+from repro.engine.statistics import RootChoice, choose_root
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 
@@ -162,13 +162,10 @@ class EngineOptions:
         thread pool of ``workers`` threads (``None``: derived from the cpu
         count).
     ``root_relation``
-        Force a specific join-tree root (overrides ``root_strategy``).
-    ``root_strategy``
-        ``"cost"`` (default) scores every candidate root with the
-        statistics-based model of :mod:`repro.engine.statistics` and picks
-        the cheapest once, at construction; ``"cost-batch"`` re-scores per
-        batch shape with the planned signature counts and re-roots on
-        :meth:`LMFAOEngine.evaluate`.
+        Force a specific join-tree root.  ``None`` (default) scores every
+        candidate root with the statistics-based model of
+        :mod:`repro.engine.statistics` and picks the cheapest once, at
+        construction.
     ``cache_views``
         Keep computed views alive across :meth:`LMFAOEngine.evaluate` calls,
         keyed by ``(node, signature)`` and guarded by the versions of every
@@ -186,16 +183,10 @@ class EngineOptions:
     parallel: bool = False
     workers: Optional[int] = None
     root_relation: Optional[str] = None
-    root_strategy: str = "cost"     # "cost" | "cost-batch"
     cache_views: bool = True
     view_cache_size: int = 512
 
     def __post_init__(self) -> None:
-        if self.root_strategy not in ("cost", "cost-batch"):
-            raise ValueError(
-                f"unknown root_strategy {self.root_strategy!r}; "
-                "expected 'cost' or 'cost-batch'"
-            )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {self.workers!r}")
 
@@ -256,9 +247,9 @@ class LMFAOEngine:
     - **the view cache** (``options.cache_views``): computed views keyed by
       ``(node, signature)`` and guarded by the version of every relation in
       the node's subtree — see :meth:`_evaluate_views`;
-    - **the join-tree root** (``options.root_strategy``): chosen once at
-      construction, cost-based by default; :attr:`root_choice` records the
-      per-candidate estimates for introspection.
+    - **the join-tree root**: chosen once at construction by the cost model
+      unless ``options.root_relation`` forces it; :attr:`root_choice`
+      records the per-candidate estimates for introspection.
 
     All caches invalidate through :attr:`Relation.version` — any mutation
     (``add``/``remove``/``clear``, including IVM deltas) bumps the counter
@@ -299,12 +290,6 @@ class LMFAOEngine:
         }
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
-        # Memoised cost-batch rooting decisions, keyed by the batch's shape
-        # (see _batch_root_key); chosen against the statistics at first sight.
-        # Unhashable batch shapes are memoised by object identity instead (a
-        # strong reference rides along so the id cannot be recycled).
-        self._batch_roots: Dict[Tuple, str] = {}
-        self._batch_roots_by_id: Dict[int, Tuple[AggregateBatch, str]] = {}
         # Observed per-view costs (EWMA seconds), per node: what a full
         # recompute of one of the node's views costs vs what refreshing one
         # through the delta paths costs.  The refresh policy consults these
@@ -315,11 +300,6 @@ class LMFAOEngine:
         # observation).
         self._recompute_cost: Dict[str, float] = {}
         self._refresh_cost: Dict[str, float] = {}
-        # Parked per-root state for cost-batch rerooting: alternating batch
-        # shapes with different best roots swap their trees, subtree names
-        # and view caches instead of recomputing them from scratch.
-        self._root_state: Dict[str, Tuple[JoinTree, Dict[str, Tuple[str, ...]],
-                                          "OrderedDict[Tuple[str, ViewSignature], Tuple[Tuple[int, ...], View]]"]] = {}
 
     # -- construction ---------------------------------------------------------------------
 
@@ -328,8 +308,6 @@ class LMFAOEngine:
         root = self.options.root_relation
         if root is not None:
             return build_join_tree(hypergraph, root=root)
-        # cost-batch starts from the batch-independent choice and re-roots
-        # per batch on evaluate (see _reroot_for_batch).
         unrooted = build_join_tree(hypergraph)
         self.root_choice = choose_root(self.database, unrooted)
         root = self.root_choice.root
@@ -378,9 +356,6 @@ class LMFAOEngine:
                 self._pool_finalizer = None
         self._context_cache.clear()
         self._view_cache.clear()
-        self._root_state.clear()
-        self._batch_roots.clear()
-        self._batch_roots_by_id.clear()
 
     def __enter__(self) -> "LMFAOEngine":
         return self
@@ -409,8 +384,6 @@ class LMFAOEngine:
         relation is recomputed.
         """
         started = time.perf_counter()
-        if self.options.root_strategy == "cost-batch" and self.options.root_relation is None:
-            self._reroot_for_batch(batch)
         plan = self.plan(batch)
         stats: Dict[str, int] = {}
         views = self._evaluate_views(plan, stats)
@@ -436,66 +409,6 @@ class LMFAOEngine:
         )
 
     # -- internals ---------------------------------------------------------------------------
-
-    @staticmethod
-    def _batch_root_key(batch: AggregateBatch) -> Optional[Tuple]:
-        """A hashable shape key for a batch (None when not hashable)."""
-        key = tuple(
-            (aggregate.product, aggregate.group_by, aggregate.filters, aggregate.inequality)
-            for aggregate in batch
-        )
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
-    def _reroot_for_batch(self, batch: AggregateBatch) -> None:
-        """Re-root the join tree for this batch (``root_strategy="cost-batch"``).
-
-        The choice scores every candidate root with the batch's *planned*
-        signature counts (see
-        :func:`~repro.engine.statistics.choose_root_for_batch`) and is
-        memoised per batch shape against the statistics at first sight — an
-        evaluate loop over one batch plans the rooting once.  An actual
-        re-root *parks* the current tree, subtree names and view cache under
-        the outgoing root and restores any previously parked state for the
-        incoming one, so workloads alternating batch shapes with different
-        best roots keep their caches instead of rebuilding from scratch.
-        """
-        key = self._batch_root_key(batch)
-        if key is not None:
-            root = self._batch_roots.get(key)
-        else:
-            entry = self._batch_roots_by_id.get(id(batch))
-            root = entry[1] if entry is not None and entry[0] is batch else None
-        if root is None:
-            choice = choose_root_for_batch(self.database, self.join_tree, batch)
-            self.root_choice = choice
-            root = choice.root
-            if key is not None:
-                self._batch_roots[key] = root
-            else:
-                if len(self._batch_roots_by_id) >= 32:
-                    self._batch_roots_by_id.clear()
-                self._batch_roots_by_id[id(batch)] = (batch, root)
-        current = self.join_tree.root.relation_name
-        if root != current:
-            self._root_state[current] = (
-                self.join_tree, self._subtree_names, self._view_cache
-            )
-            parked = self._root_state.pop(root, None)
-            if parked is not None:
-                self.join_tree, self._subtree_names, self._view_cache = parked
-            else:
-                self.join_tree = self.join_tree.rerooted(root)
-                self._subtree_names = {
-                    node.relation_name: tuple(
-                        sorted(child.relation_name for child in node.subtree_nodes())
-                    )
-                    for node in self.join_tree.nodes()
-                }
-                self._view_cache = OrderedDict()
 
     @staticmethod
     def _unique_name(aggregate: Aggregate, existing: Mapping[str, AggregateValue]) -> str:

@@ -44,9 +44,7 @@ __all__ = [
     "RootChoice",
     "collect_statistics",
     "estimate_root_costs",
-    "estimate_root_costs_for_batch",
     "choose_root",
-    "choose_root_for_batch",
     "widest_relation",
 ]
 
@@ -188,69 +186,6 @@ def widest_relation(database: Database, relation_names) -> str:
             name,
         ),
     )
-
-
-def estimate_root_costs_for_batch(
-    database: Database,
-    join_tree: JoinTree,
-    batch,
-    statistics: Optional[Dict[str, RelationStatistics]] = None,
-) -> Dict[str, float]:
-    """Batch-aware root costs: the *planned* signature counts replace the proxy.
-
-    Where :func:`estimate_root_costs` estimates the number of distinct view
-    signatures per node with the quadratic subtree-payload proxy (so the root
-    can be fixed before any batch is seen), this variant actually *plans* the
-    given batch over every candidate rooting (one
-    :func:`~repro.engine.plan.plan_batch` call each — cheap: no data is
-    touched) and charges every node its true deduplicated signature count:
-
-    ``cost(root) = sum over nodes n of |signatures(n)| * (rows(n) + distinct_keys(n))``
-
-    The difference shows up for batches whose sharing pattern the proxy
-    cannot see — e.g. heavily filtered or narrow batches designating far
-    fewer features than the schema offers.
-    """
-    from repro.engine.plan import plan_batch
-
-    if statistics is None:
-        statistics = collect_statistics(database, join_tree)
-    costs: Dict[str, float] = {}
-    for candidate in join_tree.relation_names:
-        tree = (
-            join_tree
-            if join_tree.root.relation_name == candidate
-            else join_tree.rerooted(candidate)
-        )
-        plan = plan_batch(batch, tree)
-        total = 0.0
-        for node in tree.nodes():
-            stats = statistics[node.relation_name]
-            connection = tuple(sorted(node.connection_attributes()))
-            distinct_keys = (
-                stats.distinct(database, connection) if connection else 0
-            )
-            signatures = len(plan.views_per_node[node.relation_name])
-            total += signatures * (stats.row_count + distinct_keys)
-        costs[candidate] = total
-    return costs
-
-
-def choose_root_for_batch(database: Database, join_tree: JoinTree, batch) -> RootChoice:
-    """Pick the cheapest root for one concrete batch (planned, not proxied).
-
-    Falls back exactly like :func:`choose_root` when the statistics are
-    uninformative (an empty database makes every candidate cost the same).
-    """
-    costs = estimate_root_costs_for_batch(database, join_tree, batch)
-    if len(set(costs.values())) <= 1:
-        return RootChoice(
-            root=widest_relation(database, join_tree.relation_names),
-            strategy="widest",
-            costs=costs,
-        )
-    root = min(costs.items(), key=lambda item: (item[1], item[0]))[0]
-    return RootChoice(root=root, strategy="cost-batch", costs=costs)
 
 
 def choose_root(database: Database, join_tree: JoinTree) -> RootChoice:

@@ -1,26 +1,25 @@
-"""Shared infrastructure for the IVM strategies.
+"""The maintainer contract: update protocol, netting and the ground truth.
 
-All maintainers keep their own copies of the base relations (starting from an
-initially empty database, as in the paper's streaming experiment), accept
-signed tuple updates, and expose the maintained covariance statistics over the
-continuous features of the feature-extraction join.
+A maintainer keeps its own copy of the base relations (starting from an
+initially empty database, as in the paper's streaming experiment), accepts
+signed tuple updates, and exposes the maintained covariance statistics over
+the continuous features of the feature-extraction join.
 
 Updates arrive one at a time (:meth:`CovarianceMaintainer.apply`) or as
 batches (:meth:`CovarianceMaintainer.apply_batch`).  A batch is itself a
 *delta relation*: :meth:`apply_batch` nets out multiplicities per tuple,
-groups the batch per relation, encodes each group as a delta
-:class:`~repro.data.colstore.ColumnStore`, and hands it to the strategy —
-either one vectorised propagation per touched relation
-(``_apply_delta_group``) or, for strategies flagging
-``supports_fused_deltas``, one *fused multi-delta pass* over the whole join
-tree (``_apply_multi_delta``) that carries every touched relation's delta in
-a single leaf-to-root traversal.  Grouping is sound because the delta effect
-on any view is *linear* in the delta of a single relation (a group's tuples
-never join against their own relation), and the final state is
-order-independent across relations (every maintainer invariant is a
-function of the base relations alone); the fused pass realises the
-telescoped form of that sum (new views before the current child, old views
-after it), so it lands on the same state in one traversal.
+groups the batch per relation and hands every group at once to the
+subclass's *fused multi-delta pass* (``_apply_multi_delta``), which carries
+every touched relation's delta in a single leaf-to-root traversal.  Grouping
+is sound because the delta effect on any view is *linear* in the delta of a
+single relation (a group's tuples never join against their own relation),
+and the final state is order-independent across relations (every maintainer
+invariant is a function of the base relations alone); the fused pass
+realises the telescoped form of that sum (new views before the current
+child, old views after it), so it lands on the same state in one traversal.
+A subclass that only implements ``_apply_update`` (the comparison strategies
+of ``benchmarks/figure4_strategies.py``) gets the same protocol with every
+netted row applied per tuple.
 """
 
 from __future__ import annotations
@@ -32,13 +31,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.colstore import ColumnStore
 from repro.data.database import Database
-from repro.data.relation import Relation
 from repro.data.tuplestore import net_rows
-from repro.engine.deltas import csr_from_codes, key_codes_for
 from repro.kernels import kernel_stats, kernel_stats_enabled
-from repro.engine.statistics import choose_root
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 from repro.rings.covariance import CovarianceBlock, CovariancePayload, CovarianceRing
@@ -128,142 +123,8 @@ def recompute_covariance(
     return total
 
 
-class JoinIndex:
-    """A maintained hash index of a relation on a subset of its attributes.
-
-    The buckets are built lazily from the relation's cached column store —
-    one pass over the store's precomputed key codes instead of re-deriving a
-    key tuple per row — and kept in sync incrementally through :meth:`add`
-    (batched callers loop it per applied row; unbuilt indexes absorb updates
-    for free and rebuild from the store on first use).  :meth:`mark_stale`
-    is the explicit escape hatch: it drops the buckets so the next
-    :meth:`lookup` rebuilds them from the relation's current state, for
-    callers that mutated the relation without mirroring every row into the
-    index.
-    """
-
-    def __init__(self, relation: Relation, key_attributes: Sequence[str]) -> None:
-        self.relation = relation
-        self.key_attributes = tuple(key_attributes)
-        self.positions = relation.schema.indices_of(self.key_attributes)
-        self._buckets: Optional[Dict[Tuple, Dict[Tuple, int]]] = None
-        # Updates land here first and are folded into the buckets on the
-        # next lookup — per-update cost is one list append instead of a
-        # handful of dictionary operations on paths that may never probe
-        # this index again.
-        self._pending: List[Tuple[Tuple, int]] = []
-
-    @property
-    def buckets(self) -> Dict[Tuple, Dict[Tuple, int]]:
-        self._ensure()
-        return self._buckets  # type: ignore[return-value]
-
-    def _ensure(self) -> None:
-        if self._buckets is not None:
-            self._drain()
-            return
-        self._pending.clear()
-        store = self.relation.column_store()
-        codes, tuples = store.codes_for(self.key_attributes)
-        per_code: List[Dict[Tuple, int]] = [{} for _ in tuples]
-        # The column store is dense (live rows only), so no zero-multiplicity
-        # guard is needed to match `_drain`, which pops rows that net to zero.
-        for code, row, multiplicity in zip(
-            codes.tolist(), store.rows, store.multiplicities.tolist()
-        ):
-            per_code[code][row] = int(multiplicity)
-        # The empty key of an empty relation is the one code without a row.
-        self._buckets = {
-            key: bucket for key, bucket in zip(tuples, per_code) if bucket
-        }
-
-    def mark_stale(self) -> None:
-        """Drop the buckets; the next lookup rebuilds them from the store."""
-        self._buckets = None
-        self._pending.clear()
-
-    @property
-    def is_built(self) -> bool:
-        """Whether the buckets exist; unbuilt indexes absorb updates for free."""
-        return self._buckets is not None
-
-    def key_of(self, row: Tuple) -> Tuple:
-        return tuple(row[position] for position in self.positions)
-
-    def add(self, row: Tuple, multiplicity: int) -> None:
-        if self._buckets is None:
-            # Not built yet: the lazy rebuild will read the relation (which
-            # receives the same update) instead of patching nothing.
-            return
-        self._pending.append((row, multiplicity))
-
-    def _drain(self) -> None:
-        if not self._pending:
-            return
-        buckets = self._buckets
-        assert buckets is not None
-        for row, multiplicity in self._pending:
-            key = self.key_of(row)
-            bucket = buckets.setdefault(key, {})
-            updated = bucket.get(row, 0) + multiplicity
-            if updated == 0:
-                bucket.pop(row, None)
-                if not bucket:
-                    buckets.pop(key, None)
-            else:
-                bucket[row] = updated
-        self._pending.clear()
-
-    def lookup(self, key: Tuple) -> Dict[Tuple, int]:
-        self._ensure()
-        return self._buckets.get(key, {})  # type: ignore[union-attr]
-
-
-def bucket_source(
-    relation: Relation, index: JoinIndex, keys: List[Tuple]
-) -> Tuple[ColumnStore, np.ndarray, np.ndarray, np.ndarray]:
-    """The relation's rows matching ``keys``, in CSR form over a column store.
-
-    Returns ``(store, key_codes, offsets, order)``: ``key_codes[i]`` is the
-    code of ``keys[i]`` in the store's key space (or -1), and
-    ``order[offsets[code] : offsets[code + 1]]`` are the store row positions
-    carrying that key — the shape :func:`repro.engine.deltas.expand_matches`
-    consumes.
-
-    When the relation's cached column store is *fresh*, the CSR covers the
-    full encoding and costs nothing new.  When it is stale (mid-batch, after
-    earlier groups mutated the relation), re-encoding would cost O(rows), so
-    the incrementally maintained :class:`JoinIndex` buckets of exactly the
-    requested keys are concatenated into a small delta store instead — the
-    propagation then only ever pays for the rows it actually joins.
-    """
-    attributes = index.key_attributes
-    store = relation.cached_column_store()
-    if store is not None:
-        row_codes, distinct = store.codes_for(attributes)
-        offsets, order = csr_from_codes(row_codes, len(distinct))
-        return store, key_codes_for(keys, store, attributes), offsets, order
-    rows: List[Tuple] = []
-    multiplicities: List[float] = []
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    for position, key in enumerate(keys):
-        for row, multiplicity in index.lookup(key).items():
-            rows.append(row)
-            multiplicities.append(float(multiplicity))
-        offsets[position + 1] = len(rows)
-    store = ColumnStore.from_rows(
-        relation.name, relation.schema, rows, np.asarray(multiplicities)
-    )
-    return (
-        store,
-        np.arange(len(keys), dtype=np.int64),
-        offsets,
-        np.arange(len(rows), dtype=np.int64),
-    )
-
-
 class CovarianceMaintainer(abc.ABC):
-    """Base class: schema bookkeeping shared by all three IVM strategies."""
+    """Base class: the update protocol and schema bookkeeping of a maintainer."""
 
     def __init__(
         self,
@@ -271,19 +132,13 @@ class CovarianceMaintainer(abc.ABC):
         query: ConjunctiveQuery,
         features: Sequence[str],
         root_relation: Optional[str] = None,
-        root_strategy: str = "cost",
     ) -> None:
         """Set up the maintained state.
 
-        ``root_relation`` forces the join-tree root.  Otherwise
-        ``root_strategy="cost"`` scores the candidates with the statistics of
-        ``schema_database`` (see :mod:`repro.engine.statistics`) — when the
-        schema database carries representative data this picks the root that
-        minimises view-tree work, and when it is empty the choice degrades to
-        the widest-relation heuristic.  ``root_strategy="largest"``
-        roots at the relation with the most rows in the schema database: for
-        *maintenance* (as opposed to batch evaluation) the dominant cost is
-        the leaf-to-root propagation distance weighted by each relation's
+        ``root_relation`` forces the join-tree root.  Otherwise the tree is
+        rooted at the relation with the most rows in ``schema_database``:
+        for *maintenance* (as opposed to batch evaluation) the dominant cost
+        is the leaf-to-root propagation distance weighted by each relation's
         update mass, and absent a workload trace the representative row
         counts are the best static proxy for where updates will land — an
         update stream drawn from the data (the Figure-4 experiment) hits the
@@ -293,15 +148,15 @@ class CovarianceMaintainer(abc.ABC):
         self.query = query
         self.features = tuple(features)
         self.ring = CovarianceRing(len(self.features))
-        #: Counters mirroring ``BatchResult.executor_stats``: strategies with
-        #: a fused path record ``delta_passes`` (fused traversals run),
-        #: ``delta_pass_ns`` (time spent inside them) and ``slot_map_probes``
-        #: (dictionary probes resolving mirror keys to view slots), so
-        #: benchmarks can attribute maintenance time without profiling.
+        #: Counters mirroring ``BatchResult.executor_stats``: the fused pass
+        #: records ``delta_passes`` (traversals run), ``delta_pass_ns`` (time
+        #: spent inside them) and ``slot_map_probes`` (dictionary probes
+        #: resolving mirror keys to view slots), so benchmarks can attribute
+        #: maintenance time without profiling.
         self.executor_stats: Dict[str, int] = {}
-        # Maintainers are single-writer by contract: updates mutate mirrors,
-        # indexes and payload stores with no internal synchronisation.  The
-        # gate turns a violated contract (two threads applying concurrently)
+        # Maintainers are single-writer by contract: updates mutate mirrors
+        # and payload stores with no internal synchronisation.  The gate
+        # turns a violated contract (two threads applying concurrently)
         # into an immediate error instead of silent corruption; it is an
         # RLock so apply_batch's per-tuple fallback can re-enter apply().
         self._writer_gate = threading.RLock()
@@ -309,24 +164,16 @@ class CovarianceMaintainer(abc.ABC):
         # streaming experiment of Figure 4 (right) starts from nothing.
         self.database = schema_database.empty_copy()
         hypergraph = query.hypergraph(schema_database)
-        if root_strategy not in ("cost", "largest"):
-            raise ValueError(
-                f"unknown root_strategy {root_strategy!r}; "
-                "expected 'cost' or 'largest'"
-            )
         root = root_relation
         if root is None:
-            if root_strategy == "cost":
-                root = choose_root(schema_database, build_join_tree(hypergraph)).root
-            else:
-                root = max(
-                    query.relation_names,
-                    key=lambda name: (
-                        len(schema_database.relation(name)),
-                        schema_database.relation(name).arity,
-                        name,
-                    ),
-                )
+            root = max(
+                query.relation_names,
+                key=lambda name: (
+                    len(schema_database.relation(name)),
+                    schema_database.relation(name).arity,
+                    name,
+                ),
+            )
         self.join_tree: JoinTree = build_join_tree(hypergraph, root=root)
         self._designation = self._designate_features()
         self._feature_positions = {
@@ -393,16 +240,6 @@ class CovarianceMaintainer(abc.ABC):
 
     # -- update protocol -----------------------------------------------------------------
 
-    #: Strategies overriding ``_apply_delta_group`` flip this on; the base
-    #: ``apply_batch`` then takes the grouped, columnar path for real batches.
-    supports_batch_deltas = False
-
-    #: Strategies overriding ``_apply_multi_delta`` flip this on (instances
-    #: may flip it back off to force the per-relation path, e.g. for
-    #: equivalence testing); the base ``apply_batch`` then hands *all* of a
-    #: batch's per-relation groups to one fused tree pass.
-    supports_fused_deltas = False
-
     def _validate(self, update: Update) -> None:
         """Check the update's row arity against the relation schema."""
         relation = self.database.relation(update.relation_name)
@@ -419,7 +256,9 @@ class CovarianceMaintainer(abc.ABC):
         ``Relation.add`` bumps the relation's mutation counter, which also
         invalidates any cached column store (see ``Relation.column_store``) —
         engines holding columnar contexts over the maintained database
-        re-encode lazily on their next evaluation.
+        re-encode lazily on their next evaluation.  A zero multiplicity is
+        validated and then changes nothing, exactly as :meth:`apply_batch`
+        nets it away.
         """
         if not self._writer_gate.acquire(blocking=False):
             raise RuntimeError(
@@ -428,6 +267,8 @@ class CovarianceMaintainer(abc.ABC):
             )
         try:
             self._validate(update)
+            if update.multiplicity == 0:
+                return
             self._apply_update(update)
             self.database.relation(update.relation_name).add(
                 update.row, update.multiplicity
@@ -442,13 +283,10 @@ class CovarianceMaintainer(abc.ABC):
         inside one batch cancels — and grouped per relation, with every
         update's arity validated *before* anything is applied (an invalid
         update anywhere in the batch leaves the maintainer untouched).
-        Strategies flagging ``supports_fused_deltas`` receive *all* groups at
-        once through ``_apply_multi_delta`` (one leaf-to-root traversal for
-        the whole batch); otherwise each group is applied through the
-        vectorised ``_apply_delta_group`` (one delta propagation per touched
-        relation).  Either way the groups' rows then land in the base
-        relations and the per-relation after-hooks keep the incremental
-        indexes in sync.  Strategies without a batched path, and batches
+        All groups go at once through ``_apply_multi_delta`` (one
+        leaf-to-root traversal for the whole batch); the groups' rows then
+        land in the base relations and the per-relation after-hooks commit
+        what the pass staged.  Subclasses without a fused pass, and batches
         netting to a single row, fall back to the per-tuple :meth:`apply`
         over the *netted* pairs — the same rule :meth:`apply_groups` uses, so
         ``apply_batch(U)`` and ``apply_groups(net_updates(U))`` retrace the
@@ -558,12 +396,18 @@ class CovarianceMaintainer(abc.ABC):
         """Propagate netted groups; the single dispatch point both
         :meth:`apply_batch` and :meth:`apply_groups` funnel through.
 
-        The fallback rule keys on the *netted* row count (not the raw batch
-        length), so netting a batch and replaying its groups later picks the
-        same code path — a precondition for bit-identical journal replay.
+        Fewer than two netted rows, or a subclass with no
+        ``_apply_multi_delta`` override: per tuple; otherwise the fused pass.
+        The rule keys on the *netted* row count (not the raw batch length),
+        so netting a batch and replaying its groups later picks the same
+        code path — a precondition for bit-identical journal replay.
         """
         total_rows = sum(len(rows) for _name, rows, _netted in groups)
-        if total_rows < 2 or not self.supports_batch_deltas:
+        has_fused_pass = (
+            type(self)._apply_multi_delta
+            is not CovarianceMaintainer._apply_multi_delta
+        )
+        if total_rows < 2 or not has_fused_pass:
             for relation_name, rows, netted in groups:
                 for row, multiplicity in zip(rows, netted):
                     self.apply(Update(relation_name, row, multiplicity))
@@ -572,18 +416,10 @@ class CovarianceMaintainer(abc.ABC):
             (name, rows, netted, np.asarray(netted, dtype=np.float64))
             for name, rows, netted in groups
         ]
-        if self.supports_fused_deltas:
-            self._apply_multi_delta(
-                [(name, rows, floats) for name, rows, _netted, floats in prepared]
-            )
-            for relation_name, rows, netted, multiplicities in prepared:
-                self.database.relation(relation_name).add_batch(
-                    rows, netted, validated=True
-                )
-                self._after_delta_group(relation_name, rows, multiplicities)
-            return
+        self._apply_multi_delta(
+            [(name, rows, floats) for name, rows, _netted, floats in prepared]
+        )
         for relation_name, rows, netted, multiplicities in prepared:
-            self._apply_delta_group(relation_name, rows, multiplicities)
             self.database.relation(relation_name).add_batch(
                 rows, netted, validated=True
             )
@@ -593,16 +429,6 @@ class CovarianceMaintainer(abc.ABC):
     def _apply_update(self, update: Update) -> None:
         """Strategy-specific maintenance, run before the base relation changes."""
 
-    def _apply_delta_group(
-        self, relation_name: str, rows: List[Tuple], multiplicities: np.ndarray
-    ) -> None:
-        """Strategy-specific batched maintenance for one relation's delta.
-
-        Run before the group's rows reach the base relation, exactly like
-        ``_apply_update``; only called when ``supports_batch_deltas`` is on.
-        """
-        raise NotImplementedError
-
     def _apply_multi_delta(
         self, groups: List[Tuple[str, List[Tuple], np.ndarray]]
     ) -> None:
@@ -610,22 +436,18 @@ class CovarianceMaintainer(abc.ABC):
 
         ``groups`` lists every touched relation's netted delta as
         ``(relation_name, rows, multiplicities)``.  Run before any group's
-        rows reach the base relations — the fused pass reads every mirror and
-        index in its pre-batch state; only called when
-        ``supports_fused_deltas`` is on.
+        rows reach the base relations — the fused pass reads every mirror in
+        its pre-batch state.  A subclass that does not override this gets
+        every batch applied per tuple.
         """
         raise NotImplementedError
 
     def _after_delta_group(
         self, relation_name: str, rows: List[Tuple], multiplicities: np.ndarray
     ) -> None:
-        """Hook run after a group's rows landed in the base relation.
-
-        Strategies use it to keep their incremental join indexes over the
-        updated relation in sync (one cheap dictionary update per row), so
-        later groups and per-tuple updates see the applied delta without an
-        O(rows) index rebuild.
-        """
+        """Hook run after a group's rows landed in the base relation: the
+        fused pass commits what it staged for the group (see
+        :meth:`repro.ivm.fivm.FIVM._group_delta`)."""
 
     # -- durability support ---------------------------------------------------------------
 
@@ -638,18 +460,6 @@ class CovarianceMaintainer(abc.ABC):
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         self._writer_gate = threading.RLock()
-
-    # -- columnar delta helpers -----------------------------------------------------------
-
-    def _delta_store(
-        self, relation_name: str, rows: List[Tuple], multiplicities: np.ndarray
-    ) -> ColumnStore:
-        """Encode one per-relation update group as a delta column store."""
-        relation = self.database.relation(relation_name)
-        return ColumnStore.from_rows(
-            relation.name, relation.schema, rows, multiplicities
-        )
-
 
     @abc.abstractmethod
     def statistics(self) -> CovariancePayload:

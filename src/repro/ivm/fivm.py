@@ -47,11 +47,7 @@ children processed in tree order, a child's hop multiplies the views of
 earlier siblings *after* their deltas landed and of later siblings *before*
 theirs, and a node's own group is lifted against fully-updated child views —
 exactly the expansion of ``new product − old product``, so one traversal
-lands on the per-relation result.  Because two same-level node groups under
-different parents touch disjoint state, the pass can dispatch them onto the
-shared :class:`~repro.engine.executor.SubtreeScheduler` thread pool
-(``parallel_deltas=True``); the numpy-heavy hop kernels release the GIL, and
-the fixed group order keeps the result bit-identical to the sequential pass.
+lands on the per-relation result.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ import numpy as np
 from repro.data.colstore import DeltaColumnStore, StagedDelta
 from repro.data.database import Database
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
-from repro.engine.executor import SubtreeScheduler
 from repro.ivm.base import CovarianceMaintainer, Update
 from repro.ivm.payload_store import PayloadStore
 from repro.query.conjunctive import ConjunctiveQuery
@@ -145,33 +140,14 @@ def _compact_codes(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarra
 class FIVM(CovarianceMaintainer):
     """Factorised IVM over a view tree with covariance-ring payloads."""
 
-    supports_batch_deltas = True
-    supports_fused_deltas = True
-
     def __init__(
         self,
         schema_database: Database,
         query: ConjunctiveQuery,
         features: Sequence[str],
         root_relation: Optional[str] = None,
-        root_strategy: str = "largest",
-        fused_deltas: bool = True,
-        parallel_deltas: bool = False,
     ) -> None:
-        """``root_strategy`` defaults to ``"largest"`` (root at the relation
-        with the most representative rows): propagation cost is path length
-        weighted by update mass, and streams drawn from the data hit the
-        fact table most — rooting there makes the bulk of all deltas
-        root-local.  ``fused_deltas`` selects the one-pass multi-delta
-        propagation for batches (off: one propagation per touched relation,
-        the PR-3 path, kept for ablation and equivalence testing);
-        ``parallel_deltas`` additionally dispatches independent same-level
-        subtree groups of the fused pass onto the shared worker pool —
-        results are bit-identical either way.
-        """
-        super().__init__(schema_database, query, features, root_relation, root_strategy)
-        self.supports_fused_deltas = bool(fused_deltas)
-        self.parallel_deltas = bool(parallel_deltas)
+        super().__init__(schema_database, query, features, root_relation)
         # One payload view per node: join key -> covariance payload of the subtree.
         # Each view's payloads can only involve the features designated inside
         # its subtree; recording that support lets single-feature views (e.g.
@@ -238,8 +214,7 @@ class FIVM(CovarianceMaintainer):
         self._staged: Dict[str, StagedDelta] = {}
         # The per-tuple path's fused ring workspace (see PayloadScratch).
         self._scratch = PayloadScratch(len(self.features))
-        # The fused pass's traversal plan: tree levels deepest-first, each a
-        # list of per-parent node groups (the unit of parallel dispatch).
+        # The fused pass's traversal plan: every node after its children.
         self._schedule = subtree_schedule(self.join_tree)
         # Per relation: the node names on its leaf-to-root path, and the
         # memoised per-touched-set mini-schedules derived from them (a batch
@@ -253,9 +228,7 @@ class FIVM(CovarianceMaintainer):
                 path.append(current.relation_name)
                 current = current.parent
             self._paths[node.relation_name] = path
-        self._plan_cache: Dict[
-            frozenset, Tuple[List[List[List[JoinTreeNode]]], Tuple[str, ...]]
-        ] = {}
+        self._plan_cache: Dict[frozenset, List[JoinTreeNode]] = {}
 
     # -- helpers ------------------------------------------------------------------------------
 
@@ -351,7 +324,7 @@ class FIVM(CovarianceMaintainer):
 
         The group is lifted into one block, joined against the (current)
         child views, and grouped by the node's connection key — the starting
-        delta both the per-relation and the fused propagation push upwards.
+        delta the fused pass pushes upwards.
         A node with children stages the group in its mirror first: one
         transpose and one probe per row and key, shared by the child joins
         below and by :meth:`_after_delta_group`, which commits the entries
@@ -427,77 +400,39 @@ class FIVM(CovarianceMaintainer):
             codes[output] = code
         return delta_keys, block.segment_sum(codes, len(delta_keys))
 
-    def _apply_delta_group(
-        self, relation_name: str, rows: List[Tuple], multiplicities: np.ndarray
-    ) -> None:
-        """Per-relation propagation: one group's delta pushed to the root."""
-        node = self.join_tree.node(relation_name)
-        delta = self._group_delta(node, rows, multiplicities)
-        if delta is None:
-            return
-        keys, block = delta
-        while True:
-            self._views[node.relation_name].scatter_add(keys, block)
-            if node.parent is None:
-                return
-            hop = self._hop(node, keys, block)
-            if hop is None:
-                return
-            keys, block = hop
-            node = node.parent
-
-    def _batch_schedule(
-        self, touched
-    ) -> Tuple[List[List[List[JoinTreeNode]]], Tuple[str, ...]]:
+    def _batch_schedule(self, touched) -> List[JoinTreeNode]:
         """The pruned traversal plan for one batch's touched relations.
 
         Only nodes on a touched relation's leaf-to-root path can carry a
-        delta, so the full level schedule is filtered down to them —
-        preserving level order and within-group tree order, which keeps the
-        pruned pass bit-identical to the full one.  Plans are memoised per
-        touched-relation set (streams repeat batch shapes).
+        delta, so the full schedule is filtered down to them — preserving
+        its order, which keeps the pruned pass bit-identical to the full
+        one.  Plans are memoised per touched-relation set (streams repeat
+        batch shapes).
         """
         key = frozenset(touched)
-        cached = self._plan_cache.get(key)
-        if cached is None:
+        plan = self._plan_cache.get(key)
+        if plan is None:
             active: set = set()
             for name in key:
                 active.update(self._paths[name])
-            plan: List[List[List[JoinTreeNode]]] = []
-            for level in self._schedule:
-                filtered = [
-                    [node for node in group if node.relation_name in active]
-                    for group in level
-                ]
-                filtered = [group for group in filtered if group]
-                if filtered:
-                    plan.append(filtered)
+            plan = [node for node in self._schedule if node.relation_name in active]
             if len(self._plan_cache) >= 64:
                 self._plan_cache.clear()
-            cached = (plan, tuple(sorted(active)))
-            self._plan_cache[key] = cached
-        return cached
+            self._plan_cache[key] = plan
+        return plan
 
     def _apply_multi_delta(
         self, groups: List[Tuple[str, List[Tuple], np.ndarray]]
     ) -> None:
         """The fused pass: every touched relation's delta in one traversal.
 
-        The schedule walks the tree deepest level first, in two phases per
-        level.  Phase A computes the *own-group deltas* of the level's nodes
-        — each reads only the node's (already final) child views, so the
-        computations are mutually independent and, with ``parallel_deltas``,
-        run concurrently on the shared subtree pool.  Phase B then merges
-        each node's child contributions with its own delta (children first,
-        in tree order, then the own group — a fixed order, so the
-        floating-point result is reproducible), adds the merged delta to the
-        node's view, and hops it to the parent once; the per-parent groups
-        of a level touch disjoint state and also dispatch concurrently,
-        while *within* a group the tree order is preserved (a node's delta
-        must land in its view before a later sibling's hop reads it).  Every
-        pending list is written by exactly one group and every own delta is
-        order-independent, so the parallel schedule is bit-identical to the
-        sequential one.
+        The schedule visits every node after its children.  At a node the
+        contributions hopped up from its children (in tree order) are merged
+        with the node's own group delta — lifted against the, by then final,
+        child views — in that fixed order, so the floating-point result is
+        reproducible; the merged delta is added to the node's view and
+        hopped to the parent once.  Siblings keep their tree order: a node's
+        delta must land in its view before a later sibling's hop reads it.
         """
         # The fused pass mutates payload stores and mirrors with no internal
         # locking — it must only ever run under the single-writer gate that
@@ -510,77 +445,31 @@ class FIVM(CovarianceMaintainer):
         grouped: Dict[str, Tuple[List[Tuple], np.ndarray]] = {
             name: (rows, multiplicities) for name, rows, multiplicities in groups
         }
-        schedule, active = self._batch_schedule(grouped)
+        schedule = self._batch_schedule(grouped)
         pending: Dict[str, List[Tuple[List[Tuple], CovarianceBlock]]] = {
-            name: [] for name in active
+            node.relation_name: [] for node in schedule
         }
-        own_deltas: Dict[str, Optional[Tuple[List[Tuple], CovarianceBlock]]] = {}
-
-        def compute_own(node: JoinTreeNode) -> None:
-            rows, multiplicities = grouped[node.relation_name]
-            own_deltas[node.relation_name] = self._group_delta(
-                node, rows, multiplicities
-            )
-
-        def process_group(nodes: List[JoinTreeNode]) -> None:
-            for node in nodes:
-                name = node.relation_name
-                contributions = pending[name]
-                own = own_deltas.get(name)
+        for node in schedule:
+            name = node.relation_name
+            contributions = pending[name]
+            if name in grouped:
+                own = self._group_delta(node, *grouped[name])
                 if own is not None:
                     contributions.append(own)
-                if not contributions:
-                    continue
-                keys, block = merge_keyed_deltas(
-                    contributions, CovarianceBlock.concatenate
-                )
-                self._views[name].scatter_add(keys, block)
-                if node.parent is None:
-                    continue
-                hop = self._hop(node, keys, block)
-                if hop is not None:
-                    pending[node.parent.relation_name].append(hop)
-
-        parallel = self.parallel_deltas
-        for level in schedule:
-            own_nodes = [
-                node
-                for group in level
-                for node in group
-                if node.relation_name in grouped
-            ]
-            if parallel and len(own_nodes) > 1:
-                SubtreeScheduler.run_groups(
-                    [lambda node=node: compute_own(node) for node in own_nodes]
-                )
-            else:
-                for node in own_nodes:
-                    compute_own(node)
-            runnable = [
-                group
-                for group in level
-                if any(
-                    pending[node.relation_name]
-                    or own_deltas.get(node.relation_name) is not None
-                    for node in group
-                )
-            ]
-            if not runnable:
+            if not contributions:
                 continue
-            if parallel and len(runnable) > 1:
-                SubtreeScheduler.run_groups(
-                    [lambda group=group: process_group(group) for group in runnable]
-                )
-            else:
-                for group in runnable:
-                    process_group(group)
+            keys, block = merge_keyed_deltas(contributions, CovarianceBlock.concatenate)
+            self._views[name].scatter_add(keys, block)
+            if node.parent is None:
+                continue
+            hop = self._hop(node, keys, block)
+            if hop is not None:
+                pending[node.parent.relation_name].append(hop)
         stats = self.executor_stats
         stats["delta_passes"] = stats.get("delta_passes", 0) + 1
         stats["delta_pass_ns"] = (
             stats.get("delta_pass_ns", 0) + time.perf_counter_ns() - started
         )
-        # Summed per map after the pass, not bumped from inside the (possibly
-        # pooled) hops: the count is exact whatever the schedule.
         stats["slot_map_probes"] = (
             stats.get("slot_map_probes", 0)
             + sum(slot_map.probes for slot_map in self._slot_maps.values())

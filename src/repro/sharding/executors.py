@@ -5,10 +5,10 @@ to :class:`~repro.sharding.maintainer.ShardedMaintainer`: apply routed group
 lists, report per-shard root payloads / executor stats / fact row counts,
 and close.  Two deliberate choices:
 
-**Processes, not threads.**  The GIL wall is already documented (ROADMAP:
-``parallel_deltas`` is wall-clock neutral on the single-core reference
-container, and CPython threads never overlap the pure-Python parts of the
-propagation).  Shard parallelism therefore uses ``multiprocessing`` with the
+**Processes, not threads.**  CPython threads never overlap the pure-Python
+parts of the propagation (a thread-pooled delta pass measured wall-clock
+neutral, ``docs/archive/pre-harness.md``, and was removed).  Shard
+parallelism therefore uses ``multiprocessing`` with the
 ``spawn`` start method — workers are clean interpreters (no forked locks or
 thread state), at the cost of a one-time import+ship warm-up per worker.
 

@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.data.database import Database
 from repro.data.tuplestore import StatsCounters
 from repro.ivm.base import Update, net_update_stream, recompute_covariance
+from repro.ivm.fivm import FIVM
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.covariance import CovariancePayload, CovarianceRing
 from repro.sharding.executors import ProcessPoolShardExecutor, SerialShardExecutor
@@ -61,21 +62,18 @@ class ShardedMaintainer:
         shard_key: Optional[Sequence[str]] = None,
         fact_relation: Optional[str] = None,
         executor: str = "serial",
-        maintainer_factory=None,
-        **maintainer_kwargs,
     ) -> None:
         """Build ``shards`` private maintainers plus the routing layer.
 
         ``fact_relation`` defaults to the largest relation of
         ``schema_database`` among the query's relations (the same
-        update-mass proxy ``root_strategy="largest"`` uses).  ``shard_key``
-        defaults to the fact relation's first *join* attribute — one it
-        shares with another relation of the query — and may name any subset
-        of the fact schema.  ``maintainer_factory`` builds each per-shard
-        maintainer (default :class:`repro.ivm.fivm.FIVM`); every shard gets
-        the full ``schema_database`` statistics so all shards choose the
-        same join-tree root.  ``executor`` is ``"serial"`` or
-        ``"processpool"``.
+        update-mass proxy that roots :class:`~repro.ivm.fivm.FIVM`).
+        ``shard_key`` defaults to the fact relation's first *join* attribute
+        — one it shares with another relation of the query — and may name
+        any subset of the fact schema.  Each shard is a
+        :class:`~repro.ivm.fivm.FIVM` built over the full ``schema_database``
+        statistics, so all shards choose the same join-tree root.
+        ``executor`` is ``"serial"`` or ``"processpool"``.
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -100,13 +98,8 @@ class ShardedMaintainer:
         # so each published snapshot sees a base copy current to its batch.
         self._database = schema_database.empty_copy()
         self._pending_base: List[List[Tuple[str, Sequence[Tuple], Sequence[int]]]] = []
-        if maintainer_factory is None:
-            from repro.ivm.fivm import FIVM
-
-            maintainer_factory = FIVM
         maintainers = [
-            maintainer_factory(schema_database, query, features, **maintainer_kwargs)
-            for _shard in range(shards)
+            FIVM(schema_database, query, features) for _shard in range(shards)
         ]
         # All shards share one topology; expose shard 0's tree for consumers
         # (QueryServer reader options) that ask where the root lives.

@@ -35,7 +35,7 @@ from repro.durability import (
     recover,
 )
 from repro.durability.journal import FILE_MAGIC, KIND_ABORT, KIND_BATCH
-from repro.ivm import FIVM, FirstOrderIVM, Update
+from repro.ivm import FIVM, CovarianceMaintainer, Update
 from repro.serving import PoisonBatchError, QueryServer
 from streams import random_update_stream
 
@@ -277,10 +277,17 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
 # -- the grouped apply path ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", [FIVM, FirstOrderIVM])
+class _PerTupleFIVM(FIVM):
+    """No fused-pass override: every batch takes the per-tuple fallback."""
+
+    _apply_multi_delta = CovarianceMaintainer._apply_multi_delta
+
+
+@pytest.mark.parametrize("strategy", [FIVM, _PerTupleFIVM])
 def test_apply_groups_bit_identical_to_apply_batch(source, strategy):
     """The journal's replay contract: netting + grouped apply retraces
-    apply_batch exactly, float for float."""
+    apply_batch exactly, float for float — on the fused pass and on the
+    per-tuple fallback alike."""
     database, query = source
     stream = random_update_stream(database, seed=97, length=200, cancel_fraction=0.4)
     direct = strategy(database, query, FEATURES)
@@ -436,11 +443,9 @@ def test_poisoned_batch_leaves_maintainer_untouched(source, force_per_tuple):
     """Validation failure anywhere in a batch must be all-or-nothing, on the
     batched path and on the per-tuple fallback alike."""
     database, query = source
-    maintainer = FIVM(database, query, FEATURES)
-    if force_per_tuple:
-        maintainer.supports_batch_deltas = False
-        maintainer.supports_fused_deltas = False
+    maintainer = (_PerTupleFIVM if force_per_tuple else FIVM)(database, query, FEATURES)
     maintainer.apply_batch(random_update_stream(database, seed=7, length=60))
+    assert ("delta_passes" in maintainer.executor_stats) != force_per_tuple
     before = maintainer.statistics()
     inventory_before = maintainer.database.relation("Inventory").copy()
     good = random_update_stream(database, seed=8, length=20)

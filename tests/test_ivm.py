@@ -1,4 +1,4 @@
-"""Tests for the three IVM strategies: correctness under inserts and deletes."""
+"""Tests for the IVM layer: correctness under inserts and deletes."""
 
 import random
 
@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
 from repro.datasets import retailer_database, retailer_query
-from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
+from repro.ivm import FIVM, Update
 from repro.query import ConjunctiveQuery
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
-STRATEGIES = [FirstOrderIVM, HigherOrderIVM, FIVM]
+STRATEGIES = [FIVM]
 
 
 @pytest.fixture(scope="module")
@@ -82,18 +82,6 @@ def test_insert_then_full_delete_returns_to_zero(ivm_source, strategy):
     assert np.allclose(payload.moments, 0.0, atol=1e-6)
 
 
-def test_all_strategies_agree_with_each_other(ivm_source):
-    database, query = ivm_source
-    stream = _stream_from(database, per_relation=30, seed=5)
-    payloads = []
-    for strategy in STRATEGIES:
-        maintainer = strategy(database, query, FEATURES)
-        maintainer.apply_batch(stream)
-        payloads.append(maintainer.statistics())
-    assert _payloads_match(payloads[0], payloads[1])
-    assert _payloads_match(payloads[1], payloads[2])
-
-
 def test_fivm_views_stay_small(ivm_source):
     database, query = ivm_source
     maintainer = FIVM(database, query, FEATURES)
@@ -101,13 +89,6 @@ def test_fivm_views_stay_small(ivm_source):
     sizes = maintainer.view_sizes()
     # Payload views are keyed by join keys, never by full tuples.
     assert all(size <= len(database.relation(name)) + 1 for name, size in sizes.items())
-
-
-def test_higher_order_materializes_join_view(ivm_source):
-    database, query = ivm_source
-    maintainer = HigherOrderIVM(database, query, FEATURES)
-    maintainer.apply_batch(_stream_from(database))
-    assert maintainer.materialized_view_size() > 0
 
 
 def test_unknown_feature_is_rejected(ivm_source):

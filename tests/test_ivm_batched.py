@@ -2,10 +2,9 @@
 
 Covers the columnar delta path end-to-end: randomized insert/delete streams
 (including multiplicities that cancel inside one batch and batches spanning
-several relations) checked against full recomputation for all three
-strategies and several batch sizes, the vectorised ring-block algebra, the
-append-only delta column store, and the engine's delta-aware view cache
-against full eviction.
+several relations) checked against full recomputation at several batch
+sizes, the vectorised ring-block algebra, the append-only delta column
+store, and the engine's delta-aware view cache against full eviction.
 """
 
 import random
@@ -14,17 +13,16 @@ import numpy as np
 import pytest
 
 from repro.aggregates import covariance_batch
-from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data import Database, Relation, Schema
 from repro.data.colstore import DeltaColumnStore
 from repro.datasets import load_dataset, retailer_database, retailer_query
-from repro.engine import EngineOptions, LMFAOEngine
-from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
+from repro.engine import LMFAOEngine
+from repro.ivm import FIVM, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
 from streams import random_update_stream
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
-STRATEGIES = [FirstOrderIVM, HigherOrderIVM, FIVM]
+STRATEGIES = [FIVM]
 
 
 @pytest.fixture(scope="module")
@@ -108,32 +106,6 @@ def test_update_arity_is_validated(ivm_source):
         maintainer.apply(bad)
     with pytest.raises(ValueError, match="Inventory"):
         maintainer.apply_batch([bad, bad])
-
-
-def test_join_index_builds_from_column_store(ivm_source):
-    from repro.ivm.base import JoinIndex
-
-    database, query = ivm_source
-    relation = database.relation("Inventory").copy()
-    index = JoinIndex(relation, ["locn", "dateid"])
-    assert not index.is_built
-    # Lazily built from the cached column store, matching the relation.
-    total = sum(
-        multiplicity
-        for bucket in index.buckets.values()
-        for multiplicity in bucket.values()
-    )
-    assert index.is_built
-    assert total == relation.total_multiplicity()
-    sample = next(iter(relation))
-    key = index.key_of(sample)
-    assert sample in index.lookup(key)
-    # Incremental adds keep it in sync; mark_stale rebuilds from the store.
-    relation.add(sample, 1)
-    index.add(sample, 1)
-    assert index.lookup(key)[sample] == relation.multiplicity(sample)
-    index.mark_stale()
-    assert index.lookup(key)[sample] == relation.multiplicity(sample)
 
 
 # -- ring blocks -----------------------------------------------------------------------
@@ -372,61 +344,3 @@ def test_delta_refresh_counts_and_budget():
     assert over_budget.executor_stats.get("root_patches", 0) == 0
     _values_match(over_budget.values, LMFAOEngine(database, query).evaluate(batch).values)
     _values_match(over_budget.values, engine.evaluate(batch).values)
-
-
-# -- batch-aware rooting ---------------------------------------------------------------
-
-
-def test_cost_batch_rooting_matches_static_results():
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=400, stores=6, items=20, dates=10
-    )
-    narrow = AggregateBatch(
-        "narrow",
-        [
-            Aggregate.count(),
-            Aggregate.sum_of([spec.continuous_features[0]]),
-            Aggregate.sum_of([spec.continuous_features[0]] * 2),
-        ],
-    )
-    static = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
-    dynamic = LMFAOEngine(database, query, EngineOptions(root_strategy="cost-batch"))
-    _values_match(static.evaluate(narrow).values, dynamic.evaluate(narrow).values)
-    assert dynamic.root_choice is not None
-    assert dynamic.root_choice.strategy == "cost-batch"
-    assert dynamic.root_choice.costs  # per-candidate evidence is recorded
-
-    full = covariance_batch(spec.continuous_features, spec.categorical_features)
-    _values_match(static.evaluate(full).values, dynamic.evaluate(full).values)
-
-
-def test_cost_batch_rerooting_differs_on_narrow_batches():
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=400, stores=6, items=20, dates=10
-    )
-    narrow = AggregateBatch(
-        "narrow",
-        [Aggregate.count(), Aggregate.sum_of([spec.continuous_features[0]])],
-    )
-    static = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
-    dynamic = LMFAOEngine(database, query, EngineOptions(root_strategy="cost-batch"))
-    static.evaluate(narrow)
-    dynamic.evaluate(narrow)
-    assert dynamic.join_tree.root.relation_name != static.join_tree.root.relation_name
-
-    full = covariance_batch(spec.continuous_features, spec.categorical_features)
-    dynamic.evaluate(full)
-    # Repeating a batch reuses the memoised rooting decision.
-    before = dynamic.join_tree.root.relation_name
-    dynamic.evaluate(full)
-    assert dynamic.join_tree.root.relation_name == before
-
-
-def test_invalid_root_strategy_is_rejected():
-    database, query, _spec = load_dataset(
-        "retailer", inventory_rows=50, stores=3, items=5, dates=4
-    )
-    with pytest.raises(ValueError, match="root_strategy"):
-        EngineOptions(root_strategy="bogus")
-    with pytest.raises(ValueError, match="root_strategy"):
-        FIVM(database, query, FEATURES, root_strategy="bogus")

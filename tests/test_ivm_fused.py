@@ -1,21 +1,22 @@
-"""The fused multi-delta pass, subtree parallelism and root patching (PR 4).
+"""The fused multi-delta pass and root patching (PR 4).
 
 Equivalence guarantees of the one-pass propagation:
 
-- fused vs. per-relation propagation on randomized multi-relation
-  insert/delete batches (including multiplicities that cancel inside one
-  batch) — identical payloads up to float reassociation;
-- ``parallel_deltas`` on vs. off — **bit-identical** payload stores (the
-  scheduler only reorders independent work);
+- the fused pass vs. the per-tuple path vs. the journal's replay on
+  randomized multi-relation insert/delete batches (including multiplicities
+  that cancel inside one batch) — identical payloads up to float
+  reassociation, bit-identical for the replay;
 - the engine's root-payload patching vs. a full root recompute — equal
   aggregate values to float tolerance (patching may keep ~0.0 groups a
   recompute drops).
 
-Plus units for the new primitives: keyed-delta merging, the level/parent
-schedule, sparse lifts, single-support ring products, and the ``largest``
-root strategy.
+Plus units for the primitives: keyed-delta merging, the traversal schedule,
+sparse lifts, single-support ring products, update-mass rooting, and the
+maintainers' constructor surface.
 """
 
+import inspect
+import pickle
 import random
 
 import numpy as np
@@ -26,8 +27,8 @@ from repro.data import Relation, Schema
 from repro.datasets import load_dataset, retailer_database, retailer_query
 from repro.engine import EngineOptions, LMFAOEngine
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
-from repro.engine.executor import STAT_ROOT_PATCHED, SubtreeScheduler
-from repro.ivm import FIVM, Update
+from repro.engine.executor import STAT_ROOT_PATCHED
+from repro.ivm import FIVM, CovarianceMaintainer, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
 from repro.sharding import ShardedMaintainer
 from streams import facts_first_batches, random_update_stream
@@ -57,25 +58,34 @@ def _payloads_identical(left, right):
     )
 
 
-# -- fused vs. per-relation propagation -------------------------------------------------
+# -- fused vs. per-tuple propagation ----------------------------------------------------
 
 
 @pytest.mark.parametrize("batch_size", [5, 23, 400])
-def test_fused_matches_per_relation(ivm_source, batch_size):
+def test_fused_matches_per_tuple(ivm_source, batch_size):
     database, query = ivm_source
     stream = random_update_stream(database, seed=7, length=400)
     fused = FIVM(database, query, FEATURES)
-    unfused = FIVM(database, query, FEATURES, fused_deltas=False)
-    assert fused.supports_fused_deltas and not unfused.supports_fused_deltas
+    per_tuple = FIVM(database, query, FEATURES)
     for start in range(0, len(stream), batch_size):
         fused.apply_batch(stream[start : start + batch_size])
-        unfused.apply_batch(stream[start : start + batch_size])
-    assert _payloads_match(fused.statistics(), unfused.statistics())
+    for update in stream:
+        per_tuple.apply(update)
+    assert fused.executor_stats["delta_passes"] > 0
+    assert "delta_passes" not in per_tuple.executor_stats
+    assert _payloads_match(fused.statistics(), per_tuple.statistics())
     assert _payloads_match(fused.statistics(), fused.recompute_statistics())
-    # The maintained per-node views agree too, not just the root payload.
+    # The maintained per-node views agree too, not just the root payload;
+    # the per-tuple path also keeps the (zeroed) keys of rows a batch nets away.
     for name, view in fused._views.items():
-        other = unfused._views[name]
-        assert set(view.keys()) == set(other.keys())
+        other = per_tuple._views[name]
+        assert set(view.keys()) <= set(other.keys())
+        for key in other.keys():
+            payload = view.get(key)
+            assert _payloads_match(
+                other.get(key), payload if payload is not None else fused.ring.zero(),
+                atol=1e-6,
+            )
 
 
 def test_fused_matches_recomputation_under_cancellation(ivm_source):
@@ -113,7 +123,7 @@ def test_fused_interleaves_with_per_tuple(ivm_source):
 # every later hop read them through shared (parent, child) slot maps, and a
 # slot map resolves a miss only when the child view gains the key.  These
 # streams aim at exactly that machinery; every one is checked after every
-# batch on all four routes to the same state.
+# batch on all three routes to the same state.
 
 #: The documented agreement of float results summed in different orders
 #: (docs/architecture.md, "Horizontal sharding").
@@ -124,28 +134,24 @@ def _payloads_close(left, right):
     return _payloads_match(left, right, rtol=RTOL, atol=ATOL)
 
 
-class _FourRoutes:
-    """One stream into the fused pass, the per-relation pass, the per-tuple
-    path and the journal's ``apply_groups(net_updates(U))`` replay."""
+class _ThreeRoutes:
+    """One stream into the fused pass, the per-tuple path and the journal's
+    ``apply_groups(net_updates(U))`` replay."""
 
     def __init__(self, database, query):
         self.fused = FIVM(database, query, FEATURES)
-        self.unfused = FIVM(database, query, FEATURES, fused_deltas=False)
         self.per_tuple = FIVM(database, query, FEATURES)
         self.replayed = FIVM(database, query, FEATURES)
 
     def apply(self, batch):
         self.fused.apply_batch(batch)
-        self.unfused.apply_batch(batch)
         for update in batch:
-            if update.multiplicity:
-                self.per_tuple.apply(update)
+            self.per_tuple.apply(update)
         self.replayed.apply_groups(self.replayed.net_updates(batch))
         fused = self.fused.statistics()
-        # Replay retraces the batch float for float; the other two routes
-        # sum in another order.
+        # Replay retraces the batch float for float; the per-tuple route
+        # sums in another order.
         assert _payloads_identical(fused, self.replayed.statistics())
-        assert _payloads_close(fused, self.unfused.statistics())
         assert _payloads_close(fused, self.per_tuple.statistics())
         assert _payloads_close(fused, self.fused.recompute_statistics())
         return fused
@@ -163,7 +169,7 @@ def _all_rows(database, keep=lambda name, row: True):
 def test_dimensions_trickling_in_after_every_fact(ivm_source):
     database, query = ivm_source
     batches = facts_first_batches(database, "Inventory", seed=5)
-    routes = _FourRoutes(database, query)
+    routes = _ThreeRoutes(database, query)
     with ShardedMaintainer(
         database, query, FEATURES, shards=2, executor="serial"
     ) as sharded:
@@ -206,7 +212,7 @@ def test_slot_maps_probe_each_key_once(ivm_source):
 
 def test_dimension_row_deleted_and_reinserted(ivm_source):
     database, query = ivm_source
-    routes = _FourRoutes(database, query)
+    routes = _ThreeRoutes(database, query)
     loaded = routes.apply(_all_rows(database))
     store = next(iter(database.relation("Stores")))
     item = next(iter(database.relation("Items")))
@@ -248,7 +254,7 @@ def test_parent_and_child_rows_of_one_key_in_one_batch(ivm_source):
             return row[0] == zipcode and zipcode not in other_zips
         return False
 
-    routes = _FourRoutes(database, query)
+    routes = _ThreeRoutes(database, query)
     before = routes.apply(_all_rows(database, lambda name, row: not of_the_store(name, row)))
     batch = _all_rows(database, of_the_store)
     assert {update.relation_name for update in batch} >= {"Stores", "Inventory", "Weather"}
@@ -256,7 +262,7 @@ def test_parent_and_child_rows_of_one_key_in_one_batch(ivm_source):
     after = routes.apply(batch)
     assert after.count == len(database.relation("Inventory")) > before.count
     # And the whole database as one batch: every parent row with its children.
-    assert _payloads_close(_FourRoutes(database, query).apply(_all_rows(database)), after)
+    assert _payloads_close(_ThreeRoutes(database, query).apply(_all_rows(database)), after)
 
 
 def test_duplicates_cancelling_pairs_and_zero_multiplicities_in_one_batch(ivm_source):
@@ -264,7 +270,7 @@ def test_duplicates_cancelling_pairs_and_zero_multiplicities_in_one_batch(ivm_so
     rng = random.Random(13)
     rows = _all_rows(database)
     rng.shuffle(rows)
-    routes = _FourRoutes(database, query)
+    routes = _ThreeRoutes(database, query)
     for start in range(0, len(rows), 40):
         batch = []
         for update in rows[start : start + 40]:
@@ -289,6 +295,12 @@ def test_duplicates_cancelling_pairs_and_zero_multiplicities_in_one_batch(ivm_so
     assert routes.fused.statistics().count > len(database.relation("Inventory"))
 
 
+class _PerTupleFIVM(FIVM):
+    """No fused-pass override: every batch takes the per-tuple fallback."""
+
+    _apply_multi_delta = CovarianceMaintainer._apply_multi_delta
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("fused", [True, False])
 def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
@@ -296,8 +308,9 @@ def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
 ):
     database, query = ivm_source
     stream = random_update_stream(database, seed=29, length=160)
-    maintainer = FIVM(database, query, FEATURES, fused_deltas=fused)
-    twin = FIVM(database, query, FEATURES, fused_deltas=fused)
+    strategy = FIVM if fused else _PerTupleFIVM
+    maintainer = strategy(database, query, FEATURES)
+    twin = strategy(database, query, FEATURES)
     maintainer.apply_batch(stream[:80])
     twin.apply_batch(stream[:80])
     poisoned = list(stream[80:])
@@ -317,96 +330,62 @@ def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
     assert _payloads_identical(maintainer.statistics(), twin.statistics())
 
 
-# -- parallel subtree schedule ----------------------------------------------------------
+# -- zero-multiplicity updates ----------------------------------------------------------
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Pretend the machine is multi-core so the thread-pool path runs.
-
-    ``SubtreeScheduler.run_groups`` falls back to inline execution on
-    single-core machines (where threads cannot overlap); CI containers are
-    often single-core, which would leave the pool dispatch, level barriers
-    and the bit-identity claim untested.
-    """
-    import repro.engine.executor as executor_module
-
-    monkeypatch.setattr(executor_module._os, "cpu_count", lambda: 4)
-
-
-@pytest.mark.parametrize("batch_size", [7, 150])
-def test_parallel_deltas_bit_identical(ivm_source, force_pool, batch_size):
+def test_zero_multiplicity_apply_changes_nothing(ivm_source):
+    """``apply(u)`` with multiplicity 0 is the no-op ``apply_batch([u])`` nets
+    it to: no mirror entry, no view key, no growth of the pickled state —
+    for rows the maintainer holds and rows it never saw alike."""
     database, query = ivm_source
-    stream = random_update_stream(database, seed=11, length=350)
-    serial = FIVM(database, query, FEATURES)
-    parallel = FIVM(database, query, FEATURES, parallel_deltas=True)
-    for start in range(0, len(stream), batch_size):
-        serial.apply_batch(stream[start : start + batch_size])
-        parallel.apply_batch(stream[start : start + batch_size])
-    assert _payloads_identical(serial.statistics(), parallel.statistics())
-    for name, view in serial._views.items():
-        other = parallel._views[name]
-        assert view.keys() == other.keys()
-        size = len(view)
-        assert np.array_equal(view.counts[:size], other.counts[:size])
-        assert np.array_equal(view.sums[:size], other.sums[:size])
-        assert np.array_equal(view.moments[:size], other.moments[:size])
+    maintainer = FIVM(database, query, FEATURES)
+    maintainer.apply_batch(_all_rows(database))
+    maintainer.executor_stats.clear()  # wall-clock counters, not state
+    mirrors = {name: len(mirror) for name, mirror in maintainer._mirrors.items()}
+    assert all(mirrors.values())
+    view_sizes = maintainer.view_sizes()
+    versions = {relation.name: relation.version for relation in maintainer.database}
+    before = maintainer.statistics()
+    pickled = len(pickle.dumps(maintainer, protocol=4))
+    rows = {relation.name: list(relation) for relation in database}
+    rng = random.Random(41)
+    for step in range(1000):
+        name = rng.choice(list(rows))
+        row = rng.choice(rows[name])
+        if step % 2:  # a ghost: a key no view holds
+            row = (f"ghost-{step}",) + row[1:]
+        maintainer.apply(Update(name, row, 0))
+    assert {name: len(mirror) for name, mirror in maintainer._mirrors.items()} == mirrors
+    assert maintainer.view_sizes() == view_sizes
+    assert {r.name: r.version for r in maintainer.database} == versions
+    assert _payloads_identical(maintainer.statistics(), before)
+    assert len(pickle.dumps(maintainer, protocol=4)) == pickled
+    # Validation still comes first.
+    with pytest.raises(ValueError, match="arity"):
+        maintainer.apply(Update("Stores", rows["Stores"][0][:-1], 0))
 
 
-def test_subtree_scheduler_runs_all_and_propagates_errors(force_pool):
-    seen = []
-    SubtreeScheduler.run_groups([lambda: seen.append(1)])
-    SubtreeScheduler.run_groups([lambda: seen.append(2), lambda: seen.append(3)])
-    assert sorted(seen) == [1, 2, 3]
-
-    def boom():
-        raise RuntimeError("unit failure")
-
-    marker = []
-    with pytest.raises(RuntimeError, match="unit failure"):
-        SubtreeScheduler.run_groups([boom, lambda: marker.append(1)])
-    # The healthy unit still ran to completion (level barrier semantics).
-    assert marker == [1]
-
-
-def test_subtree_scheduler_inline_on_single_core(monkeypatch):
-    import repro.engine.executor as executor_module
-
-    monkeypatch.setattr(executor_module._os, "cpu_count", lambda: 1)
-    seen = []
-    SubtreeScheduler.run_groups([lambda: seen.append(1), lambda: seen.append(2)])
-    assert seen == [1, 2]  # inline preserves list order
-
-    def boom():
-        raise RuntimeError("inline failure")
-
-    marker = []
-    with pytest.raises(RuntimeError, match="inline failure"):
-        SubtreeScheduler.run_groups([boom, lambda: marker.append(1)])
-    assert marker == [1]
+# -- the traversal schedule -------------------------------------------------------------
 
 
 def test_subtree_schedule_levels_and_groups(ivm_source):
     database, query = ivm_source
     maintainer = FIVM(database, query, FEATURES)
     schedule = subtree_schedule(maintainer.join_tree)
-    # Deepest level first; the last level is exactly the root.
-    assert [node.relation_name for node in schedule[-1][0]] == [
-        maintainer.join_tree.root.relation_name
-    ]
-    seen = set()
-    for level in schedule:
-        for group in level:
-            parents = {
-                node.parent.relation_name if node.parent else None for node in group
-            }
-            assert len(parents) == 1  # a group shares one parent
-            for node in group:
-                # Children are always scheduled before their parent.
-                for child in node.children:
-                    assert child.relation_name in seen
-                seen.add(node.relation_name)
-    assert len(seen) == len(list(maintainer.join_tree.nodes()))
+    # Deepest level first; the root comes last.
+    assert schedule[-1] is maintainer.join_tree.root
+    seen = []
+    for node in schedule:
+        # Children are always scheduled before their parent.
+        assert all(child.relation_name in seen for child in node.children)
+        seen.append(node.relation_name)
+    assert sorted(seen) == sorted(n.relation_name for n in maintainer.join_tree.nodes())
+    # The children of one parent stay together, in the parent's child order.
+    for node in maintainer.join_tree.nodes():
+        names = [child.relation_name for child in node.children]
+        if names:
+            start = seen.index(names[0])
+            assert seen[start : start + len(names)] == names
 
 
 # -- keyed-delta merging ----------------------------------------------------------------
@@ -509,20 +488,34 @@ def test_segment_sum_single_group_fast_path():
 
 def test_largest_root_strategy_roots_at_fact_table(ivm_source):
     database, query = ivm_source
-    maintainer = FIVM(database, query, FEATURES)  # default: "largest"
+    maintainer = FIVM(database, query, FEATURES)
     largest = max(query.relation_names, key=lambda name: len(database.relation(name)))
     assert maintainer.join_tree.root.relation_name == largest
-    forced = FIVM(database, query, FEATURES, root_strategy="cost")
+    # root_relation is the one override; the statistics do not depend on it.
+    forced = FIVM(database, query, FEATURES, root_relation="Stores")
+    assert forced.join_tree.root.relation_name == "Stores" != largest
     stream = random_update_stream(database, seed=21, length=150)
     maintainer.apply_batch(stream)
     forced.apply_batch(stream)
     assert _payloads_match(maintainer.statistics(), forced.statistics())
 
 
-def test_largest_root_strategy_rejects_unknown(ivm_source):
+def test_maintainer_constructor_surface(ivm_source):
+    """The whole configuration surface: a new knob has to edit this test."""
     database, query = ivm_source
-    with pytest.raises(ValueError, match="root_strategy"):
-        FIVM(database, query, FEATURES, root_strategy="bogus")
+    assert list(inspect.signature(FIVM.__init__).parameters) == [
+        "self", "schema_database", "query", "features", "root_relation",
+    ]
+    assert list(inspect.signature(ShardedMaintainer.__init__).parameters) == [
+        "self", "schema_database", "query", "features", "shards", "shard_key",
+        "fact_relation", "executor",
+    ]
+    # A removed argument is an error, not a silently ignored setting.
+    with pytest.raises(TypeError, match="root_strategy"):
+        FIVM(database, query, FEATURES, root_strategy="largest")
+    for removed in ("maintainer_factory", "root_strategy"):
+        with pytest.raises(TypeError, match=removed):
+            ShardedMaintainer(database, query, FEATURES, **{removed: FIVM})
 
 
 # -- engine root patching ---------------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 
 from repro import kernels
 from repro.data import Database, Relation, Schema
-from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
+from repro.ivm import FIVM, Update
 from repro.kernels import numba_backend, numpy_backend
 from repro.query import ConjunctiveQuery
 from repro.serving import QueryServer
@@ -42,7 +42,7 @@ BACKENDS = [
     pytest.param("numba", marks=needs_numba),
 ]
 
-STRATEGIES = [FirstOrderIVM, HigherOrderIVM, FIVM]
+STRATEGIES = [FIVM]
 
 DIMENSION = 6
 ROWS = 40

@@ -94,7 +94,7 @@ def test_every_candidate_root_gives_identical_results_on_yelp(small_yelp):
 def test_cost_based_and_widest_agree_on_views(small_yelp):
     """Regression: the optimizer must never change *what* is computed."""
     database, query, batch = small_yelp
-    cost_based = LMFAOEngine(database, query, EngineOptions(root_strategy="cost"))
+    cost_based = LMFAOEngine(database, query)
     widest = LMFAOEngine(
         database,
         query,
@@ -160,15 +160,14 @@ def test_engine_options_surface():
         "parallel",
         "workers",
         "root_relation",
-        "root_strategy",
         "cache_views",
         "view_cache_size",
     ]
+    with pytest.raises(TypeError, match="root_strategy"):
+        EngineOptions(root_strategy="cost")
 
 
-@pytest.mark.parametrize(
-    "bad", [dict(root_strategy="bogus"), dict(workers=0), dict(workers=-1)]
-)
+@pytest.mark.parametrize("bad", [dict(workers=0), dict(workers=-1)])
 def test_invalid_options_are_rejected_at_construction(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         EngineOptions(**bad)
@@ -556,17 +555,3 @@ def test_delta_refresh_of_one_bundle_column_leaves_its_siblings_alone():
     _assert_close(
         LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full), again
     )
-
-
-# -- IVM integration --------------------------------------------------------------------
-
-
-def test_maintainer_uses_cost_based_root_on_populated_schema_database(small_yelp):
-    from repro.ivm import FIVM
-
-    database, query, _batch = small_yelp
-    maintainer = FIVM(
-        database, query, ["review_stars", "useful"], root_strategy="cost"
-    )
-    tree = build_join_tree(query.hypergraph(database))
-    assert maintainer.join_tree.root.relation_name == choose_root(database, tree).root

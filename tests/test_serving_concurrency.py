@@ -10,9 +10,8 @@ before it would trip a tolerance.
 
 Alongside the differential schedules: hypothesis property tests that
 netting and a sweep executed under the pin can never change a pinned
-snapshot, the threshold sweep running under a pin, `JoinIndex.mark_stale()`
-vs a pinned older snapshot, the thread-safe stats counters, and the
-maintainer's single-writer gate.
+snapshot, the threshold sweep running under a pin, the thread-safe stats
+counters, and the maintainer's single-writer gate.
 
 No ``pytest-timeout`` locally — every helper thread is joined with an
 explicit timeout and asserted dead, so a deadlocked schedule fails instead
@@ -39,8 +38,7 @@ from repro.data.tuplestore import (
 )
 from repro.datasets import retailer_database, retailer_query
 from repro.engine import EngineOptions, LMFAOEngine
-from repro.ivm import FIVM, HigherOrderIVM, Update
-from repro.ivm.base import JoinIndex
+from repro.ivm import FIVM, Update
 from repro.serving import QueryServer, SnapshotManager
 from streams import random_row_events, random_update_stream
 
@@ -70,7 +68,7 @@ def _payloads_identical(left, right):
     )
 
 
-def _serial_expectations(strategy, source, query, batches, reader_options):
+def _serial_expectations(source, query, batches, reader_options):
     """Replay the batch stream serially; record (statistics, values) per prefix.
 
     One maintainer and one engine advance batch by batch — the engine keeps
@@ -78,7 +76,7 @@ def _serial_expectations(strategy, source, query, batches, reader_options):
     reader engines do across generations, so the arithmetic on both sides
     is the same down to the last bit.
     """
-    replay = strategy(source, query, FEATURES)
+    replay = FIVM(source, query, FEATURES)
     engine = LMFAOEngine(replay.database, query, options=reader_options)
     batch = covariance_batch(FEATURES)
     expected = {0: (replay.statistics(), dict(engine.evaluate(batch).values))}
@@ -88,11 +86,11 @@ def _serial_expectations(strategy, source, query, batches, reader_options):
     return expected
 
 
-def _run_schedule(strategy, source, query, seed, readers=3, batch_size=10, length=140):
+def _run_schedule(source, query, seed, readers=3, batch_size=10, length=140):
     """One randomized concurrent schedule; returns (reads, expected, server stats)."""
     stream = random_update_stream(source, seed=seed, length=length)
     batches = [stream[start : start + batch_size] for start in range(0, len(stream), batch_size)]
-    maintainer = strategy(source, query, FEATURES)
+    maintainer = FIVM(source, query, FEATURES)
     server = QueryServer(maintainer, readers=readers)
     aggregate_batch = covariance_batch(FEATURES)
     results = []
@@ -141,7 +139,7 @@ def _run_schedule(strategy, source, query, seed, readers=3, batch_size=10, lengt
     stats = server.serving_stats()
     server.close()
     expected = _serial_expectations(
-        strategy, source, query, batches, server.reader_options()
+        source, query, batches, server.reader_options()
     )
     return results, expected, stats, len(batches)
 
@@ -167,7 +165,7 @@ def _check_reads(results, expected):
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_concurrent_reads_bit_identical_to_serial_replay(serving_source, seed):
     source, query = serving_source
-    results, expected, stats, batches = _run_schedule(FIVM, source, query, seed)
+    results, expected, stats, batches = _run_schedule(source, query, seed)
     assert results, "schedule produced no reads"
     # Every read must land on a published prefix and match its replay exactly.
     assert all(0 <= read.prefix <= batches for read in results)
@@ -176,15 +174,6 @@ def test_concurrent_reads_bit_identical_to_serial_replay(serving_source, seed):
     assert max(read.prefix for read in results) == batches
     assert stats["reads"] == len(results)
     assert stats["writes"] == batches
-
-
-def test_concurrent_reads_bit_identical_higher_order(serving_source):
-    source, query = serving_source
-    results, expected, _stats, batches = _run_schedule(
-        HigherOrderIVM, source, query, seed=404, length=100
-    )
-    assert max(read.prefix for read in results) == batches
-    _check_reads(results, expected)
 
 
 def test_snapshot_held_across_writes_stays_frozen(serving_source):
@@ -355,65 +344,9 @@ def test_snapshot_age_is_never_negative(serving_source):
     server.close()
     assert read.prefix == 1
     assert read.snapshot_age_s >= 0
-    results, _expected, stats, _batches = _run_schedule(FIVM, source, query, seed=505)
+    results, _expected, stats, _batches = _run_schedule(source, query, seed=505)
     assert all(read.snapshot_age_s >= 0 for read in results)
     assert stats["snapshot_age_p50_s"] >= 0
-
-
-def test_join_index_mark_stale_vs_pinned_snapshot(serving_source):
-    """Satellite: rebuild-vs-snapshot interleaving after ``mark_stale()``.
-
-    The pinned snapshot keeps answering from the old state while the index,
-    rebuilt lazily from a store whose compaction is deferred (so it still
-    carries tombstones), must reflect the new state with no zero-multiplicity
-    entries.
-    """
-    relation = Relation("R", SCHEMA)
-    for row, multiplicity in random_row_events(9, length=250):
-        relation.add(row, multiplicity)
-    relation.compact_storage()
-    index = JoinIndex(relation, ["k"])
-    index.lookup(("k1",))  # force the initial build
-    snapshot = relation.column_store()
-    relation.pin()
-    try:
-        frozen = {
-            row: int(multiplicity)
-            for row, multiplicity in zip(
-                snapshot.rows[: snapshot.row_count],
-                np.asarray(snapshot.multiplicities).tolist(),
-            )
-            if multiplicity != 0.0
-        }
-        # Writer: delete every k1 row (tombstones — compaction is deferred),
-        # then insert a fresh one, and invalidate the index wholesale.
-        for row, multiplicity in list(relation.items()):
-            if row[0] == "k1":
-                relation.add(row, -multiplicity)
-        relation.add(("k1", 99), 3)
-        index.mark_stale()
-        assert relation._store.zeros > 0, "expected deferred tombstones"
-        rebuilt = index.lookup(("k1",))
-        # The rebuilt buckets reflect the relation now: only the fresh row,
-        # and never a netted-to-zero tombstone.
-        assert rebuilt == {("k1", 99): 3}
-        assert all(
-            multiplicity != 0
-            for bucket in index.buckets.values()
-            for multiplicity in bucket.values()
-        )
-        # The pinned snapshot still answers from the old state, bit for bit.
-        still = {
-            row: int(multiplicity)
-            for row, multiplicity in zip(
-                snapshot.rows[: snapshot.row_count],
-                np.asarray(snapshot.multiplicities).tolist(),
-            )
-            if multiplicity != 0.0
-        }
-        assert still == frozen
-    finally:
-        relation.unpin()
 
 
 # -- stats counters and the single-writer gate -----------------------------------------

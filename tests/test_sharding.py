@@ -75,7 +75,7 @@ def test_sharded_matches_unsharded(retailer_source, shards, executor):
     stream = random_update_stream(
         database, seed=101 + shards, length=600, delete_fraction=0.35, cancel_fraction=0.25
     )
-    plain = FIVM(database, query, FEATURES, root_strategy="largest")
+    plain = FIVM(database, query, FEATURES)
     _replay(plain, stream)
     with ShardedMaintainer(
         database, query, FEATURES, shards=shards, executor=executor
@@ -245,7 +245,7 @@ def test_serving_stats_sharding_block(retailer_source):
     database, query = retailer_source
     stream = random_update_stream(database, seed=44, length=200)
     maintainer = ShardedMaintainer(database, query, FEATURES, shards=2)
-    plain = FIVM(database, query, FEATURES, root_strategy="largest")
+    plain = FIVM(database, query, FEATURES)
     with QueryServer(maintainer, readers=2) as server:
         for start in range(0, len(stream), 50):
             server.apply_batch(stream[start : start + 50])
@@ -345,7 +345,7 @@ def test_skewed_stream_mixes_deletes_and_dimensions(retailer_source):
     assert any(update.multiplicity < 0 for update in stream)
     # The stream replays cleanly through a sharded maintainer and matches
     # the unsharded result (delete-heavy netting included).
-    plain = FIVM(database, query, FEATURES, root_strategy="largest")
+    plain = FIVM(database, query, FEATURES)
     sharded = ShardedMaintainer(database, query, FEATURES, shards=2)
     _replay(plain, stream)
     _replay(sharded, stream)

@@ -359,7 +359,6 @@ def _masked_relation():
 
 def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
     from repro.engine.lmfao import _sub_relation_from_mask
-    from repro.ivm.base import JoinIndex
     from repro.serving import SnapshotManager
 
     relation, expected = _masked_relation()
@@ -379,13 +378,8 @@ def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
     relation.compact_storage()
     assert list(published.items()) == expected
     manager.close()
-    # JoinIndex._ensure and _sub_relation_from_mask over a masked store.
+    # _sub_relation_from_mask over a masked store.
     relation, expected = _masked_relation()
-    index = JoinIndex(relation, ["k"])
-    assert index.buckets == {
-        ("a",): {("a", 1): 1, ("a", 3): 3},
-        ("b",): {("b", 5): 5, ("b", 2): 7},
-    }
     snapshot = relation.column_store()
     sub = _sub_relation_from_mask(relation, snapshot, snapshot.float_column("v") > 2.5)
     assert list(sub.items()) == [(("a", 3), 3), (("b", 5), 5)]
@@ -572,9 +566,9 @@ def test_expanded_and_sampled_rows_ignore_insertion_history():
 
 def test_ivm_streams_over_the_tuple_store_match_recomputation():
     """An insert/delete IVM stream (per-tuple, batched, cancelling) lands on
-    the recomputed statistics on all three strategies."""
+    the recomputed statistics."""
     from repro.datasets import retailer_database, retailer_query
-    from repro.ivm import FIVM, FirstOrderIVM, HigherOrderIVM, Update
+    from repro.ivm import FIVM, Update
 
     database = retailer_database(inventory_rows=150, stores=4, items=10, dates=6, seed=3)
     query = retailer_query()
@@ -584,14 +578,13 @@ def test_ivm_streams_over_the_tuple_store_match_recomputation():
     ]
     random.Random(17).shuffle(inserts)
     deletes = [Update(u.relation_name, u.row, -1) for u in inserts[::2]]
-    for strategy in (FIVM, FirstOrderIVM, HigherOrderIVM):
-        maintainer = strategy(database, query, features)
-        for update in inserts[: len(inserts) // 2]:          # per-tuple path
-            maintainer.apply(update)
-        maintainer.apply_batch(inserts[len(inserts) // 2 :])  # batched path
-        maintainer.apply_batch(deletes)                       # cancelling deltas
-        reference = maintainer.recompute_statistics()
-        maintained = maintainer.statistics()
-        assert np.isclose(maintained.count, reference.count)
-        assert np.allclose(maintained.sums, reference.sums)
-        assert np.allclose(maintained.moments, reference.moments)
+    maintainer = FIVM(database, query, features)
+    for update in inserts[: len(inserts) // 2]:          # per-tuple path
+        maintainer.apply(update)
+    maintainer.apply_batch(inserts[len(inserts) // 2 :])  # batched path
+    maintainer.apply_batch(deletes)                       # cancelling deltas
+    reference = maintainer.recompute_statistics()
+    maintained = maintainer.statistics()
+    assert np.isclose(maintained.count, reference.count)
+    assert np.allclose(maintained.sums, reference.sums)
+    assert np.allclose(maintained.moments, reference.moments)

@@ -8,7 +8,7 @@ functions) to fail the build when the documentation drifts from the code::
 Two checks:
 
 - **link check** — every relative link target in ``README.md`` and
-  ``docs/*.md`` must exist in the repository (external ``http(s)`` links are
+  ``docs/**/*.md`` must exist in the repository (external ``http(s)`` links are
   skipped), and every link *anchor* — same-file ``#section`` fragments and
   cross-file ``page.md#section`` fragments alike — must match a heading of
   the target markdown file (GitHub slug rules, any heading level), so
@@ -31,7 +31,7 @@ from typing import List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The documentation surface under check.
-DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("**/*.md"))]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
