@@ -126,46 +126,6 @@ def as_sortable_array(values: Sequence[object]) -> Optional[np.ndarray]:
     return array
 
 
-def _encode_values(raw: List[object]) -> ColumnEncoding:
-    """Dictionary-encode one column of python values."""
-    count = len(raw)
-    if count == 0:
-        return ColumnEncoding([], np.empty(0, dtype=np.int64))
-    kinds = set(map(type, raw))
-    try:
-        if kinds <= {int, bool}:
-            array = np.asarray(raw, dtype=np.int64)
-            values_array, codes = np.unique(array, return_inverse=True)
-            values = [int(value) for value in values_array.tolist()]
-        elif kinds <= {int, bool, float}:
-            if _ints_exceed_float64_precision(raw):
-                # float64 would merge distinct huge ints into one code;
-                # the first-occurrence encoder keeps Python equality.
-                raise TypeError("ints beyond float64 precision")
-            array = np.asarray(raw, dtype=np.float64)
-            values_array, codes = np.unique(array, return_inverse=True)
-            values = values_array.tolist()
-        elif kinds == {str}:
-            values_array, codes = np.unique(np.asarray(raw), return_inverse=True)
-            values = values_array.tolist()
-        else:
-            raise TypeError("mixed or non-primitive column")
-    except (TypeError, ValueError, OverflowError):
-        # Generic fallback: first-occurrence encoding through a dictionary.
-        index: Dict[object, int] = {}
-        values = []
-        codes = np.empty(count, dtype=np.int64)
-        for position, value in enumerate(raw):
-            code = index.get(value)
-            if code is None:
-                code = len(values)
-                index[value] = code
-                values.append(value)
-            codes[position] = code
-        return ColumnEncoding(values, codes)
-    return ColumnEncoding(values, codes.reshape(-1).astype(np.int64, copy=False))
-
-
 def combine_codes(
     columns: Sequence[np.ndarray], cardinalities: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,13 +172,14 @@ def combine_codes(
 class ColumnStore:
     """The columnar, dictionary-encoded snapshot of one relation.
 
-    Encodings are built lazily per attribute; combined key codes (for any
-    tuple of attributes) are cached, so connection keys, child join keys and
-    group-by keys each pay their cost once per store lifetime.
+    Every attribute's encoding comes from the tuple store that produced the
+    snapshot; combined key codes (for any tuple of attributes) are cached, so
+    connection keys, child join keys and group-by keys each pay their cost
+    once per store lifetime.
     """
 
     def __init__(self, name, schema, rows, multiplicities, version) -> None:
-        # Built through from_tuplestore / from_rows, which own the encoding.
+        # Built through from_tuplestore, which fills in the encodings.
         self.relation_name: str = name
         self.schema = schema
         self.version = version
@@ -269,29 +230,6 @@ class ColumnStore:
             )
         return snapshot
 
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        schema,
-        rows: Sequence[Tuple],
-        multiplicities,
-        version: int = 0,
-    ) -> "ColumnStore":
-        """A store over explicit rows — the *delta relation* constructor.
-
-        Rows plus signed multiplicities with no backing :class:`Relation`
-        flow through the same dictionary encodings, combined key codes and
-        float columns as any base relation.
-        """
-        return cls(
-            name,
-            schema,
-            list(rows),
-            np.asarray(multiplicities, dtype=np.float64),
-            version,
-        )
-
     def __len__(self) -> int:
         return self.row_count
 
@@ -312,12 +250,7 @@ class ColumnStore:
     # -- per-attribute encodings ---------------------------------------------------------
 
     def encoding(self, attribute: str) -> ColumnEncoding:
-        position = self.schema.index_of(attribute)
-        encoding = self._encodings.get(position)
-        if encoding is None:
-            encoding = _encode_values([row[position] for row in self.rows])
-            self._encodings[position] = encoding
-        return encoding
+        return self._encodings[self.schema.index_of(attribute)]
 
     def float_column(self, attribute: str) -> Optional[np.ndarray]:
         """Per-row float64 values of one attribute (None when not numeric)."""

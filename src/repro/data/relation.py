@@ -36,9 +36,6 @@ from repro.data.tuplestore import TupleStore
 Row = Tuple
 RowValue = object
 
-#: How many recent changes a relation remembers (see :meth:`Relation.changes_since`).
-from repro.data.tuplestore import CHANGE_LOG_LIMIT  # noqa: E402  (re-export)
-
 
 class RelationError(ValueError):
     """Raised on malformed relation operations."""
@@ -167,16 +164,6 @@ class Relation:
     def clear(self) -> None:
         self._store.clear()
 
-    def changes_since(self, version: int) -> Optional[List[Tuple[Row, int]]]:
-        """The signed row changes applied after ``version``, oldest first.
-
-        Returns None when the store's bounded change log cannot reconstruct
-        them — the requested version predates its coverage, or a ``clear``
-        happened since.  Consumers (the engine's delta-aware view cache) then
-        fall back to a full recompute.
-        """
-        return self._store.changes_since(version)
-
     # -- columnar view -----------------------------------------------------------
 
     @property
@@ -236,16 +223,6 @@ class Relation:
         self._column_store = snapshot
         self._column_store_key = key
         return snapshot
-
-    def cached_column_store(self):
-        """The cached store only if it is current — never triggers a rebuild."""
-        store = self._store
-        if (
-            self._column_store is not None
-            and self._column_store_key == (store.version, store.epoch)
-        ):
-            return self._column_store
-        return None
 
     # -- checkpoint pickling -------------------------------------------------------
 

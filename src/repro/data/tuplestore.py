@@ -22,10 +22,7 @@ storage:
   row from the index at that moment, so a tombstone is never revived and a
   re-insert always appends a new slot.  A batch probes the index once, in
   one C-level pass, and distinct new rows enter it in another — no per-row
-  Python on the pure-append path;
-- an **array-slice change log**: a pure-append mutation is logged as a
-  ``(start, end)`` slice of the store's own arrays instead of a materialised
-  pair list, so batched ingest pays O(1) log bookkeeping.
+  Python on the pure-append path.
 
 The row tuples themselves are kept (they are the hash-index keys anyway), so
 the tuple-at-a-time consumers — the interpreted/specialised executor scans,
@@ -77,7 +74,7 @@ testable: ``zero_copy_snapshots`` counts dense-snapshot handoffs,
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,9 +131,6 @@ def reset_tuplestore_stats() -> None:
     """Zero all counters (tests isolate their assertions this way)."""
     tuplestore_stats.reset()
 
-
-#: How many recent change groups the store's log remembers.
-CHANGE_LOG_LIMIT = 128
 
 #: Compaction triggers once this many tombstones accumulate (and they make up
 #: at least a quarter of the stored rows) — see :meth:`TupleStore._maybe_compact`.
@@ -275,35 +269,11 @@ def net_rows(
     )
 
 
-class _LogGroup:
-    """One logged mutation group: explicit pairs or an array slice.
-
-    A pure-append mutation (every row new) is recorded as the ``[start, end)``
-    slot range it appended — decoding reads the store's own rows and
-    multiplicities.  Anything that netted into an existing slot is recorded
-    as explicit ``(row, signed delta)`` pairs, because the in-place
-    multiplicity no longer equals the applied delta.
-    """
-
-    __slots__ = ("version", "pairs", "start", "end")
-
-    def __init__(self, version: int, pairs=None, start: int = -1, end: int = -1) -> None:
-        self.version = version
-        self.pairs: Optional[List[Tuple[Tuple, int]]] = pairs
-        self.start = start
-        self.end = end
-
-    @property
-    def is_slice(self) -> bool:
-        return self.pairs is None
-
-
 class TupleStore:
     """Array-native multiset storage for one relation (see module docstring)."""
 
     __slots__ = ("schema", "_rows", "_row_index", "_mults", "_columns",
                  "_encoded_count", "live", "zeros", "total", "version", "epoch",
-                 "_log", "_log_floor", "_slice_floor",
                  "pins", "_pin_floor", "_cow_pending")
 
     def __init__(self, schema) -> None:
@@ -320,12 +290,6 @@ class TupleStore:
         self.total = 0.0            # running sum of multiplicities
         self.version = 0            # logical mutation counter
         self.epoch = 0              # physical layout counter (bumped by compact)
-        self._log: List[_LogGroup] = []
-        self._log_floor = 0
-        # Smallest slot a live slice group references; netting at or above it
-        # forces slice groups down to explicit pairs (their in-place
-        # multiplicities would otherwise stop matching the applied deltas).
-        self._slice_floor: Optional[int] = None
         # Snapshot pinning (see the module docstring): how many snapshot
         # generations reference this store's buffers, whether the *current*
         # multiplicity buffer is among the referenced ones (netting below
@@ -456,26 +420,23 @@ class TupleStore:
     # -- mutation ----------------------------------------------------------------------
 
     def add(self, row: Tuple, multiplicity: int) -> None:
-        """Net one signed row delta into the store (one version bump + log entry)."""
+        """Net one signed row delta into the store (one version bump)."""
         self.version += 1
         self._apply_one(row, multiplicity)
-        self._log_pairs(self.version, [(row, multiplicity)])
         self._maybe_compact()
 
     def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> None:
-        """Apply one signed delta in a single pass (one version bump, one log group).
+        """Apply one signed delta in a single pass (one version bump).
 
         The rows are resolved against the row index once, in one C-level
         probe.  Rows the index does not hold are bulk-appended — no per-row
         loop when they are distinct, the shape the IVM batch path hands over
-        after netting — with their encoding deferred to the next flush, and
-        logged as an array slice when the whole delta was such an append.
+        after netting — with their encoding deferred to the next flush.
         Rows netting into existing slots go through the active kernel
         backend's ``net_deltas`` — one vectorised pass with the
         zero-crossing live/tombstone/total bookkeeping folded in.
         """
         self.version += 1
-        start = len(self._rows)
         if 0 in multiplicities:
             kept = [position for position, m in enumerate(multiplicities) if m != 0]
             rows = [rows[position] for position in kept]
@@ -495,9 +456,6 @@ class TupleStore:
                 [m for m, slot in zip(multiplicities, slots) if slot is not None],
                 dtype=np.float64,
             )
-            floor = self._slice_floor
-            if floor is not None and int(slots_array.max()) >= floor:
-                self._materialise_slices()
             if self._cow_pending and int(slots_array.min()) < self._pin_floor:
                 # A netted slot is visible to a pinned snapshot; writing it
                 # in place would tear that snapshot's multiplicities.
@@ -517,20 +475,12 @@ class TupleStore:
                 drop = self._row_index.pop
                 for slot in slots_array[mults[slots_array] == 0.0].tolist():
                     drop(stored_rows[slot], None)
-        if len(rows):
-            if appended == len(rows):
-                tuplestore_stats.bump("batch_appends")
-                self._log_slice(self.version, start, start + appended)
-            elif len(rows) >= CHANGE_LOG_LIMIT:
-                # A delta this large exceeds what any log consumer would
-                # replay; drop coverage instead of pinning it in memory.
-                self._drop_log()
-            else:
-                self._log_pairs(self.version, list(zip(rows, multiplicities)))
+        if len(rows) and appended == len(rows):
+            tuplestore_stats.bump("batch_appends")
         self._maybe_compact()
 
     def clear(self) -> None:
-        """Drop every row; not representable as a small delta, so log coverage goes."""
+        """Drop every row (one version bump, a new physical layout)."""
         self.version += 1
         self.epoch += 1
         self._rows = []
@@ -545,7 +495,6 @@ class TupleStore:
         # immutable) ones, and nothing references the fresh arrays yet.
         self._cow_pending = False
         self._pin_floor = 0
-        self._drop_log()
 
     def _apply_one(self, row: Tuple, multiplicity: int) -> None:
         slot = self._row_index.get(row)
@@ -555,9 +504,6 @@ class TupleStore:
             self._mults.append(float(multiplicity))
             self.live += 1
         else:
-            floor = self._slice_floor
-            if floor is not None and slot >= floor:
-                self._materialise_slices()
             if self._cow_pending and slot < self._pin_floor:
                 # The slot is visible to a pinned snapshot; writing it in
                 # place would tear that snapshot's multiplicities.
@@ -609,15 +555,13 @@ class TupleStore:
         """Drop tombstoned rows, preserving storage order of the survivors.
 
         Space reclamation only: the dense snapshot (and therefore the
-        version) is unchanged, but slots move, so the epoch is bumped and any
-        slice-form log groups are first materialised to explicit pairs.  The
+        version) is unchanged, but slots move, so the epoch is bumped.  The
         sweep *replaces* the row list, multiplicity buffer and code arrays
         rather than mutating them, so it is safe under snapshot pins — pinned
         views keep reading their original arrays.
         """
         if self.zeros == 0:
             return
-        self._materialise_slices()
         self._rows, self._mults, codes = self._gather(self.live_slots())
         for column, kept in zip(self._columns, codes):
             column.codes = kept
@@ -651,82 +595,6 @@ class TupleStore:
         rows = self._rows
         self._row_index = {rows[slot]: slot for slot in self.live_slots().tolist()}
 
-    # -- the change log ----------------------------------------------------------------
-
-    def _log_pairs(self, version: int, pairs: List[Tuple[Tuple, int]]) -> None:
-        self._log_push(_LogGroup(version, pairs=pairs))
-
-    def _log_slice(self, version: int, start: int, end: int) -> None:
-        if end - start >= CHANGE_LOG_LIMIT:
-            self._drop_log()
-            return
-        if self._slice_floor is None or start < self._slice_floor:
-            self._slice_floor = start
-        self._log_push(_LogGroup(version, start=start, end=end))
-
-    def _log_push(self, group: _LogGroup) -> None:
-        log = self._log
-        if len(log) >= CHANGE_LOG_LIMIT:
-            evicted = log.pop(0)
-            self._log_floor = max(self._log_floor, evicted.version)
-            if evicted.is_slice:
-                self._refresh_slice_floor()
-        log.append(group)
-
-    def _drop_log(self) -> None:
-        self._log.clear()
-        self._log_floor = self.version
-        self._slice_floor = None
-
-    def _refresh_slice_floor(self) -> None:
-        starts = [group.start for group in self._log if group.is_slice]
-        self._slice_floor = min(starts) if starts else None
-
-    def _materialise_slices(self) -> None:
-        """Convert slice-form log groups into explicit pairs.
-
-        Required before any operation that would desynchronise a slice from
-        the deltas it recorded: netting into a slot the slice covers, or a
-        compaction moving slots.
-        """
-        if self._slice_floor is None:
-            return
-        mults = self._mults.data
-        rows = self._rows
-        for group in self._log:
-            if group.is_slice:
-                group.pairs = [
-                    (rows[slot], int(mults[slot]))
-                    for slot in range(group.start, group.end)
-                ]
-                group.start = group.end = -1
-        self._slice_floor = None
-
-    def changes_since(self, version: int) -> Optional[List[Tuple[Tuple, int]]]:
-        """The signed row changes applied after ``version``, oldest first.
-
-        None when the log cannot reconstruct them (coverage was dropped or
-        the requested version predates the bounded log).
-        """
-        if version < self._log_floor:
-            return None
-        if version >= self.version:
-            return []
-        out: List[Tuple[Tuple, int]] = []
-        mults = self._mults.data
-        rows = self._rows
-        for group in self._log:
-            if group.version <= version:
-                continue
-            if group.is_slice:
-                out.extend(
-                    (rows[slot], int(mults[slot]))
-                    for slot in range(group.start, group.end)
-                )
-            else:
-                out.extend(group.pairs)  # type: ignore[arg-type]
-        return out
-
     # -- checkpoint pickling -----------------------------------------------------------
 
     def __getstate__(self) -> Dict:
@@ -737,9 +605,8 @@ class TupleStore:
         and the pending tail is encoded first, so the pickled bytes depend on
         the update history only, like every other snapshot.  Everything else
         is derived or process-local and starts afresh in :meth:`__setstate__`:
-        the row index, the reader-pin bookkeeping, the physical-layout epoch,
-        and the bounded change log — a restored store answers
-        ``changes_since`` for the versions it saw itself.
+        the row index, the reader-pin bookkeeping and the physical-layout
+        epoch.
         """
         self.flush_encodings()
         rows, mults, columns = self._rows, self._mults, self._columns
@@ -759,7 +626,6 @@ class TupleStore:
         for name, value in state.items():
             setattr(self, name, value)
         self._encoded_count = len(self._rows)
-        self._log_floor = self.version
         self._index_live_rows()
 
     # -- copying -----------------------------------------------------------------------
@@ -793,7 +659,7 @@ class TupleStore:
         return clone
 
     def copy(self) -> "TupleStore":
-        """An independent store with the same live content (log not carried)."""
+        """An independent store with the same live content."""
         clone = TupleStore(self.schema)
         rows: List[Tuple] = []
         multiplicities: List[int] = []

@@ -1,14 +1,11 @@
 """Reusable columnar delta machinery: join-key alignment and keyed deltas.
 
-The vectorised executor matches join keys in code space, the engine's
-delta-refresh paths restrict a relation to the rows joining a few affected
-keys, and the fused IVM pass merges keyed payload blocks on its way up the
-join tree.  This module is the shared home for those primitives:
+The vectorised executor matches join keys in code space and the fused IVM
+pass merges keyed payload blocks on its way up the join tree.  This module is
+the shared home for those primitives:
 
 - :func:`match_key_columns` — vectorised key matching between two typed key
   dictionaries (factored out of :mod:`repro.engine.executor`);
-- :func:`rows_matching_keys` — the row mask of a store's rows whose key is
-  one of a small set;
 - :func:`merge_keyed_deltas` — deterministically merge several keyed payload
   blocks (the per-relation deltas arriving at one join-tree node) into one;
 - :func:`subtree_schedule` — the traversal order a fused leaf-to-root pass
@@ -20,35 +17,15 @@ no per-row Python on any hot path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.data.colstore import ColumnStore
 
 __all__ = [
     "match_key_columns",
     "merge_keyed_deltas",
-    "rows_matching_keys",
     "subtree_schedule",
 ]
-
-
-def rows_matching_keys(
-    store: ColumnStore, attributes: Sequence[str], keys
-) -> np.ndarray:
-    """Boolean row mask of the store rows whose key tuple is in ``keys``.
-
-    The delta-refresh and root-patching paths all restrict a relation to the
-    rows joining a small set of affected keys; this is their shared
-    key-index probe + ``np.isin`` over the cached key codes.
-    """
-    codes, _tuples = store.codes_for(attributes)
-    index = store.key_index(attributes)
-    matched = [index[key] for key in keys if key in index]
-    if not matched:
-        return np.zeros(store.row_count, dtype=bool)
-    return np.isin(codes, np.asarray(matched, dtype=np.int64))
 
 
 def match_key_columns(

@@ -57,14 +57,6 @@ STAT_TUPLE_FALLBACK = "views_tuple_fallback"
 #: Views served from the engine's cross-evaluate view cache (never computed
 #: here; the key exists so one stats dictionary covers all view outcomes).
 STAT_CACHED = "views_cached"
-#: Stale cached views the engine patched in place by recomputing only their
-#: changed key groups after a small update (see ``LMFAOEngine``); like
-#: :data:`STAT_CACHED`, counted by the engine, never by this module.
-STAT_DELTA_REFRESHED = "views_delta_refreshed"
-#: Stale cached *root* views the engine patched by adding the propagated
-#: delta view of a small update instead of recomputing the root from scratch
-#: (see ``LMFAOEngine._try_patch_root``); counted by the engine.
-STAT_ROOT_PATCHED = "root_patches"
 
 
 def restrict_signature(
@@ -210,7 +202,7 @@ class _ChildTable:
 
     __slots__ = ("slot_index", "offsets", "counts", "values", "group_ids",
                  "group_pairs", "has_groups", "key_columns", "group_attrs",
-                 "slot_conn_ids", "conn_space", "_pair_index")
+                 "slot_conn_ids", "conn_space")
 
     def __init__(
         self,
@@ -245,20 +237,6 @@ class _ChildTable:
         # cached store-to-store key mapping for every view of this child.
         self.slot_conn_ids = slot_conn_ids
         self.conn_space = conn_space
-        self._pair_index: Optional[Dict[Tuple, int]] = None
-
-    def pair_index(self) -> Dict[Tuple, int]:
-        """Group pairs -> group id, built once and shared with patched copies.
-
-        ``group_pairs`` is append-only, so a patched table (see
-        :func:`patch_child_table`) extends this same dictionary and list; the
-        original table's entries keep referencing their old ids unchanged.
-        """
-        if self._pair_index is None:
-            self._pair_index = {
-                pairs: gid for gid, pairs in enumerate(self.group_pairs)
-            }
-        return self._pair_index
 
     @staticmethod
     def from_view(view: "View") -> "_ChildTable":
@@ -314,113 +292,7 @@ def _table_for(view: "View") -> _ChildTable:
     """CSR table of a child view, array-native when the view is columnar."""
     if isinstance(view, ColumnarView):
         return view.table()
-    if isinstance(view, PatchedView):
-        return view.patched_table
     return _ChildTable.from_view(view)
-
-
-class PatchedView(dict):
-    """A cached view refreshed in place by the delta-aware view cache.
-
-    Behaves as the plain nested-dict view (the merged content), but carries
-    a pre-patched CSR table so parent nodes keep consuming arrays instead of
-    re-flattening the whole dict after every small update.
-    """
-
-    patched_table: _ChildTable
-
-
-def patch_child_table(
-    old: _ChildTable,
-    changed_keys: Sequence[Tuple],
-    replacement: Mapping[Tuple, Mapping[Tuple, float]],
-) -> _ChildTable:
-    """Rebuild a CSR child table with the entries of ``changed_keys`` replaced.
-
-    Kept slots are selected with one boolean gather over the entry arrays;
-    only the replacement entries are visited in Python.  The group-pair
-    dictionary is shared (append-only) with the old table, so successive
-    patches never re-encode the unchanged group keys.
-    """
-    counts = old.counts
-    keep = _np.ones(counts.shape[0], dtype=bool)
-    for key in changed_keys:
-        slot = old.slot_index.get(key)
-        if slot is not None:
-            keep[slot] = False
-    entry_mask = _np.repeat(keep, counts)
-    kept_values = old.values[entry_mask]
-    kept_group_ids = old.group_ids[entry_mask]
-    kept_counts = counts[keep]
-
-    # Kept keys stay in slot order (slot_index insertion order is slot order).
-    slot_index: Dict[Tuple, int] = {}
-    position = 0
-    for key, slot in old.slot_index.items():
-        if keep[slot]:
-            slot_index[key] = position
-            position += 1
-
-    group_pairs = old.group_pairs       # shared, append-only
-    pair_index = old.pair_index()       # extends in place alongside the list
-    attrs = old.group_attrs
-    extra_values: List[float] = []
-    extra_group_ids: List[int] = []
-    extra_counts: List[int] = []
-    has_new_groups = False
-    for key in changed_keys:
-        groups = replacement.get(key)
-        if not groups:
-            continue
-        slot_index[key] = position
-        position += 1
-        extra_counts.append(len(groups))
-        for pairs, value in groups.items():
-            if pairs and attrs is not None:
-                # Align the replacement's (canonically sorted) pairs with the
-                # old table's fixed attribute sequence so equal group keys
-                # share one group id.
-                mapping = dict(pairs)
-                if len(mapping) == len(attrs) and all(a in mapping for a in attrs):
-                    pairs = tuple((attribute, mapping[attribute]) for attribute in attrs)
-                else:
-                    attrs = None
-            if pairs != EMPTY_GROUP:
-                has_new_groups = True
-            gid = pair_index.get(pairs)
-            if gid is None:
-                gid = len(group_pairs)
-                pair_index[pairs] = gid
-                group_pairs.append(pairs)
-            extra_group_ids.append(gid)
-            extra_values.append(value)
-
-    values = kept_values
-    group_ids = kept_group_ids
-    all_counts = kept_counts
-    if extra_values:
-        values = _np.concatenate((kept_values, _np.asarray(extra_values, dtype=_np.float64)))
-        group_ids = _np.concatenate(
-            (kept_group_ids, _np.asarray(extra_group_ids, dtype=_np.int64))
-        )
-        all_counts = _np.concatenate(
-            (kept_counts, _np.asarray(extra_counts, dtype=_np.int64))
-        )
-    offsets = _np.concatenate(
-        ([0], _np.cumsum(all_counts))
-    ).astype(_np.int64, copy=False)
-    table = _ChildTable(
-        slot_index,
-        offsets,
-        values,
-        group_ids,
-        group_pairs,
-        old.has_groups or has_new_groups,
-        None,            # key columns: dropped, parents fall back to probing
-        attrs,
-    )
-    table._pair_index = pair_index
-    return table
 
 
 class _ViewBundle:
@@ -462,25 +334,6 @@ class _ViewBundle:
         self.flat = flat
         # id(presence mask) -> (the mask, pinned so the id stays unique; CSR shape)
         self._shapes: Dict[int, Tuple] = {}
-
-    def with_root_groups(self, group_keys: List[Tuple]) -> "_ViewBundle":
-        """A private copy with new root group keys appended (one per new code).
-
-        Copy-on-write for :meth:`ColumnarView.apply_root_delta`: the patched
-        column moves to the copy, its siblings keep this bundle untouched.
-        """
-        first = len(self.group_keys)
-        return _ViewBundle(
-            _np.concatenate((self.conn_ids, _np.zeros(len(group_keys), dtype=_np.int64))),
-            _np.concatenate(
-                (self.group_ids, _np.arange(first, first + len(group_keys), dtype=_np.int64))
-            ),
-            self.conn_keys,
-            self.group_keys + group_keys,
-            self.conn_columns,
-            self.group_attrs,
-            self.conn_store,
-        )
 
     def table(self, sums: _np.ndarray, present: Optional[_np.ndarray]) -> _ChildTable:
         """CSR form of one column, grouped by connection key."""
@@ -538,10 +391,11 @@ class ColumnarView(dict):
     (None: all of them).  A parent node's columnar evaluation consumes the
     arrays directly — the nested-dict shape is only built if somebody *reads*
     the view as a mapping (the root extraction, the tuple-scan fallback, or
-    tests).
+    tests).  The arrays are never written after construction, so the engine's
+    cache hands one view to every later evaluation.
     """
 
-    __slots__ = ("_bundle", "_sums", "_present", "_ready", "_table", "_root_index")
+    __slots__ = ("_bundle", "_sums", "_present", "_ready", "_table")
 
     def __init__(
         self, bundle: _ViewBundle, sums: _np.ndarray, present: Optional[_np.ndarray]
@@ -552,9 +406,6 @@ class ColumnarView(dict):
         self._present = present
         self._ready = False
         self._table: Optional[_ChildTable] = None
-        # Canonical group pairs -> entry code, built by the first
-        # apply_root_delta and maintained across patches.
-        self._root_index: Optional[Dict[Tuple, int]] = None
 
     # -- columnar access -------------------------------------------------------------------
 
@@ -571,30 +422,6 @@ class ColumnarView(dict):
     def flat_store(self) -> Optional[ColumnStore]:
         """The store whose key codes index this view's arrays, when flat."""
         return self._bundle.conn_store if self._bundle.flat else None
-
-    def conn_key_count_hint(self) -> int:
-        """Roughly how many distinct connection keys the view holds.
-
-        Cheap on purpose: before the dict shape exists this reads the decoded
-        key list (an upper bound — unused codes may linger), afterwards the
-        exact dict length.  Never triggers materialisation; the adaptive
-        delta-refresh policy sizes its budget from this.
-        """
-        if self._ready:
-            return dict.__len__(self)
-        return len(self._bundle.conn_keys)
-
-    def entry_count_hint(self) -> int:
-        """Roughly how many (connection key, group) entries the view holds.
-
-        Like :meth:`conn_key_count_hint` but at entry granularity (the root
-        patch budget); reads the code arrays, never materialises the dict.
-        """
-        if self._ready:
-            return sum(len(groups) for groups in dict.values(self))
-        if self._present is not None:
-            return int(_np.count_nonzero(self._present))
-        return len(self._sums)
 
     def group_items(self) -> Optional[List[Tuple[Tuple, float]]]:
         """All (group pairs, value) entries when the view has no connection key.
@@ -614,86 +441,6 @@ class ColumnarView(dict):
                 bundle.group_ids[codes].tolist(), self._sums[codes].tolist()
             )
         ]
-
-    def apply_root_delta(self, items: Sequence[Tuple[Tuple, float]]) -> bool:
-        """Splice a signed delta into this *root* view's arrays in place.
-
-        ``items`` are ``(group pairs, value)`` entries of a propagated delta
-        view over the same signature.  Entries whose group key already exists
-        are added straight into :attr:`_sums` — this view's own column,
-        allocation-free however wide the group-by — and only genuinely new
-        group keys append to the arrays (copy-on-write: the view moves to a
-        private copy of its bundle, the sibling columns are untouched).
-        Returns False when the view is not patchable in place (a real
-        connection key, or a delta group that cannot be aligned with the
-        view's fixed attribute sequence); the caller then falls back to the
-        nested-dict merge.
-        """
-        bundle = self._bundle
-        if bundle.conn_keys != [()]:
-            return False
-        attrs = bundle.group_attrs
-        group_keys = bundle.group_keys
-        group_ids = bundle.group_ids
-        index = self._root_index
-        if index is None:
-            codes = self._codes()
-            index = {}
-            for code in codes.tolist():
-                pairs = group_keys[group_ids[code]]
-                index[tuple(sorted(pairs)) if pairs else EMPTY_GROUP] = code
-            self._root_index = index
-
-        # Stage the whole delta before touching any state: a mid-splice
-        # abort must leave the view unmodified, or the caller's dict-merge
-        # fallback would re-apply entries that already landed.
-        hits: List[Tuple[int, float]] = []             # (existing code, value)
-        appended: List[Tuple[Tuple, float]] = []       # (pairs in view order, value)
-        staged: Dict[Tuple, int] = {}                  # canonical -> appended position
-        for pairs, value in items:
-            canonical = tuple(sorted(pairs)) if pairs else EMPTY_GROUP
-            code = index.get(canonical)
-            if code is not None:
-                hits.append((code, value))
-                continue
-            position = staged.get(canonical)
-            if position is not None:                   # duplicate delta groups fold
-                appended[position] = (appended[position][0], appended[position][1] + value)
-                continue
-            if pairs and attrs is not None:
-                mapping = dict(pairs)
-                if len(mapping) == len(attrs) and all(a in mapping for a in attrs):
-                    ordered = tuple((attribute, mapping[attribute]) for attribute in attrs)
-                else:
-                    return False     # cannot align with the fixed sequence
-            elif pairs and attrs is None:
-                # attrs None means every stored key is canonically sorted.
-                ordered = canonical
-            else:
-                ordered = EMPTY_GROUP
-            staged[canonical] = len(appended)
-            appended.append((ordered, value))
-
-        for code, value in hits:
-            self._sums[code] += value
-        for canonical, position in staged.items():
-            index[canonical] = len(self._sums) + position
-
-        if appended:
-            self._bundle = bundle.with_root_groups([pairs for pairs, _v in appended])
-            self._sums = _np.concatenate(
-                (self._sums, _np.asarray([v for _p, v in appended], dtype=_np.float64))
-            )
-            if self._present is not None:
-                self._present = _np.concatenate(
-                    (self._present, _np.ones(len(appended), dtype=bool))
-                )
-        # Derived shapes are stale now; rebuild lazily on next read.
-        self._table = None
-        if self._ready:
-            dict.clear(self)
-            self._ready = False
-        return True
 
     def table(self) -> _ChildTable:
         """CSR form grouped by connection key (built without the dict shape)."""
@@ -1010,7 +757,7 @@ class _ViewFamily:
     producing store when the child view is flat (see :class:`_ViewBundle`:
     every such view is indexed by that store's key codes, whatever its
     signature or the batch that computed it) and the child view itself
-    otherwise (grouped, patched and plain-dict children expand the pipeline
+    otherwise (grouped and plain-dict children expand the pipeline
     rows through their own CSR table).  This is the columnar analogue of
     LMFAO's multi-output operator: one scan of the node per key shape, not
     one per combination of child signatures.

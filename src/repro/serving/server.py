@@ -78,10 +78,10 @@ class QueryServer:
     engine against its first pinned generation and rebinds it afterwards.
     Reader engines force the maintainer's join-tree root (identical plans
     for identical batches, the precondition for bitwise-stable answers) and
-    evaluate single-threaded inside their pool thread.  A pinned snapshot
-    never reports changes (``SnapshotRelation.changes_since`` answers
-    ``None``), so readers recompute stale views rather than delta-refresh
-    them without being told to.
+    evaluate single-threaded inside their pool thread.  Across generations
+    a reader's engine serves the views whose subtree versions are unchanged
+    from its cache and recomputes the rest — it never patches a view, which
+    is what keeps a read bit-identical to a serial replay of its prefix.
 
     ``maintainer`` is anything speaking the maintainer contract —
     ``database`` / ``join_tree`` / ``query`` / ``apply_batch`` /

@@ -47,8 +47,9 @@ class SnapshotRelation:
     ``schema``/``version``/``column_store()``/``items()`` — backed by the
     generation's pinned :class:`~repro.data.colstore.ColumnStore` instead of
     live storage.  Mutation is structurally impossible (there is no store
-    reference here), and ``changes_since`` answers ``None`` so any
-    delta-aware consumer falls back to a full (cache-guarded) recompute.
+    reference here); a reader's engine tells generations apart by
+    ``version`` alone and recomputes the views above a relation whose
+    version moved.
     """
 
     __slots__ = ("name", "schema", "version", "_snapshot", "_live")
@@ -74,9 +75,6 @@ class SnapshotRelation:
     def column_store(self):
         return self._snapshot
 
-    def cached_column_store(self):
-        return self._snapshot
-
     def items(self) -> Iterator[Tuple[Tuple, int]]:
         """The ``(row, multiplicity)`` pairs of the pinned (dense) snapshot.
 
@@ -90,9 +88,6 @@ class SnapshotRelation:
     def __iter__(self) -> Iterator[Tuple]:
         for row, _multiplicity in self.items():
             yield row
-
-    def changes_since(self, version: int) -> Optional[List[Tuple[Tuple, int]]]:
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -250,7 +250,7 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
         relation.unpin()
     restored = clone.database.relation("Inventory")
     assert restored._store.pins == 0
-    assert restored.cached_column_store() is None
+    assert restored._column_store is None
     # Slot maps are caches over mirrors and views: not in the file.
     assert maintainer._slot_maps and not clone._slot_maps and not clone._staged
     assert _payloads_equal(clone.statistics(), maintainer.statistics())
@@ -268,9 +268,9 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
         state = view.__getstate__()
         assert "_slots" not in state and len(state["counts"]) == len(view)
     state = relation._store.__getstate__()
-    assert not {"_log", "_log_floor", "_slice_floor", "_row_index", "pins"} & set(state)
+    assert not {"_row_index", "pins"} & set(state)
     blob = pickle.dumps(maintainer, protocol=4)
-    for name in (b"_bucket_arrays", b"_slots", b"_row_index", b"_log"):
+    for name in (b"_bucket_arrays", b"_slots", b"_row_index"):
         assert name not in blob
 
 

@@ -1,10 +1,10 @@
-"""Batched IVM maintenance and the delta-aware view cache (PR 3).
+"""Batched IVM maintenance (PR 3).
 
 Covers the columnar delta path end-to-end: randomized insert/delete streams
 (including multiplicities that cancel inside one batch and batches spanning
 several relations) checked against full recomputation at several batch
-sizes, the vectorised ring-block algebra, the append-only delta column
-store, and the engine's delta-aware view cache against full eviction.
+sizes, the vectorised ring-block algebra, and the append-only delta column
+store.
 """
 
 import random
@@ -12,11 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.aggregates import covariance_batch
-from repro.data import Database, Relation, Schema
+from repro.data import Schema
 from repro.data.colstore import DeltaColumnStore
-from repro.datasets import load_dataset, retailer_database, retailer_query
-from repro.engine import LMFAOEngine
+from repro.datasets import retailer_database, retailer_query
 from repro.ivm import FIVM, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
 from streams import random_update_stream
@@ -232,115 +230,3 @@ def test_delta_column_store_requires_registration_before_append():
         store.register_key(("x",))
     # Re-registering an existing key is a no-op, not an error.
     store.register_key(("k",))
-
-
-# -- change log ------------------------------------------------------------------------
-
-
-def test_relation_change_log_reconstructs_small_deltas():
-    relation = Relation("R", Schema.from_names(["a"], categorical_names=["a"]))
-    start = relation.version
-    relation.add(("x",), 1)
-    relation.add(("y",), 2)
-    relation.remove(("x",), 1)
-    assert relation.changes_since(start) == [(("x",), 1), (("y",), 2), (("x",), -1)]
-    assert relation.changes_since(relation.version) == []
-    # Overflowing the bounded log drops coverage of old versions.
-    for index in range(500):
-        relation.add((f"v{index}",), 1)
-    assert relation.changes_since(start) is None
-    recent = relation.version
-    relation.add(("z",), 1)
-    assert relation.changes_since(recent) == [(("z",), 1)]
-    relation.clear()
-    assert relation.changes_since(recent) is None
-    assert relation.changes_since(relation.version) == []
-
-
-# -- the delta-aware view cache --------------------------------------------------------
-
-
-def _values_match(left, right):
-    # Relative tolerance: covariance sums reach ~1e12, where equivalent
-    # computations that merely reorder float additions (root patching vs a
-    # full recompute) differ by far more than any absolute epsilon.
-    assert set(left) == set(right)
-    for name in left:
-        a, b = left[name], right[name]
-        if isinstance(a, dict):
-            keys = set(a) | set(b)
-            assert all(
-                np.isclose(a.get(k, 0.0), b.get(k, 0.0), rtol=1e-9, atol=1e-6)
-                for k in keys
-            ), name
-        else:
-            assert np.isclose(a, b, rtol=1e-9, atol=1e-6), name
-
-
-@pytest.mark.parametrize("refresh_cheaper", [True, False], ids=["refresh", "recompute"])
-@pytest.mark.parametrize("dataset", ["retailer", "yelp"])
-def test_both_branches_of_the_refresh_policy_match_a_fresh_engine(dataset, refresh_cheaper):
-    """The adaptive policy's two outcomes, each forced through its cost tables.
-
-    Which branch wall-clock timing would pick is machine-dependent, so the
-    per-node EWMA tables are seeded instead: an infinite cost on one side
-    survives every later observation (``0.5 * inf + ...`` stays ``inf``) and
-    pins ``_refresh_pays`` for the whole loop.
-    """
-    scales = {
-        "retailer": dict(inventory_rows=400, stores=6, items=20, dates=10),
-        "yelp": dict(review_rows=400, businesses=30, users=40),
-    }
-    database, query, spec = load_dataset(dataset, **scales[dataset])
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(batch)
-    expensive = dict.fromkeys(query.relation_names, float("inf"))
-    free = dict.fromkeys(query.relation_names, 0.0)
-    engine._recompute_cost, engine._refresh_cost = (
-        (expensive, free) if refresh_cheaper else (free, expensive)
-    )
-
-    rng = random.Random(17)
-    relations = list(query.relation_names)
-    refreshed = patched = 0
-    for _step in range(12):
-        name = rng.choice(relations)
-        relation = database.relation(name)
-        row = rng.choice(list(relation))
-        sign = -1 if (rng.random() < 0.3 and relation.multiplicity(row) > 0) else 1
-        relation.add(row, sign)
-        result = engine.evaluate(batch)
-        _values_match(result.values, LMFAOEngine(database, query).evaluate(batch).values)
-        refreshed += result.executor_stats.get("views_delta_refreshed", 0)
-        patched += result.executor_stats.get("root_patches", 0)
-    if refresh_cheaper:
-        assert refreshed > 0 and patched > 0
-    else:
-        assert refreshed == 0 and patched == 0
-
-
-def test_delta_refresh_counts_and_budget():
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=400, stores=6, items=20, dates=10
-    )
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(batch)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    rows = list(database.relation(fact))[:100]
-    # The first stale view always attempts a refresh (no measured refresh
-    # cost yet), so a single-tuple update engages the delta path.
-    database.relation(fact).add(rows[0], 1)
-    result = engine.evaluate(batch)
-    assert result.executor_stats.get("views_delta_refreshed", 0) > 0
-    # A batch past the per-view budget (but inside the change log) falls
-    # back to the plain recompute and stays correct.
-    bulk = LMFAOEngine(database, query)
-    bulk.evaluate(batch)
-    database.relation(fact).add_batch(rows, [1] * len(rows))
-    over_budget = bulk.evaluate(batch)
-    assert over_budget.executor_stats.get("views_delta_refreshed", 0) == 0
-    assert over_budget.executor_stats.get("root_patches", 0) == 0
-    _values_match(over_budget.values, LMFAOEngine(database, query).evaluate(batch).values)
-    _values_match(over_budget.values, engine.evaluate(batch).values)

@@ -1,14 +1,11 @@
-"""The fused multi-delta pass and root patching (PR 4).
+"""The fused multi-delta pass (PR 4).
 
 Equivalence guarantees of the one-pass propagation:
 
 - the fused pass vs. the per-tuple path vs. the journal's replay on
   randomized multi-relation insert/delete batches (including multiplicities
   that cancel inside one batch) — identical payloads up to float
-  reassociation, bit-identical for the replay;
-- the engine's root-payload patching vs. a full root recompute — equal
-  aggregate values to float tolerance (patching may keep ~0.0 groups a
-  recompute drops).
+  reassociation, bit-identical for the replay.
 
 Plus units for the primitives: keyed-delta merging, the traversal schedule,
 sparse lifts, single-support ring products, update-mass rooting, and the
@@ -22,12 +19,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.aggregates import covariance_batch
-from repro.data import Relation, Schema
-from repro.datasets import load_dataset, retailer_database, retailer_query
-from repro.engine import EngineOptions, LMFAOEngine
+from repro.datasets import retailer_database, retailer_query
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
-from repro.engine.executor import STAT_ROOT_PATCHED
 from repro.ivm import FIVM, CovarianceMaintainer, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
 from repro.sharding import ShardedMaintainer
@@ -516,108 +509,3 @@ def test_maintainer_constructor_surface(ivm_source):
     for removed in ("maintainer_factory", "root_strategy"):
         with pytest.raises(TypeError, match=removed):
             ShardedMaintainer(database, query, FEATURES, **{removed: FIVM})
-
-
-# -- engine root patching ---------------------------------------------------------------
-
-
-def _engine_values_match(left, right, rtol=1e-9, atol=1e-6):
-    assert set(left) == set(right)
-    for name in left:
-        a, b = left[name], right[name]
-        if isinstance(a, dict):
-            keys = set(a) | set(b)
-            assert all(
-                np.isclose(a.get(k, 0.0), b.get(k, 0.0), rtol=rtol, atol=atol)
-                for k in keys
-            ), name
-        else:
-            assert np.isclose(a, b, rtol=rtol, atol=atol), name
-
-
-@pytest.mark.parametrize("root", [None, "fact"])
-def test_root_patching_matches_full_recompute(root):
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=400, stores=6, items=20, dates=10
-    )
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    options = dict(root_relation=fact) if root == "fact" else {}
-    patching = LMFAOEngine(database, query, EngineOptions(**options))
-    recompute = LMFAOEngine(database, query, EngineOptions(cache_views=False, **options))
-    patching.evaluate(batch)
-    recompute.evaluate(batch)
-    rng = random.Random(29)
-    relations = list(query.relation_names)
-    patched = 0
-    for _step in range(10):
-        name = rng.choice(relations)
-        relation = database.relation(name)
-        row = rng.choice(list(relation))
-        sign = -1 if (rng.random() < 0.3 and relation.multiplicity(row) > 0) else 1
-        relation.add(row, sign)
-        left = patching.evaluate(batch)
-        right = recompute.evaluate(batch)
-        _engine_values_match(left.values, right.values)
-        patched += left.executor_stats.get(STAT_ROOT_PATCHED, 0)
-    assert patched > 0
-
-
-def test_root_patching_respects_the_refresh_budget():
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=300, stores=5, items=15, dates=8
-    )
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    engine.evaluate(batch)
-    # 100 logged changes: inside the change log, past the 64-key budget floor
-    # (and past a quarter of this root view's groups).
-    rows = list(database.relation(fact))[:100]
-    database.relation(fact).add_batch(rows, [1] * len(rows))
-    result = engine.evaluate(batch)
-    # The delta is not patched in; the root recomputes and stays correct.
-    assert result.executor_stats.get(STAT_ROOT_PATCHED, 0) == 0
-    reference = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    _engine_values_match(result.values, reference.evaluate(batch).values)
-
-
-def test_root_patching_handles_deletions_to_float_tolerance():
-    database, query, spec = load_dataset(
-        "retailer", inventory_rows=300, stores=5, items=15, dates=8
-    )
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    engine.evaluate(batch)
-    rows = list(database.relation(fact))[:3]
-    for row in rows:
-        database.relation(fact).add(row, 1)
-        engine.evaluate(batch)
-    for row in rows:
-        database.relation(fact).add(row, -1)
-        result = engine.evaluate(batch)
-    fresh = LMFAOEngine(
-        database, query, EngineOptions(root_relation=fact, cache_views=False)
-    )
-    _engine_values_match(result.values, fresh.evaluate(batch).values)
-
-
-# -- change-log grouping ----------------------------------------------------------------
-
-
-def test_add_batch_logs_one_group():
-    relation = Relation("R", Schema.from_names(["a"], categorical_names=["a"]))
-    start = relation.version
-    relation.add_batch([("x",), ("y",)], [1, 2])
-    assert relation.changes_since(start) == [(("x",), 1), (("y",), 2)]
-    # One batch consumed one log slot, not two (an array-slice group in the
-    # tuple store's log, since every row of the batch was a fresh append).
-    assert len(relation._store._log) == 1
-    assert relation._store._log[0].is_slice
-    # An oversized batch drops coverage instead of pinning the rows.
-    big = [(f"v{i}",) for i in range(500)]
-    version = relation.version
-    relation.add_batch(big, [1] * len(big))
-    assert relation.changes_since(version) is None
-    assert relation.changes_since(relation.version) == []

@@ -8,13 +8,15 @@ Covers the three guarantees of the planning/caching subsystem:
   connection-key counts from the column store) and exposes its evidence;
 - *cache semantics*: repeated evaluation over unchanged relations serves
   views from the cache, and any mutation of a subtree relation invalidates
-  exactly the views above it (correctness after updates included).
+  exactly the views above it — they are recomputed, so a long-lived engine
+  answers bit for bit what a fresh one does, whatever the update history.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -28,11 +30,12 @@ from repro.engine import (
     collect_statistics,
     estimate_root_costs,
 )
+from repro.engine import lmfao
 from repro.engine.executor import (
     STAT_CACHED,
     STAT_COLUMNAR,
-    STAT_DELTA_REFRESHED,
-    STAT_ROOT_PATCHED,
+    STAT_PIPELINES,
+    STAT_TUPLE_FALLBACK,
 )
 from repro.engine.statistics import widest_relation
 from repro.query import ConjunctiveQuery, build_join_tree
@@ -160,11 +163,10 @@ def test_engine_options_surface():
         "parallel",
         "workers",
         "root_relation",
-        "cache_views",
-        "view_cache_size",
     ]
-    with pytest.raises(TypeError, match="root_strategy"):
-        EngineOptions(root_strategy="cost")
+    for removed in ("root_strategy", "cache_views", "view_cache_size"):
+        with pytest.raises(TypeError, match=removed):
+            EngineOptions(**{removed: 1})
 
 
 @pytest.mark.parametrize("bad", [dict(workers=0), dict(workers=-1)])
@@ -210,6 +212,93 @@ def _star_batch():
     )
 
 
+def _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=None):
+    """Drive two long-lived engines through one mutation history.
+
+    ``history`` mutates ``database`` once per ``next()``.  After every
+    mutation both engines must answer what an engine built on the spot (and
+    rooted where they are) answers — ``==``, keys included, no tolerance —
+    and report the same ``executor_stats`` as each other: what is served from
+    the cache and what is recomputed follows from the history, never from the
+    clock.
+    """
+    engines = [
+        LMFAOEngine(database, query, EngineOptions(root_relation=root)) for _ in range(2)
+    ]
+    root = engines[0].join_tree.root.relation_name
+    for engine in engines:
+        engine.evaluate(batch)
+    steps = 0
+    for steps, label in enumerate(history, 1):
+        first, second = (engine.evaluate(batch) for engine in engines)
+        fresh = LMFAOEngine(database, query, EngineOptions(root_relation=root)).evaluate(batch)
+        assert first.values == fresh.values, label
+        assert second.values == fresh.values, label
+        assert first.executor_stats == second.executor_stats, label
+        assert set(first.executor_stats) <= {
+            STAT_COLUMNAR, STAT_PIPELINES, STAT_TUPLE_FALLBACK, STAT_CACHED
+        }
+        assert first.executor_stats.get(STAT_COLUMNAR, 0) > 0, label
+    assert steps, "the history was empty"
+
+
+def _apply(database, name, rows, multiplicities):
+    """One mutation: a single row through ``add``, several through ``add_batch``."""
+    relation = database.relation(name)
+    if len(rows) == 1:
+        relation.add(rows[0], multiplicities[0])
+    else:
+        relation.add_batch(rows, multiplicities)
+
+
+def _star_history(database):
+    for label, name, rows, multiplicities in [
+        ("a fact whose k1 no dimension row carries", "F", [(3, 1, 6)], [1]),
+        ("the dimension row arriving after its fact", "D1", [(3, 30)], [1]),
+        ("a small batch: duplicate, delete to zero, new row",
+         "F", [(1, 1, 2), (2, 2, 5), (3, 2, 1)], [2, -1, 1]),
+        ("a dimension key deleted under its facts", "D2", [(2, 9)], [-1]),
+        ("the late fact deleted to zero", "F", [(3, 1, 6)], [-1]),
+        ("the dimension key back", "D2", [(2, 9)], [1]),
+        ("a dimension batch", "D1", [(3, 30), (1, 10)], [-1, 1]),
+    ]:
+        _apply(database, name, rows, multiplicities)
+        yield label
+    facts = list(database["F"].items())
+    _apply(database, "F", [row for row, _m in facts], [-m for _row, m in facts])
+    yield "the fact relation emptied"
+    _apply(database, "F", [(1, 1, 2)], [1])
+    yield "a first fact row again"
+
+
+def _seeded_history(database, seed, orphans, parents, steps=12):
+    """A seeded insert/delete stream: single rows and small batches, stored
+    rows duplicated or deleted to zero, new fact rows — and ``orphans``, fact
+    rows whose dimension rows (``parents``, one mutation each) only arrive
+    mid-stream."""
+    rng = random.Random(seed)
+    names = list(database.relation_names)
+    fact = max(names, key=lambda name: len(database.relation(name)))
+    _apply(database, fact, orphans, [1] * len(orphans))
+    yield "fact rows of a key no dimension holds"
+    for step in range(steps):
+        kind = rng.choice(["duplicate", "delete", "delete", "new"])
+        name = fact if kind == "new" else rng.choice(names + [fact])
+        rows = rng.sample(database.relation(name).rows(), rng.choice([1, 1, 3]))
+        if kind == "new":
+            rows = [row[:-1] + (1000 + step + position,) for position, row in enumerate(rows)]
+        if kind == "delete":
+            multiplicities = [-database.relation(name).multiplicity(row) for row in rows]
+        else:
+            multiplicities = [rng.choice([1, 2]) for _row in rows]
+        _apply(database, name, rows, multiplicities)
+        yield f"step {step}: {kind} {len(rows)} of {name}"
+        if step == steps // 2:
+            for parent, parent_rows in parents:
+                _apply(database, parent, parent_rows, [1] * len(parent_rows))
+                yield f"the late rows of {parent}"
+
+
 def test_repeated_identical_batch_is_served_from_the_view_cache():
     database = _star_database()
     query = ConjunctiveQuery(["F", "D1", "D2"])
@@ -234,16 +323,9 @@ def test_relation_update_invalidates_exactly_the_affected_subtrees():
 
     database["D1"].add((1, 100))
     third = engine.evaluate(_star_batch())
-    # D1's own views and every ancestor's views refresh — recomputed, patched
-    # in key groups, or root-payload patched for a small delta like this one;
-    # the untouched sibling subtree (D2, when not on D1's root path) may
-    # still hit.
-    refreshed = (
-        third.executor_stats.get(STAT_COLUMNAR, 0)
-        + third.executor_stats.get(STAT_DELTA_REFRESHED, 0)
-        + third.executor_stats.get(STAT_ROOT_PATCHED, 0)
-    )
-    assert refreshed > 0
+    # D1's own views and every ancestor's views are recomputed; the
+    # untouched sibling subtree (D2, when not on D1's root path) may still hit.
+    assert third.executor_stats.get(STAT_COLUMNAR, 0) > 0
     # The values reflect the update (no stale cache reads).
     expected = LMFAOEngine(database, query).evaluate(_star_batch())
     _assert_results_equal(expected, third)
@@ -254,6 +336,25 @@ def test_relation_update_invalidates_exactly_the_affected_subtrees():
     untouched_cached = third.executor_stats.get(STAT_CACHED, 0)
     if len(affected) < len(query.relation_names):
         assert untouched_cached > 0
+
+    for root in (None, "F"):
+        database = _star_database()
+        _assert_history_tracks_a_fresh_engine(
+            database, query, _star_batch(), _star_history(database), root=root
+        )
+    # ... and on a deeper tree, where a mutation's root path has siblings.
+    for seed, root in [(17, None), (19, "Inventory")]:
+        database, query, spec = load_dataset(
+            "retailer", inventory_rows=400, stores=6, items=20, dates=10
+        )
+        history = _seeded_history(
+            database,
+            seed,
+            orphans=[(0, 0, 999, 5.0), (1, 1, 999, 7.5)],
+            parents=[("Items", [(999, "grocery", "subcat1", 9.99)])],
+        )
+        batch = covariance_batch(spec.continuous_features, spec.categorical_features)
+        _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=root)
 
 
 def test_update_then_revert_still_recomputes():
@@ -268,21 +369,29 @@ def test_update_then_revert_still_recomputes():
     after = engine.evaluate(_star_batch())
     _assert_results_equal(baseline, after)
 
+    # Nor may the pair leave anything behind: a fact row carrying a group
+    # value of its own, inserted and deleted again with an evaluate in
+    # between, takes its group with it.
+    grouped = AggregateBatch(
+        "grouped", [Aggregate.sum_of(["m"], group_by=["k1"], name="m_by_k1")]
+    )
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
+    engine.evaluate(grouped)
+    database["D1"].add((3, 30))
+    database["F"].add((3, 1, 6))
+    assert engine.evaluate(grouped).grouped("m_by_k1")[(3,)] == 6.0
+    database["F"].remove((3, 1, 6))
+    reverted = engine.evaluate(grouped).grouped("m_by_k1")
+    fresh = LMFAOEngine(database, query, EngineOptions(root_relation="F")).evaluate(grouped)
+    assert reverted == fresh.grouped("m_by_k1")
+    assert set(reverted) == {(1,), (2,)}
 
-def test_cache_can_be_disabled():
+
+def test_cache_respects_the_lru_size_bound(monkeypatch):
+    monkeypatch.setattr(lmfao, "VIEW_CACHE_SIZE", 2)
     database = _star_database()
     query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query, EngineOptions(cache_views=False))
-    engine.evaluate(_star_batch())
-    second = engine.evaluate(_star_batch())
-    assert second.executor_stats.get(STAT_CACHED, 0) == 0
-    assert second.executor_stats.get(STAT_COLUMNAR, 0) > 0
-
-
-def test_cache_respects_the_lru_size_bound():
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query, EngineOptions(view_cache_size=2))
+    engine = LMFAOEngine(database, query)
     engine.evaluate(_star_batch())
     assert len(engine._view_cache) <= 2
     # Still correct when most views were evicted.
@@ -325,233 +434,15 @@ def test_cached_views_agree_with_fresh_engine_on_yelp(small_yelp):
     fresh = LMFAOEngine(database, query).evaluate(batch)
     _assert_results_equal(fresh, cached)
 
-
-# -- columnar root-view splice ----------------------------------------------------------
-
-
-def _root_patch_loop(steps=6):
-    """Shared driver: update loop on a fact-rooted yelp engine.
-
-    Returns the engine, its results per step, and how many root patches ran.
-    """
-    import random as _random
-
-    database, query, spec = load_dataset("yelp", review_rows=250, businesses=20, users=25)
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    engine.evaluate(batch)
-    rng = _random.Random(31)
-    rows = list(database.relation(fact))
-    results = []
-    patched = 0
-    for step in range(steps):
-        row = rng.choice(rows)
-        database.relation(fact).add(row, -1 if step % 3 == 2 else 1)
-        result = engine.evaluate(batch)
-        results.append(result)
-        patched += result.executor_stats.get(STAT_ROOT_PATCHED, 0)
-    return database, query, batch, results, patched
-
-
-def test_root_patch_loop_matches_a_fresh_engine():
-    """Every step of a patched update loop agrees with a recompute."""
-    database, query, batch, results, patched = _root_patch_loop()
-    assert patched > 0
-    fresh = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(batch)
-    final = results[-1]
-    for name, value in fresh.values.items():
-        other = final.values[name]
-        if isinstance(value, dict):
-            assert all(
-                math.isclose(value[key], other.get(key, 0.0), rel_tol=1e-7, abs_tol=1e-7)
-                for key in value
-            )
-        else:
-            assert math.isclose(value, other, rel_tol=1e-7, abs_tol=1e-7)
-
-
-def test_root_patch_merges_into_a_view_that_is_not_array_native():
-    """The nested-dict merge behind the in-place splice.
-
-    An empty root relation caches a plain (empty) dict view; the first
-    insert patches it through the merge path, and later inserts keep
-    patching the merged dict.
-    """
-    database = _star_database()
-    for row in list(database["F"]):
-        database["F"].remove(row)
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
-    engine.evaluate(_star_batch())
-    # Pin the policy on "refresh pays" so every step patches, whatever the clock says.
-    engine._recompute_cost = dict.fromkeys(query.relation_names, float("inf"))
-    for row in [(1, 1, 2), (2, 2, 5), (1, 2, 3)]:
-        database["F"].add(row)
-        result = engine.evaluate(_star_batch())
-        assert result.executor_stats.get(STAT_ROOT_PATCHED, 0) > 0
-        expected = LMFAOEngine(database, query).evaluate(_star_batch())
-        _assert_results_equal(expected, result)
-
-
-def test_columnar_root_patch_keeps_the_view_array_native():
-    """The spliced root view must stay a ColumnarView (no dict conversion)."""
-    from repro.engine.executor import ColumnarView
-
-    database, query, spec = load_dataset("yelp", review_rows=200, businesses=15, users=20)
-    batch = covariance_batch(spec.continuous_features, spec.categorical_features)
-    fact = max(query.relation_names, key=lambda name: len(database.relation(name)))
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    engine.evaluate(batch)
-    row = next(iter(database.relation(fact)))
-    database.relation(fact).add(row, 1)
-    result = engine.evaluate(batch)
-    assert result.executor_stats.get(STAT_ROOT_PATCHED, 0) > 0
-    root = engine.join_tree.root.relation_name
-    patched_views = [
-        view
-        for (node, _signature), (_versions, view) in engine._view_cache.items()
-        if node == root
-    ]
-    assert patched_views and all(
-        isinstance(view, ColumnarView) for view in patched_views
-    )
-
-
-def test_columnar_root_patch_appends_new_group_entries():
-    """A delta introducing an unseen group key still splices correctly."""
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    batch = AggregateBatch(
-        "grouped",
-        [Aggregate.sum_of(["m"], group_by=["k1"], name="m_by_k1")],
-    )
-    fact = "F"
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=fact))
-    engine.evaluate(batch)
-    # A fact row with a brand-new k1 value joins D1 only after D1 gains the
-    # key, so mutate D1's subtree first (full recompute there), then patch
-    # the root with a delta whose group key (k1=3) the cached view never saw.
-    database["D1"].add((3, 30))
-    engine.evaluate(batch)
-    database["F"].add((3, 1, 6))
-    patched = engine.evaluate(batch)
-    expected = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(batch)
-    got = patched.values["m_by_k1"]
-    want = expected.values["m_by_k1"]
-    assert all(
-        math.isclose(want.get(key, 0.0), got.get(key, 0.0), rel_tol=1e-9, abs_tol=1e-9)
-        for key in set(want) | set(got)
-    )
-
-
-# -- bundle columns are patched copy-on-write -------------------------------------------
-
-
-def _assert_close(expected, result):
-    for name, value in expected.values.items():
-        other = result.values[name]
-        if isinstance(value, dict):
-            assert all(
-                math.isclose(value.get(key, 0.0), other.get(key, 0.0), rel_tol=1e-9, abs_tol=1e-9)
-                for key in set(value) | set(other)
-            ), name
-        else:
-            assert math.isclose(value, other, rel_tol=1e-9, abs_tol=1e-9), name
-
-
-def _bundle_engine(batch):
-    """A fact-rooted star engine, warmed on ``batch`` and pinned on "refresh pays"."""
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
-    engine.evaluate(batch)
-    engine._recompute_cost = dict.fromkeys(query.relation_names, float("inf"))
-    return database, query, engine
-
-
-def _cached_bundles(engine, node):
-    """Per bundle of the columnar views cached for ``node``: how many columns it has."""
-    columns = {}
-    for (name, _signature), (_versions, view) in engine._view_cache.items():
-        if name == node and hasattr(view, "_bundle"):
-            columns[id(view._bundle)] = columns.get(id(view._bundle), 0) + 1
-    return sorted(columns.values())
-
-
-def test_root_patch_on_one_bundle_column_leaves_its_siblings_alone():
-    """Patching one root view in place must not touch the other columns.
-
-    The root views of one key shape are columns of one bundle.  A batch that
-    reads only one of them after an update patches that column alone — value
-    adds in place, and a delta with an unseen group key appends to a private
-    copy of the bundle; the siblings are patched by their own delta when they
-    are next read, and must then agree with a fresh engine (a shared array
-    would have been patched twice).
-    """
-    grouped = [
-        Aggregate.sum_of(["m"], group_by=["k1"], name="m_by_k1"),
-        Aggregate.count(group_by=["k1"], name="count_by_k1"),
-        Aggregate.sum_of(["m", "x"], group_by=["k1"], name="mx_by_k1"),
-    ]
-    scalars = [
-        Aggregate.count(name="count"),
-        Aggregate.sum_of(["m"], name="sum_m"),
-        Aggregate.sum_of(["m", "y"], name="sum_my"),
-    ]
-    full = AggregateBatch("full", grouped + scalars)
-    database, query, engine = _bundle_engine(full)
-    # One bundle per key shape: the scalars; the two views grouped through the
-    # same D1 child view (k1 is designated to D1); the one with its own.
-    assert _cached_bundles(engine, "F") == [1, 2, 3]
-
-    database["D1"].add((3, 30))                            # k1=3 becomes joinable (recompute)
-    engine.evaluate(full)
-    database["F"].add((3, 1, 6))                           # unseen group key: appends
-    database["F"].add((1, 1, 2), 2)                        # existing keys: in-place adds
-    one = engine.evaluate(AggregateBatch("one", [grouped[0], scalars[1]]))
-    assert one.executor_stats.get(STAT_ROOT_PATCHED, 0) == 2
-    rest = engine.evaluate(full)
-    assert rest.executor_stats.get(STAT_ROOT_PATCHED, 0) == 4
-    assert rest.executor_stats.get(STAT_CACHED, 0) >= 2
-    expected = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full)
-    _assert_close(expected, rest)
-    _assert_close(expected, engine.evaluate(full))         # and the patched cache is stable
-
-
-def test_delta_refresh_of_one_bundle_column_leaves_its_siblings_alone():
-    """Splicing one non-root view out of its bundle keeps the other columns valid.
-
-    After a small update below D1, a batch that reads one of D1's views
-    refreshes only that one (it leaves the bundle as a patched view); its
-    siblings stay columns of the old bundle until their own refresh, and the
-    parent then joins patched and bundled children side by side.
-    """
-    full = AggregateBatch(
-        "full",
-        [
-            Aggregate.count(name="count"),
-            Aggregate.sum_of(["x"], name="sum_x"),
-            Aggregate.sum_of(["m", "x"], name="sum_mx"),
-            Aggregate.sum_of(["x", "x"], name="sum_xx"),
-            Aggregate.sum_of(["x"], filters=[Filter("x", FilterOp.GE, 15)], name="sum_x_big"),
-        ],
-    )
-    database, query, engine = _bundle_engine(full)
-    assert _cached_bundles(engine, "D1") == [4]            # count, x, x^2, filtered x
-
-    database["D1"].add((1, 100))
-    one = engine.evaluate(AggregateBatch("one", [full[1]]))
-    assert one.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 1
-    expected = LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full)
-    assert math.isclose(one.scalar("sum_x"), expected.scalar("sum_x"), rel_tol=1e-9)
-
-    rest = engine.evaluate(full)
-    assert rest.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 3
-    _assert_close(expected, rest)
-    database["D1"].add((2, 5))
-    again = engine.evaluate(full)
-    assert again.executor_stats.get(STAT_DELTA_REFRESHED, 0) == 4
-    _assert_close(
-        LMFAOEngine(database, query, EngineOptions(cache_views=False)).evaluate(full), again
-    )
+    for seed, root in [(23, None), (29, "Reviews")]:
+        mutable = database.copy()
+        history = _seeded_history(
+            mutable,
+            seed,
+            orphans=[(0, 10_000, 4.5, 3), (1, 10_000, 1.5, 8)],
+            parents=[
+                ("Business", [(10_000, "toronto", "cafe", 4.0, 12, 1)]),
+                ("Checkins", [(10_000, 7)]),
+            ],
+        )
+        _assert_history_tracks_a_fresh_engine(mutable, query, batch, history, root=root)

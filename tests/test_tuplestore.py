@@ -4,8 +4,7 @@ Property-style suite: randomized insert/delete streams with cancelling
 multiplicities are applied both to a :class:`~repro.data.relation.Relation`
 (backed by :class:`~repro.data.tuplestore.TupleStore`) and to a plain
 ``dict[tuple, int]`` reference model, and every observable — netting,
-deletion-to-zero, membership, totals, the change log, version bumps — must
-agree.  Compaction and the dense-snapshot contract (history-determined
+deletion-to-zero, membership, totals, version bumps — must agree.  Compaction and the dense-snapshot contract (history-determined
 snapshots whether or not a sweep ran, the tombstone space bound, restored
 and partitioned stores) are covered explicitly, and a regression test runs
 a full IVM insert/delete stream over the store on all three strategies.
@@ -22,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
-from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
     COMPACT_MIN_ZEROS,
     TupleStore,
@@ -157,9 +155,10 @@ def test_column_store_is_zero_copy_and_epoch_guarded():
     assert fresh.row_count == len(relation)
     assert np.shares_memory(fresh.encoding("v").codes, inner.column_codes_view(1))
     relation.add(("c", 3), -1)
-    assert relation.cached_column_store() is None
     # Over a tombstone the snapshot is a gather: dense, and not an alias.
+    handoffs = tuplestore_stats["zero_copy_snapshots"]
     masked = relation.column_store()
+    assert masked is not fresh and tuplestore_stats["zero_copy_snapshots"] == handoffs + 1
     assert inner.zeros == 1 and masked.row_count == len(relation) == 2
     assert not np.shares_memory(masked.multiplicities, inner.multiplicities_view())
 
@@ -358,7 +357,6 @@ def _masked_relation():
 
 
 def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
-    from repro.engine.lmfao import _sub_relation_from_mask
     from repro.serving import SnapshotManager
 
     relation, expected = _masked_relation()
@@ -378,11 +376,13 @@ def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
     relation.compact_storage()
     assert list(published.items()) == expected
     manager.close()
-    # _sub_relation_from_mask over a masked store.
+    # A row mask over one column selects aligned rows and multiplicities.
     relation, expected = _masked_relation()
     snapshot = relation.column_store()
-    sub = _sub_relation_from_mask(relation, snapshot, snapshot.float_column("v") > 2.5)
-    assert list(sub.items()) == [(("a", 3), 3), (("b", 5), 5)]
+    picked = np.nonzero(snapshot.float_column("v") > 2.5)[0].tolist()
+    assert [
+        (snapshot.rows[position], int(snapshot.multiplicities[position])) for position in picked
+    ] == [(("a", 3), 3), (("b", 5), 5)]
 
 
 def test_restored_and_partitioned_stores_never_revive_a_dead_slot():
@@ -422,7 +422,7 @@ def test_restored_and_partitioned_stores_never_revive_a_dead_slot():
     assert churn(child) == want
 
 
-# -- version bumps and the change log --------------------------------------------------
+# -- version bumps ---------------------------------------------------------------------
 
 
 def test_version_bumps_once_per_mutation_group():
@@ -436,91 +436,7 @@ def test_version_bumps_once_per_mutation_group():
     assert relation.version == version + 3
 
 
-def test_change_log_slices_record_pure_appends():
-    relation = Relation("R", SCHEMA)
-    start = relation.version
-    relation.add_batch([("a", 1), ("b", 2)], [1, 2])
-    log = relation._store._log
-    assert len(log) == 1 and log[0].is_slice
-    assert relation.changes_since(start) == [(("a", 1), 1), (("b", 2), 2)]
-
-
-def test_change_log_slice_survives_netting_elsewhere():
-    """Netting below the slice floor must not disturb slice decoding."""
-    relation = Relation("R", SCHEMA)
-    relation.add(("a", 1), 5)                      # slot 0, pair group
-    start = relation.version
-    relation.add_batch([("b", 2), ("c", 3)], [1, 2])   # slots 1-2, slice group
-    relation.add(("a", 1), -2)                     # nets slot 0 (< slice floor)
-    assert relation.changes_since(start) == [
-        (("b", 2), 1),
-        (("c", 3), 2),
-        (("a", 1), -2),
-    ]
-
-
-def test_change_log_slice_materialises_when_its_slot_nets():
-    """Netting into a sliced slot converts the slice to explicit pairs."""
-    relation = Relation("R", SCHEMA)
-    start = relation.version
-    relation.add_batch([("a", 1), ("b", 2)], [1, 2])
-    relation.add(("a", 1), 4)                      # nets into the sliced slot
-    assert relation.changes_since(start) == [
-        (("a", 1), 1),
-        (("b", 2), 2),
-        (("a", 1), 4),
-    ]
-    # The in-place multiplicity (5) must not leak into the logged delta (1).
-    assert relation.multiplicity(("a", 1)) == 5
-
-
-def test_change_log_coverage_drops_on_overflow_and_clear():
-    relation = Relation("R", SCHEMA)
-    start = relation.version
-    for index in range(200):
-        relation.add((f"k{index}", index), 1)
-    assert relation.changes_since(start) is None   # bounded log rolled over
-    recent = relation.version
-    relation.add(("fresh", 0), 1)
-    assert relation.changes_since(recent) == [(("fresh", 0), 1)]
-    relation.clear()
-    assert relation.changes_since(recent) is None
-
-
-def test_compaction_preserves_change_log_contents():
-    relation = Relation("R", SCHEMA)
-    count = COMPACT_MIN_ZEROS * 4
-    rows = [(f"k{index}", index) for index in range(count)]
-    relation.add_batch(rows, [1] * count)
-    start = relation.version
-    relation.add(("extra", 1), 1)
-    epoch = relation._store.epoch
-    # Delete enough rows to force a compaction (slots move under the log)
-    # while staying below the log's own group-size coverage limit.
-    victims = rows[: COMPACT_MIN_ZEROS + 6]
-    relation.add_batch(victims, [-1] * len(victims))
-    assert relation._store.epoch > epoch
-    assert relation.changes_since(start) == [(("extra", 1), 1)] + [
-        (row, -1) for row in victims
-    ]
-
-
 # -- round trips -----------------------------------------------------------------------
-
-
-def test_from_rows_round_trip_through_delta_store():
-    rows = [("a", 1), ("b", 2), ("a", 3)]
-    multiplicities = np.asarray([2.0, -1.0, 1.0])
-    store = ColumnStore.from_rows("D", SCHEMA, rows, multiplicities)
-    assert store.row_count == 3
-    assert store.rows == rows
-    assert np.allclose(store.multiplicities, multiplicities)
-    codes, keys = store.codes_for(("k", "v"))
-    rebuilt = {}
-    for position, code in enumerate(codes.tolist()):
-        key = keys[code]
-        rebuilt[key] = rebuilt.get(key, 0.0) + float(store.multiplicities[position])
-    assert rebuilt == {("a", 1): 2.0, ("b", 2): -1.0, ("a", 3): 1.0}
 
 
 def test_relation_constructors_round_trip():
