@@ -40,6 +40,20 @@ class Filter:
     op: FilterOp
     value: object
 
+    def __hash__(self) -> int:
+        # Planning and the executor's signature maps probe with the same few
+        # filter objects over and over; re-hashing three fields (one of them
+        # an enum, hashed in Python) on every probe was ~4 % of a tree fit.
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash((self.attribute, self.op, self.value))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes are per process: the cached one must not travel.
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
     def test(self, value: object) -> bool:
         if self.op is FilterOp.EQ:
             return value == self.value

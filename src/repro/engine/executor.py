@@ -5,6 +5,12 @@ subtree rooted at a node: a map from the node's connection key (the join
 attributes shared with its parent) to a map from group-by assignments to the
 partial sum-product value.  Views are computed by scanning the node's relation
 once, combining each tuple with the already-computed views of the children.
+Views are *directional*: "the subtree rooted at a node" is whatever hangs
+below the :class:`~repro.query.join_tree.JoinTreeNode` handed in, its parent
+names the neighbour the views flow towards, and child views are looked up
+under ``(child, node, signature)`` — the same node computes different views
+for different neighbours, and two neighbours may well share one connection
+key.
 
 One code path computes views: ``_evaluate_family``, fully vectorised over
 the relation's dictionary-encoded :class:`~repro.data.colstore.ColumnStore` —
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter as _itemgetter
-from typing import Any, Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -63,9 +69,15 @@ def restrict_signature(
     signature: ViewSignature,
     child: JoinTreeNode,
     designation: Mapping[str, str],
+    child_relations: Optional[FrozenSet[str]] = None,
 ) -> ViewSignature:
-    """Restrict a signature to the subtree of one child node."""
-    child_relations = {node.relation_name for node in child.subtree_nodes()}
+    """Restrict a signature to the subtree of one child node.
+
+    ``child_relations`` are the relation names of that subtree, for callers
+    that restrict many signatures to one child and walk it once.
+    """
+    if child_relations is None:
+        child_relations = frozenset(node.relation_name for node in child.subtree_nodes())
     product = tuple(
         (attribute, exponent)
         for attribute, exponent in signature.product
@@ -104,7 +116,7 @@ def _prepare_task(
     relation: Relation,
     signature: ViewSignature,
     designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, ViewSignature], View],
+    child_views: Mapping[Tuple[str, str, ViewSignature], View],
 ) -> _SignatureTask:
     schema = relation.schema
     here = node.relation_name
@@ -128,7 +140,7 @@ def _prepare_task(
     children: List[Tuple[List[int], View]] = []
     for child in node.children:
         child_signature = restrict_signature(signature, child, designation)
-        view = child_views[(child.relation_name, child_signature)]
+        view = child_views[(child.relation_name, here, child_signature)]
         child_conn = sorted(child.attributes & node.attributes)
         positions = [schema.index_of(attribute) for attribute in child_conn]
         children.append((positions, view))
@@ -586,10 +598,11 @@ class ColumnarContext:
     """Columnar precomputations for one node, reusable across batches.
 
     Everything cached here depends only on the relation snapshot (through its
-    :class:`ColumnStore`) and on stable keys — attribute tuples and filter
-    conditions — never on a particular batch's child views.  The engine keeps
-    these contexts alive across ``evaluate()`` calls and drops them only when
-    the underlying relation's version changes.
+    :class:`ColumnStore`), on the direction — the node's parent and with it
+    the connection key and the children — and on stable keys: attribute
+    tuples and filter conditions, never a particular batch's child views.
+    The engine keeps one context per direction alive across ``evaluate()``
+    calls and drops it only when the underlying relation's version changes.
     """
 
     def __init__(
@@ -607,6 +620,13 @@ class ColumnarContext:
         self._base_keys: Dict[Tuple[str, ...], _BaseKeys] = {}
         # (signature, child relation) -> restricted child signature
         self.restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature] = {}
+        # child relation -> the relation names of the child's subtree
+        self.child_relations: Dict[str, FrozenSet[str]] = {
+            child.relation_name: frozenset(
+                below.relation_name for below in child.subtree_nodes()
+            )
+            for child in node.children
+        }
         # (key attrs, child relation) -> (child store, parent key code -> child key code)
         self._cross_maps: Dict[Tuple, Tuple[ColumnStore, _np.ndarray]] = {}
 
@@ -774,11 +794,12 @@ def _build_families(
     node: JoinTreeNode,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature],
-    child_views: Mapping[Tuple[str, ViewSignature], View],
+    context: ColumnarContext,
+    child_views: Mapping[Tuple[str, str, ViewSignature], View],
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
+    restrict_cache = context.restrict_cache
     children = [
         (child, tuple(sorted(child.attributes & node.attributes))) for child in node.children
     ]
@@ -792,9 +813,10 @@ def _build_families(
             cache_key = (signature, child.relation_name)
             restricted = restrict_cache.get(cache_key)
             if restricted is None:
-                restricted = restrict_signature(signature, child, designation)
-                restrict_cache[cache_key] = restricted
-            view = child_views[(child.relation_name, restricted)]
+                restricted = restrict_cache[cache_key] = restrict_signature(
+                    signature, child, designation, context.child_relations[child.relation_name]
+                )
+            view = child_views[(child.relation_name, here, restricted)]
             store = view.flat_store() if isinstance(view, ColumnarView) else None
             views.append(view)
             stores.append(store)
@@ -1048,10 +1070,10 @@ def _context_for(
     conn_attributes: Sequence[str],
     context_cache: Optional[MutableMapping[Tuple, ColumnarContext]],
 ) -> ColumnarContext:
-    """Fetch (or build) the node's columnar context, honouring relation versions."""
+    """Fetch (or build) the direction's columnar context, honouring relation versions."""
     if context_cache is None:
         return ColumnarContext(node, relation, conn_attributes)
-    key = (node.relation_name, tuple(conn_attributes))
+    key = (node.relation_name, node.parent.relation_name if node.parent else None)
     context = context_cache.get(key)
     store = relation.column_store()
     if context is None or context.store is not store:
@@ -1065,7 +1087,7 @@ def scan_node_views(
     relation: Relation,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, ViewSignature], View],
+    child_views: Mapping[Tuple[str, str, ViewSignature], View],
 ) -> Dict[ViewSignature, View]:
     """The views of ``signatures`` at one node by a single tuple-at-a-time scan.
 
@@ -1088,7 +1110,7 @@ def compute_node_views(
     relation: Relation,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, ViewSignature], View],
+    child_views: Mapping[Tuple[str, str, ViewSignature], View],
     context_cache: Optional[MutableMapping[Tuple, ColumnarContext]] = None,
     stats: Optional[MutableMapping[str, int]] = None,
 ) -> Dict[ViewSignature, View]:
@@ -1097,9 +1119,10 @@ def compute_node_views(
     The distinct signatures are grouped into view families and evaluated
     vectorised over the relation's column store, sharing the per-node
     precomputation; signatures with a non-numeric product attribute fall
-    back to :func:`scan_node_views`.  ``context_cache`` (used by the engine)
-    carries columnar contexts across batch evaluations; ``stats`` counts how
-    many views each path computed.
+    back to :func:`scan_node_views`.  ``child_views`` holds the views of the
+    node's children under ``(child, node, signature)``.  ``context_cache``
+    (used by the engine) carries columnar contexts across batch evaluations;
+    ``stats`` counts how many views each path computed.
     """
     conn_attributes = sorted(node.connection_attributes())
     context = _context_for(node, relation, conn_attributes, context_cache)
@@ -1107,7 +1130,7 @@ def compute_node_views(
     results: Dict[ViewSignature, View] = {}
     remaining: List[ViewSignature] = []
     families = _build_families(
-        node, list(dict.fromkeys(signatures)), designation, context.restrict_cache, child_views
+        node, list(dict.fromkeys(signatures)), designation, context, child_views
     )
     for family in families:
         computed, fallback = _evaluate_family(context, node, family, designation, joins)

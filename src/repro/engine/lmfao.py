@@ -4,11 +4,14 @@
 over a feature-extraction query without materialising the join:
 
 1. build a join tree of the (acyclic) query;
-2. decompose every aggregate into per-node view signatures (aggregate
-   pushdown) and deduplicate identical signatures (sharing);
+2. root every aggregate — where its group-by attribute or batch-varying
+   filter lives when the plan estimate says so, else at the tree's root —
+   decompose it into per-node view signatures (aggregate pushdown) and
+   deduplicate identical signatures per direction (sharing);
 3. evaluate views bottom-up, sharing the scan of each relation across the
-   views rooted at it, optionally in parallel across independent nodes;
-4. assemble the final aggregate values at the root.
+   views it computes for one neighbour, optionally in parallel across
+   independent directions;
+4. assemble each aggregate's value at its root.
 
 Specialisation (the vectorised columnar executor) and sharing are always on;
 the Figure-6 ablation that takes them away again lives in
@@ -22,7 +25,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from collections import OrderedDict
 
@@ -35,7 +38,7 @@ from repro.engine.executor import (
     View,
     compute_node_views,
 )
-from repro.engine.plan import BatchPlan, ViewSignature, plan_batch
+from repro.engine.plan import BatchPlan, Direction, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
 from repro.engine.statistics import RootChoice, choose_root
 from repro.query.conjunctive import ConjunctiveQuery
@@ -58,9 +61,10 @@ class EngineOptions:
         thread pool of ``workers`` threads (``None``: derived from the cpu
         count).
     ``root_relation``
-        Force a specific join-tree root.  ``None`` (default) scores every
-        candidate root with the statistics-based model of
-        :mod:`repro.engine.statistics` and picks the cheapest once, at
+        Force one join-tree root for every aggregate.  ``None`` (default)
+        leaves the root to the plan: each batch roots its aggregates where
+        the plan estimate of :mod:`repro.engine.statistics` is lowest, falling
+        back to the root the same module's schema-level model picks once, at
         construction.
     """
 
@@ -85,7 +89,10 @@ class BatchResult:
 
     batch: AggregateBatch
     values: Dict[str, AggregateValue]
-    plan_summary: Dict[str, float] = field(default_factory=dict)
+    #: Plan counts plus the decision behind them: ``roots`` (root relation ->
+    #: aggregates rooted there) and, when the plan chose the roots itself,
+    #: ``estimated_cost`` next to ``single_root_cost``.
+    plan_summary: Dict[str, object] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     views_computed: int = 0
     #: How many views each executor path computed (see executor.STAT_* keys);
@@ -127,12 +134,17 @@ class LMFAOEngine:
       codings, filter masks and cross-store key maps, refreshed lazily when
       the underlying :attr:`Relation.version` changes;
     - **the view cache** (always on, at most :data:`VIEW_CACHE_SIZE`
-      entries): computed views keyed by ``(node, signature)`` and guarded by
-      the version of every relation in the node's subtree — a hit is served
-      as-is, anything else is recomputed (:meth:`_evaluate_views`);
-    - **the join-tree root**: chosen once at construction by the cost model
-      unless ``options.root_relation`` forces it; :attr:`root_choice`
-      records the per-candidate estimates for introspection.
+      entries between calls): computed views keyed by ``(node, towards,
+      signature)`` and guarded by the version of every relation on the
+      node's side of that edge — a hit is served as-is, anything else is
+      recomputed (:meth:`_evaluate_views`);
+    - **the join-tree root**: the *default* root — where aggregates without
+      a cheaper root of their own are evaluated — is chosen once at
+      construction by the schema-level cost model, and :attr:`root_choice`
+      records its per-candidate estimates; per batch, :meth:`plan` may root
+      groups of aggregates elsewhere (``BatchResult.plan_summary`` says
+      where and at what estimated cost).  ``options.root_relation`` forces
+      one root for everything.
 
     All caches invalidate through :attr:`Relation.version` — any mutation
     (``add``/``remove``/``clear``, including IVM deltas) bumps the counter
@@ -140,8 +152,8 @@ class LMFAOEngine:
     to be invalidated eagerly.  The engine evaluates over the data as it
     stands and never patches a result: keeping a result current under updates
     is what the maintainers of :mod:`repro.ivm` do, and ``evaluate`` after
-    any mutation returns, bit for bit, what a freshly built engine rooted at
-    the same relation returns, with ``executor_stats`` a function of the
+    any mutation returns, bit for bit, what a freshly built engine with the
+    same default root returns, with ``executor_stats`` a function of the
     evaluate/mutate history alone.
     """
 
@@ -154,8 +166,8 @@ class LMFAOEngine:
         self.database = database
         self.query = query
         self.options = options or EngineOptions()
-        #: How the root was picked (candidate costs included); None when the
-        #: caller forced ``root_relation``.
+        #: How the default root was picked (candidate costs included); None
+        #: when the caller forced ``root_relation``.
         self.root_choice: Optional[RootChoice] = None
         self.join_tree = self._build_join_tree()
         # Columnar contexts survive across evaluate() calls: repeated batch
@@ -163,19 +175,12 @@ class LMFAOEngine:
         # reuse the dictionary encodings.  Entries auto-refresh when the
         # underlying relation's version changes.
         self._context_cache: Dict[Tuple, ColumnarContext] = {}
-        # The cross-evaluate view cache: (node, signature) -> (the versions
-        # of every relation in the node's subtree at computation time, view).
-        self._view_cache: "OrderedDict[Tuple[str, ViewSignature], Tuple[Tuple[int, ...], View]]" = (
+        # The cross-evaluate view cache: (node, towards, signature) -> (the
+        # versions of every relation on the node's side of the edge at
+        # computation time, view).
+        self._view_cache: "OrderedDict[Tuple[str, Optional[str], ViewSignature], Tuple[Tuple[int, ...], View]]" = (
             OrderedDict()
         )
-        # Per node: the sorted relation names of its subtree (fixed once the
-        # tree is rooted), used to assemble the cache guard cheaply.
-        self._subtree_names: Dict[str, Tuple[str, ...]] = {
-            node.relation_name: tuple(
-                sorted(child.relation_name for child in node.subtree_nodes())
-            )
-            for node in self.join_tree.nodes()
-        }
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
 
@@ -222,7 +227,13 @@ class LMFAOEngine:
     # -- evaluation ------------------------------------------------------------------------
 
     def plan(self, batch: AggregateBatch) -> BatchPlan:
-        return plan_batch(batch, self.join_tree)
+        """Plan ``batch``; the plan picks the roots unless one is forced."""
+        if self.options.root_relation is not None:
+            return plan_batch(batch, self.join_tree)
+        row_counts = {
+            name: len(self.database.relation(name)) for name in self.join_tree.relation_names
+        }
+        return plan_batch(batch, self.join_tree, row_counts)
 
     def close(self) -> None:
         """Release the worker pool, cached columnar contexts and cached views."""
@@ -257,8 +268,8 @@ class LMFAOEngine:
         Views whose subtree relations have not changed since an earlier
         call are served from the view cache (``executor_stats["views_cached"]``
         counts them), so repeating an identical batch over unchanged data is
-        nearly free, and after an update only the root-path above the mutated
-        relation is recomputed.
+        nearly free, and after an update only the views with the mutated
+        relation on their side of the edge are recomputed.
         """
         started = time.perf_counter()
         plan = self.plan(batch)
@@ -266,11 +277,15 @@ class LMFAOEngine:
         views = self._evaluate_views(plan, stats)
 
         values: Dict[str, AggregateValue] = {}
-        root_name = self.join_tree.root.relation_name
         for decomposition in plan.decompositions:
             aggregate = decomposition.aggregate
-            root_view = views[(root_name, decomposition.root_signature)]
+            root_view = views[(decomposition.root, None, decomposition.root_signature)]
             values[self._unique_name(aggregate, values)] = self._extract(aggregate, root_view)
+        # Once per call, after the last read: trimming per insert would evict
+        # this very call's first views to make room for its last.
+        cache = self._view_cache
+        while len(cache) > VIEW_CACHE_SIZE:
+            cache.popitem(last=False)
 
         if plan.unsupported:
             self._evaluate_unsupported(plan.unsupported, values)
@@ -297,46 +312,46 @@ class LMFAOEngine:
             suffix += 1
         return f"{name}#{suffix}"
 
-    def _subtree_versions(self, node: JoinTreeNode) -> Tuple[int, ...]:
-        """The cache guard: versions of every relation in ``node``'s subtree."""
+    def _side_versions(self, direction: Direction) -> Tuple[int, ...]:
+        """The cache guard: versions of every relation on the direction's side."""
         return tuple(
             self.database.relation(name).version
-            for name in self._subtree_names[node.relation_name]
+            for name in sorted(self.join_tree.side(*direction))
         )
 
     def _evaluate_views(
         self, plan: BatchPlan, stats: Optional[Dict[str, int]] = None
-    ) -> Dict[Tuple[str, ViewSignature], View]:
+    ) -> Dict[Tuple[str, Optional[str], ViewSignature], View]:
         """Evaluate all planned views bottom-up over the join tree.
 
-        Each node's signatures are first resolved against the cross-evaluate
-        view cache: an entry hits when the versions of *all* relations in the
-        node's subtree are unchanged since the view was computed — the view's
-        value depends on nothing else once the tree and designation are
-        fixed.  Hits are served as-is (and count as ``views_cached`` in the
-        stats); missing and stale signatures alike reach the executor, and
-        the freshly computed views replace them in the cache, with LRU
-        eviction beyond :data:`VIEW_CACHE_SIZE`.
+        Each direction's signatures are first resolved against the
+        cross-evaluate view cache: an entry hits when the versions of *all*
+        relations on the node's side of the edge are unchanged since the view
+        was computed — the view's value depends on nothing else once the tree
+        and designation are fixed.  Hits are served as-is (and count as
+        ``views_cached`` in the stats); missing and stale signatures alike
+        reach the executor, and the freshly computed views replace them in
+        the cache (:meth:`evaluate` trims it back to :data:`VIEW_CACHE_SIZE`,
+        least recently used first, once it has read the root views).
         """
-        views: Dict[Tuple[str, ViewSignature], View] = {}
-        levels = self._nodes_by_depth()
+        views: Dict[Tuple[str, Optional[str], ViewSignature], View] = {}
         cache = self._view_cache
 
-        def resolve_cached(node: JoinTreeNode) -> Tuple[List[ViewSignature], Tuple[int, ...]]:
-            """Serve cache hits for one node; return the signatures left to compute.
+        def resolve_cached(direction: Direction) -> Tuple[List[ViewSignature], Tuple[int, ...]]:
+            """Serve cache hits for one direction; return the signatures left to compute.
 
             A stale entry is one more signature to compute: the fresh view
             overwrites it.
             """
-            signatures = plan.views_per_node[node.relation_name]
-            versions = self._subtree_versions(node)
+            versions = self._side_versions(direction)
             pending: List[ViewSignature] = []
             hits = 0
-            for signature in signatures:
-                entry = cache.get((node.relation_name, signature))
+            for signature in plan.views[direction]:
+                key = direction + (signature,)
+                entry = cache.get(key)
                 if entry is not None and entry[0] == versions:
-                    cache.move_to_end((node.relation_name, signature))
-                    views[(node.relation_name, signature)] = entry[1]
+                    cache.move_to_end(key)
+                    views[key] = entry[1]
                     hits += 1
                 else:
                     pending.append(signature)
@@ -345,13 +360,13 @@ class LMFAOEngine:
             return pending, versions
 
         def run_node(
-            node: JoinTreeNode,
+            direction: Direction,
             signatures: Sequence[ViewSignature],
             node_stats: Optional[Dict[str, int]],
         ) -> Dict[ViewSignature, View]:
             return compute_node_views(
-                node,
-                self.database.relation(node.relation_name),
+                self.join_tree.oriented(*direction),
+                self.database.relation(direction[0]),
                 signatures,
                 plan.designation,
                 views,
@@ -359,69 +374,60 @@ class LMFAOEngine:
                 stats=node_stats,
             )
 
-        def merge_stats(node_stats: Dict[str, int]) -> None:
+        def finish(
+            direction: Direction,
+            versions: Tuple[int, ...],
+            computed: Mapping[ViewSignature, View],
+            node_stats: Dict[str, int],
+        ) -> None:
+            for signature, view in computed.items():
+                key = direction + (signature,)
+                views[key] = view
+                cache[key] = (versions, view)
+                cache.move_to_end(key)
             if stats is not None:
-                for key, count in node_stats.items():
-                    stats[key] = stats.get(key, 0) + count
+                for name, count in node_stats.items():
+                    stats[name] = stats.get(name, 0) + count
 
-        for depth in sorted(levels, reverse=True):
-            nodes = levels[depth]
-            pending: Dict[str, Tuple[List[ViewSignature], Tuple[int, ...]]] = {}
-            for node in nodes:
-                pending[node.relation_name] = resolve_cached(node)
-            runnable = [
-                node for node in nodes if pending[node.relation_name][0]
-            ]
+        for directions in self._levels(plan.views):
+            runnable = []
+            for direction in directions:
+                signatures, versions = resolve_cached(direction)
+                if signatures:
+                    runnable.append((direction, signatures, versions, {}))
             if self.options.parallel and len(runnable) > 1:
                 # One pool for the whole engine lifetime: constructing and
                 # tearing down an executor per tree level costs more than the
                 # per-level work it parallelises.
                 pool = self._ensure_pool()
-                futures = []
-                for node in runnable:
-                    per_node: Dict[str, int] = {}
-                    signatures = pending[node.relation_name][0]
-                    futures.append(
-                        (pool.submit(run_node, node, signatures, per_node), node, per_node)
-                    )
-                for future, node, node_stats in futures:
-                    computed = future.result()
-                    for signature, view in computed.items():
-                        views[(node.relation_name, signature)] = view
-                    self._cache_views(node.relation_name, pending[node.relation_name][1], computed)
-                    merge_stats(node_stats)
+                futures = [
+                    pool.submit(run_node, direction, signatures, node_stats)
+                    for direction, signatures, _versions, node_stats in runnable
+                ]
+                for future, (direction, _signatures, versions, node_stats) in zip(
+                    futures, runnable
+                ):
+                    finish(direction, versions, future.result(), node_stats)
             else:
-                for node in runnable:
-                    node_stats: Dict[str, int] = {}
-                    signatures = pending[node.relation_name][0]
-                    computed = run_node(node, signatures, node_stats)
-                    for signature, view in computed.items():
-                        views[(node.relation_name, signature)] = view
-                    self._cache_views(node.relation_name, pending[node.relation_name][1], computed)
-                    merge_stats(node_stats)
+                for direction, signatures, versions, node_stats in runnable:
+                    computed = run_node(direction, signatures, node_stats)
+                    finish(direction, versions, computed, node_stats)
         return views
 
-    def _cache_views(
-        self, name: str, versions: Tuple[int, ...], computed: Mapping[ViewSignature, View]
-    ) -> None:
-        """Insert one node's views as most-recently-used; evict beyond the bound."""
-        cache = self._view_cache
-        for signature, view in computed.items():
-            cache[(name, signature)] = (versions, view)
-            cache.move_to_end((name, signature))
-        while len(cache) > VIEW_CACHE_SIZE:
-            cache.popitem(last=False)
+    def _levels(self, directions: Iterable[Direction]) -> List[List[Direction]]:
+        """``directions`` grouped bottom-up: a level reads only earlier levels' views.
 
-    def _nodes_by_depth(self) -> Dict[int, List[JoinTreeNode]]:
-        levels: Dict[int, List[JoinTreeNode]] = {}
+        The level of ``(node, towards)`` is the height of what hangs below
+        the node on its side of the edge.
+        """
 
-        def visit(node: JoinTreeNode, depth: int) -> None:
-            levels.setdefault(depth, []).append(node)
-            for child in node.children:
-                visit(child, depth + 1)
+        def height(node: JoinTreeNode) -> int:
+            return 1 + max((height(child) for child in node.children), default=-1)
 
-        visit(self.join_tree.root, 0)
-        return levels
+        levels: Dict[int, List[Direction]] = {}
+        for direction in directions:
+            levels.setdefault(height(self.join_tree.oriented(*direction)), []).append(direction)
+        return [levels[level] for level in sorted(levels)]
 
     @staticmethod
     def _extract(aggregate: Aggregate, root_view: View) -> AggregateValue:

@@ -34,7 +34,7 @@ passing ``root_relation=widest_relation(...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.data.database import Database
 from repro.query.join_tree import JoinTree, JoinTreeNode
@@ -45,6 +45,7 @@ __all__ = [
     "collect_statistics",
     "estimate_root_costs",
     "choose_root",
+    "estimate_plan_cost",
     "widest_relation",
 ]
 
@@ -174,6 +175,24 @@ def estimate_root_costs(
             total += weights[node.relation_name] * (stats.row_count + distinct_keys)
         costs[candidate] = total
     return costs
+
+
+def estimate_plan_cost(
+    row_counts: Mapping[str, int],
+    views: Mapping[Tuple[str, Optional[str]], Collection[object]],
+) -> float:
+    """The work of evaluating one plan: rows scanned times views computed.
+
+    ``views`` maps each planned direction ``(node, towards)`` to its distinct
+    signatures.  Every signature is one weight column and one ``bincount``
+    over the node's rows, whichever shared pipeline computes it, so the sum
+    of ``rows(node) * signatures`` over the directions ranks root assignments
+    of *one batch* exactly where :func:`estimate_root_costs` has to guess the
+    signature counts from the schema.
+    """
+    return float(
+        sum(row_counts[node] * len(signatures) for (node, _towards), signatures in views.items())
+    )
 
 
 def widest_relation(database: Database, relation_names) -> str:

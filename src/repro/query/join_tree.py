@@ -66,6 +66,21 @@ class JoinTree:
         self._nodes_by_name: Dict[str, JoinTreeNode] = {
             node.relation_name: node for node in root.subtree_nodes()
         }
+        # Copies of this tree rooted elsewhere (see :meth:`oriented`).
+        self._rerooted: Dict[str, "JoinTree"] = {}
+        self._sides: Dict[Tuple[str, Optional[str]], FrozenSet[str]] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The orientation caches are derived: a pickled tree (checkpoints and
+        # shard workers carry the maintainer's) holds the tree alone.
+        state = self.__dict__.copy()
+        del state["_rerooted"], state["_sides"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._rerooted = {}
+        self._sides = {}
 
     # -- accessors --------------------------------------------------------------------
 
@@ -172,6 +187,42 @@ class JoinTree:
                     new_nodes[current].add_child(new_nodes[neighbour])
                     frontier.append(neighbour)
         return JoinTree(new_nodes[new_root_name])
+
+    # -- directed edges ---------------------------------------------------------------
+
+    def oriented(self, relation_name: str, towards: Optional[str] = None) -> JoinTreeNode:
+        """The node of ``relation_name`` hanging below its neighbour ``towards``.
+
+        A tree over the same edges can be rooted anywhere; the *direction*
+        ``(relation_name, towards)`` names the node whose parent is
+        ``towards`` (``None``: the node as root) and whose children are its
+        other neighbours.  Where this tree is already oriented that way its
+        own node is returned; any other direction is served, always by the
+        same node object, from a cached copy rooted at ``towards``.
+        """
+        node = self.node(relation_name)
+        parent = node.parent.relation_name if node.parent is not None else None
+        if parent == towards:
+            return node
+        anchor = relation_name if towards is None else towards
+        tree = self._rerooted.get(anchor)
+        if tree is None:
+            tree = self._rerooted[anchor] = self.rerooted(anchor)
+        node = tree.node(relation_name)
+        if towards is not None and (node.parent is None or node.parent.relation_name != towards):
+            raise JoinTreeError(f"{towards!r} is not a neighbour of {relation_name!r}")
+        return node
+
+    def side(self, relation_name: str, towards: Optional[str] = None) -> FrozenSet[str]:
+        """The relations on ``relation_name``'s side of its edge to ``towards``."""
+        key = (relation_name, towards)
+        side = self._sides.get(key)
+        if side is None:
+            side = self._sides[key] = frozenset(
+                node.relation_name
+                for node in self.oriented(relation_name, towards).subtree_nodes()
+            )
+        return side
 
     def render(self) -> str:
         """ASCII rendering used in examples and documentation."""

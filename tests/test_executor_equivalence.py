@@ -44,26 +44,26 @@ from repro.ml import DecisionTreeRegressor
 def _evaluate_checked(database, query, batch, options=None):
     """Evaluate on the engine, checking every view against the tuple scan.
 
-    Each node's views are re-derived by ``scan_node_views`` from the engine's
-    own child views, so agreement at every node is agreement of the whole
-    bottom-up evaluation: same connection keys, same group keys (zero-sum
+    Each direction's views are re-derived by ``scan_node_views`` from the
+    engine's own child views, so agreement at every node — for every
+    neighbour it computes views for — is agreement of the whole bottom-up
+    evaluation: same connection keys, same group keys (zero-sum
     groups included), same values.
     """
     engine = LMFAOEngine(database, query, options)
     result = engine.evaluate(batch)
     plan = engine.plan(batch)
     views = engine._evaluate_views(plan)    # cache hits: the views `result` read
-    for node in engine.join_tree.nodes():
-        name = node.relation_name
+    for (name, towards), signatures in plan.views.items():
         scanned = scan_node_views(
-            node, database.relation(name), plan.views_per_node[name],
+            engine.join_tree.oriented(name, towards), database.relation(name), signatures,
             plan.designation, views,
         )
         for signature, expected in scanned.items():
-            view = views[(name, signature)]
-            assert set(view) == set(expected), (name, signature)
+            view = views[(name, towards, signature)]
+            assert set(view) == set(expected), (name, towards, signature)
             for key, groups in expected.items():
-                assert _exact_equal(dict(view[key]), groups), (name, signature, key)
+                assert _exact_equal(dict(view[key]), groups), (name, towards, signature, key)
     return result
 
 
@@ -424,8 +424,8 @@ def test_extraction_is_stable_after_view_materialisation():
     engine = LMFAOEngine(database, query)
     plan = engine.plan(batch)
     views = engine._evaluate_views(plan, {})
-    root_name = engine.join_tree.root.relation_name
-    root_view = views[(root_name, plan.decompositions[0].root_signature)]
+    decomposition = plan.decompositions[0]
+    root_view = views[(decomposition.root, None, decomposition.root_signature)]
     len(root_view)                                  # materialise the dict shape
     again = engine._extract(batch[0], root_view)
     assert again == fresh
@@ -531,9 +531,17 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
 
     # The interesting shapes did occur: columns of one bundle with different
     # key sets, and a node that computed flat and grouped bundles side by side.
-    engine = LMFAOEngine(database, query)
+    # They are shapes of the one-root plan — per-aggregate roots turn most of
+    # these views into root views — so the batch is evaluated once more with
+    # the default root forced, checked against the tuple scan like the first.
+    root = LMFAOEngine(database, query).join_tree.root.relation_name
+    forced = EngineOptions(root_relation=root)
+    pinned = _evaluate_checked(database, query, batch, forced)
+    for name, value in outcome.values.items():
+        assert _tolerant_equal(value, pinned.values[name]), name
+    engine = LMFAOEngine(database, query, forced)
     bundles = {}
-    for (name, _signature), view in engine._evaluate_views(engine.plan(batch)).items():
+    for (name, _towards, _signature), view in engine._evaluate_views(engine.plan(batch)).items():
         assert isinstance(view, ColumnarView)
         bundles.setdefault(id(view._bundle), (name, view._bundle, []))[2].append(view)
     assert any(

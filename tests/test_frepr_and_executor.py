@@ -128,7 +128,7 @@ def test_compute_node_views_leaf_and_root(star_pieces):
         database["F"],
         [root_signature],
         designation,
-        {("D", leaf_signature): view},
+        {("D", "F", leaf_signature): view},
     )
     total = root_views[root_signature][()][()]
     assert total == pytest.approx(1.0 * 10 + 2.0 * 10 + 3.0 * 20)
@@ -156,7 +156,7 @@ def test_vectorized_and_tuple_scan_paths_agree(star_pieces):
                     database["F"],
                     [decomposition.root_signature],
                     designation,
-                    {("D", leaf_signature): leaf_view},
+                    {("D", "F", leaf_signature): leaf_view},
                 )[decomposition.root_signature]
             )
         vectorised, scanned = root_views

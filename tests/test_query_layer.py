@@ -103,6 +103,36 @@ def test_join_tree_on_datasets(small_retailer, small_retailer_query):
     assert set(tree.relation_names) == set(small_retailer_query.relation_names)
 
 
+def test_join_tree_directions(small_retailer, small_retailer_query):
+    """Every edge can be looked at from both ends; the tree itself stays as built."""
+    import pickle
+
+    tree = build_join_tree(small_retailer_query.hypergraph(small_retailer), root="Stores")
+    untouched = pickle.dumps(tree)
+    names = set(tree.relation_names)
+    for node in tree.nodes():
+        neighbours = [child.relation_name for child in node.children]
+        if node.parent is not None:
+            neighbours.append(node.parent.relation_name)
+        # As built where the tree already hangs that way ...
+        assert tree.oriented(node.relation_name, node.parent and node.parent.relation_name) is node
+        assert tree.side(node.relation_name) == names
+        for towards in neighbours:
+            oriented = tree.oriented(node.relation_name, towards)
+            # ... else one stable node with the asked-for parent and the rest below.
+            assert oriented is tree.oriented(node.relation_name, towards)
+            assert oriented.parent.relation_name == towards
+            assert {c.relation_name for c in oriented.children} == set(neighbours) - {towards}
+            here, there = tree.side(node.relation_name, towards), tree.side(towards, node.relation_name)
+            assert node.relation_name in here and towards in there
+            assert here | there == names and not here & there
+    with pytest.raises(JoinTreeError):
+        tree.oriented("Items", "Stores")                 # not neighbours
+    # The orientation caches are derived state: checkpoints carry the tree alone.
+    assert pickle.dumps(tree) == untouched
+    assert pickle.loads(untouched).side("Inventory", "Weather") == {"Inventory", "Items"}
+
+
 # -- variable orders --------------------------------------------------------------------------------
 
 

@@ -21,14 +21,18 @@ import random
 import pytest
 
 from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp, covariance_batch
+from repro.aggregates.batch import decision_tree_node_batch
 from repro.data import Database, Relation, Schema
-from repro.datasets import load_dataset
+from repro.datasets import load_dataset, retailer_database, retailer_query
+from repro.datasets.retailer import RETAILER_FEATURES
 from repro.engine import (
     EngineOptions,
     LMFAOEngine,
+    MaterializedJoinEngine,
     choose_root,
     collect_statistics,
     estimate_root_costs,
+    plan_batch,
 )
 from repro.engine import lmfao
 from repro.engine.executor import (
@@ -37,7 +41,8 @@ from repro.engine.executor import (
     STAT_PIPELINES,
     STAT_TUPLE_FALLBACK,
 )
-from repro.engine.statistics import widest_relation
+from repro.engine.statistics import estimate_plan_cost, widest_relation
+from repro.ml import DecisionTreeRegressor
 from repro.query import ConjunctiveQuery, build_join_tree
 
 
@@ -212,26 +217,42 @@ def _star_batch():
     )
 
 
+def _built_on_the_spot(engine, database, query):
+    """A new engine with ``engine``'s options and ``engine``'s default root.
+
+    The default root is the cost model's pick from the data as it stood at
+    construction; an engine built later may be given another, and two engines
+    are bit-identical only from the same one.  A forced root is its own
+    default; otherwise the twin keeps ``root_relation=None`` — so its plans
+    pick their roots per batch exactly as ``engine``'s do — and gets the tree
+    ``engine`` was built with.
+    """
+    twin = LMFAOEngine(database, query, engine.options)
+    root = engine.join_tree.root.relation_name
+    if twin.join_tree.root.relation_name != root:
+        twin.join_tree = build_join_tree(query.hypergraph(database), root=root)
+    return twin
+
+
 def _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=None):
     """Drive two long-lived engines through one mutation history.
 
     ``history`` mutates ``database`` once per ``next()``.  After every
-    mutation both engines must answer what an engine built on the spot (and
-    rooted where they are) answers — ``==``, keys included, no tolerance —
-    and report the same ``executor_stats`` as each other: what is served from
-    the cache and what is recomputed follows from the history, never from the
-    clock.
+    mutation both engines must answer what an engine built on the spot (with
+    their options and their default root: with ``root=None`` all of them plan
+    per-aggregate roots, and their caches hold directional views) answers —
+    ``==``, keys included, no tolerance — and report the same
+    ``executor_stats`` as each other: what is served from the cache and what
+    is recomputed follows from the history, never from the clock.
     """
-    engines = [
-        LMFAOEngine(database, query, EngineOptions(root_relation=root)) for _ in range(2)
-    ]
-    root = engines[0].join_tree.root.relation_name
+    options = EngineOptions(root_relation=root)
+    engines = [LMFAOEngine(database, query, options) for _ in range(2)]
     for engine in engines:
         engine.evaluate(batch)
     steps = 0
     for steps, label in enumerate(history, 1):
         first, second = (engine.evaluate(batch) for engine in engines)
-        fresh = LMFAOEngine(database, query, EngineOptions(root_relation=root)).evaluate(batch)
+        fresh = _built_on_the_spot(engines[0], database, query).evaluate(batch)
         assert first.values == fresh.values, label
         assert second.values == fresh.values, label
         assert first.executor_stats == second.executor_stats, label
@@ -446,3 +467,291 @@ def test_cached_views_agree_with_fresh_engine_on_yelp(small_yelp):
             ],
         )
         _assert_history_tracks_a_fresh_engine(mutable, query, batch, history, root=root)
+
+
+# -- per-aggregate roots ----------------------------------------------------------------
+
+
+def _tree_node_batch(database, query, features, node_filters=()):
+    """The batch a regression tree evaluates at one node of its growth."""
+    learner = DecisionTreeRegressor(
+        features["target"], features["continuous"], features["categorical"]
+    )
+    return decision_tree_node_batch(
+        features["target"],
+        learner.continuous,
+        learner.categorical,
+        thresholds=learner._thresholds(database, query),
+        categories=learner._categories(database),
+        node_filters=node_filters,
+    )
+
+
+_STAR_FEATURES = {"target": "m", "continuous": ["m", "x", "y"], "categorical": ["k2"]}
+
+
+def _rooting_case(name):
+    """Database, query, feature spec, two node filters (on different relations)
+    and a join attribute to group by."""
+    if name == "star":
+        return (
+            _star_database(), ConjunctiveQuery(["F", "D1", "D2"]), _STAR_FEATURES,
+            (Filter("x", FilterOp.GE, 15), Filter("y", FilterOp.LT, 9)), "k1",
+        )
+    if name == "retailer":
+        database, query, spec = load_dataset(
+            "retailer", inventory_rows=400, stores=6, items=15, dates=8, seed=3
+        )
+        filters = (Filter("prize", FilterOp.GE, 100.0), Filter("maxtemp", FilterOp.LT, 20.0))
+        return database, query, spec.features, filters, "locn"
+    if name == "yelp":
+        database, query, spec = load_dataset("yelp", review_rows=400, businesses=30, users=40)
+        filters = (Filter("fans", FilterOp.GE, 2), Filter("business_stars", FilterOp.LT, 4.0))
+        return database, query, spec.features, filters, "business"
+    database, query, spec = load_dataset(
+        "favorita", sales_rows=300, stores=6, items=20, dates=10, seed=5
+    )
+    filters = (Filter("oilprice", FilterOp.GE, 50.0), Filter("transactions", FilterOp.LT, 2500))
+    return database, query, spec.features, filters, "store"
+
+
+def _assert_every_rooting_agrees(database, query, batch):
+    """Default (the plan picks the roots) == every forced root == the naive join."""
+    naive = MaterializedJoinEngine(database, query).evaluate(batch)
+    planned = LMFAOEngine(database, query).evaluate(batch)
+    assert planned.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
+    _assert_results_equal(naive, planned)
+    for root in query.relation_names:
+        forced = LMFAOEngine(database, query, EngineOptions(root_relation=root)).evaluate(batch)
+        assert forced.plan_summary["roots"] == {root: len(batch)}
+        _assert_results_equal(naive, forced)
+    return planned
+
+
+@pytest.mark.parametrize("dataset", ["star", "retailer", "yelp", "favorita"])
+def test_planned_roots_agree_with_every_forced_root_and_the_naive_join(dataset):
+    database, query, features, node_filters, join_attribute = _rooting_case(dataset)
+    _assert_every_rooting_agrees(
+        database, query, covariance_batch(features["continuous"], features["categorical"])
+    )
+    moved = 0
+    for depth in range(len(node_filters) + 1):
+        batch = _tree_node_batch(database, query, features, node_filters[:depth])
+        planned = _assert_every_rooting_agrees(database, query, batch)
+        moved += len(planned.plan_summary["roots"]) > 1
+        # Directions of one level run side by side; the plan and so the bits stay.
+        with LMFAOEngine(database, query, EngineOptions(parallel=True, workers=2)) as engine:
+            threaded = engine.evaluate(batch)
+        assert threaded.values == planned.values
+        assert threaded.executor_stats == planned.executor_stats
+    # A node batch is what per-aggregate roots are for: every candidate split
+    # is rooted at the relation owning its threshold or category.
+    assert moved, "no tree-node batch was given more than one root"
+    grouped = AggregateBatch(
+        "by-join-attribute",
+        [
+            Aggregate.count(group_by=[join_attribute], name="count"),
+            Aggregate.sum_of([features["target"]], group_by=[join_attribute], name="sum"),
+            Aggregate.sum_of(
+                [features["target"]], group_by=[join_attribute, features["categorical"][0]],
+                filters=node_filters[:1], name="sum_by_two",
+            ),
+        ],
+    )
+    _assert_every_rooting_agrees(database, query, grouped)
+
+    # One relation emptied: every join result is gone, whatever the rooting.
+    emptied = database.copy()
+    smallest = min(query.relation_names, key=lambda name: len(emptied.relation(name)))
+    emptied.relation(smallest).clear()
+    for batch in (_tree_node_batch(database, query, features, node_filters[:1]), grouped):
+        planned = _assert_every_rooting_agrees(emptied, query, batch)
+        assert all(value in (0.0, {}) for value in planned.values.values())
+
+
+def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
+    """Two neighbours joined on the same key are still two directions.
+
+    ``B`` and ``C`` both hang off ``A`` by ``k``: the views ``A`` computes
+    for ``B`` (over ``A`` and ``C``) and for ``C`` (over ``A`` and ``B``)
+    have the same connection attributes and, here, equal signatures.  Keyed
+    by connection attributes their contexts, restricted child signatures and
+    cached views would be each other's.
+    """
+    rng = random.Random(11)
+    database = Database(
+        [
+            Relation("A", Schema.from_names(["k", "a"], ["k"]),
+                     rows=[(rng.randrange(4), float(rng.randrange(1, 9))) for _ in range(60)]),
+            Relation("B", Schema.from_names(["k", "b"], ["k"]),
+                     rows=[(key, float(value)) for key in range(4) for value in (1, 2, 3)][:10]),
+            Relation("C", Schema.from_names(["k", "c"], ["k"]),
+                     rows=[(key, float(value)) for key in (0, 1, 3) for value in (5, 7)]),
+        ]
+    )
+    query = ConjunctiveQuery(["B", "A", "C"])       # GYO hangs B and C off the second one
+    batch = AggregateBatch("two-sided", [Aggregate.sum_of(["a"], name="sum_a")])
+    for attribute, thresholds in (("b", (1.5, 2.5)), ("c", (6.0,))):
+        for threshold in thresholds:
+            condition = Filter(attribute, FilterOp.GE, threshold)
+            batch.add(Aggregate.sum_of(["a"], filters=[condition], name=f"a|{condition}"))
+            batch.add(Aggregate.count(filters=[condition], name=f"n|{condition}"))
+    engine = LMFAOEngine(database, query, EngineOptions(root_relation=None))
+    plan = engine.plan(batch)
+    assert {("A", "B"), ("A", "C")} <= set(plan.views), plan.views.keys()
+    first = _assert_every_rooting_agrees(database, query, batch)
+    # ... and from the caches, once both directions sit in them.
+    engine.evaluate(batch)
+    again = engine.evaluate(batch)
+    assert again.executor_stats == {STAT_CACHED: plan.total_views}
+    assert again.values == first.values
+    assert {key[:2] for key in engine._context_cache} == set(plan.views)
+
+
+def _retailer_at_harness_shape(inventory_rows):
+    database = retailer_database(
+        inventory_rows=inventory_rows, stores=60, items=800, dates=200, seed=1
+    )
+    return database, retailer_query()
+
+
+def test_one_bundle_per_direction_serves_every_root_beyond_it():
+    """The fact table computes a handful of signatures, and computes them once.
+
+    Rooted at one relation a retailer node batch needs 42 signatures at
+    Inventory (three products times the fourteen candidate splits owned by
+    Items).  Per-aggregate roots leave the three products towards Weather —
+    read by the aggregates rooted at Weather, Stores and Demographics alike —
+    and three towards Items.
+    """
+    database, query = _retailer_at_harness_shape(3000)
+    batch = _tree_node_batch(database, query, RETAILER_FEATURES)
+    engine = LMFAOEngine(database, query)
+    plan = engine.plan(batch)
+    assert set(plan.roots) == {"Stores", "Items", "Weather", "Demographics"}
+    assert plan.estimated_cost < plan.single_root_cost
+    at_inventory = {
+        towards: len(signatures)
+        for (name, towards), signatures in plan.views.items() if name == "Inventory"
+    }
+    assert at_inventory == {"Weather": 3, "Items": 3}
+    forced = LMFAOEngine(database, query, EngineOptions(root_relation="Stores"))
+    assert len(forced.plan(batch).views[("Inventory", "Weather")]) == 42
+    # One level down the learner re-tests the split it just took; a condition
+    # listed twice filters once and must not cost the fact table a second set.
+    taken = next(a.filters[0] for a in batch if a.filters and a.filters[0].attribute == "prize")
+    below = engine.plan(_tree_node_batch(database, query, RETAILER_FEATURES, (taken,)))
+    assert {d[1]: len(s) for d, s in below.views.items() if d[0] == "Inventory"} == at_inventory
+
+    result = engine.evaluate(batch)
+    assert result.plan_summary["roots"] == plan.roots
+    assert result.plan_summary["estimated_cost"] == plan.estimated_cost
+    assert result.plan_summary["single_root_cost"] == plan.single_root_cost
+    # Every directional view is computed exactly once, whoever reads it.
+    assert result.executor_stats == {
+        STAT_COLUMNAR: plan.total_views, STAT_PIPELINES: result.executor_stats[STAT_PIPELINES],
+        STAT_TUPLE_FALLBACK: 0,
+    }
+
+    # Across calls the same holds through the view cache: the candidates owned
+    # by Weather are evaluated first, those owned by Stores afterwards — the
+    # second root group is *served* the first one's Inventory -> Weather views.
+    def candidates_of(relation):
+        owned = set(database.relation(relation).schema.names)
+        return AggregateBatch(
+            relation,
+            [a for a in batch
+             if a.filters and a.filters[-1].attribute in owned - {"locn", "dateid", "zip"}],
+        )
+
+    engine = LMFAOEngine(database, query)
+    engine.evaluate(candidates_of("Weather"))
+    plan = engine.plan(candidates_of("Stores"))
+    assert plan.roots == {"Stores": len(candidates_of("Stores"))}
+    waiting = {
+        direction + (signature,)
+        for direction, signatures in plan.views.items()
+        for signature in signatures
+        if direction + (signature,) in engine._view_cache
+    }
+    from_inventory = {
+        ("Inventory", "Weather", signature) for signature in plan.views[("Inventory", "Weather")]
+    }
+    assert len(from_inventory) == 3 and from_inventory <= waiting
+    second = engine.evaluate(candidates_of("Stores"))
+    assert second.executor_stats[STAT_CACHED] == len(waiting)
+    assert second.executor_stats[STAT_COLUMNAR] == plan.total_views - len(waiting)
+
+
+def test_a_call_does_not_evict_the_views_it_is_serving():
+    """The cache is trimmed once per ``evaluate()``, after the last read.
+
+    Trimming at every insert let a batch that overflows the cache evict its
+    own first views while computing its last, and the recomputed ones then
+    evicted the next: the retailer node batch (559 views against 512),
+    repeated identically, recomputed 150 views on every call, forever.  Now a
+    repeat costs nothing when the plan fits — it does with per-aggregate
+    roots — and exactly the overflow when it does not.
+    """
+    database, query = _retailer_at_harness_shape(3000)
+    batch = _tree_node_batch(database, query, RETAILER_FEATURES)
+    for options in (EngineOptions(), EngineOptions(root_relation="Stores")):
+        engine = LMFAOEngine(database, query, options)
+        planned = engine.plan(batch).total_views
+        overflow = max(planned - lmfao.VIEW_CACHE_SIZE, 0)
+        assert (overflow > 0) == (options.root_relation is not None), planned
+        first = engine.evaluate(batch)
+        assert first.executor_stats[STAT_COLUMNAR] == planned
+        for _ in range(2):
+            repeated = engine.evaluate(batch)
+            assert repeated.executor_stats.get(STAT_COLUMNAR, 0) == overflow
+            assert repeated.executor_stats[STAT_CACHED] == planned - overflow
+            assert len(engine._view_cache) == planned - overflow
+            assert repeated.values == first.values
+
+
+def test_histories_track_a_fresh_engine_with_directional_cache_entries():
+    """``evaluate`` after any mutation == a fresh engine, for multi-root plans too."""
+    for dataset, seed, orphans, parents in [
+        ("retailer", 31, [(0, 0, 999, 5.0), (1, 1, 999, 7.5)],
+         [("Items", [(999, "grocery", "subcat1", 9.99)])]),
+        ("yelp", 37, [(0, 10_000, 4.5, 3), (1, 10_000, 1.5, 8)],
+         [("Business", [(10_000, "toronto", "cafe", 4.0, 12, 1)]), ("Checkins", [(10_000, 7)])]),
+    ]:
+        database, query, features, node_filters, _attribute = _rooting_case(dataset)
+        database = database.copy()
+        batch = _tree_node_batch(database, query, features, node_filters[:1])
+        assert len(LMFAOEngine(database, query).plan(batch).roots) > 1
+        history = _seeded_history(database, seed, orphans=orphans, parents=parents)
+        _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=None)
+
+
+def test_the_learned_tree_does_not_depend_on_who_picks_the_roots():
+    database, query = _retailer_at_harness_shape(3000)
+    learned = []
+    for options in (None, EngineOptions(root_relation="Stores")):
+        tree = DecisionTreeRegressor(
+            RETAILER_FEATURES["target"], RETAILER_FEATURES["continuous"],
+            RETAILER_FEATURES["categorical"], max_depth=3, options=options,
+        )
+        tree.fit(database, query)
+        learned.append((tree.root.render(), tree.batches_evaluated, tree.aggregates_evaluated))
+    assert learned[0] == learned[1]
+    assert learned[0][1:] == (15, 4995)
+
+
+def test_plan_estimates_are_deterministic_and_explained():
+    database, query = _retailer_at_harness_shape(3000)
+    batch = _tree_node_batch(database, query, RETAILER_FEATURES)
+    engine = LMFAOEngine(database, query)
+    plans = [engine.plan(batch), LMFAOEngine(database, query).plan(batch)]
+    assert plans[0].roots == plans[1].roots
+    assert plans[0].views == plans[1].views
+    row_counts = {name: len(database.relation(name)) for name in query.relation_names}
+    assert plans[0].estimated_cost == estimate_plan_cost(row_counts, plans[0].views)
+    single = plan_batch(batch, engine.join_tree)
+    assert single.roots == {"Stores": len(batch)} and single.estimated_cost is None
+    assert plans[0].single_root_cost == estimate_plan_cost(row_counts, single.views)
+    # The default root's evidence stays on the engine.
+    assert engine.root_choice.root == "Stores"
+    assert set(engine.root_choice.costs) == set(query.relation_names)
