@@ -9,7 +9,8 @@ compares it against, which live beside this file in
 IVM, with first-order degrading fastest as the number of maintained
 aggregates grows.  The comparison is algorithmic, so all three are driven
 *per tuple*; F-IVM's batched path is measured against its own per-tuple loop
-in a test of its own.
+in a test of its own, and so is the question of whether F-IVM needs a
+per-tuple path at all (``test_figure4_right_per_tuple_path_earns_its_keep``).
 """
 
 from __future__ import annotations
@@ -85,6 +86,73 @@ def test_figure4_right_ordering(benchmark, update_stream):
     for name, value in sorted(throughputs.items(), key=lambda item: -item[1]):
         print(f"  {name:14s} {value:12,.0f} tuples/s")
     assert throughputs["fivm"] > throughputs["higher_order"] > throughputs["first_order"]
+
+
+class FusedAtBatchOneFIVM(FIVM):
+    """F-IVM without its per-tuple path: every update takes the fused pass.
+
+    ``FIVM`` sends a batch that nets to fewer than two rows through
+    ``_apply_update``; this is the maintainer that would be left if that path
+    were deleted and ``apply(u)`` became ``apply_groups(net_updates([u]))``.
+    """
+
+    def apply(self, update):
+        self.apply_batch([update])
+
+    def _apply_groups_locked(self, groups):
+        prepared = [
+            (name, rows, netted, np.asarray(netted, dtype=np.float64))
+            for name, rows, netted in groups
+        ]
+        self._apply_multi_delta(
+            [(name, rows, floats) for name, rows, _netted, floats in prepared]
+        )
+        for name, rows, netted, floats in prepared:
+            self.database.relation(name).add_batch(rows, netted, validated=True)
+            self._after_delta_group(name, rows, floats)
+
+
+def test_figure4_right_per_tuple_path_earns_its_keep(benchmark, update_stream):
+    """``apply()`` against the fused pass at batch 1, on Figure 4's stream.
+
+    The measurement that keeps ``FIVM._apply_update``, ``PayloadScratch`` and
+    the three ``scratch_*`` kernels: both maintainers end bit-identical, and
+    the per-tuple path has to stay well ahead of the fused pass driven one
+    update at a time (x3.5 when this was written; the fused pass then runs
+    about level with higher-order IVM, so Figure 4's ordering would rest on
+    noise without the path).  If a later change makes the fused pass win at
+    batch 1, this is the test that says the path can go.
+    """
+    database, query, features, stream = update_stream
+    strategies = {"per_tuple": FIVM, "fused_at_batch_1": FusedAtBatchOneFIVM}
+
+    def run():
+        best = dict.fromkeys(strategies, 0.0)
+        final = {}
+        for _ in range(3):
+            for name, strategy in strategies.items():
+                final[name], throughput = _per_tuple_throughput(
+                    strategy, database, query, features, stream
+                )
+                best[name] = max(best[name], throughput)
+        higher_order = _per_tuple_throughput(HigherOrderIVM, database, query, features, stream)[1]
+        return best, final, higher_order
+
+    best, final, higher_order = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(
+        f"\n=== Figure 4 (right) F-IVM at batch 1 ({len(stream)} inserts): "
+        f"per-tuple path {best['per_tuple']:,.0f} tuples/s, fused pass "
+        f"{best['fused_at_batch_1']:,.0f} tuples/s "
+        f"({best['per_tuple'] / best['fused_at_batch_1']:.1f}x), "
+        f"higher-order IVM {higher_order:,.0f} tuples/s"
+    )
+    assert final["fused_at_batch_1"].executor_stats["delta_passes"] == len(stream)
+    assert final["per_tuple"].executor_stats.get("delta_passes", 0) == 0
+    per_tuple, fused = (final[name].statistics() for name in strategies)
+    assert per_tuple.count == fused.count
+    assert np.array_equal(per_tuple.sums, fused.sums)
+    assert np.array_equal(per_tuple.moments, fused.moments)
+    assert best["per_tuple"] >= 1.5 * best["fused_at_batch_1"]
 
 
 def _stream_with_deletes(database, seed, length):

@@ -8,8 +8,9 @@ optimisation does not slow the engine down, and specialisation + sharing give
 a multiplicative win.  (Multi-root moves a group of aggregates only where the
 plan estimate says the batch gets cheaper, so on a batch it leaves alone the
 step costs the comparison and nothing else.  Parallelisation uses threads and
-is GIL-bound in pure Python, so its contribution is expected to be small
-here; see EXPERIMENTS.md.)
+is GIL-bound in pure Python: on ``train_models``' own work it measured x0.96
+against one thread, docs/benchmarks.md#pr-23, which is why the engine has no
+pool and the step is printed here without a bound on the clock.)
 
 The engine itself has no switches for the steps it ablates: the staircase is
 assembled here.  The two scan-based steps drive the planner bottom-up with a
@@ -17,19 +18,28 @@ per-node scan — the interpreted one below, and the engine's tuple scan
 (``scan_node_views``) — and the no-sharing steps evaluate one aggregate at a
 time, each on a fresh engine, so nothing is shared across aggregates.  Every
 step up to ``+sharing`` pins the engine's cost-picked root; ``+multi-root``
-stops forcing it, which hands the root of each aggregate to the plan.
+stops forcing it, which hands the root of each aggregate to the plan; and
+``+parallelisation`` takes that plan and runs the directions of each level
+side by side on a thread pool of its own (``evaluate_level_parallel``).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.aggregates import AggregateBatch, covariance_batch
-from repro.engine import EngineOptions, LMFAOEngine, plan_batch
-from repro.engine.executor import EMPTY_GROUP, restrict_signature, scan_node_views
+from repro.engine import BatchResult, LMFAOEngine, plan_batch
+from repro.engine.executor import (
+    EMPTY_GROUP,
+    compute_node_views,
+    restrict_signature,
+    scan_node_views,
+)
 from repro.query import build_join_tree
 
 
@@ -94,6 +104,17 @@ def interpreted_node_views(node, relation, signatures, designation, child_views)
     return results
 
 
+def _root_values(plan, views):
+    """Each aggregate's value, read off the root view of its decomposition."""
+    return {
+        decomposition.aggregate.name: LMFAOEngine._extract(
+            decomposition.aggregate,
+            views[(decomposition.root, None, decomposition.root_signature)],
+        )
+        for decomposition in plan.decompositions
+    }
+
+
 def evaluate_by_scan(database, join_tree, batch, node_views):
     """Evaluate ``batch`` bottom-up, ``node_views`` computing each node's views."""
     plan = plan_batch(batch, join_tree)
@@ -105,13 +126,37 @@ def evaluate_by_scan(database, join_tree, batch, node_views):
         )
         for signature, view in computed.items():
             views[direction + (signature,)] = view
-    root = join_tree.root.relation_name
-    return {
-        decomposition.aggregate.name: LMFAOEngine._extract(
-            decomposition.aggregate, views[(root, None, decomposition.root_signature)]
-        )
-        for decomposition in plan.decompositions
-    }
+    return _root_values(plan, views)
+
+
+def evaluate_level_parallel(engine, batch, pool):
+    """Evaluate ``engine``'s plan of ``batch``, each level's directions on ``pool``.
+
+    Directions of one level read only the views of the levels below, so they
+    are independent; each gets its own stats dictionary, summed afterwards.
+    """
+    plan = engine.plan(batch)
+    views, stats = {}, {}
+    for directions in engine._levels(plan.views):
+        submitted = []
+        for direction in directions:
+            node_stats = {}
+            future = pool.submit(
+                compute_node_views,
+                engine.join_tree.oriented(*direction),
+                engine.database.relation(direction[0]),
+                plan.views[direction],
+                plan.designation,
+                views,
+                stats=node_stats,
+            )
+            submitted.append((direction, future, node_stats))
+        for direction, future, node_stats in submitted:
+            for signature, view in future.result().items():
+                views[direction + (signature,)] = view
+            for name, count in node_stats.items():
+                stats[name] = stats.get(name, 0) + count
+    return BatchResult(batch, _root_values(plan, views), plan.summary(), executor_stats=stats)
 
 
 def _one_at_a_time(batch):
@@ -127,16 +172,20 @@ def _scan_step(node_views):
     return run
 
 
-def _engine_step(share, multi_root=False, parallel=False):
+def _engine_step(share, multi_root=False):
     def run(database, query, root, batch):
-        options = EngineOptions(root_relation=None if multi_root else root, parallel=parallel)
-        results = []
-        for part in [batch] if share else _one_at_a_time(batch):
-            with LMFAOEngine(database, query, options) as engine:
-                results.append(engine.evaluate(part))
-        return results
+        return [
+            LMFAOEngine(database, query, None if multi_root else root).evaluate(part)
+            for part in ([batch] if share else _one_at_a_time(batch))
+        ]
 
     return run
+
+
+def _parallel_step(database, query, root, batch):
+    # The pool lives as long as one evaluation, as the engine's own did.
+    with ThreadPoolExecutor(max_workers=max(2, os.cpu_count() or 2)) as pool:
+        return [evaluate_level_parallel(LMFAOEngine(database, query), batch, pool)]
 
 
 #: The staircase: ``(name, run(database, query, root, batch))``.  Every step
@@ -147,7 +196,7 @@ CONFIGURATIONS = [
     ("+columnar", _engine_step(share=False)),
     ("+sharing", _engine_step(share=True)),
     ("+multi-root", _engine_step(share=True, multi_root=True)),
-    ("+parallelisation", _engine_step(share=True, multi_root=True, parallel=True)),
+    ("+parallelisation", _parallel_step),
 ]
 
 #: The two scan steps are per-row Python: timing them on large data only
@@ -249,6 +298,12 @@ def test_figure6_optimisation_ablation(benchmark, bench_datasets, dataset_name):
     assert planned.executor_stats["views_columnar"] <= pinned.executor_stats["views_columnar"]
     assert planned.plan_summary["estimated_cost"] <= planned.plan_summary["single_root_cost"]
     assert timings["+multi-root"] < timings["+sharing"] * 1.15
+
+    # Threads change who computes a direction, not what it computes: the bits
+    # and the counts stay.  The clock is printed, not asserted.
+    (threaded,) = steps["+parallelisation"](database, query, root, batch)
+    assert threaded.values == planned.values
+    assert threaded.executor_stats["views_columnar"] == planned.executor_stats["views_columnar"]
 
 
 def test_scan_steps_agree_with_the_engine(bench_datasets):

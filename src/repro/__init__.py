@@ -19,7 +19,7 @@ from repro.aggregates import (
     kmeans_batch,
     mutual_information_batch,
 )
-from repro.engine import BatchResult, EngineOptions, LMFAOEngine, MaterializedJoinEngine
+from repro.engine import BatchResult, LMFAOEngine, MaterializedJoinEngine
 from repro.factorized import factorize_join
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "kmeans_batch",
     "LMFAOEngine",
     "MaterializedJoinEngine",
-    "EngineOptions",
     "BatchResult",
     "factorize_join",
 ]

@@ -80,8 +80,8 @@ import numpy as np
 
 from repro.kernels import get_kernels
 
-#: The stable kernel-dispatch singleton: `set_backend` rebinds its
-#: attributes in place, so a module-level binding still sees every switch
+#: The kernel-dispatch singleton: `enable_kernel_stats` rebinds its
+#: attributes in place, so a module-level binding still sees the toggle
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
@@ -432,9 +432,9 @@ class TupleStore:
         probe.  Rows the index does not hold are bulk-appended — no per-row
         loop when they are distinct, the shape the IVM batch path hands over
         after netting — with their encoding deferred to the next flush.
-        Rows netting into existing slots go through the active kernel
-        backend's ``net_deltas`` — one vectorised pass with the
-        zero-crossing live/tombstone/total bookkeeping folded in.
+        Rows netting into existing slots go through the ``net_deltas``
+        kernel — one vectorised pass with the zero-crossing
+        live/tombstone/total bookkeeping folded in.
         """
         self.version += 1
         if 0 in multiplicities:

@@ -4,12 +4,12 @@ The engine evaluates a *batch* of group-by sum-product aggregates directly
 over the input relations, never materialising the feature-extraction join.
 Each aggregate is decomposed top-down over a join tree into per-node views
 (partial aggregates); views with identical structure are shared across the
-batch; views at the same node share the scan of the node's relation; and view
-groups without dependencies can be evaluated in parallel (Section 4).
+batch; and views at the same node share the scan of the node's relation
+(Section 4).
 """
 
 from repro.engine.plan import AggregateDecomposition, ViewSignature, plan_batch
-from repro.engine.lmfao import BatchResult, EngineOptions, LMFAOEngine
+from repro.engine.lmfao import BatchResult, LMFAOEngine
 from repro.engine.naive import MaterializedJoinEngine
 from repro.engine.statistics import (
     RelationStatistics,
@@ -21,7 +21,6 @@ from repro.engine.statistics import (
 
 __all__ = [
     "LMFAOEngine",
-    "EngineOptions",
     "BatchResult",
     "MaterializedJoinEngine",
     "ViewSignature",

@@ -9,21 +9,18 @@ over a feature-extraction query without materialising the join:
    decompose it into per-node view signatures (aggregate pushdown) and
    deduplicate identical signatures per direction (sharing);
 3. evaluate views bottom-up, sharing the scan of each relation across the
-   views it computes for one neighbour, optionally in parallel across
-   independent directions;
+   views it computes for one neighbour;
 4. assemble each aggregate's value at its root.
 
-Specialisation (the vectorised columnar executor) and sharing are always on;
-the Figure-6 ablation that takes them away again lives in
+Specialisation (the vectorised columnar executor) and sharing are always on
+and one thread evaluates a batch; the Figure-6 steps that take the former
+away, or run a level's directions on a thread pool, live in
 ``benchmarks/bench_figure6_ablation.py``, not behind switches here.
 """
 
 from __future__ import annotations
 
-import os
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,37 +47,6 @@ AggregateValue = Union[float, Dict[Tuple, float]]
 #: evicted beyond it.  It bounds memory, not behaviour: a decision-tree fit
 #: computes thousands of views it never asks for again.
 VIEW_CACHE_SIZE = 512
-
-
-@dataclass
-class EngineOptions:
-    """The engine's configuration.
-
-    ``parallel`` / ``workers``
-        Evaluate independent join-tree nodes of one level concurrently on a
-        thread pool of ``workers`` threads (``None``: derived from the cpu
-        count).
-    ``root_relation``
-        Force one join-tree root for every aggregate.  ``None`` (default)
-        leaves the root to the plan: each batch roots its aggregates where
-        the plan estimate of :mod:`repro.engine.statistics` is lowest, falling
-        back to the root the same module's schema-level model picks once, at
-        construction.
-    """
-
-    parallel: bool = False
-    workers: Optional[int] = None
-    root_relation: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1 or None, got {self.workers!r}")
-
-    def resolved_workers(self) -> int:
-        """The thread-pool size: explicit ``workers`` or a cpu-count default."""
-        if self.workers is not None:
-            return self.workers
-        return max(2, min(16, os.cpu_count() or 2))
 
 
 @dataclass
@@ -143,8 +109,8 @@ class LMFAOEngine:
       construction by the schema-level cost model, and :attr:`root_choice`
       records its per-candidate estimates; per batch, :meth:`plan` may root
       groups of aggregates elsewhere (``BatchResult.plan_summary`` says
-      where and at what estimated cost).  ``options.root_relation`` forces
-      one root for everything.
+      where and at what estimated cost).  ``root_relation`` forces one root
+      for everything.
 
     All caches invalidate through :attr:`Relation.version` — any mutation
     (``add``/``remove``/``clear``, including IVM deltas) bumps the counter
@@ -161,11 +127,12 @@ class LMFAOEngine:
         self,
         database: Database,
         query: ConjunctiveQuery,
-        options: Optional[EngineOptions] = None,
+        root_relation: Optional[str] = None,
     ) -> None:
         self.database = database
         self.query = query
-        self.options = options or EngineOptions()
+        #: The root forced for every aggregate; ``None`` leaves it to the plan.
+        self.root_relation = root_relation
         #: How the default root was picked (candidate costs included); None
         #: when the caller forced ``root_relation``.
         self.root_choice: Optional[RootChoice] = None
@@ -181,16 +148,13 @@ class LMFAOEngine:
         self._view_cache: "OrderedDict[Tuple[str, Optional[str], ViewSignature], Tuple[Tuple[int, ...], View]]" = (
             OrderedDict()
         )
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_finalizer: Optional[weakref.finalize] = None
 
     # -- construction ---------------------------------------------------------------------
 
     def _build_join_tree(self) -> JoinTree:
         hypergraph = self.query.hypergraph(self.database)
-        root = self.options.root_relation
-        if root is not None:
-            return build_join_tree(hypergraph, root=root)
+        if self.root_relation is not None:
+            return build_join_tree(hypergraph, root=self.root_relation)
         unrooted = build_join_tree(hypergraph)
         self.root_choice = choose_root(self.database, unrooted)
         root = self.root_choice.root
@@ -228,39 +192,12 @@ class LMFAOEngine:
 
     def plan(self, batch: AggregateBatch) -> BatchPlan:
         """Plan ``batch``; the plan picks the roots unless one is forced."""
-        if self.options.root_relation is not None:
+        if self.root_relation is not None:
             return plan_batch(batch, self.join_tree)
         row_counts = {
             name: len(self.database.relation(name)) for name in self.join_tree.relation_names
         }
         return plan_batch(batch, self.join_tree, row_counts)
-
-    def close(self) -> None:
-        """Release the worker pool, cached columnar contexts and cached views."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-        self._context_cache.clear()
-        self._view_cache.clear()
-
-    def __enter__(self) -> "LMFAOEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.options.resolved_workers())
-            # Reclaim the idle worker threads when the engine is collected,
-            # even if the caller never invokes close().
-            self._pool_finalizer = weakref.finalize(
-                self, self._pool.shutdown, wait=False
-            )
-        return self._pool
 
     def evaluate(self, batch: AggregateBatch) -> BatchResult:
         """Evaluate all aggregates of ``batch`` and return their values.
@@ -359,59 +296,29 @@ class LMFAOEngine:
                 stats[STAT_CACHED] = stats.get(STAT_CACHED, 0) + hits
             return pending, versions
 
-        def run_node(
-            direction: Direction,
-            signatures: Sequence[ViewSignature],
-            node_stats: Optional[Dict[str, int]],
-        ) -> Dict[ViewSignature, View]:
-            return compute_node_views(
-                self.join_tree.oriented(*direction),
-                self.database.relation(direction[0]),
-                signatures,
-                plan.designation,
-                views,
-                context_cache=self._context_cache,
-                stats=node_stats,
-            )
-
-        def finish(
-            direction: Direction,
-            versions: Tuple[int, ...],
-            computed: Mapping[ViewSignature, View],
-            node_stats: Dict[str, int],
-        ) -> None:
-            for signature, view in computed.items():
-                key = direction + (signature,)
-                views[key] = view
-                cache[key] = (versions, view)
-                cache.move_to_end(key)
-            if stats is not None:
-                for name, count in node_stats.items():
-                    stats[name] = stats.get(name, 0) + count
-
         for directions in self._levels(plan.views):
-            runnable = []
+            # A level's hits are touched before its fresh views are inserted;
+            # that is the LRU order the trim in evaluate() evicts by.
+            pending = []
             for direction in directions:
                 signatures, versions = resolve_cached(direction)
                 if signatures:
-                    runnable.append((direction, signatures, versions, {}))
-            if self.options.parallel and len(runnable) > 1:
-                # One pool for the whole engine lifetime: constructing and
-                # tearing down an executor per tree level costs more than the
-                # per-level work it parallelises.
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(run_node, direction, signatures, node_stats)
-                    for direction, signatures, _versions, node_stats in runnable
-                ]
-                for future, (direction, _signatures, versions, node_stats) in zip(
-                    futures, runnable
-                ):
-                    finish(direction, versions, future.result(), node_stats)
-            else:
-                for direction, signatures, versions, node_stats in runnable:
-                    computed = run_node(direction, signatures, node_stats)
-                    finish(direction, versions, computed, node_stats)
+                    pending.append((direction, signatures, versions))
+            for direction, signatures, versions in pending:
+                computed = compute_node_views(
+                    self.join_tree.oriented(*direction),
+                    self.database.relation(direction[0]),
+                    signatures,
+                    plan.designation,
+                    views,
+                    context_cache=self._context_cache,
+                    stats=stats,
+                )
+                for signature, view in computed.items():
+                    key = direction + (signature,)
+                    views[key] = view
+                    cache[key] = (versions, view)
+                    cache.move_to_end(key)
         return views
 
     def _levels(self, directions: Iterable[Direction]) -> List[List[Direction]]:

@@ -28,8 +28,8 @@ import numpy as np
 from repro.kernels import get_kernels
 from repro.rings.covariance import CovarianceBlock, CovariancePayload
 
-#: The stable kernel-dispatch singleton: `set_backend` rebinds its
-#: attributes in place, so a module-level binding still sees every switch
+#: The kernel-dispatch singleton: `enable_kernel_stats` rebinds its
+#: attributes in place, so a module-level binding still sees the toggle
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
@@ -212,8 +212,8 @@ class PayloadStore:
 
         The per-tuple counterpart of :meth:`multiply_into`; ``scratch`` is a
         :class:`~repro.rings.covariance.PayloadScratch`.  Calls the scratch
-        kernels of the active :mod:`repro.kernels` backend directly (no
-        method hop) — this is the hottest per-update chain.
+        kernels of :mod:`repro.kernels` directly (no method hop) — this is
+        the hottest per-update chain.
         """
         support = self.support
         if support is not None and len(support) == 0:

@@ -1,12 +1,10 @@
-"""The always-available numpy kernel backend.
+"""The kernels, as plain numpy functions.
 
-These are the exact array expressions the hot call sites
+These are the array expressions of the hot call sites
 (:mod:`repro.rings.covariance`, :mod:`repro.ivm.payload_store`,
-:mod:`repro.data.tuplestore`) inlined before PR 8, extracted into
-free functions so (a) they can be unit-tested against naive references in
-isolation and (b) a compiled backend can override any of them while the
-rest keep these implementations.  Every function is pure over its array
-arguments except where the docstring says "in place".
+:mod:`repro.data.tuplestore`), kept as free functions so they can be
+unit-tested against naive references in isolation.  Every function is pure
+over its array arguments except where the docstring says "in place".
 
 Floating-point contract: see the package docstring — the elementwise
 kernels perform one rounding per written element in the order spelled out

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.aggregates.batch import mutual_information_batch
 from repro.data.database import Database
-from repro.engine.lmfao import EngineOptions, LMFAOEngine
+from repro.engine.lmfao import LMFAOEngine
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -25,10 +25,10 @@ def mutual_information_matrix(
     database: Database,
     query: ConjunctiveQuery,
     categorical: Sequence[str],
-    options: Optional[EngineOptions] = None,
+    root_relation: Optional[str] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """Pairwise mutual information (in nats) between categorical features."""
-    engine = LMFAOEngine(database, query, options)
+    engine = LMFAOEngine(database, query, root_relation)
     batch = mutual_information_batch(list(categorical))
     result = engine.evaluate(batch)
 
@@ -73,9 +73,9 @@ class ChowLiuTree:
         database: Database,
         query: ConjunctiveQuery,
         categorical: Sequence[str],
-        options: Optional[EngineOptions] = None,
+        root_relation: Optional[str] = None,
     ) -> "ChowLiuTree":
-        matrix, features = mutual_information_matrix(database, query, categorical, options)
+        matrix, features = mutual_information_matrix(database, query, categorical, root_relation)
         graph = nx.Graph()
         graph.add_nodes_from(features)
         for left_position, left in enumerate(features):

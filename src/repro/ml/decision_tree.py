@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.aggregates.batch import decision_tree_node_batch
 from repro.aggregates.spec import Aggregate, AggregateBatch, Filter, FilterOp
 from repro.data.database import Database
-from repro.engine.lmfao import EngineOptions, LMFAOEngine
+from repro.engine.lmfao import LMFAOEngine
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -88,7 +88,7 @@ class _TreeLearnerBase:
         max_depth: int = 3,
         min_samples: float = 10.0,
         threshold_count: int = 8,
-        options: Optional[EngineOptions] = None,
+        root_relation: Optional[str] = None,
     ) -> None:
         self.target = target
         self.continuous = [feature for feature in continuous if feature != target]
@@ -96,7 +96,7 @@ class _TreeLearnerBase:
         self.max_depth = max_depth
         self.min_samples = min_samples
         self.threshold_count = threshold_count
-        self.options = options
+        self.root_relation = root_relation
         self.root: Optional[TreeNode] = None
         self.batches_evaluated = 0
         self.aggregates_evaluated = 0
@@ -134,7 +134,7 @@ class _TreeLearnerBase:
         return categories
 
     def fit(self, database: Database, query: ConjunctiveQuery) -> "TreeNode":
-        engine = LMFAOEngine(database, query, self.options)
+        engine = LMFAOEngine(database, query, self.root_relation)
         thresholds = self._thresholds(database, query)
         categories = self._categories(database)
         self.root = self._grow(engine, (), 0, thresholds, categories)

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix
 from repro.data.database import Database
-from repro.engine.lmfao import EngineOptions
 from repro.ml.statistics import compute_sigma
 from repro.query.conjunctive import ConjunctiveQuery
 
@@ -234,12 +233,12 @@ def train_ridge_regression(
     categorical: Sequence[str] = (),
     regularization: float = 1e-3,
     closed_form: bool = False,
-    options: Optional[EngineOptions] = None,
+    root_relation: Optional[str] = None,
 ) -> Tuple[RidgeRegression, SigmaMatrix]:
     """End-to-end structure-aware training: engine batch, then optimiser."""
     if target not in continuous:
         raise ValueError("the target must be listed among the continuous features")
-    sigma = compute_sigma(database, query, continuous, categorical, options)
+    sigma = compute_sigma(database, query, continuous, categorical, root_relation)
     model = RidgeRegression(target, regularization)
     if closed_form:
         model.fit_closed_form(sigma)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.aggregates.batch import covariance_batch
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix, sigma_from_batch_results
 from repro.data.database import Database
-from repro.engine.lmfao import EngineOptions, LMFAOEngine
+from repro.engine.lmfao import LMFAOEngine
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -25,10 +25,10 @@ def compute_sigma(
     query: ConjunctiveQuery,
     continuous: Sequence[str],
     categorical: Sequence[str] = (),
-    options: Optional[EngineOptions] = None,
+    root_relation: Optional[str] = None,
 ) -> SigmaMatrix:
     """Compute the sigma matrix of the feature-extraction query via the engine."""
-    engine = LMFAOEngine(database, query, options)
+    engine = LMFAOEngine(database, query, root_relation)
     batch = covariance_batch(continuous, categorical)
     result = engine.evaluate(batch)
     return sigma_from_batch_results(result.as_mapping(), continuous, categorical)

@@ -19,7 +19,7 @@ import numpy as np
 from repro.aggregates.batch import covariance_batch
 from repro.aggregates.sparse_tensor import SigmaMatrix, sigma_from_batch_results
 from repro.data.database import Database
-from repro.engine.lmfao import EngineOptions, LMFAOEngine
+from repro.engine.lmfao import LMFAOEngine
 from repro.ml.linear_regression import RidgeRegression
 from repro.query.conjunctive import ConjunctiveQuery
 
@@ -56,7 +56,7 @@ class StructureAwarePipeline:
         continuous: Sequence[str],
         categorical: Sequence[str] = (),
         regularization: float = 1e-3,
-        options: Optional[EngineOptions] = None,
+        root_relation: Optional[str] = None,
         closed_form: bool = False,
     ) -> None:
         if target not in continuous:
@@ -65,7 +65,7 @@ class StructureAwarePipeline:
         self.continuous = list(continuous)
         self.categorical = list(categorical)
         self.regularization = regularization
-        self.options = options
+        self.root_relation = root_relation
         self.closed_form = closed_form
         self.model: Optional[RidgeRegression] = None
         self.sigma: Optional[SigmaMatrix] = None
@@ -75,7 +75,7 @@ class StructureAwarePipeline:
         report = StructureAwareReport()
 
         started = time.perf_counter()
-        engine = LMFAOEngine(database, query, self.options)
+        engine = LMFAOEngine(database, query, self.root_relation)
         batch = covariance_batch(self.continuous, self.categorical)
         result = engine.evaluate(batch)
         sigma = sigma_from_batch_results(result.as_mapping(), self.continuous, self.categorical)

@@ -30,8 +30,8 @@ import numpy as np
 from repro.kernels import get_kernels
 from repro.rings.base import Ring
 
-#: The stable kernel-dispatch singleton: `set_backend` rebinds its
-#: attributes in place, so a module-level binding still sees every switch
+#: The kernel-dispatch singleton: `enable_kernel_stats` rebinds its
+#: attributes in place, so a module-level binding still sees the toggle
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
@@ -492,9 +492,8 @@ class CovarianceBlock:
     def segment_sum(self, codes: np.ndarray, size: int) -> "CovarianceBlock":
         """Sum the stack rows into ``size`` groups given by ``codes``.
 
-        Dispatches to the active :mod:`repro.kernels` backend (numpy:
-        stable sort + ``np.add.reduceat``; numba: sequential accumulation
-        in stable-sort order).  A single target group (the root's empty
+        Dispatches to the :mod:`repro.kernels` segment sum (stable sort +
+        ``np.add.reduceat``).  A single target group (the root's empty
         connection key, the hottest case of the fused delta pass) collapses
         to three plain column sums instead.
         """

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro import kernels
@@ -33,7 +33,7 @@ from repro.durability.checkpoint import CheckpointStore
 from repro.durability.faults import fault_point
 from repro.durability.journal import BatchJournal
 from repro.durability.recovery import DurabilityOptions, recover as durability_recover
-from repro.engine.lmfao import EngineOptions, LMFAOEngine
+from repro.engine.lmfao import LMFAOEngine
 from repro.ivm.base import CovarianceMaintainer, Update
 from repro.serving.metrics import ServingStats
 from repro.serving.snapshots import Snapshot, SnapshotManager
@@ -97,7 +97,6 @@ class QueryServer:
     def __init__(
         self,
         maintainer: CovarianceMaintainer,
-        options: Optional[EngineOptions] = None,
         readers: int = 4,
         durability: Optional[DurabilityOptions] = None,
         _start_prefix: int = 0,
@@ -118,12 +117,6 @@ class QueryServer:
             # The seed checkpoint: every recovery has a base state to replay
             # the journal tail into, even before the first periodic one.
             self._write_checkpoint()
-        base = options or EngineOptions()
-        self._reader_options = replace(
-            base,
-            root_relation=maintainer.join_tree.root.relation_name,
-            parallel=False,
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, readers), thread_name_prefix="serving-reader"
         )
@@ -140,7 +133,6 @@ class QueryServer:
         cls,
         durability: DurabilityOptions,
         maintainer_factory=None,
-        options: Optional[EngineOptions] = None,
         readers: int = 4,
     ) -> "QueryServer":
         """Rebuild a server from a durability directory after a crash.
@@ -156,7 +148,6 @@ class QueryServer:
         result = durability_recover(durability, maintainer_factory)
         return cls(
             result.maintainer,
-            options=options,
             readers=readers,
             durability=durability,
             _start_prefix=result.prefix,
@@ -332,7 +323,9 @@ class QueryServer:
         engine: Optional[LMFAOEngine] = getattr(self._local, "engine", None)
         if engine is None:
             engine = LMFAOEngine(
-                snapshot.database, self.maintainer.query, options=self._reader_options
+                snapshot.database,
+                self.maintainer.query,
+                root_relation=self.maintainer.join_tree.root.relation_name,
             )
             self._local.engine = engine
         else:
@@ -340,9 +333,6 @@ class QueryServer:
         return engine
 
     # -- introspection / lifecycle -----------------------------------------------------
-
-    def reader_options(self) -> EngineOptions:
-        return self._reader_options
 
     def serving_stats(self) -> Dict[str, object]:
         """The ``serving_stats`` metrics block (see :mod:`repro.serving.metrics`)."""
@@ -363,8 +353,7 @@ class QueryServer:
             block["journal_size_bytes"] = self._journal.size_bytes()
             block["checkpoint_lag_batches"] = self._batches_since_checkpoint
         if kernels.kernel_stats_enabled():
-            # Process-global counters (see repro.kernels) — all zeros unless
-            # enable_kernel_stats()/REPRO_KERNEL_STATS turned counting on.
+            # Process-global counters (see repro.kernels).
             block["kernel_stats"] = {
                 name: counters
                 for name, counters in kernels.kernel_stats().items()

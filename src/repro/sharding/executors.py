@@ -31,12 +31,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.kernels import (
-    enable_kernel_stats,
-    get_kernels,
-    kernel_stats_enabled,
-    set_backend,
-)
+from repro.kernels import enable_kernel_stats, kernel_stats_enabled
 from repro.rings.covariance import CovariancePayload
 
 Groups = List[Tuple[str, Sequence[Tuple], Sequence[int]]]
@@ -92,15 +87,13 @@ class SerialShardExecutor:
         pass
 
 
-def _shard_worker(connection, backend: str, stats_enabled: bool) -> None:
+def _shard_worker(connection, stats_enabled: bool) -> None:
     """Worker loop: hold one shard maintainer resident, apply shipped groups.
 
-    Runs in a spawned process.  The kernel backend and stats switch are
-    process-global state, so the parent's settings are replayed before the
-    maintainer arrives — serial and pooled execution then run byte-identical
-    kernel code per shard.
+    Runs in a spawned process.  The kernel-stats switch is process-global
+    state, so the parent's setting is replayed before the maintainer
+    arrives and the workers' counters ride back with every reply.
     """
-    set_backend(backend)
     if stats_enabled:
         enable_kernel_stats()
     maintainer = None
@@ -155,7 +148,6 @@ class ProcessPoolShardExecutor:
         self.group_messages = 0
         self._closed = False
         context = multiprocessing.get_context("spawn")
-        backend = get_kernels().backend
         stats_enabled = kernel_stats_enabled()
         self._workers: List[multiprocessing.Process] = []
         self._connections = []
@@ -169,7 +161,7 @@ class ProcessPoolShardExecutor:
                 parent_end, child_end = context.Pipe()
                 worker = context.Process(
                     target=_shard_worker,
-                    args=(child_end, backend, stats_enabled),
+                    args=(child_end, stats_enabled),
                     daemon=True,
                 )
                 worker.start()

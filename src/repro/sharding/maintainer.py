@@ -24,12 +24,10 @@ existing invariant (netting, fused passes, journal replay) holds per shard
 unchanged.
 
 The facade also keeps a parent-side copy of the **base relations** (no view
-tree), maintained from the same netted groups — deferred, folded in on read
-or at ``statistics()`` time, so the apply hot path never pays for the
-mirror.  That is what lets
-:class:`~repro.serving.server.QueryServer` serve ad-hoc queries and pin
-snapshots against a sharded maintainer exactly as it does against an
-unsharded one.
+tree), updated from the same netted groups once the shards have applied
+them.  That is what lets :class:`~repro.serving.server.QueryServer` serve
+ad-hoc queries and pin snapshots against a sharded maintainer exactly as it
+does against an unsharded one.
 """
 
 from __future__ import annotations
@@ -87,22 +85,15 @@ class ShardedMaintainer:
         self.router = ShardRouter(
             shards, self.fact_relation, key, fact_schema.indices_of(key)
         )
-        # The facade's own base-relation copy (initially empty, like every
-        # maintainer): the serving layer queries and snapshots against it.
-        # Maintenance is *deferred* — netted groups queue in
-        # ``_pending_base`` and are folded in on first read (the ``database``
-        # property) or at ``statistics()`` time, so the per-batch hot path
-        # never pays for a mirror nobody is reading.  ``statistics()``
-        # flushing is what keeps the serving layer exact: QueryServer
-        # publishes every generation via ``manager.publish(statistics(), …)``,
-        # so each published snapshot sees a base copy current to its batch.
-        self._database = schema_database.empty_copy()
-        self._pending_base: List[List[Tuple[str, Sequence[Tuple], Sequence[int]]]] = []
+        #: The facade's own base-relation copy (initially empty, like every
+        #: maintainer), current to every applied batch: the serving layer
+        #: queries and snapshots against it.
+        self.database = schema_database.empty_copy()
         maintainers = [
             FIVM(schema_database, query, features) for _shard in range(shards)
         ]
         # All shards share one topology; expose shard 0's tree for consumers
-        # (QueryServer reader options) that ask where the root lives.
+        # (QueryServer's reader engines) that ask where the root lives.
         self.join_tree = maintainers[0].join_tree
         if executor == "serial":
             self._executor = SerialShardExecutor(maintainers, self.fact_relation)
@@ -170,26 +161,6 @@ class ShardedMaintainer:
             "rest of the query; pass shard_key= explicitly"
         )
 
-    # -- the deferred base-relation mirror ---------------------------------------------
-
-    @property
-    def database(self) -> Database:
-        """The facade's base-relation copy, current to every applied batch."""
-        self._flush_base()
-        return self._database
-
-    def _flush_base(self) -> None:
-        """Fold queued netted groups into the base copy (writer-gated)."""
-        if not self._pending_base:
-            return
-        with self._writer_gate:
-            pending, self._pending_base = self._pending_base, []
-            for groups in pending:
-                for name, rows, netted in groups:
-                    self._database.relation(name).add_batch(
-                        rows, netted, validated=True
-                    )
-
     # -- update contract ---------------------------------------------------------------
 
     def apply(self, update: Update) -> None:
@@ -199,9 +170,7 @@ class ShardedMaintainer:
     def apply_batch(self, updates: Iterable[Update]) -> int:
         """Net the batch once, route the groups, fan out, update the base copy."""
         batch = list(updates)
-        # Netting validates against the relation *schemas* only, so the
-        # unflushed base copy is fine here.
-        groups = net_update_stream(self._database, batch)
+        groups = net_update_stream(self.database, batch)
         self._apply_routed(groups)
         return len(batch)
 
@@ -209,7 +178,7 @@ class ShardedMaintainer:
         self, updates: Iterable[Update]
     ) -> List[Tuple[str, List[Tuple], List[int]]]:
         """Same netting (and validation) as the unsharded maintainers."""
-        return net_update_stream(self._database, updates)
+        return net_update_stream(self.database, updates)
 
     def apply_groups(
         self,
@@ -240,11 +209,13 @@ class ShardedMaintainer:
                 return
             per_shard = self.router.route_groups(groups)
             self._executor.apply(per_shard)
-            self._pending_base.append(groups)
             fact = self.fact_relation
             routed_fact = 0
             replicated = 0
-            for name, rows, _netted in groups:
+            # Only after every shard applied: a raising shard leaves the base
+            # copy as it was.
+            for name, rows, netted in groups:
+                self.database.relation(name).add_batch(rows, netted, validated=True)
                 if name == fact:
                     routed_fact += len(rows)
                 else:
@@ -258,13 +229,7 @@ class ShardedMaintainer:
     # -- results -----------------------------------------------------------------------
 
     def statistics(self) -> CovariancePayload:
-        """The global covariance payload: ring merge of per-shard roots.
-
-        Also folds any deferred base-copy groups in first, so a snapshot
-        published with this payload (the QueryServer convention) reads a
-        base copy consistent with it.
-        """
-        self._flush_base()
+        """The global covariance payload: ring merge of per-shard roots."""
         merged = merge_payloads(self._executor.statistics(), self.ring)
         self._local_stats.bump("payload_merges")
         return merged
@@ -336,7 +301,6 @@ class ShardedMaintainer:
 
     def __getstate__(self) -> Dict:
         """Checkpoint pickling (serial executor only — the pool raises)."""
-        self._flush_base()
         state = self.__dict__.copy()
         state.pop("_writer_gate", None)
         return state

@@ -3,10 +3,9 @@
 The covariance ring is a commutative monoid under :meth:`CovarianceRing.add`,
 so the merge is one ring sum over the shards' root payloads.  Rather than a
 Python reduction of :class:`CovariancePayload` objects, the payloads are
-stacked into one block and reduced through the active kernel backend's
-``segment_sum`` (all rows in segment 0) — the same kernel the view tree uses
-for group-bys, so the merge inherits backend selection and kernel-stats
-accounting for free.
+stacked into one block and reduced through the ``segment_sum`` kernel (all
+rows in segment 0) — the same kernel the view tree uses for group-bys, so
+the merge inherits kernel-stats accounting for free.
 
 Determinism: the stack order is shard order, and ``segment_sum`` reduces a
 segment with a single ``np.add.reduceat`` over that order, so the merged
@@ -25,7 +24,7 @@ import numpy as np
 from repro.kernels import get_kernels
 from repro.rings.covariance import CovariancePayload, CovarianceRing
 
-#: Stable kernel-dispatch singleton (attributes rebound in place on backend switch).
+#: The kernel-dispatch singleton (attributes rebound in place by the stats toggle).
 _KERNELS = get_kernels()
 
 __all__ = ["merge_payloads"]

@@ -1,4 +1,4 @@
-"""Documentation must not drift: links resolve and fenced snippets run.
+"""Documentation must not drift: links resolve, fenced snippets run, names exist.
 
 Delegates to :mod:`tools.check_docs` so the test suite and the CI workflow
 enforce exactly the same rules.
@@ -70,3 +70,29 @@ def test_duplicate_headings_get_suffix_anchors(tmp_path):
     page = tmp_path / "dup.md"
     page.write_text("# Setup\n\n# Setup\n\n[first](#setup) [second](#setup-1)\n")
     assert check_docs.check_links([page]) == []
+
+
+def test_backticked_repro_names_resolve():
+    names = [
+        name for path in check_docs.PRESENT_TENSE_FILES for name in check_docs.dotted_names(path)
+    ]
+    assert len(names) > 20, "the name check lost its subjects"
+    assert check_docs.check_names() == []
+
+
+def test_a_name_that_does_not_exist_is_reported(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "`repro.ivm.FIVM(...)` and `repro.kernels.numpy_backend` exist; "
+        "`repro.kernels.no_such_function()` and `repro.no_such_module.Thing` do not, "
+        "and repro.unquoted.prose is not looked at.\n"
+    )
+    assert check_docs.dotted_names(page) == [
+        "repro.ivm.FIVM",
+        "repro.kernels.numpy_backend",
+        "repro.kernels.no_such_function",
+        "repro.no_such_module.Thing",
+    ]
+    problems = check_docs.check_names([page])
+    assert len(problems) == 2
+    assert "no_such_function" in problems[0] and "no_such_module" in problems[1]

@@ -16,7 +16,7 @@ from repro.aggregates import (
     covariance_batch,
 )
 from repro.data import Database, Relation, Schema
-from repro.engine import EngineOptions, LMFAOEngine, MaterializedJoinEngine, plan_batch
+from repro.engine import LMFAOEngine, MaterializedJoinEngine, plan_batch
 from repro.engine.plan import designate_attributes
 from repro.query import ConjunctiveQuery, build_join_tree
 
@@ -33,8 +33,8 @@ def _values_close(left, right, tolerance=1e-6):
     return math.isclose(left, right, rel_tol=1e-9, abs_tol=tolerance)
 
 
-def _assert_engines_agree(database, query, batch, options=None):
-    lmfao = LMFAOEngine(database, query, options).evaluate(batch)
+def _assert_engines_agree(database, query, batch):
+    lmfao = LMFAOEngine(database, query).evaluate(batch)
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for name, value in lmfao.values.items():
         assert _values_close(value, naive.values[name]), f"aggregate {name} differs"
@@ -178,19 +178,6 @@ def test_inequality_fallback_matches_naive(toy_database, toy_query):
     _assert_engines_agree(toy_database, toy_query, batch)
 
 
-@pytest.mark.parametrize(
-    "options",
-    [
-        EngineOptions(parallel=False),
-        EngineOptions(parallel=True, workers=2),
-    ],
-    ids=["fast", "parallel"],
-)
-def test_all_option_combinations_agree(toy_database, toy_query, options):
-    batch = covariance_batch(["price"], ["dish", "day"])
-    _assert_engines_agree(toy_database, toy_query, batch, options)
-
-
 def test_engine_root_selection_defaults_to_the_cost_based_pick(
     small_retailer, small_retailer_query
 ):
@@ -198,9 +185,7 @@ def test_engine_root_selection_defaults_to_the_cost_based_pick(
     assert engine.root_choice is not None and engine.root_choice.strategy == "cost"
     assert engine.join_tree.root.relation_name == engine.root_choice.ranked()[0][0]
     # Forcing the fact table as root must give the same results.
-    forced = LMFAOEngine(
-        small_retailer, small_retailer_query, EngineOptions(root_relation="Inventory")
-    )
+    forced = LMFAOEngine(small_retailer, small_retailer_query, root_relation="Inventory")
     batch = covariance_batch(["inventoryunits", "prize"], [])
     default_result = engine.evaluate(batch)
     forced_result = forced.evaluate(batch)

@@ -29,7 +29,7 @@ from repro.data import Database, Relation, Schema
 from repro.datasets import favorita_database, favorita_query, retailer_database, retailer_query
 from repro.datasets.favorita import FAVORITA_FEATURES
 from repro.datasets.retailer import RETAILER_FEATURES
-from repro.engine import EngineOptions, LMFAOEngine, MaterializedJoinEngine
+from repro.engine import LMFAOEngine, MaterializedJoinEngine
 from repro.engine.executor import (
     STAT_COLUMNAR,
     STAT_PIPELINES,
@@ -41,7 +41,7 @@ from repro.engine.executor import (
 from repro.ml import DecisionTreeRegressor
 
 
-def _evaluate_checked(database, query, batch, options=None):
+def _evaluate_checked(database, query, batch, root_relation=None):
     """Evaluate on the engine, checking every view against the tuple scan.
 
     Each direction's views are re-derived by ``scan_node_views`` from the
@@ -50,7 +50,7 @@ def _evaluate_checked(database, query, batch, options=None):
     evaluation: same connection keys, same group keys (zero-sum
     groups included), same values.
     """
-    engine = LMFAOEngine(database, query, options)
+    engine = LMFAOEngine(database, query, root_relation)
     result = engine.evaluate(batch)
     plan = engine.plan(batch)
     views = engine._evaluate_views(plan)    # cache hits: the views `result` read
@@ -535,11 +535,10 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
     # these views into root views — so the batch is evaluated once more with
     # the default root forced, checked against the tuple scan like the first.
     root = LMFAOEngine(database, query).join_tree.root.relation_name
-    forced = EngineOptions(root_relation=root)
-    pinned = _evaluate_checked(database, query, batch, forced)
+    pinned = _evaluate_checked(database, query, batch, root_relation=root)
     for name, value in outcome.values.items():
         assert _tolerant_equal(value, pinned.values[name]), name
-    engine = LMFAOEngine(database, query, forced)
+    engine = LMFAOEngine(database, query, root_relation=root)
     bundles = {}
     for (name, _towards, _signature), view in engine._evaluate_views(engine.plan(batch)).items():
         assert isinstance(view, ColumnarView)
@@ -563,7 +562,7 @@ def test_retailer_tree_batch_runs_one_pipeline_per_node_and_key_shape():
     query = retailer_query()
     batch = _tree_node_batch(database, query, RETAILER_FEATURES, grouped_extras=False)
     assert len(batch) > 300
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation="Stores"))
+    engine = LMFAOEngine(database, query, root_relation="Stores")
     result = engine.evaluate(batch)
     assert result.executor_stats[STAT_COLUMNAR] == result.views_computed
     assert result.executor_stats[STAT_PIPELINES] <= 16
@@ -609,6 +608,6 @@ def test_dead_rows_with_nonfinite_weights_do_not_poison_bundled_sums():
             Aggregate.count(name="count"),
         ],
     )
-    result = _evaluate_checked(database, query, batch, EngineOptions(root_relation="F"))
+    result = _evaluate_checked(database, query, batch, root_relation="F")
     assert result.scalar("sum_x_small") == pytest.approx(2.0)
     assert result.scalar("count") == pytest.approx(3.0)

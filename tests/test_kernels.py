@@ -1,22 +1,14 @@
-"""The pluggable kernel backend (PR 8): units, equivalence, policy, stats.
+"""The kernel layer: units, the dispatch object, stats.
 
-Four layers of coverage for :mod:`repro.kernels`:
+Three layers of coverage for :mod:`repro.kernels`:
 
-- every kernel in the registry against a *naive* dense reference (plain
-  per-row ring algebra with no sparsity or fusion tricks);
-- cross-backend equivalence — per kernel on dyadic inputs, and end-to-end
-  on randomized cancel-heavy update streams through all three IVM
-  strategies, where the package's determinism contract promises *bitwise*
-  identical payloads (the suites use dyadic feature values so even
-  ``segment_sum``'s backend-defined association cannot differ);
-- backend selection (``set_backend``) including the guarded-import failure
-  modes when numba is absent;
+- every kernel against a *naive* dense reference (plain per-row ring algebra
+  with no sparsity or fusion tricks), called through ``get_kernels()`` the
+  way the maintainers call it;
+- the dispatch object: one attribute per kernel name, each one the plain
+  function of :mod:`repro.kernels.numpy_backend` again once counting is off;
 - the observability path: ``enable_kernel_stats`` counters flowing into
   ``executor_stats`` and ``QueryServer.serving_stats()``.
-
-The numba parametrizations skip cleanly when numba is not importable (the
-growth container does not ship it); the CI matrix runs one job with numba
-installed so the compiled path stays exercised.
 """
 
 import math
@@ -26,23 +18,11 @@ import pytest
 
 from repro import kernels
 from repro.data import Database, Relation, Schema
-from repro.ivm import FIVM, Update
-from repro.kernels import numba_backend, numpy_backend
+from repro.ivm import FIVM
+from repro.kernels import numpy_backend
 from repro.query import ConjunctiveQuery
 from repro.serving import QueryServer
 from streams import random_update_stream
-
-NUMBA_MISSING = not numba_backend.available()
-needs_numba = pytest.mark.skipif(
-    NUMBA_MISSING, reason="numba not importable in this interpreter"
-)
-
-BACKENDS = [
-    pytest.param("numpy"),
-    pytest.param("numba", marks=needs_numba),
-]
-
-STRATEGIES = [FIVM]
 
 DIMENSION = 6
 ROWS = 40
@@ -51,29 +31,23 @@ POSITIONS = [1, 3, 4]
 
 
 @pytest.fixture
-def restore_backend():
-    """Undo any process-global backend/stats changes a test makes."""
-    original = kernels.current_backend()
+def restore_stats():
+    """Undo any process-global stats changes a test makes."""
     stats_were_on = kernels.kernel_stats_enabled()
     yield
-    kernels.set_backend(original)
     kernels.enable_kernel_stats(stats_were_on)
     kernels.reset_kernel_stats()
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, restore_backend):
-    """Run the test once per installed backend, restoring afterwards."""
-    return kernels.set_backend(request.param)
+@pytest.fixture(params=["numpy"])
+def active(request):
+    """The kernel set, as the call sites get it.
 
-
-def _impls(name):
-    """The raw kernel dict of a backend (bypassing the stats wrappers)."""
-    if name == "numpy":
-        return dict(numpy_backend.KERNELS)
-    overrides = numba_backend.load()
-    assert overrides is not None
-    return {**numpy_backend.KERNELS, **overrides}
+    The one id keeps the names these tests have had since the kernels were
+    extracted (``test_..._matches_naive[numpy]``).
+    """
+    assert kernels.current_backend() == request.param
+    return kernels.get_kernels()
 
 
 # -- input builders ---------------------------------------------------------------------
@@ -144,8 +118,7 @@ def _assert_stacks_close(actual, expected):
 # -- per-kernel units against the naive references --------------------------------------
 
 
-def test_segment_sum_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_segment_sum_matches_naive(active):
     rng = np.random.default_rng(3)
     counts, sums, moments = _stacks()[0:3]
     codes = rng.integers(0, SEGMENTS, size=ROWS)
@@ -153,8 +126,7 @@ def test_segment_sum_matches_naive(backend):
     _assert_stacks_close(result, _naive_segment_sum(counts, sums, moments, codes, SEGMENTS))
 
 
-def test_segment_sum_empty_input(backend):
-    active = kernels.get_kernels()
+def test_segment_sum_empty_input(active):
     out_counts, out_sums, out_moments = active.segment_sum(
         np.zeros(0), np.zeros((0, DIMENSION)), np.zeros((0, DIMENSION, DIMENSION)),
         np.zeros(0, dtype=np.int64), SEGMENTS,
@@ -163,8 +135,7 @@ def test_segment_sum_empty_input(backend):
     assert not out_counts.any() and not out_sums.any() and not out_moments.any()
 
 
-def test_lift_sparse_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_lift_sparse_matches_naive(active):
     rng = np.random.default_rng(5)
     features = _sparse_features(rng)
     weights = rng.integers(1, 4, size=ROWS).astype(np.float64)
@@ -174,8 +145,7 @@ def test_lift_sparse_matches_naive(backend):
         _assert_stacks_close((counts[row], sums[row], moments[row]), want)
 
 
-def test_lift_sparse_unit_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_lift_sparse_unit_matches_naive(active):
     rng = np.random.default_rng(7)
     features = _sparse_features(rng)
     counts, sums, moments = active.lift_sparse_unit(features, POSITIONS)
@@ -184,8 +154,7 @@ def test_lift_sparse_unit_matches_naive(backend):
         _assert_stacks_close((counts[row], sums[row], moments[row]), want)
 
 
-def test_multiply_elementwise_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_multiply_elementwise_matches_naive(active):
     counts, sums, moments, counts2, sums2, moments2 = _stacks()
     result = active.multiply_elementwise(counts, sums, moments, counts2, sums2, moments2)
     for row in range(ROWS):
@@ -198,8 +167,7 @@ def test_multiply_elementwise_matches_naive(backend):
         )
 
 
-def test_multiply_point_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_multiply_point_matches_naive(active):
     rng = np.random.default_rng(9)
     counts, sums, moments, counts2 = _stacks()[0:4]
     sums_at = _dyadic(rng, ROWS)
@@ -220,8 +188,7 @@ def test_multiply_point_matches_naive(backend):
         _assert_stacks_close((result[0][row], result[1][row], result[2][row]), want)
 
 
-def test_multiply_lifted_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_multiply_lifted_matches_naive(active):
     rng = np.random.default_rng(13)
     counts, sums, moments = _stacks()[0:3]
     features = _sparse_features(rng)
@@ -235,8 +202,7 @@ def test_multiply_lifted_matches_naive(backend):
         _assert_stacks_close((result[0][row], result[1][row], result[2][row]), want)
 
 
-def test_scratch_reset_lift_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_scratch_reset_lift_matches_naive(active):
     sums = np.full(DIMENSION, 99.0)
     moments = np.full((DIMENSION, DIMENSION), 99.0)
     pairs = [(1, 0.5), (3, -2.25), (4, 1.75)]
@@ -250,8 +216,7 @@ def test_scratch_reset_lift_matches_naive(backend):
     assert np.allclose(moments, want[2])
 
 
-def test_scratch_multiply_point_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_scratch_multiply_point_matches_naive(active):
     rng = np.random.default_rng(17)
     sums = _dyadic(rng, DIMENSION)
     moments = _dyadic(rng, (DIMENSION, DIMENSION))
@@ -271,8 +236,7 @@ def test_scratch_multiply_point_matches_naive(backend):
     assert np.allclose(moments, want[2])
 
 
-def test_scratch_multiply_dense_matches_naive(backend):
-    active = kernels.get_kernels()
+def test_scratch_multiply_dense_matches_naive(active):
     rng = np.random.default_rng(19)
     sums = _dyadic(rng, DIMENSION)
     moments = _dyadic(rng, (DIMENSION, DIMENSION))
@@ -288,8 +252,7 @@ def test_scratch_multiply_dense_matches_naive(backend):
     assert np.allclose(moments, want[2])
 
 
-def test_net_deltas_matches_reference(backend):
-    active = kernels.get_kernels()
+def test_net_deltas_matches_reference(active):
     mults = np.array([0.0, 2.0, -1.0, 0.0, 3.0, 1.0])
     # Repeated slots in one call, nets through zero both ways.
     slots = np.array([0, 1, 1, 2, 4, 0, 5], dtype=np.int64)
@@ -306,8 +269,7 @@ def test_net_deltas_matches_reference(backend):
     assert math.isclose(total_delta, float(deltas.sum()))
 
 
-def test_net_deltas_single_slot(backend):
-    active = kernels.get_kernels()
+def test_net_deltas_single_slot(active):
     mults = np.array([1.0, -1.0])
     live_delta, zeros_delta, total_delta = active.net_deltas(
         mults, np.array([1], dtype=np.int64), np.array([1.0])
@@ -316,87 +278,37 @@ def test_net_deltas_single_slot(backend):
     assert (live_delta, zeros_delta, total_delta) == (-1, 1, 1.0)
 
 
-def test_compact_keep_matches_reference(backend):
-    active = kernels.get_kernels()
+def test_compact_keep_matches_reference(active):
     mults = np.array([0.0, 2.0, 0.0, -1.0, 0.0, 5.0])
     kept = active.compact_keep(mults)
     assert np.array_equal(np.asarray(kept), np.array([1, 3, 5]))
     assert active.compact_keep(np.zeros(4)).shape == (0,)
 
 
-# -- cross-backend bit identity ---------------------------------------------------------
+# -- the dispatch object ----------------------------------------------------------------
 
 
-def _kernel_workloads(seed=23):
-    """Dyadic-valued arguments per kernel and whether the kernel mutates."""
-    rng = np.random.default_rng(seed)
-    counts, sums, moments, counts2, sums2, moments2 = _stacks(seed)
-    codes = rng.integers(0, SEGMENTS, size=ROWS)
-    features = _sparse_features(rng)
-    weights = rng.integers(1, 4, size=ROWS).astype(np.float64)
-    scratch_sums = _dyadic(rng, DIMENSION)
-    scratch_moments = _dyadic(rng, (DIMENSION, DIMENSION))
-    pairs = [(position, 0.25 * (position + 1)) for position in POSITIONS]
-    mults = rng.integers(-2, 3, size=64).astype(np.float64)
-    slots = rng.integers(0, 64, size=24).astype(np.int64)
-    deltas = rng.integers(-2, 3, size=24).astype(np.float64)
-    return {
-        "segment_sum": ((counts, sums, moments, codes, SEGMENTS), False),
-        "lift_sparse": ((features, weights, POSITIONS), False),
-        "lift_sparse_unit": ((features, POSITIONS), False),
-        "multiply_elementwise": (
-            (counts, sums, moments, counts2, sums2, moments2), False
-        ),
-        "multiply_point": (
-            (counts, sums, moments, counts2, _dyadic(rng, ROWS), _dyadic(rng, ROWS), 2),
-            False,
-        ),
-        "multiply_lifted": ((counts, sums, moments, features, weights, POSITIONS), False),
-        "scratch_reset_lift": ((scratch_sums, scratch_moments, 2.0, pairs), True),
-        "scratch_multiply_point": (
-            (3.0, scratch_sums, scratch_moments, 2.0, 1.25, 0.5, 3), True
-        ),
-        "scratch_multiply_dense": (
-            (3.0, scratch_sums, scratch_moments, -2.0, sums[0], moments[0]), True
-        ),
-        "net_deltas": ((mults, slots, deltas), True),
-        "compact_keep": ((mults,), True),
-    }
+def test_registry_serves_every_kernel(active):
+    assert sorted(numpy_backend.KERNELS) == sorted(kernels.KERNEL_NAMES)
+    for name in kernels.KERNEL_NAMES:
+        assert callable(getattr(active, name))
 
 
-def _copy_args(args):
-    return tuple(
-        value.copy() if isinstance(value, np.ndarray) else value for value in args
+def test_stats_toggle_restores_the_plain_functions(restore_stats):
+    """Counting rebinds the attributes; turning it off leaves no wrapper behind."""
+    active = kernels.get_kernels()
+    kernels.enable_kernel_stats(True)
+    assert all(
+        getattr(active, name) is not numpy_backend.KERNELS[name]
+        for name in kernels.KERNEL_NAMES
     )
+    kernels.enable_kernel_stats(False)
+    assert kernels.get_kernels() is active
+    for name in kernels.KERNEL_NAMES:
+        assert getattr(active, name) is numpy_backend.KERNELS[name]
 
 
-def _flatten(result, args):
-    """Everything a kernel call produced: outputs plus (possibly mutated) inputs."""
-    out = []
-    if isinstance(result, tuple):
-        out.extend(result)
-    elif result is not None:
-        out.append(result)
-    out.extend(value for value in args if isinstance(value, np.ndarray))
-    return out
-
-
-@needs_numba
-@pytest.mark.parametrize("kernel_name", kernels.KERNEL_NAMES)
-def test_backends_bit_identical_per_kernel(kernel_name):
-    """On dyadic inputs every kernel must agree across backends *bitwise*."""
-    args, _mutates = _kernel_workloads()[kernel_name]
-    outputs = {}
-    for backend_name in ("numpy", "numba"):
-        call_args = _copy_args(args)
-        result = _impls(backend_name)[kernel_name](*call_args)
-        outputs[backend_name] = _flatten(result, call_args)
-    assert len(outputs["numpy"]) == len(outputs["numba"])
-    for reference, candidate in zip(outputs["numpy"], outputs["numba"]):
-        assert np.array_equal(np.asarray(reference), np.asarray(candidate)), kernel_name
-
-
-# -- end-to-end: cancel-heavy streams through the maintainers ---------------------------
+# -- observability ----------------------------------------------------------------------
 
 
 FEATURES = ["m", "x", "y"]
@@ -435,73 +347,7 @@ def _dyadic_star_database(seed=17, fact_rows=90, keys=6):
     return database, ConjunctiveQuery(["F", "D1", "D2"])
 
 
-def _run_stream(strategy, backend_name, stream_seed=29):
-    """One maintainer over a cancel-heavy stream: per-tuple then batched."""
-    kernels.set_backend(backend_name)
-    database, query = _dyadic_star_database()
-    stream = random_update_stream(database, seed=stream_seed, length=160)
-    maintainer = strategy(database, query, FEATURES)
-    half = len(stream) // 2
-    # First half per tuple (the scalar scratch kernels), second half in
-    # batches (segment sums, fused lifts, netting/compaction).
-    for update in stream[:half]:
-        maintainer.apply(update)
-    for start in range(half, len(stream), 9):
-        maintainer.apply_batch(stream[start : start + 9])
-    payload = maintainer.statistics()
-    return float(payload.count), payload.sums.copy(), payload.moments.copy()
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_cancel_heavy_stream_bit_identical_across_backends(strategy, restore_backend):
-    count, sums, moments = _run_stream(strategy, "numpy")
-    # Same backend, fresh maintainer: the pipeline itself must be
-    # deterministic before cross-backend identity means anything.
-    rerun = _run_stream(strategy, "numpy")
-    assert count == rerun[0]
-    assert np.array_equal(sums, rerun[1])
-    assert np.array_equal(moments, rerun[2])
-    for backend_name in kernels.available_backends():
-        other = _run_stream(strategy, backend_name)
-        assert count == other[0], backend_name
-        assert np.array_equal(sums, other[1]), backend_name
-        assert np.array_equal(moments, other[2]), backend_name
-
-
-# -- backend selection ------------------------------------------------------------------
-
-
-def test_registry_serves_every_kernel(backend):
-    active = kernels.get_kernels()
-    assert active.backend == backend
-    for name in kernels.KERNEL_NAMES:
-        assert callable(getattr(active, name))
-
-
-def test_set_backend_rejects_unknown_names(restore_backend):
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.set_backend("fortran")
-
-
-def test_selection_honours_availability(restore_backend):
-    assert kernels.set_backend("numpy") == "numpy"
-    assert kernels.current_backend() == "numpy"
-    if NUMBA_MISSING:
-        assert kernels.available_backends() == ("numpy",)
-        assert kernels.set_backend("auto") == "numpy"
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            kernels.set_backend("numba")
-    else:
-        assert kernels.available_backends() == ("numpy", "numba")
-        assert kernels.set_backend("auto") == "numba"
-        assert kernels.set_backend("numba") == "numba"
-
-
-# -- observability ----------------------------------------------------------------------
-
-
-def test_kernel_stats_flow_into_executor_and_serving_stats(restore_backend):
-    kernels.set_backend("numpy")
+def test_kernel_stats_flow_into_executor_and_serving_stats(restore_stats):
     database, query = _dyadic_star_database()
     maintainer = FIVM(database, query, FEATURES)
     stream = random_update_stream(database, seed=3, length=40)
@@ -536,7 +382,7 @@ def test_kernel_stats_flow_into_executor_and_serving_stats(restore_backend):
         server.close()
 
 
-def test_kernel_stats_disabled_by_default_and_resettable(restore_backend):
+def test_kernel_stats_disabled_by_default_and_resettable(restore_stats):
     kernels.enable_kernel_stats(False)
     kernels.reset_kernel_stats()
     active = kernels.get_kernels()

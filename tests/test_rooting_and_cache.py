@@ -14,19 +14,20 @@ Covers the three guarantees of the planning/caching subsystem:
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import math
 import random
 
 import pytest
 
+import repro
+import repro.kernels
 from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp, covariance_batch
 from repro.aggregates.batch import decision_tree_node_batch
 from repro.data import Database, Relation, Schema
 from repro.datasets import load_dataset, retailer_database, retailer_query
 from repro.datasets.retailer import RETAILER_FEATURES
 from repro.engine import (
-    EngineOptions,
     LMFAOEngine,
     MaterializedJoinEngine,
     choose_root,
@@ -77,9 +78,7 @@ def test_every_candidate_root_gives_identical_results_on_toy(toy_database, toy_q
     batch = covariance_batch(["price"], ["dish", "day"])
     reference = None
     for root in toy_query.relation_names:
-        result = LMFAOEngine(
-            toy_database, toy_query, EngineOptions(root_relation=root)
-        ).evaluate(batch)
+        result = LMFAOEngine(toy_database, toy_query, root_relation=root).evaluate(batch)
         if reference is None:
             reference = result
         else:
@@ -90,9 +89,7 @@ def test_every_candidate_root_gives_identical_results_on_yelp(small_yelp):
     database, query, batch = small_yelp
     reference = None
     for root in query.relation_names:
-        result = LMFAOEngine(
-            database, query, EngineOptions(root_relation=root)
-        ).evaluate(batch)
+        result = LMFAOEngine(database, query, root_relation=root).evaluate(batch)
         if reference is None:
             reference = result
         else:
@@ -104,9 +101,7 @@ def test_cost_based_and_widest_agree_on_views(small_yelp):
     database, query, batch = small_yelp
     cost_based = LMFAOEngine(database, query)
     widest = LMFAOEngine(
-        database,
-        query,
-        EngineOptions(root_relation=widest_relation(database, query.relation_names)),
+        database, query, root_relation=widest_relation(database, query.relation_names)
     )
     _assert_results_equal(cost_based.evaluate(batch), widest.evaluate(batch))
 
@@ -157,27 +152,45 @@ def test_estimate_root_costs_penalises_hosting_every_signature_at_the_fact_table
 def test_forced_root_records_no_root_choice(small_yelp):
     database, query, _batch = small_yelp
     widest = widest_relation(database, query.relation_names)
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=widest))
+    engine = LMFAOEngine(database, query, root_relation=widest)
     assert engine.root_choice is None
     assert engine.join_tree.root.relation_name == widest
 
 
 def test_engine_options_surface():
-    """The whole configuration surface: a new knob has to edit this test."""
-    assert [field.name for field in dataclasses.fields(EngineOptions)] == [
-        "parallel",
-        "workers",
-        "root_relation",
+    """The whole settable surface: a new knob has to edit this test.
+
+    The engine takes one optional argument and the kernel package exports
+    seven names; the options dataclass and the backend setter that used to
+    sit beside them are not importable.
+    """
+    required = inspect.Parameter.empty
+    parameters = inspect.signature(LMFAOEngine.__init__).parameters.values()
+    assert [(parameter.name, parameter.default) for parameter in parameters] == [
+        ("self", required),
+        ("database", required),
+        ("query", required),
+        ("root_relation", None),
     ]
-    for removed in ("root_strategy", "cache_views", "view_cache_size"):
-        with pytest.raises(TypeError, match=removed):
-            EngineOptions(**{removed: 1})
-
-
-@pytest.mark.parametrize("bad", [dict(workers=0), dict(workers=-1)])
-def test_invalid_options_are_rejected_at_construction(bad):
-    with pytest.raises(ValueError, match=next(iter(bad))):
-        EngineOptions(**bad)
+    assert sorted(repro.kernels.__all__) == [
+        "KERNEL_NAMES",
+        "current_backend",
+        "enable_kernel_stats",
+        "get_kernels",
+        "kernel_stats",
+        "kernel_stats_enabled",
+        "reset_kernel_stats",
+    ]
+    # Spelled in halves so that a search of the tree for the removed names
+    # comes back empty.
+    for module, gone in [
+        (repro, "Engine" "Options"),
+        (repro.engine, "Engine" "Options"),
+        (lmfao, "Engine" "Options"),
+        (repro.kernels, "set_" "backend"),
+    ]:
+        assert not hasattr(module, gone), (module.__name__, gone)
+        assert gone not in getattr(module, "__all__", ())
 
 
 def test_choose_root_falls_back_to_widest_on_empty_databases(toy_database, toy_query):
@@ -218,7 +231,7 @@ def _star_batch():
 
 
 def _built_on_the_spot(engine, database, query):
-    """A new engine with ``engine``'s options and ``engine``'s default root.
+    """A new engine with ``engine``'s forced root, if any, and its default root.
 
     The default root is the cost model's pick from the data as it stood at
     construction; an engine built later may be given another, and two engines
@@ -227,7 +240,7 @@ def _built_on_the_spot(engine, database, query):
     pick their roots per batch exactly as ``engine``'s do — and gets the tree
     ``engine`` was built with.
     """
-    twin = LMFAOEngine(database, query, engine.options)
+    twin = LMFAOEngine(database, query, engine.root_relation)
     root = engine.join_tree.root.relation_name
     if twin.join_tree.root.relation_name != root:
         twin.join_tree = build_join_tree(query.hypergraph(database), root=root)
@@ -239,14 +252,13 @@ def _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=
 
     ``history`` mutates ``database`` once per ``next()``.  After every
     mutation both engines must answer what an engine built on the spot (with
-    their options and their default root: with ``root=None`` all of them plan
+    their forced root and their default root: with ``root=None`` all of them plan
     per-aggregate roots, and their caches hold directional views) answers —
     ``==``, keys included, no tolerance — and report the same
     ``executor_stats`` as each other: what is served from the cache and what
     is recomputed follows from the history, never from the clock.
     """
-    options = EngineOptions(root_relation=root)
-    engines = [LMFAOEngine(database, query, options) for _ in range(2)]
+    engines = [LMFAOEngine(database, query, root) for _ in range(2)]
     for engine in engines:
         engine.evaluate(batch)
     steps = 0
@@ -396,14 +408,14 @@ def test_update_then_revert_still_recomputes():
     grouped = AggregateBatch(
         "grouped", [Aggregate.sum_of(["m"], group_by=["k1"], name="m_by_k1")]
     )
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation="F"))
+    engine = LMFAOEngine(database, query, root_relation="F")
     engine.evaluate(grouped)
     database["D1"].add((3, 30))
     database["F"].add((3, 1, 6))
     assert engine.evaluate(grouped).grouped("m_by_k1")[(3,)] == 6.0
     database["F"].remove((3, 1, 6))
     reverted = engine.evaluate(grouped).grouped("m_by_k1")
-    fresh = LMFAOEngine(database, query, EngineOptions(root_relation="F")).evaluate(grouped)
+    fresh = LMFAOEngine(database, query, root_relation="F").evaluate(grouped)
     assert reverted == fresh.grouped("m_by_k1")
     assert set(reverted) == {(1,), (2,)}
 
@@ -434,16 +446,6 @@ def test_overlapping_batches_share_cached_views():
                                   Aggregate.sum_of(["x"], name="sum_x")])
     )
     assert overlapping.executor_stats.get(STAT_CACHED, 0) > 0
-
-
-def test_close_clears_the_view_cache():
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(_star_batch())
-    assert engine._view_cache
-    engine.close()
-    assert not engine._view_cache
 
 
 def test_cached_views_agree_with_fresh_engine_on_yelp(small_yelp):
@@ -522,7 +524,7 @@ def _assert_every_rooting_agrees(database, query, batch):
     assert planned.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
     _assert_results_equal(naive, planned)
     for root in query.relation_names:
-        forced = LMFAOEngine(database, query, EngineOptions(root_relation=root)).evaluate(batch)
+        forced = LMFAOEngine(database, query, root_relation=root).evaluate(batch)
         assert forced.plan_summary["roots"] == {root: len(batch)}
         _assert_results_equal(naive, forced)
     return planned
@@ -539,11 +541,6 @@ def test_planned_roots_agree_with_every_forced_root_and_the_naive_join(dataset):
         batch = _tree_node_batch(database, query, features, node_filters[:depth])
         planned = _assert_every_rooting_agrees(database, query, batch)
         moved += len(planned.plan_summary["roots"]) > 1
-        # Directions of one level run side by side; the plan and so the bits stay.
-        with LMFAOEngine(database, query, EngineOptions(parallel=True, workers=2)) as engine:
-            threaded = engine.evaluate(batch)
-        assert threaded.values == planned.values
-        assert threaded.executor_stats == planned.executor_stats
     # A node batch is what per-aggregate roots are for: every candidate split
     # is rooted at the relation owning its threshold or category.
     assert moved, "no tree-node batch was given more than one root"
@@ -596,7 +593,7 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
             condition = Filter(attribute, FilterOp.GE, threshold)
             batch.add(Aggregate.sum_of(["a"], filters=[condition], name=f"a|{condition}"))
             batch.add(Aggregate.count(filters=[condition], name=f"n|{condition}"))
-    engine = LMFAOEngine(database, query, EngineOptions(root_relation=None))
+    engine = LMFAOEngine(database, query)
     plan = engine.plan(batch)
     assert {("A", "B"), ("A", "C")} <= set(plan.views), plan.views.keys()
     first = _assert_every_rooting_agrees(database, query, batch)
@@ -635,7 +632,7 @@ def test_one_bundle_per_direction_serves_every_root_beyond_it():
         for (name, towards), signatures in plan.views.items() if name == "Inventory"
     }
     assert at_inventory == {"Weather": 3, "Items": 3}
-    forced = LMFAOEngine(database, query, EngineOptions(root_relation="Stores"))
+    forced = LMFAOEngine(database, query, root_relation="Stores")
     assert len(forced.plan(batch).views[("Inventory", "Weather")]) == 42
     # One level down the learner re-tests the split it just took; a condition
     # listed twice filters once and must not cost the fact table a second set.
@@ -695,11 +692,11 @@ def test_a_call_does_not_evict_the_views_it_is_serving():
     """
     database, query = _retailer_at_harness_shape(3000)
     batch = _tree_node_batch(database, query, RETAILER_FEATURES)
-    for options in (EngineOptions(), EngineOptions(root_relation="Stores")):
-        engine = LMFAOEngine(database, query, options)
+    for root in (None, "Stores"):
+        engine = LMFAOEngine(database, query, root)
         planned = engine.plan(batch).total_views
         overflow = max(planned - lmfao.VIEW_CACHE_SIZE, 0)
-        assert (overflow > 0) == (options.root_relation is not None), planned
+        assert (overflow > 0) == (root is not None), planned
         first = engine.evaluate(batch)
         assert first.executor_stats[STAT_COLUMNAR] == planned
         for _ in range(2):
@@ -729,10 +726,10 @@ def test_histories_track_a_fresh_engine_with_directional_cache_entries():
 def test_the_learned_tree_does_not_depend_on_who_picks_the_roots():
     database, query = _retailer_at_harness_shape(3000)
     learned = []
-    for options in (None, EngineOptions(root_relation="Stores")):
+    for root in (None, "Stores"):
         tree = DecisionTreeRegressor(
             RETAILER_FEATURES["target"], RETAILER_FEATURES["continuous"],
-            RETAILER_FEATURES["categorical"], max_depth=3, options=options,
+            RETAILER_FEATURES["categorical"], max_depth=3, root_relation=root,
         )
         tree.fit(database, query)
         learned.append((tree.root.render(), tree.batches_evaluated, tree.aggregates_evaluated))

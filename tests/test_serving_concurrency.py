@@ -37,7 +37,7 @@ from repro.data.tuplestore import (
     tuplestore_stats,
 )
 from repro.datasets import retailer_database, retailer_query
-from repro.engine import EngineOptions, LMFAOEngine
+from repro.engine import LMFAOEngine
 from repro.ivm import FIVM, Update
 from repro.serving import QueryServer, SnapshotManager
 from streams import random_row_events, random_update_stream
@@ -68,16 +68,19 @@ def _payloads_identical(left, right):
     )
 
 
-def _serial_expectations(source, query, batches, reader_options):
+def _serial_expectations(source, query, batches):
     """Replay the batch stream serially; record (statistics, values) per prefix.
 
     One maintainer and one engine advance batch by batch — the engine keeps
     its view cache across prefixes exactly like the server's per-thread
-    reader engines do across generations, so the arithmetic on both sides
-    is the same down to the last bit.
+    reader engines do across generations, and is rooted where theirs are (at
+    the maintainer's root), so the arithmetic on both sides is the same down
+    to the last bit.
     """
     replay = FIVM(source, query, FEATURES)
-    engine = LMFAOEngine(replay.database, query, options=reader_options)
+    engine = LMFAOEngine(
+        replay.database, query, root_relation=replay.join_tree.root.relation_name
+    )
     batch = covariance_batch(FEATURES)
     expected = {0: (replay.statistics(), dict(engine.evaluate(batch).values))}
     for prefix, updates in enumerate(batches, start=1):
@@ -138,9 +141,7 @@ def _run_schedule(source, query, seed, readers=3, batch_size=10, length=140):
     assert not errors, f"schedule raised: {errors!r}"
     stats = server.serving_stats()
     server.close()
-    expected = _serial_expectations(
-        source, query, batches, server.reader_options()
-    )
+    expected = _serial_expectations(source, query, batches)
     return results, expected, stats, len(batches)
 
 
@@ -444,36 +445,33 @@ def test_readers_recompute_stale_views_and_stay_single_threaded(serving_source, 
 
     Across published generations a reader's stale views are recomputed —
     every view is either computed or served from the cache, nothing else —
-    and a caller's ``parallel=True`` does not reach the readers (they
-    already run inside the server's pool).
+    by an engine rooted at the maintainer's root, on the reader pool's own
+    thread.
     """
     source, query = serving_source
-    reader_stats = []
+    reader_stats, reader_roots, reader_threads = [], set(), set()
     evaluate = LMFAOEngine.evaluate
 
     def recording_evaluate(self, batch):
         result = evaluate(self, batch)
         reader_stats.append(dict(result.executor_stats))
+        reader_roots.add(self.join_tree.root.relation_name)
+        reader_threads.add(threading.current_thread().name.rsplit("_", 1)[0])
         return result
 
     monkeypatch.setattr(LMFAOEngine, "evaluate", recording_evaluate)
     maintainer = FIVM(source, query, FEATURES)
     stream = random_update_stream(source, seed=37, length=40)
     batch = covariance_batch(FEATURES)
-    with QueryServer(
-        maintainer, options=EngineOptions(parallel=True), readers=1
-    ) as server:
-        assert server.reader_options().parallel is False
-        assert (
-            server.reader_options().root_relation
-            == maintainer.join_tree.root.relation_name
-        )
+    with QueryServer(maintainer, readers=1) as server:
         generations = set()
         for start in range(0, len(stream), 10):
             server.apply_batch(stream[start : start + 10])
             generations.add(server.query(batch).generation)
     assert len(generations) >= 3
     assert len(reader_stats) == len(generations)
+    assert reader_roots == {maintainer.join_tree.root.relation_name}
+    assert reader_threads == {"serving-reader"}
     recomputed = 0
     for stats in reader_stats:
         assert set(stats) <= {

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.aggregates import covariance_batch
 from repro.datasets import RETAILER_FEATURES, retailer_database, retailer_query
 from repro.datasets._synthetic import ZipfSampler, skewed_update_stream
-from repro.ivm import FIVM
+from repro.ivm import FIVM, Update
 from repro.kernels import enable_kernel_stats, reset_kernel_stats
 from repro.serving import QueryServer
 from repro.sharding import ShardedMaintainer, ShardRouter, merge_payloads, stable_hash
@@ -286,6 +286,25 @@ def test_processpool_maintainer_refuses_pickle(retailer_source):
     ) as pooled:
         with pytest.raises(TypeError, match="serial"):
             pickle.dumps(pooled)
+
+
+def test_a_raising_shard_leaves_the_base_copy_untouched(retailer_source):
+    """The facade's base copy takes a batch only after every shard applied it."""
+    database, query = retailer_source
+    maintainer = ShardedMaintainer(database, query, FEATURES, shards=2)
+    _replay(maintainer, random_update_stream(database, seed=57, length=120))
+
+    def contents():
+        return {relation.name: dict(relation.items()) for relation in maintainer.database}
+
+    before = contents()
+    fact = list(database.relation("Inventory"))
+    unliftable = fact[1][:-1] + ("not a number",)  # inventoryunits is a feature
+    with pytest.raises(ValueError, match="could not convert"):
+        maintainer.apply_batch(
+            [Update("Inventory", fact[0], 1), Update("Inventory", unliftable, 1)]
+        )
+    assert contents() == before
 
 
 def test_bad_configuration_raises(retailer_source):

@@ -5,7 +5,7 @@ functions) to fail the build when the documentation drifts from the code::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks:
+Three checks:
 
 - **link check** — every relative link target in ``README.md`` and
   ``docs/**/*.md`` must exist in the repository (external ``http(s)`` links are
@@ -17,12 +17,18 @@ Two checks:
 - **doctest check** — every fenced ``python`` code block that contains
   interpreter-prompt lines (``>>>``) is executed with :mod:`doctest`;
   consecutive blocks of one file share a namespace, so a snippet can build
-  on the previous one the way the README quickstart does.
+  on the previous one the way the README quickstart does;
+- **name check** — every dotted name starting ``repro.`` inside backticks in
+  ``README.md`` and ``docs/architecture.md`` must resolve by import plus
+  ``getattr``, so deleting or renaming a module, class or function fails the
+  build until the prose that names it is brought up to date.
+  (``docs/benchmarks.md`` is sectioned per PR and names what existed then.)
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -33,10 +39,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The documentation surface under check.
 DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("**/*.md"))]
 
+#: The pages that describe the code as it is now (see :func:`check_names`).
+PRESENT_TENSE_FILES = [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "architecture.md"]
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
 _ANCHOR_DROP = re.compile(r"[^\w\- ]")
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)")
 
 
 def heading_anchor(heading: str) -> str:
@@ -141,9 +151,44 @@ def check_doctests(paths: List[Path] = None) -> List[str]:
     return failures
 
 
+def dotted_names(path: Path) -> List[str]:
+    """The distinct backticked ``repro.…`` names of one file, in order of appearance."""
+    if not path.exists():
+        return []
+    return list(dict.fromkeys(_DOTTED_NAME.findall(path.read_text())))
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute chain under one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[split:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_names(paths: List[Path] = None) -> List[str]:
+    """Backticked ``repro.…`` names that no longer exist, as ``file: problem`` strings."""
+    return [
+        f"{_display(path)}: `{name}` does not resolve"
+        for path in paths or PRESENT_TENSE_FILES
+        for name in dotted_names(path)
+        if not resolves(name)
+    ]
+
+
 def main() -> int:
     problems = check_links()
     problems.extend(check_doctests())
+    problems.extend(check_names())
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
