@@ -14,6 +14,7 @@ results are the sufficient statistics of the corresponding model:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aggregates.spec import Aggregate, AggregateBatch, Filter, FilterOp
@@ -68,6 +69,15 @@ def covariance_batch(
     return batch
 
 
+def split_candidate_suffix(condition: Filter) -> str:
+    """The name suffix of one candidate split's aggregates.
+
+    ``repr`` of the value, not ``:g``: six significant digits gave the eight
+    thresholds of a feature ranging over ``[1000.0, 1000.05]`` four names.
+    """
+    return f"{condition.attribute}{condition.op.value}{condition.value!r}"
+
+
 def decision_tree_node_batch(
     target: str,
     continuous: Sequence[str],
@@ -84,7 +94,10 @@ def decision_tree_node_batch(
     ``Xi = v`` for categorical ones) the batch contains the three aggregates
     that define the conditional variance of the target: ``SUM(Y*Y)``,
     ``SUM(Y)`` and ``SUM(1)``, each restricted by the condition and by the
-    filters that define the current node (``node_filters``).
+    filters that define the current node (``node_filters``).  A candidate's
+    aggregates are named ``sum_y2|<suffix>``, ``sum_y|<suffix>`` and
+    ``count|<suffix>`` with :func:`split_candidate_suffix` of its condition;
+    results are read back by name, so two candidates under one name raise.
     """
     batch = AggregateBatch(name=name, description="CART split costs for one node")
     thresholds = dict(thresholds or {})
@@ -105,7 +118,7 @@ def decision_tree_node_batch(
         for threshold in feature_thresholds:
             condition = Filter(feature, FilterOp.GE, threshold)
             combined = base_filters + (condition,)
-            suffix = f"{feature}>={threshold:g}"
+            suffix = split_candidate_suffix(condition)
             batch.add(Aggregate.sum_of([target, target], filters=combined, name=f"sum_y2|{suffix}"))
             batch.add(Aggregate.sum_of([target], filters=combined, name=f"sum_y|{suffix}"))
             batch.add(Aggregate.count(filters=combined, name=f"count|{suffix}"))
@@ -115,7 +128,7 @@ def decision_tree_node_batch(
         for value in feature_categories:
             condition = Filter(feature, FilterOp.EQ, value)
             combined = base_filters + (condition,)
-            suffix = f"{feature}={value}"
+            suffix = split_candidate_suffix(condition)
             batch.add(Aggregate.sum_of([target, target], filters=combined, name=f"sum_y2|{suffix}"))
             batch.add(Aggregate.sum_of([target], filters=combined, name=f"sum_y|{suffix}"))
             batch.add(Aggregate.count(filters=combined, name=f"count|{suffix}"))
@@ -127,6 +140,10 @@ def decision_tree_node_batch(
                                        filters=base_filters, name=f"sum_y@{feature}"))
             batch.add(Aggregate.count(group_by=[feature], filters=base_filters,
                                       name=f"count@{feature}"))
+    names = Counter(aggregate.name for aggregate in batch)
+    if len(names) != len(batch):
+        repeated = sorted(name for name, uses in names.items() if uses > 1)
+        raise ValueError(f"candidate splits share aggregate names: {repeated[:3]}")
     return batch
 
 

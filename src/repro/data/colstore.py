@@ -36,6 +36,12 @@ __all__ = [
 #: back to row-wise ``np.unique(axis=0)`` to avoid int64 overflow.
 _MIX_LIMIT = 2 ** 62
 
+#: A code space of up to ``4 * rows + 1024`` is compacted by counting
+#: (``bincount``: one pass over the rows, one over the space); a sparser one
+#: by sorting the rows (``np.unique``), whose cost does not grow with the space.
+_COUNT_LIMIT_PER_ROW = 4
+_COUNT_LIMIT_SLACK = 1024
+
 
 class ColumnEncoding:
     """One dictionary-encoded column: distinct values + one int64 code per row."""
@@ -126,6 +132,23 @@ def as_sortable_array(values: Sequence[object]) -> Optional[np.ndarray]:
     return array
 
 
+def _compact_codes(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes`` (each in ``[0, space)``) densely over the values present.
+
+    Returns ``(compact, present)``: ``present`` lists the distinct codes in
+    increasing order and ``compact`` maps every input to its index in
+    ``present`` — what ``np.unique(codes, return_inverse=True)`` returns, by
+    counting instead of sorting while the space is of the order of the rows.
+    """
+    if space > _COUNT_LIMIT_PER_ROW * codes.size + _COUNT_LIMIT_SLACK:
+        present, compact = np.unique(codes, return_inverse=True)
+        return compact.reshape(-1).astype(np.int64, copy=False), present.astype(np.int64, copy=False)
+    present = np.nonzero(np.bincount(codes, minlength=space))[0]
+    mapping = np.empty(space, dtype=np.int64)     # read only where a code is present
+    mapping[present] = np.arange(present.size, dtype=np.int64)
+    return mapping[codes], present
+
+
 def combine_codes(
     columns: Sequence[np.ndarray], cardinalities: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,18 +156,17 @@ def combine_codes(
 
     Returns ``(codes, combos)`` where ``codes[i]`` indexes the rows of the
     ``(distinct, len(columns))`` matrix ``combos``, whose entries are the
-    per-column dictionary indices of each distinct combination.
+    per-column dictionary indices of each distinct combination, in
+    increasing (lexicographic) order.  Every column's codes lie in
+    ``[0, cardinality)``.
     """
     if not columns:
         return np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=np.int64)
-    if len(columns) == 1:
-        uniques, inverse = np.unique(columns[0], return_inverse=True)
-        return (
-            inverse.reshape(-1).astype(np.int64, copy=False),
-            uniques.astype(np.int64, copy=False).reshape(-1, 1),
-        )
-
     radices = [max(int(card), 1) for card in cardinalities]
+    if len(columns) == 1:
+        codes, present = _compact_codes(columns[0], radices[0])
+        return codes, present.reshape(-1, 1)
+
     product = 1
     for radix in radices:
         product *= radix
@@ -153,13 +175,12 @@ def combine_codes(
         for column, radix in zip(columns[1:], radices[1:]):
             mixed *= radix
             mixed += column
-        uniques, inverse = np.unique(mixed, return_inverse=True)
-        combos = np.empty((uniques.size, len(columns)), dtype=np.int64)
-        remainder = uniques
+        codes, remainder = _compact_codes(mixed, product)
+        combos = np.empty((remainder.size, len(columns)), dtype=np.int64)
         for position in range(len(columns) - 1, 0, -1):
             remainder, combos[:, position] = np.divmod(remainder, radices[position])
         combos[:, 0] = remainder
-        return inverse.reshape(-1).astype(np.int64, copy=False), combos
+        return codes, combos
 
     stacked = np.stack(columns, axis=1)
     unique_rows, inverse = np.unique(stacked, axis=0, return_inverse=True)

@@ -618,8 +618,6 @@ class ColumnarContext:
         self.conn_attributes = tuple(conn_attributes)
         self._filter_masks: Dict[object, _np.ndarray] = {}
         self._base_keys: Dict[Tuple[str, ...], _BaseKeys] = {}
-        # (signature, child relation) -> restricted child signature
-        self.restrict_cache: Dict[Tuple[ViewSignature, str], ViewSignature] = {}
         # child relation -> the relation names of the child's subtree
         self.child_relations: Dict[str, FrozenSet[str]] = {
             child.relation_name: frozenset(
@@ -799,7 +797,6 @@ def _build_families(
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
-    restrict_cache = context.restrict_cache
     children = [
         (child, tuple(sorted(child.attributes & node.attributes))) for child in node.children
     ]
@@ -810,12 +807,9 @@ def _build_families(
         views: List[View] = []
         stores: List[Optional[ColumnStore]] = []
         for child, _attributes in children:
-            cache_key = (signature, child.relation_name)
-            restricted = restrict_cache.get(cache_key)
-            if restricted is None:
-                restricted = restrict_cache[cache_key] = restrict_signature(
-                    signature, child, designation, context.child_relations[child.relation_name]
-                )
+            restricted = restrict_signature(
+                signature, child, designation, context.child_relations[child.relation_name]
+            )
             view = child_views[(child.relation_name, here, restricted)]
             store = view.flat_store() if isinstance(view, ColumnarView) else None
             views.append(view)

@@ -20,6 +20,7 @@ away, or run a level's directions on a thread pool, live in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -88,6 +89,46 @@ class BatchResult:
 
     def as_mapping(self) -> Dict[str, AggregateValue]:
         return dict(self.values)
+
+    def minus(self, other: "BatchResult") -> "BatchResult":
+        """``self - other``, name by name, without the engine (``views_computed`` 0).
+
+        Sums live in a ring: when ``other`` answers this result's batch under
+        one more filter ``c``, the difference answers it under ``not c``.
+        Counts of whole rows subtract exactly; other sums come out within
+        rounding of a direct evaluation.  A grouped count that reaches exactly
+        0 is dropped — a direct evaluation yields no entry for an empty group
+        — while a grouped sum keeps its key (0.0 does not say the group is
+        empty).  The difference keeps this result's batch: it names the same
+        aggregates, and says which of them are counts.
+        """
+        if self.values.keys() != other.values.keys():
+            raise ValueError("minus() needs two results over the same aggregate names")
+        started = time.perf_counter()
+        counts = {aggregate.name for aggregate in self.batch if not aggregate.product}
+        values: Dict[str, AggregateValue] = {}
+        for name, value in self.values.items():
+            subtrahend = other.values[name]
+            if not isinstance(value, dict):
+                values[name] = value - subtrahend
+                continue
+            difference = dict(value)
+            for key, amount in subtrahend.items():
+                difference[key] = difference.get(key, 0.0) - amount
+            if name in counts:
+                difference = {key: left for key, left in difference.items() if left != 0.0}
+            values[name] = difference
+        return BatchResult(
+            batch=self.batch, values=values, elapsed_seconds=time.perf_counter() - started
+        )
+
+    def is_finite(self) -> bool:
+        """True when no value, scalar or grouped, is ``inf`` or ``NaN``."""
+        return all(
+            math.isfinite(number)
+            for value in self.values.values()
+            for number in (value.values() if isinstance(value, dict) else (value,))
+        )
 
 
 class LMFAOEngine:

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.colstore import DeltaColumnStore, StagedDelta
+from repro.data.colstore import DeltaColumnStore, StagedDelta, _compact_codes
 from repro.data.database import Database
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.ivm.base import CovarianceMaintainer, Update
@@ -120,21 +120,6 @@ class _SlotMap:
             self.probes += needed - self.size
             self.size = needed
         return self.mapping[: self.size]
-
-
-def _compact_codes(codes: np.ndarray, space: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Renumber ``codes`` densely over the values actually present.
-
-    Returns ``(compact, present)``: ``present`` lists the distinct original
-    codes in increasing order and ``compact`` maps every input to its index
-    in ``present`` — a bincount-based replacement for ``np.unique`` that
-    avoids a sort when the code space is known and small.
-    """
-    counts = np.bincount(codes, minlength=space)
-    present = np.nonzero(counts)[0]
-    mapping = np.full(space, -1, dtype=np.int64)
-    mapping[present] = np.arange(present.size, dtype=np.int64)
-    return mapping[codes], present
 
 
 class FIVM(CovarianceMaintainer):

@@ -1,21 +1,24 @@
 """CART decision trees trained from aggregate batches (Section 2.2).
 
-At every tree node the learner asks the engine for the batch of filtered
-variance (regression) or frequency (classification) aggregates of all
-candidate splits; the best split is chosen from those statistics alone.  The
-node's path condition becomes the filter set of the next batch, so the data
-matrix is never materialised.
+A tree node's batch holds the filtered variance (regression) or frequency
+(classification) aggregates of all candidate splits; the best split is chosen
+from those statistics alone, and the node's path condition becomes the filter
+set of its children's batches, so the data matrix is never materialised.  The
+engine is asked only for what cannot be derived: see :class:`_TreeLearnerBase`
+for what a node takes from its parent and which sibling is evaluated
+(``TreeNode.source`` records it per node).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.aggregates.batch import decision_tree_node_batch
+from repro.aggregates.batch import decision_tree_node_batch, split_candidate_suffix
 from repro.aggregates.spec import Aggregate, AggregateBatch, Filter, FilterOp
 from repro.data.database import Database
-from repro.engine.lmfao import LMFAOEngine
+from repro.engine.lmfao import BatchResult, LMFAOEngine
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -32,10 +35,22 @@ class TreeNode:
     left: Optional["TreeNode"] = None       # condition true
     right: Optional["TreeNode"] = None      # condition false
     impurity: float = 0.0
+    #: Where the node's numbers came from: ``"evaluated"`` (its batch went to
+    #: the engine), ``"derived"`` (its batch result is its parent's minus its
+    #: sibling's) or ``"parent-split"`` (no batch: it cannot split, and its
+    #: statistics are those its parent's split computed).  Not rendered.
+    source: str = "parent-split"
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
+
+    def walk(self) -> Iterator["TreeNode"]:
+        """The subtree's nodes in pre-order (node, true branch, false branch)."""
+        yield self
+        if not self.is_leaf:
+            yield from self.left.walk()   # type: ignore[union-attr]
+            yield from self.right.walk()  # type: ignore[union-attr]
 
     def condition_string(self) -> str:
         if self.split_feature is None:
@@ -66,19 +81,56 @@ class TreeNode:
 
 
 @dataclass
-class _SplitCandidate:
+class _Split:
+    """The chosen split of one node and the statistics of its true branch."""
+
     feature: str
     threshold: Optional[float]
     category: Optional[object]
-    score: float
-    left_count: float
-    right_count: float
-    left_prediction: float
-    right_prediction: float
+    true_statistics: object
+
+    def conditions(self) -> Tuple[Filter, Filter]:
+        """The filters of the true and of the false branch."""
+        if self.threshold is not None:
+            return (
+                Filter(self.feature, FilterOp.GE, self.threshold),
+                Filter(self.feature, FilterOp.LT, self.threshold),
+            )
+        return (
+            Filter(self.feature, FilterOp.EQ, self.category),
+            Filter(self.feature, FilterOp.NE, self.category),
+        )
+
+
+class _Fit(NamedTuple):
+    """What one ``fit`` call hands down the recursion."""
+
+    engine: LMFAOEngine
+    thresholds: Dict[str, List[float]]
+    categories: Dict[str, List[object]]
 
 
 class _TreeLearnerBase:
-    """Shared machinery: candidate thresholds and engine plumbing."""
+    """Shared machinery: candidate generation and the growth rule.
+
+    A node's *statistics* — ``(count, sum, sum of squares)`` of the target for
+    the regressor, class counts for the classifier — decide its prediction,
+    its impurity and whether it may split; its *batch result* holds the same
+    statistics for the true branch of every candidate split.  Only the root
+    reads its statistics from its own batch.  Every other node takes them
+    from its parent's split: the chosen candidate's for the true branch, the
+    parent's minus those for the false branch.  A node that cannot split
+    (depth limit, fewer than twice ``min_samples`` rows, a pure class) needs
+    no batch at all.  Of two children that may both split, the one with fewer
+    rows is evaluated (ties: the true branch) and the other's whole result
+    follows as ``parent - evaluated``
+    (:meth:`BatchResult.minus <repro.engine.lmfao.BatchResult.minus>`) — the
+    aggregates are sums, so the complement of a condition is a subtraction;
+    when only one child may split, it is the one evaluated.  Counts of rows
+    subtract exactly; sums come out within rounding of a direct evaluation.
+    A difference that is not finite (the data holds ``inf`` or ``NaN``) says
+    nothing, and the child is evaluated directly instead.
+    """
 
     def __init__(
         self,
@@ -98,6 +150,7 @@ class _TreeLearnerBase:
         self.threshold_count = threshold_count
         self.root_relation = root_relation
         self.root: Optional[TreeNode] = None
+        #: Calls to ``engine.evaluate`` and the aggregates they carried.
         self.batches_evaluated = 0
         self.aggregates_evaluated = 0
 
@@ -120,9 +173,10 @@ class _TreeLearnerBase:
                 thresholds[feature] = [low]
                 continue
             step = (high - low) / (self.threshold_count + 1)
-            thresholds[feature] = [
+            # A range narrower than the rounding yields one threshold twice.
+            thresholds[feature] = list(dict.fromkeys(
                 round(low + step * position, 6) for position in range(1, self.threshold_count + 1)
-            ]
+            ))
         return thresholds
 
     def _categories(self, database: Database) -> Dict[str, List[object]]:
@@ -133,16 +187,119 @@ class _TreeLearnerBase:
                 categories[feature] = owners[0].active_domain(feature)
         return categories
 
+    @staticmethod
+    def _candidates(fit: "_Fit") -> List[Tuple[str, Optional[float], Optional[object], Filter]]:
+        """Every candidate split: (feature, threshold, category, its true-branch filter)."""
+        return [
+            (feature, threshold, None, Filter(feature, FilterOp.GE, threshold))
+            for feature, feature_thresholds in fit.thresholds.items()
+            for threshold in feature_thresholds
+        ] + [
+            (feature, None, value, Filter(feature, FilterOp.EQ, value))
+            for feature, feature_categories in fit.categories.items()
+            for value in feature_categories
+        ]
+
+    # -- growth ------------------------------------------------------------------------------
+
     def fit(self, database: Database, query: ConjunctiveQuery) -> "TreeNode":
-        engine = LMFAOEngine(database, query, self.root_relation)
-        thresholds = self._thresholds(database, query)
-        categories = self._categories(database)
-        self.root = self._grow(engine, (), 0, thresholds, categories)
+        fit = _Fit(
+            LMFAOEngine(database, query, self.root_relation),
+            self._thresholds(database, query),
+            self._categories(database),
+        )
+        result = self._evaluate(fit, (), 0)
+        statistics = self._node_statistics(result)
+        self.root = self._node(statistics, 0, "evaluated")
+        if self._may_split(self.root):
+            self._split(fit, self.root, (), statistics, result)
         return self.root
 
-    # -- node growth (implemented by the subclasses) -------------------------------------------
+    def _evaluate(self, fit: _Fit, node_filters: Tuple[Filter, ...], depth: int) -> BatchResult:
+        batch = self._node_batch(fit, node_filters, depth)
+        self.batches_evaluated += 1
+        self.aggregates_evaluated += len(batch)
+        return fit.engine.evaluate(batch)
 
-    def _grow(self, engine, node_filters, depth, thresholds, categories) -> TreeNode:
+    def _may_split(self, node: TreeNode) -> bool:
+        """Whether the node's own statistics allow a split at all.
+
+        Both sides of a split need ``min_samples`` rows, so a node short of
+        twice that has no candidate to look at; written the way
+        :meth:`_best_split` tests a candidate's false branch.
+        """
+        return node.depth < self.max_depth and node.count - self.min_samples >= self.min_samples
+
+    def _split(
+        self,
+        fit: _Fit,
+        node: TreeNode,
+        node_filters: Tuple[Filter, ...],
+        statistics,
+        result: BatchResult,
+    ) -> None:
+        """Split ``node`` on the best candidate of ``result`` and grow its children."""
+        split = self._best_split(fit, result, node, statistics)
+        if split is None:
+            return
+        node.split_feature = split.feature
+        node.split_threshold = split.threshold
+        node.split_category = split.category
+        depth = node.depth + 1
+        filters = [node_filters + (condition,) for condition in split.conditions()]
+        branches = [split.true_statistics, self._difference(statistics, split.true_statistics)]
+        children = [self._node(branch, depth, "parent-split") for branch in branches]
+        results: List[Optional[BatchResult]] = [None, None]
+
+        def evaluate(branch: int) -> None:
+            if results[branch] is None:
+                results[branch] = self._evaluate(fit, filters[branch], depth)
+                children[branch].source = "evaluated"
+
+        if not self._is_finite(branches[1]):
+            # inf or NaN among the sums: the false branch reads its own batch, as the root does.
+            evaluate(1)
+            branches[1] = self._node_statistics(results[1])
+            children[1] = self._node(branches[1], depth, "evaluated")
+        node.left, node.right = children
+
+        growing = [branch for branch in (0, 1) if self._may_split(children[branch])]
+        if len(growing) == 2:
+            smaller = 0 if children[0].count <= children[1].count else 1
+            evaluate(smaller)
+            if results[1 - smaller] is None:
+                derived = result.minus(results[smaller])
+                if derived.is_finite():
+                    results[1 - smaller] = derived
+                    children[1 - smaller].source = "derived"
+        for branch in growing:
+            evaluate(branch)    # the only child that may split, or a difference that was not finite
+            self._split(fit, children[branch], filters[branch], branches[branch], results[branch])
+
+    # -- what the subclasses define --------------------------------------------------------------
+
+    def _node_batch(self, fit: _Fit, node_filters: Tuple[Filter, ...], depth: int) -> AggregateBatch:
+        """The node's own statistics and those of every candidate's true branch."""
+        raise NotImplementedError
+
+    def _node_statistics(self, result: BatchResult):
+        """The node's statistics as its own batch reports them."""
+        raise NotImplementedError
+
+    def _difference(self, statistics, true_statistics):
+        """The false branch: the node's statistics minus the true branch's."""
+        raise NotImplementedError
+
+    def _is_finite(self, statistics) -> bool:
+        """Whether a difference of statistics can be trusted (counts always can)."""
+        return True
+
+    def _node(self, statistics, depth: int, source: str) -> TreeNode:
+        raise NotImplementedError
+
+    def _best_split(
+        self, fit: _Fit, result: BatchResult, node: TreeNode, statistics
+    ) -> Optional[_Split]:
         raise NotImplementedError
 
     # -- prediction ----------------------------------------------------------------------------
@@ -164,42 +321,44 @@ class _TreeLearnerBase:
 
 
 class DecisionTreeRegressor(_TreeLearnerBase):
-    """CART regression tree: splits minimise the weighted variance of the target."""
+    """CART regression tree: splits minimise the weighted variance of the target.
 
-    def _grow(self, engine, node_filters, depth, thresholds, categories) -> TreeNode:
-        batch = decision_tree_node_batch(
+    A node's statistics are the triple ``(count, sum, sum of squares)`` of
+    the target over its rows.
+    """
+
+    def _node_batch(self, fit, node_filters, depth) -> AggregateBatch:
+        return decision_tree_node_batch(
             self.target,
             self.continuous,
             self.categorical,
-            thresholds=thresholds,
-            categories=categories,
+            thresholds=fit.thresholds,
+            categories=fit.categories,
             node_filters=node_filters,
         )
-        result = engine.evaluate(batch)
-        self.batches_evaluated += 1
-        self.aggregates_evaluated += len(batch)
 
-        node_count = result.scalar("node:count")
-        node_sum = result.scalar("node:sum_y")
-        node_sum_squares = result.scalar("node:sum_y2")
-        prediction = node_sum / node_count if node_count else 0.0
-        impurity = self._variance(node_sum_squares, node_sum, node_count)
-        node = TreeNode(prediction=prediction, count=node_count, depth=depth, impurity=impurity)
+    def _node_statistics(self, result) -> Tuple[float, float, float]:
+        return (
+            result.scalar("node:count"),
+            result.scalar("node:sum_y"),
+            result.scalar("node:sum_y2"),
+        )
 
-        if depth >= self.max_depth or node_count < self.min_samples:
-            return node
+    def _difference(self, statistics, true_statistics) -> Tuple[float, float, float]:
+        return tuple(whole - part for whole, part in zip(statistics, true_statistics))  # type: ignore[return-value]
 
-        best = self._best_split(result, node_count, node_sum, node_sum_squares, thresholds, categories)
-        if best is None or best.score >= impurity * node_count - 1e-12:
-            return node
+    def _is_finite(self, statistics) -> bool:
+        return all(map(math.isfinite, statistics))
 
-        node.split_feature = best.feature
-        node.split_threshold = best.threshold
-        node.split_category = best.category
-        condition_true, condition_false = self._split_filters(best)
-        node.left = self._grow(engine, node_filters + (condition_true,), depth + 1, thresholds, categories)
-        node.right = self._grow(engine, node_filters + (condition_false,), depth + 1, thresholds, categories)
-        return node
+    def _node(self, statistics, depth, source) -> TreeNode:
+        count, total, sum_squares = statistics
+        return TreeNode(
+            prediction=total / count if count else 0.0,
+            count=count,
+            depth=depth,
+            impurity=self._variance(sum_squares, total, count),
+            source=source,
+        )
 
     @staticmethod
     def _variance(sum_squares: float, total: float, count: float) -> float:
@@ -208,86 +367,39 @@ class DecisionTreeRegressor(_TreeLearnerBase):
         mean = total / count
         return max(sum_squares / count - mean * mean, 0.0)
 
-    def _split_filters(self, candidate: _SplitCandidate) -> Tuple[Filter, Filter]:
-        if candidate.threshold is not None:
-            return (
-                Filter(candidate.feature, FilterOp.GE, candidate.threshold),
-                Filter(candidate.feature, FilterOp.LT, candidate.threshold),
-            )
-        return (
-            Filter(candidate.feature, FilterOp.EQ, candidate.category),
-            Filter(candidate.feature, FilterOp.NE, candidate.category),
-        )
+    def _best_split(self, fit, result, node, statistics) -> Optional[_Split]:
+        node_count, node_sum, node_sum_squares = statistics
+        best: Optional[_Split] = None
+        best_cost = 0.0
 
-    def _best_split(
-        self,
-        result,
-        node_count: float,
-        node_sum: float,
-        node_sum_squares: float,
-        thresholds: Mapping[str, Sequence[float]],
-        categories: Mapping[str, Sequence[object]],
-    ) -> Optional[_SplitCandidate]:
-        best: Optional[_SplitCandidate] = None
-
-        def consider(feature, threshold, category, left_stats) -> None:
-            nonlocal best
-            left_squares, left_sum, left_count = left_stats
+        for feature, threshold, category, condition in self._candidates(fit):
+            suffix = split_candidate_suffix(condition)
+            left_count = result.scalar(f"count|{suffix}")
             right_count = node_count - left_count
             if left_count < self.min_samples or right_count < self.min_samples:
-                return
-            right_sum = node_sum - left_sum
-            right_squares = node_sum_squares - left_squares
+                continue
+            left_sum = result.scalar(f"sum_y|{suffix}")
+            left_squares = result.scalar(f"sum_y2|{suffix}")
             cost = (
                 self._variance(left_squares, left_sum, left_count) * left_count
-                + self._variance(right_squares, right_sum, right_count) * right_count
+                + self._variance(
+                    node_sum_squares - left_squares, node_sum - left_sum, right_count
+                ) * right_count
             )
-            if best is None or cost < best.score:
-                best = _SplitCandidate(
-                    feature=feature,
-                    threshold=threshold,
-                    category=category,
-                    score=cost,
-                    left_count=left_count,
-                    right_count=right_count,
-                    left_prediction=left_sum / left_count,
-                    right_prediction=right_sum / right_count,
-                )
-
-        for feature, feature_thresholds in thresholds.items():
-            for threshold in feature_thresholds:
-                suffix = f"{feature}>={threshold:g}"
-                consider(
-                    feature,
-                    threshold,
-                    None,
-                    (
-                        result.scalar(f"sum_y2|{suffix}"),
-                        result.scalar(f"sum_y|{suffix}"),
-                        result.scalar(f"count|{suffix}"),
-                    ),
-                )
-        for feature, feature_categories in categories.items():
-            for value in feature_categories:
-                suffix = f"{feature}={value}"
-                consider(
-                    feature,
-                    None,
-                    value,
-                    (
-                        result.scalar(f"sum_y2|{suffix}"),
-                        result.scalar(f"sum_y|{suffix}"),
-                        result.scalar(f"count|{suffix}"),
-                    ),
-                )
+            if best is None or cost < best_cost:
+                best_cost = cost
+                best = _Split(feature, threshold, category, (left_count, left_sum, left_squares))
+        if best_cost >= node.impurity * node_count - 1e-12:
+            return None
         return best
 
 
 class DecisionTreeClassifier(_TreeLearnerBase):
     """CART classification tree: splits minimise the weighted Gini index.
 
-    The target must be a categorical attribute; the per-node statistics are
-    grouped counts (``SUM(1) GROUP BY target``) under the candidate filters.
+    The target must be a categorical attribute; a node's statistics are its
+    class counts (``SUM(1) GROUP BY target``), and its batch holds those of
+    every candidate's true branch.
     """
 
     @staticmethod
@@ -298,28 +410,14 @@ class DecisionTreeClassifier(_TreeLearnerBase):
         gini = 1.0 - sum((count / total) ** 2 for count in counts.values())
         return gini, total
 
-    def _candidates(
-        self, thresholds, categories
-    ) -> List[Tuple[str, Optional[float], Optional[object], Filter]]:
-        """Every candidate split: (feature, threshold, category, its true-branch filter)."""
-        candidates: List[Tuple[str, Optional[float], Optional[object], Filter]] = []
-        for feature, feature_thresholds in thresholds.items():
-            for threshold in feature_thresholds:
-                candidates.append(
-                    (feature, threshold, None, Filter(feature, FilterOp.GE, threshold))
-                )
-        for feature, feature_categories in categories.items():
-            if feature == self.target:
-                continue
-            for value in feature_categories:
-                candidates.append((feature, None, value, Filter(feature, FilterOp.EQ, value)))
-        return candidates
+    def _categories(self, database: Database) -> Dict[str, List[object]]:
+        categories = super()._categories(database)
+        categories.pop(self.target, None)      # the class is not a feature
+        return categories
 
-    def _grow(self, engine, node_filters, depth, thresholds, categories) -> TreeNode:
-        # One batch per tree node, as in the regressor: the node's class counts
-        # and — unless the depth limit makes it a leaf anyway — those of every
-        # candidate's true branch.
-        candidates = self._candidates(thresholds, categories) if depth < self.max_depth else []
+    def _node_batch(self, fit, node_filters, depth) -> AggregateBatch:
+        # At the depth limit (a root with ``max_depth=0``) only the node's own counts.
+        candidates = self._candidates(fit) if depth < self.max_depth else []
         batch = AggregateBatch(name="class_counts")
         batch.add(Aggregate.count(group_by=[self.target], filters=node_filters, name="node"))
         for position, (_feature, _threshold, _category, condition) in enumerate(candidates):
@@ -330,49 +428,45 @@ class DecisionTreeClassifier(_TreeLearnerBase):
                     name=f"left:{position}",
                 )
             )
-        result = engine.evaluate(batch)
-        self.batches_evaluated += 1
-        self.aggregates_evaluated += len(batch)
+        return batch
 
-        def class_counts(name: str) -> Dict[object, float]:
-            return {key[0]: value for key, value in result.grouped(name).items()}
+    @staticmethod
+    def _class_counts(result, name: str) -> Dict[object, float]:
+        return {key[0]: value for key, value in result.grouped(name).items()}
 
-        counts = class_counts("node")
-        gini, total = self._gini(counts)
-        majority = max(counts, key=counts.get) if counts else None
-        node = TreeNode(prediction=majority, count=total, depth=depth, impurity=gini)  # type: ignore[arg-type]
-        if depth >= self.max_depth or total < self.min_samples or gini == 0.0:
-            return node
+    def _node_statistics(self, result) -> Dict[object, float]:
+        return self._class_counts(result, "node")
 
-        best_cost = gini * total
-        best_condition: Optional[Tuple[str, Optional[float], Optional[object]]] = None
-        for position, (feature, threshold, category, _condition) in enumerate(candidates):
-            left_counts = class_counts(f"left:{position}")
+    def _difference(self, statistics, true_statistics) -> Dict[object, float]:
+        # Counts of whole rows are exact, so an emptied class reads exactly 0.
+        difference = {
+            label: count - true_statistics.get(label, 0.0) for label, count in statistics.items()
+        }
+        return {label: count for label, count in difference.items() if count != 0.0}
+
+    def _node(self, statistics, depth, source) -> TreeNode:
+        gini, total = self._gini(statistics)
+        majority = max(statistics, key=statistics.get) if statistics else None
+        return TreeNode(
+            prediction=majority, count=total, depth=depth, impurity=gini, source=source  # type: ignore[arg-type]
+        )
+
+    def _may_split(self, node: TreeNode) -> bool:
+        return super()._may_split(node) and node.impurity != 0.0
+
+    def _best_split(self, fit, result, node, statistics) -> Optional[_Split]:
+        total = node.count
+        best: Optional[_Split] = None
+        best_cost = node.impurity * total
+        for position, (feature, threshold, category, _condition) in enumerate(self._candidates(fit)):
+            left_counts = self._class_counts(result, f"left:{position}")
             left_gini, left_total = self._gini(left_counts)
             right_total = total - left_total
             if left_total < self.min_samples or right_total < self.min_samples:
                 continue
-            right_counts = {
-                value: counts.get(value, 0.0) - left_counts.get(value, 0.0) for value in counts
-            }
-            right_gini, _ = self._gini(right_counts)
+            right_gini, _ = self._gini(self._difference(statistics, left_counts))
             cost = left_gini * left_total + right_gini * right_total
             if cost < best_cost - 1e-12:
                 best_cost = cost
-                best_condition = (feature, threshold, category)
-
-        if best_condition is None:
-            return node
-        feature, threshold, category = best_condition
-        node.split_feature = feature
-        node.split_threshold = threshold
-        node.split_category = category
-        if threshold is not None:
-            true_filter = Filter(feature, FilterOp.GE, threshold)
-            false_filter = Filter(feature, FilterOp.LT, threshold)
-        else:
-            true_filter = Filter(feature, FilterOp.EQ, category)
-            false_filter = Filter(feature, FilterOp.NE, category)
-        node.left = self._grow(engine, node_filters + (true_filter,), depth + 1, thresholds, categories)
-        node.right = self._grow(engine, node_filters + (false_filter,), depth + 1, thresholds, categories)
-        return node
+                best = _Split(feature, threshold, category, left_counts)
+        return best

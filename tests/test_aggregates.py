@@ -107,6 +107,20 @@ def test_decision_tree_node_batch_counts_and_filters():
     assert len(filtered) == 15
 
 
+def test_decision_tree_node_batch_names_every_candidate_apart():
+    """Thresholds that agree in six significant digits still get their own names."""
+    thresholds = [round(1000.0 + 0.05 * position / 9, 6) for position in range(1, 9)]
+    assert len({f"{threshold:g}" for threshold in thresholds}) == 4
+    batch = decision_tree_node_batch(
+        "y", ["a"], ["g"], thresholds={"a": thresholds}, categories={"g": [1, "1", 1.5]}
+    )
+    names = [aggregate.name for aggregate in batch]
+    assert len(names) == len(set(names)) == 3 + 3 * (8 + 3)
+    assert "count|a>=1000.005556" in names and "count|g=1" in names and "count|g='1'" in names
+    with pytest.raises(ValueError, match="share aggregate names"):
+        decision_tree_node_batch("y", ["a"], thresholds={"a": [1.0, 2.0, 1.0]})
+
+
 def test_decision_tree_node_batch_grouped_fallback_without_categories():
     batch = decision_tree_node_batch("y", ["a"], ["g"], thresholds={"a": [1.0]})
     grouped = [aggregate for aggregate in batch if aggregate.group_by == ("g",)]

@@ -1,8 +1,11 @@
 """Tests for multiset relations."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data import Relation, Schema
+from repro.data import Relation, Schema, colstore
 from repro.data.relation import RelationError, relation_from_rows
 
 
@@ -189,3 +192,59 @@ def test_combine_codes_matches_stacked_unique():
     assert codes.shape == (5,)
     rebuilt = {(int(combos[c, 0]), int(combos[c, 1])) for c in codes.tolist()}
     assert rebuilt == {(0, 1), (1, 1), (2, 0), (1, 2)}
+
+
+def _combine_codes_by_sorting(columns, cardinalities):
+    """``combine_codes`` as it was written before it counted: one ``np.unique`` per key."""
+    if len(columns) == 1:
+        uniques, inverse = np.unique(columns[0], return_inverse=True)
+        return inverse.reshape(-1).astype(np.int64), uniques.astype(np.int64).reshape(-1, 1)
+    mixed = columns[0].astype(np.int64, copy=True)
+    for column, radix in zip(columns[1:], cardinalities[1:]):
+        mixed = mixed * radix + column
+    uniques, inverse = np.unique(mixed, return_inverse=True)
+    combos = np.empty((uniques.size, len(columns)), dtype=np.int64)
+    remainder = uniques
+    for position in range(len(columns) - 1, 0, -1):
+        remainder, combos[:, position] = np.divmod(remainder, cardinalities[position])
+    combos[:, 0] = remainder
+    return inverse.reshape(-1).astype(np.int64), combos
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+    # The counting bound is 4 * rows + slack: slack 0 puts these small inputs on
+    # both sides of it, the module's own 1024 keeps them all on the counting side.
+    st.sampled_from([0, colstore._COUNT_LIMIT_SLACK]),
+    st.randoms(use_true_random=False),
+)
+def test_combine_codes_counts_or_sorts_to_the_same_arrays(rows, cardinalities, slack, rng):
+    """Array-equal to the ``np.unique`` formulation on both sides of the counting bound."""
+    columns = [
+        np.asarray([rng.randrange(card) for _ in range(rows)], dtype=np.int64)
+        for card in cardinalities
+    ]
+    before = colstore._COUNT_LIMIT_SLACK
+    colstore._COUNT_LIMIT_SLACK = slack
+    try:
+        codes, combos = colstore.combine_codes(columns, cardinalities)
+    finally:
+        colstore._COUNT_LIMIT_SLACK = before
+    expected_codes, expected_combos = _combine_codes_by_sorting(columns, cardinalities)
+    assert codes.dtype == combos.dtype == np.int64
+    assert np.array_equal(codes, expected_codes)
+    assert np.array_equal(combos, expected_combos)
+
+
+def test_compact_codes_sorts_only_a_sparse_code_space():
+    codes = np.asarray([7, 2, 7, 900, 2], dtype=np.int64)
+    bound = 4 * codes.size + colstore._COUNT_LIMIT_SLACK
+    for space in (901, bound, bound + 1, 10 ** 12):     # the last would not fit in memory
+        compact, present = colstore._compact_codes(codes, space)
+        assert np.array_equal(compact, [1, 0, 1, 2, 0]) and np.array_equal(present, [2, 7, 900])
+    empty = np.empty(0, dtype=np.int64)
+    for space in (1, 10 ** 12):
+        compact, present = colstore._compact_codes(empty, space)
+        assert compact.size == present.size == 0 and compact.dtype == present.dtype == np.int64

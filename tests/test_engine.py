@@ -280,3 +280,78 @@ def test_engine_matches_naive_on_random_star_queries(database):
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for name, value in lmfao.values.items():
         assert _values_close(value, naive.values[name]), name
+
+
+# -- property-based: a result minus the result under one more filter ----------------------------------------
+
+
+_COMPLEMENT = {FilterOp.GE: FilterOp.LT, FilterOp.EQ: FilterOp.NE}
+_TOY_CONDITIONS = st.one_of(
+    st.builds(lambda value: Filter("price", FilterOp.GE, value), st.sampled_from([2, 3, 4, 6, 7])),
+    st.builds(lambda value: Filter("dish", FilterOp.EQ, value), st.sampled_from(["burger", "hotdog"])),
+    st.builds(lambda value: Filter("day", FilterOp.EQ, value), st.sampled_from(["Monday", "Friday"])),
+    st.builds(
+        lambda value: Filter("customer", FilterOp.EQ, value),
+        st.sampled_from(["Elise", "Steve", "Joe", "nobody"]),
+    ),
+    st.builds(
+        lambda value: Filter("item", FilterOp.EQ, value),
+        st.sampled_from(["patty", "onion", "bun", "sausage"]),
+    ),
+)
+
+
+def _filtered_toy_batch(filters):
+    return AggregateBatch(
+        "node",
+        [
+            Aggregate.count(filters=filters, name="count"),
+            Aggregate.sum_of(["price"], filters=filters, name="sum"),
+            Aggregate.sum_of(["price", "price"], filters=filters, name="sum_squares"),
+            Aggregate.count(group_by=["dish"], filters=filters, name="count@dish"),
+            Aggregate.count(group_by=["customer", "item"], filters=filters, name="count@customer,item"),
+            Aggregate.sum_of(["price"], group_by=["item"], filters=filters, name="sum@item"),
+        ],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TOY_CONDITIONS, max_size=2), _TOY_CONDITIONS, st.booleans())
+def test_result_minus_the_true_branch_is_the_false_branch(node_filters, condition, negate):
+    """``evaluate(P) - evaluate(P and c) == evaluate(P and not c)``, key sets included."""
+    from repro.datasets import orders_database, orders_query
+
+    if negate:   # the node's own path may hold complements too
+        node_filters = [
+            Filter(f.attribute, _COMPLEMENT[f.op], f.value) for f in node_filters
+        ]
+    node_filters = tuple(node_filters)
+    complement = Filter(condition.attribute, _COMPLEMENT[condition.op], condition.value)
+    engine = LMFAOEngine(orders_database(), orders_query())
+    node = engine.evaluate(_filtered_toy_batch(node_filters))
+    true_branch = engine.evaluate(_filtered_toy_batch(node_filters + (condition,)))
+    false_branch = engine.evaluate(_filtered_toy_batch(node_filters + (complement,)))
+
+    derived = node.minus(true_branch)
+    assert derived.views_computed == 0 and derived.executor_stats == {}
+    assert derived.is_finite()
+    assert derived.values.keys() == false_branch.values.keys()
+    for name in ("count", "count@dish", "count@customer,item"):
+        assert derived.values[name] == false_branch.values[name]    # exact, empty groups dropped
+    for name in ("sum", "sum_squares", "sum@item"):
+        assert _values_close(derived.values[name], false_branch.values[name], tolerance=1e-9)
+
+
+def test_minus_needs_the_same_aggregate_names_and_reports_non_finite_values(toy_database, toy_query):
+    engine = LMFAOEngine(toy_database, toy_query)
+    node = engine.evaluate(_filtered_toy_batch(()))
+    other = engine.evaluate(AggregateBatch("other", [Aggregate.count(name="count")]))
+    with pytest.raises(ValueError):
+        node.minus(other)
+    assert node.is_finite()
+    node.values["sum"] = float("inf")
+    assert not node.is_finite()
+    assert not node.minus(node).is_finite()         # inf - inf
+    node.values["sum"] = 0.0
+    node.values["sum@item"][("bun",)] = float("nan")
+    assert not node.is_finite()

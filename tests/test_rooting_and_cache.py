@@ -734,7 +734,45 @@ def test_the_learned_tree_does_not_depend_on_who_picks_the_roots():
         tree.fit(database, query)
         learned.append((tree.root.render(), tree.batches_evaluated, tree.aggregates_evaluated))
     assert learned[0] == learned[1]
-    assert learned[0][1:] == (15, 4995)
+    # A complete depth-3 tree: the root, one of its children, one of each pair
+    # of grandchildren — 2 ** (3 - 1) batches of 333 aggregates, not 15.
+    assert learned[0][1:] == (4, 1332)
+
+
+def test_a_second_fit_leaves_every_columnar_context_the_size_the_first_left_it(monkeypatch):
+    """Nothing in a context depends on a batch, so nothing in it grows per fit.
+
+    A context caches by attribute tuples and filter conditions.  The third
+    fit below sends signatures the first two never did (another target, so
+    other products) over the same conditions and keys: it must find every
+    context as the first fit left it.
+    """
+    from repro.ml import decision_tree
+
+    database, query = _retailer_at_harness_shape(3000)
+    engine = LMFAOEngine(database, query, root_relation="Stores")
+    monkeypatch.setattr(decision_tree, "LMFAOEngine", lambda *_arguments: engine)
+    continuous = [
+        feature for feature in RETAILER_FEATURES["continuous"]
+        if feature not in ("inventoryunits", "population")
+    ]
+
+    def sizes_after_fit(target, depth):
+        tree = DecisionTreeRegressor(
+            target, continuous, RETAILER_FEATURES["categorical"], max_depth=depth
+        )
+        tree.fit(database, query)
+        return {
+            direction: {
+                name: len(value) for name, value in vars(context).items() if isinstance(value, dict)
+            }
+            for direction, context in engine._context_cache.items()
+        }
+
+    first = sizes_after_fit("inventoryunits", 3)
+    assert len(first) == 5 and all(any(sizes.values()) for sizes in first.values())
+    assert sizes_after_fit("inventoryunits", 3) == first
+    assert sizes_after_fit("population", 1) == first
 
 
 def test_plan_estimates_are_deterministic_and_explained():
