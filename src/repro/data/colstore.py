@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.tuplestore import _GrowArray, tuplestore_stats
+from repro.data.tuplestore import _KERNELS, _GrowArray, tuplestore_stats
 
 __all__ = [
     "ColumnEncoding",
@@ -199,16 +199,18 @@ class ColumnStore:
     once per store lifetime.
     """
 
-    def __init__(self, name, schema, rows, multiplicities, version) -> None:
-        # Built through from_tuplestore, which fills in the encodings.
+    def __init__(self, name, schema, version, row_count, source) -> None:
+        # Built through from_tuplestore.  ``source`` is what the snapshot
+        # reads from the store: (row list, multiplicity view, [(dictionary,
+        # code view)] per column); ``_dense`` is (live slots or None,
+        # multiplicities, encodings) once the live slots are gathered.
         self.relation_name: str = name
         self.schema = schema
         self.version = version
-        self._rows = rows
-        self._row_source = None
-        self.row_count = int(multiplicities.shape[0])
-        self.multiplicities = multiplicities
-        self._encodings: Dict[int, ColumnEncoding] = {}
+        self.row_count = row_count
+        self._source = source
+        self._dense: Optional[Tuple[Optional[np.ndarray], np.ndarray, List[ColumnEncoding]]] = None
+        self._rows: Optional[List[Tuple]] = None
         self._float_columns: Dict[str, Optional[np.ndarray]] = {}
         self._key_cache: Dict[
             Tuple[str, ...],
@@ -221,38 +223,61 @@ class ColumnStore:
     def from_tuplestore(cls, name: str, schema, store) -> "ColumnStore":
         """The dense snapshot of a :class:`~repro.data.tuplestore.TupleStore`.
 
-        Never a re-encode.  While the store holds no tombstone the snapshot
-        is a zero-copy alias: the encodings alias the store's live value
-        dictionaries and code arrays, the multiplicities its multiplicity
-        array, ``rows`` its row list — valid until the owning relation
-        mutates again (in-place netting writes through the aliased arrays;
-        ``Relation.column_store`` guards on the version).  Otherwise the live
-        slots are gathered, one vectorised take per array — array for array
-        what a sweep followed by an alias would expose — and ``rows`` is
-        gathered on first touch.
+        Never a re-encode.  The store's pending rows are encoded, then the
+        snapshot captures views of its multiplicity and code arrays and its
+        dictionary lists (the objects, not the store: a later sweep replaces
+        the store's arrays and appends only ever write past the views).
+        While the store holds no tombstone the snapshot is a zero-copy alias
+        of those.  Otherwise the live slots are gathered — one
+        ``compact_keep`` and one vectorised take per array, array for array
+        what a sweep followed by an alias would expose — on the first read of
+        ``multiplicities``, :meth:`encoding` or ``rows``, so a generation
+        nobody reads never gathers.
+
+        Either way the snapshot is valid while the owning relation's version
+        is unchanged (in-place netting writes through the captured
+        multiplicities; ``Relation.column_store`` guards on the version), or
+        while the store is pinned for it (netting then detaches the buffer
+        copy-on-write; see :meth:`~repro.data.tuplestore.TupleStore.pin`).
         """
         tuplestore_stats.bump("zero_copy_snapshots")
-        stored = store.rows_list()
+        columns = [
+            (store.column_values(position), store.column_codes_view(position))
+            for position in range(len(schema.names))
+        ]
         multiplicities = store.multiplicities_view()
-        if store.zeros:
-            keep = store.live_slots()
-            snapshot = cls(name, schema, None, multiplicities[keep], store.version)
-            # The list object, not the store: a later sweep replaces the
-            # store's list and appends only ever extend this one.
-            snapshot._row_source = (stored, keep)
-        else:
-            keep = None
-            snapshot = cls(name, schema, stored, multiplicities, store.version)
-        for position in range(len(schema.names)):
-            codes = store.column_codes_view(position)
-            snapshot._encodings[position] = ColumnEncoding(
-                store.column_values(position),
-                codes if keep is None else codes[keep],
-            )
+        snapshot = cls(
+            name, schema, store.version, store.live,
+            (store.rows_list(), multiplicities, columns),
+        )
+        if not store.zeros:
+            snapshot._dense = (None, multiplicities, [
+                ColumnEncoding(values, codes) for values, codes in columns
+            ])
         return snapshot
+
+    def _gathered(self) -> Tuple[Optional[np.ndarray], np.ndarray, List[ColumnEncoding]]:
+        """The dense state, gathered on first call.
+
+        Built in locals and published with one assignment: readers sharing a
+        pinned snapshot that race the first call at worst duplicate the work.
+        """
+        dense = self._dense
+        if dense is None:
+            _rows, multiplicities, columns = self._source
+            keep = _KERNELS.compact_keep(multiplicities)
+            dense = (keep, multiplicities[keep], [
+                ColumnEncoding(values, codes[keep]) for values, codes in columns
+            ])
+            self._dense = dense
+        return dense
 
     def __len__(self) -> int:
         return self.row_count
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return self._gathered()[1]
 
     @property
     def rows(self) -> List[Tuple]:
@@ -264,14 +289,16 @@ class ColumnStore:
         """
         rows = self._rows
         if rows is None:
-            stored, keep = self._row_source
-            rows = self._rows = [stored[slot] for slot in keep.tolist()]
+            keep = self._gathered()[0]
+            stored = self._source[0]
+            rows = stored if keep is None else [stored[slot] for slot in keep.tolist()]
+            self._rows = rows
         return rows
 
     # -- per-attribute encodings ---------------------------------------------------------
 
     def encoding(self, attribute: str) -> ColumnEncoding:
-        return self._encodings[self.schema.index_of(attribute)]
+        return self._gathered()[2][self.schema.index_of(attribute)]
 
     def float_column(self, attribute: str) -> Optional[np.ndarray]:
         """Per-row float64 values of one attribute (None when not numeric)."""

@@ -208,9 +208,9 @@ class Relation:
         The live rows in first-insertion-since-last-death order: a zero-copy
         alias of the tuple store's code, multiplicity and dictionary arrays
         while it holds no tombstone, one vectorised gather of the live slots
-        otherwise — never a re-encode and never a sweep.  Any later mutation
-        bumps :attr:`version` and the next call snapshots again.  See
-        :mod:`repro.data.colstore`.
+        on first read otherwise — never a re-encode and never a sweep.  Any
+        later mutation bumps :attr:`version` and the next call snapshots
+        again.  See :mod:`repro.data.colstore`.
         """
         from repro.data.colstore import ColumnStore
 

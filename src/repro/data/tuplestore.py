@@ -24,10 +24,14 @@ storage:
   one C-level pass, and distinct new rows enter it in another — no per-row
   Python on the pure-append path.
 
-The row tuples themselves are kept (they are the hash-index keys anyway), so
-the tuple-at-a-time consumers — the interpreted/specialised executor scans,
-the relational algebra, ``expanded_rows`` — read them back without decoding;
-everything vectorised reads the code and multiplicity arrays directly.
+In memory the row tuples are kept too (they are the hash-index keys anyway),
+so the tuple-at-a-time consumers — the interpreted/specialised executor
+scans, the relational algebra, ``expanded_rows`` — read them back without
+decoding; everything vectorised reads the code and multiplicity arrays
+directly.  A checkpoint holds the codes only: the rows are decoded from them
+on load, exactly — per column, the slots whose value a code does not
+reproduce (``1.0`` or ``True`` under the code of ``1``, ``-0.0`` under that of
+``0.0``) are recorded as exceptions when they are encoded.
 
 The dense-snapshot contract
 ---------------------------
@@ -41,17 +45,18 @@ whether ``1`` or ``1.0`` is kept), hence ``values`` *and* ``codes`` are a
 function of the history, independent of how flushes chunked it.
 :meth:`~repro.data.colstore.ColumnStore.from_tuplestore` builds it without
 re-encoding anything: a zero-copy alias of the store's arrays while no
-tombstone exists, one vectorised gather of the live slots otherwise.  An
-aliasing snapshot is only valid while the owning relation's version is
-unchanged (a later mutation may net a multiplicity *in place*); every
-consumer guards on the version.
+tombstone exists, otherwise one vectorised gather of the live slots, run on
+the snapshot's first read.  Either snapshot is only valid while the owning
+relation's version is unchanged (a later mutation may net a multiplicity *in
+place*) or while the store is pinned for it; every consumer guards on the
+version.
 
 :meth:`~TupleStore.compact` is amortised space reclamation and never
 observable: it runs from the mutation path once tombstones make up a quarter
 of the stored rows (and number at least :data:`COMPACT_MIN_ZEROS`), drops
 them preserving slot order, and bumps the epoch.  Pickling persists the
-dense form for the same reason — a checkpoint's bytes do not depend on when
-the last sweep happened.
+dense encodings (codes, dictionaries, exceptions) for the same reason — a
+checkpoint's bytes do not depend on when the last sweep happened.
 
 Snapshot pinning
 ----------------
@@ -73,7 +78,10 @@ testable: ``zero_copy_snapshots`` counts dense-snapshot handoffs,
 
 from __future__ import annotations
 
+import math
 import threading
+from itertools import compress
+from operator import countOf, is_not
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -182,11 +190,38 @@ class _GrowArray:
 
     def __setstate__(self, state: Dict) -> None:
         # Copy into memory this array owns: the unpickled buffer may be a
-        # window of a checkpoint file's read buffer.
+        # window of a checkpoint file's read buffer.  The dtype is the
+        # canonical instance of its scalar type, not the unpickled copy, so
+        # re-pickling shares it like the live arrays do (same bytes).
         stored = state["data"]
         self.size = state["size"]
-        self.data = np.empty(max(self.size, 1), dtype=stored.dtype)
+        self.data = np.empty(max(self.size, 1), dtype=stored.dtype.type)
         self.data[: self.size] = stored[: self.size]
+
+
+def _exact(value, entry) -> bool:
+    """Whether decoding ``value``'s code (its dictionary ``entry``) gives
+    ``value`` back: same type and, for a float zero, the same sign bit."""
+    if value is entry:
+        return True
+    if type(value) is not type(entry):
+        return False
+    return not (isinstance(value, float) and value == 0.0) or (
+        math.copysign(1.0, value) == math.copysign(1.0, entry)
+    )
+
+
+def _remap_exceptions(exceptions: Dict[int, object], slots: np.ndarray) -> Dict[int, object]:
+    """The exceptions of a store cut down to ``slots``, keyed by position
+    in ``slots`` (ascending, so the dict order stays a function of history)."""
+    if not exceptions:
+        return {}
+    old = np.fromiter(exceptions, dtype=np.int64, count=len(exceptions))
+    hits = np.nonzero(np.isin(slots, old))[0]
+    return {
+        new: exceptions[slot]
+        for new, slot in zip(hits.tolist(), slots[hits].tolist())
+    }
 
 
 class _ColumnCodes:
@@ -197,14 +232,24 @@ class _ColumnCodes:
     row.  The dictionary only ever grows (values of tombstoned rows linger as
     unused entries — harmless: consumers treat the cardinality as an upper
     bound and derive exact distinct counts from the codes).
+
+    Python equality folds ``1``, ``1.0`` and ``True`` into one code, and
+    ``-0.0`` into ``0.0``, so a code does not always decode to the value that
+    was stored.  ``exceptions`` maps every slot whose value is not identical
+    in type and sign bit to its dictionary entry to that value; with it the
+    codes decode to the stored values exactly (:meth:`decode`).  ``kinds``
+    holds the types encoded so far: while it is a single type, a chunk needs
+    no per-value check unless it holds a float zero.
     """
 
-    __slots__ = ("values", "index", "codes")
+    __slots__ = ("values", "index", "codes", "exceptions", "kinds")
 
     def __init__(self) -> None:
         self.values: List[object] = []
         self.index: Dict[object, int] = {}
         self.codes = _GrowArray(np.int64)
+        self.exceptions: Dict[int, object] = {}
+        self.kinds: set = set()
 
     def code_of(self, value) -> int:
         code = self.index.get(value)
@@ -215,17 +260,34 @@ class _ColumnCodes:
         return code
 
     def append_value(self, value) -> None:
-        self.codes.append(self.code_of(value))
+        code = self.code_of(value)
+        self.kinds.add(type(value))
+        if not _exact(value, self.values[code]):
+            self.exceptions[self.codes.size] = value
+        self.codes.append(code)
+
+    def decode(self) -> List[object]:
+        """The stored value of every slot: one object-array take through the
+        dictionary, then the exceptions put back."""
+        dictionary = np.fromiter(self.values, dtype=object, count=len(self.values))
+        decoded = dictionary[self.codes.view()].tolist()
+        for slot, value in self.exceptions.items():
+            decoded[slot] = value
+        return decoded
 
     def __getstate__(self) -> Dict:
-        # The inverse index is derivable; rebuilding on load halves the
-        # dictionary bytes a checkpoint carries per column.
-        return {"values": self.values, "codes": self.codes}
+        # The inverse index and the type set are derivable; rebuilding the
+        # index on load halves the dictionary bytes a checkpoint carries.
+        return {"values": self.values, "codes": self.codes,
+                "exceptions": self.exceptions}
 
     def __setstate__(self, state: Dict) -> None:
         self.values = state["values"]
         self.codes = state["codes"]
+        self.exceptions = state["exceptions"]
         self.index = {value: position for position, value in enumerate(self.values)}
+        self.kinds = set(map(type, self.values))
+        self.kinds.update(map(type, self.exceptions.values()))
 
     def extend_values(self, raw: Sequence[object]) -> None:
         """Bulk encode, the one path: codes in first-occurrence order.
@@ -251,7 +313,42 @@ class _ColumnCodes:
                 if code == len(values):
                     values.append(value)
                 codes.append(code)
+            codes = np.fromiter(codes, dtype=np.int64, count=len(raw))
+        self._record_exceptions(raw, codes)
         self.codes.extend(codes)
+
+    def _record_exceptions(self, raw: Sequence[object], codes: np.ndarray) -> None:
+        """Note the values of ``raw`` (about to be appended with ``codes``)
+        that their dictionary entries do not reproduce exactly.
+
+        One C-level type pass per chunk (a count while the column has only
+        ever held one type).  Only a column of several types can hold a value
+        whose type differs from its entry's; in a column of one float type
+        with a zero entry, a chunk holding a zero (one C-level membership
+        test) may hold one of the other sign, and the codes locate the zeros.
+        Values are compared one by one only where those flag something.
+        """
+        kinds = self.kinds
+        if len(kinds) != 1 or countOf(map(type, raw), next(iter(kinds))) != len(raw):
+            kinds.update(map(type, raw))
+        values = self.values
+        zero = self.index.get(0.0)
+        if len(kinds) == 1:
+            # One type: only a float zero of the other sign can differ.
+            if zero is None or not issubclass(next(iter(kinds)), float) or 0.0 not in raw:
+                return
+            suspects = np.flatnonzero(codes == zero).tolist()
+        else:
+            entry_types = map(type, map(values.__getitem__, codes.tolist()))
+            flagged = set(compress(range(len(raw)), map(is_not, map(type, raw), entry_types)))
+            if zero is not None:
+                flagged.update(np.flatnonzero(codes == zero).tolist())
+            suspects = sorted(flagged)
+        base = self.codes.size
+        for position in suspects:
+            value = raw[position]
+            if not _exact(value, values[codes[position]]):
+                self.exceptions[base + position] = value
 
 
 def net_rows(
@@ -562,9 +659,9 @@ class TupleStore:
         """
         if self.zeros == 0:
             return
-        self._rows, self._mults, codes = self._gather(self.live_slots())
-        for column, kept in zip(self._columns, codes):
-            column.codes = kept
+        slots = self.live_slots()
+        self._mults, self._columns = self._gather(slots)   # flushes the tail first
+        self._rows = self._gather_rows(slots)
         self._encoded_count = len(self._rows)
         self.zeros = 0
         self._index_live_rows()
@@ -575,20 +672,27 @@ class TupleStore:
         self._pin_floor = 0
         tuplestore_stats.bump("compactions")
 
-    def _gather(self, slots: np.ndarray) -> Tuple[List[Tuple], _GrowArray, List[_GrowArray]]:
-        """Fresh row list, multiplicity array and per-column code arrays
-        holding exactly the given slots, in the given order."""
+    def _gather(self, slots: np.ndarray) -> Tuple[_GrowArray, List[_ColumnCodes]]:
+        """A fresh multiplicity array and per-column encodings holding exactly
+        the given slots, in the given order: codes gathered, exceptions
+        remapped, the dictionary (values, index, types) shared."""
         self.flush_encodings()
         capacity = max(slots.size, 1)
         mults = _GrowArray(np.float64, capacity=capacity)
         mults.extend(self._mults.view()[slots])
-        codes = []
+        columns = []
         for column in self._columns:
-            kept = _GrowArray(np.int64, capacity=capacity)
-            kept.extend(column.codes.view()[slots])
-            codes.append(kept)
+            kept = _ColumnCodes()
+            kept.values, kept.index, kept.kinds = column.values, column.index, column.kinds
+            kept.codes = _GrowArray(np.int64, capacity=capacity)
+            kept.codes.extend(column.codes.view()[slots])
+            kept.exceptions = _remap_exceptions(column.exceptions, slots)
+            columns.append(kept)
+        return mults, columns
+
+    def _gather_rows(self, slots: np.ndarray) -> List[Tuple]:
         rows = self._rows
-        return [rows[slot] for slot in slots.tolist()], mults, codes
+        return [rows[slot] for slot in slots.tolist()]
 
     def _index_live_rows(self) -> None:
         """Rebuild the row index from the live slots (dead ones stay out)."""
@@ -598,33 +702,31 @@ class TupleStore:
     # -- checkpoint pickling -----------------------------------------------------------
 
     def __getstate__(self) -> Dict:
-        """The store's state: schema, dense rows, multiplicities, encodings
-        and counters.
+        """The store's state: schema, dense multiplicities, encodings
+        (dictionaries, codes, exceptions) and counters — no row tuples.
 
         Tombstones are left out (gathered away, the store itself untouched)
         and the pending tail is encoded first, so the pickled bytes depend on
         the update history only, like every other snapshot.  Everything else
         is derived or process-local and starts afresh in :meth:`__setstate__`:
-        the row index, the reader-pin bookkeeping and the physical-layout
-        epoch.
+        the rows (decoded exactly from the encodings), the row index, the
+        reader-pin bookkeeping and the physical-layout epoch.
         """
         self.flush_encodings()
-        rows, mults, columns = self._rows, self._mults, self._columns
+        mults, columns = self._mults, self._columns
         if self.zeros:
-            rows, mults, codes = self._gather(self.live_slots())
-            columns = []
-            for column, kept in zip(self._columns, codes):
-                dense = _ColumnCodes()
-                dense.values, dense.codes = column.values, kept
-                columns.append(dense)
-        return {"schema": self.schema, "_rows": rows, "_mults": mults,
-                "_columns": columns, "live": self.live, "total": self.total,
-                "version": self.version}
+            mults, columns = self._gather(self.live_slots())
+        return {"schema": self.schema, "_mults": mults, "_columns": columns,
+                "live": self.live, "total": self.total, "version": self.version}
 
     def __setstate__(self, state: Dict) -> None:
         self.__init__(state["schema"])  # derived and process-local fields start afresh
         for name, value in state.items():
             setattr(self, name, value)
+        if self._columns:
+            self._rows = list(zip(*(column.decode() for column in self._columns)))
+        else:
+            self._rows = [()] * self._mults.size
         self._encoded_count = len(self._rows)
         self._index_live_rows()
 
@@ -645,11 +747,11 @@ class TupleStore:
         """
         slots = np.asarray(slots, dtype=np.int64)
         clone = TupleStore(self.schema)
-        clone._rows, clone._mults, codes = self._gather(slots)
-        for column, child, kept in zip(self._columns, clone._columns, codes):
-            child.values = list(column.values)
-            child.index = dict(column.index)
-            child.codes = kept
+        clone._rows = self._gather_rows(slots)
+        clone._mults, clone._columns = self._gather(slots)
+        for child in clone._columns:
+            child.values, child.index = list(child.values), dict(child.index)
+            child.kinds = set(child.kinds)
         picked = clone._mults.view()
         clone._encoded_count = len(clone._rows)
         clone.live = int((picked != 0.0).sum())

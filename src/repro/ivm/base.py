@@ -452,9 +452,15 @@ class CovarianceMaintainer(abc.ABC):
     # -- durability support ---------------------------------------------------------------
 
     def __getstate__(self) -> Dict:
-        """Checkpoint pickling: the writer gate is process-local, drop it."""
+        """Checkpoint pickling: the writer gate is process-local, drop it, and
+        so is the wall-clock ``delta_pass_ns`` (a file holds the history's
+        counts, not how long this process took; readers default it to 0)."""
         state = self.__dict__.copy()
         state.pop("_writer_gate", None)
+        state["executor_stats"] = {
+            name: value for name, value in self.executor_stats.items()
+            if name != "delta_pass_ns"
+        }
         return state
 
     def __setstate__(self, state: Dict) -> None:

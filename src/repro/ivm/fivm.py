@@ -233,11 +233,13 @@ class FIVM(CovarianceMaintainer):
         return slot_map
 
     def __getstate__(self) -> Dict:
-        """Checkpoints carry state, not caches: slot maps and staged groups
-        are derivable from the mirrors and views and rebuilt on first use."""
+        """Checkpoints carry state, not caches: slot maps, staged groups and
+        pruned plans are derivable from the mirrors, views and schedule and
+        rebuilt on first use."""
         state = super().__getstate__()
         state["_slot_maps"] = {}
         state["_staged"] = {}
+        state["_plan_cache"] = {}
         return state
 
     # -- per-tuple maintenance ------------------------------------------------------------------

@@ -27,6 +27,18 @@ class JoinTreeNode:
     children: List["JoinTreeNode"] = field(default_factory=list)
     parent: Optional["JoinTreeNode"] = None
 
+    def __getstate__(self) -> Dict[str, object]:
+        # A frozenset pickles in its iteration order, which depends on how it
+        # was built; sorted, a restored tree pickles to the original's bytes.
+        state = self.__dict__.copy()
+        state["attributes"] = tuple(sorted(self.attributes))
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():   # setattr interns the names, as pickle does
+            setattr(self, name, value)
+        self.attributes = frozenset(self.attributes)
+
     def add_child(self, child: "JoinTreeNode") -> None:
         child.parent = self
         self.children.append(child)

@@ -14,6 +14,9 @@ refcounted **generations**:
   :class:`SnapshotDatabase` and each backing store is pinned
   (:meth:`repro.data.tuplestore.TupleStore.pin`).  Publishing never sweeps
   tombstones; reclaiming their space is the store's own amortised business.
+  Nor does it gather the live slots of a store holding tombstones: the
+  snapshot does that on its first read, so a generation retired unread cost
+  its views and pins only.
 - Readers call :meth:`~SnapshotManager.acquire`/:meth:`~SnapshotManager.release`
   around each read; acquire hands out the current generation and bumps its
   refcount — no reader ever mutates a store.

@@ -10,6 +10,7 @@ corruption, truncation and inconsistent section table, falls back to the
 previous checkpoint, and names the reason.
 """
 
+import math
 import random
 import shutil
 import struct
@@ -154,8 +155,6 @@ def test_checkpoint_bytes_are_a_function_of_the_update_history(tmp_path):
             for attributes in mirror._keys:     # fill the bucket-array cache
                 mirror.buckets_for(attributes, mirror.key_codes(attributes)[1][::2])
         if position % 4 == 3:
-            # The one wall-clock measurement riding along in the maintainer.
-            touched.executor_stats["delta_pass_ns"] = never.executor_stats["delta_pass_ns"] = 0
             files = [
                 store.write(maintainer, position, position + 1)
                 for store, maintainer in zip(stores, (touched, never))
@@ -164,6 +163,114 @@ def test_checkpoint_bytes_are_a_function_of_the_update_history(tmp_path):
     assert any(relation._store.zeros for relation in never.database), (
         "the stream left no tombstone to sweep"
     )
+
+
+# -- exact rows from codes ---------------------------------------------------------------
+
+#: Values Python equality folds together (``1``/``1.0``/``True``, ``0.0``/
+#: ``-0.0``/``0``/``False``) or keeps apart although they print alike (NaN
+#: objects), ints past int64, ``None`` and strings: a file holds codes, so the
+#: rows must come back from the dictionaries plus the recorded exceptions.
+ADVERSARIAL = [
+    1, 1.0, True, 0.0, -0.0, 0, False, float("nan"), float("nan"), float("nan"),
+    2 ** 70, -(2 ** 70), None, "a", "1", 1.5,
+]
+MIXED = ("id", "x", "m", "n")
+
+
+def _mixed_maintainer():
+    from repro.data import Database, Relation, Schema
+    from repro.query import ConjunctiveQuery
+
+    schema = Schema.from_names(list(MIXED), categorical_names=["m", "n"])
+    database = Database([Relation("R", schema)], name="mixed")
+    return FIVM(database, ConjunctiveQuery(["R"], name="Q"), ["x"])
+
+
+def _apply(maintainer, rows, multiplicity):
+    from repro.ivm import Update
+
+    maintainer.apply_batch([Update("R", row, multiplicity) for row in rows])
+
+
+def _exact_form(rows):
+    return [
+        [(type(value), repr(value)) + (
+            (math.copysign(1.0, value),) if isinstance(value, float) else ()
+        ) for value in row]
+        for row in rows
+    ]
+
+
+def _assert_exact_recovery(maintainer, directory):
+    """Checkpoint, ``recover()``, compare slot for slot, re-checkpoint."""
+    options = DurabilityOptions(directory / "live")
+    BatchJournal(options.journal_path).close()
+    written = CheckpointStore(options.checkpoint_directory).write(maintainer, 3, prefix=4)
+    restored = recover(options).maintainer
+    original = maintainer.database.relation("R")
+    twin = restored.database.relation("R")
+    assert _exact_form(twin.rows()) == _exact_form(original.rows())
+    assert twin._store.version == original._store.version
+    ours, theirs = maintainer.statistics(), restored.statistics()
+    assert ours.count == theirs.count
+    assert ours.sums.tobytes() == theirs.sums.tobytes()
+    assert ours.moments.tobytes() == theirs.moments.tobytes()
+    again = CheckpointStore(directory / "again").write(restored, 3, prefix=4)
+    assert again.read_bytes() == written.read_bytes()
+    return restored
+
+
+@pytest.mark.parametrize("tombstones", [True, False])
+def test_rows_come_back_exactly_from_codes(tmp_path, tombstones):
+    maintainer = _mixed_maintainer()
+    rows = [
+        (index, float(index % 7) - 3.0, ADVERSARIAL[index % len(ADVERSARIAL)],
+         ADVERSARIAL[(5 * index + 3) % len(ADVERSARIAL)])
+        for index in range(400)
+    ]
+    rows[7] = (7, -0.0, -0.0, 0.0)                  # -0.0 stored before 0.0 too
+    _apply(maintainer, rows[:150], 1)
+    _apply(maintainer, rows[20:110], -1)            # enough deaths to sweep ...
+    relation = maintainer.database.relation("R")
+    relation.compact_storage()
+    assert relation._store.zeros == 0
+    _apply(maintainer, rows[150:], 1)               # ... then more codes after it
+    if tombstones:
+        _apply(maintainer, rows[200:230], -1)
+        assert relation._store.zeros == 30
+    exceptions = sum(len(column.exceptions) for column in relation._store._columns)
+    assert exceptions > 30, "the history recorded too few inexact slots to test"
+    restored = _assert_exact_recovery(maintainer, tmp_path)
+    # The restored twin keeps encoding exactly: the same batch on both sides.
+    for side in (maintainer, restored):
+        _apply(side, [(1000, 0.0, -0.0, True), (1001, -0.0, 1, 1.0)], 1)
+    assert _exact_form(restored.database.relation("R").rows()) == _exact_form(relation.rows())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(ADVERSARIAL), st.sampled_from(ADVERSARIAL)),
+        min_size=1, max_size=60,
+    ),
+    st.lists(st.booleans(), max_size=60),
+    st.booleans(),
+)
+def test_rows_come_back_exactly_from_codes_for_any_mix(pairs, deaths, sweep):
+    import tempfile
+    from pathlib import Path
+
+    maintainer = _mixed_maintainer()
+    rows = [(index, 1.0, m, n) for index, (m, n) in enumerate(pairs)]
+    _apply(maintainer, rows, 1)
+    dead = [row for row, dies in zip(rows, deaths) if dies]
+    if dead:
+        _apply(maintainer, dead, -1)
+    if sweep:
+        maintainer.database.relation("R").compact_storage()
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_exact_recovery(maintainer, Path(directory))
 
 
 def _arrays_of(root):

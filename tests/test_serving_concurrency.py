@@ -29,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import covariance_batch
-from repro.data import Relation, Schema
+from repro.data import Database, Relation, Schema
+from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
     COMPACT_MIN_ZEROS,
     StatsCounters,
@@ -326,6 +327,84 @@ def test_threshold_sweep_runs_under_a_pin():
     assert dict(relation.items()) == {row: 1 for row in rows[1::2]}
     relation.unpin()
     assert store.epoch == epoch + 1     # unpin never runs physical work
+
+
+def _relation_with_tombstones():
+    """A store holding tombstones, too few to trigger the amortised sweep."""
+    rows = [(f"k{index % 7}", index) for index in range(COMPACT_MIN_ZEROS * 2)]
+    relation = Relation("R", SCHEMA)
+    relation.add_batch(rows, [1] * len(rows))
+    relation.add_batch(rows[1::5], [-1] * len(rows[1::5]))
+    assert relation._store.zeros == len(rows[1::5]) < COMPACT_MIN_ZEROS
+    return relation, rows
+
+
+def test_a_generation_gathers_on_first_read_what_was_published():
+    """Published over tombstones, a generation gathers nothing until read;
+    read only after the writer netted deletes into its slots, swept and
+    appended, it still equals a gather taken at publish."""
+    relation, rows = _relation_with_tombstones()
+    store = relation._store
+    manager = SnapshotManager(Database([relation]))
+    published = manager.publish().database.relation("R").column_store()
+    eager = _frozen_copy(ColumnStore.from_tuplestore("R", SCHEMA, store))
+    assert published._dense is None and published._rows is None
+    relation.add_batch(rows[::5], [-1] * len(rows[::5]))   # deaths in pinned slots
+    relation.add_batch(rows[2::5], [2] * len(rows[2::5]))  # netting that stays live
+    relation.compact_storage()
+    relation.add_batch([("new", index) for index in range(9)], [1] * 9)
+    assert store.zeros == 0 and store.epoch == 1
+    _assert_frozen(published, eager)
+    manager.close()
+
+
+def test_racing_first_reads_of_a_generation_see_identical_arrays():
+    relation, rows = _relation_with_tombstones()
+    manager = SnapshotManager(Database([relation]))
+    for round_ in range(20):
+        snapshot = manager.publish(prefix=round_).database.relation("R").column_store()
+        assert snapshot._dense is None
+        start = threading.Barrier(2)
+        seen = []
+
+        def first_read():
+            start.wait()
+            seen.append(_frozen_copy(snapshot))
+
+        readers = [threading.Thread(target=first_read, name=f"first-read-{i}") for i in range(2)]
+        for reader in readers:
+            reader.start()
+        _join_or_fail(readers)
+        for frozen in seen:
+            _assert_frozen(snapshot, frozen)
+        relation.add_batch([("race", round_)], [1])       # the next generation differs
+    manager.close()
+
+
+def test_an_unread_generation_never_gathers(monkeypatch):
+    gathered = []
+    gather = ColumnStore._gathered
+
+    def spy(snapshot):
+        if snapshot._dense is None:
+            gathered.append(snapshot)
+        return gather(snapshot)
+
+    monkeypatch.setattr(ColumnStore, "_gathered", spy)
+    relation, _rows = _relation_with_tombstones()
+    manager = SnapshotManager(Database([relation]))
+    unread = manager.publish(prefix=1).database.relation("R").column_store()
+    relation.add_batch([("late", 0)], [1])
+    read = manager.publish(prefix=2)
+    assert manager.active_generations == 1, "the unread generation was not retired"
+    assert gathered == []
+    snapshot = manager.acquire()
+    assert snapshot is read
+    assert dict(snapshot.database.relation("R").items())[("late", 0)] == 1
+    manager.release(snapshot)
+    assert gathered == [read.database.relation("R").column_store()]
+    assert unread._dense is None
+    manager.close()
 
 
 def test_snapshot_age_is_never_negative(serving_source):
