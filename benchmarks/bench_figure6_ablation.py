@@ -14,8 +14,9 @@ pool and the step is printed here without a bound on the clock.)
 
 The engine itself has no switches for the steps it ablates: the staircase is
 assembled here.  The two scan-based steps drive the planner bottom-up with a
-per-node scan — the interpreted one below, and the engine's tuple scan
-(``scan_node_views``) — and the no-sharing steps evaluate one aggregate at a
+per-node scan — the interpreted one below, and the tuple scan the engine's
+views are tested against (``repro.engine.naive.scan_node_views``) — and the
+no-sharing steps evaluate one aggregate at a
 time, each on a fresh engine, so nothing is shared across aggregates.  Every
 step up to ``+sharing`` pins the engine's cost-picked root; ``+multi-root``
 stops forcing it, which hands the root of each aggregate to the plan; and
@@ -34,12 +35,8 @@ import pytest
 
 from repro.aggregates import AggregateBatch, covariance_batch
 from repro.engine import BatchResult, LMFAOEngine, plan_batch
-from repro.engine.executor import (
-    EMPTY_GROUP,
-    compute_node_views,
-    restrict_signature,
-    scan_node_views,
-)
+from repro.engine.executor import EMPTY_GROUP, compute_node_views, restrict_signature
+from repro.engine.naive import scan_node_views
 from repro.query import build_join_tree
 
 
@@ -104,15 +101,23 @@ def interpreted_node_views(node, relation, signatures, designation, child_views)
     return results
 
 
-def _root_values(plan, views):
-    """Each aggregate's value, read off the root view of its decomposition."""
+def _root_values(plan, views, read):
+    """Each aggregate's value, from ``read(root view)``: its entries and attributes."""
     return {
         decomposition.aggregate.name: LMFAOEngine._extract(
             decomposition.aggregate,
-            views[(decomposition.root, None, decomposition.root_signature)],
+            *read(views[(decomposition.root, None, decomposition.root_signature)]),
         )
         for decomposition in plan.decompositions
     }
+
+
+def _scanned_entries(view):
+    return view.get((), {}).items(), None
+
+
+def _columnar_entries(view):
+    return view.group_items(), view.group_attrs
 
 
 def evaluate_by_scan(database, join_tree, batch, node_views):
@@ -126,7 +131,7 @@ def evaluate_by_scan(database, join_tree, batch, node_views):
         )
         for signature, view in computed.items():
             views[direction + (signature,)] = view
-    return _root_values(plan, views)
+    return _root_values(plan, views, _scanned_entries)
 
 
 def evaluate_level_parallel(engine, batch, pool):
@@ -156,7 +161,9 @@ def evaluate_level_parallel(engine, batch, pool):
                 views[direction + (signature,)] = view
             for name, count in node_stats.items():
                 stats[name] = stats.get(name, 0) + count
-    return BatchResult(batch, _root_values(plan, views), plan.summary(), executor_stats=stats)
+    return BatchResult(
+        batch, _root_values(plan, views, _columnar_entries), plan.summary(), executor_stats=stats
+    )
 
 
 def _one_at_a_time(batch):

@@ -46,14 +46,12 @@ _COUNT_LIMIT_SLACK = 1024
 class ColumnEncoding:
     """One dictionary-encoded column: distinct values + one int64 code per row."""
 
-    __slots__ = ("values", "codes", "_float_values", "_float_ready",
-                 "_sortable", "_sortable_ready")
+    __slots__ = ("values", "codes", "_float_values", "_sortable", "_sortable_ready")
 
     def __init__(self, values: List[object], codes: np.ndarray) -> None:
         self.values = values                      # python values, in code order
         self.codes = codes                        # int64, one per row
-        self._float_values: Optional[np.ndarray] = None
-        self._float_ready = False
+        self._float_values: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
         self._sortable: Optional[np.ndarray] = None
         self._sortable_ready = False
 
@@ -61,31 +59,40 @@ class ColumnEncoding:
     def cardinality(self) -> int:
         return len(self.values)
 
-    def float_values(self) -> Optional[np.ndarray]:
-        """The dictionary decoded to float64 (None when not numeric).
+    def float_values(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The dictionary decoded to float64, and which entries are not numbers.
 
-        The lazy fill computes first and publishes the ready flag *last*:
-        pinned snapshots are shared by concurrent serving readers, and a
-        flag set before the value would let a second reader observe
-        ``ready`` with the value still unset (misread as "not numeric").
-        Racing fills at worst duplicate the work — both results are equal.
+        An entry ``float()`` rejects decodes to 0.0 and is marked in the
+        boolean mask, which is None when every entry is a number (a stored
+        NaN is one).  The lazy fill publishes the pair with one assignment:
+        pinned snapshots are shared by concurrent serving readers, and racing
+        fills at worst duplicate the work — both results are equal.
         """
-        if not self._float_ready:
+        decoded = self._float_values
+        if decoded is None:
             try:
-                decoded: Optional[np.ndarray] = np.asarray(
-                    [float(value) for value in self.values], dtype=np.float64
+                decoded = (
+                    np.asarray([float(value) for value in self.values], dtype=np.float64),
+                    None,
                 )
             except (TypeError, ValueError):
-                decoded = None
+                numbers = np.zeros(len(self.values), dtype=np.float64)
+                non_numeric = np.zeros(len(self.values), dtype=bool)
+                for code, value in enumerate(self.values):
+                    try:
+                        numbers[code] = float(value)
+                    except (TypeError, ValueError):
+                        non_numeric[code] = True
+                decoded = (numbers, non_numeric)
             self._float_values = decoded
-            self._float_ready = True
-        return self._float_values
+        return decoded
 
     def sortable_values(self) -> Optional[np.ndarray]:
         """The dictionary as a typed numpy array (None when not comparable).
 
-        Same publish-last ordering as :meth:`float_values` for concurrent
-        readers sharing a pinned snapshot.
+        The lazy fill computes first and publishes the ready flag *last*, so
+        a concurrent reader sharing a pinned snapshot never observes
+        ``ready`` with the value still unset (misread as "not comparable").
         """
         if not self._sortable_ready:
             self._sortable = as_sortable_array(self.values)
@@ -301,12 +308,12 @@ class ColumnStore:
         return self._gathered()[2][self.schema.index_of(attribute)]
 
     def float_column(self, attribute: str) -> Optional[np.ndarray]:
-        """Per-row float64 values of one attribute (None when not numeric)."""
+        """Per-row float64 values of one attribute (None when any is not numeric)."""
         if attribute not in self._float_columns:
             encoding = self.encoding(attribute)
-            decoded = encoding.float_values()
+            numbers, non_numeric = encoding.float_values()
             self._float_columns[attribute] = (
-                None if decoded is None else decoded[encoding.codes]
+                None if non_numeric is not None else numbers[encoding.codes]
             )
         return self._float_columns[attribute]
 

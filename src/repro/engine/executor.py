@@ -21,36 +21,31 @@ one key shape form a :class:`_ViewBundle` (one key coding, one value column
 per view), and a parent evaluates *all* signatures reading the same child key
 shapes in one pipeline (:class:`_ViewFamily`): group-free child views are
 gathered by key code, *grouped, multi-entry* ones expand the rows through
-CSR-style offset tables.  The path handles every signature whose product
-attributes decode to floats; the rest (``views_tuple_fallback``) go through
-:func:`scan_node_views`, a tuple-at-a-time scan with pre-resolved column
-positions that doubles as the view-level reference of the equivalence tests
-and as the "+specialisation" step of the Figure-6 benchmark.
+CSR-style offset tables.  The path handles every signature: a product
+attribute decodes through its dictionary, and a value ``float()`` rejects
+raises :class:`TypeError` only where it reaches a product — in a row the
+signature's local filters keep — which is where the tuple scan would fail.
+That scan, :func:`repro.engine.naive.scan_node_views`, is the view-level
+reference of the equivalence tests and the "+specialisation" step of the
+Figure-6 benchmark; it is not a path of the engine.
 
-The per-path view counts (and ``view_pipelines``, the shared pipelines that
-computed them) are reported through the ``stats`` dictionary so callers (and
-benchmarks) can assert which path actually ran; views the engine
-served from its cross-evaluate cache never reach this module and are counted
-under :data:`STAT_CACHED` by the engine itself.
+The view count and ``view_pipelines``, the shared pipelines that computed
+them, are reported through the ``stats`` dictionary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter as _itemgetter
-from typing import Any, Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.aggregates.spec import FilterOp
-from repro.data.colstore import ColumnEncoding, ColumnStore, as_sortable_array, combine_codes
+from repro.data.colstore import ColumnEncoding, ColumnStore, combine_codes
 from repro.data.relation import Relation
 from repro.engine.deltas import match_key_columns as _match_key_columns
 from repro.engine.plan import ViewSignature
 from repro.query.join_tree import JoinTreeNode
-
-# conn_key -> (group assignment as sorted (attribute, value) pairs) -> value
-View = Dict[Tuple, Dict[Tuple, float]]
 
 EMPTY_GROUP: Tuple = ()
 
@@ -59,10 +54,6 @@ STAT_COLUMNAR = "views_columnar"
 #: Shared pipelines run (one per view family, see :class:`_ViewFamily`) to
 #: compute the :data:`STAT_COLUMNAR` views.
 STAT_PIPELINES = "view_pipelines"
-STAT_TUPLE_FALLBACK = "views_tuple_fallback"
-#: Views served from the engine's cross-evaluate view cache (never computed
-#: here; the key exists so one stats dictionary covers all view outcomes).
-STAT_CACHED = "views_cached"
 
 
 def restrict_signature(
@@ -99,109 +90,6 @@ def restrict_signature(
     )
 
 
-@dataclass
-class _SignatureTask:
-    """Pre-resolved evaluation metadata for one signature at one node."""
-
-    signature: ViewSignature
-    local_product: List[Tuple[int, int]]          # (column position, exponent)
-    local_group: List[Tuple[str, int]]            # (attribute, column position)
-    local_filters: List[Tuple[int, object]]       # (column position, Filter)
-    child_views: List[Tuple[List[int], View]]     # (child conn positions, child view)
-    result: View
-
-
-def _prepare_task(
-    node: JoinTreeNode,
-    relation: Relation,
-    signature: ViewSignature,
-    designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, str, ViewSignature], View],
-) -> _SignatureTask:
-    schema = relation.schema
-    here = node.relation_name
-
-    local_product = [
-        (schema.index_of(attribute), exponent)
-        for attribute, exponent in signature.product
-        if designation[attribute] == here
-    ]
-    local_group = [
-        (attribute, schema.index_of(attribute))
-        for attribute in signature.group_by
-        if designation[attribute] == here
-    ]
-    local_filters = [
-        (schema.index_of(condition.attribute), condition)
-        for condition in signature.filters
-        if designation[condition.attribute] == here
-    ]
-
-    children: List[Tuple[List[int], View]] = []
-    for child in node.children:
-        child_signature = restrict_signature(signature, child, designation)
-        view = child_views[(child.relation_name, here, child_signature)]
-        child_conn = sorted(child.attributes & node.attributes)
-        positions = [schema.index_of(attribute) for attribute in child_conn]
-        children.append((positions, view))
-
-    return _SignatureTask(
-        signature=signature,
-        local_product=local_product,
-        local_group=local_group,
-        local_filters=local_filters,
-        child_views=children,
-        result={},
-    )
-
-
-def _scan_specialized(
-    relation: Relation,
-    conn_positions: Sequence[int],
-    tasks: Sequence[_SignatureTask],
-) -> None:
-    """Single scan of ``relation`` computing all ``tasks`` (position-based access)."""
-    for row, multiplicity in relation.items():
-        conn_key = tuple(row[position] for position in conn_positions)
-        for task in tasks:
-            alive = True
-            for position, condition in task.local_filters:
-                if not condition.test(row[position]):
-                    alive = False
-                    break
-            if not alive:
-                continue
-
-            factor = float(multiplicity)
-            for position, exponent in task.local_product:
-                factor *= float(row[position]) ** exponent
-
-            partial: List[Tuple[Tuple, float]] = [
-                (
-                    tuple((attribute, row[position]) for attribute, position in task.local_group),
-                    factor,
-                )
-            ]
-            for child_positions, child_view in task.child_views:
-                child_key = tuple(row[position] for position in child_positions)
-                entries = child_view.get(child_key)
-                if not entries:
-                    alive = False
-                    break
-                expanded: List[Tuple[Tuple, float]] = []
-                for group_pairs, value in partial:
-                    for child_pairs, child_value in entries.items():
-                        expanded.append((group_pairs + child_pairs, value * child_value))
-                partial = expanded
-            if not alive:
-                continue
-
-            groups = task.result.setdefault(conn_key, {})
-            for group_pairs, value in partial:
-                key = tuple(sorted(group_pairs)) if group_pairs else EMPTY_GROUP
-                groups[key] = groups.get(key, 0.0) + value
-
-
 class _ChildTable:
     """A child view in CSR form for vectorised joins.
 
@@ -212,34 +100,26 @@ class _ChildTable:
     a key with *k* group entries simply expands into *k* output rows.
     """
 
-    __slots__ = ("slot_index", "offsets", "counts", "values", "group_ids",
-                 "group_pairs", "has_groups", "key_columns", "group_attrs",
-                 "slot_conn_ids", "conn_space")
+    __slots__ = ("offsets", "counts", "values", "group_ids", "group_pairs",
+                 "has_groups", "group_attrs", "slot_conn_ids", "conn_space")
 
     def __init__(
         self,
-        slot_index: Dict[Tuple, int],
         offsets: _np.ndarray,
         values: _np.ndarray,
         group_ids: _np.ndarray,
         group_pairs: List[Tuple],
         has_groups: bool,
-        key_columns: Optional[List[_np.ndarray]] = None,
-        group_attrs: Optional[Tuple[str, ...]] = None,
-        slot_conn_ids: Optional[_np.ndarray] = None,
-        conn_space: Optional[Tuple[object, int]] = None,
+        group_attrs: Optional[Tuple[str, ...]],
+        slot_conn_ids: _np.ndarray,
+        conn_space: Tuple[ColumnStore, int],
     ) -> None:
-        self.slot_index = slot_index
         self.offsets = offsets
         self.counts = _np.diff(offsets)
         self.values = values
         self.group_ids = group_ids
         self.group_pairs = group_pairs
         self.has_groups = has_groups
-        # Per key attribute: typed value arrays in slot order, when every
-        # attribute's values reduce to a comparable numpy dtype (enables the
-        # fully vectorised searchsorted join-key matching).
-        self.key_columns = key_columns
         # The attribute sequence shared by every group-pair entry, when the
         # entries are known to be uniform (lets parents merge group keys with
         # one precomputed permutation instead of sorting per combination).
@@ -249,62 +129,6 @@ class _ChildTable:
         # cached store-to-store key mapping for every view of this child.
         self.slot_conn_ids = slot_conn_ids
         self.conn_space = conn_space
-
-    @staticmethod
-    def from_view(view: "View") -> "_ChildTable":
-        """Flatten a plain dict view (tuple-scan or hand-built) into CSR form."""
-        slot_index: Dict[Tuple, int] = {}
-        offsets = _np.empty(len(view) + 1, dtype=_np.int64)
-        offsets[0] = 0
-        values: List[float] = []
-        group_ids: List[int] = []
-        pair_index: Dict[Tuple, int] = {}
-        group_pairs: List[Tuple] = []
-        for slot, (key, groups) in enumerate(view.items()):
-            slot_index[key] = slot
-            for pairs, value in groups.items():
-                values.append(value)
-                gid = pair_index.get(pairs)
-                if gid is None:
-                    gid = len(group_pairs)
-                    pair_index[pairs] = gid
-                    group_pairs.append(pairs)
-                group_ids.append(gid)
-            offsets[slot + 1] = len(values)
-        key_columns: Optional[List[_np.ndarray]] = None
-        keys = list(slot_index)
-        if keys and keys[0]:
-            candidate = [
-                as_sortable_array([key[position] for key in keys])
-                for position in range(len(keys[0]))
-            ]
-            if all(column is not None for column in candidate):
-                key_columns = candidate  # type: ignore[assignment]
-        group_attrs: Optional[Tuple[str, ...]] = None
-        if group_pairs:
-            first = tuple(attribute for attribute, _value in group_pairs[0])
-            if all(
-                tuple(attribute for attribute, _value in pairs) == first
-                for pairs in group_pairs
-            ):
-                group_attrs = first
-        return _ChildTable(
-            slot_index,
-            offsets,
-            _np.asarray(values, dtype=_np.float64),
-            _np.asarray(group_ids, dtype=_np.int64),
-            group_pairs,
-            any(pairs != EMPTY_GROUP for pairs in group_pairs),
-            key_columns,
-            group_attrs,
-        )
-
-
-def _table_for(view: "View") -> _ChildTable:
-    """CSR table of a child view, array-native when the view is columnar."""
-    if isinstance(view, ColumnarView):
-        return view.table()
-    return _ChildTable.from_view(view)
 
 
 class _ViewBundle:
@@ -323,7 +147,7 @@ class _ViewBundle:
     """
 
     __slots__ = ("conn_ids", "group_ids", "conn_keys", "group_keys",
-                 "conn_columns", "group_attrs", "conn_store", "flat", "_shapes")
+                 "group_attrs", "conn_store", "flat", "_shapes")
 
     def __init__(
         self,
@@ -331,7 +155,6 @@ class _ViewBundle:
         group_ids: _np.ndarray,
         conn_keys: List[Tuple],
         group_keys: List[Tuple],
-        conn_columns: Optional[List[_np.ndarray]],
         group_attrs: Optional[Tuple[str, ...]],
         conn_store: ColumnStore,
         flat: bool = False,
@@ -340,7 +163,6 @@ class _ViewBundle:
         self.group_ids = group_ids
         self.conn_keys = conn_keys
         self.group_keys = group_keys
-        self.conn_columns = conn_columns
         self.group_attrs = group_attrs
         self.conn_store = conn_store
         self.flat = flat
@@ -367,192 +189,84 @@ class _ViewBundle:
             else:
                 offsets = _np.zeros(1, dtype=_np.int64)
                 distinct = _np.empty(0, dtype=_np.int64)
-            distinct_keys = [self.conn_keys[conn_id] for conn_id in distinct.tolist()]
-            slot_index = {key: slot for slot, key in enumerate(distinct_keys)}
-            key_columns = None
-            if self.conn_columns is not None:
-                key_columns = [column[distinct] for column in self.conn_columns]
             group_ids = self.group_ids[selected]
             has_groups = any(
                 self.group_keys[gid] != EMPTY_GROUP for gid in _np.unique(group_ids).tolist()
             )
-            shape = (present, selected, slot_index, offsets.astype(_np.int64, copy=False),
-                     group_ids, has_groups, key_columns, distinct)
+            shape = (present, selected, offsets.astype(_np.int64, copy=False),
+                     group_ids, has_groups, distinct)
             self._shapes[id(present)] = shape
-        _pinned, selected, slot_index, offsets, group_ids, has_groups, key_columns, distinct = shape
+        _pinned, selected, offsets, group_ids, has_groups, distinct = shape
         return _ChildTable(
-            slot_index,
             offsets,
             sums[selected],
             group_ids,
             self.group_keys,
             has_groups,
-            key_columns,
             self.group_attrs,
             distinct,
             (self.conn_store, len(self.conn_keys)),
         )
 
 
-class ColumnarView(dict):
-    """One column of a :class:`_ViewBundle`, materialising its dict shape lazily.
+class ColumnarView:
+    """One column of a :class:`_ViewBundle`: a value and a presence array.
 
     The bundle decodes a *key code* into its connection key and group pairs;
     the view holds ``sums[code]``, the aggregated value, and ``present`` — a
     boolean per code marking the codes that actually received contributions
-    (None: all of them).  A parent node's columnar evaluation consumes the
-    arrays directly — the nested-dict shape is only built if somebody *reads*
-    the view as a mapping (the root extraction, the tuple-scan fallback, or
-    tests).  The arrays are never written after construction, so the engine's
-    cache hands one view to every later evaluation.
+    (None: all of them).  A parent's evaluation consumes the arrays directly
+    and the root extraction reads :meth:`group_items`;
+    :func:`repro.engine.naive.view_as_dict` decodes a view into the tuple
+    scan's nested-dict shape for the tests.  The arrays are never written
+    after construction.
     """
 
-    __slots__ = ("_bundle", "_sums", "_present", "_ready", "_table")
+    __slots__ = ("bundle", "sums", "present", "_table")
 
     def __init__(
         self, bundle: _ViewBundle, sums: _np.ndarray, present: Optional[_np.ndarray]
     ) -> None:
-        super().__init__()
-        self._bundle = bundle
-        self._sums = sums
-        self._present = present
-        self._ready = False
+        self.bundle = bundle
+        self.sums = sums
+        self.present = present
         self._table: Optional[_ChildTable] = None
 
-    # -- columnar access -------------------------------------------------------------------
-
-    def _codes(self) -> _np.ndarray:
-        if self._present is None:
-            return _np.arange(len(self._sums), dtype=_np.int64)
-        return _np.nonzero(self._present)[0]
+    def codes(self) -> _np.ndarray:
+        """The key codes that hold an entry."""
+        if self.present is None:
+            return _np.arange(len(self.sums), dtype=_np.int64)
+        return _np.nonzero(self.present)[0]
 
     @property
     def group_attrs(self) -> Optional[Tuple[str, ...]]:
         """The fixed attribute sequence of every group key, when known."""
-        return self._bundle.group_attrs
+        return self.bundle.group_attrs
 
     def flat_store(self) -> Optional[ColumnStore]:
         """The store whose key codes index this view's arrays, when flat."""
-        return self._bundle.conn_store if self._bundle.flat else None
+        return self.bundle.conn_store if self.bundle.flat else None
 
-    def group_items(self) -> Optional[List[Tuple[Tuple, float]]]:
-        """All (group pairs, value) entries when the view has no connection key.
+    def group_items(self) -> List[Tuple[Tuple, float]]:
+        """All (group pairs, value) entries of a view without a connection key.
 
-        Lets the root extraction consume the arrays directly instead of first
-        materialising the nested dict; None when a real connection key exists
-        (or the dict shape was already built — then reading it is cheaper).
+        That is a root view.  The pairs are in the bundle's concatenation
+        order, which :attr:`group_attrs` names when it is not None.
         """
-        bundle = self._bundle
-        if self._ready or bundle.conn_keys != [()]:
-            return None
-        codes = self._codes()
-        group_keys = bundle.group_keys
+        codes = self.codes()
+        group_keys = self.bundle.group_keys
         return [
             (group_keys[group_id], value)
             for group_id, value in zip(
-                bundle.group_ids[codes].tolist(), self._sums[codes].tolist()
+                self.bundle.group_ids[codes].tolist(), self.sums[codes].tolist()
             )
         ]
 
     def table(self) -> _ChildTable:
-        """CSR form grouped by connection key (built without the dict shape)."""
+        """CSR form grouped by connection key."""
         if self._table is None:
-            self._table = self._bundle.table(self._sums, self._present)
+            self._table = self.bundle.table(self.sums, self.present)
         return self._table
-
-    # -- lazy dict materialisation ---------------------------------------------------------
-
-    def _canonical_keys(self) -> List[Tuple]:
-        """Group keys in the canonical attribute-sorted order of the scans."""
-        attrs = self._bundle.group_attrs
-        keys = self._bundle.group_keys
-        if attrs is None or not attrs or list(attrs) == sorted(attrs):
-            return keys
-        permutation = sorted(range(len(attrs)), key=attrs.__getitem__)
-        if len(permutation) == 1:
-            return keys
-        pick = _itemgetter(*permutation)
-        return [pick(pairs) if pairs else EMPTY_GROUP for pairs in keys]
-
-    def _materialise(self) -> "ColumnarView":
-        if not self._ready:
-            self._ready = True
-            codes = self._codes()
-            bundle = self._bundle
-            conn_keys = bundle.conn_keys
-            group_keys = self._canonical_keys()
-            setdefault = dict.setdefault
-            for conn_id, group_id, value in zip(
-                bundle.conn_ids[codes].tolist(),
-                bundle.group_ids[codes].tolist(),
-                self._sums[codes].tolist(),
-            ):
-                groups = setdefault(self, conn_keys[conn_id], {})
-                pairs = group_keys[group_id]
-                groups[pairs] = groups.get(pairs, 0.0) + value
-        return self
-
-    def __getitem__(self, key):
-        return dict.__getitem__(self._materialise(), key)
-
-    def __iter__(self):
-        return dict.__iter__(self._materialise())
-
-    def __len__(self):
-        return dict.__len__(self._materialise())
-
-    def __contains__(self, key):
-        return dict.__contains__(self._materialise(), key)
-
-    def __eq__(self, other):
-        if isinstance(other, ColumnarView):
-            # dict.__eq__ would read the other side's raw (possibly not yet
-            # materialised) backing storage directly.
-            other = other._materialise()
-        return dict.__eq__(self._materialise(), other)
-
-    def __ne__(self, other):
-        if isinstance(other, ColumnarView):
-            other = other._materialise()
-        return dict.__ne__(self._materialise(), other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return dict.__repr__(self._materialise())
-
-    def __bool__(self):
-        return dict.__len__(self._materialise()) > 0
-
-    def get(self, key, default=None):
-        return dict.get(self._materialise(), key, default)
-
-    def keys(self):
-        return dict.keys(self._materialise())
-
-    def values(self):
-        return dict.values(self._materialise())
-
-    def items(self):
-        return dict.items(self._materialise())
-
-    def copy(self):
-        return dict(self._materialise())
-
-    def setdefault(self, key, default=None):
-        return dict.setdefault(self._materialise(), key, default)
-
-    def pop(self, *args):
-        return dict.pop(self._materialise(), *args)
-
-    def popitem(self):
-        return dict.popitem(self._materialise())
-
-    def update(self, *args, **kwargs):
-        return dict.update(self._materialise(), *args, **kwargs)
-
-    def __reduce__(self):
-        return (dict, (dict(self._materialise()),))
 
 
 class _BaseKeys:
@@ -566,11 +280,10 @@ class _BaseKeys:
     """
 
     __slots__ = ("codes", "size", "conn_ids", "group_ids", "conn_keys",
-                 "group_keys", "conn_columns", "group_attrs")
+                 "group_keys", "group_attrs")
 
     def __init__(self, store: ColumnStore, conn: Tuple[str, ...], local: Tuple[str, ...]):
         conn_row_codes, conn_tuples = store.codes_for(conn)
-        self.conn_columns = store.key_columns(conn) if conn else []
         self.group_attrs = tuple(sorted(local))
         joint = conn + tuple(a for a in local if a not in conn)
         joint_codes, joint_tuples = store.codes_for(joint)
@@ -657,9 +370,6 @@ class ColumnarContext:
             self._base_keys[local_attributes] = base
         return base
 
-    def child_key_codes(self, attributes: Tuple[str, ...]) -> Tuple[_np.ndarray, List[Tuple]]:
-        return self.store.codes_for(attributes)
-
     def cross_map(
         self, key_attributes: Tuple[str, ...], child_store: ColumnStore
     ) -> _np.ndarray:
@@ -739,31 +449,6 @@ def _vectorised_value_mask(encoding: ColumnEncoding, condition) -> Optional[_np.
     return None
 
 
-def _slot_mapping(
-    store: ColumnStore,
-    key_attributes: Tuple[str, ...],
-    table: _ChildTable,
-    row_keys: List[Tuple],
-) -> _np.ndarray:
-    """Child-table slot (or -1) per distinct parent join-key combination.
-
-    Keys whose attributes all reduce to comparable typed arrays are matched
-    fully vectorised; everything else probes the table's key dictionary once
-    per distinct combination.
-    """
-    if key_attributes and table.key_columns is not None:
-        parent_columns = store.key_columns(key_attributes)
-        if parent_columns is not None:
-            mapped = _match_key_columns(parent_columns, table.key_columns)
-            if mapped is not None:
-                return mapped
-    return _np.fromiter(
-        (table.slot_index.get(key, -1) for key in row_keys),
-        dtype=_np.int64,
-        count=len(row_keys),
-    )
-
-
 @dataclass
 class _ViewFamily:
     """The signatures at one node that one shared pipeline evaluates.
@@ -775,16 +460,16 @@ class _ViewFamily:
     producing store when the child view is flat (see :class:`_ViewBundle`:
     every such view is indexed by that store's key codes, whatever its
     signature or the batch that computed it) and the child view itself
-    otherwise (grouped and plain-dict children expand the pipeline
-    rows through their own CSR table).  This is the columnar analogue of
-    LMFAO's multi-output operator: one scan of the node per key shape, not
-    one per combination of child signatures.
+    otherwise (grouped children expand the pipeline rows through their own
+    CSR table).  This is the columnar analogue of LMFAO's multi-output
+    operator: one scan of the node per key shape, not one per combination of
+    child signatures.
     """
 
     local_attributes: Tuple[str, ...]
     #: Per child: join-key attributes, the flat views' store (None: expand
     #: through the first member's table), and one child view per signature.
-    children: List[Tuple[Tuple[str, ...], Optional[ColumnStore], List[View]]]
+    children: List[Tuple[Tuple[str, ...], Optional[ColumnStore], List[ColumnarView]]]
     signatures: List[ViewSignature]
 
 
@@ -793,7 +478,7 @@ def _build_families(
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
     context: ColumnarContext,
-    child_views: Mapping[Tuple[str, str, ViewSignature], View],
+    child_views: Mapping[Tuple[str, str, ViewSignature], ColumnarView],
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
@@ -804,14 +489,14 @@ def _build_families(
     for signature in signatures:
         local_attributes = tuple(a for a in signature.group_by if designation[a] == here)
         key: List[object] = [local_attributes]
-        views: List[View] = []
+        views: List[ColumnarView] = []
         stores: List[Optional[ColumnStore]] = []
         for child, _attributes in children:
             restricted = restrict_signature(
                 signature, child, designation, context.child_relations[child.relation_name]
             )
             view = child_views[(child.relation_name, here, restricted)]
-            store = view.flat_store() if isinstance(view, ColumnarView) else None
+            store = view.flat_store()
             views.append(view)
             stores.append(store)
             key.append(restricted if store is None else id(store))
@@ -834,11 +519,9 @@ def _evaluate_family(
     family: _ViewFamily,
     designation: Mapping[str, str],
     joins: MutableMapping[Tuple[int, int], Tuple[Optional[_ChildTable], _np.ndarray]],
-) -> Tuple[Dict[ViewSignature, View], List[ViewSignature]]:
+) -> Dict[ViewSignature, ColumnarView]:
     """Vectorised evaluation of one view family.
 
-    Returns the computed views plus the signatures that must fall back to the
-    tuple scan (only those whose product references a non-numeric column).
     The join structure — row -> child key code per flat child store, row
     expansion through the CSR table of every other child, the output key
     coding — is resolved once; each signature then costs one weight column
@@ -853,16 +536,16 @@ def _evaluate_family(
     """
     here = node.relation_name
     store = context.store
+    base = context.base_keys(family.local_attributes)
     if store.row_count == 0:
-        return {signature: {} for signature in family.signatures}, []
+        return _empty_views(family, base, store)
 
     # Local weight columns (multiplicity x local product, zeroed by the local
     # filters), shared by the signatures with the same product and filters.
-    local: Dict[Tuple, Optional[_np.ndarray]] = {}
+    local: Dict[Tuple, _np.ndarray] = {}
     masks: Dict[Tuple, Optional[_np.ndarray]] = {}
     # (signature, its position in the family, weights, local filters)
     computed: List[Tuple[ViewSignature, int, _np.ndarray, Tuple]] = []
-    fallback: List[ViewSignature] = []
     for member, signature in enumerate(family.signatures):
         product = tuple(pair for pair in signature.product if designation[pair[0]] == here)
         filters = tuple(c for c in signature.filters if designation[c.attribute] == here)
@@ -873,28 +556,16 @@ def _evaluate_family(
                 mask = condition_mask if mask is None else (mask & condition_mask)
             masks[filters] = mask
         if (product, filters) not in local:
-            weights: Optional[_np.ndarray] = store.multiplicities
+            weights = store.multiplicities
             for attribute, exponent in product:
-                column = store.float_column(attribute)
-                if column is None:
-                    weights = None
-                    break
+                column = _product_column(store, attribute, masks[filters])
                 weights = weights * (column if exponent == 1 else column ** exponent)
-            if weights is not None and masks[filters] is not None:
+            if masks[filters] is not None:
                 # np.where, not multiplication: `inf * 0` would turn a filtered-out
                 # non-finite row into NaN, while the tuple scan skips it entirely.
                 weights = _np.where(masks[filters], weights, 0.0)
             local[(product, filters)] = weights
-        weights = local[(product, filters)]
-        if weights is None:
-            fallback.append(signature)
-        else:
-            computed.append((signature, member, weights, filters))
-    results: Dict[ViewSignature, View] = {}
-    if not computed:
-        return results, fallback
-
-    base = context.base_keys(family.local_attributes)
+        computed.append((signature, member, local[(product, filters)], filters))
     codes = base.codes
 
     # Child joins, resolved once for the whole family.  A flat child only
@@ -904,7 +575,7 @@ def _evaluate_family(
     # several pipeline rows.  Rows without a match die either way.
     # Per child: its columnar views (one per signature) and the pipeline rows'
     # key codes when flat, None and the rows' entry values otherwise.
-    joined: List[Tuple[Optional[List[Any]], _np.ndarray]] = []
+    joined: List[Tuple[Optional[List[ColumnarView]], _np.ndarray]] = []
     components: List[_np.ndarray] = []
     decoders: List[List[Tuple]] = []
     decoder_attrs: List[Optional[Tuple[str, ...]]] = []
@@ -913,24 +584,20 @@ def _evaluate_family(
         join_key = (position, id(child_store if child_store is not None else members[0]))
         resolved = joins.get(join_key)
         if resolved is None:
-            row_codes, row_keys = context.child_key_codes(key_attributes)
-            # At most one probe per *distinct* key combination, never per row —
-            # and when both sides are columnar, one cached store-to-store code
-            # mapping (plus a slot scatter for a table), no per-key work at all.
+            # One cached store-to-store key code mapping per child store (plus
+            # a slot scatter for a table), never a probe per row.
             table: Optional[_ChildTable] = None
             if child_store is not None:
                 slot_of_key = context.cross_map(key_attributes, child_store)
             else:
-                table = _table_for(members[0])
-                if table.conn_space is not None:
-                    cross = context.cross_map(key_attributes, table.conn_space[0])
-                    inverse = _np.full(max(table.conn_space[1], 1), -1, dtype=_np.int64)
-                    inverse[table.slot_conn_ids] = _np.arange(
-                        table.slot_conn_ids.size, dtype=_np.int64
-                    )
-                    slot_of_key = _np.where(cross >= 0, inverse[cross], -1)
-                else:
-                    slot_of_key = _slot_mapping(store, key_attributes, table, row_keys)
+                table = members[0].table()
+                cross = context.cross_map(key_attributes, table.conn_space[0])
+                inverse = _np.full(max(table.conn_space[1], 1), -1, dtype=_np.int64)
+                inverse[table.slot_conn_ids] = _np.arange(
+                    table.slot_conn_ids.size, dtype=_np.int64
+                )
+                slot_of_key = _np.where(cross >= 0, inverse[cross], -1)
+            row_codes = store.codes_for(key_attributes)[0]
             resolved = joins[join_key] = (table, slot_of_key[row_codes])
         table, slots = resolved
         if rows is not None:
@@ -944,7 +611,7 @@ def _evaluate_family(
             counts[live] = 1 if table is None else table.counts[slots[live]]
             total = int(counts.sum())
             if total == 0:
-                return {entry[0]: {} for entry in computed}, fallback
+                return _empty_views(family, base, store)
             repeats = _np.repeat(_np.arange(slots.size), counts)
             if table is None:
                 entries = slots[repeats]
@@ -996,9 +663,8 @@ def _evaluate_family(
         base_group_keys = base.group_keys
         group_keys = []
         # When every child's group pairs have one attribute sequence, the pairs
-        # stay in concatenation order: the sequence travels with the bundle
-        # and canonical (attribute-sorted) keys are only produced at
-        # dict-materialisation boundaries.
+        # stay in concatenation order: the sequence travels with the bundle,
+        # and readers that need canonical (attribute-sorted) keys sort them.
         group_attrs = None
         if all(attrs is not None for attrs in decoder_attrs):
             group_attrs = base.group_attrs + tuple(
@@ -1012,7 +678,7 @@ def _evaluate_family(
                 pairs = tuple(sorted(pairs)) if pairs else EMPTY_GROUP
             group_keys.append(pairs)
     bundle = _ViewBundle(
-        conn_ids, group_ids, conn_keys, group_keys, base.conn_columns, group_attrs, store,
+        conn_ids, group_ids, conn_keys, group_keys, group_attrs, store,
         flat=not components and not family.local_attributes,
     )
 
@@ -1022,11 +688,12 @@ def _evaluate_family(
         if alive is not None and rows is not None:
             alive = alive[rows]
         for views, aligned in joined:
-            if views is not None and views[member]._present is not None:
-                reached = views[member]._present[aligned]
+            if views is not None and views[member].present is not None:
+                reached = views[member].present[aligned]
                 alive = reached if alive is None else alive & reached
         return alive
 
+    results: Dict[ViewSignature, ColumnarView] = {}
     presence: Dict[Tuple, Optional[_np.ndarray]] = {}
     # A dead row holds a 0.0 factor (zeroed weight, absent child key), which a
     # non-finite one turns into NaN — silently here, repaired below.
@@ -1038,8 +705,8 @@ def _evaluate_family(
                 if views is None:
                     column = column * aligned
                 else:
-                    column = column * views[member]._sums[aligned]
-                    pattern += (id(views[member]._present),)
+                    column = column * views[member].sums[aligned]
+                    pattern += (id(views[member].present),)
             sums = _np.bincount(codes, weights=column, minlength=size)
             if pattern not in presence:
                 alive = alive_rows(filters, member)
@@ -1055,7 +722,50 @@ def _evaluate_family(
                         codes, weights=_np.where(alive, column, 0.0), minlength=size
                     )
             results[signature] = ColumnarView(bundle, sums, presence[pattern])
-    return results, fallback
+    return results
+
+
+def _product_column(
+    store: ColumnStore, attribute: str, alive: Optional[_np.ndarray]
+) -> _np.ndarray:
+    """Per-row float64 values of one product attribute.
+
+    A dictionary entry ``float()`` rejects decodes to 0.0; a row that holds
+    one and that ``alive`` keeps (None: every row) raises :class:`TypeError`
+    naming the relation, the attribute and the value — where the tuple scan,
+    which calls ``float()`` on the rows its local filters pass, raises too.
+    """
+    column = store.float_column(attribute)
+    if column is not None:
+        return column
+    encoding = store.encoding(attribute)
+    numbers, non_numeric = encoding.float_values()
+    offending = non_numeric[encoding.codes]
+    if alive is not None:
+        offending &= alive
+    if offending.any():
+        value = encoding.values[encoding.codes[int(_np.argmax(offending))]]
+        raise TypeError(
+            f"relation {store.relation_name!r}: product attribute {attribute!r} "
+            f"holds the non-numeric value {value!r}"
+        )
+    return numbers[encoding.codes]
+
+
+def _empty_views(
+    family: _ViewFamily, base: _BaseKeys, store: ColumnStore
+) -> Dict[ViewSignature, ColumnarView]:
+    """The family's views when no row reaches an output: no code is present.
+
+    Over the base key coding, flat when that coding is the store's connection
+    key coding, so a parent joins them like any other view of the store.
+    """
+    bundle = _ViewBundle(
+        base.conn_ids, base.group_ids, base.conn_keys, base.group_keys, base.group_attrs,
+        store, flat=not family.local_attributes,
+    )
+    view = ColumnarView(bundle, _np.zeros(base.size), _np.zeros(base.size, dtype=bool))
+    return {signature: view for signature in family.signatures}
 
 
 def _context_for(
@@ -1076,66 +786,34 @@ def _context_for(
     return context
 
 
-def scan_node_views(
-    node: JoinTreeNode,
-    relation: Relation,
-    signatures: Sequence[ViewSignature],
-    designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, str, ViewSignature], View],
-) -> Dict[ViewSignature, View]:
-    """The views of ``signatures`` at one node by a single tuple-at-a-time scan.
-
-    The engine's fallback for signatures the columnar path cannot take (a
-    product attribute that does not decode to floats), and the semantics the
-    columnar views are tested against.
-    """
-    conn_attributes = sorted(node.connection_attributes())
-    conn_positions = [relation.schema.index_of(attribute) for attribute in conn_attributes]
-    tasks = [
-        _prepare_task(node, relation, signature, designation, child_views)
-        for signature in signatures
-    ]
-    _scan_specialized(relation, conn_positions, tasks)
-    return {task.signature: task.result for task in tasks}
-
-
 def compute_node_views(
     node: JoinTreeNode,
     relation: Relation,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    child_views: Mapping[Tuple[str, str, ViewSignature], View],
+    child_views: Mapping[Tuple[str, str, ViewSignature], ColumnarView],
     context_cache: Optional[MutableMapping[Tuple, ColumnarContext]] = None,
     stats: Optional[MutableMapping[str, int]] = None,
-) -> Dict[ViewSignature, View]:
+) -> Dict[ViewSignature, ColumnarView]:
     """Compute the views for all ``signatures`` at one node.
 
     The distinct signatures are grouped into view families and evaluated
     vectorised over the relation's column store, sharing the per-node
-    precomputation; signatures with a non-numeric product attribute fall
-    back to :func:`scan_node_views`.  ``child_views`` holds the views of the
-    node's children under ``(child, node, signature)``.  ``context_cache``
-    (used by the engine) carries columnar contexts across batch evaluations;
-    ``stats`` counts how many views each path computed.
+    precomputation.  ``child_views`` holds the views of the node's children
+    under ``(child, node, signature)``.  ``context_cache`` (used by the
+    engine) carries columnar contexts across batch evaluations; ``stats``
+    counts the views computed and the pipelines that computed them.
     """
     conn_attributes = sorted(node.connection_attributes())
     context = _context_for(node, relation, conn_attributes, context_cache)
     joins: Dict[Tuple[int, int], Tuple[Optional[_ChildTable], _np.ndarray]] = {}
-    results: Dict[ViewSignature, View] = {}
-    remaining: List[ViewSignature] = []
+    results: Dict[ViewSignature, ColumnarView] = {}
     families = _build_families(
         node, list(dict.fromkeys(signatures)), designation, context, child_views
     )
     for family in families:
-        computed, fallback = _evaluate_family(context, node, family, designation, joins)
-        results.update(computed)
-        remaining.extend(fallback)
+        results.update(_evaluate_family(context, node, family, designation, joins))
     if stats is not None:
         stats[STAT_PIPELINES] = stats.get(STAT_PIPELINES, 0) + len(families)
         stats[STAT_COLUMNAR] = stats.get(STAT_COLUMNAR, 0) + len(results)
-        stats[STAT_TUPLE_FALLBACK] = stats.get(STAT_TUPLE_FALLBACK, 0) + len(remaining)
-    if remaining:
-        results.update(
-            scan_node_views(node, relation, remaining, designation, child_views)
-        )
     return {signature: results[signature] for signature in signatures}

@@ -25,17 +25,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from collections import OrderedDict
-
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.engine.executor import (
-    STAT_CACHED,
-    ColumnarContext,
-    ColumnarView,
-    View,
-    compute_node_views,
-)
+from repro.engine.executor import ColumnarContext, ColumnarView, compute_node_views
 from repro.engine.plan import BatchPlan, Direction, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
 from repro.engine.statistics import RootChoice, choose_root
@@ -44,10 +36,16 @@ from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 
 AggregateValue = Union[float, Dict[Tuple, float]]
 
-#: Upper bound on cached views per engine; least-recently-used entries are
-#: evicted beyond it.  It bounds memory, not behaviour: a decision-tree fit
-#: computes thousands of views it never asks for again.
-VIEW_CACHE_SIZE = 512
+
+def _unique_name(aggregate: Aggregate, existing: Mapping[str, object]) -> str:
+    """The value name of ``aggregate``: its own, or ``name#2``, ``#3``... when taken."""
+    name = aggregate.name or "aggregate"
+    if name not in existing:
+        return name
+    suffix = 2
+    while f"{name}#{suffix}" in existing:
+        suffix += 1
+    return f"{name}#{suffix}"
 
 
 @dataclass
@@ -105,7 +103,12 @@ class BatchResult:
         if self.values.keys() != other.values.keys():
             raise ValueError("minus() needs two results over the same aggregate names")
         started = time.perf_counter()
-        counts = {aggregate.name for aggregate in self.batch if not aggregate.product}
+        # The names evaluate() gave: pushed-down aggregates first, in batch
+        # order, then those it evaluated over the join.
+        names: Dict[str, Aggregate] = {}
+        for aggregate in sorted(self.batch, key=lambda a: a.inequality is not None):
+            names[_unique_name(aggregate, names)] = aggregate
+        counts = {name for name, aggregate in names.items() if not aggregate.product}
         values: Dict[str, AggregateValue] = {}
         for name, value in self.values.items():
             subtrahend = other.values[name]
@@ -134,34 +137,26 @@ class BatchResult:
 class LMFAOEngine:
     """Layered multiple functional aggregate optimisation, in Python.
 
-    The engine is built once per (database, query) pair and amortises work
-    across :meth:`evaluate` calls through three caches:
+    The engine is built once per (database, query) pair and keeps two things
+    across :meth:`evaluate` calls:
 
-    - **columnar contexts** (always on): per-node dictionary encodings, key
-      codings, filter masks and cross-store key maps, refreshed lazily when
-      the underlying :attr:`Relation.version` changes;
-    - **the view cache** (always on, at most :data:`VIEW_CACHE_SIZE`
-      entries between calls): computed views keyed by ``(node, towards,
-      signature)`` and guarded by the version of every relation on the
-      node's side of that edge — a hit is served as-is, anything else is
-      recomputed (:meth:`_evaluate_views`);
-    - **the join-tree root**: the *default* root — where aggregates without
-      a cheaper root of their own are evaluated — is chosen once at
-      construction by the schema-level cost model, and :attr:`root_choice`
-      records its per-candidate estimates; per batch, :meth:`plan` may root
-      groups of aggregates elsewhere (``BatchResult.plan_summary`` says
-      where and at what estimated cost).  ``root_relation`` forces one root
-      for everything.
+    - **columnar contexts**: per direction ``(node, towards)``, the key
+      codings, filter masks and cross-store key maps of the node's column
+      store, keyed by store identity — a mutation bumps
+      :attr:`Relation.version`, the relation hands out a new store, and the
+      context is rebuilt on the next evaluation;
+    - **the default join-tree root** — where aggregates without a cheaper
+      root of their own are evaluated — chosen once at construction by the
+      schema-level cost model; :attr:`root_choice` records its per-candidate
+      estimates.  Per batch, :meth:`plan` may root groups of aggregates
+      elsewhere (``BatchResult.plan_summary`` says where and at what
+      estimated cost).  ``root_relation`` forces one root for everything.
 
-    All caches invalidate through :attr:`Relation.version` — any mutation
-    (``add``/``remove``/``clear``, including IVM deltas) bumps the counter
-    and the affected state is rebuilt on the next evaluation; nothing needs
-    to be invalidated eagerly.  The engine evaluates over the data as it
-    stands and never patches a result: keeping a result current under updates
-    is what the maintainers of :mod:`repro.ivm` do, and ``evaluate`` after
-    any mutation returns, bit for bit, what a freshly built engine with the
-    same default root returns, with ``executor_stats`` a function of the
-    evaluate/mutate history alone.
+    Views are not kept: every call computes every view its plan needs.  The
+    engine evaluates over the data as it stands and never patches a result:
+    keeping a result current under updates is what the maintainers of
+    :mod:`repro.ivm` do, and ``evaluate`` after any mutation returns, bit
+    for bit, what a freshly built engine with the same default root returns.
     """
 
     def __init__(
@@ -183,12 +178,6 @@ class LMFAOEngine:
         # reuse the dictionary encodings.  Entries auto-refresh when the
         # underlying relation's version changes.
         self._context_cache: Dict[Tuple, ColumnarContext] = {}
-        # The cross-evaluate view cache: (node, towards, signature) -> (the
-        # versions of every relation on the node's side of the edge at
-        # computation time, view).
-        self._view_cache: "OrderedDict[Tuple[str, Optional[str], ViewSignature], Tuple[Tuple[int, ...], View]]" = (
-            OrderedDict()
-        )
 
     # -- construction ---------------------------------------------------------------------
 
@@ -208,12 +197,9 @@ class LMFAOEngine:
 
         The serving layer evaluates each read against a pinned snapshot
         database; per-reader engines are reused across reads by rebinding
-        instead of being rebuilt.  Every cache stays in place and keeps
-        being correct through its existing guards: columnar contexts are
-        keyed by store identity, and cached views are guarded by the
-        subtree's relation versions — a relation whose version is unchanged
-        across generations is bitwise unchanged (every mutation bumps the
-        counter), so a cache hit from an earlier generation is exact.
+        instead of being rebuilt.  The columnar contexts stay in place: they
+        are keyed by store identity, so a relation whose store is unchanged
+        across generations keeps its context, and any other is rebuilt.
 
         The new database must serve the same relation names with the same
         attribute names; the join tree is schema-derived and is kept as-is.
@@ -243,11 +229,9 @@ class LMFAOEngine:
     def evaluate(self, batch: AggregateBatch) -> BatchResult:
         """Evaluate all aggregates of ``batch`` and return their values.
 
-        Views whose subtree relations have not changed since an earlier
-        call are served from the view cache (``executor_stats["views_cached"]``
-        counts them), so repeating an identical batch over unchanged data is
-        nearly free, and after an update only the views with the mutated
-        relation on their side of the edge are recomputed.
+        Every view of the plan is computed from the columnar contexts;
+        ``executor_stats`` counts them (``views_columnar``) and the shared
+        pipelines that computed them (``view_pipelines``).
         """
         started = time.perf_counter()
         plan = self.plan(batch)
@@ -258,12 +242,9 @@ class LMFAOEngine:
         for decomposition in plan.decompositions:
             aggregate = decomposition.aggregate
             root_view = views[(decomposition.root, None, decomposition.root_signature)]
-            values[self._unique_name(aggregate, values)] = self._extract(aggregate, root_view)
-        # Once per call, after the last read: trimming per insert would evict
-        # this very call's first views to make room for its last.
-        cache = self._view_cache
-        while len(cache) > VIEW_CACHE_SIZE:
-            cache.popitem(last=False)
+            values[_unique_name(aggregate, values)] = self._extract(
+                aggregate, root_view.group_items(), root_view.group_attrs
+            )
 
         if plan.unsupported:
             self._evaluate_unsupported(plan.unsupported, values)
@@ -280,86 +261,24 @@ class LMFAOEngine:
 
     # -- internals ---------------------------------------------------------------------------
 
-    @staticmethod
-    def _unique_name(aggregate: Aggregate, existing: Mapping[str, AggregateValue]) -> str:
-        name = aggregate.name or "aggregate"
-        if name not in existing:
-            return name
-        suffix = 2
-        while f"{name}#{suffix}" in existing:
-            suffix += 1
-        return f"{name}#{suffix}"
-
-    def _side_versions(self, direction: Direction) -> Tuple[int, ...]:
-        """The cache guard: versions of every relation on the direction's side."""
-        return tuple(
-            self.database.relation(name).version
-            for name in sorted(self.join_tree.side(*direction))
-        )
-
     def _evaluate_views(
         self, plan: BatchPlan, stats: Optional[Dict[str, int]] = None
-    ) -> Dict[Tuple[str, Optional[str], ViewSignature], View]:
-        """Evaluate all planned views bottom-up over the join tree.
-
-        Each direction's signatures are first resolved against the
-        cross-evaluate view cache: an entry hits when the versions of *all*
-        relations on the node's side of the edge are unchanged since the view
-        was computed — the view's value depends on nothing else once the tree
-        and designation are fixed.  Hits are served as-is (and count as
-        ``views_cached`` in the stats); missing and stale signatures alike
-        reach the executor, and the freshly computed views replace them in
-        the cache (:meth:`evaluate` trims it back to :data:`VIEW_CACHE_SIZE`,
-        least recently used first, once it has read the root views).
-        """
-        views: Dict[Tuple[str, Optional[str], ViewSignature], View] = {}
-        cache = self._view_cache
-
-        def resolve_cached(direction: Direction) -> Tuple[List[ViewSignature], Tuple[int, ...]]:
-            """Serve cache hits for one direction; return the signatures left to compute.
-
-            A stale entry is one more signature to compute: the fresh view
-            overwrites it.
-            """
-            versions = self._side_versions(direction)
-            pending: List[ViewSignature] = []
-            hits = 0
-            for signature in plan.views[direction]:
-                key = direction + (signature,)
-                entry = cache.get(key)
-                if entry is not None and entry[0] == versions:
-                    cache.move_to_end(key)
-                    views[key] = entry[1]
-                    hits += 1
-                else:
-                    pending.append(signature)
-            if hits and stats is not None:
-                stats[STAT_CACHED] = stats.get(STAT_CACHED, 0) + hits
-            return pending, versions
-
+    ) -> Dict[Tuple[str, Optional[str], ViewSignature], ColumnarView]:
+        """Evaluate all planned views bottom-up over the join tree, level by level."""
+        views: Dict[Tuple[str, Optional[str], ViewSignature], ColumnarView] = {}
         for directions in self._levels(plan.views):
-            # A level's hits are touched before its fresh views are inserted;
-            # that is the LRU order the trim in evaluate() evicts by.
-            pending = []
             for direction in directions:
-                signatures, versions = resolve_cached(direction)
-                if signatures:
-                    pending.append((direction, signatures, versions))
-            for direction, signatures, versions in pending:
                 computed = compute_node_views(
                     self.join_tree.oriented(*direction),
                     self.database.relation(direction[0]),
-                    signatures,
+                    plan.views[direction],
                     plan.designation,
                     views,
                     context_cache=self._context_cache,
                     stats=stats,
                 )
                 for signature, view in computed.items():
-                    key = direction + (signature,)
-                    views[key] = view
-                    cache[key] = (versions, view)
-                    cache.move_to_end(key)
+                    views[direction + (signature,)] = view
         return views
 
     def _levels(self, directions: Iterable[Direction]) -> List[List[Direction]]:
@@ -378,21 +297,17 @@ class LMFAOEngine:
         return [levels[level] for level in sorted(levels)]
 
     @staticmethod
-    def _extract(aggregate: Aggregate, root_view: View) -> AggregateValue:
-        """Turn the root view into the aggregate's scalar or grouped value."""
-        items = None
-        attrs = None
-        if isinstance(root_view, ColumnarView):
-            # Read the arrays directly; materialising the nested dict shape
-            # for a view that is only unpacked here would be wasted work.
-            items = root_view.group_items()
-            if items is not None:
-                # group_attrs describes the raw (concatenation-order) pairs of
-                # group_items; the materialised dict below re-sorts its keys,
-                # so the positional fast path only applies to the former.
-                attrs = root_view.group_attrs
-        if items is None:
-            items = root_view.get((), {}).items()
+    def _extract(
+        aggregate: Aggregate,
+        items: Iterable[Tuple[Tuple, float]],
+        attrs: Optional[Sequence[str]] = None,
+    ) -> AggregateValue:
+        """The aggregate's scalar or grouped value from its root view's entries.
+
+        ``items`` are the root view's ``(group pairs, value)`` entries;
+        ``attrs``, when given, is the attribute sequence every entry's pairs
+        follow, which lets a grouped value pick its key by position.
+        """
         if not aggregate.group_by:
             for group_pairs, value in items:
                 if group_pairs == ():
@@ -434,6 +349,6 @@ class LMFAOEngine:
             (dict(zip(names, row)), multiplicity) for row, multiplicity in joined.items()
         ]
         for aggregate in aggregates:
-            values[self._unique_name(aggregate, values)] = evaluate_aggregate_over_rows(
+            values[_unique_name(aggregate, values)] = evaluate_aggregate_over_rows(
                 aggregate, rows
             )

@@ -18,9 +18,9 @@ whole plan gets cheaper, and at the tree's own root (chosen once, before
 planning, by the same module) otherwise.  Views are *directional*: the views
 of node ``n`` computed for its neighbour ``p`` are keyed ``(n, p)`` — ``(n,
 None)`` at a root — so every root on ``p``'s side of the edge reads the same
-ones.  Signatures double as the keys of the engine's cross-evaluate view
-cache, which is why they are immutable, hash-cached and independent of any
-particular batch object.
+ones.  Signatures are the keys views are shared and looked up under, which
+is why they are immutable, hash-cached and independent of any particular
+batch object.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@
   database, republished after every applied writer batch;
 - a thread pool of readers, each pool thread owning one private
   :class:`~repro.engine.lmfao.LMFAOEngine` that is rebound to the pinned
-  generation per read (caches persist across generations — they are guarded
-  by relation versions and store identity, so hits are exact);
+  generation per read (its columnar contexts persist across generations,
+  keyed by store identity; every read computes every view of its plan);
 - a single serialized ``apply_batch`` writer path feeding the wrapped
   :class:`~repro.ivm.base.CovarianceMaintainer`.
 
@@ -78,10 +78,10 @@ class QueryServer:
     engine against its first pinned generation and rebinds it afterwards.
     Reader engines force the maintainer's join-tree root (identical plans
     for identical batches, the precondition for bitwise-stable answers) and
-    evaluate single-threaded inside their pool thread.  Across generations
-    a reader's engine serves the views whose subtree versions are unchanged
-    from its cache and recomputes the rest — it never patches a view, which
-    is what keeps a read bit-identical to a serial replay of its prefix.
+    evaluate single-threaded inside their pool thread.  A reader's engine
+    computes every view of a read from the pinned generation — it never
+    serves or patches one from an earlier read, which is what keeps a read
+    bit-identical to a serial replay of its prefix.
 
     ``maintainer`` is anything speaking the maintainer contract —
     ``database`` / ``join_tree`` / ``query`` / ``apply_batch`` /

@@ -342,6 +342,28 @@ def test_result_minus_the_true_branch_is_the_false_branch(node_filters, conditio
         assert _values_close(derived.values[name], false_branch.values[name], tolerance=1e-9)
 
 
+def test_minus_drops_the_empty_groups_of_a_repeated_count_name():
+    """A count named like another one (``n#2`` in the values) is a count too."""
+    database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "m"], ["k"]),
+                     rows=[(1, 2.0), (1, 3.0), (2, 5.0)]),
+            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7), (2, 9)]),
+        ]
+    )
+    engine = LMFAOEngine(database, ConjunctiveQuery(["F", "D"]))
+
+    def twice(*filters):
+        return AggregateBatch(
+            "twice", [Aggregate.count(group_by=["k"], filters=filters, name="n") for _ in range(2)]
+        )
+
+    derived = engine.evaluate(twice()).minus(engine.evaluate(twice(Filter("x", FilterOp.LE, 8))))
+    direct = engine.evaluate(twice(Filter("x", FilterOp.GT, 8)))
+    assert direct.values == {"n": {(2,): 1.0}, "n#2": {(2,): 1.0}}
+    assert derived.values == direct.values
+
+
 def test_minus_needs_the_same_aggregate_names_and_reports_non_finite_values(toy_database, toy_query):
     engine = LMFAOEngine(toy_database, toy_query)
     node = engine.evaluate(_filtered_toy_batch(()))

@@ -1,11 +1,12 @@
 """The columnar executor against the tuple scan on randomized acyclic queries.
 
 The engine computes views vectorised over the dictionary-encoded column
-store; the position-resolved tuple scan (``scan_node_views``, the engine's
-fallback for non-numeric products) defines the semantics.  The two must be
-*indistinguishable* on any query the planner accepts: same views, same group
-keys (including groups whose contributions cancel to exactly 0.0), same
-values — and both agree with the materialised join.
+store; the position-resolved tuple scan (``repro.engine.naive.scan_node_views``,
+a reference, not a path of the engine) defines the semantics.  The two must
+be *indistinguishable* on any query the planner accepts: same views (compared
+through ``view_as_dict``), same group keys (including groups whose
+contributions cancel to exactly 0.0), same values — and both agree with the
+materialised join.
 
 The random databases use signed multiplicities, so cancellation, empty join
 branches, grouped multi-entry child views and filtered children all occur.
@@ -30,14 +31,8 @@ from repro.datasets import favorita_database, favorita_query, retailer_database,
 from repro.datasets.favorita import FAVORITA_FEATURES
 from repro.datasets.retailer import RETAILER_FEATURES
 from repro.engine import LMFAOEngine, MaterializedJoinEngine
-from repro.engine.executor import (
-    STAT_COLUMNAR,
-    STAT_PIPELINES,
-    STAT_TUPLE_FALLBACK,
-    ColumnarView,
-    compute_node_views,
-    scan_node_views,
-)
+from repro.engine.executor import STAT_COLUMNAR, STAT_PIPELINES, ColumnarView, compute_node_views
+from repro.engine.naive import scan_node_views, view_as_dict
 from repro.ml import DecisionTreeRegressor
 
 
@@ -53,17 +48,17 @@ def _evaluate_checked(database, query, batch, root_relation=None):
     engine = LMFAOEngine(database, query, root_relation)
     result = engine.evaluate(batch)
     plan = engine.plan(batch)
-    views = engine._evaluate_views(plan)    # cache hits: the views `result` read
+    views = engine._evaluate_views(plan)    # computed again: the same bits `result` read
     for (name, towards), signatures in plan.views.items():
         scanned = scan_node_views(
             engine.join_tree.oriented(name, towards), database.relation(name), signatures,
             plan.designation, views,
         )
         for signature, expected in scanned.items():
-            view = views[(name, towards, signature)]
+            view = view_as_dict(views[(name, towards, signature)])
             assert set(view) == set(expected), (name, towards, signature)
             for key, groups in expected.items():
-                assert _exact_equal(dict(view[key]), groups), (name, towards, signature, key)
+                assert _exact_equal(view[key], groups), (name, towards, signature, key)
     return result
 
 
@@ -151,16 +146,41 @@ def test_columnar_views_identical_to_tuple_scan_on_random_queries(seed):
     query = ConjunctiveQuery(["F", "D1", "D2", "E"])
     batch = _batch()
 
-    # Every view agrees exactly with the tuple scan (checked inside), and
-    # nothing fell off the columnar fast path.
+    # Every view agrees exactly with the tuple scan (checked inside).
     outcome = _evaluate_checked(database, query, batch)
     assert outcome.executor_stats.get(STAT_COLUMNAR, 0) > 0
-    assert outcome.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
 
     # And the values agree with the materialised-join baseline.
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for aggregate_name, value in outcome.values.items():
         assert _tolerant_equal(value, naive.values[aggregate_name]), (seed, aggregate_name)
+
+
+@pytest.mark.parametrize("emptied", ["F", "D1", "D2", "E"])
+def test_views_over_an_emptied_relation_are_empty_columnar_views(emptied):
+    """One representation: every view is a ``ColumnarView``, empty ones too.
+
+    A view with the emptied relation on its side of the edge has no entry;
+    the others are what they are over the full database.  Both rootings,
+    the plan's and one at the emptied relation itself.
+    """
+    from repro.query import ConjunctiveQuery
+
+    assert dict not in ColumnarView.__mro__
+    database = _random_database(random.Random(5))
+    database[emptied].clear()
+    query = ConjunctiveQuery(["F", "D1", "D2", "E"])
+    for root in (None, emptied):
+        outcome = _evaluate_checked(database, query, _batch(), root_relation=root)
+        naive = MaterializedJoinEngine(database, query).evaluate(_batch())
+        for name, value in outcome.values.items():
+            assert _tolerant_equal(value, naive.values[name]), (root, name)
+        engine = LMFAOEngine(database, query, root)
+        views = engine._evaluate_views(engine.plan(_batch()))
+        assert all(type(view) is ColumnarView for view in views.values())
+        for (name, towards, _signature), view in views.items():
+            if emptied in engine.join_tree.side(name, towards):
+                assert view_as_dict(view) == {}, (root, name, towards)
 
 
 def test_cancelling_multiplicities_keep_zero_groups_on_both_paths():
@@ -221,7 +241,6 @@ def test_columnar_handles_grouped_multi_child_views_without_fallback():
         ],
     )
     outcome = LMFAOEngine(database, query).evaluate(batch)
-    assert outcome.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
     assert outcome.executor_stats.get(STAT_COLUMNAR, 0) > 0
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for name, value in outcome.values.items():
@@ -321,37 +340,6 @@ def test_int_float_key_domains_do_not_collapse_big_integers():
     assert result.scalar("count") == pytest.approx(1.0)
 
 
-def test_columnar_views_compare_equal_before_materialisation():
-    """View equality must not read a lazy view's raw backing storage."""
-    from repro.engine.plan import decompose_aggregate, designate_attributes
-    from repro.engine.executor import ColumnarView, compute_node_views
-    from repro.query import ConjunctiveQuery, build_join_tree
-
-    database = Database(
-        [
-            Relation("F", Schema.from_names(["k", "m"], ["k"]), rows=[(1, 2), (2, 3)]),
-            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7), (2, 9)]),
-        ]
-    )
-    query = ConjunctiveQuery(["F", "D"])
-    tree = build_join_tree(query.hypergraph(database), root="F")
-    designation = designate_attributes(tree)
-    aggregate = Aggregate.sum_of(["x"], group_by=["k"], name="x_by_k")
-    decomposition = decompose_aggregate(aggregate, tree, designation)
-    leaf = tree.node("D")
-    signature = decomposition.signature_at("D")
-
-    def fresh_view():
-        return compute_node_views(
-            leaf, database["D"], [signature], designation, {}
-        )[signature]
-
-    left, right = fresh_view(), fresh_view()
-    assert isinstance(left, ColumnarView) and isinstance(right, ColumnarView)
-    assert left == right                      # neither side materialised yet
-    assert not (fresh_view() != fresh_view())
-
-
 def test_filtered_out_nonfinite_rows_do_not_poison_sums():
     """A filtered-out inf row must not turn the signature's sums into NaN."""
     from repro.query import ConjunctiveQuery
@@ -401,41 +389,14 @@ def test_mixed_int_float_column_keeps_huge_ints_distinct():
     assert result.scalar("count") == pytest.approx(1.0)
 
 
-def test_extraction_is_stable_after_view_materialisation():
-    """Reading a root view as a mapping must not change extracted groups.
-
-    Regression test: the positional extraction fast path used the raw
-    concatenation-order attribute sequence even after the view's dict shape
-    (whose keys are attribute-sorted) had been materialised, returning the
-    wrong attribute's values.
-    """
-    from repro.engine import LMFAOEngine
-
-    rng = random.Random(3)
-    database = _random_database(rng)
-    from repro.query import ConjunctiveQuery
-
-    query = ConjunctiveQuery(["F", "D1", "D2", "E"])
-    batch = AggregateBatch(
-        "stable", [Aggregate.sum_of(["m"], group_by=["b", "x"], name="m_by_bx")]
-    )
-    fresh = LMFAOEngine(database, query).evaluate(batch).grouped("m_by_bx")
-
-    engine = LMFAOEngine(database, query)
-    plan = engine.plan(batch)
-    views = engine._evaluate_views(plan, {})
-    decomposition = plan.decompositions[0]
-    root_view = views[(decomposition.root, None, decomposition.root_signature)]
-    len(root_view)                                  # materialise the dict shape
-    again = engine._extract(batch[0], root_view)
-    assert again == fresh
-
-
 def test_non_numeric_product_column_falls_back_to_the_tuple_scan():
-    """A product column that does not decode to floats takes the tuple scan.
+    """A product column that does not decode to floats stays columnar.
 
-    The filter keeps the scan away from the undecodable value; the columnar
-    path cannot build the column at all and hands the signature over.
+    Such a column used to send its signatures to the tuple scan; now the
+    filter keeps every product away from the undecodable value, so the
+    columnar path computes every view, and each one is what the tuple scan
+    derives.  Without the filter the value reaches a product: a ``TypeError``
+    naming the attribute, as the tuple scan's ``float()`` fails there too.
     """
     from repro.query import ConjunctiveQuery
 
@@ -450,20 +411,64 @@ def test_non_numeric_product_column_falls_back_to_the_tuple_scan():
         ]
     )
     query = ConjunctiveQuery(["F", "D"])
+
+    def batch(filters):
+        return AggregateBatch(
+            "non-numeric",
+            [
+                Aggregate.sum_of(["m", "x"], filters=filters, name="sum_mx"),
+                Aggregate.count(name="count"),
+            ],
+        )
+
+    result = _evaluate_checked(database, query, batch([Filter("m", FilterOp.NE, "n/a")]))
+    assert result.executor_stats[STAT_COLUMNAR] == result.views_computed
+    assert result.scalar("sum_mx") == pytest.approx(2.0 * 7 + 2 * 5.0 * 9)
+    assert result.scalar("count") == pytest.approx(4.0)
+
+    with pytest.raises(TypeError, match="'m'.*'n/a'"):
+        LMFAOEngine(database, query).evaluate(batch([]))
+
+
+def test_a_stored_nan_beside_a_non_numeric_value_is_a_number():
+    """The non-numeric mask marks what ``float()`` rejects, not what is NaN.
+
+    The filter keeps the rows holding ``"n/a"`` out of every product; the row
+    holding NaN passes it, so its group sums to NaN on both the columnar path
+    and the materialised join, and nothing raises.
+    """
+    from repro.query import ConjunctiveQuery
+
+    database = Database(
+        [
+            Relation(
+                "F",
+                Schema.from_names(["k", "m"], ["k"]),
+                multiplicities={(1, float("nan")): 1, (1, "n/a"): 1, (2, 5.0): 2},
+            ),
+            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7), (2, 9)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
     batch = AggregateBatch(
-        "fallback",
+        "nan",
         [
             Aggregate.sum_of(
-                ["m", "x"], filters=[Filter("m", FilterOp.NE, "n/a")], name="sum_mx"
+                ["m", "x"], group_by=["k"], filters=[Filter("m", FilterOp.NE, "n/a")],
+                name="mx_by_k",
             ),
             Aggregate.count(name="count"),
         ],
     )
     result = LMFAOEngine(database, query).evaluate(batch)
-    assert result.executor_stats.get(STAT_TUPLE_FALLBACK, 0) > 0
-    assert result.executor_stats.get(STAT_COLUMNAR, 0) > 0
-    assert result.scalar("sum_mx") == pytest.approx(2.0 * 7 + 2 * 5.0 * 9)
+    assert result.executor_stats[STAT_COLUMNAR] == result.views_computed
     assert result.scalar("count") == pytest.approx(4.0)
+    grouped = result.grouped("mx_by_k")
+    naive = MaterializedJoinEngine(database, query).evaluate(batch).grouped("mx_by_k")
+    for values in (grouped, naive):
+        assert set(values) == {(1,), (2,)}
+        assert math.isnan(values[(1,)])
+        assert values[(2,)] == pytest.approx(2 * 5.0 * 9)
 
 
 
@@ -524,7 +529,6 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
     database, query, spec, node_filters = _tree_case(dataset)
     batch = _tree_node_batch(database, query, spec, node_filters if filtered else ())
     outcome = _evaluate_checked(database, query, batch)
-    assert outcome.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for name, value in outcome.values.items():
         assert _tolerant_equal(value, naive.values[name]), name
@@ -542,9 +546,10 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
     bundles = {}
     for (name, _towards, _signature), view in engine._evaluate_views(engine.plan(batch)).items():
         assert isinstance(view, ColumnarView)
-        bundles.setdefault(id(view._bundle), (name, view._bundle, []))[2].append(view)
+        bundles.setdefault(id(view.bundle), (name, view.bundle, []))[2].append(view)
     assert any(
-        len({frozenset(view) for view in views}) > 1 for _name, _bundle, views in bundles.values()
+        len({frozenset(view_as_dict(view)) for view in views}) > 1
+        for _name, _bundle, views in bundles.values()
     )
     flat_nodes = {name for name, bundle, _views in bundles.values() if bundle.flat}
     grouped_nodes = {name for name, bundle, _views in bundles.values() if not bundle.flat}

@@ -1,15 +1,16 @@
-"""Cost-based join-tree rooting and the cross-evaluate view cache.
+"""Cost-based join-tree rooting, and what an engine keeps across evaluations.
 
-Covers the three guarantees of the planning/caching subsystem:
+Covers the three guarantees of the planning subsystem and the engine's
+long-lived state:
 
 - *path equivalence*: every candidate root — and the cost-based pick in
   particular — produces identical aggregate values;
 - *cost model*: the optimizer consumes real statistics (row counts, distinct
   connection-key counts from the column store) and exposes its evidence;
-- *cache semantics*: repeated evaluation over unchanged relations serves
-  views from the cache, and any mutation of a subtree relation invalidates
-  exactly the views above it — they are recomputed, so a long-lived engine
-  answers bit for bit what a fresh one does, whatever the update history.
+- *no stale state*: an engine keeps only columnar contexts (keyed by store
+  identity) and its default root across calls, and computes every planned
+  view on every call, so a long-lived engine answers bit for bit what a
+  fresh one does, whatever the update history.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ from repro.engine import (
     plan_batch,
 )
 from repro.engine import lmfao
-from repro.engine.executor import (
-    STAT_CACHED,
-    STAT_COLUMNAR,
-    STAT_PIPELINES,
-    STAT_TUPLE_FALLBACK,
-)
+from repro.engine.executor import STAT_COLUMNAR, STAT_PIPELINES
 from repro.engine.statistics import estimate_plan_cost, widest_relation
 from repro.ml import DecisionTreeRegressor
 from repro.query import ConjunctiveQuery, build_join_tree
@@ -193,6 +189,31 @@ def test_engine_options_surface():
         assert gone not in getattr(module, "__all__", ())
 
 
+def test_the_view_cache_and_the_tuple_fallback_are_gone():
+    """One path: no cross-call view cache, no tuple-scan fallback in the engine.
+
+    The tuple scan lives on beside the other reference engine; every call
+    reports only the views it computed and the pipelines that computed them.
+    """
+    from repro.engine import executor, naive
+
+    # Spelled in halves, like the removed names above.
+    for module in (executor, lmfao):
+        for gone in ("STAT_" "CACHED", "STAT_" "TUPLE_FALLBACK", "VIEW_" "CACHE_SIZE",
+                     "scan_node_views", "_view" "_cache"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert callable(naive.scan_node_views) and callable(naive.view_as_dict)
+    assert dict not in executor.ColumnarView.__mro__
+
+    engine = LMFAOEngine(_star_database(), ConjunctiveQuery(["F", "D1", "D2"]))
+    assert not hasattr(engine, "_view" "_cache")
+    batch = _star_batch()
+    for _ in range(2):
+        result = engine.evaluate(batch)
+        assert set(result.executor_stats) == {STAT_COLUMNAR, STAT_PIPELINES}
+        assert result.executor_stats[STAT_COLUMNAR] == engine.plan(batch).total_views
+
+
 def test_choose_root_falls_back_to_widest_on_empty_databases(toy_database, toy_query):
     empty = toy_database.empty_copy()
     tree = build_join_tree(toy_query.hypergraph(empty))
@@ -201,7 +222,7 @@ def test_choose_root_falls_back_to_widest_on_empty_databases(toy_database, toy_q
     assert choice.root in toy_query.relation_names
 
 
-# -- the cross-evaluate view cache ------------------------------------------------------
+# -- long-lived engines under mutation -------------------------------------------------
 
 
 def _star_database():
@@ -252,11 +273,10 @@ def _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=
 
     ``history`` mutates ``database`` once per ``next()``.  After every
     mutation both engines must answer what an engine built on the spot (with
-    their forced root and their default root: with ``root=None`` all of them plan
-    per-aggregate roots, and their caches hold directional views) answers —
-    ``==``, keys included, no tolerance — and report the same
-    ``executor_stats`` as each other: what is served from the cache and what
-    is recomputed follows from the history, never from the clock.
+    their forced root and their default root: with ``root=None`` all of them
+    plan per-aggregate roots over directional views) answers — ``==``, keys
+    included, no tolerance — and report the same ``executor_stats`` as it
+    does: every planned view computed, by the same pipelines.
     """
     engines = [LMFAOEngine(database, query, root) for _ in range(2)]
     for engine in engines:
@@ -267,11 +287,9 @@ def _assert_history_tracks_a_fresh_engine(database, query, batch, history, root=
         fresh = _built_on_the_spot(engines[0], database, query).evaluate(batch)
         assert first.values == fresh.values, label
         assert second.values == fresh.values, label
-        assert first.executor_stats == second.executor_stats, label
-        assert set(first.executor_stats) <= {
-            STAT_COLUMNAR, STAT_PIPELINES, STAT_TUPLE_FALLBACK, STAT_CACHED
-        }
-        assert first.executor_stats.get(STAT_COLUMNAR, 0) > 0, label
+        assert first.executor_stats == second.executor_stats == fresh.executor_stats, label
+        assert set(first.executor_stats) <= {STAT_COLUMNAR, STAT_PIPELINES}
+        assert first.executor_stats[STAT_COLUMNAR] == first.views_computed, label
     assert steps, "the history was empty"
 
 
@@ -332,23 +350,8 @@ def _seeded_history(database, seed, orphans, parents, steps=12):
                 yield f"the late rows of {parent}"
 
 
-def test_repeated_identical_batch_is_served_from_the_view_cache():
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query)
-    first = engine.evaluate(_star_batch())
-    assert first.executor_stats.get(STAT_CACHED, 0) == 0
-    computed = first.executor_stats.get(STAT_COLUMNAR, 0)
-    assert computed > 0
-
-    second = engine.evaluate(_star_batch())
-    # Every planned view hits the cache; nothing is recomputed.
-    assert second.executor_stats.get(STAT_CACHED, 0) == computed
-    assert second.executor_stats.get(STAT_COLUMNAR, 0) == 0
-    _assert_results_equal(first, second)
-
-
 def test_relation_update_invalidates_exactly_the_affected_subtrees():
+    """A mutation between two calls shows in the second, recomputed in full."""
     database = _star_database()
     query = ConjunctiveQuery(["F", "D1", "D2"])
     engine = LMFAOEngine(database, query)
@@ -356,19 +359,10 @@ def test_relation_update_invalidates_exactly_the_affected_subtrees():
 
     database["D1"].add((1, 100))
     third = engine.evaluate(_star_batch())
-    # D1's own views and every ancestor's views are recomputed; the
-    # untouched sibling subtree (D2, when not on D1's root path) may still hit.
-    assert third.executor_stats.get(STAT_COLUMNAR, 0) > 0
-    # The values reflect the update (no stale cache reads).
+    assert third.executor_stats[STAT_COLUMNAR] == third.views_computed
+    # The values reflect the update (no stale state read).
     expected = LMFAOEngine(database, query).evaluate(_star_batch())
     _assert_results_equal(expected, third)
-
-    affected = {engine.join_tree.node("D1").relation_name} | {
-        node.relation_name for node in engine.join_tree.path_to_root("D1")
-    }
-    untouched_cached = third.executor_stats.get(STAT_CACHED, 0)
-    if len(affected) < len(query.relation_names):
-        assert untouched_cached > 0
 
     for root in (None, "F"):
         database = _star_database()
@@ -391,7 +385,7 @@ def test_relation_update_invalidates_exactly_the_affected_subtrees():
 
 
 def test_update_then_revert_still_recomputes():
-    """Version counters only grow: an add/remove pair must not revive entries."""
+    """An add/remove pair between two calls leaves nothing behind in the engine."""
     database = _star_database()
     query = ConjunctiveQuery(["F", "D1", "D2"])
     engine = LMFAOEngine(database, query)
@@ -420,42 +414,15 @@ def test_update_then_revert_still_recomputes():
     assert set(reverted) == {(1,), (2,)}
 
 
-def test_cache_respects_the_lru_size_bound(monkeypatch):
-    monkeypatch.setattr(lmfao, "VIEW_CACHE_SIZE", 2)
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(_star_batch())
-    assert len(engine._view_cache) <= 2
-    # Still correct when most views were evicted.
-    expected = LMFAOEngine(database, query).evaluate(_star_batch())
-    _assert_results_equal(expected, engine.evaluate(_star_batch()))
-
-
-def test_overlapping_batches_share_cached_views():
-    """A different batch planning the same signatures reuses them."""
-    database = _star_database()
-    query = ConjunctiveQuery(["F", "D1", "D2"])
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(
-        AggregateBatch("first", [Aggregate.count(name="count"),
-                                 Aggregate.sum_of(["m"], name="sum_m")])
-    )
-    overlapping = engine.evaluate(
-        AggregateBatch("second", [Aggregate.sum_of(["m"], name="sum_m"),
-                                  Aggregate.sum_of(["x"], name="sum_x")])
-    )
-    assert overlapping.executor_stats.get(STAT_CACHED, 0) > 0
-
-
 def test_cached_views_agree_with_fresh_engine_on_yelp(small_yelp):
+    """A repeated batch, and every step of two histories, == a fresh engine."""
     database, query, batch = small_yelp
     engine = LMFAOEngine(database, query)
     engine.evaluate(batch)
-    cached = engine.evaluate(batch)
-    assert cached.executor_stats.get(STAT_CACHED, 0) > 0
+    again = engine.evaluate(batch)
+    assert again.executor_stats[STAT_COLUMNAR] == again.views_computed
     fresh = LMFAOEngine(database, query).evaluate(batch)
-    _assert_results_equal(fresh, cached)
+    assert again.values == fresh.values
 
     for seed, root in [(23, None), (29, "Reviews")]:
         mutable = database.copy()
@@ -521,7 +488,6 @@ def _assert_every_rooting_agrees(database, query, batch):
     """Default (the plan picks the roots) == every forced root == the naive join."""
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     planned = LMFAOEngine(database, query).evaluate(batch)
-    assert planned.executor_stats.get(STAT_TUPLE_FALLBACK, 0) == 0
     _assert_results_equal(naive, planned)
     for root in query.relation_names:
         forced = LMFAOEngine(database, query, root_relation=root).evaluate(batch)
@@ -572,8 +538,8 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     ``B`` and ``C`` both hang off ``A`` by ``k``: the views ``A`` computes
     for ``B`` (over ``A`` and ``C``) and for ``C`` (over ``A`` and ``B``)
     have the same connection attributes and, here, equal signatures.  Keyed
-    by connection attributes their contexts, restricted child signatures and
-    cached views would be each other's.
+    by connection attributes their contexts and restricted child signatures
+    would be each other's.
     """
     rng = random.Random(11)
     database = Database(
@@ -597,10 +563,10 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     plan = engine.plan(batch)
     assert {("A", "B"), ("A", "C")} <= set(plan.views), plan.views.keys()
     first = _assert_every_rooting_agrees(database, query, batch)
-    # ... and from the caches, once both directions sit in them.
+    # ... and from the contexts, once both directions sit in them.
     engine.evaluate(batch)
     again = engine.evaluate(batch)
-    assert again.executor_stats == {STAT_CACHED: plan.total_views}
+    assert again.executor_stats[STAT_COLUMNAR] == plan.total_views
     assert again.values == first.values
     assert {key[:2] for key in engine._context_cache} == set(plan.views)
 
@@ -647,64 +613,7 @@ def test_one_bundle_per_direction_serves_every_root_beyond_it():
     # Every directional view is computed exactly once, whoever reads it.
     assert result.executor_stats == {
         STAT_COLUMNAR: plan.total_views, STAT_PIPELINES: result.executor_stats[STAT_PIPELINES],
-        STAT_TUPLE_FALLBACK: 0,
     }
-
-    # Across calls the same holds through the view cache: the candidates owned
-    # by Weather are evaluated first, those owned by Stores afterwards — the
-    # second root group is *served* the first one's Inventory -> Weather views.
-    def candidates_of(relation):
-        owned = set(database.relation(relation).schema.names)
-        return AggregateBatch(
-            relation,
-            [a for a in batch
-             if a.filters and a.filters[-1].attribute in owned - {"locn", "dateid", "zip"}],
-        )
-
-    engine = LMFAOEngine(database, query)
-    engine.evaluate(candidates_of("Weather"))
-    plan = engine.plan(candidates_of("Stores"))
-    assert plan.roots == {"Stores": len(candidates_of("Stores"))}
-    waiting = {
-        direction + (signature,)
-        for direction, signatures in plan.views.items()
-        for signature in signatures
-        if direction + (signature,) in engine._view_cache
-    }
-    from_inventory = {
-        ("Inventory", "Weather", signature) for signature in plan.views[("Inventory", "Weather")]
-    }
-    assert len(from_inventory) == 3 and from_inventory <= waiting
-    second = engine.evaluate(candidates_of("Stores"))
-    assert second.executor_stats[STAT_CACHED] == len(waiting)
-    assert second.executor_stats[STAT_COLUMNAR] == plan.total_views - len(waiting)
-
-
-def test_a_call_does_not_evict_the_views_it_is_serving():
-    """The cache is trimmed once per ``evaluate()``, after the last read.
-
-    Trimming at every insert let a batch that overflows the cache evict its
-    own first views while computing its last, and the recomputed ones then
-    evicted the next: the retailer node batch (559 views against 512),
-    repeated identically, recomputed 150 views on every call, forever.  Now a
-    repeat costs nothing when the plan fits — it does with per-aggregate
-    roots — and exactly the overflow when it does not.
-    """
-    database, query = _retailer_at_harness_shape(3000)
-    batch = _tree_node_batch(database, query, RETAILER_FEATURES)
-    for root in (None, "Stores"):
-        engine = LMFAOEngine(database, query, root)
-        planned = engine.plan(batch).total_views
-        overflow = max(planned - lmfao.VIEW_CACHE_SIZE, 0)
-        assert (overflow > 0) == (root is not None), planned
-        first = engine.evaluate(batch)
-        assert first.executor_stats[STAT_COLUMNAR] == planned
-        for _ in range(2):
-            repeated = engine.evaluate(batch)
-            assert repeated.executor_stats.get(STAT_COLUMNAR, 0) == overflow
-            assert repeated.executor_stats[STAT_CACHED] == planned - overflow
-            assert len(engine._view_cache) == planned - overflow
-            assert repeated.values == first.values
 
 
 def test_histories_track_a_fresh_engine_with_directional_cache_entries():
