@@ -100,16 +100,7 @@ class FusedAtBatchOneFIVM(FIVM):
         self.apply_batch([update])
 
     def _apply_groups_locked(self, groups):
-        prepared = [
-            (name, rows, netted, np.asarray(netted, dtype=np.float64))
-            for name, rows, netted in groups
-        ]
-        self._apply_multi_delta(
-            [(name, rows, floats) for name, rows, _netted, floats in prepared]
-        )
-        for name, rows, netted, floats in prepared:
-            self.database.relation(name).add_batch(rows, netted, validated=True)
-            self._after_delta_group(name, rows, floats)
+        self._apply_multi_delta(groups)
 
 
 def test_figure4_right_per_tuple_path_earns_its_keep(benchmark, update_stream):

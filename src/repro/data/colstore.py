@@ -12,7 +12,7 @@ through the codes, and numeric columns are decoded through the dictionary.
 
 Stores are cached on the relation (see :meth:`Relation.column_store`) and
 invalidated by the relation's mutation counter, so repeated batch evaluations
-— gradient descent steps, decision-tree node splits, IVM refreshes — reuse
+— gradient descent steps, decision-tree node splits, serving reads — reuse
 the encodings instead of rebuilding per-row Python state every time.
 """
 
@@ -22,13 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.tuplestore import _KERNELS, _GrowArray, tuplestore_stats
+from repro.data.tuplestore import _KERNELS, tuplestore_stats
 
 __all__ = [
     "ColumnEncoding",
     "ColumnStore",
-    "DeltaColumnStore",
-    "StagedDelta",
     "combine_codes",
 ]
 
@@ -396,9 +394,10 @@ class ColumnStore:
     def key_index(self, attributes: Sequence[str]) -> Dict[Tuple, int]:
         """Distinct key tuple -> key code, cached per attribute combination.
 
-        The inverse of :meth:`codes_for`'s tuple list; the delta-propagation
-        machinery probes it to align arbitrary key tuples (e.g. the keys of a
-        payload view or a delta block) with this store's code space.
+        The inverse of :meth:`codes_for`'s tuple list; the executor probes
+        it to align a child view's key tuples with this store's code space.
+        (F-IVM's propagation reads the relation's tuple store instead,
+        through :meth:`~repro.data.tuplestore.TupleStore.add_index`.)
         """
         key = tuple(attributes)
         index = self._key_indexes.get(key)
@@ -419,351 +418,3 @@ class ColumnStore:
             return None
         return columns  # type: ignore[return-value]
 
-
-class _DeltaKey:
-    """One registered key of a :class:`DeltaColumnStore`.
-
-    Holds the key dictionary (tuple -> code), the per-entry code array, and
-    one growable *bucket* of entry positions per code — the incrementally
-    maintained CSR the batched IVM propagation joins against.  Appending is
-    two steps — :meth:`encode` turns rows into codes (registering unseen
-    keys), :meth:`append` files entries under them — so a delta staged ahead
-    of its commit is probed once and its codes are usable in between.
-
-    Its pickled state is ``positions``, ``track_buckets``, ``keys`` and
-    ``codes``; the key dictionary and the buckets are rebuilt from them on
-    load, and the bucket-array cache starts empty.
-    """
-
-    __slots__ = ("positions", "index", "keys", "codes", "buckets",
-                 "track_buckets", "scalar", "_bucket_arrays")
-
-    def __init__(self, positions: List[int], track_buckets: bool = True) -> None:
-        self.positions = positions
-        # Single-attribute keys (the common case) are probed by their bare
-        # value — no tuple construction per row; ``keys`` still lists tuples.
-        self.scalar = len(positions) == 1
-        self.index: Dict[object, int] = {}
-        self.keys: List[Tuple] = []
-        self.codes = _GrowArray(np.int64)
-        # Buckets are plain int lists (appends are just list ops); the array
-        # form is cached per bucket and rebuilt only when the bucket grew
-        # since it was last read — cost proportional to the rows actually
-        # joined, never to the store size.  Keys registered for grouping only
-        # (``track_buckets=False``) skip the bucket bookkeeping entirely.
-        self.track_buckets = track_buckets
-        self.buckets: List[List[int]] = []
-        self._bucket_arrays: Dict[int, np.ndarray] = {}
-
-    def probe(self, key: Tuple) -> Optional[int]:
-        """The code of a key *tuple* (None when unseen)."""
-        return self.index.get(key[0] if self.scalar else key)
-
-    def append_one(self, row: Tuple, entry: int) -> None:
-        """Single-row :meth:`encode` + :meth:`append` without array machinery."""
-        if self.scalar:
-            probe = row[self.positions[0]]
-            key = (probe,)
-        else:
-            probe = key = tuple(row[position] for position in self.positions)
-        code = self.index.get(probe)
-        if code is None:
-            code = len(self.keys)
-            self.index[probe] = code
-            self.keys.append(key)
-            self.buckets.append([])
-        self.codes.append(code)
-        if self.track_buckets:
-            self.buckets[code].append(entry)
-
-    def encode(self, columns: Sequence[Sequence], count: int) -> np.ndarray:
-        """Key codes of ``count`` rows given as transposed columns.
-
-        Unseen keys are registered (with an empty bucket); no entry is
-        appended.  ``columns`` is the caller's one-time ``zip(*rows)``
-        transpose, shared by every registered key of the store — probing
-        reads whole C-level columns, in one C-level pass when every key is
-        already known.
-        """
-        positions = self.positions
-        if not positions:
-            # The empty key (a root's connection key): every row codes to 0.
-            if not self.keys:
-                self.index[()] = 0
-                self.keys.append(())
-                self.buckets.append([])
-            return np.zeros(count, dtype=np.int64)
-        index = self.index
-        scalar = self.scalar
-        if scalar:
-            probes: Sequence = columns[positions[0]]
-        else:
-            probes = list(zip(*(columns[position] for position in positions)))
-        try:
-            return np.fromiter(
-                map(index.__getitem__, probes), dtype=np.int64, count=count
-            )
-        except KeyError:
-            # At least one unseen key: one setdefault per row registers them
-            # in first-occurrence order.
-            keys = self.keys
-            buckets = self.buckets
-            assign = index.setdefault
-            codes: List[int] = []
-            for probe in probes:
-                code = assign(probe, len(keys))
-                if code == len(keys):
-                    keys.append((probe,) if scalar else probe)
-                    buckets.append([])
-                codes.append(code)
-            return np.fromiter(codes, dtype=np.int64, count=count)
-
-    def append(self, codes: np.ndarray, base: int) -> None:
-        """Append entries ``base..`` carrying the given (encoded) key codes."""
-        self.codes.extend(codes)
-        if self.track_buckets:
-            buckets = self.buckets
-            for entry, code in enumerate(codes.tolist(), base):
-                buckets[code].append(entry)
-
-    def bucket_array(self, code: int) -> np.ndarray:
-        bucket = self.buckets[code]
-        cached = self._bucket_arrays.get(code)
-        if cached is None or cached.shape[0] != len(bucket):
-            cached = np.asarray(bucket, dtype=np.int64)
-            self._bucket_arrays[code] = cached
-        return cached
-
-    def __getstate__(self) -> Dict:
-        return {"positions": self.positions, "track_buckets": self.track_buckets,
-                "keys": self.keys, "codes": self.codes}
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__init__(state["positions"], state["track_buckets"])
-        self.keys = keys = state["keys"]
-        self.codes = state["codes"]
-        self.index = {
-            (key[0] if self.scalar else key): code for code, key in enumerate(keys)
-        }
-        codes = self.codes.view()
-        if self.track_buckets and codes.size:
-            # Entries grouped by code, entry order kept within a bucket: a
-            # stable sort of the codes, cut at the cumulative bucket sizes.
-            entries = np.argsort(codes, kind="stable").tolist()
-            ends = np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()
-            self.buckets = [
-                entries[start:end] for start, end in zip([0] + ends[:-1], ends)
-            ]
-        else:
-            self.buckets = [[] for _key in keys]
-
-
-class StagedDelta:
-    """One delta encoded by :meth:`DeltaColumnStore.stage`, not yet appended.
-
-    ``columns`` is the transpose of the rows, ``codes`` maps every registered
-    key (its attribute tuple) to one code per row.
-    """
-
-    __slots__ = ("columns", "multiplicities", "codes")
-
-    def __init__(self, columns, multiplicities, codes) -> None:
-        self.columns: List[Tuple] = columns
-        self.multiplicities: np.ndarray = multiplicities
-        self.codes: Dict[Tuple[str, ...], np.ndarray] = codes
-
-
-class DeltaColumnStore:
-    """An append-only dictionary-encoded log of signed tuple deltas.
-
-    Where :class:`ColumnStore` snapshots a relation (and is invalidated by
-    any mutation), this store *grows*: update batches append entries with
-    signed multiplicities, and every registered decoding — float columns,
-    key codes, per-key row buckets — is extended in place, so consumers
-    never pay an O(rows) re-encode after a mutation.  Deletes append
-    negative entries instead of mutating: all consumers (ring lifts, delta
-    joins) are linear in the multiplicity, so a cancelling +1/-1 pair of
-    entries contributes exactly zero.
-
-    The batched IVM path maintains one such store per parent relation as its
-    columnar mirror: a propagation hop is then a bucket concatenation plus
-    pure array gathers, independent of the relation's total size.
-
-    Two ways in.  :meth:`append_rows` buffers rows and encodes them on the
-    next read (the per-tuple path).  :meth:`stage` encodes a whole delta —
-    one transpose, one probe per row and registered key — and hands the
-    codes back *without* appending: no reader sees the delta until
-    :meth:`commit` files it.  The IVM batch path stages an update group,
-    joins it against the child views through the staged codes, and commits
-    once the rows are in the base relation; the buffer flushes the same way.
-
-    Columns and keys must be registered before the first append (the store
-    keeps no raw rows to backfill from).
-    """
-
-    def __init__(self, name: str, schema) -> None:
-        self.name = name
-        self.schema = schema
-        self.entry_count = 0
-        self._multiplicities = _GrowArray(np.float64)
-        self._floats: Dict[str, Tuple[int, _GrowArray]] = {}
-        self._keys: Dict[Tuple[str, ...], _DeltaKey] = {}
-        # Appends are buffered here and encoded on the next read: the
-        # per-tuple IVM path appends one row per update but only a fraction
-        # of updates ever hop through a given mirror, so eager per-row
-        # encoding (one dictionary probe per registered key per row) was
-        # pure overhead for the rest.  Flushing in batches also reuses the
-        # vectorised multi-row transpose.
-        self._pending_rows: List[Tuple] = []
-        self._pending_multiplicities: List[float] = []
-
-    def __len__(self) -> int:
-        return self.entry_count + len(self._pending_rows)
-
-    # -- registration --------------------------------------------------------------------
-
-    def _check_empty(self) -> None:
-        if self.entry_count or self._pending_rows:
-            raise ValueError(
-                "register columns and keys before the first append; "
-                "the delta store keeps no raw rows to backfill from"
-            )
-
-    def register_float(self, attribute: str) -> None:
-        if attribute in self._floats:
-            return
-        self._check_empty()
-        self._floats[attribute] = (
-            self.schema.index_of(attribute),
-            _GrowArray(np.float64),
-        )
-
-    def register_key(self, attributes: Sequence[str], track_buckets: bool = True) -> None:
-        key = tuple(attributes)
-        state = self._keys.get(key)
-        if state is not None:
-            # Re-registration only ever widens: a grouping-only key asked for
-            # again with buckets starts tracking them.  Widening after rows
-            # were appended would leave the buckets silently incomplete, so
-            # it falls under the same registration-before-append rule.
-            if track_buckets and not state.track_buckets:
-                self._check_empty()
-                state.track_buckets = True
-            return
-        self._check_empty()
-        self._keys[key] = _DeltaKey(
-            [self.schema.index_of(attribute) for attribute in key], track_buckets
-        )
-
-    # -- appends -------------------------------------------------------------------------
-
-    def append_rows(self, rows: Sequence[Tuple], multiplicities) -> None:
-        """Append one delta (rows + signed multiplicities); encoded lazily.
-
-        The rows are buffered and reach the encodings on the next read (see
-        :meth:`_flush`), so a stream of single-row appends between reads
-        pays one vectorised encode instead of per-row dictionary probes.
-        """
-        self._pending_rows.extend(rows)
-        self._pending_multiplicities.extend(
-            float(multiplicity) for multiplicity in multiplicities
-        )
-
-    def _flush(self) -> None:
-        if not self._pending_rows:
-            return
-        rows = self._pending_rows
-        multiplicities = self._pending_multiplicities
-        self._pending_rows = []
-        self._pending_multiplicities = []
-        if len(rows) > 1:
-            self.commit(self.stage(rows, multiplicities))
-            return
-        # The per-tuple update path: scalar appends, no array round-trips.
-        row = rows[0]
-        self._multiplicities.append(multiplicities[0])
-        for position, values in self._floats.values():
-            values.append(float(row[position]))
-        for state in self._keys.values():
-            state.append_one(row, self.entry_count)
-        self.entry_count += 1
-
-    def stage(self, rows: Sequence[Tuple], multiplicities) -> "StagedDelta":
-        """Encode one delta without appending it (see the class docstring).
-
-        Keys the store has not seen are registered, so the codes stay valid,
-        but no entry exists until :meth:`commit`: :meth:`buckets_for`,
-        :meth:`key_codes` and the other readers do not see the delta.
-        """
-        self._flush()
-        columns = list(zip(*rows))
-        return StagedDelta(
-            columns,
-            np.asarray(multiplicities, dtype=np.float64),
-            {
-                key: state.encode(columns, len(rows))
-                for key, state in self._keys.items()
-            },
-        )
-
-    def commit(self, staged: "StagedDelta") -> None:
-        """Append a delta :meth:`stage` encoded, at the store's current end."""
-        self._flush()
-        base = self.entry_count
-        self._multiplicities.extend(staged.multiplicities)
-        for position, values in self._floats.values():
-            values.extend(np.asarray(staged.columns[position], dtype=np.float64))
-        for key, state in self._keys.items():
-            state.append(staged.codes[key], base)
-        self.entry_count = base + staged.multiplicities.shape[0]
-
-    # -- columnar access -----------------------------------------------------------------
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        self._flush()
-        return self._multiplicities.view()
-
-    def float_column(self, attribute: str) -> np.ndarray:
-        self._flush()
-        return self._floats[attribute][1].view()
-
-    def key_codes(self, attributes: Sequence[str]) -> Tuple[np.ndarray, List[Tuple]]:
-        """Per-entry key code plus the distinct key tuples, in code order."""
-        self._flush()
-        state = self._keys[tuple(attributes)]
-        return state.codes.view(), state.keys
-
-    def probe_keys(
-        self, attributes: Sequence[str], keys: Sequence[Tuple]
-    ) -> List[Optional[int]]:
-        """The code of each key tuple (None when no row ever carried it)."""
-        self._flush()
-        return list(map(self._keys[tuple(attributes)].probe, keys))
-
-    def buckets_for(
-        self, attributes: Sequence[str], keys: Sequence[Tuple]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Entry positions per requested key, concatenated in CSR form.
-
-        Returns ``(offsets, positions)``: ``positions[offsets[i] :
-        offsets[i + 1]]`` are the store entries whose key equals ``keys[i]``
-        — the incremental counterpart of grouping a snapshot store's key
-        codes, at cost O(matched entries) per call.
-        """
-        self._flush()
-        state = self._keys[tuple(attributes)]
-        probe = state.probe
-        views: List[np.ndarray] = []
-        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        total = 0
-        for position, key in enumerate(keys):
-            code = probe(key)
-            if code is not None:
-                view = state.bucket_array(code)
-                views.append(view)
-                total += view.shape[0]
-            offsets[position + 1] = total
-        if not views:
-            return offsets, np.empty(0, dtype=np.int64)
-        return offsets, np.concatenate(views)

@@ -172,6 +172,12 @@ class Relation:
         return self._store.version
 
     @property
+    def store(self) -> TupleStore:
+        """The :class:`TupleStore` holding the rows (F-IVM reads its key
+        indexes; mutate through the relation, never the store)."""
+        return self._store
+
+    @property
     def storage_key(self) -> Tuple[int, int]:
         """The ``(version, epoch)`` pair guarding zero-copy snapshots."""
         store = self._store

@@ -1,10 +1,10 @@
 """The array-native multiset tuple store behind :class:`~repro.data.relation.Relation`.
 
 Until PR 5 the system of record was a Python ``dict[tuple, int]``: every
-mutation paid per-row dictionary upkeep, every columnar snapshot paid a full
-re-encode of all rows, and the IVM mirrors re-encoded keys per batch.  The
-:class:`TupleStore` inverts that hierarchy — the *columnar* form is the
-storage:
+mutation paid per-row dictionary upkeep and every columnar snapshot paid a
+full re-encode of all rows.  The :class:`TupleStore` inverts that hierarchy —
+the *columnar* form is the storage, and it is the only copy of a relation's
+rows (F-IVM's delta propagation reads it through key indexes):
 
 - one **dictionary-encoded code array** per attribute (``values`` in
   first-occurrence order plus an ``int64`` code per row), grown in place and
@@ -58,6 +58,32 @@ them preserving slot order, and bumps the epoch.  Pickling persists the
 dense encodings (codes, dictionaries, exceptions) for the same reason — a
 checkpoint's bytes do not depend on when the last sweep happened.
 
+Key indexes
+-----------
+:meth:`TupleStore.add_index` indexes the store by a tuple of attributes; the
+F-IVM maintainer registers one per join key its propagation reads (a node's
+connection key and each child's).  An index gives every slot a *key code*
+and every code the slots that carry it:
+
+- a single attribute's key codes *are* that column's dictionary codes — no
+  second dictionary;
+- a combination of attributes numbers the combinations of its columns'
+  codes in order of first occurrence over every slot ever encoded, so the
+  numbering is a function of the history, and a checkpoint carries it (the
+  only index state a file holds);
+- the buckets are derived: the slots grouped by code, built by one stable
+  sort and then extended by merging in the slots appended since, once they
+  outnumber an eighth of the bucketed ones (:data:`INDEX_TAIL_MIN` at
+  least); until then a lookup scans them.  A sweep and a load drop the
+  buckets, and the next lookup rebuilds them.
+
+Codes are never reused, and a lookup returns *live* slots only (multiplicity
+!= 0), in slot order per key: a delete nets in place, and a store with
+tombstones and its swept or restored twin hand the same slots, in the same
+order, to the same arithmetic.  :meth:`TupleStore.floats_at` reads a
+feature column through the dictionary's float decoding (each entry decoded
+once) with the exceptions put back, so a stored ``-0.0`` reads ``-0.0``.
+
 Snapshot pinning
 ----------------
 The serving layer (:mod:`repro.serving`) hands snapshots to concurrent
@@ -80,9 +106,9 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import compress
+from itertools import compress, filterfalse, repeat
 from operator import countOf, is_not
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,7 +268,7 @@ class _ColumnCodes:
     no per-value check unless it holds a float zero.
     """
 
-    __slots__ = ("values", "index", "codes", "exceptions", "kinds")
+    __slots__ = ("values", "index", "codes", "exceptions", "kinds", "floats")
 
     def __init__(self) -> None:
         self.values: List[object] = []
@@ -250,6 +276,9 @@ class _ColumnCodes:
         self.codes = _GrowArray(np.int64)
         self.exceptions: Dict[int, object] = {}
         self.kinds: set = set()
+        # The dictionary decoded to float64, entry for entry, grown on demand
+        # by floats_at (derived: never pickled, shared by a sweep).
+        self.floats = _GrowArray(np.float64)
 
     def code_of(self, value) -> int:
         code = self.index.get(value)
@@ -275,6 +304,22 @@ class _ColumnCodes:
             decoded[slot] = value
         return decoded
 
+    def floats_at(self, slots: np.ndarray) -> np.ndarray:
+        """The stored values of ``slots`` as float64: the dictionary's floats
+        (each entry decoded once; ``float`` raises on a non-numeric one)
+        gathered by code, with the exceptions' own values put back (a stored
+        ``-0.0`` under the entry ``0.0`` reads ``-0.0``)."""
+        if self.floats.size < len(self.values):
+            fresh = self.values[self.floats.size :]
+            self.floats.extend(np.fromiter(map(float, fresh), dtype=np.float64, count=len(fresh)))
+        floats = self.floats.view()[self.codes.view()[slots]]
+        exceptions = self.exceptions
+        if exceptions:
+            inexact = np.fromiter(exceptions, dtype=np.int64, count=len(exceptions))
+            for position in np.flatnonzero(np.isin(slots, inexact)).tolist():
+                floats[position] = float(exceptions[int(slots[position])])
+        return floats
+
     def __getstate__(self) -> Dict:
         # The inverse index and the type set are derivable; rebuilding the
         # index on load halves the dictionary bytes a checkpoint carries.
@@ -285,6 +330,7 @@ class _ColumnCodes:
         self.values = state["values"]
         self.codes = state["codes"]
         self.exceptions = state["exceptions"]
+        self.floats = _GrowArray(np.float64)
         self.index = {value: position for position, value in enumerate(self.values)}
         self.kinds = set(map(type, self.values))
         self.kinds.update(map(type, self.exceptions.values()))
@@ -351,6 +397,218 @@ class _ColumnCodes:
                 self.exceptions[base + position] = value
 
 
+#: A key index scans at most this many slots past its bucket arrays per
+#: lookup (or an eighth of the slots they cover) before merging them in.
+INDEX_TAIL_MIN = 1024
+
+#: Bits per column code in a joined combination (dictionaries stay far below).
+_CODE_BITS = 32
+
+
+def _joined(parts: List[np.ndarray], count: int) -> List[int]:
+    """One int per row joining its per-column codes, ``_CODE_BITS`` bits
+    each: exact, hashed as an int, and negative where any code is -1."""
+    if not parts:
+        return [0] * count
+    joined = ((parts[0] << _CODE_BITS) | parts[1]).tolist()
+    for part in parts[2:]:          # past two columns, Python ints stay exact
+        joined = list(map(int.__or__, map(int.__lshift__, joined, repeat(_CODE_BITS)),
+                          part.tolist()))
+    return joined
+
+
+def _split(joined: int, arity: int) -> List[int]:
+    """The per-column codes :func:`_joined` joined."""
+    mask = (1 << _CODE_BITS) - 1
+    return [(joined >> (_CODE_BITS * (arity - 1 - column))) & mask for column in range(arity)]
+
+
+class _KeyIndex:
+    """One secondary index of a :class:`TupleStore`: a key code per slot and
+    the slots of each code (see "Key indexes" in the module docstring).
+
+    ``positions`` are the key's column positions.  A single-column key's
+    codes are that column's codes, so it holds no codes of its own.  Any
+    other key numbers the combinations of its columns' codes in order of
+    first occurrence over the encoded slots: ``parts`` holds, per column,
+    each combination's column code in code order (the numbering, which is
+    history and what a pickle carries), ``combos`` maps a combination (its
+    column codes joined into one int, :func:`_joined`) to its code, ``keys``
+    lists the decoded key tuples in code order and ``codes`` holds one code
+    per slot.
+
+    The buckets are derived: ``order`` lists the slots below ``built``
+    grouped by code, ascending within a code, and ``starts`` cuts it per
+    code.  Slots from ``built`` on are scanned by a lookup until there are
+    enough of them to merge.
+    """
+
+    __slots__ = ("positions", "parts", "combos", "keys", "codes", "order", "starts",
+                 "built")
+
+    def __init__(self, positions: Tuple[int, ...]) -> None:
+        self.positions = positions
+        composite = len(positions) != 1
+        self.parts = [_GrowArray(np.uint32) for _ in positions] if composite else []
+        self.combos: Optional[Dict[int, int]] = {} if composite else None
+        self.keys: List[Tuple] = []
+        self.codes = _GrowArray(np.int64) if composite else None
+        self.drop_buckets()
+
+    def drop_buckets(self) -> None:
+        self.order = np.empty(0, dtype=np.int64)
+        self.starts = np.zeros(1, dtype=np.int64)
+        self.built = 0
+
+    def code_columns(self, columns: List[_ColumnCodes], start: int, stop: int) -> None:
+        """Number the combinations of slots ``start..stop`` (already encoded)."""
+        if self.combos is None or stop <= start:
+            return
+        probes = _joined(
+            [columns[position].codes.view()[start:stop] for position in self.positions],
+            stop - start,
+        )
+        combos = self.combos
+        try:
+            codes = np.fromiter(
+                map(combos.__getitem__, probes), dtype=np.int64, count=len(probes)
+            )
+        except KeyError:
+            # Unseen combinations are numbered in order of first occurrence,
+            # then every code is read.
+            fresh = list(dict.fromkeys(filterfalse(combos.__contains__, probes)))
+            combos.update(zip(fresh, range(len(self.keys), len(self.keys) + len(fresh))))
+            split = [_split(joined, len(self.positions)) for joined in fresh]
+            for part, column in zip(self.parts, zip(*split)):
+                part.extend(column)
+            self._add_keys(columns, split)
+            codes = np.fromiter(
+                map(combos.__getitem__, probes), dtype=np.int64, count=len(probes)
+            )
+        self.codes.extend(codes)
+
+    def _add_keys(self, columns: List[_ColumnCodes], combinations: Iterable[Sequence[int]]) -> None:
+        self.keys.extend(
+            tuple(columns[position].values[part] for position, part in zip(self.positions, combo))
+            for combo in combinations
+        )
+
+    def slot_codes(self, columns: List[_ColumnCodes]) -> np.ndarray:
+        if self.codes is None:
+            return columns[self.positions[0]].codes.view()
+        return self.codes.view()
+
+    def size(self, columns: List[_ColumnCodes]) -> int:
+        if self.combos is None:
+            return len(columns[self.positions[0]].values)
+        return len(self.keys)
+
+    def decode(self, columns: List[_ColumnCodes], codes: Iterable[int]) -> List[Tuple]:
+        if self.combos is None:
+            values = columns[self.positions[0]].values
+            return [(values[code],) for code in codes]
+        return list(map(self.keys.__getitem__, codes))
+
+    def probe(
+        self, columns: List[_ColumnCodes], values: Sequence[Sequence], count: int
+    ) -> np.ndarray:
+        """The code of each of ``count`` keys given column-wise (``values[i]``
+        holds the ``i``-th attribute of every key); -1 where no row has it."""
+        parts = [
+            np.fromiter(map(columns[position].index.get, column, repeat(-1)),
+                        dtype=np.int64, count=count)
+            for position, column in zip(self.positions, values)
+        ]
+        if self.combos is None:
+            return parts[0]
+        # An unknown value (-1) joins into a combination no slot has.
+        return np.fromiter(
+            map(self.combos.get, _joined(parts, count), repeat(-1)),
+            dtype=np.int64, count=count,
+        )
+
+    def _merge(self, codes: np.ndarray, space: int) -> None:
+        """Fold the slots from ``built`` on into the buckets: one stable sort
+        of those slots' codes and one scatter of the old order."""
+        built, old = self.built, self.order
+        tail = codes[built:]
+        tail_order = np.argsort(tail, kind="stable")
+        tail_counts = np.bincount(tail, minlength=space)
+        old_counts = np.zeros(space, dtype=np.int64)
+        old_counts[: self.starts.size - 1] = np.diff(self.starts)
+        order = np.empty(codes.size, dtype=np.int64)
+        # A kept slot moves up by the new slots of smaller codes; a new one
+        # lands after every kept slot of its own code and below.
+        shift = np.cumsum(tail_counts) - tail_counts
+        order[np.arange(built) + shift[codes[old]]] = old
+        through = np.cumsum(old_counts)
+        order[np.arange(tail.size) + through[tail[tail_order]]] = tail_order + built
+        starts = np.zeros(space + 1, dtype=np.int64)
+        np.cumsum(old_counts + tail_counts, out=starts[1:])
+        self.order, self.starts, self.built = order, starts, codes.size
+
+    def lookup(
+        self, columns: List[_ColumnCodes], mults: np.ndarray, requested: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(items, slots)``: the live slots whose code is ``requested[i]``
+        (distinct codes, -1 for none), each paired with its ``i``, ordered by
+        ``i`` and then by slot."""
+        codes = self.slot_codes(columns)
+        space = self.size(columns)
+        if codes.size - self.built > max(INDEX_TAIL_MIN, self.built >> 3):
+            self._merge(codes, space)
+        items = np.flatnonzero(requested >= 0)
+        wanted = requested[items]
+        bucketed = self.starts.size - 1
+        low = self.starts[np.minimum(wanted, bucketed)]
+        lengths = self.starts[np.minimum(wanted + 1, bucketed)] - low
+        total = int(lengths.sum())
+        into = np.repeat(low - (np.cumsum(lengths) - lengths), lengths)
+        slots = self.order[into + np.arange(total, dtype=np.int64)]
+        items_of = np.repeat(items, lengths)
+        if codes.size > self.built:
+            table = np.full(space, -1, dtype=np.int64)
+            table[wanted] = items
+            matched = table[codes[self.built :]]
+            hits = np.flatnonzero(matched >= 0)
+            if hits.size:
+                items_of = np.concatenate([items_of, matched[hits]])
+                slots = np.concatenate([slots, hits + self.built])
+                ordered = np.argsort(items_of, kind="stable")
+                items_of, slots = items_of[ordered], slots[ordered]
+        live = mults[slots] != 0.0
+        if not live.all():
+            items_of, slots = items_of[live], slots[live]
+        return items_of, slots
+
+    def gather(self, slots: np.ndarray) -> None:
+        """Keep exactly ``slots`` (a sweep): codes gathered, buckets dropped."""
+        if self.codes is not None:
+            kept = _GrowArray(np.int64, capacity=max(slots.size, 1))
+            kept.extend(self.codes.view()[slots])
+            self.codes = kept
+        self.drop_buckets()
+
+    def __getstate__(self) -> Dict:
+        # The numbering of combinations is history; the rest is derived.
+        return {"positions": self.positions, "parts": self.parts}
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__init__(state["positions"])
+        self.parts = parts = state["parts"]
+        if parts:
+            count = parts[0].size
+            joined = _joined([part.view().astype(np.int64) for part in parts], count)
+            self.combos = dict(zip(joined, range(count)))
+
+    def rebuild(self, columns: List[_ColumnCodes], count: int) -> None:
+        """After a load: the key tuples of the restored numbering and the
+        codes of all ``count`` slots."""
+        if self.combos is not None:
+            self._add_keys(columns, zip(*(part.view().tolist() for part in self.parts)))
+            self.code_columns(columns, 0, count)
+
+
 def net_rows(
     rows: Sequence[Tuple], multiplicities: Sequence[int]
 ) -> Tuple[List[Tuple], List[int]]:
@@ -370,8 +628,8 @@ class TupleStore:
     """Array-native multiset storage for one relation (see module docstring)."""
 
     __slots__ = ("schema", "_rows", "_row_index", "_mults", "_columns",
-                 "_encoded_count", "live", "zeros", "total", "version", "epoch",
-                 "pins", "_pin_floor", "_cow_pending")
+                 "_encoded_count", "_indexes", "live", "zeros", "total", "version",
+                 "epoch", "pins", "_pin_floor", "_cow_pending")
 
     def __init__(self, schema) -> None:
         self.schema = schema
@@ -382,7 +640,9 @@ class TupleStore:
         # Rows below this position are dictionary-encoded; the tail is
         # pending and encoded in one vectorised pass on the next snapshot.
         self._encoded_count = 0
-        self.live = 0               # distinct rows with non-zero multiplicity
+        # Key indexes by column positions (see "Key indexes").
+        self._indexes: Dict[Tuple[int, ...], _KeyIndex] = {}
+        self.live = 0              # distinct rows with non-zero multiplicity
         self.zeros = 0              # tombstones awaiting compaction
         self.total = 0.0            # running sum of multiplicities
         self.version = 0            # logical mutation counter
@@ -494,10 +754,9 @@ class TupleStore:
         """Encode the pending row tail into the per-column code arrays.
 
         One transpose of the pending rows plus one vectorised dictionary
-        merge per column — the cost is proportional to the rows appended
-        since the last flush, never to the relation size, and update-only
-        phases (IVM streams propagating through mirrors) never pay it at
-        all.
+        merge per column, then each composite key index numbers the new
+        slots — the cost is proportional to the rows appended since the last
+        flush, never to the relation size.
         """
         start = self._encoded_count
         count = len(self._rows)
@@ -513,6 +772,59 @@ class TupleStore:
             for position, column in enumerate(self._columns):
                 column.extend_values(columns[position])
         self._encoded_count = count
+        for index in self._indexes.values():
+            index.code_columns(self._columns, start, count)
+
+    # -- key indexes (consumed by repro.ivm.fivm) ---------------------------------------
+
+    def add_index(self, attributes: Sequence[str]) -> None:
+        """Index the store by ``attributes`` (a no-op when already indexed).
+
+        Registered on an empty store, a combination's numbering is its order
+        of first occurrence over every row ever stored.
+        """
+        positions = tuple(map(self.schema.index_of, attributes))
+        if positions not in self._indexes:
+            self.flush_encodings()
+            index = self._indexes[positions] = _KeyIndex(positions)
+            index.code_columns(self._columns, 0, len(self._rows))
+
+    def _index(self, attributes: Sequence[str]) -> _KeyIndex:
+        self.flush_encodings()
+        return self._indexes[tuple(map(self.schema.index_of, attributes))]
+
+    def index_codes(self, attributes: Sequence[str]) -> np.ndarray:
+        """The key code of every slot, tombstones included."""
+        return self._index(attributes).slot_codes(self._columns)
+
+    def index_size(self, attributes: Sequence[str]) -> int:
+        """How many key codes exist: codes are ``0..size-1``, never reused."""
+        return self._index(attributes).size(self._columns)
+
+    def index_keys(self, attributes: Sequence[str], codes: Iterable[int]) -> List[Tuple]:
+        """The key tuple of each code."""
+        return self._index(attributes).decode(self._columns, codes)
+
+    def index_probe(
+        self, attributes: Sequence[str], values: Sequence[Sequence], count: int
+    ) -> np.ndarray:
+        """The code of each of ``count`` keys, given as one value sequence per
+        attribute; -1 for a key no stored row ever had."""
+        return self._index(attributes).probe(self._columns, values, count)
+
+    def index_lookup(
+        self, attributes: Sequence[str], codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(items, slots)``: every live slot whose code is ``codes[i]``,
+        paired with its ``i``; ordered by ``i``, then by slot.  Codes of -1
+        match nothing."""
+        return self._index(attributes).lookup(self._columns, self._mults.view(), codes)
+
+    def floats_at(self, attribute: str, slots: np.ndarray) -> np.ndarray:
+        """The stored values of one attribute at ``slots``, as float64 (each
+        dictionary entry decoded once; exceptions keep their own value)."""
+        self.flush_encodings()
+        return self._columns[self.schema.index_of(attribute)].floats_at(slots)
 
     # -- mutation ----------------------------------------------------------------------
 
@@ -585,6 +897,7 @@ class TupleStore:
         self._mults = _GrowArray(np.float64)
         self._columns = [_ColumnCodes() for _ in self.schema.names]
         self._encoded_count = 0
+        self._indexes = {positions: _KeyIndex(positions) for positions in self._indexes}
         self.live = 0
         self.zeros = 0
         self.total = 0.0
@@ -663,6 +976,8 @@ class TupleStore:
         self._mults, self._columns = self._gather(slots)   # flushes the tail first
         self._rows = self._gather_rows(slots)
         self._encoded_count = len(self._rows)
+        for index in self._indexes.values():
+            index.gather(slots)
         self.zeros = 0
         self._index_live_rows()
         self.epoch += 1
@@ -684,6 +999,7 @@ class TupleStore:
         for column in self._columns:
             kept = _ColumnCodes()
             kept.values, kept.index, kept.kinds = column.values, column.index, column.kinds
+            kept.floats = column.floats
             kept.codes = _GrowArray(np.int64, capacity=capacity)
             kept.codes.extend(column.codes.view()[slots])
             kept.exceptions = _remap_exceptions(column.exceptions, slots)
@@ -707,16 +1023,19 @@ class TupleStore:
 
         Tombstones are left out (gathered away, the store itself untouched)
         and the pending tail is encoded first, so the pickled bytes depend on
-        the update history only, like every other snapshot.  Everything else
-        is derived or process-local and starts afresh in :meth:`__setstate__`:
-        the rows (decoded exactly from the encodings), the row index, the
-        reader-pin bookkeeping and the physical-layout epoch.
+        the update history only, like every other snapshot.  A key index
+        contributes its key columns and, for a combination, its numbering.
+        Everything else is derived or process-local and starts afresh in
+        :meth:`__setstate__`: the rows (decoded exactly from the encodings),
+        the row index, the key codes and buckets, the reader-pin bookkeeping
+        and the physical-layout epoch.
         """
         self.flush_encodings()
         mults, columns = self._mults, self._columns
         if self.zeros:
             mults, columns = self._gather(self.live_slots())
         return {"schema": self.schema, "_mults": mults, "_columns": columns,
+                "_indexes": self._indexes,
                 "live": self.live, "total": self.total, "version": self.version}
 
     def __setstate__(self, state: Dict) -> None:
@@ -729,6 +1048,8 @@ class TupleStore:
             self._rows = [()] * self._mults.size
         self._encoded_count = len(self._rows)
         self._index_live_rows()
+        for index in self._indexes.values():
+            index.rebuild(self._columns, len(self._rows))
 
     # -- copying -----------------------------------------------------------------------
 
@@ -752,6 +1073,7 @@ class TupleStore:
         for child in clone._columns:
             child.values, child.index = list(child.values), dict(child.index)
             child.kinds = set(child.kinds)
+            child.floats = _GrowArray(np.float64)
         picked = clone._mults.view()
         clone._encoded_count = len(clone._rows)
         clone.live = int((picked != 0.0).sum())
@@ -797,4 +1119,8 @@ class TupleStore:
         for column in self._columns:
             total += column.codes.data.nbytes
             total += _sys.getsizeof(column.values) + _sys.getsizeof(column.index)
+        for index in self._indexes.values():
+            total += index.order.nbytes + index.starts.nbytes
+            if index.codes is not None:
+                total += index.codes.data.nbytes + _sys.getsizeof(index.combos)
         return total

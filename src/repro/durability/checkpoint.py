@@ -1,10 +1,10 @@
 """Epoch-aligned checkpoints of the full maintainer state.
 
 A checkpoint captures the complete :class:`~repro.ivm.base.CovarianceMaintainer`
-— relations, views and mirrors — as of a journal sequence number.  Recovery
-loads the newest valid one and replays the journal tail *after* that sequence
-through the maintainer's own grouped apply path, which converges
-bit-identically to the pre-crash state.
+— relations (with their key indexes) and views — as of a journal sequence
+number.  Recovery loads the newest valid one and replays the journal tail
+*after* that sequence through the maintainer's own grouped apply path, which
+converges bit-identically to the pre-crash state.
 
 What is written is *state*, not the object graph.  Each stateful class says
 what its state is in its pickle hooks (``__getstate__`` / ``__setstate__``,

@@ -151,10 +151,10 @@ class CovarianceMaintainer(abc.ABC):
         #: Counters mirroring ``BatchResult.executor_stats``: the fused pass
         #: records ``delta_passes`` (traversals run), ``delta_pass_ns`` (time
         #: spent inside them) and ``slot_map_probes`` (dictionary probes
-        #: resolving mirror keys to view slots), so benchmarks can attribute
-        #: maintenance time without profiling.
+        #: resolving parent key codes to view slots), so benchmarks can
+        #: attribute maintenance time without profiling.
         self.executor_stats: Dict[str, int] = {}
-        # Maintainers are single-writer by contract: updates mutate mirrors
+        # Maintainers are single-writer by contract: updates mutate tuple
         # and payload stores with no internal synchronisation.  The gate
         # turns a violated contract (two threads applying concurrently)
         # into an immediate error instead of silent corruption; it is an
@@ -284,11 +284,11 @@ class CovarianceMaintainer(abc.ABC):
         update's arity validated *before* anything is applied (an invalid
         update anywhere in the batch leaves the maintainer untouched).
         All groups go at once through ``_apply_multi_delta`` (one
-        leaf-to-root traversal for the whole batch); the groups' rows then
-        land in the base relations and the per-relation after-hooks commit
-        what the pass staged.  Subclasses without a fused pass, and batches
-        netting to a single row, fall back to the per-tuple :meth:`apply`
-        over the *netted* pairs — the same rule :meth:`apply_groups` uses, so
+        leaf-to-root traversal for the whole batch, which also lands the
+        groups' rows in the base relations).  Subclasses without a fused
+        pass, and batches netting to a single row, fall back to the
+        per-tuple :meth:`apply` over the *netted* pairs — the same rule
+        :meth:`apply_groups` uses, so
         ``apply_batch(U)`` and ``apply_groups(net_updates(U))`` retrace the
         identical computation (the durability journal relies on this for
         bit-identical replay).
@@ -412,42 +412,22 @@ class CovarianceMaintainer(abc.ABC):
                 for row, multiplicity in zip(rows, netted):
                     self.apply(Update(relation_name, row, multiplicity))
             return
-        prepared = [
-            (name, rows, netted, np.asarray(netted, dtype=np.float64))
-            for name, rows, netted in groups
-        ]
-        self._apply_multi_delta(
-            [(name, rows, floats) for name, rows, _netted, floats in prepared]
-        )
-        for relation_name, rows, netted, multiplicities in prepared:
-            self.database.relation(relation_name).add_batch(
-                rows, netted, validated=True
-            )
-            self._after_delta_group(relation_name, rows, multiplicities)
+        self._apply_multi_delta(groups)
 
     @abc.abstractmethod
     def _apply_update(self, update: Update) -> None:
         """Strategy-specific maintenance, run before the base relation changes."""
 
-    def _apply_multi_delta(
-        self, groups: List[Tuple[str, List[Tuple], np.ndarray]]
-    ) -> None:
+    def _apply_multi_delta(self, groups: List[Tuple[str, List[Tuple], List[int]]]) -> None:
         """Strategy-specific fused maintenance for a whole batch.
 
         ``groups`` lists every touched relation's netted delta as
-        ``(relation_name, rows, multiplicities)``.  Run before any group's
-        rows reach the base relations — the fused pass reads every mirror in
-        its pre-batch state.  A subclass that does not override this gets
-        every batch applied per tuple.
+        ``(relation_name, rows, multiplicities)``.  The pass also lands every
+        group's rows in its base relation (``Relation.add_batch``), at the
+        point of the traversal its arithmetic needs them.  A subclass that
+        does not override this gets every batch applied per tuple.
         """
         raise NotImplementedError
-
-    def _after_delta_group(
-        self, relation_name: str, rows: List[Tuple], multiplicities: np.ndarray
-    ) -> None:
-        """Hook run after a group's rows landed in the base relation: the
-        fused pass commits what it staged for the group (see
-        :meth:`repro.ivm.fivm.FIVM._group_delta`)."""
 
     # -- durability support ---------------------------------------------------------------
 

@@ -18,15 +18,17 @@ two equivalent code paths over one state:
 - **batched** (``apply_batch``): a whole per-relation update group is lifted
   into one :class:`~repro.rings.covariance.CovarianceBlock`, joined against
   the child views by key codes, and propagated to the root through the
-  per-parent :class:`~repro.data.colstore.DeltaColumnStore` mirrors —
-  append-only columnar encodings whose per-key row buckets play the role of
-  the executor's CSR tables, kept current incrementally so a hop never pays
-  an O(rows) re-encode.  The same factorised delta rule, with every ring
-  operation vectorised over the group.  A batch row is indexed *once* per
-  mirror key: the mirror stages an update group (codes computed, nothing
-  visible yet), the group's own delta gathers child-view slots from the
-  staged codes through the per-(parent, child) :class:`_SlotMap`\\ s the
-  hops also use, and ``_after_delta_group`` commits the staged entries.
+  parent relations' own :class:`~repro.data.tuplestore.TupleStore`\\ s.
+  Each row is stored, encoded and checkpointed once: a hop reads the
+  parent's rows through the store's key indexes (a single attribute's codes
+  are its column's dictionary codes; the slots per code play the role of
+  the executor's CSR tables and are kept current incrementally, so a hop
+  never pays an O(rows) re-encode), its multiplicities in place (a delete
+  nets there, and only live rows hop) and its feature floats through the
+  column dictionaries.  The same factorised delta rule, with every ring
+  operation vectorised over the group.  The key codes of a group's rows
+  reach the child views through the per-(parent, child)
+  :class:`_SlotMap`\\ s the hops also use.
 
 The batched path is *fused* across relations: instead of one leaf-to-root
 propagation per touched relation, ``apply_batch`` runs a single
@@ -47,7 +49,9 @@ children processed in tree order, a child's hop multiplies the views of
 earlier siblings *after* their deltas landed and of later siblings *before*
 theirs, and a node's own group is lifted against fully-updated child views —
 exactly the expansion of ``new product − old product``, so one traversal
-lands on the per-relation result.
+lands on the per-relation result.  The pass needs no staging to keep a
+parent's new rows from its children's hops: a node's group lands in its
+relation at the node's own turn, after every child hopped.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.colstore import DeltaColumnStore, StagedDelta, _compact_codes
+from repro.data.colstore import _compact_codes
 from repro.data.database import Database
+from repro.data.tuplestore import TupleStore
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.ivm.base import CovarianceMaintainer, Update
 from repro.ivm.payload_store import PayloadStore
@@ -69,27 +74,27 @@ from repro.rings.covariance import CovarianceBlock, CovariancePayload, PayloadSc
 
 
 class _SlotMap:
-    """Mirror key code -> slot of one child view, for one (parent, child) pair.
+    """Store key code -> slot of one child view, for one (parent, child) pair.
 
-    Both sides only grow — a mirror never forgets a key, a view never evicts
-    one and its slots never move — so every entry is settled by one
-    dictionary probe: a mirror key is probed against the view when the
-    mirror registers it (staged keys included), and a ``-1`` miss is filled
-    when the *view* gains the key, by probing the keys the view gained since
-    the last lookup against the mirror.  Outstanding misses are never
-    re-probed, so ``probes`` stays below mirror keys + view keys however
-    late the dimension rows arrive.  A cache over mirror and view: left out
-    of checkpoints, rebuilt on first use.
+    Both sides only grow — the parent's key index never reuses a code, a
+    view never evicts a key and its slots never move — so every entry is
+    settled by one dictionary probe: a key code is probed against the view
+    when the index first has it, and a ``-1`` miss is filled when the *view*
+    gains the key, by probing the keys the view gained since the last lookup
+    against the index.  Outstanding misses are never re-probed, so
+    ``probes`` stays below index keys + view keys however late the dimension
+    rows arrive.  A cache over store and view: left out of checkpoints,
+    rebuilt on first use.
     """
 
-    __slots__ = ("view", "mirror", "attributes", "mapping", "size", "view_len",
+    __slots__ = ("view", "store", "attributes", "mapping", "size", "view_len",
                  "probes")
 
     def __init__(
-        self, view: PayloadStore, mirror: DeltaColumnStore, attributes: Tuple[str, ...]
+        self, view: PayloadStore, store: TupleStore, attributes: Tuple[str, ...]
     ) -> None:
         self.view = view
-        self.mirror = mirror
+        self.store = store
         self.attributes = attributes
         self.mapping = np.full(16, -1, dtype=np.int64)
         self.size = 0
@@ -97,17 +102,16 @@ class _SlotMap:
         self.probes = 0
 
     def lookup(self) -> np.ndarray:
-        view = self.view
-        _codes, key_list = self.mirror.key_codes(self.attributes)
+        view, store, attributes = self.view, self.store, self.attributes
         if len(view) > self.view_len:
             gained = view.keys(self.view_len)
-            codes = self.mirror.probe_keys(self.attributes, gained)
-            for slot, code in enumerate(codes, self.view_len):
-                if code is not None and code < self.size:
+            codes = store.index_probe(attributes, list(zip(*gained)), len(gained))
+            for slot, code in enumerate(codes.tolist(), self.view_len):
+                if 0 <= code < self.size:
                     self.mapping[code] = slot
             self.view_len += len(gained)
             self.probes += len(gained)
-        needed = len(key_list)
+        needed = store.index_size(attributes)
         if needed > self.size:
             if needed > self.mapping.shape[0]:
                 capacity = self.mapping.shape[0]
@@ -116,7 +120,9 @@ class _SlotMap:
                 grown = np.full(capacity, -1, dtype=np.int64)
                 grown[: self.size] = self.mapping[: self.size]
                 self.mapping = grown
-            self.mapping[self.size : needed] = view.slots_for(key_list[self.size :])
+            self.mapping[self.size : needed] = view.slots_for(
+                store.index_keys(attributes, range(self.size, needed))
+            )
             self.probes += needed - self.size
             self.size = needed
         return self.mapping[: self.size]
@@ -167,36 +173,21 @@ class FIVM(CovarianceMaintainer):
                 self._child_key_positions[(node.relation_name, child.relation_name)] = [
                     relation.schema.index_of(attribute) for attribute in conn
                 ]
-        # The batched path's columnar mirrors: one append-only delta store per
-        # *parent* relation (the propagation only ever joins against parents;
-        # leaves have no readers), with the designated features and every key
-        # the propagation joins on (the node's own connection key plus each
-        # child's) registered up front.  Both update paths append to them, so
-        # a batch never pays an O(rows) re-encode of a mutated relation.
-        self._mirrors: Dict[str, DeltaColumnStore] = {}
+        # Propagation only ever joins against *parent* relations (leaves have
+        # no readers), through key indexes on their own tuple stores: each
+        # child's connection key (looked up by a hop) and the node's own (a
+        # hop's output grouping; the root's empty key needs none).
         for node in self.join_tree.nodes():
             if not node.children:
                 continue
-            relation = self.database.relation(node.relation_name)
-            mirror = DeltaColumnStore(relation.name, relation.schema)
-            for feature in self.features_of(node.relation_name):
-                mirror.register_float(feature)
-            # The node's own connection key only ever groups contributions;
-            # each child's key is joined against, so it tracks row buckets.
-            # The root's empty connection key groups everything into one
-            # entry, which the hop handles directly — no encoding needed.
+            store = self.database.relation(node.relation_name).store
             if self._conn_attrs[node.relation_name]:
-                mirror.register_key(
-                    self._conn_attrs[node.relation_name], track_buckets=False
-                )
+                store.add_index(self._conn_attrs[node.relation_name])
             for child in node.children:
-                mirror.register_key(self._conn_attrs[child.relation_name])
-            self._mirrors[node.relation_name] = mirror
-        # Caches, left out of checkpoints: (parent, child) -> the mirror key
-        # code -> child view slot map, and per relation the update group its
-        # mirror staged for the batch being applied.
+                store.add_index(self._conn_attrs[child.relation_name])
+        # A cache, left out of checkpoints: (parent, child) -> the parent's
+        # key code -> child view slot map.
         self._slot_maps: Dict[Tuple[str, str], _SlotMap] = {}
-        self._staged: Dict[str, StagedDelta] = {}
         # The per-tuple path's fused ring workspace (see PayloadScratch).
         self._scratch = PayloadScratch(len(self.features))
         # The fused pass's traversal plan: every node after its children.
@@ -221,24 +212,23 @@ class FIVM(CovarianceMaintainer):
         return tuple(row[position] for position in self._conn_positions[relation_name])
 
     def _slot_map(self, parent_name: str, child_name: str) -> _SlotMap:
-        """The (lazily built) mirror key code -> child view slot map."""
+        """The (lazily built) parent key code -> child view slot map."""
         pair = (parent_name, child_name)
         slot_map = self._slot_maps.get(pair)
         if slot_map is None:
             slot_map = self._slot_maps[pair] = _SlotMap(
                 self._views[child_name],
-                self._mirrors[parent_name],
+                self.database.relation(parent_name).store,
                 self._conn_attrs[child_name],
             )
         return slot_map
 
     def __getstate__(self) -> Dict:
-        """Checkpoints carry state, not caches: slot maps, staged groups and
-        pruned plans are derivable from the mirrors, views and schedule and
-        rebuilt on first use."""
+        """Checkpoints carry state, not caches: slot maps and pruned plans
+        are derivable from the stores, views and schedule and rebuilt on
+        first use."""
         state = super().__getstate__()
         state["_slot_maps"] = {}
-        state["_staged"] = {}
         state["_plan_cache"] = {}
         return state
 
@@ -252,9 +242,9 @@ class FIVM(CovarianceMaintainer):
         maintainer's :class:`~repro.rings.covariance.PayloadScratch` (no
         intermediate payload objects), added into the node's view, and then
         pushed to the root through the *same* vectorised :meth:`_hop` the
-        batched path uses: a one-row block joined against the parent's
-        columnar mirror.  The seed's per-row walk over parent-relation hash
-        indexes is gone; the mirrors are the only propagation state.
+        batched path uses: a one-row block joined against the parent's tuple
+        store through its key index.  The row reaches its own store after
+        this, in :meth:`apply` (``Relation.add``, the only write).
         """
         name = update.relation_name
         node = self.join_tree.node(name)
@@ -297,36 +287,24 @@ class FIVM(CovarianceMaintainer):
                     if node.parent is None:
                         break
 
-        # Keep the columnar mirror in sync with the base-relation change.
-        mirror = self._mirrors.get(name)
-        if mirror is not None:
-            mirror.append_rows((row,), (update.multiplicity,))
-
     # -- batched maintenance --------------------------------------------------------------------
 
     def _group_delta(
-        self, node: JoinTreeNode, rows: List[Tuple], multiplicities: np.ndarray
+        self, node: JoinTreeNode, rows: List[Tuple], netted: List[int]
     ) -> Optional[Tuple[List[Tuple], CovarianceBlock]]:
         """One update group's delta at its own node: ``(keys, block)`` or None.
 
-        The group is lifted into one block, joined against the (current)
-        child views, and grouped by the node's connection key — the starting
-        delta the fused pass pushes upwards.
-        A node with children stages the group in its mirror first: one
-        transpose and one probe per row and key, shared by the child joins
-        below and by :meth:`_after_delta_group`, which commits the entries
-        once the rows are in the base relation.  Until then the mirror does
-        not show them — a child's hop in the same pass must not see its
-        parent's new rows (the telescoped product counts that pair here,
-        against the updated child view).
+        The group is lifted into one block (a feature that is not a number
+        raises here, before anything is stored), lands in its relation — the
+        pass calls this after every child hopped into the node's old rows,
+        and before the node's own hop, which reads nothing of its own store
+        — is joined against the (current) child views through the store's
+        key codes of its rows, and is grouped by the node's connection key:
+        the starting delta the fused pass pushes upwards.
         """
         relation_name = node.relation_name
-        mirror = self._mirrors.get(relation_name)
-        if mirror is None:  # a leaf: no child to join, nothing hops into it
-            columns = list(zip(*rows))
-        else:
-            staged = self._staged[relation_name] = mirror.stage(rows, multiplicities)
-            columns = staged.columns
+        multiplicities = np.asarray(netted, dtype=np.float64)
+        columns = list(zip(*rows))
 
         # Lift the whole group in one block (scaled by its multiplicities).
         plan = self._lift_plans[relation_name]
@@ -336,14 +314,28 @@ class FIVM(CovarianceMaintainer):
         block = CovarianceBlock.lift(
             features, multiplicities, [target for _source, target in plan]
         )
+        relation = self.database.relation(relation_name)
+        store = relation.store
+        first, epoch = store.row_count, store.epoch
+        relation.add_batch(rows, netted, validated=True)
+        # A group of new rows only (a bulk load) is the store's tail, in
+        # order, and its key codes are read there instead of probed.
+        appended = store.epoch == epoch and store.row_count - first == len(rows)
 
-        # Join the lifted delta against the children's views: the staged
-        # child-key codes gathered through the slot maps the hops share;
-        # rows whose key misses any child view produce no delta.
+        # Join the lifted delta against the children's views: the rows' key
+        # codes gathered through the slot maps the hops share; rows whose
+        # key misses any child view produce no delta.
         alive = np.arange(len(rows), dtype=np.int64)
         gathers: List[Tuple[PayloadStore, np.ndarray]] = []
         for child in node.children:
-            codes = staged.codes[self._conn_attrs[child.relation_name]]
+            attributes = self._conn_attrs[child.relation_name]
+            if appended:
+                codes = store.index_codes(attributes)[first:]
+            else:
+                positions = self._child_key_positions[(relation_name, child.relation_name)]
+                codes = store.index_probe(
+                    attributes, [columns[position] for position in positions], len(rows)
+                )
             slots = self._slot_map(relation_name, child.relation_name).lookup()[codes]
             live = slots >= 0
             if not live.all():
@@ -408,9 +400,7 @@ class FIVM(CovarianceMaintainer):
             self._plan_cache[key] = plan
         return plan
 
-    def _apply_multi_delta(
-        self, groups: List[Tuple[str, List[Tuple], np.ndarray]]
-    ) -> None:
+    def _apply_multi_delta(self, groups: List[Tuple[str, List[Tuple], List[int]]]) -> None:
         """The fused pass: every touched relation's delta in one traversal.
 
         The schedule visits every node after its children.  At a node the
@@ -420,8 +410,10 @@ class FIVM(CovarianceMaintainer):
         reproducible; the merged delta is added to the node's view and
         hopped to the parent once.  Siblings keep their tree order: a node's
         delta must land in its view before a later sibling's hop reads it.
+        A group's rows land in their relation at the node's own turn, so a
+        child's hop reads its parent's rows as they were before the batch.
         """
-        # The fused pass mutates payload stores and mirrors with no internal
+        # The fused pass mutates tuple and payload stores with no internal
         # locking — it must only ever run under the single-writer gate that
         # apply()/apply_batch() hold (see CovarianceMaintainer).
         assert self._writer_gate._is_owned(), (
@@ -429,8 +421,8 @@ class FIVM(CovarianceMaintainer):
         )
         started = time.perf_counter_ns()
         probes_before = sum(slot_map.probes for slot_map in self._slot_maps.values())
-        grouped: Dict[str, Tuple[List[Tuple], np.ndarray]] = {
-            name: (rows, multiplicities) for name, rows, multiplicities in groups
+        grouped: Dict[str, Tuple[List[Tuple], List[int]]] = {
+            name: (rows, netted) for name, rows, netted in groups
         }
         schedule = self._batch_schedule(grouped)
         pending: Dict[str, List[Tuple[List[Tuple], CovarianceBlock]]] = {
@@ -463,14 +455,14 @@ class FIVM(CovarianceMaintainer):
             - probes_before
         )
 
-    def _multiply_mirror_lift(
+    def _multiply_parent_lift(
         self,
         block: CovarianceBlock,
         relation_name: str,
-        mirror: DeltaColumnStore,
-        positions: np.ndarray,
+        store: TupleStore,
+        slots: np.ndarray,
     ) -> CovarianceBlock:
-        """``block[i] * scale(lift(entry i), multiplicity of entry i)``.
+        """``block[i] * scale(lift(row at slots[i]), its multiplicity)``.
 
         Relations with no designated features lift to scaled ones, so the
         whole multiply collapses to a scale.  The fused sparse-lift product
@@ -481,17 +473,17 @@ class FIVM(CovarianceMaintainer):
         general multiply's few whole-array operations beat the fused path's
         many small ones.
         """
-        multiplicities = mirror.multiplicities[positions]
+        multiplicities = store.multiplicities_view()[slots]
         local_features = self.features_of(relation_name)
         if not local_features:
             return block.scale(multiplicities)
         feature_positions = [
             self._feature_positions[feature] for feature in local_features
         ]
-        features = np.zeros((positions.size, len(self.features)))
+        features = np.zeros((slots.size, len(self.features)))
         for feature, target in zip(local_features, feature_positions):
-            features[:, target] = mirror.float_column(feature)[positions]
-        if len(feature_positions) <= 2 or positions.size >= 64:
+            features[:, target] = store.floats_at(feature, slots)
+        if len(feature_positions) <= 2 or slots.size >= 64:
             return block.multiply_lifted(features, multiplicities, feature_positions)
         return block.multiply(
             CovarianceBlock.lift(features, multiplicities, feature_positions)
@@ -502,84 +494,76 @@ class FIVM(CovarianceMaintainer):
     ) -> Optional[Tuple[List[Tuple], CovarianceBlock]]:
         """One propagation hop: ``node``'s delta expressed at its parent.
 
-        The hop joins the delta keys against the parent relation's columnar
-        mirror: the mirror's per-key buckets (maintained incrementally, so no
-        re-encode after mutations) expand the delta to the matched parent
-        entries via one ``np.repeat``, the matched entries are lifted in one
-        block, the sibling views are gathered by key code, and the result is
-        segment-summed by the parent's own connection key — the per-tuple
-        delta rule with every step over whole arrays.  Returns the parent's
-        ``(keys, block)`` delta, or None when nothing joins.
+        The hop joins the delta keys against the parent relation's tuple
+        store: its key index expands the delta to the matched live parent
+        rows (``items`` says which delta key each matched), the matched rows
+        are lifted in one block, the sibling views are gathered by key code,
+        and the result is segment-summed by the parent's own connection key
+        — the per-tuple delta rule with every step over whole arrays.
+        Returns the parent's ``(keys, block)`` delta, or None when nothing
+        joins.
         """
         parent = node.parent
-        mirror = self._mirrors[parent.relation_name]
-        offsets, positions = mirror.buckets_for(
-            self._conn_attrs[node.relation_name], keys
-        )
-        if positions.size == 0:
+        store = self.database.relation(parent.relation_name).store
+        attributes = self._conn_attrs[node.relation_name]
+        codes = store.index_probe(attributes, list(zip(*keys)), len(keys))
+        items, slots = store.index_lookup(attributes, codes)
+        if slots.size == 0:
             return None
-        item_index = np.repeat(
-            np.arange(len(keys), dtype=np.int64), offsets[1:] - offsets[:-1]
-        )
-        contribution = self._multiply_mirror_lift(
-            block.take(item_index), parent.relation_name, mirror, positions
+        contribution = self._multiply_parent_lift(
+            block.take(items), parent.relation_name, store, slots
         )
 
-        # Multiply in the other children's payloads at the matched entries.
-        alive = np.arange(positions.size, dtype=np.int64)
+        # Multiply in the other children's payloads at the matched rows.
+        alive = np.arange(slots.size, dtype=np.int64)
         gathers: List[Tuple[PayloadStore, np.ndarray]] = []
         for sibling in parent.children:
             if sibling is node:
                 continue
-            codes, _keys = mirror.key_codes(self._conn_attrs[sibling.relation_name])
+            sibling_codes = store.index_codes(self._conn_attrs[sibling.relation_name])
             slot_map = self._slot_map(parent.relation_name, sibling.relation_name)
-            slots = slot_map.lookup()[codes[positions]]
-            live = slots >= 0
+            view_slots = slot_map.lookup()[sibling_codes[slots]]
+            live = view_slots >= 0
             if not live.all():
                 alive = alive[live[alive]]
-            gathers.append((self._views[sibling.relation_name], slots))
+            gathers.append((self._views[sibling.relation_name], view_slots))
         if alive.size == 0:
             return None
-        if alive.size < positions.size:
+        if alive.size < slots.size:
             contribution = contribution.take(alive)
-            positions = positions[alive]
+            slots = slots[alive]
 
         # When the whole delta collapses onto a single parent key (the
         # root's empty connection key — most hops under update-mass rooting
-        # — or a one-key mirror), the final sibling multiply fuses with the
-        # sum-to-one reduction: every ring term becomes a dot product, no
-        # per-entry product stack is materialised.
+        # — or a parent whose rows all share one key), the final sibling
+        # multiply fuses with the sum-to-one reduction: every ring term
+        # becomes a dot product, no per-entry product stack is materialised.
         parent_conn = self._conn_attrs[parent.relation_name]
         single_key: Optional[Tuple] = None
-        conn_codes = conn_keys = None
+        space = 0
         if not parent_conn:
             single_key = ()
         else:
-            conn_codes, conn_keys = mirror.key_codes(parent_conn)
-            if len(conn_keys) == 1:
-                single_key = conn_keys[0]
+            space = store.index_size(parent_conn)
+            if space == 1:
+                single_key = store.index_keys(parent_conn, [0])[0]
         if single_key is not None:
-            for view, slots in gathers[:-1]:
-                contribution = view.multiply_into(contribution, slots[alive])
+            for view, view_slots in gathers[:-1]:
+                contribution = view.multiply_into(contribution, view_slots[alive])
             if gathers:
-                view, slots = gathers[-1]
+                view, view_slots = gathers[-1]
                 return [single_key], view.multiply_into_total(
-                    contribution, slots[alive]
+                    contribution, view_slots[alive]
                 )
             return [single_key], contribution.total_block()
 
-        for view, slots in gathers:
-            contribution = view.multiply_into(contribution, slots[alive])
-        compact, present = _compact_codes(conn_codes[positions], len(conn_keys))
+        for view, view_slots in gathers:
+            contribution = view.multiply_into(contribution, view_slots[alive])
+        compact, present = _compact_codes(store.index_codes(parent_conn)[slots], space)
         return (
-            [conn_keys[code] for code in present.tolist()],
+            store.index_keys(parent_conn, present.tolist()),
             contribution.segment_sum(compact, present.size),
         )
-
-    def _after_delta_group(self, relation_name, rows, multiplicities) -> None:
-        mirror = self._mirrors.get(relation_name)
-        if mirror is not None:
-            mirror.commit(self._staged.pop(relation_name))
 
     # -- results -----------------------------------------------------------------------------------
 

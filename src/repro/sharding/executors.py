@@ -137,7 +137,8 @@ class ProcessPoolShardExecutor:
     stats and fact row count.  All sends go out before any reply is awaited,
     so on a multi-core host the shards genuinely overlap; on the single-core
     reference container the pool degrades to serial throughput plus pickling
-    overhead — measured, not hidden, by ``benchmarks/bench_sharding.py``.
+    overhead — measured, not hidden, by the harness's ``ingest_sharded``
+    workload (``docs/architecture.md#what-sharding-costs-on-one-core``).
     """
 
     mode = "processpool"

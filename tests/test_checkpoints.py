@@ -2,7 +2,7 @@
 
 Two halves.  *State*: what the pickle hooks persist is enough to continue
 (a restored twin and the original agree batch for batch — payloads,
-relations, snapshot dictionaries and codes, mirror buckets), depends on the
+relations, snapshot dictionaries and codes, key indexes), depends on the
 update history only (byte-identical files whatever was swept or flushed
 when), and comes back in memory the restored objects own.  *File*: format v2
 (``docs/architecture.md``, "Epoch checkpoints") rejects every single-byte
@@ -77,18 +77,32 @@ def _assert_same_state(original, restored):
             assert left.values == right.values
             assert list(map(type, left.values)) == list(map(type, right.values))
             assert np.array_equal(left.codes, right.codes)
-    for name, mirror in original._mirrors.items():
-        twin = restored._mirrors[name]
-        assert len(twin) == len(mirror)
-        for attributes, state in mirror._keys.items():
-            codes, keys = mirror.key_codes(attributes)
-            twin_codes, twin_keys = twin.key_codes(attributes)
-            assert keys == twin_keys and np.array_equal(codes, twin_codes)
-            assert twin._keys[attributes].buckets == state.buckets
-            for left, right in zip(
-                mirror.buckets_for(attributes, keys), twin.buckets_for(attributes, keys)
-            ):
-                assert np.array_equal(left, right)
+    for node in original.join_tree.nodes():
+        one = original.database.relation(node.relation_name).store
+        other = restored.database.relation(node.relation_name).store
+        for child in node.children:
+            _assert_same_index(one, other, original._conn_attrs[child.relation_name])
+
+
+def _assert_same_index(one, other, attributes):
+    """Same key numbering and, per code, the same live rows in the same
+    order — whatever tombstones either store still holds."""
+    size = one.index_size(attributes)
+    assert other.index_size(attributes) == size
+    assert one.index_keys(attributes, range(size)) == other.index_keys(attributes, range(size))
+    assert np.array_equal(
+        one.index_codes(attributes)[one.live_slots()],
+        other.index_codes(attributes)[other.live_slots()],
+    )
+    requested = np.arange(size)
+    (items, slots), (twin_items, twin_slots) = (
+        store.index_lookup(attributes, requested) for store in (one, other)
+    )
+    assert np.array_equal(items, twin_items)
+    rows, twin_rows = one.rows_list(), other.rows_list()
+    assert [rows[slot] for slot in slots.tolist()] == [
+        twin_rows[slot] for slot in twin_slots.tolist()
+    ]
 
 
 @pytest.mark.parametrize("batches_of", [_cancel_heavy, _dimensions_after_facts])
@@ -151,9 +165,11 @@ def test_checkpoint_bytes_are_a_function_of_the_update_history(tmp_path):
                 relation.column_store()         # flush the pending encodings
             if rng.random() < 0.3:
                 relation.compact_storage()      # sweep the tombstones
-        for mirror in touched._mirrors.values():
-            for attributes in mirror._keys:     # fill the bucket-array cache
-                mirror.buckets_for(attributes, mirror.key_codes(attributes)[1][::2])
+        for node in touched.join_tree.nodes():  # build and extend the buckets
+            store = touched.database.relation(node.relation_name).store
+            for child in node.children:
+                attributes = touched._conn_attrs[child.relation_name]
+                store.index_lookup(attributes, np.arange(store.index_size(attributes))[::2])
         if position % 4 == 3:
             files = [
                 store.write(maintainer, position, position + 1)

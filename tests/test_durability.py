@@ -251,26 +251,27 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
     restored = clone.database.relation("Inventory")
     assert restored._store.pins == 0
     assert restored._column_store is None
-    # Slot maps are caches over mirrors and views: not in the file.
-    assert maintainer._slot_maps and not clone._slot_maps and not clone._staged
+    # Slot maps are caches over stores and views: not in the file.
+    assert maintainer._slot_maps and not clone._slot_maps
     assert _payloads_equal(clone.statistics(), maintainer.statistics())
     # Derived structures are absent from the pickled state, not merely equal
-    # after the load: each class names what it persists.
-    key_states = [
-        key.__getstate__()
-        for mirror in maintainer._mirrors.values()
-        for key in mirror._keys.values()
+    # after the load: each class names what it persists.  A key index holds
+    # its columns and, for a combination, the numbering (one code array per
+    # column); codes and buckets are rebuilt.
+    index_states = [
+        index.__getstate__()
+        for other in maintainer.database
+        for index in other.store.__getstate__()["_indexes"].values()
     ]
-    assert key_states and all(
-        set(state) == {"positions", "track_buckets", "keys", "codes"} for state in key_states
-    )
+    assert index_states and all(set(state) == {"positions", "parts"} for state in index_states)
+    assert sorted(len(state["parts"]) for state in index_states) == [0, 0, 0, 0, 2, 2]
     for view in maintainer._views.values():
         state = view.__getstate__()
         assert "_slots" not in state and len(state["counts"]) == len(view)
     state = relation._store.__getstate__()
     assert not {"_row_index", "pins"} & set(state)
     blob = pickle.dumps(maintainer, protocol=4)
-    for name in (b"_bucket_arrays", b"_slots", b"_row_index"):
+    for name in (b"order", b"starts", b"_slots", b"_row_index"):
         assert name not in blob
 
 
@@ -324,7 +325,7 @@ def test_recover_matches_uninterrupted_run(tmp_path, source):
 
 def test_dimension_update_right_after_recover_reads_rebuilt_slot_maps(tmp_path, source):
     """A checkpoint carries no slot maps; the first hop after ``recover()``
-    rebuilds them from the mirrors and views and lands bit for bit where the
+    rebuilds them from the stores and views and lands bit for bit where the
     process that never stopped does."""
     database, query = source
     stream = random_update_stream(database, seed=43, length=160, cancel_fraction=0.3)

@@ -3,17 +3,17 @@
 Covers the columnar delta path end-to-end: randomized insert/delete streams
 (including multiplicities that cancel inside one batch and batches spanning
 several relations) checked against full recomputation at several batch
-sizes, the vectorised ring-block algebra, and the append-only delta column
-store.
+sizes, the vectorised ring-block algebra, and the tuple store's key indexes
+the propagation reads.
 """
 
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from repro.data import Schema
-from repro.data.colstore import DeltaColumnStore
+from repro.data import Relation, Schema, tuplestore
 from repro.datasets import retailer_database, retailer_query
 from repro.ivm import FIVM, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
@@ -153,80 +153,110 @@ def test_covariance_block_multiply_lifted_matches_general():
     assert np.allclose(fused.moments, general.moments)
 
 
-# -- the delta column store ------------------------------------------------------------
+# -- the tuple store's key indexes -------------------------------------------------------
 
 
-def test_delta_column_store_appends_and_buckets():
-    schema = Schema.from_names(["k", "x"], categorical_names=["k"])
-    store = DeltaColumnStore("R", schema)
-    store.register_float("x")
-    store.register_key(("k",))
-    store.append_rows([("a", 1.0), ("b", 2.0), ("a", 3.0)], [1, 1, 2])
-    store.append_rows([("b", 4.0)], [-1])
-    assert len(store) == 4
-    assert np.allclose(store.float_column("x"), [1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(store.multiplicities, [1.0, 1.0, 2.0, -1.0])
-    codes, keys = store.key_codes(("k",))
-    assert keys == [("a",), ("b",)]
-    assert codes.tolist() == [0, 1, 0, 1]
-    offsets, positions = store.buckets_for(("k",), [("b",), ("missing",), ("a",)])
-    assert offsets.tolist() == [0, 2, 2, 4]
-    assert positions.tolist() == [1, 3, 0, 2]
+def _grouped_from_scratch(store, attributes):
+    """Key -> live slots in slot order, by a plain loop over the stored rows."""
+    positions = [store.schema.index_of(attribute) for attribute in attributes]
+    multiplicities = store.multiplicities_view()
+    grouped = {}
+    for slot, row in enumerate(store.rows_list()):
+        if multiplicities[slot] != 0:
+            grouped.setdefault(tuple(row[p] for p in positions), []).append(slot)
+    return grouped
 
 
-def test_delta_column_store_stage_is_invisible_until_commit():
-    """A staged delta has its key codes (unseen keys registered) but no entry:
-    no reader sees it before the commit, and the commit lands exactly what
-    ``append_rows`` would have."""
+def _grouped_by_index(store, attributes):
+    """The same grouping read through the index: every code looked up at once."""
+    size = store.index_size(attributes)
+    keys = store.index_keys(attributes, range(size))
+    codes = store.index_codes(attributes)
+    for slot, row in enumerate(store.rows_list()):
+        assert keys[codes[slot]] == tuple(
+            row[store.schema.index_of(attribute)] for attribute in attributes
+        )
+    requested = np.arange(size - 1, -2, -1)         # backwards, and one unknown (-1)
+    items, slots = store.index_lookup(attributes, requested)
+    assert np.all(np.diff(items) >= 0)
+    grouped = {}
+    for item, slot in zip(items.tolist(), slots.tolist()):
+        grouped.setdefault(keys[requested[item]], []).append(slot)
+    return grouped
+
+
+@pytest.mark.parametrize("tail_min", [4, 1024])
+def test_key_index_buckets_equal_a_grouping_of_the_live_slots(monkeypatch, tail_min):
+    """After appends, deletes netted in place, a sweep and a load, the index
+    hands out exactly the live slots of each key, in slot order — whether
+    the slots sit in merged buckets (a small tail bound) or in the scanned
+    tail."""
+    monkeypatch.setattr(tuplestore, "INDEX_TAIL_MIN", tail_min)
     schema = Schema.from_names(["k", "j", "x"], categorical_names=["k", "j"])
+    relation = Relation("R", schema)
+    store = relation.store
+    indexes = [("k",), ("j", "k")]
+    for attributes in indexes:
+        store.add_index(attributes)
+    rng = random.Random(17)
 
-    def build():
-        store = DeltaColumnStore("R", schema)
-        store.register_float("x")
-        store.register_key(("k",))
-        store.register_key(("j", "k"), track_buckets=False)
-        store.append_rows([("a", 1, 1.0), ("b", 1, 2.0)], [1, 1])
-        store.append_rows([("b", 2, 3.0)], [1])     # still pending at stage time
-        return store
+    def check(target):
+        for attributes in indexes:
+            assert _grouped_by_index(target, attributes) == _grouped_from_scratch(
+                target, attributes
+            )
 
-    delta = [("c", 1, 5.0), ("a", 2, 6.0), ("c", 1, 7.0)], [1, -1, 2]
-    store, appended = build(), build()
-    staged = store.stage(*delta)
-    assert staged.columns[0] == ("c", "a", "c")
-    assert staged.codes[("k",)].tolist() == [2, 0, 2]
-    assert staged.codes[("j", "k")].tolist() == [3, 4, 3]
-    # Registered, so the codes stay valid — but nothing is there yet.
-    assert len(store) == store.entry_count == 3
-    codes, keys = store.key_codes(("k",))
-    assert codes.tolist() == [0, 1, 1] and keys == [("a",), ("b",), ("c",)]
-    assert store.probe_keys(("k",), [("c",), ("zz",)]) == [2, None]
-    offsets, positions = store.buckets_for(("k",), [("c",), ("a",)])
-    assert offsets.tolist() == [0, 0, 1] and positions.tolist() == [0]
-    assert store.multiplicities.tolist() == [1.0, 1.0, 1.0]
-    # A per-tuple append slipping in between lands before the staged entries.
-    store.append_rows([("a", 1, 4.0)], [1])
-    appended.append_rows([("a", 1, 4.0)], [1])
-    store.commit(staged)
-    appended.append_rows(*delta)
-    assert len(store) == len(appended) == 7
-    for attributes in (("k",), ("j", "k")):
-        codes, keys = store.key_codes(attributes)
-        expected_codes, expected_keys = appended.key_codes(attributes)
-        assert codes.tolist() == expected_codes.tolist() and keys == expected_keys
-    offsets, positions = store.buckets_for(("k",), [("c",), ("a",)])
-    assert offsets.tolist() == [0, 2, 5] and positions.tolist() == [4, 6, 0, 3, 5]
-    assert store.float_column("x").tolist() == appended.float_column("x").tolist()
-    assert store.multiplicities.tolist() == appended.multiplicities.tolist()
+    rows = [(f"k{rng.randrange(30)}", rng.randrange(4), float(n)) for n in range(600)]
+    for start in range(0, 400, 40):                 # appends, and a netting add
+        relation.add_batch(rows[start : start + 40], [1] * 40)
+        relation.add(rows[start + 35], 1)
+        check(store)
+    doomed = rng.sample(rows[:400], 90)
+    relation.add_batch(doomed[:60], [-1] * 60)      # deaths net in place ...
+    for row in doomed[60:]:
+        relation.add(row, -relation.multiplicity(row))
+    assert store.zeros >= 80
+    check(store)
+    relation.add_batch(doomed[:10], [1] * 10)       # ... and come back in new slots
+    check(store)
+    before = {attributes: store.index_keys(attributes, range(store.index_size(attributes)))
+              for attributes in indexes}
+    relation.compact_storage()
+    assert store.zeros == 0
+    check(store)
+    relation.add_batch(rows[400:], [1] * 200)
+    relation.add_batch(rows[400:450], [-1] * 50)
+    check(store)
+    restored = pickle.loads(pickle.dumps(relation, protocol=5)).store
+    check(restored)
+    for attributes in indexes:
+        keys = store.index_keys(attributes, range(store.index_size(attributes)))
+        # Codes are never renumbered: not by a sweep, not by a load.
+        assert keys[: len(before[attributes])] == before[attributes]
+        assert restored.index_keys(attributes, range(restored.index_size(attributes))) == keys
+        live = store.live_slots()
+        assert np.array_equal(store.index_codes(attributes)[live], restored.index_codes(attributes))
+        probe = {"j": [2, 2], "k": ["k3", "nope"]}
+        columns = [probe[attribute] for attribute in attributes]
+        codes = store.index_probe(attributes, columns, 2).tolist()
+        assert codes == restored.index_probe(attributes, columns, 2).tolist()
+        assert codes[0] >= 0 and codes[1] == -1
 
 
-def test_delta_column_store_requires_registration_before_append():
+def test_key_index_floats_read_the_stored_values():
+    """Feature floats come from the column dictionary, decoded once per
+    entry, with the exceptions put back: ``-0.0`` stored under ``0.0`` reads
+    ``-0.0``, and ``1``/``1.0``/``True`` under one code all read 1.0."""
     schema = Schema.from_names(["k", "x"], categorical_names=["k"])
-    store = DeltaColumnStore("R", schema)
-    store.register_key(("k",))
-    store.append_rows([("a", 1.0)], [1])
-    with pytest.raises(ValueError, match="before the first append"):
-        store.register_float("x")
-    with pytest.raises(ValueError, match="before the first append"):
-        store.register_key(("x",))
-    # Re-registering an existing key is a no-op, not an error.
-    store.register_key(("k",))
+    relation = Relation("R", schema)
+    store = relation.store
+    values = [0.0, -0.0, 1, 1.0, True, 2.5, -0.0, 0.0]
+    relation.add_batch([(f"k{n}", value) for n, value in enumerate(values)], [1] * 8)
+    relation.add(("k8", -0.0), 1)
+    read = store.floats_at("x", np.arange(9))
+    stored = values + [-0.0]
+    assert read.tolist() == [float(value) for value in stored]
+    assert [np.signbit(value) for value in read] == [
+        np.signbit(float(value)) for value in stored
+    ]
+    assert len(store._columns[1].values) == 3       # 0.0, 1, 2.5: one entry each

@@ -19,7 +19,10 @@ import random
 import numpy as np
 import pytest
 
+from repro.data import Database, Relation
+from repro.data.tuplestore import COMPACT_MIN_ZEROS
 from repro.datasets import retailer_database, retailer_query
+from repro.durability import CheckpointStore
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.ivm import FIVM, CovarianceMaintainer, Update
 from repro.rings.covariance import CovarianceBlock, CovarianceRing
@@ -44,10 +47,11 @@ def _payloads_match(left, right, rtol=1e-5, atol=1e-8):
 
 
 def _payloads_identical(left, right):
+    """Bit for bit: a zero's sign counts."""
     return (
-        left.count == right.count
-        and np.array_equal(left.sums, right.sums)
-        and np.array_equal(left.moments, right.moments)
+        np.float64(left.count).tobytes() == np.float64(right.count).tobytes()
+        and left.sums.tobytes() == right.sums.tobytes()
+        and left.moments.tobytes() == right.moments.tobytes()
     )
 
 
@@ -111,9 +115,9 @@ def test_fused_interleaves_with_per_tuple(ivm_source):
 
 # -- adversarial arrival orders ---------------------------------------------------------
 #
-# The insert path indexes a batch row once per index it lands in: the mirror
-# stages an update group's key codes before the pass, the own-delta join and
-# every later hop read them through shared (parent, child) slot maps, and a
+# The insert path reads a batch row's key codes off its relation's store: a
+# group lands at its node's turn in the pass, the own-delta join and every
+# later hop read the codes through shared (parent, child) slot maps, and a
 # slot map resolves a miss only when the child view gains the key.  These
 # streams aim at exactly that machinery; every one is checked after every
 # batch on all three routes to the same state.
@@ -175,8 +179,8 @@ def test_dimensions_trickling_in_after_every_fact(ivm_source):
 
 
 def test_slot_maps_probe_each_key_once(ivm_source):
-    """The algorithmic claim, as a count: resolving mirror keys to view slots
-    costs one dictionary probe per mirror key and one per view key — not one
+    """The algorithmic claim, as a count: resolving a parent's key codes to
+    view slots costs one dictionary probe per index key and one per view key — not one
     per outstanding miss and hop, which is what facts-before-dimensions made
     of the re-probing lookup."""
     database, query = ivm_source
@@ -190,14 +194,14 @@ def test_slot_maps_probe_each_key_once(ivm_source):
     )
     for (parent, child), slot_map in maintainer._slot_maps.items():
         view = maintainer._views[child]
-        _codes, mirror_keys = maintainer._mirrors[parent].key_codes(
-            maintainer._conn_attrs[child]
-        )
+        store = maintainer.database.relation(parent).store
+        attributes = maintainer._conn_attrs[child]
+        store_keys = store.index_keys(attributes, range(store.index_size(attributes)))
         # Resolved in full (this lookup picks up what the last batch added):
-        # every mirror key the view holds has its slot ...
-        assert slot_map.lookup().tolist() == [view.slot_of(key) for key in mirror_keys]
+        # every key of the parent's index the view holds has its slot ...
+        assert slot_map.lookup().tolist() == [view.slot_of(key) for key in store_keys]
         # ... for one probe per key on either side, at most.
-        assert 0 < slot_map.probes <= len(mirror_keys) + len(view)
+        assert 0 < slot_map.probes <= len(store_keys) + len(view)
         settled = slot_map.probes
         slot_map.lookup()
         assert slot_map.probes == settled
@@ -232,9 +236,9 @@ def test_dimension_row_deleted_and_reinserted(ivm_source):
 
 def test_parent_and_child_rows_of_one_key_in_one_batch(ivm_source):
     """A batch brings a store, its census row, its weather and its inventory
-    at once.  The parent's staged rows are invisible to the child's hop (the
-    hop sees the mirror before the batch); the pair is counted once, by the
-    parent's own delta against the updated child view."""
+    at once.  The parent's new rows are invisible to the child's hop (they
+    land at the parent's own turn, after the hop); the pair is counted once,
+    by the parent's own delta against the updated child view."""
     database, query = ivm_source
     stores = database.relation("Stores")
     locn, zipcode = next(iter(stores))[:2]
@@ -288,6 +292,19 @@ def test_duplicates_cancelling_pairs_and_zero_multiplicities_in_one_batch(ivm_so
     assert routes.fused.statistics().count > len(database.relation("Inventory"))
 
 
+def _stored_rows(maintainer):
+    """Slots per relation (tombstones included), and the key codes of the
+    index each child's hop reads on it."""
+    state = {}
+    for node in maintainer.join_tree.nodes():
+        store = maintainer.database.relation(node.relation_name).store
+        state[node.relation_name] = (store.row_count, [
+            store.index_size(maintainer._conn_attrs[child.relation_name])
+            for child in node.children
+        ])
+    return state
+
+
 class _PerTupleFIVM(FIVM):
     """No fused-pass override: every batch takes the per-tuple fallback."""
 
@@ -310,11 +327,11 @@ def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
     bad = Update("Items", next(iter(database.relation("Items")))[:-1], 1)
     poisoned.insert({"first": 0, "middle": 40, "last": len(poisoned)}[position], bad)
     versions = {relation.name: relation.version for relation in maintainer.database}
-    mirrors = {name: len(mirror) for name, mirror in maintainer._mirrors.items()}
+    stored = _stored_rows(maintainer)
     with pytest.raises(ValueError, match="arity"):
         maintainer.apply_batch(poisoned)
     assert {r.name: r.version for r in maintainer.database} == versions
-    assert {name: len(mirror) for name, mirror in maintainer._mirrors.items()} == mirrors
+    assert _stored_rows(maintainer) == stored
     assert maintainer.view_sizes() == twin.view_sizes()
     assert _payloads_identical(maintainer.statistics(), twin.statistics())
     # The batch without the bad row then lands exactly as if nothing happened.
@@ -328,14 +345,14 @@ def test_bad_arity_anywhere_in_a_batch_leaves_the_maintainer_untouched(
 
 def test_zero_multiplicity_apply_changes_nothing(ivm_source):
     """``apply(u)`` with multiplicity 0 is the no-op ``apply_batch([u])`` nets
-    it to: no mirror entry, no view key, no growth of the pickled state —
+    it to: no stored row, no key code, no view key, no growth of the pickled state —
     for rows the maintainer holds and rows it never saw alike."""
     database, query = ivm_source
     maintainer = FIVM(database, query, FEATURES)
     maintainer.apply_batch(_all_rows(database))
     maintainer.executor_stats.clear()  # wall-clock counters, not state
-    mirrors = {name: len(mirror) for name, mirror in maintainer._mirrors.items()}
-    assert all(mirrors.values())
+    stored = _stored_rows(maintainer)
+    assert all(rows for rows, _codes in stored.values())
     view_sizes = maintainer.view_sizes()
     versions = {relation.name: relation.version for relation in maintainer.database}
     before = maintainer.statistics()
@@ -348,7 +365,7 @@ def test_zero_multiplicity_apply_changes_nothing(ivm_source):
         if step % 2:  # a ghost: a key no view holds
             row = (f"ghost-{step}",) + row[1:]
         maintainer.apply(Update(name, row, 0))
-    assert {name: len(mirror) for name, mirror in maintainer._mirrors.items()} == mirrors
+    assert _stored_rows(maintainer) == stored
     assert maintainer.view_sizes() == view_sizes
     assert {r.name: r.version for r in maintainer.database} == versions
     assert _payloads_identical(maintainer.statistics(), before)
@@ -356,6 +373,142 @@ def test_zero_multiplicity_apply_changes_nothing(ivm_source):
     # Validation still comes first.
     with pytest.raises(ValueError, match="arity"):
         maintainer.apply(Update("Stores", rows["Stores"][0][:-1], 0))
+
+
+# -- state follows the live data ---------------------------------------------------------
+
+
+def _delete_and_reinsert(database, seed):
+    """One cycle: every fact row deleted in one batch, back in the next."""
+    facts = _all_rows(database, lambda name, row: name == "Inventory")
+    return [[Update(u.relation_name, u.row, -u.multiplicity) for u in facts], facts]
+
+
+def _cancel_heavy_cycle(database, seed):
+    """One cycle in Figure 4's cancel-heavy shape: the shuffled facts in
+    slices, each batch deleting one slice and bringing back the slice the
+    batch before deleted, beside a dimension row inserted and deleted again
+    inside the batch; the last batch brings back the last slice."""
+    rng = random.Random(seed)
+    facts = _all_rows(database, lambda name, row: name == "Inventory")
+    rng.shuffle(facts)
+    slices = [facts[start : start + 20] for start in range(0, len(facts), 20)]
+    dimensions = _all_rows(database, lambda name, row: name != "Inventory")
+    batches, back = [], []
+    for piece in slices + [[]]:
+        ghost = rng.choice(dimensions)
+        batches.append(
+            [Update(u.relation_name, u.row, -u.multiplicity) for u in piece]
+            + back + [ghost, Update(ghost.relation_name, ghost.row, -1)]
+        )
+        back = piece
+    return batches
+
+
+@pytest.mark.parametrize("cycle", [_delete_and_reinsert, _cancel_heavy_cycle])
+def test_maintainer_state_follows_the_live_data(ivm_source, cycle):
+    """Deleting and reinserting every fact row k times leaves the maintainer
+    the size one cycle left it: deletes net in place, sweeps reclaim the
+    slots, and the key indexes cover the stored slots only (a second,
+    append-only copy of the rows grew by two entries per fact per cycle)."""
+    database, query = ivm_source
+    maintainer = FIVM(database, query, FEATURES)
+    maintainer.apply_batch(_all_rows(database))
+    inventory = maintainer.database.relation("Inventory")
+    store = inventory.store
+    pickled = {}
+    for k in range(1, 6):
+        for batch in cycle(database, seed=k):
+            maintainer.apply_batch(batch)
+        live = len(inventory)
+        assert live == len(database.relation("Inventory"))
+        assert store.row_count <= live + max(COMPACT_MIN_ZEROS, store.row_count // 4)
+        for child in maintainer.join_tree.root.children:
+            attributes = maintainer._conn_attrs[child.relation_name]
+            size = store.index_size(attributes)
+            _items, slots = store.index_lookup(attributes, np.arange(size))
+            assert slots.size == live <= store.row_count
+            assert store.index_codes(attributes).size == store.row_count
+        pickled[k] = len(pickle.dumps(maintainer, protocol=4))
+    assert pickled[5] <= 1.1 * pickled[1], pickled
+    assert _payloads_close(maintainer.statistics(), maintainer.recompute_statistics())
+
+
+# -- the hop reads the stored values ------------------------------------------------------
+
+#: Values Python equality folds into one dictionary entry: ``-0.0``/``0.0``
+#: and ``1``/``1.0``/``True``; whichever comes first is the entry.
+FOLDED = [-0.0, 0.0, 1, 1.0, True, -0.0, 1.0]
+
+
+def _with_folded_features(database):
+    """The database with every other value of the parent relations' features
+    (Weather's ``maxtemp``, Inventory's ``inventoryunits``) replaced by a
+    folded one."""
+    relations = []
+    for relation in database:
+        position = {"Weather": 2, "Inventory": 3}.get(relation.name)
+        rows = list(relation)
+        if position is not None:
+            rows = [
+                row[:position] + (FOLDED[index // 2 % len(FOLDED)],) + row[position + 1 :]
+                if index % 2 == 0 else row
+                for index, row in enumerate(rows)
+            ]
+        relations.append(Relation(relation.name, relation.schema, rows=rows))
+    return Database(relations, name="folded")
+
+
+def _views_bytes(maintainer):
+    return {
+        name: (view.keys(), view.counts[: len(view)].tobytes(),
+               view.sums[: len(view)].tobytes(), view.moments[: len(view)].tobytes())
+        for name, view in maintainer._views.items()
+    }
+
+
+def test_hops_read_the_stored_floats(ivm_source, tmp_path):
+    """A parent row hops with the value stored, not its dictionary entry's:
+    a ``-0.0`` under the entry ``0.0`` keeps its sign through a child's hop,
+    fused == replay bit for bit, and a live store with tombstones equals its
+    recovered (swept) twin bit for bit, re-checkpointing to the same bytes."""
+    database = _with_folded_features(ivm_source[0])
+    routes = _ThreeRoutes(database, ivm_source[1])
+    for batch in facts_first_batches(database, "Inventory", seed=9, fact_batch=60):
+        routes.apply(batch)
+    fused = routes.fused
+    # What a hop into a parent reads: the stored value of every slot, the
+    # zero's sign included, although the dictionary holds one entry per fold.
+    for name, feature in (("Weather", "maxtemp"), ("Inventory", "inventoryunits")):
+        store = fused.database.relation(name).store
+        position = store.schema.index_of(feature)
+        stored = np.asarray([float(row[position]) for row in store.rows_list()])
+        read = store.floats_at(feature, np.arange(store.row_count))
+        assert read.tobytes() == stored.tobytes()
+        assert np.signbit(read).any() and (read == 1.0).any()
+    negative = [row for row in database.relation("Weather") if np.signbit(row[2])]
+
+    # Deaths below the sweep threshold: the live stores keep tombstones.
+    doomed = [Update("Inventory", row, -1) for row in list(database.relation("Inventory"))[::9]]
+    doomed += [Update("Weather", row, -1) for row in negative[:2]]
+    routes.apply(doomed)
+    assert 0 < fused.database.relation("Inventory").store.zeros < COMPACT_MIN_ZEROS
+    checkpoints = CheckpointStore(tmp_path / "live")
+    written = checkpoints.write(fused, 0, prefix=1)
+    recovered = checkpoints.latest().maintainer
+    assert recovered.database.relation("Inventory").store.zeros == 0
+    assert _views_bytes(recovered) == _views_bytes(fused)
+    again = CheckpointStore(tmp_path / "again").write(recovered, 0, prefix=1)
+    assert again.read_bytes() == written.read_bytes()
+    # Both go on alike: hops into the tombstoned and into the swept store.
+    later = [Update(u.relation_name, u.row, 1) for u in doomed[::2]] + [
+        Update(u.relation_name, u.row, -1)
+        for u in _all_rows(database, lambda name, row: name in ("Items", "Stores"))[::3]
+    ]
+    for maintainer in (fused, recovered):
+        maintainer.apply_batch(later)
+    assert _payloads_identical(recovered.statistics(), fused.statistics())
+    assert _views_bytes(recovered) == _views_bytes(fused)
 
 
 # -- the traversal schedule -------------------------------------------------------------
