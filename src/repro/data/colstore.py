@@ -18,7 +18,8 @@ the encodings instead of rebuilding per-row Python state every time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from repro.data.tuplestore import _KERNELS, tuplestore_stats
 __all__ = [
     "ColumnEncoding",
     "ColumnStore",
+    "KeyTuples",
     "combine_codes",
 ]
 
@@ -195,6 +197,43 @@ def combine_codes(
     )
 
 
+class KeyTuples(SequenceABC):
+    """The distinct value tuples of a key, in code order, decoded on demand.
+
+    Holds the dictionaries and the ``(distinct, arity)`` combination matrix
+    :func:`combine_codes` returned.  ``len`` reads the matrix — the engine's
+    own paths only ever count a key's combinations — and the first element
+    access decodes every tuple, published with one assignment: readers
+    racing it on a pinned snapshot at worst duplicate the work.
+    """
+
+    __slots__ = ("_values", "_combos", "_tuples")
+
+    def __init__(self, values: List[List[object]], combos: np.ndarray) -> None:
+        self._values = values
+        self._combos = combos
+        self._tuples: Optional[List[Tuple]] = None
+
+    def __len__(self) -> int:
+        return self._combos.shape[0]
+
+    def _decoded(self) -> List[Tuple]:
+        tuples = self._tuples
+        if tuples is None:
+            tuples = list(zip(*(
+                list(map(values.__getitem__, self._combos[:, position].tolist()))
+                for position, values in enumerate(self._values)
+            )))
+            self._tuples = tuples
+        return tuples
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return iter(self._decoded())
+
+
 class ColumnStore:
     """The columnar, dictionary-encoded snapshot of one relation.
 
@@ -219,7 +258,7 @@ class ColumnStore:
         self._float_columns: Dict[str, Optional[np.ndarray]] = {}
         self._key_cache: Dict[
             Tuple[str, ...],
-            Tuple[np.ndarray, List[Tuple], Optional[List[Optional[np.ndarray]]]],
+            Tuple[np.ndarray, Sequence[Tuple], Optional[List[Optional[np.ndarray]]]],
         ] = {}
         self._key_indexes: Dict[Tuple[str, ...], Dict[Tuple, int]] = {}
         self._distinct_counts: Dict[Tuple[str, ...], int] = {}
@@ -319,12 +358,12 @@ class ColumnStore:
 
     def _key_data(
         self, key: Tuple[str, ...]
-    ) -> Tuple[np.ndarray, List[Tuple], Optional[List[Optional[np.ndarray]]]]:
+    ) -> Tuple[np.ndarray, Sequence[Tuple], Optional[List[Optional[np.ndarray]]]]:
         cached = self._key_cache.get(key)
         if cached is not None:
             return cached
         if not key:
-            result: Tuple[np.ndarray, List[Tuple], Optional[List[Optional[np.ndarray]]]] = (
+            result: Tuple[np.ndarray, Sequence[Tuple], Optional[List[Optional[np.ndarray]]]] = (
                 np.zeros(self.row_count, dtype=np.int64),
                 [()],
                 [],
@@ -335,13 +374,7 @@ class ColumnStore:
                 [encoding.codes for encoding in encodings],
                 [encoding.cardinality for encoding in encodings],
             )
-            tuples = [
-                tuple(
-                    encoding.values[index]
-                    for encoding, index in zip(encodings, combo)
-                )
-                for combo in combos.tolist()
-            ]
+            tuples = KeyTuples([encoding.values for encoding in encodings], combos)
             columns: Optional[List[Optional[np.ndarray]]] = []
             for position, encoding in enumerate(encodings):
                 typed = encoding.sortable_values()
@@ -350,11 +383,13 @@ class ColumnStore:
         self._key_cache[key] = result
         return result
 
-    def codes_for(self, attributes: Sequence[str]) -> Tuple[np.ndarray, List[Tuple]]:
+    def codes_for(self, attributes: Sequence[str]) -> Tuple[np.ndarray, Sequence[Tuple]]:
         """Row codes and distinct value tuples for a combination of attributes.
 
-        ``codes_for(())`` maps every row to the single empty tuple, which lets
-        scalar (ungrouped, connectionless) aggregates share the same machinery.
+        The tuples are a :class:`KeyTuples`, decoded on first element access
+        (its ``len`` costs nothing).  ``codes_for(())`` maps every row to the
+        single empty tuple, which lets scalar (ungrouped, connectionless)
+        aggregates share the same machinery.
         """
         codes, tuples, _columns = self._key_data(tuple(attributes))
         return codes, tuples

@@ -107,7 +107,7 @@ from __future__ import annotations
 import math
 import threading
 from itertools import compress, filterfalse, repeat
-from operator import countOf, is_not
+from operator import countOf, is_not, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,7 +119,19 @@ from repro.kernels import get_kernels
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
-__all__ = ["TupleStore", "net_rows", "tuplestore_stats", "reset_tuplestore_stats"]
+__all__ = ["TupleStore", "net_rows", "transpose", "tuplestore_stats",
+           "reset_tuplestore_stats"]
+
+
+def transpose(rows: Sequence[Sequence], arity: int) -> List[List[object]]:
+    """The columns of ``rows`` (each of ``arity`` values), one list per position.
+
+    One C-level ``itemgetter`` pass per column.  Zipping the unpacked rows
+    would build one iterator per row and hand the collector an argument
+    tuple as long as the rows, which every young-generation collection it
+    triggers traverses, so its cost grows faster than the row count.
+    """
+    return [list(map(itemgetter(position), rows)) for position in range(arity)]
 
 
 class StatsCounters(dict):
@@ -479,7 +491,7 @@ class _KeyIndex:
             fresh = list(dict.fromkeys(filterfalse(combos.__contains__, probes)))
             combos.update(zip(fresh, range(len(self.keys), len(self.keys) + len(fresh))))
             split = [_split(joined, len(self.positions)) for joined in fresh]
-            for part, column in zip(self.parts, zip(*split)):
+            for part, column in zip(self.parts, transpose(split, len(self.positions))):
                 part.extend(column)
             self._add_keys(columns, split)
             codes = np.fromiter(
@@ -768,7 +780,7 @@ class TupleStore:
             for position, column in enumerate(self._columns):
                 column.append_value(row[position])
         else:
-            columns = list(zip(*pending))
+            columns = transpose(pending, len(self._columns))
             for position, column in enumerate(self._columns):
                 column.extend_values(columns[position])
         self._encoded_count = count
@@ -1083,15 +1095,32 @@ class TupleStore:
         return clone
 
     def copy(self) -> "TupleStore":
-        """An independent store with the same live content."""
+        """An independent store holding the live rows, in slot order: what a
+        store fed :meth:`iter_items` would hold, built from arrays.
+
+        Without tombstones the row list is sliced, the multiplicities copied
+        and the row index copied as a dict (every slot is live, so it maps
+        exactly the slots); otherwise the live slots are gathered once.  The
+        clone is left unencoded and its first flush encodes its own rows:
+        this store's dictionaries still hold the values of swept rows, and a
+        clone's encoding must not depend on that history.  Version, epoch,
+        pins and key indexes start afresh.
+        """
         clone = TupleStore(self.schema)
-        rows: List[Tuple] = []
-        multiplicities: List[int] = []
-        for row, multiplicity in self.iter_items():
-            rows.append(row)
-            multiplicities.append(multiplicity)
-        if rows:
-            clone._append_rows(rows, multiplicities)
+        if self.zeros:
+            slots = self.live_slots()
+            rows = self._gather_rows(slots)
+            mults = self._mults.view()[slots]
+            clone._row_index = dict(zip(rows, range(len(rows))))
+        else:
+            rows = self._rows[:]
+            mults = self._mults.view()
+            clone._row_index = dict(self._row_index)
+        clone._rows = rows
+        clone._mults = _GrowArray(np.float64, capacity=max(len(rows), 1))
+        clone._mults.extend(mults)
+        clone.live = len(rows)
+        clone.total = float(mults.sum())
         return clone
 
     # -- introspection -----------------------------------------------------------------

@@ -153,7 +153,7 @@ class _ViewBundle:
         self,
         conn_ids: _np.ndarray,
         group_ids: _np.ndarray,
-        conn_keys: List[Tuple],
+        conn_keys: Sequence[Tuple],
         group_keys: List[Tuple],
         group_attrs: Optional[Tuple[str, ...]],
         conn_store: ColumnStore,

@@ -433,13 +433,14 @@ class CovarianceMaintainer(abc.ABC):
 
     def __getstate__(self) -> Dict:
         """Checkpoint pickling: the writer gate is process-local, drop it, and
-        so is the wall-clock ``delta_pass_ns`` (a file holds the history's
-        counts, not how long this process took; readers default it to 0)."""
+        so is every wall-clock counter (``delta_pass_ns``,
+        ``kernel_<name>_ns``: a file holds the history's counts, not how long
+        this process took; readers default them to 0)."""
         state = self.__dict__.copy()
         state.pop("_writer_gate", None)
         state["executor_stats"] = {
             name: value for name, value in self.executor_stats.items()
-            if name != "delta_pass_ns"
+            if not name.endswith("_ns")
         }
         return state
 

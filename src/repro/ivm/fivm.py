@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.data.colstore import _compact_codes
 from repro.data.database import Database
-from repro.data.tuplestore import TupleStore
+from repro.data.tuplestore import TupleStore, transpose
 from repro.engine.deltas import merge_keyed_deltas, subtree_schedule
 from repro.ivm.base import CovarianceMaintainer, Update
 from repro.ivm.payload_store import PayloadStore
@@ -105,7 +105,9 @@ class _SlotMap:
         view, store, attributes = self.view, self.store, self.attributes
         if len(view) > self.view_len:
             gained = view.keys(self.view_len)
-            codes = store.index_probe(attributes, list(zip(*gained)), len(gained))
+            codes = store.index_probe(
+                attributes, transpose(gained, len(attributes)), len(gained)
+            )
             for slot, code in enumerate(codes.tolist(), self.view_len):
                 if 0 <= code < self.size:
                     self.mapping[code] = slot
@@ -303,8 +305,9 @@ class FIVM(CovarianceMaintainer):
         the starting delta the fused pass pushes upwards.
         """
         relation_name = node.relation_name
+        relation = self.database.relation(relation_name)
         multiplicities = np.asarray(netted, dtype=np.float64)
-        columns = list(zip(*rows))
+        columns = transpose(rows, relation.arity)
 
         # Lift the whole group in one block (scaled by its multiplicities).
         plan = self._lift_plans[relation_name]
@@ -314,7 +317,6 @@ class FIVM(CovarianceMaintainer):
         block = CovarianceBlock.lift(
             features, multiplicities, [target for _source, target in plan]
         )
-        relation = self.database.relation(relation_name)
         store = relation.store
         first, epoch = store.row_count, store.epoch
         relation.add_batch(rows, netted, validated=True)
@@ -506,7 +508,7 @@ class FIVM(CovarianceMaintainer):
         parent = node.parent
         store = self.database.relation(parent.relation_name).store
         attributes = self._conn_attrs[node.relation_name]
-        codes = store.index_probe(attributes, list(zip(*keys)), len(keys))
+        codes = store.index_probe(attributes, transpose(keys, len(attributes)), len(keys))
         items, slots = store.index_lookup(attributes, codes)
         if slots.size == 0:
             return None

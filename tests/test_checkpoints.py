@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.datasets import retailer_database, retailer_query
 from repro.durability import BatchJournal, CheckpointStore, DurabilityOptions, recover
 from repro.durability import checkpoint as checkpoint_module
@@ -179,6 +180,35 @@ def test_checkpoint_bytes_are_a_function_of_the_update_history(tmp_path):
     assert any(relation._store.zeros for relation in never.database), (
         "the stream left no tombstone to sweep"
     )
+
+
+def test_traced_checkpoints_carry_no_wall_clock(tmp_path):
+    """With the kernel counters on, one history into two maintainers still
+    gives byte-identical files: a checkpoint keeps the counts
+    (``kernel_<name>_calls``, ``delta_passes``) and drops every ``*_ns``
+    timer, which differs from run to run."""
+    database = _database()
+    was_on = kernels.kernel_stats_enabled()
+    kernels.enable_kernel_stats(True)
+    try:
+        one, other = (FIVM(database, retailer_query(), FEATURES) for _ in range(2))
+        for batch in _cancel_heavy(database, length=300):
+            one.apply_batch(batch)
+            other.apply_batch(batch)
+    finally:
+        kernels.enable_kernel_stats(was_on)
+        kernels.reset_kernel_stats()
+    timers = [name for name in one.executor_stats if name.endswith("_ns")]
+    assert any(name.startswith("kernel_") for name in timers)
+    files = [
+        CheckpointStore(tmp_path / name).write(maintainer, 0, prefix=0)
+        for name, maintainer in (("one", one), ("other", other))
+    ]
+    assert files[0].read_bytes() == files[1].read_bytes()
+    restored = _roundtrip(one, tmp_path / "restored")
+    assert restored.executor_stats == {
+        name: value for name, value in one.executor_stats.items() if name not in timers
+    }
 
 
 # -- exact rows from codes ---------------------------------------------------------------

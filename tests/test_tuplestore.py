@@ -12,6 +12,7 @@ a full IVM insert/delete stream over the store on all three strategies.
 
 from __future__ import annotations
 
+import operator
 import pickle
 import random
 
@@ -452,13 +453,133 @@ def test_relation_constructors_round_trip():
     assert clone != by_rows
 
 
-def test_store_copy_is_independent():
+@pytest.mark.parametrize("tombstones", [False, True])
+def test_store_copy_is_independent(tombstones):
+    """Mutating a clone — netting in place, killing rows, appending,
+    sweeping — leaves the source's rows, multiplicity buffer and row index
+    as they were, whichever way the copy was taken."""
     store = TupleStore(SCHEMA)
     store.add(("a", 1), 2)
+    store.add_batch([(f"k{index}", index) for index in range(8)], [1] * 8)
+    if tombstones:
+        store.add(("k3", 3), -1)
+        assert store.zeros == 1
+    rows, index = list(store.rows_list()), dict(store._row_index)
+    mults, buffer = store.multiplicities_view().copy(), store._mults.data
     clone = store.copy()
     clone.add(("a", 1), -2)
+    clone.add(("k5", 5), 3)
+    clone.add_batch([("new", 0), ("k6", 6)], [1, -1])
+    clone.compact()
     assert store.multiplicity(("a", 1)) == 2
     assert clone.multiplicity(("a", 1)) == 0
+    assert store.rows_list() == rows and store._row_index == index
+    assert store._mults.data is buffer
+    assert np.array_equal(store.multiplicities_view(), mults)
+
+
+#: Stored values Python equality folds together (``1``/``1.0``/``True``,
+#: ``0.0``/``-0.0``) or keeps apart although they print alike (NaN objects):
+#: the copies and flushes below must keep every one where it was.
+NAN_A, NAN_B = float("nan"), float("nan")
+FOLDED = [1, 1.0, True, 0.0, -0.0, NAN_A, NAN_B, "a", "b", 2]
+
+
+def _snapshot_of(store):
+    """Values (by identity), codes and exceptions of every column after one
+    ``column_store()``, with the rows and multiplicities."""
+    snapshot = Relation.from_store("R", store).column_store()
+    columns = []
+    for position, name in enumerate(store.schema.names):
+        encoding = snapshot.encoding(name)
+        exceptions = store._columns[position].exceptions
+        columns.append((
+            [id(value) for value in encoding.values],
+            encoding.codes.tolist(),
+            {slot: id(value) for slot, value in exceptions.items()},
+        ))
+    return snapshot.rows[: snapshot.row_count], snapshot.multiplicities.tolist(), columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    flushed=st.integers(min_value=-1, max_value=39),
+    sweep=st.booleans(),
+    pinned=st.booleans(),
+    indexed=st.booleans(),
+)
+@example(seed=3, flushed=39, sweep=False, pinned=False, indexed=False)
+@example(seed=3, flushed=-1, sweep=True, pinned=True, indexed=True)
+def test_a_copy_is_its_live_rows_reappended(seed, flushed, sweep, pinned, indexed):
+    """``copy()`` equals a fresh store fed the source's ``iter_items()``:
+    same live rows in slot order, multiplicities and counters, a row index
+    of exactly the live rows at their slots, and — once snapshotted — the
+    same dictionaries, codes and exceptions, whatever the source held: a
+    pending tail (encoded up to batch ``flushed`` only), tombstones, a
+    sweep, a pin, key indexes."""
+    schema = Schema.from_names(["k", "v"], categorical_names=["k"])
+    store = TupleStore(schema)
+    if indexed:
+        store.add_index(["k"])
+        store.add_index(["k", "v"])
+    for position, (rows, multiplicities) in enumerate(random_event_batches(seed, values=7)):
+        store.add_batch([(key, FOLDED[value]) for key, value in rows], multiplicities)
+        if position == flushed:
+            store.flush_encodings()
+    if sweep:
+        store.compact()
+    if pinned:
+        store.pin()
+    clone = store.copy()
+    items = list(store.iter_items())
+    twin = TupleStore(schema)
+    twin.add_batch([row for row, _m in items], [m for _row, m in items])
+
+    assert clone.rows_list() == twin.rows_list() == [row for row, _m in items]
+    assert all(map(operator.is_, clone.rows_list(), twin.rows_list()))
+    assert clone.multiplicities_view().tolist() == twin.multiplicities_view().tolist()
+    assert (clone.live, clone.zeros, clone.total) == (twin.live, twin.zeros, twin.total)
+    assert (clone.live, clone.total) == (store.live, store.total) and clone.zeros == 0
+    assert clone._row_index == {row: slot for slot, row in enumerate(clone.rows_list())}
+    assert (clone.pins, clone.version, clone.epoch, clone._indexes) == (0, 0, 0, {})
+    assert _snapshot_of(clone) == _snapshot_of(twin)
+
+
+@pytest.mark.parametrize("arity", [0, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.lists(st.integers(0, len(FOLDED) - 1), min_size=3, max_size=3),
+                   max_size=60),
+    chunk=st.integers(min_value=2, max_value=17),
+)
+def test_one_flush_equals_many(arity, picks, chunk):
+    """A pending tail encoded in one go, in chunks or row by row comes out
+    with the same dictionaries (the very value objects), codes and
+    exceptions, and decodes to the stored values themselves."""
+    schema = Schema.from_names([f"c{position}" for position in range(arity)])
+    rows = [tuple(FOLDED[pick] for pick in row[:arity]) for row in picks]
+    once, chunked, single = TupleStore(schema), TupleStore(schema), TupleStore(schema)
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        once.add_batch(part, [1] * len(part))
+        chunked.add_batch(part, [1] * len(part))
+        chunked.flush_encodings()
+    for row in rows:
+        single.add(row, 1)
+        single.flush_encodings()
+    once.flush_encodings()
+    assert once.rows_list() == chunked.rows_list() == single.rows_list()
+    for left, other in ((once, chunked), (once, single)):
+        for mine, theirs in zip(left._columns, other._columns):
+            assert all(map(operator.is_, mine.values, theirs.values))
+            assert len(mine.values) == len(theirs.values)
+            assert np.array_equal(mine.codes.view(), theirs.codes.view())
+            assert mine.exceptions.keys() == theirs.exceptions.keys()
+            assert all(map(operator.is_, mine.exceptions.values(), theirs.exceptions.values()))
+    for position, column in enumerate(once._columns):
+        stored = [row[position] for row in once.rows_list()]
+        assert all(map(operator.is_, column.decode(), stored))
 
 
 # -- deterministic canonical orders ----------------------------------------------------
