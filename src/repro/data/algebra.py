@@ -4,6 +4,11 @@ All operators respect multiplicities: selection and projection keep them
 (projection adds them up per surviving tuple), joins multiply them, union adds
 them, and difference subtracts them.  These are exactly the semantics of the
 relational semiring / integer-ring view used throughout the paper.
+
+Each operator collects its result as one ``(rows, multiplicities)`` delta and
+lands it with a single :meth:`~repro.data.relation.Relation.add_batch`, so a
+result is one mutation (version 1) whose rows sit in the order the operator
+produced them, repeats netted at their first occurrence.
 """
 
 from __future__ import annotations
@@ -14,26 +19,42 @@ from repro.data.attribute import Attribute, AttributeType, Schema, SchemaError
 from repro.data.relation import Relation, RelationError, Row
 
 
+def _add_items(relation: Relation, items: Iterable[Tuple[Row, int]]) -> None:
+    """Land ``(row, multiplicity)`` pairs in ``relation`` as one delta."""
+    pairs = list(items)
+    relation.add_batch(
+        [row for row, _multiplicity in pairs],
+        [multiplicity for _row, multiplicity in pairs],
+        validated=True,
+    )
+
+
+def _relation(name: str, schema: Schema, items: Iterable[Tuple[Row, int]]) -> Relation:
+    """A new relation holding ``(row, multiplicity)`` pairs, one delta."""
+    result = Relation(name, schema)
+    _add_items(result, items)
+    return result
+
+
 def select(relation: Relation, predicate: Callable[[Dict[str, object]], bool],
            name: Optional[str] = None) -> Relation:
     """Keep tuples for which ``predicate`` holds (predicate sees a dict row)."""
-    result = Relation(name or f"select({relation.name})", relation.schema)
     names = relation.schema.names
-    for row, multiplicity in relation.items():
-        if predicate(dict(zip(names, row))):
-            result.add(row, multiplicity)
-    return result
+    kept = [
+        (row, multiplicity)
+        for row, multiplicity in relation.items()
+        if predicate(dict(zip(names, row)))
+    ]
+    return _relation(name or f"select({relation.name})", relation.schema, kept)
 
 
 def select_equals(relation: Relation, attribute: str, value: object,
                   name: Optional[str] = None) -> Relation:
     """Selection ``attribute = value`` (fast path, no dict construction)."""
     index = relation.schema.index_of(attribute)
-    result = Relation(name or f"select({relation.name})", relation.schema)
-    for row, multiplicity in relation.items():
-        if row[index] == value:
-            result.add(row, multiplicity)
-    return result
+    kept = [(row, multiplicity) for row, multiplicity in relation.items()
+            if row[index] == value]
+    return _relation(name or f"select({relation.name})", relation.schema, kept)
 
 
 def project(relation: Relation, names: Sequence[str],
@@ -41,20 +62,18 @@ def project(relation: Relation, names: Sequence[str],
     """Multiset projection onto ``names`` (multiplicities accumulate)."""
     schema = relation.schema.project(names)
     indices = relation.schema.indices_of(names)
-    result = Relation(name or f"project({relation.name})", schema)
-    for row, multiplicity in relation.items():
-        result.add(tuple(row[index] for index in indices), multiplicity)
-    return result
+    projected = [
+        (tuple(row[index] for index in indices), multiplicity)
+        for row, multiplicity in relation.items()
+    ]
+    return _relation(name or f"project({relation.name})", schema, projected)
 
 
 def rename(relation: Relation, mapping: Mapping[str, str],
            name: Optional[str] = None) -> Relation:
     """Rename attributes according to ``mapping``."""
     schema = relation.schema.rename(dict(mapping))
-    result = Relation(name or relation.name, schema)
-    for row, multiplicity in relation.items():
-        result.add(row, multiplicity)
-    return result
+    return _relation(name or relation.name, schema, relation.items())
 
 
 def union(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
@@ -64,8 +83,7 @@ def union(left: Relation, right: Relation, name: Optional[str] = None) -> Relati
             f"union requires identical schemas: {left.schema.names} vs {right.schema.names}"
         )
     result = left.copy(name or f"union({left.name},{right.name})")
-    for row, multiplicity in right.items():
-        result.add(row, multiplicity)
+    _add_items(result, right.items())
     return result
 
 
@@ -76,8 +94,7 @@ def difference(left: Relation, right: Relation, name: Optional[str] = None) -> R
             f"difference requires identical schemas: {left.schema.names} vs {right.schema.names}"
         )
     result = left.copy(name or f"difference({left.name},{right.name})")
-    for row, multiplicity in right.items():
-        result.add(row, -multiplicity)
+    _add_items(result, ((row, -multiplicity) for row, multiplicity in right.items()))
     return result
 
 
@@ -88,11 +105,13 @@ def cartesian_product(left: Relation, right: Relation,
     if shared:
         raise SchemaError(f"cartesian product requires disjoint schemas, shared: {sorted(shared)}")
     schema = left.schema.union(right.schema)
-    result = Relation(name or f"product({left.name},{right.name})", schema)
-    for left_row, left_multiplicity in left.items():
-        for right_row, right_multiplicity in right.items():
-            result.add(left_row + right_row, left_multiplicity * right_multiplicity)
-    return result
+    right_items = list(right.items())
+    pairs = [
+        (left_row + right_row, left_multiplicity * right_multiplicity)
+        for left_row, left_multiplicity in left.items()
+        for right_row, right_multiplicity in right_items
+    ]
+    return _relation(name or f"product({left.name},{right.name})", schema, pairs)
 
 
 def natural_join(left: Relation, right: Relation,
@@ -113,13 +132,15 @@ def natural_join(left: Relation, right: Relation,
         key = tuple(row[position] for position in right_shared)
         index.setdefault(key, []).append((row, multiplicity))
 
-    result = Relation(name or f"join({left.name},{right.name})", schema)
-    for row, multiplicity in left.items():
-        key = tuple(row[position] for position in left_shared)
-        for other_row, other_multiplicity in index.get(key, ()):  # type: ignore[arg-type]
-            combined = row + tuple(other_row[position] for position in right_extra)
-            result.add(combined, multiplicity * other_multiplicity)
-    return result
+    pairs = [
+        (row + tuple(other_row[position] for position in right_extra),
+         multiplicity * other_multiplicity)
+        for row, multiplicity in left.items()
+        for other_row, other_multiplicity in index.get(
+            tuple(row[position] for position in left_shared), ()
+        )
+    ]
+    return _relation(name or f"join({left.name},{right.name})", schema, pairs)
 
 
 def natural_join_all(relations: Sequence[Relation], name: Optional[str] = None) -> Relation:
@@ -141,11 +162,12 @@ def semi_join(left: Relation, right: Relation, name: Optional[str] = None) -> Re
     left_shared = left.schema.indices_of(shared)
     right_shared = right.schema.indices_of(shared)
     keys = {tuple(row[position] for position in right_shared) for row in right}
-    result = Relation(name or f"semijoin({left.name},{right.name})", left.schema)
-    for row, multiplicity in left.items():
-        if tuple(row[position] for position in left_shared) in keys:
-            result.add(row, multiplicity)
-    return result
+    kept = [
+        (row, multiplicity)
+        for row, multiplicity in left.items()
+        if tuple(row[position] for position in left_shared) in keys
+    ]
+    return _relation(name or f"semijoin({left.name},{right.name})", left.schema, kept)
 
 
 def group_by_aggregate(
@@ -176,10 +198,8 @@ def group_by_aggregate(
         tuple(relation.schema.attribute(column) for column in group_by)
         + (Attribute(aggregate_name, AttributeType.CONTINUOUS),)
     )
-    result = Relation(name or f"groupby({relation.name})", schema)
-    for key, total in totals.items():
-        result.add(key + (total,))
-    return result
+    groups = [(key + (total,), 1) for key, total in totals.items()]
+    return _relation(name or f"groupby({relation.name})", schema, groups)
 
 
 def aggregate_scalar(

@@ -13,7 +13,7 @@ The columnar view (:meth:`column_store`) is the store's dense snapshot — a
 zero-copy alias of its arrays, or one gather of the live slots while
 tombstones exist — never a re-encode; the tuple-at-a-time protocol
 (``items``, ``expanded_rows`` & co.) survives as iterators over the stored
-row tuples for the interpreted/naive engines and the algebra layer.
+row tuples for the naive engine and the algebra layer.
 """
 
 from __future__ import annotations
@@ -111,7 +111,11 @@ class Relation:
     # -- mutation ---------------------------------------------------------------
 
     def add(self, row: Sequence[RowValue], multiplicity: int = 1) -> None:
-        """Add ``multiplicity`` copies of ``row`` (negative values delete)."""
+        """Add ``multiplicity`` copies of ``row`` (negative values delete).
+
+        A one-row :meth:`add_batch` (one version bump); a zero multiplicity
+        changes nothing, not even the version.
+        """
         if len(row) != self.arity:
             raise RelationError(
                 f"row arity {len(row)} does not match schema arity {self.arity} "
@@ -119,7 +123,7 @@ class Relation:
             )
         if multiplicity == 0:
             return
-        self._store.add(tuple(row), multiplicity)
+        self._store.add_batch([tuple(row)], [multiplicity])
 
     def remove(self, row: Sequence[RowValue], multiplicity: int = 1) -> None:
         """Remove ``multiplicity`` copies of ``row``."""
@@ -133,9 +137,9 @@ class Relation:
     ) -> None:
         """Apply one signed delta (rows + multiplicities) in a single pass.
 
-        Semantically a loop of :meth:`add` — the per-row arity check included
-        — but with one version bump for the whole delta (downstream caches
-        see a single mutation) and vectorised column encoding for appends.
+        The one way rows enter the store: every row is arity-checked, the
+        whole delta costs one version bump (downstream caches see a single
+        mutation) and appended rows are encoded in one vectorised pass.
         ``validated=True`` skips the arity pre-check and tuple coercion for
         callers that already pass checked tuple rows (the IVM batch path
         validates while netting).
@@ -156,10 +160,6 @@ class Relation:
                 coerced.append(tuple(row))
             rows = coerced
         self._store.add_batch(rows, multiplicities)
-
-    def insert_all(self, rows: Iterable[Sequence[RowValue]]) -> None:
-        tuples = [tuple(row) for row in rows]
-        self.add_batch(tuples, [1] * len(tuples))
 
     def clear(self) -> None:
         self._store.clear()
@@ -249,37 +249,6 @@ class Relation:
 
     def empty_like(self, name: Optional[str] = None) -> "Relation":
         return Relation(name or self.name, self.schema)
-
-    @staticmethod
-    def from_store(name: str, store: TupleStore) -> "Relation":
-        """Wrap an existing :class:`TupleStore` (the partition path)."""
-        relation = Relation(name, store.schema)
-        relation._store = store
-        return relation
-
-    def partition(self, assignments, parts: int) -> List["Relation"]:
-        """Split into ``parts`` relations by a per-row assignment array.
-
-        ``assignments`` maps each row of the dense snapshot (the order
-        :meth:`column_store` exposes) to a part in ``[0, parts)``.  Each
-        child is built through :meth:`TupleStore.take` — code arrays
-        gathered, dictionaries shallow-copied, row tuples shared by reference
-        — so no child ever re-materialises or re-encodes its rows.
-        """
-        import numpy as np
-
-        store = self._store
-        live = store.live_slots()
-        assignments = np.asarray(assignments, dtype=np.int64)
-        if assignments.shape[0] != live.shape[0]:
-            raise RelationError(
-                f"partition of {self.name!r}: {assignments.shape[0]} assignments "
-                f"for {live.shape[0]} live rows"
-            )
-        return [
-            Relation.from_store(self.name, store.take(live[assignments == part]))
-            for part in range(parts)
-        ]
 
     def rows(self) -> List[Row]:
         """All distinct rows (multiplicity ignored)."""

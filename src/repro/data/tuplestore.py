@@ -8,7 +8,7 @@ rows (F-IVM's delta propagation reads it through key indexes):
 
 - one **dictionary-encoded code array** per attribute (``values`` in
   first-occurrence order plus an ``int64`` code per row), grown in place and
-  flushed *lazily*: mutations append rows and multiplicities only, and the
+  flushed *lazily*: a write appends rows and multiplicities only, and the
   pending tail is encoded — one transpose, then per column one C-level pass
   over the dictionary (:meth:`_ColumnCodes.extend_values`, the only encode
   path) — when a columnar snapshot is actually requested, so neither the
@@ -24,14 +24,18 @@ rows (F-IVM's delta propagation reads it through key indexes):
   one C-level pass, and distinct new rows enter it in another — no per-row
   Python on the pure-append path.
 
+Rows enter a store one way, :meth:`TupleStore.add_batch` — a one-row
+``Relation.add`` included; only :meth:`~TupleStore.copy` and a checkpoint
+load build a store otherwise, and they rebuild one whole.
+
 In memory the row tuples are kept too (they are the hash-index keys anyway),
-so the tuple-at-a-time consumers — the interpreted/specialised executor
-scans, the relational algebra, ``expanded_rows`` — read them back without
-decoding; everything vectorised reads the code and multiplicity arrays
-directly.  A checkpoint holds the codes only: the rows are decoded from them
-on load, exactly — per column, the slots whose value a code does not
-reproduce (``1.0`` or ``True`` under the code of ``1``, ``-0.0`` under that of
-``0.0``) are recorded as exceptions when they are encoded.
+so the tuple-at-a-time consumers — the relational algebra, the naive
+engine, ``expanded_rows`` — read them back without decoding; everything
+vectorised reads the code and multiplicity arrays directly.  A checkpoint
+holds the codes only: the rows are decoded from them on load, exactly — per
+column, the slots whose value a code does not reproduce (``1.0`` or ``True``
+under the code of ``1``, ``-0.0`` under that of ``0.0``) are recorded as
+exceptions when they are encoded.
 
 The dense-snapshot contract
 ---------------------------
@@ -184,7 +188,7 @@ COMPACT_MIN_ZEROS = 64
 
 
 class _GrowArray:
-    """An amortised-doubling numpy array (scalar/array append + zero-copy view).
+    """An amortised-doubling numpy array (bulk extend + zero-copy view).
 
     Its pickled state is the occupied prefix only — the doubling slack is
     capacity, not content — and a restored array owns its memory.
@@ -206,11 +210,6 @@ class _GrowArray:
         grown = np.empty(capacity, dtype=self.data.dtype)
         grown[: self.size] = self.data[: self.size]
         self.data = grown
-
-    def append(self, value) -> None:
-        self._reserve(1)
-        self.data[self.size] = value
-        self.size += 1
 
     def extend(self, values) -> None:
         values = np.asarray(values, dtype=self.data.dtype)
@@ -291,21 +290,6 @@ class _ColumnCodes:
         # The dictionary decoded to float64, entry for entry, grown on demand
         # by floats_at (derived: never pickled, shared by a sweep).
         self.floats = _GrowArray(np.float64)
-
-    def code_of(self, value) -> int:
-        code = self.index.get(value)
-        if code is None:
-            code = len(self.values)
-            self.index[value] = code
-            self.values.append(value)
-        return code
-
-    def append_value(self, value) -> None:
-        code = self.code_of(value)
-        self.kinds.add(type(value))
-        if not _exact(value, self.values[code]):
-            self.exceptions[self.codes.size] = value
-        self.codes.append(code)
 
     def decode(self) -> List[object]:
         """The stored value of every slot: one object-array take through the
@@ -774,15 +758,9 @@ class TupleStore:
         count = len(self._rows)
         if start >= count:
             return
-        pending = self._rows[start:count]
-        if len(pending) == 1:
-            row = pending[0]
-            for position, column in enumerate(self._columns):
-                column.append_value(row[position])
-        else:
-            columns = transpose(pending, len(self._columns))
-            for position, column in enumerate(self._columns):
-                column.extend_values(columns[position])
+        columns = transpose(self._rows[start:count], len(self._columns))
+        for column, values in zip(self._columns, columns):
+            column.extend_values(values)
         self._encoded_count = count
         for index in self._indexes.values():
             index.code_columns(self._columns, start, count)
@@ -839,12 +817,6 @@ class TupleStore:
         return self._columns[self.schema.index_of(attribute)].floats_at(slots)
 
     # -- mutation ----------------------------------------------------------------------
-
-    def add(self, row: Tuple, multiplicity: int) -> None:
-        """Net one signed row delta into the store (one version bump)."""
-        self.version += 1
-        self._apply_one(row, multiplicity)
-        self._maybe_compact()
 
     def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> None:
         """Apply one signed delta in a single pass (one version bump).
@@ -917,28 +889,6 @@ class TupleStore:
         # immutable) ones, and nothing references the fresh arrays yet.
         self._cow_pending = False
         self._pin_floor = 0
-
-    def _apply_one(self, row: Tuple, multiplicity: int) -> None:
-        slot = self._row_index.get(row)
-        if slot is None:
-            self._row_index[row] = len(self._rows)
-            self._rows.append(row)
-            self._mults.append(float(multiplicity))
-            self.live += 1
-        else:
-            if self._cow_pending and slot < self._pin_floor:
-                # The slot is visible to a pinned snapshot; writing it in
-                # place would tear that snapshot's multiplicities.
-                self._detach_mults()
-            mults = self._mults.data
-            updated = mults[slot] + multiplicity
-            mults[slot] = updated
-            if updated == 0.0:
-                # The slot dies: it leaves the index and is never revived.
-                del self._row_index[row]
-                self.zeros += 1
-                self.live -= 1
-        self.total += multiplicity
 
     def _append_rows(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> int:
         """Bulk append of rows the index does not hold (non-zero
@@ -1064,35 +1014,6 @@ class TupleStore:
             index.rebuild(self._columns, len(self._rows))
 
     # -- copying -----------------------------------------------------------------------
-
-    def take(self, slots: np.ndarray) -> "TupleStore":
-        """A new store holding exactly the given slots' rows, in slot order.
-
-        The partitioned-construction primitive behind
-        :meth:`repro.data.relation.Relation.partition`: the child's per-column
-        code arrays are *slices* of this store's arrays (one vectorised gather
-        per column) and the dictionaries are shallow list/dict copies — one
-        probe per **distinct** value, never a per-row re-encode — so carving a
-        shard out of a parent relation costs O(selected + distinct), not
-        O(selected × arity) dictionary work.  The row tuples are shared by
-        reference (they are immutable).  Tombstoned slots may be passed; they
-        carry over as tombstones (dead in the child's index too).
-        """
-        slots = np.asarray(slots, dtype=np.int64)
-        clone = TupleStore(self.schema)
-        clone._rows = self._gather_rows(slots)
-        clone._mults, clone._columns = self._gather(slots)
-        for child in clone._columns:
-            child.values, child.index = list(child.values), dict(child.index)
-            child.kinds = set(child.kinds)
-            child.floats = _GrowArray(np.float64)
-        picked = clone._mults.view()
-        clone._encoded_count = len(clone._rows)
-        clone.live = int((picked != 0.0).sum())
-        clone.zeros = slots.size - clone.live
-        clone.total = float(picked.sum())
-        clone._index_live_rows()
-        return clone
 
     def copy(self) -> "TupleStore":
         """An independent store holding the live rows, in slot order: what a

@@ -48,6 +48,40 @@ class Update:
     multiplicity: int = 1
 
 
+def _check_arity(database: Database, relation_name: str, rows: Sequence[Tuple]) -> None:
+    """Raise ``ValueError`` naming the relation if a row's arity disagrees
+    with its schema."""
+    relation = database.relation(relation_name)
+    if set(map(len, rows)) - {relation.arity}:
+        row = next(row for row in rows if len(row) != relation.arity)
+        raise ValueError(
+            f"update row {row!r} has arity {len(row)}, but relation "
+            f"{relation_name!r} has schema {list(relation.schema.names)} "
+            f"(arity {relation.arity})"
+        )
+
+
+def coerce_groups(
+    database: Database,
+    groups: Iterable[Tuple[str, Sequence[Tuple], Sequence[int]]],
+    validated: bool = False,
+) -> List[Tuple[str, List[Tuple], List[int]]]:
+    """Already-netted groups made ready for ``apply_groups``, before anything
+    mutates: tuple rows, int multiplicities, every row's arity checked
+    against ``database``'s schemas (the check :func:`net_update_stream`
+    runs).  ``validated=True`` takes groups straight out of
+    :func:`net_update_stream` as they stand."""
+    if validated:
+        return groups if isinstance(groups, list) else list(groups)
+    prepared = [
+        (name, [tuple(row) for row in rows], [int(m) for m in netted])
+        for name, rows, netted in groups
+    ]
+    for name, rows, _netted in prepared:
+        _check_arity(database, name, rows)
+    return prepared
+
+
 def net_update_stream(
     database: Database, updates: Iterable[Update]
 ) -> List[Tuple[str, List[Tuple], List[int]]]:
@@ -69,14 +103,7 @@ def net_update_stream(
         group[0].append(update.row)
         group[1].append(update.multiplicity)
     for relation_name, (rows, _multiplicities) in split.items():
-        relation = database.relation(relation_name)
-        if set(map(len, rows)) != {relation.arity}:
-            row = next(row for row in rows if len(row) != relation.arity)
-            raise ValueError(
-                f"update row {row!r} has arity {len(row)}, but relation "
-                f"{relation_name!r} has schema {list(relation.schema.names)} "
-                f"(arity {relation.arity})"
-            )
+        _check_arity(database, relation_name, rows)
     groups: List[Tuple[str, List[Tuple], List[int]]] = []
     for relation_name, (rows, multiplicities) in split.items():
         # Distinct rows (a bulk load) are netted as they stand.
@@ -240,16 +267,6 @@ class CovarianceMaintainer(abc.ABC):
 
     # -- update protocol -----------------------------------------------------------------
 
-    def _validate(self, update: Update) -> None:
-        """Check the update's row arity against the relation schema."""
-        relation = self.database.relation(update.relation_name)
-        if len(update.row) != relation.arity:
-            raise ValueError(
-                f"update row {update.row!r} has arity {len(update.row)}, but "
-                f"relation {update.relation_name!r} has schema "
-                f"{list(relation.schema.names)} (arity {relation.arity})"
-            )
-
     def apply(self, update: Update) -> None:
         """Apply one signed tuple update.
 
@@ -266,7 +283,7 @@ class CovarianceMaintainer(abc.ABC):
                 "serialize updates through one thread (e.g. QueryServer.apply_batch)"
             )
         try:
-            self._validate(update)
+            _check_arity(self.database, update.relation_name, [update.row])
             if update.multiplicity == 0:
                 return
             self._apply_update(update)
@@ -341,18 +358,14 @@ class CovarianceMaintainer(abc.ABC):
         original maintainer state bit for bit.  Returns the number of netted
         rows applied.
 
-        ``validated=True`` skips the row/multiplicity normalization — only
-        for groups that came straight out of this maintainer's own
-        :meth:`net_updates` (the durable server's write path); journal replay
-        and any hand-built groups must keep the default.
+        Rows are coerced and arity-checked first (:func:`coerce_groups`): a
+        bad row raises ``ValueError`` and leaves the maintainer untouched.
+        ``validated=True`` skips that — only for groups that came straight
+        out of this maintainer's own :meth:`net_updates` (the durable
+        server's write path); journal replay and any hand-built groups must
+        keep the default.
         """
-        if validated:
-            prepared = groups if isinstance(groups, list) else list(groups)
-        else:
-            prepared = [
-                (name, [tuple(row) for row in rows], [int(m) for m in netted])
-                for name, rows, netted in groups
-            ]
+        prepared = coerce_groups(self.database, groups, validated)
         if not self._writer_gate.acquire(blocking=False):
             raise RuntimeError(
                 "concurrent writers: CovarianceMaintainer.apply_groups is "

@@ -246,7 +246,7 @@ class FIVM(CovarianceMaintainer):
         pushed to the root through the *same* vectorised :meth:`_hop` the
         batched path uses: a one-row block joined against the parent's tuple
         store through its key index.  The row reaches its own store after
-        this, in :meth:`apply` (``Relation.add``, the only write).
+        this, in :meth:`apply` (``Relation.add``, a one-row ``add_batch``).
         """
         name = update.relation_name
         node = self.join_tree.node(name)

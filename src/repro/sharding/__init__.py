@@ -5,8 +5,7 @@ hash-partitioned fact table (dimension tables replicated) can be maintained
 independently per shard and combined by one ring add.  This package provides
 
 - :class:`~repro.sharding.router.ShardRouter` — deterministic, process-stable
-  hash placement of fact rows, group routing, and vectorised partitioning of
-  populated relations;
+  hash placement of fact rows and routing of netted delta groups;
 - :class:`~repro.sharding.maintainer.ShardedMaintainer` — the facade speaking
   the unsharded maintainer contract over N per-shard maintainers;
 - the executors (:mod:`repro.sharding.executors`) — ``serial`` in-process and

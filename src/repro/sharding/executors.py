@@ -42,10 +42,8 @@ __all__ = ["SerialShardExecutor", "ProcessPoolShardExecutor"]
 class SerialShardExecutor:
     """Apply shard group lists one shard at a time, in this process.
 
-    The correctness oracle for the process pool (same maintainers, same
-    routed groups, same merge — bit-identical results) and the out-of-core
-    stepping stone: only one shard's state is ever *active* at a time, so a
-    paging layer could keep the rest on disk between batches.
+    The correctness oracle for the process pool: same maintainers, same
+    routed groups, same merge — bit-identical results.
     """
 
     mode = "serial"

@@ -37,7 +37,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data.database import Database
 from repro.data.tuplestore import StatsCounters
-from repro.ivm.base import Update, net_update_stream, recompute_covariance
+from repro.ivm.base import (
+    Update,
+    coerce_groups,
+    net_update_stream,
+    recompute_covariance,
+)
 from repro.ivm.fivm import FIVM
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.covariance import CovariancePayload, CovarianceRing
@@ -186,13 +191,7 @@ class ShardedMaintainer:
         validated: bool = False,
     ) -> int:
         """Apply already-netted groups (the journal replay / durable-write path)."""
-        if validated:
-            prepared = groups if isinstance(groups, list) else list(groups)
-        else:
-            prepared = [
-                (name, [tuple(row) for row in rows], [int(m) for m in netted])
-                for name, rows, netted in groups
-            ]
+        prepared = coerce_groups(self.database, groups, validated)
         self._apply_routed(prepared)
         return sum(len(rows) for _name, rows, _netted in prepared)
 

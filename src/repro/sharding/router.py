@@ -15,19 +15,14 @@ send the same key to different shards in the parent and in a pool worker.
 :func:`stable_hash` therefore derives a 64-bit value from two seeded CRC-32
 passes over a canonical text form of the value, with bool/float values that
 compare equal to an int canonicalised to that int first — the same
-equivalence the dictionary encodings use — so every code path (per-row
-routing, vectorised slot partitioning, any process) agrees on placement.
+equivalence the dictionary encodings use — so a key routes alike in every
+process, whichever of its equal forms a row carries.
 """
 
 from __future__ import annotations
 
 import zlib
 from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
-
-from repro.data.database import Database
-from repro.data.relation import Relation
 
 __all__ = ["ShardRouter", "stable_hash"]
 
@@ -64,15 +59,13 @@ def _fold(hashes: Iterable[int]) -> int:
 
 
 class ShardRouter:
-    """Routes netted delta groups and partitions base relations by shard key.
+    """Routes netted delta groups to shards by shard key.
 
     ``key_attributes`` name the shard-key columns of ``fact_relation`` (in
     that relation's schema); rows of the fact relation route to
     ``stable_hash``-fold-of-key ``mod shard_count``, all other relations
     replicate.  Routing is a pure function of the key values — independent of
-    batch composition, row order, process, and run — which is what makes the
-    per-row path (:meth:`shard_of_row`) and the vectorised per-dictionary-code
-    path (:meth:`partition_assignments`) interchangeable.
+    batch composition, row order, process, and run.
     """
 
     def __init__(
@@ -153,54 +146,3 @@ class ShardRouter:
                 if split_rows[shard]:
                     per_shard[shard].append((name, split_rows[shard], split_netted[shard]))
         return per_shard
-
-    # -- vectorised base-table partitioning --------------------------------------------
-
-    def partition_assignments(self, relation: Relation) -> np.ndarray:
-        """Per-slot shard assignment for a populated fact relation.
-
-        Reads the relation's zero-copy column store and hashes each
-        **distinct** shard-key combination exactly once (``codes_for``
-        provides the dictionary), then gathers the per-row assignment through
-        the code array — O(rows) integer gather plus O(distinct keys) Python
-        hashing, never a per-row key materialisation.
-        """
-        store = relation.column_store()
-        row_codes, distinct = store.codes_for(self.key_attributes)
-        if not distinct:
-            return np.zeros(0, dtype=np.int64)
-        shard_of = np.fromiter(
-            (self.shard_of_key(key) for key in distinct),
-            dtype=np.int64,
-            count=len(distinct),
-        )
-        return shard_of[row_codes]
-
-    def partition_relation(self, relation: Relation) -> List[Relation]:
-        """Split a populated fact relation into per-shard relations."""
-        assignments = self.partition_assignments(relation)
-        return relation.partition(assignments, self.shard_count)
-
-    def partition_database(self, database: Database) -> List[Database]:
-        """Per-shard base databases: fact partitioned, dimensions copied.
-
-        The out-of-core stepping stone: each returned database is a complete,
-        self-contained input for one shard's maintainer, so shards can be
-        loaded (or paged in) one at a time.
-        """
-        shards: List[List[Relation]] = [[] for _ in range(self.shard_count)]
-        for relation in database:
-            if relation.name == self.fact_relation:
-                for shard, part in enumerate(self.partition_relation(relation)):
-                    shards[shard].append(part)
-            else:
-                for shard in range(self.shard_count):
-                    shards[shard].append(relation.copy())
-        return [
-            Database(
-                relations,
-                list(database.functional_dependencies),
-                name=f"{database.name}/shard{shard}",
-            )
-            for shard, relations in enumerate(shards)
-        ]

@@ -1,6 +1,8 @@
 """Tests for the multiset relational-algebra operators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Relation, Schema, algebra
 from repro.data.attribute import SchemaError
@@ -127,3 +129,54 @@ def test_join_is_commutative_on_content(orders, dishes):
     left_set = {tuple(sorted(zip(left.schema.names, row))) for row in left}
     right_set = {tuple(sorted(zip(right.schema.names, row))) for row in right}
     assert left_set == right_set
+
+
+def test_every_result_is_one_batch(orders, dishes):
+    """Each operator lands its whole result with one ``add_batch``."""
+    tags = relation_from_rows("Tags", ["tag"], [("a",), ("b",)], categorical=["tag"])
+    joined = algebra.natural_join(orders, dishes)
+    results = {
+        "select": algebra.select(orders, lambda row: row["dish"] == "hotdog"),
+        "select_equals": algebra.select_equals(orders, "customer", "joe"),
+        "project": algebra.project(orders, ["dish"]),
+        "rename": algebra.rename(orders, {"customer": "person"}),
+        "union": algebra.union(orders, orders),
+        "difference": algebra.difference(orders, orders),
+        "cartesian_product": algebra.cartesian_product(orders, tags),
+        "natural_join": joined,
+        "natural_join_all": algebra.natural_join_all([orders, dishes, tags]),
+        "semi_join": algebra.semi_join(dishes, orders),
+        "group_by_aggregate": algebra.group_by_aggregate(
+            joined, ["dish"], lambda row: row["price"], "total"
+        ),
+    }
+    assert {name: result.version for name, result in results.items()} == dict.fromkeys(
+        results, 1
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    deltas=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=-3, max_value=3).filter(bool),
+        ),
+        max_size=40,
+    )
+)
+def test_project_over_signed_multiplicities_equals_a_dict_model(deltas):
+    """Rows that project alike net: a key may cancel to zero and come back,
+    and it lands once, at its first occurrence, with its net multiplicity."""
+    schema = Schema.from_names(["k", "v"])
+    source: dict = {}
+    for key, value, multiplicity in deltas:
+        source[(key, value)] = source.get((key, value), 0) + multiplicity
+    relation = Relation("R", schema, multiplicities=source)
+    model: dict = {}
+    for (key, _value), multiplicity in relation.items():
+        model[(key,)] = model.get((key,), 0) + multiplicity
+    projected = algebra.project(relation, ["k"])
+    assert list(projected.items()) == [(row, m) for row, m in model.items() if m]
+    assert projected.version == 1

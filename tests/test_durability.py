@@ -37,6 +37,7 @@ from repro.durability import (
 from repro.durability.journal import FILE_MAGIC, KIND_ABORT, KIND_BATCH
 from repro.ivm import FIVM, CovarianceMaintainer, Update
 from repro.serving import PoisonBatchError, QueryServer
+from repro.sharding import ShardedMaintainer
 from streams import random_update_stream
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
@@ -299,6 +300,31 @@ def test_apply_groups_bit_identical_to_apply_batch(source, strategy):
         replayed.apply_groups(replayed.net_updates(batch))
     assert _payloads_equal(direct.statistics(), replayed.statistics())
     assert direct.database.relation("Inventory") == replayed.database.relation("Inventory")
+
+
+@pytest.mark.parametrize("maintainer_kind", ["fivm", "sharded"])
+@pytest.mark.parametrize("malformed", ["long", "short"])
+def test_apply_groups_rejects_a_row_of_the_wrong_arity(maintainer_kind, malformed):
+    """A hand-built group (journal replay) with an over-long or a short row
+    raises ``ValueError`` naming the relation before anything mutates — on
+    the fused pass (two rows) and through the sharded facade alike."""
+    database = retailer_database(inventory_rows=200, seed=1)
+    query = retailer_query()
+    if maintainer_kind == "fivm":
+        maintainer = FIVM(database, query, FEATURES)
+    else:
+        maintainer = ShardedMaintainer(database, query, FEATURES, shards=2)
+    maintainer.apply_batch(random_update_stream(database, seed=5, length=60))
+    root = maintainer.join_tree.root.relation_name
+    row, other = list(database.relation(root))[:2]
+    bad = row + ("extra",) if malformed == "long" else row[:-1]
+    relation = maintainer.database.relation(root)
+    version, before = relation.version, maintainer.statistics()
+    with pytest.raises(ValueError, match=repr(root)):
+        maintainer.apply_groups([(root, [bad, other], [1, 1])])
+    assert relation.version == version
+    assert _payloads_equal(maintainer.statistics(), before)
+    assert bad not in relation
 
 
 def test_recover_matches_uninterrupted_run(tmp_path, source):

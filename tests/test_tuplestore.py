@@ -6,7 +6,7 @@ multiplicities are applied both to a :class:`~repro.data.relation.Relation`
 ``dict[tuple, int]`` reference model, and every observable — netting,
 deletion-to-zero, membership, totals, version bumps — must agree.  Compaction and the dense-snapshot contract (history-determined
 snapshots whether or not a sweep ran, the tombstone space bound, restored
-and partitioned stores) are covered explicitly, and a regression test runs
+stores) are covered explicitly, and a regression test runs
 a full IVM insert/delete stream over the store on all three strategies.
 """
 
@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
+from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
     COMPACT_MIN_ZEROS,
     TupleStore,
@@ -386,10 +387,10 @@ def test_consumers_of_a_masked_snapshot_see_dense_aligned_rows():
     ] == [(("a", 3), 3), (("b", 5), 5)]
 
 
-def test_restored_and_partitioned_stores_never_revive_a_dead_slot():
-    """Pickle round trip, partition() and take() of a store holding
-    tombstones: the copy indexes live slots only, so a later delete +
-    re-insert lays rows out exactly like the never-copied twin."""
+def test_restored_stores_never_revive_a_dead_slot():
+    """Pickle round trip of a store holding tombstones: the restored store
+    indexes live slots only, so a later delete + re-insert lays rows out
+    exactly like the never-pickled twin."""
 
     def churn(relation):
         relation.add(("a", 3), -3)                      # another death
@@ -407,20 +408,6 @@ def test_restored_and_partitioned_stores_never_revive_a_dead_slot():
     assert list(restored.items()) == expected
     assert restored.version == relation.version
     assert churn(restored) == want
-
-    relation, expected = _masked_relation()
-    (whole,) = relation.partition(np.zeros(4, dtype=np.int64), 1)
-    assert list(whole.items()) == expected
-    assert churn(whole) == want
-    with pytest.raises(ValueError, match="4 live rows"):
-        relation.partition(np.zeros(6, dtype=np.int64), 1)
-
-    # take() may be handed tombstoned slots; they stay dead in the child.
-    relation, expected = _masked_relation()
-    child = Relation.from_store("R", relation._store.take(np.arange(6)))
-    assert child._store.zeros == 2 and ("c", 4) not in child
-    assert list(child.items()) == expected
-    assert churn(child) == want
 
 
 # -- version bumps ---------------------------------------------------------------------
@@ -459,16 +446,16 @@ def test_store_copy_is_independent(tombstones):
     sweeping — leaves the source's rows, multiplicity buffer and row index
     as they were, whichever way the copy was taken."""
     store = TupleStore(SCHEMA)
-    store.add(("a", 1), 2)
+    store.add_batch([("a", 1)], [2])
     store.add_batch([(f"k{index}", index) for index in range(8)], [1] * 8)
     if tombstones:
-        store.add(("k3", 3), -1)
+        store.add_batch([("k3", 3)], [-1])
         assert store.zeros == 1
     rows, index = list(store.rows_list()), dict(store._row_index)
     mults, buffer = store.multiplicities_view().copy(), store._mults.data
     clone = store.copy()
-    clone.add(("a", 1), -2)
-    clone.add(("k5", 5), 3)
+    clone.add_batch([("a", 1)], [-2])
+    clone.add_batch([("k5", 5)], [3])
     clone.add_batch([("new", 0), ("k6", 6)], [1, -1])
     clone.compact()
     assert store.multiplicity(("a", 1)) == 2
@@ -488,7 +475,7 @@ FOLDED = [1, 1.0, True, 0.0, -0.0, NAN_A, NAN_B, "a", "b", 2]
 def _snapshot_of(store):
     """Values (by identity), codes and exceptions of every column after one
     ``column_store()``, with the rows and multiplicities."""
-    snapshot = Relation.from_store("R", store).column_store()
+    snapshot = ColumnStore.from_tuplestore("R", store.schema, store)
     columns = []
     for position, name in enumerate(store.schema.names):
         encoding = snapshot.encoding(name)
@@ -566,7 +553,7 @@ def test_one_flush_equals_many(arity, picks, chunk):
         chunked.add_batch(part, [1] * len(part))
         chunked.flush_encodings()
     for row in rows:
-        single.add(row, 1)
+        single.add_batch([row], [1])
         single.flush_encodings()
     once.flush_encodings()
     assert once.rows_list() == chunked.rows_list() == single.rows_list()
