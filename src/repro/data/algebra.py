@@ -147,7 +147,10 @@ def natural_join_all(relations: Sequence[Relation], name: Optional[str] = None) 
     """Left-deep natural join of a sequence of relations."""
     if not relations:
         raise RelationError("natural_join_all requires at least one relation")
-    result = relations[0].copy()
+    first = relations[0]
+    # Built from items(), not copy(): a pinned snapshot's relations (see
+    # repro.serving.snapshots.SnapshotRelation) are read-only and have none.
+    result = _relation(first.name, first.schema, first.items())
     for relation in relations[1:]:
         result = natural_join(result, relation)
     result.name = name or "join(" + ",".join(relation.name for relation in relations) + ")"

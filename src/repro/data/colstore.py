@@ -13,7 +13,8 @@ through the codes, and numeric columns are decoded through the dictionary.
 Stores are cached on the relation (see :meth:`Relation.column_store`) and
 invalidated by the relation's mutation counter, so repeated batch evaluations
 — gradient descent steps, decision-tree node splits, serving reads — reuse
-the encodings instead of rebuilding per-row Python state every time.
+the encodings, and what the engine derives from them (:attr:`ColumnStore.derived`),
+instead of rebuilding per-row Python state every time.
 """
 
 from __future__ import annotations
@@ -262,6 +263,12 @@ class ColumnStore:
         ] = {}
         self._key_indexes: Dict[Tuple[str, ...], Dict[Tuple, int]] = {}
         self._distinct_counts: Dict[Tuple[str, ...], int] = {}
+        #: What the engine's executor derives from this snapshot alone (filter
+        #: masks, key codings, cross-store key maps), shared by every engine
+        #: and reader of it.  Entries are built in locals and published with
+        #: one assignment, as the caches above are: readers sharing a pinned
+        #: snapshot that race a fill at worst duplicate the work.
+        self.derived: Dict[Tuple, object] = {}
 
     @classmethod
     def from_tuplestore(cls, name: str, schema, store) -> "ColumnStore":

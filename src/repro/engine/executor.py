@@ -274,9 +274,9 @@ class _BaseKeys:
 
     ``codes`` assigns every row its dense joint-key code; ``conn_ids`` and
     ``group_ids`` decompose each code into indices of the decoded connection
-    keys and sorted group pairs.  Cached per group-by attribute tuple inside
-    the :class:`ColumnarContext`, so every view family — and every later
-    batch — reuses the arrays.
+    keys and sorted group pairs.  Memoised on the store per (connection,
+    group-by) attribute tuples, so every view family — and every later
+    batch, engine or reader of the snapshot — reuses the arrays.
     """
 
     __slots__ = ("codes", "size", "conn_ids", "group_ids", "conn_keys",
@@ -307,98 +307,69 @@ class _BaseKeys:
             self.group_keys = [EMPTY_GROUP]
 
 
-class ColumnarContext:
-    """Columnar precomputations for one node, reusable across batches.
+def _filter_mask(store: ColumnStore, condition) -> _np.ndarray:
+    """Boolean row mask for one filter, evaluated over the dictionary.
 
-    Everything cached here depends only on the relation snapshot (through its
-    :class:`ColumnStore`), on the direction — the node's parent and with it
-    the connection key and the children — and on stable keys: attribute
-    tuples and filter conditions, never a particular batch's child views.
-    The engine keeps one context per direction alive across ``evaluate()``
-    calls and drops it only when the underlying relation's version changes.
+    Comparison filters against typed dictionaries are pure array operations;
+    anything else runs the condition's Python test once per *distinct*
+    value, never per row.
     """
-
-    def __init__(
-        self,
-        node: JoinTreeNode,
-        relation: Relation,
-        conn_attributes: Sequence[str],
-        store: Optional[ColumnStore] = None,
-    ) -> None:
-        self.node = node
-        self.relation = relation
-        self.store = store if store is not None else relation.column_store()
-        self.conn_attributes = tuple(conn_attributes)
-        self._filter_masks: Dict[object, _np.ndarray] = {}
-        self._base_keys: Dict[Tuple[str, ...], _BaseKeys] = {}
-        # child relation -> the relation names of the child's subtree
-        self.child_relations: Dict[str, FrozenSet[str]] = {
-            child.relation_name: frozenset(
-                below.relation_name for below in child.subtree_nodes()
+    key = ("filter", condition.attribute, condition.op, repr(condition.value))
+    mask = store.derived.get(key)
+    if mask is None:
+        encoding = store.encoding(condition.attribute)
+        value_mask = _vectorised_value_mask(encoding, condition)
+        if value_mask is None:
+            value_mask = _np.fromiter(
+                (bool(condition.test(value)) for value in encoding.values),
+                dtype=bool,
+                count=encoding.cardinality,
             )
-            for child in node.children
-        }
-        # (key attrs, child relation) -> (child store, parent key code -> child key code)
-        self._cross_maps: Dict[Tuple, Tuple[ColumnStore, _np.ndarray]] = {}
+        mask = value_mask[encoding.codes]
+        store.derived[key] = mask
+    return mask
 
-    def filter_mask(self, condition) -> _np.ndarray:
-        """Boolean row mask for one filter, evaluated over the dictionary.
 
-        Comparison filters against typed dictionaries are pure array
-        operations; anything else runs the condition's Python test once per
-        *distinct* value, never per row.
-        """
-        key = (condition.attribute, condition.op, repr(condition.value))
-        mask = self._filter_masks.get(key)
-        if mask is None:
-            encoding = self.store.encoding(condition.attribute)
-            value_mask = _vectorised_value_mask(encoding, condition)
-            if value_mask is None:
-                value_mask = _np.fromiter(
-                    (bool(condition.test(value)) for value in encoding.values),
-                    dtype=bool,
-                    count=encoding.cardinality,
-                )
-            mask = value_mask[encoding.codes]
-            self._filter_masks[key] = mask
-        return mask
+def _base_keys(store: ColumnStore, conn: Tuple[str, ...], local: Tuple[str, ...]) -> _BaseKeys:
+    key = ("base", conn, local)
+    base = store.derived.get(key)
+    if base is None:
+        base = _BaseKeys(store, conn, local)
+        store.derived[key] = base
+    return base
 
-    def base_keys(self, local_attributes: Tuple[str, ...]) -> _BaseKeys:
-        base = self._base_keys.get(local_attributes)
-        if base is None:
-            base = _BaseKeys(self.store, self.conn_attributes, local_attributes)
-            self._base_keys[local_attributes] = base
-        return base
 
-    def cross_map(
-        self, key_attributes: Tuple[str, ...], child_store: ColumnStore
-    ) -> _np.ndarray:
-        """Parent key code -> child-store key code (or -1), cached per store pair.
+def _cross_map(
+    store: ColumnStore, key_attributes: Tuple[str, ...], child_store: ColumnStore
+) -> _np.ndarray:
+    """Parent key code -> child-store key code (or -1), memoised per store pair.
 
-        Every view of the same child reuses this one mapping: typed key
-        dictionaries are matched fully vectorised, anything else probes the
-        child store's key index once per distinct parent key.
-        """
-        # Keyed by relation name, not store identity: when the child mutates,
-        # the fresh store *replaces* the stale entry instead of accumulating
-        # one pinned snapshot per mutation over the engine's lifetime.
-        key = (key_attributes, child_store.relation_name)
-        cached = self._cross_maps.get(key)
-        if cached is not None and cached[0] is child_store:
-            return cached[1]
-        parent_columns = self.store.key_columns(key_attributes)
-        child_columns = child_store.key_columns(key_attributes)
-        mapping = None
-        if parent_columns is not None and child_columns is not None:
-            mapping = _match_key_columns(parent_columns, child_columns)
-        if mapping is None:
-            index = child_store.key_index(key_attributes)
-            row_keys = self.store.codes_for(key_attributes)[1]
-            mapping = _np.fromiter(
-                (index.get(key, -1) for key in row_keys), dtype=_np.int64, count=len(row_keys)
-            )
-        self._cross_maps[key] = (child_store, mapping)
-        return mapping
+    Every view of the same child reuses this one mapping: typed key
+    dictionaries are matched fully vectorised, anything else probes the
+    child store's key index once per distinct parent key.
+    """
+    # Keyed by relation name, not store identity: when the child mutates,
+    # the fresh store *replaces* the stale entry instead of accumulating one
+    # kept-alive snapshot per mutation over the parent snapshot's lifetime.
+    key = ("cross", key_attributes, child_store.relation_name)
+    cached = store.derived.get(key)
+    if cached is not None and cached[0] is child_store:
+        return cached[1]
+    parent_columns = store.key_columns(key_attributes)
+    child_columns = child_store.key_columns(key_attributes)
+    mapping = None
+    if parent_columns is not None and child_columns is not None:
+        mapping = _match_key_columns(parent_columns, child_columns)
+    if mapping is None:
+        index = child_store.key_index(key_attributes)
+        row_keys = store.codes_for(key_attributes)[1]
+        mapping = _np.fromiter(
+            (index.get(row_key, -1) for row_key in row_keys),
+            dtype=_np.int64,
+            count=len(row_keys),
+        )
+    store.derived[key] = (child_store, mapping)
+    return mapping
 
 
 def _vectorised_value_mask(encoding: ColumnEncoding, condition) -> Optional[_np.ndarray]:
@@ -477,13 +448,18 @@ def _build_families(
     node: JoinTreeNode,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
-    context: ColumnarContext,
     child_views: Mapping[Tuple[str, str, ViewSignature], ColumnarView],
 ) -> List[_ViewFamily]:
     """Group distinct signatures into view families (see :class:`_ViewFamily`)."""
     here = node.relation_name
+    # Per child: its join-key attributes and the relation names of its subtree.
     children = [
-        (child, tuple(sorted(child.attributes & node.attributes))) for child in node.children
+        (
+            child,
+            tuple(sorted(child.attributes & node.attributes)),
+            frozenset(below.relation_name for below in child.subtree_nodes()),
+        )
+        for child in node.children
     ]
     families: Dict[Tuple, _ViewFamily] = {}
     for signature in signatures:
@@ -491,10 +467,8 @@ def _build_families(
         key: List[object] = [local_attributes]
         views: List[ColumnarView] = []
         stores: List[Optional[ColumnStore]] = []
-        for child, _attributes in children:
-            restricted = restrict_signature(
-                signature, child, designation, context.child_relations[child.relation_name]
-            )
+        for child, _attributes, below in children:
+            restricted = restrict_signature(signature, child, designation, below)
             view = child_views[(child.relation_name, here, restricted)]
             store = view.flat_store()
             views.append(view)
@@ -504,7 +478,10 @@ def _build_families(
         if family is None:
             family = families[tuple(key)] = _ViewFamily(
                 local_attributes,
-                [(attributes, store, []) for (_child, attributes), store in zip(children, stores)],
+                [
+                    (attributes, store, [])
+                    for (_child, attributes, _below), store in zip(children, stores)
+                ],
                 [],
             )
         family.signatures.append(signature)
@@ -514,7 +491,8 @@ def _build_families(
 
 
 def _evaluate_family(
-    context: ColumnarContext,
+    store: ColumnStore,
+    conn: Tuple[str, ...],
     node: JoinTreeNode,
     family: _ViewFamily,
     designation: Mapping[str, str],
@@ -535,8 +513,7 @@ def _evaluate_family(
     pattern, so sibling outputs share their presence arrays by identity.
     """
     here = node.relation_name
-    store = context.store
-    base = context.base_keys(family.local_attributes)
+    base = _base_keys(store, conn, family.local_attributes)
     if store.row_count == 0:
         return _empty_views(family, base, store)
 
@@ -552,7 +529,7 @@ def _evaluate_family(
         if filters not in masks:
             mask: Optional[_np.ndarray] = None
             for condition in filters:
-                condition_mask = context.filter_mask(condition)
+                condition_mask = _filter_mask(store, condition)
                 mask = condition_mask if mask is None else (mask & condition_mask)
             masks[filters] = mask
         if (product, filters) not in local:
@@ -584,14 +561,14 @@ def _evaluate_family(
         join_key = (position, id(child_store if child_store is not None else members[0]))
         resolved = joins.get(join_key)
         if resolved is None:
-            # One cached store-to-store key code mapping per child store (plus
+            # One memoised store-to-store key code mapping per child store (plus
             # a slot scatter for a table), never a probe per row.
             table: Optional[_ChildTable] = None
             if child_store is not None:
-                slot_of_key = context.cross_map(key_attributes, child_store)
+                slot_of_key = _cross_map(store, key_attributes, child_store)
             else:
                 table = members[0].table()
-                cross = context.cross_map(key_attributes, table.conn_space[0])
+                cross = _cross_map(store, key_attributes, table.conn_space[0])
                 inverse = _np.full(max(table.conn_space[1], 1), -1, dtype=_np.int64)
                 inverse[table.slot_conn_ids] = _np.arange(
                     table.slot_conn_ids.size, dtype=_np.int64
@@ -768,51 +745,31 @@ def _empty_views(
     return {signature: view for signature in family.signatures}
 
 
-def _context_for(
-    node: JoinTreeNode,
-    relation: Relation,
-    conn_attributes: Sequence[str],
-    context_cache: Optional[MutableMapping[Tuple, ColumnarContext]],
-) -> ColumnarContext:
-    """Fetch (or build) the direction's columnar context, honouring relation versions."""
-    if context_cache is None:
-        return ColumnarContext(node, relation, conn_attributes)
-    key = (node.relation_name, node.parent.relation_name if node.parent else None)
-    context = context_cache.get(key)
-    store = relation.column_store()
-    if context is None or context.store is not store:
-        context = ColumnarContext(node, relation, conn_attributes, store=store)
-        context_cache[key] = context
-    return context
-
-
 def compute_node_views(
     node: JoinTreeNode,
     relation: Relation,
     signatures: Sequence[ViewSignature],
     designation: Mapping[str, str],
     child_views: Mapping[Tuple[str, str, ViewSignature], ColumnarView],
-    context_cache: Optional[MutableMapping[Tuple, ColumnarContext]] = None,
     stats: Optional[MutableMapping[str, int]] = None,
 ) -> Dict[ViewSignature, ColumnarView]:
     """Compute the views for all ``signatures`` at one node.
 
     The distinct signatures are grouped into view families and evaluated
     vectorised over the relation's column store, sharing the per-node
-    precomputation.  ``child_views`` holds the views of the node's children
-    under ``(child, node, signature)``.  ``context_cache`` (used by the
-    engine) carries columnar contexts across batch evaluations; ``stats``
-    counts the views computed and the pipelines that computed them.
+    precomputation; what depends on the snapshot alone (filter masks, key
+    codings, cross-store key maps) is memoised on the store itself, for
+    every engine and reader of it.  ``child_views`` holds the views of the
+    node's children under ``(child, node, signature)``; ``stats`` counts the
+    views computed and the pipelines that computed them.
     """
-    conn_attributes = sorted(node.connection_attributes())
-    context = _context_for(node, relation, conn_attributes, context_cache)
+    store = relation.column_store()
+    conn = tuple(sorted(node.connection_attributes()))
     joins: Dict[Tuple[int, int], Tuple[Optional[_ChildTable], _np.ndarray]] = {}
     results: Dict[ViewSignature, ColumnarView] = {}
-    families = _build_families(
-        node, list(dict.fromkeys(signatures)), designation, context, child_views
-    )
+    families = _build_families(node, list(dict.fromkeys(signatures)), designation, child_views)
     for family in families:
-        results.update(_evaluate_family(context, node, family, designation, joins))
+        results.update(_evaluate_family(store, conn, node, family, designation, joins))
     if stats is not None:
         stats[STAT_PIPELINES] = stats.get(STAT_PIPELINES, 0) + len(families)
         stats[STAT_COLUMNAR] = stats.get(STAT_COLUMNAR, 0) + len(results)

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.engine.executor import ColumnarContext, ColumnarView, compute_node_views
+from repro.engine.executor import ColumnarView, compute_node_views
 from repro.engine.plan import BatchPlan, Direction, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
 from repro.engine.statistics import RootChoice, choose_root
@@ -137,26 +137,24 @@ class BatchResult:
 class LMFAOEngine:
     """Layered multiple functional aggregate optimisation, in Python.
 
-    The engine is built once per (database, query) pair and keeps two things
-    across :meth:`evaluate` calls:
+    The engine is built per (database, query) pair and keeps only its join
+    tree and **default root** — where aggregates without a cheaper root of
+    their own are evaluated — chosen at construction by the schema-level
+    cost model; :attr:`root_choice` records its per-candidate estimates.
+    Per batch, :meth:`plan` may root groups of aggregates elsewhere
+    (``BatchResult.plan_summary`` says where and at what estimated cost).
+    ``root_relation`` forces one root for everything.
 
-    - **columnar contexts**: per direction ``(node, towards)``, the key
-      codings, filter masks and cross-store key maps of the node's column
-      store, keyed by store identity — a mutation bumps
-      :attr:`Relation.version`, the relation hands out a new store, and the
-      context is rebuilt on the next evaluation;
-    - **the default join-tree root** — where aggregates without a cheaper
-      root of their own are evaluated — chosen once at construction by the
-      schema-level cost model; :attr:`root_choice` records its per-candidate
-      estimates.  Per batch, :meth:`plan` may root groups of aggregates
-      elsewhere (``BatchResult.plan_summary`` says where and at what
-      estimated cost).  ``root_relation`` forces one root for everything.
-
-    Views are not kept: every call computes every view its plan needs.  The
-    engine evaluates over the data as it stands and never patches a result:
-    keeping a result current under updates is what the maintainers of
-    :mod:`repro.ivm` do, and ``evaluate`` after any mutation returns, bit
-    for bit, what a freshly built engine with the same default root returns.
+    Nothing is cached between calls: every call computes every view its
+    plan needs.  What depends on a relation snapshot alone — key codings,
+    filter masks, cross-store key maps — lives on that snapshot
+    (:attr:`repro.data.colstore.ColumnStore.derived`), so every engine and
+    reader over it shares the work, and a mutation, which makes the relation
+    hand out a new snapshot, leaves nothing stale behind.  The engine never
+    patches a result: keeping a result current under updates is what the
+    maintainers of :mod:`repro.ivm` do, and ``evaluate`` after any mutation
+    returns, bit for bit, what a freshly built engine with the same default
+    root returns.
     """
 
     def __init__(
@@ -173,11 +171,6 @@ class LMFAOEngine:
         #: when the caller forced ``root_relation``.
         self.root_choice: Optional[RootChoice] = None
         self.join_tree = self._build_join_tree()
-        # Columnar contexts survive across evaluate() calls: repeated batch
-        # evaluations (gradient descent, decision-tree splits, IVM refreshes)
-        # reuse the dictionary encodings.  Entries auto-refresh when the
-        # underlying relation's version changes.
-        self._context_cache: Dict[Tuple, ColumnarContext] = {}
 
     # -- construction ---------------------------------------------------------------------
 
@@ -191,29 +184,6 @@ class LMFAOEngine:
         if root == unrooted.root.relation_name:
             return unrooted
         return unrooted.rerooted(root)
-
-    def rebind_database(self, database: Database) -> None:
-        """Point the engine at another database with the same query schema.
-
-        The serving layer evaluates each read against a pinned snapshot
-        database; per-reader engines are reused across reads by rebinding
-        instead of being rebuilt.  The columnar contexts stay in place: they
-        are keyed by store identity, so a relation whose store is unchanged
-        across generations keeps its context, and any other is rebuilt.
-
-        The new database must serve the same relation names with the same
-        attribute names; the join tree is schema-derived and is kept as-is.
-        """
-        if database is self.database:
-            return
-        for name in self.query.relation_names:
-            if name not in database:
-                raise ValueError(f"rebind target lacks relation {name!r}")
-            if database.relation(name).schema.names != self.database.relation(name).schema.names:
-                raise ValueError(
-                    f"rebind target changes the schema of relation {name!r}"
-                )
-        self.database = database
 
     # -- evaluation ------------------------------------------------------------------------
 
@@ -229,9 +199,9 @@ class LMFAOEngine:
     def evaluate(self, batch: AggregateBatch) -> BatchResult:
         """Evaluate all aggregates of ``batch`` and return their values.
 
-        Every view of the plan is computed from the columnar contexts;
-        ``executor_stats`` counts them (``views_columnar``) and the shared
-        pipelines that computed them (``view_pipelines``).
+        Every view of the plan is computed; ``executor_stats`` counts them
+        (``views_columnar``) and the shared pipelines that computed them
+        (``view_pipelines``).
         """
         started = time.perf_counter()
         plan = self.plan(batch)
@@ -274,7 +244,6 @@ class LMFAOEngine:
                     plan.views[direction],
                     plan.designation,
                     views,
-                    context_cache=self._context_cache,
                     stats=stats,
                 )
                 for signature, view in computed.items():

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.data.tuplestore import net_rows
 from repro.kernels import kernel_stats, kernel_stats_enabled
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
-from repro.rings.covariance import CovarianceBlock, CovariancePayload, CovarianceRing
+from repro.rings.covariance import CovariancePayload, CovarianceRing
 
 
 @dataclass(frozen=True)
@@ -248,23 +248,6 @@ class CovarianceMaintainer(abc.ABC):
             if self._designation[feature] == relation_name
         ]
 
-    def lift_row(self, relation_name: str, row: Tuple) -> CovariancePayload:
-        """Lift one tuple of a relation into the covariance ring.
-
-        The payload carries the values of the features designated to that
-        relation; relations with no designated features lift to the ring's one.
-        The construction is direct (one sparse outer product) rather than a
-        chain of ring multiplications, which is what a code-specialised engine
-        would generate.
-        """
-        plan = self._lift_plans[relation_name]
-        if not plan:
-            return self.ring.one()
-        sums = np.zeros(len(self.features))
-        for source, target in plan:
-            sums[target] = float(row[source])
-        return CovariancePayload(1.0, sums, np.outer(sums, sums))
-
     # -- update protocol -----------------------------------------------------------------
 
     def apply(self, update: Update) -> None:
@@ -272,8 +255,8 @@ class CovarianceMaintainer(abc.ABC):
 
         ``Relation.add`` bumps the relation's mutation counter, which also
         invalidates any cached column store (see ``Relation.column_store``) —
-        engines holding columnar contexts over the maintained database
-        re-encode lazily on their next evaluation.  A zero multiplicity is
+        an engine over the maintained database reads a fresh snapshot on its
+        next evaluation.  A zero multiplicity is
         validated and then changes nothing, exactly as :meth:`apply_batch`
         nets it away.
         """
@@ -302,9 +285,9 @@ class CovarianceMaintainer(abc.ABC):
         update anywhere in the batch leaves the maintainer untouched).
         All groups go at once through ``_apply_multi_delta`` (one
         leaf-to-root traversal for the whole batch, which also lands the
-        groups' rows in the base relations).  Subclasses without a fused
-        pass, and batches netting to a single row, fall back to the
-        per-tuple :meth:`apply` over the *netted* pairs — the same rule
+        groups' rows in the base relations).  Batches netting to a single
+        row, and subclasses without a fused pass, run the per-tuple
+        :meth:`apply` over the *netted* pairs — the same rule
         :meth:`apply_groups` uses, so
         ``apply_batch(U)`` and ``apply_groups(net_updates(U))`` retrace the
         identical computation (the durability journal relies on this for
@@ -409,38 +392,35 @@ class CovarianceMaintainer(abc.ABC):
         """Propagate netted groups; the single dispatch point both
         :meth:`apply_batch` and :meth:`apply_groups` funnel through.
 
-        Fewer than two netted rows, or a subclass with no
-        ``_apply_multi_delta`` override: per tuple; otherwise the fused pass.
-        The rule keys on the *netted* row count (not the raw batch length),
-        so netting a batch and replaying its groups later picks the same
-        code path — a precondition for bit-identical journal replay.
+        Fewer than two netted rows run per tuple; otherwise the subclass's
+        ``_apply_multi_delta`` (per tuple too, unless it fuses a pass).  The
+        rule keys on the *netted* row count (not the raw batch length), so
+        netting a batch and replaying its groups later picks the same code
+        path — a precondition for bit-identical journal replay.
         """
         total_rows = sum(len(rows) for _name, rows, _netted in groups)
-        has_fused_pass = (
-            type(self)._apply_multi_delta
-            is not CovarianceMaintainer._apply_multi_delta
-        )
-        if total_rows < 2 or not has_fused_pass:
-            for relation_name, rows, netted in groups:
-                for row, multiplicity in zip(rows, netted):
-                    self.apply(Update(relation_name, row, multiplicity))
-            return
-        self._apply_multi_delta(groups)
+        if total_rows < 2:
+            CovarianceMaintainer._apply_multi_delta(self, groups)
+        else:
+            self._apply_multi_delta(groups)
 
     @abc.abstractmethod
     def _apply_update(self, update: Update) -> None:
         """Strategy-specific maintenance, run before the base relation changes."""
 
     def _apply_multi_delta(self, groups: List[Tuple[str, List[Tuple], List[int]]]) -> None:
-        """Strategy-specific fused maintenance for a whole batch.
+        """Maintenance for a whole batch; by default every netted row through
+        :meth:`apply`, one at a time.
 
         ``groups`` lists every touched relation's netted delta as
-        ``(relation_name, rows, multiplicities)``.  The pass also lands every
-        group's rows in its base relation (``Relation.add_batch``), at the
-        point of the traversal its arithmetic needs them.  A subclass that
-        does not override this gets every batch applied per tuple.
+        ``(relation_name, rows, multiplicities)``.  A subclass that fuses the
+        batch into one pass must also land every group's rows in its base
+        relation (``Relation.add_batch``), at the point of the traversal its
+        arithmetic needs them.
         """
-        raise NotImplementedError
+        for relation_name, rows, netted in groups:
+            for row, multiplicity in zip(rows, netted):
+                self.apply(Update(relation_name, row, multiplicity))
 
     # -- durability support ---------------------------------------------------------------
 

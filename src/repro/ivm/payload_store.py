@@ -134,19 +134,6 @@ class PayloadStore:
             float(self.counts[slot]), self.sums[slot].copy(), self.moments[slot].copy()
         )
 
-    def peek(self, key: Tuple) -> Optional[CovariancePayload]:
-        """Like :meth:`get` but aliasing the store's arrays (no copies).
-
-        For transient use as a ring-operation operand only — the arrays are
-        the live storage and later slot updates write through them.
-        """
-        slot = self._slots.get(key)
-        if slot is None:
-            return None
-        return CovariancePayload(
-            float(self.counts[slot]), self.sums[slot], self.moments[slot]
-        )
-
     def add(self, key: Tuple, payload: CovariancePayload) -> None:
         slot = self.slot_of(key, create=True)
         self.counts[slot] += payload.count

@@ -23,7 +23,7 @@ through the view tree without any per-tuple Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -140,10 +140,6 @@ class CovarianceRing(Ring):
         moments[feature_index, feature_index] = value * value
         return CovariancePayload(1.0, sums, moments)
 
-    def lift_constant(self) -> CovariancePayload:
-        """Lift a value that does not contribute to any feature (count only)."""
-        return self.one()
-
     def from_rows(self, rows: Sequence[Sequence[float]]) -> CovariancePayload:
         """Aggregate an explicit data matrix into a single payload (reference)."""
         total = self.zero()
@@ -168,10 +164,11 @@ class PayloadScratch:
     each allocating fresh ``d``/``(d, d)`` arrays whose cost is pure
     dispatch overhead at realistic dimensions.  The scratch fuses the whole
     chain — ``scale(lift(row), m) * payload_1 * ... * payload_k`` — into
-    in-place updates of one preallocated buffer pair, with support-aware
-    fast paths mirroring :meth:`CovarianceBlock.multiply_point` for
-    count-only and single-feature operands.  One scratch per maintainer; the
-    per-tuple path is single-threaded by construction.
+    in-place updates of one preallocated buffer pair; the products run in
+    :meth:`~repro.ivm.payload_store.PayloadStore.multiply_scratch`, with
+    support-aware fast paths for count-only and single-feature operands.
+    One scratch per maintainer; the per-tuple path is single-threaded by
+    construction.
     """
 
     __slots__ = ("count", "sums", "moments", "_view")
@@ -200,37 +197,15 @@ class PayloadScratch:
         self.sums *= factor
         self.moments *= factor
 
-    def multiply_point(
-        self, count: float, sum_at: float, moment_at: float, position: int
-    ) -> None:
-        """Ring product with a payload supported on a single feature."""
-        self.count = _KERNELS.scratch_multiply_point(
-            self.count, self.sums, self.moments, count, sum_at, moment_at, position
-        )
-
-    def multiply_dense(self, count: float, sums2: np.ndarray, moments2: np.ndarray) -> None:
-        """General in-place ring product (operand read-only, may alias storage)."""
-        self.count = _KERNELS.scratch_multiply_dense(
-            self.count, self.sums, self.moments, count, sums2, moments2
-        )
-
-    def block(self) -> "CovarianceBlock":
-        """A one-row :class:`CovarianceBlock` copy (the scratch stays reusable)."""
-        return CovarianceBlock(
-            np.asarray([self.count]),
-            self.sums[None, :].copy(),
-            self.moments[None, :, :].copy(),
-        )
-
     def block_view(self) -> "CovarianceBlock":
         """A one-row block *aliasing* the scratch buffers — no allocation.
 
-        The preallocated counterpart of :meth:`block` for the per-tuple hot
-        path: one persistent view per scratch, its arrays shared with the
-        live buffers.  Only valid until the next scratch mutation, and the
-        consumer must not write through it — the propagation hop only reads
-        its input block (every derived block is freshly gathered), which is
-        exactly the contract this fast path relies on.
+        For the per-tuple hot path: one persistent view per scratch, its
+        arrays shared with the live buffers.  Only valid until the next
+        scratch mutation, and the consumer must not write through it — the
+        propagation hop only reads its input block (every derived block is
+        freshly gathered), which is exactly the contract this fast path
+        relies on.
         """
         view = self._view
         if view is None:

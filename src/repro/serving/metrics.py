@@ -3,9 +3,10 @@
 All recording goes through one lock — readers record from pool threads while
 the writer records batch lag from the serving thread, so the same counter
 races the :class:`~repro.data.tuplestore.StatsCounters` fix guards against
-would otherwise reappear here.  Retention is bounded (deques) so a long-lived
-server does not grow without bound; percentiles therefore describe the most
-recent window.
+would otherwise reappear here.  Retention is bounded (deques, and read counts
+for the most recent ``window`` generations) so a long-lived server does not
+grow without bound; percentiles and per-generation read counts therefore
+describe the most recent window, while the totals count everything.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class ServingStats:
         self._snapshot_ages = deque(maxlen=window)
         self._writer_lags = deque(maxlen=window)
         self._journal_lags = deque(maxlen=window)
+        self._window = window
+        # generation -> reads, in first-read order; the oldest leaves past `window`
         self._reads_per_generation: Dict[int, int] = {}
+        self._generations_read = 0
         self._reads = 0
         self._writes = 0
         self._tuples_written = 0
@@ -53,8 +57,14 @@ class ServingStats:
             self._reads += 1
             self._read_latencies.append(latency_s)
             self._snapshot_ages.append(snapshot_age_s)
-            count = self._reads_per_generation
-            count[generation] = count.get(generation, 0) + 1
+            counts = self._reads_per_generation
+            if generation in counts:
+                counts[generation] += 1
+                return
+            counts[generation] = 1
+            self._generations_read += 1
+            if len(counts) > self._window:
+                del counts[next(iter(counts))]
 
     def record_write(self, batch_lag_s: float, tuples: int) -> None:
         with self._lock:
@@ -94,6 +104,7 @@ class ServingStats:
             lags = list(self._writer_lags)
             journal_lags = list(self._journal_lags)
             per_generation = list(self._reads_per_generation.values())
+            generations_read = self._generations_read
             reads = self._reads
             writes = self._writes
             tuples_written = self._tuples_written
@@ -121,7 +132,7 @@ class ServingStats:
             "snapshot_age_max_s": max(ages) if ages else 0.0,
             "writer_batch_lag_p50_s": percentile(lags, 0.50),
             "writer_batch_lag_p99_s": percentile(lags, 0.99),
-            "generations_read": len(per_generation),
+            "generations_read": generations_read,
             "reads_per_epoch_mean": (
                 sum(per_generation) / len(per_generation) if per_generation else 0.0
             ),

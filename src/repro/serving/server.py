@@ -4,10 +4,11 @@
 
 - a :class:`~repro.serving.snapshots.SnapshotManager` over the maintainer's
   database, republished after every applied writer batch;
-- a thread pool of readers, each pool thread owning one private
-  :class:`~repro.engine.lmfao.LMFAOEngine` that is rebound to the pinned
-  generation per read (its columnar contexts persist across generations,
-  keyed by store identity; every read computes every view of its plan);
+- a thread pool of readers, each read building an
+  :class:`~repro.engine.lmfao.LMFAOEngine` over its pinned generation (the
+  engine caches nothing; what it derives from a relation snapshot lives on
+  that snapshot, shared by every read of it, and every read computes every
+  view of its plan);
 - a single serialized ``apply_batch`` writer path feeding the wrapped
   :class:`~repro.ivm.base.CovarianceMaintainer`.
 
@@ -36,7 +37,7 @@ from repro.durability.recovery import DurabilityOptions, recover as durability_r
 from repro.engine.lmfao import LMFAOEngine
 from repro.ivm.base import CovarianceMaintainer, Update
 from repro.serving.metrics import ServingStats
-from repro.serving.snapshots import Snapshot, SnapshotManager
+from repro.serving.snapshots import SnapshotManager
 
 __all__ = ["ReadResult", "PoisonBatchError", "QueryServer"]
 
@@ -74,12 +75,11 @@ class ReadResult:
 class QueryServer:
     """Serve aggregate reads against pinned snapshots while batches land.
 
-    ``readers`` bounds the reader pool; each pool thread lazily builds one
-    engine against its first pinned generation and rebinds it afterwards.
-    Reader engines force the maintainer's join-tree root (identical plans
-    for identical batches, the precondition for bitwise-stable answers) and
-    evaluate single-threaded inside their pool thread.  A reader's engine
-    computes every view of a read from the pinned generation — it never
+    ``readers`` bounds the reader pool.  Each read builds an engine over its
+    pinned generation that forces the maintainer's join-tree root (identical
+    plans for identical batches, the precondition for bitwise-stable
+    answers) and evaluates single-threaded inside its pool thread.  It
+    computes every view of the read from the pinned generation — it never
     serves or patches one from an earlier read, which is what keeps a read
     bit-identical to a serial replay of its prefix.
 
@@ -120,7 +120,6 @@ class QueryServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, readers), thread_name_prefix="serving-reader"
         )
-        self._local = threading.local()
         self._writer_lock = threading.Lock()
         self._closed = False
         # Publish the initial generation so reads never race the first write.
@@ -171,11 +170,13 @@ class QueryServer:
         and surfaces as :class:`PoisonBatchError`; the server stays
         writable and the snapshot stream intact either way.
         """
-        if self._closed:
-            raise RuntimeError("QueryServer is closed")
         updates = list(updates)
         start = time.perf_counter()
         with self._writer_lock:
+            # Checked under the lock: close() takes it too, so a batch either
+            # publishes before the manager closes or never starts.
+            if self._closed:
+                raise RuntimeError("QueryServer is closed")
             if self._journal is None:
                 try:
                     self.maintainer.apply_batch(updates)
@@ -287,9 +288,12 @@ class QueryServer:
             # superseded generation's arrays leak forever.
             try:
                 fault_point("reader.query")
-                engine = self._engine_for(snapshot)
-                result = engine.evaluate(batch)
-                value: Dict[str, object] = dict(result.values)
+                engine = LMFAOEngine(
+                    snapshot.database,
+                    self.maintainer.query,
+                    root_relation=self.maintainer.join_tree.root.relation_name,
+                )
+                value: Dict[str, object] = dict(engine.evaluate(batch).values)
             except BaseException:
                 self.stats.record_read_error()
                 raise
@@ -318,19 +322,6 @@ class QueryServer:
         latency = time.perf_counter() - start
         self.stats.record_read(snapshot.generation, latency, age)
         return ReadResult("statistics", snapshot.generation, prefix, value, latency, age)
-
-    def _engine_for(self, snapshot: Snapshot) -> LMFAOEngine:
-        engine: Optional[LMFAOEngine] = getattr(self._local, "engine", None)
-        if engine is None:
-            engine = LMFAOEngine(
-                snapshot.database,
-                self.maintainer.query,
-                root_relation=self.maintainer.join_tree.root.relation_name,
-            )
-            self._local.engine = engine
-        else:
-            engine.rebind_database(snapshot.database)
-        return engine
 
     # -- introspection / lifecycle -----------------------------------------------------
 
@@ -366,13 +357,16 @@ class QueryServer:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        self.manager.close()
-        if self._journal is not None:
-            # A clean shutdown checkpoints the final state so the next
-            # recovery replays nothing (with no batch since the last write
-            # there is nothing to fold); crashes skip this path by definition
-            # and fall back to the last periodic (or seed) checkpoint.
-            with self._writer_lock:
+        # Under the writer lock: a batch in flight publishes its generation
+        # first, and the manager's hold on that one is dropped here.
+        with self._writer_lock:
+            self.manager.close()
+            if self._journal is not None:
+                # A clean shutdown checkpoints the final state so the next
+                # recovery replays nothing (with no batch since the last write
+                # there is nothing to fold); crashes skip this path by
+                # definition and fall back to the last periodic (or seed)
+                # checkpoint.
                 if self._batches_since_checkpoint:
                     self._write_checkpoint()
                 self._journal.close()

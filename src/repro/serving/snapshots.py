@@ -50,9 +50,9 @@ class SnapshotRelation:
     ``schema``/``version``/``column_store()``/``items()`` — backed by the
     generation's pinned :class:`~repro.data.colstore.ColumnStore` instead of
     live storage.  Mutation is structurally impossible (there is no store
-    reference here); a reader's engine tells generations apart by
-    ``version`` alone and recomputes the views above a relation whose
-    version moved.
+    reference here).  A relation unchanged across generations hands every
+    one of them the same snapshot, so reads of any of them share what the
+    engine derived from it (:attr:`~repro.data.colstore.ColumnStore.derived`).
     """
 
     __slots__ = ("name", "schema", "version", "_snapshot", "_live")

@@ -286,7 +286,8 @@ def test_big_integer_join_keys_stay_exact():
 
 
 def test_cross_map_cache_does_not_grow_across_child_mutations():
-    """One cross-store key mapping per (attrs, child), replaced on mutation."""
+    """One cross-store key mapping per (attrs, child) on the parent's snapshot,
+    replaced when the child mutates."""
     from repro.query import ConjunctiveQuery
 
     database = Database(
@@ -297,16 +298,16 @@ def test_cross_map_cache_does_not_grow_across_child_mutations():
     )
     query = ConjunctiveQuery(["F", "D"])
     batch = AggregateBatch("m", [Aggregate.sum_of(["m", "x"], group_by=["x"], name="mx")])
-    engine = LMFAOEngine(database, query)
+    engine = LMFAOEngine(database, query, root_relation="F")
     engine.evaluate(batch)
+    parent = database["F"].column_store()
     sizes = set()
     for step in range(4):
         database["D"].add((1, 100 + step))
         engine.evaluate(batch)
-        sizes.update(
-            len(context._cross_maps) for context in engine._context_cache.values()
-        )
-    assert max(sizes) <= 1, sizes
+        assert database["F"].column_store() is parent
+        sizes.add(sum(key[0] == "cross" for key in parent.derived))
+    assert sizes == {1}, sizes
 
 
 def test_int_float_key_domains_do_not_collapse_big_integers():

@@ -7,10 +7,11 @@ long-lived state:
   particular — produces identical aggregate values;
 - *cost model*: the optimizer consumes real statistics (row counts, distinct
   connection-key counts from the column store) and exposes its evidence;
-- *no stale state*: an engine keeps only columnar contexts (keyed by store
-  identity) and its default root across calls, and computes every planned
-  view on every call, so a long-lived engine answers bit for bit what a
-  fresh one does, whatever the update history.
+- *no stale state*: an engine keeps only its join tree and default root
+  across calls (what it derives from a relation snapshot lives on the
+  snapshot) and computes every planned view on every call, so a long-lived
+  engine answers bit for bit what a fresh one does, whatever the update
+  history.
 """
 
 from __future__ import annotations
@@ -538,8 +539,8 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     ``B`` and ``C`` both hang off ``A`` by ``k``: the views ``A`` computes
     for ``B`` (over ``A`` and ``C``) and for ``C`` (over ``A`` and ``B``)
     have the same connection attributes and, here, equal signatures.  Keyed
-    by connection attributes their contexts and restricted child signatures
-    would be each other's.
+    by connection attributes their restricted child signatures would be
+    each other's.
     """
     rng = random.Random(11)
     database = Database(
@@ -563,12 +564,11 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     plan = engine.plan(batch)
     assert {("A", "B"), ("A", "C")} <= set(plan.views), plan.views.keys()
     first = _assert_every_rooting_agrees(database, query, batch)
-    # ... and from the contexts, once both directions sit in them.
+    # ... and again once both directions' derivations sit on the snapshots.
     engine.evaluate(batch)
     again = engine.evaluate(batch)
     assert again.executor_stats[STAT_COLUMNAR] == plan.total_views
     assert again.values == first.values
-    assert {key[:2] for key in engine._context_cache} == set(plan.views)
 
 
 def _retailer_at_harness_shape(inventory_rows):
@@ -648,19 +648,17 @@ def test_the_learned_tree_does_not_depend_on_who_picks_the_roots():
     assert learned[0][1:] == (4, 1332)
 
 
-def test_a_second_fit_leaves_every_columnar_context_the_size_the_first_left_it(monkeypatch):
-    """Nothing in a context depends on a batch, so nothing in it grows per fit.
+def test_a_second_fit_leaves_every_snapshots_derived_state_the_size_the_first_left_it():
+    """Nothing a snapshot derives depends on a batch, so nothing grows per fit.
 
-    A context caches by attribute tuples and filter conditions.  The third
-    fit below sends signatures the first two never did (another target, so
-    other products) over the same conditions and keys: it must find every
-    context as the first fit left it.
+    A snapshot's derived state is keyed by attribute tuples, filter
+    conditions and child relations.  The second fit builds engines of its
+    own over the same snapshots, and the third sends signatures the first
+    two never did (another target, so other products) over the same
+    conditions and keys: each must find every snapshot as the first fit
+    left it.
     """
-    from repro.ml import decision_tree
-
     database, query = _retailer_at_harness_shape(3000)
-    engine = LMFAOEngine(database, query, root_relation="Stores")
-    monkeypatch.setattr(decision_tree, "LMFAOEngine", lambda *_arguments: engine)
     continuous = [
         feature for feature in RETAILER_FEATURES["continuous"]
         if feature not in ("inventoryunits", "population")
@@ -668,20 +666,38 @@ def test_a_second_fit_leaves_every_columnar_context_the_size_the_first_left_it(m
 
     def sizes_after_fit(target, depth):
         tree = DecisionTreeRegressor(
-            target, continuous, RETAILER_FEATURES["categorical"], max_depth=depth
+            target, continuous, RETAILER_FEATURES["categorical"], max_depth=depth,
+            root_relation="Stores",
         )
         tree.fit(database, query)
         return {
-            direction: {
-                name: len(value) for name, value in vars(context).items() if isinstance(value, dict)
-            }
-            for direction, context in engine._context_cache.items()
+            relation.name: len(relation.column_store().derived) for relation in database
         }
 
     first = sizes_after_fit("inventoryunits", 3)
-    assert len(first) == 5 and all(any(sizes.values()) for sizes in first.values())
+    assert len(first) == 5 and all(first.values())
     assert sizes_after_fit("inventoryunits", 3) == first
     assert sizes_after_fit("population", 1) == first
+
+
+def test_an_engine_caches_nothing_and_a_second_one_derives_nothing_again():
+    """Derivations live on the snapshots: engines over one database share them."""
+    database, query = _retailer_at_harness_shape(3000)
+    batch = _tree_node_batch(database, query, RETAILER_FEATURES)
+    engine = LMFAOEngine(database, query)
+    first = engine.evaluate(batch)
+    engine.evaluate(covariance_batch(RETAILER_FEATURES["continuous"]))
+    assert engine.evaluate(batch).values == first.values
+    assert set(vars(engine)) == {"database", "query", "root_relation", "root_choice", "join_tree"}
+
+    derived = {relation.name: dict(relation.column_store().derived) for relation in database}
+    assert all(derived.values())
+    second = LMFAOEngine(database, query).evaluate(batch)
+    assert second.values == first.values
+    for relation in database:
+        now = relation.column_store().derived
+        assert now.keys() == derived[relation.name].keys()
+        assert all(now[key] is entry for key, entry in derived[relation.name].items())
 
 
 def test_plan_estimates_are_deterministic_and_explained():

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import covariance_batch
+from repro.aggregates import Aggregate, AggregateBatch, InequalityCondition, covariance_batch
 from repro.data import Database, Relation, Schema
 from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
@@ -41,6 +41,7 @@ from repro.datasets import retailer_database, retailer_query
 from repro.engine import LMFAOEngine
 from repro.ivm import FIVM, Update
 from repro.serving import QueryServer, SnapshotManager
+from repro.serving.metrics import ServingStats
 from streams import random_row_events, random_update_stream
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
@@ -72,11 +73,9 @@ def _payloads_identical(left, right):
 def _serial_expectations(source, query, batches):
     """Replay the batch stream serially; record (statistics, values) per prefix.
 
-    One maintainer and one engine advance batch by batch — the engine keeps
-    its view cache across prefixes exactly like the server's per-thread
-    reader engines do across generations, and is rooted where theirs are (at
-    the maintainer's root), so the arithmetic on both sides is the same down
-    to the last bit.
+    One maintainer and one engine advance batch by batch — the engine is
+    rooted where the server's per-read engines are (at the maintainer's
+    root), so the arithmetic on both sides is the same down to the last bit.
     """
     replay = FIVM(source, query, FEATURES)
     engine = LMFAOEngine(
@@ -523,8 +522,9 @@ def test_readers_recompute_stale_views_and_stay_single_threaded(serving_source, 
     """What the reader engines must do without being configured to.
 
     Every read computes every view its plan needs — nothing is kept from an
-    earlier generation but the columnar contexts — by an engine rooted at the
-    maintainer's root, on the reader pool's own thread.
+    earlier generation but what lives on the snapshots it shares with it —
+    by an engine rooted at the maintainer's root, on the reader pool's own
+    thread.
     """
     source, query = serving_source
     reader_stats, reader_roots, reader_threads = [], set(), set()
@@ -555,11 +555,79 @@ def test_readers_recompute_stale_views_and_stay_single_threaded(serving_source, 
         assert stats["views_columnar"] == planned > 0
 
 
-def test_rebind_database_rejects_schema_mismatch(serving_source):
-    source, query = serving_source
-    maintainer = FIVM(source, query, FEATURES)
-    engine = LMFAOEngine(maintainer.database, query)
-    from repro.data import Database
+def _loaded_retailer_maintainer(maintainer_class=FIVM):
+    database = retailer_database(inventory_rows=300, seed=1)
+    maintainer = maintainer_class(database, retailer_query(), FEATURES)
+    maintainer.apply_batch(
+        [
+            Update(relation.name, row, count)
+            for relation in database
+            for row, count in relation.items()
+        ]
+    )
+    return maintainer
 
-    with pytest.raises(ValueError, match="lacks relation"):
-        engine.rebind_database(Database(name="empty"))
+
+def test_a_served_inequality_aggregate_is_evaluated_over_the_pinned_snapshot():
+    """The engine's join fallback for additive inequalities reads a snapshot too."""
+    maintainer = _loaded_retailer_maintainer()
+    cheap = InequalityCondition.of({"prize": 1.0}, 100.0)
+    batch = AggregateBatch(
+        "inequalities",
+        [
+            Aggregate.count(name="rows"),
+            Aggregate(product=(), group_by=(), filters=(), inequality=cheap, name="dear"),
+            Aggregate(
+                product=("inventoryunits",), group_by=(), filters=(), inequality=cheap,
+                name="dear_units",
+            ),
+        ],
+    )
+    expected = LMFAOEngine(maintainer.database, maintainer.query).evaluate(batch).values
+    assert 0 < expected["dear"] < expected["rows"]
+    with QueryServer(maintainer, readers=1) as server:
+        assert server.query(batch).value == expected
+
+
+def test_close_during_an_inflight_batch_leaves_no_generation_pinned():
+    """close() waits for the writer, so the batch's generation is retired too."""
+    armed = threading.Event()
+    release = threading.Event()
+
+    class _BlockingFIVM(FIVM):
+        def _apply_multi_delta(self, groups):
+            if armed.is_set():
+                assert release.wait(timeout=JOIN_TIMEOUT_S)
+            super()._apply_multi_delta(groups)
+
+    maintainer = _loaded_retailer_maintainer(_BlockingFIVM)
+    server = QueryServer(maintainer, readers=1)
+    stream = random_update_stream(maintainer.database, seed=5, length=20)
+    armed.set()
+    writer = threading.Thread(target=server.apply_batch, args=(stream,), name="writer")
+    closer = threading.Thread(target=server.close, name="closer")
+    writer.start()
+    while not server._writer_lock.locked():
+        time.sleep(0.001)
+    closer.start()
+    closer.join(timeout=0.2)
+    release.set()
+    _join_or_fail([writer, closer])
+    assert server.manager.active_generations == 0
+    assert all(relation.store.pins == 0 for relation in maintainer.database)
+    with pytest.raises(RuntimeError, match="closed"):
+        server.apply_batch(stream)
+
+
+def test_reads_per_generation_keep_a_window_and_a_running_total():
+    stats = ServingStats(window=4)
+    for generation in range(10):
+        for _ in range(generation % 3 + 1):
+            stats.record_read(generation, 0.001, 0.0)
+    block = stats.snapshot()
+    assert block["reads"] == sum(generation % 3 + 1 for generation in range(10))
+    assert block["generations_read"] == 10
+    assert len(stats._reads_per_generation) == 4
+    # Generations 6-9 read 1, 2, 3 and 1 times.
+    assert block["reads_per_epoch_max"] == 3
+    assert block["reads_per_epoch_mean"] == pytest.approx(7 / 4)
