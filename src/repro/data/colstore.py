@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.tuplestore import _KERNELS, tuplestore_stats
+from repro.data.tuplestore import _KERNELS, decode_rows, tuplestore_stats
 
 __all__ = [
     "ColumnEncoding",
@@ -246,8 +246,8 @@ class ColumnStore:
 
     def __init__(self, name, schema, version, row_count, source) -> None:
         # Built through from_tuplestore.  ``source`` is what the snapshot
-        # reads from the store: (row list, multiplicity view, [(dictionary,
-        # code view)] per column); ``_dense`` is (live slots or None,
+        # reads from the store: (multiplicity view, [(dictionary, code view,
+        # exceptions)] per column); ``_dense`` is (live slots or None,
         # multiplicities, encodings) once the live slots are gathered.
         self.relation_name: str = name
         self.schema = schema
@@ -274,16 +274,16 @@ class ColumnStore:
     def from_tuplestore(cls, name: str, schema, store) -> "ColumnStore":
         """The dense snapshot of a :class:`~repro.data.tuplestore.TupleStore`.
 
-        Never a re-encode.  The store's pending rows are encoded, then the
-        snapshot captures views of its multiplicity and code arrays and its
-        dictionary lists (the objects, not the store: a later sweep replaces
-        the store's arrays and appends only ever write past the views).
-        While the store holds no tombstone the snapshot is a zero-copy alias
-        of those.  Otherwise the live slots are gathered — one
-        ``compact_keep`` and one vectorised take per array, array for array
-        what a sweep followed by an alias would expose — on the first read of
-        ``multiplicities``, :meth:`encoding` or ``rows``, so a generation
-        nobody reads never gathers.
+        Never an encode: the store encodes at the write.  The snapshot
+        captures views of the store's multiplicity and code arrays and its
+        dictionary lists and exception tables (the objects, not the store: a
+        later sweep replaces the store's arrays, and appends only ever write
+        past the views).  While the store holds no tombstone the snapshot is
+        a zero-copy alias of those.  Otherwise the live slots are gathered —
+        one ``compact_keep`` and one vectorised take per array, array for
+        array what a sweep followed by an alias would expose — on the first
+        read of ``multiplicities``, :meth:`encoding` or ``rows``, so a
+        generation nobody reads never gathers.
 
         Either way the snapshot is valid while the owning relation's version
         is unchanged (in-place netting writes through the captured
@@ -292,18 +292,12 @@ class ColumnStore:
         copy-on-write; see :meth:`~repro.data.tuplestore.TupleStore.pin`).
         """
         tuplestore_stats.bump("zero_copy_snapshots")
-        columns = [
-            (store.column_values(position), store.column_codes_view(position))
-            for position in range(len(schema.names))
-        ]
+        columns = store.encoded_columns()
         multiplicities = store.multiplicities_view()
-        snapshot = cls(
-            name, schema, store.version, store.live,
-            (store.rows_list(), multiplicities, columns),
-        )
+        snapshot = cls(name, schema, store.version, store.live, (multiplicities, columns))
         if not store.zeros:
             snapshot._dense = (None, multiplicities, [
-                ColumnEncoding(values, codes) for values, codes in columns
+                ColumnEncoding(values, codes) for values, codes, _exceptions in columns
             ])
         return snapshot
 
@@ -315,10 +309,10 @@ class ColumnStore:
         """
         dense = self._dense
         if dense is None:
-            _rows, multiplicities, columns = self._source
+            multiplicities, columns = self._source
             keep = _KERNELS.compact_keep(multiplicities)
             dense = (keep, multiplicities[keep], [
-                ColumnEncoding(values, codes[keep]) for values, codes in columns
+                ColumnEncoding(values, codes[keep]) for values, codes, _exceptions in columns
             ])
             self._dense = dense
         return dense
@@ -332,17 +326,13 @@ class ColumnStore:
 
     @property
     def rows(self) -> List[Tuple]:
-        """The row tuples, aligned with ``multiplicities``.
-
-        An aliased row list may have grown past ``row_count`` under later
-        appends; a gathered snapshot materialises its list here, once
-        (racing readers of a pinned snapshot at worst duplicate the work).
-        """
+        """The row tuples, aligned with ``multiplicities``: decoded from the
+        codes on first read, once (racing readers of a pinned snapshot at
+        worst duplicate the work)."""
         rows = self._rows
         if rows is None:
             keep = self._gathered()[0]
-            stored = self._source[0]
-            rows = stored if keep is None else [stored[slot] for slot in keep.tolist()]
+            rows = decode_rows(self._source[1], keep, self.row_count)
             self._rows = rows
         return rows
 

@@ -2,7 +2,8 @@
 
 A :class:`Relation` is a thin façade over the array-native
 :class:`~repro.data.tuplestore.TupleStore`: per-attribute dictionary-encoded
-code arrays, one signed multiplicity array, and a row-key hash index.
+code arrays (a row is its codes), one signed multiplicity array, and a hash
+index over the code rows.
 Multiplicities live in the ring of integers, which gives the uniform
 treatment of inserts (+1) and deletes (-1) described in Section 3.1 of the
 paper — a natural join multiplies multiplicities while a union adds them,
@@ -11,14 +12,15 @@ by the store's amortised compaction, which no reader can observe).
 
 The columnar view (:meth:`column_store`) is the store's dense snapshot — a
 zero-copy alias of its arrays, or one gather of the live slots while
-tombstones exist — never a re-encode; the tuple-at-a-time protocol
-(``items``, ``expanded_rows`` & co.) survives as iterators over the stored
-row tuples for the naive engine and the algebra layer.
+tombstones exist — never an encode; the tuple-at-a-time protocol
+(``items``, ``expanded_rows`` & co.) survives for the naive engine and the
+algebra layer, over row tuples decoded from the codes on demand.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -139,7 +141,7 @@ class Relation:
 
         The one way rows enter the store: every row is arity-checked, the
         whole delta costs one version bump (downstream caches see a single
-        mutation) and appended rows are encoded in one vectorised pass.
+        mutation) and the rows it stores are encoded as they are stored.
         ``validated=True`` skips the arity pre-check and tuple coercion for
         callers that already pass checked tuple rows (the IVM batch path
         validates while netting).
@@ -214,7 +216,7 @@ class Relation:
         The live rows in first-insertion-since-last-death order: a zero-copy
         alias of the tuple store's code, multiplicity and dictionary arrays
         while it holds no tombstone, one vectorised gather of the live slots
-        on first read otherwise — never a re-encode and never a sweep.  Any
+        on first read otherwise — never an encode and never a sweep.  Any
         later mutation bumps :attr:`version` and the next call snapshots
         again.  See :mod:`repro.data.colstore`.
         """
@@ -254,19 +256,20 @@ class Relation:
         """All distinct rows (multiplicity ignored)."""
         return list(self._store.iter_rows())
 
-    def _canonical_rows(self) -> List[Row]:
-        """Live rows in a deterministic order independent of mutation history.
+    def _canonical_items(self) -> List[Tuple[Row, int]]:
+        """Live ``(row, multiplicity)`` pairs in a deterministic order
+        independent of mutation history.
 
         Sorted by the row values themselves (falling back to a repr key for
         rows that are not mutually comparable), so equivalence tests and
         samplers see the same order however the multiset was built.
         """
-        rows = list(self._store.iter_rows())
+        items = list(self._store.iter_items())
         try:
-            rows.sort()
+            items.sort(key=itemgetter(0))
         except TypeError:
-            rows.sort(key=lambda row: tuple(repr(value) for value in row))
-        return rows
+            items.sort(key=lambda item: tuple(repr(value) for value in item[0]))
+        return items
 
     def expanded_rows(self) -> Iterator[Row]:
         """Iterate rows with positive multiplicity, repeated per multiplicity.
@@ -274,9 +277,7 @@ class Relation:
         The order is canonical (sorted by row value), independent of the
         insertion/deletion history that produced the multiset.
         """
-        multiplicity_of = self._store.multiplicity
-        for row in self._canonical_rows():
-            multiplicity = multiplicity_of(row)
+        for row, multiplicity in self._canonical_items():
             if multiplicity < 0:
                 raise RelationError(
                     "cannot expand a relation with negative multiplicities"
@@ -294,11 +295,6 @@ class Relation:
         index = self.schema.index_of(name)
         return sorted({row[index] for row in self._store.iter_rows()})
 
-    def row_dicts(self) -> Iterator[Dict[str, RowValue]]:
-        names = self.schema.names
-        for row in self._store.iter_rows():
-            yield dict(zip(names, row))
-
     def sample_rows(self, count: int, seed: int = 0) -> List[Row]:
         """Sample ``count`` distinct rows without replacement.
 
@@ -306,32 +302,12 @@ class Relation:
         population is the canonical (value-sorted) row order.
         """
         rng = random.Random(seed)
-        rows = self._canonical_rows()
+        rows = [row for row, _multiplicity in self._canonical_items()]
         if count >= len(rows):
             return rows
         return rng.sample(rows, count)
 
-    def head(self, count: int = 5) -> List[Row]:
-        out = []
-        for row in self._store.iter_rows():
-            out.append(row)
-            if len(out) >= count:
-                break
-        return out
-
     # -- convenience constructors -------------------------------------------------
-
-    @staticmethod
-    def from_dicts(
-        name: str,
-        schema: Schema,
-        dict_rows: Iterable[Mapping[str, RowValue]],
-    ) -> "Relation":
-        names = schema.names
-        rows = [
-            tuple(mapping[column] for column in names) for mapping in dict_rows
-        ]
-        return Relation(name, schema, rows=rows)
 
     @staticmethod
     def from_columns(

@@ -3,39 +3,42 @@
 Until PR 5 the system of record was a Python ``dict[tuple, int]``: every
 mutation paid per-row dictionary upkeep and every columnar snapshot paid a
 full re-encode of all rows.  The :class:`TupleStore` inverts that hierarchy —
-the *columnar* form is the storage, and it is the only copy of a relation's
-rows (F-IVM's delta propagation reads it through key indexes):
+the *columnar* form is the storage, and a row *is* its codes: the store keeps
+no row tuple, and F-IVM's delta propagation reads it through key indexes.
 
 - one **dictionary-encoded code array** per attribute (``values`` in
-  first-occurrence order plus an ``int64`` code per row), grown in place and
-  flushed *lazily*: a write appends rows and multiplicities only, and the
-  pending tail is encoded — one transpose, then per column one C-level pass
-  over the dictionary (:meth:`_ColumnCodes.extend_values`, the only encode
-  path) — when a columnar snapshot is actually requested, so neither the
-  update path nor the snapshot ever pays a whole-relation re-encode;
+  first-occurrence order plus an ``int64`` code per row), grown in place at
+  the write: :meth:`TupleStore.add_batch` encodes exactly the rows it stores
+  (one C-level lookup pass over the batch, then, in a column holding an
+  unseen value, one ``setdefault`` per value —
+  :meth:`_ColumnCodes.extend_values`, the only encode path), so neither a
+  snapshot nor a copy ever encodes anything;
 - one **float64 multiplicity array** aligned with the rows (signed —
   multiplicities live in the ring of integers, exactly representable in
   float64 far beyond any realistic count);
-- a **row-key hash index** (row tuple -> slot) over the *live* slots, driving
-  multiset *netting*: an update of a stored row adjusts its multiplicity in
-  place; a multiplicity reaching zero leaves a **tombstone** and drops the
-  row from the index at that moment, so a tombstone is never revived and a
-  re-insert always appends a new slot.  A batch probes the index once, in
-  one C-level pass, and distinct new rows enter it in another — no per-row
-  Python on the pure-append path.
+- a **row index** over the *live* slots, driving multiset *netting*: the
+  hash of a row's code tuple maps to its slot, and a hit is confirmed
+  against the stored codes, one vectorised comparison per column.  Codes are
+  exact under Python equality (``1``, ``1.0`` and ``True`` share a code, two
+  NaN objects do not), so two rows are equal exactly when their code tuples
+  are.  An update of a stored row adjusts its multiplicity in place; a
+  multiplicity reaching zero leaves a **tombstone** and drops the row from
+  the index at that moment, so a tombstone is never revived and a re-insert
+  always appends a new slot.  The index holds one int key and one int slot
+  per live row, no tuple (a row whose hash another live row holds waits in
+  a small side table under its code tuple).
 
 Rows enter a store one way, :meth:`TupleStore.add_batch` — a one-row
 ``Relation.add`` included; only :meth:`~TupleStore.copy` and a checkpoint
-load build a store otherwise, and they rebuild one whole.
+load build a store otherwise, and they rebuild one whole from codes.
 
-In memory the row tuples are kept too (they are the hash-index keys anyway),
-so the tuple-at-a-time consumers — the relational algebra, the naive
-engine, ``expanded_rows`` — read them back without decoding; everything
-vectorised reads the code and multiplicity arrays directly.  A checkpoint
-holds the codes only: the rows are decoded from them on load, exactly — per
-column, the slots whose value a code does not reproduce (``1.0`` or ``True``
-under the code of ``1``, ``-0.0`` under that of ``0.0``) are recorded as
-exceptions when they are encoded.
+Tuple consumers — the relational algebra, the naive engine,
+``Relation.items()`` — decode on demand (:func:`decode_rows`: one dictionary
+take per column, then one ``zip``); everything vectorised reads the code and
+multiplicity arrays directly.  Decoding is exact: per column, the slots whose
+value a code does not reproduce (``1.0`` or ``True`` under the code of
+``1``, ``-0.0`` under that of ``0.0``) are recorded as exceptions when they
+are encoded.
 
 The dense-snapshot contract
 ---------------------------
@@ -45,10 +48,11 @@ first-insertion-since-last-death order*: a pure function of the applied
 deltas, never of when tombstones were swept.  So are its encodings: a
 column's dictionary lists the values in first-occurrence order over the rows
 ever stored (under Python equality — the first occurrence also decides
-whether ``1`` or ``1.0`` is kept), hence ``values`` *and* ``codes`` are a
-function of the history, independent of how flushes chunked it.
+whether ``1`` or ``1.0`` is kept; a row netting to zero inside one delta is
+never stored and leaves no value behind), hence ``values`` *and* ``codes``
+are a function of the history, independent of how it was cut into batches.
 :meth:`~repro.data.colstore.ColumnStore.from_tuplestore` builds it without
-re-encoding anything: a zero-copy alias of the store's arrays while no
+encoding anything: a zero-copy alias of the store's arrays while no
 tombstone exists, otherwise one vectorised gather of the live slots, run on
 the snapshot's first read.  Either snapshot is only valid while the owning
 relation's version is unchanged (a later mutation may net a multiplicity *in
@@ -62,6 +66,12 @@ them preserving slot order, and bumps the epoch.  Pickling persists the
 dense encodings (codes, dictionaries, exceptions) for the same reason — a
 checkpoint's bytes do not depend on when the last sweep happened.
 
+A :meth:`~TupleStore.copy` is the store a fresh one fed the live rows would
+be, built from arrays: code arrays, dictionaries and row index copied as
+they are while no row ever died; otherwise the live slots are gathered and
+each dictionary compacted to the values they still use, renumbered in
+first-occurrence order (:meth:`_ColumnCodes.compacted`).
+
 Key indexes
 -----------
 :meth:`TupleStore.add_index` indexes the store by a tuple of attributes; the
@@ -72,9 +82,12 @@ and every code the slots that carry it:
 - a single attribute's key codes *are* that column's dictionary codes — no
   second dictionary;
 - a combination of attributes numbers the combinations of its columns'
-  codes in order of first occurrence over every slot ever encoded, so the
+  codes in order of first occurrence over every slot ever stored, so the
   numbering is a function of the history, and a checkpoint carries it (the
-  only index state a file holds);
+  only index state a file holds).  The slots stored since the index was
+  last read are numbered, in slot order, by its next read, sweep or pickle
+  (:meth:`_KeyIndex.catch_up`), which gives the same numbering whenever it
+  runs;
 - the buckets are derived: the slots grouped by code, built by one stable
   sort and then extended by merging in the slots appended since, once they
   outnumber an eighth of the bucketed ones (:data:`INDEX_TAIL_MIN` at
@@ -98,8 +111,8 @@ netting into a pinned slot first detaches the multiplicity buffer
 copy-on-write (the pinned view keeps the old buffer, which is never written
 again).  Nothing else needs protection: appends write at slots at or beyond
 every pinned view's length (a buffer reallocation leaves the old buffer
-untouched), and a sweep *replaces* the row list, code and multiplicity
-arrays rather than mutating them.
+untouched, and a dictionary or exception table only gains entries), and a
+sweep *replaces* the code and multiplicity arrays rather than mutating them.
 
 The module-level :data:`tuplestore_stats` counters make the storage claims
 testable: ``zero_copy_snapshots`` counts dense-snapshot handoffs,
@@ -109,8 +122,10 @@ testable: ``zero_copy_snapshots`` counts dense-snapshot handoffs,
 from __future__ import annotations
 
 import math
+import sys
 import threading
-from itertools import compress, filterfalse, repeat
+from collections import deque
+from itertools import chain, compress, filterfalse, repeat
 from operator import countOf, is_not, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -123,7 +138,7 @@ from repro.kernels import get_kernels
 #: while the hot loops skip one function call per kernel invocation.
 _KERNELS = get_kernels()
 
-__all__ = ["TupleStore", "net_rows", "transpose", "tuplestore_stats",
+__all__ = ["TupleStore", "decode_rows", "net_rows", "transpose", "tuplestore_stats",
            "reset_tuplestore_stats"]
 
 
@@ -135,6 +150,8 @@ def transpose(rows: Sequence[Sequence], arity: int) -> List[List[object]]:
     tuple as long as the rows, which every young-generation collection it
     triggers traverses, so its cost grows faster than the row count.
     """
+    if len(rows) == 1 and len(rows[0]) == arity:
+        return [[value] for value in rows[0]]
     return [list(map(itemgetter(position), rows)) for position in range(arity)]
 
 
@@ -212,6 +229,11 @@ class _GrowArray:
         self.data = grown
 
     def extend(self, values) -> None:
+        if len(values) == 1:            # one row: no array conversion
+            self._reserve(1)
+            self.data[self.size] = values[0]
+            self.size += 1
+            return
         values = np.asarray(values, dtype=self.data.dtype)
         self._reserve(values.shape[0])
         self.data[self.size : self.size + values.shape[0]] = values
@@ -261,6 +283,42 @@ def _remap_exceptions(exceptions: Dict[int, object], slots: np.ndarray) -> Dict[
     }
 
 
+def _decode(
+    values: List[object], codes: np.ndarray, exceptions: Dict[int, object],
+    slots: Optional[np.ndarray],
+) -> List[object]:
+    """The stored values of ``slots`` of one column (every slot of ``codes``
+    when None): one take through the dictionary, then the exceptions put back."""
+    if slots is not None:
+        codes = codes[slots]
+    decoded = list(map(values.__getitem__, codes.tolist()))
+    if exceptions:
+        # One C-level copy first: a writer appending rows may add entries
+        # meanwhile (at slots past these codes, which the copy may hold).
+        exceptions = exceptions.copy()
+        if slots is not None:
+            exceptions = _remap_exceptions(exceptions, slots)
+        for slot, value in exceptions.items():
+            if slot < len(decoded):
+                decoded[slot] = value
+    return decoded
+
+
+def decode_rows(
+    columns: Sequence[Tuple[List[object], np.ndarray, Dict[int, object]]],
+    slots: Optional[np.ndarray],
+    count: int,
+) -> List[Tuple]:
+    """The rows at ``slots`` (all ``count`` rows of the code arrays when
+    None) of the columns ``(values, codes, exceptions)``, decoded exactly:
+    one dictionary take per column, then one ``zip`` into tuples."""
+    if not columns:
+        return [()] * count
+    return list(zip(*(
+        _decode(values, codes, exceptions, slots) for values, codes, exceptions in columns
+    )))
+
+
 class _ColumnCodes:
     """One attribute's dictionary encoding, grown in place on every insert.
 
@@ -268,15 +326,16 @@ class _ColumnCodes:
     inverts it, and ``codes`` carries one ``int64`` dictionary code per stored
     row.  The dictionary only ever grows (values of tombstoned rows linger as
     unused entries — harmless: consumers treat the cardinality as an upper
-    bound and derive exact distinct counts from the codes).
+    bound and derive exact distinct counts from the codes); a copy of a store
+    that lost rows drops them (:meth:`compacted`).
 
     Python equality folds ``1``, ``1.0`` and ``True`` into one code, and
     ``-0.0`` into ``0.0``, so a code does not always decode to the value that
     was stored.  ``exceptions`` maps every slot whose value is not identical
     in type and sign bit to its dictionary entry to that value; with it the
-    codes decode to the stored values exactly (:meth:`decode`).  ``kinds``
-    holds the types encoded so far: while it is a single type, a chunk needs
-    no per-value check unless it holds a float zero.
+    codes decode to the stored values exactly (:func:`decode_rows`).
+    ``kinds`` holds the types encoded so far: while it is a single type, a
+    chunk needs no per-value check unless it holds a float zero.
     """
 
     __slots__ = ("values", "index", "codes", "exceptions", "kinds", "floats")
@@ -290,15 +349,6 @@ class _ColumnCodes:
         # The dictionary decoded to float64, entry for entry, grown on demand
         # by floats_at (derived: never pickled, shared by a sweep).
         self.floats = _GrowArray(np.float64)
-
-    def decode(self) -> List[object]:
-        """The stored value of every slot: one object-array take through the
-        dictionary, then the exceptions put back."""
-        dictionary = np.fromiter(self.values, dtype=object, count=len(self.values))
-        decoded = dictionary[self.codes.view()].tolist()
-        for slot, value in self.exceptions.items():
-            decoded[slot] = value
-        return decoded
 
     def floats_at(self, slots: np.ndarray) -> np.ndarray:
         """The stored values of ``slots`` as float64: the dictionary's floats
@@ -327,35 +377,35 @@ class _ColumnCodes:
         self.codes = state["codes"]
         self.exceptions = state["exceptions"]
         self.floats = _GrowArray(np.float64)
-        self.index = {value: position for position, value in enumerate(self.values)}
+        self._index_values()
+
+    def _index_values(self) -> None:
+        """Derive the inverse index and the type set from the dictionary."""
+        self.index = dict(zip(self.values, range(len(self.values))))
         self.kinds = set(map(type, self.values))
         self.kinds.update(map(type, self.exceptions.values()))
 
-    def extend_values(self, raw: Sequence[object]) -> None:
-        """Bulk encode, the one path: codes in first-occurrence order.
+    def extend_values(self, raw: Sequence[object], codes: np.ndarray, whole: bool) -> None:
+        """Append the codes of ``raw`` — the one encode path.
 
-        A batch whose values are all known is one C-level pass over the
-        dictionary; the first unseen value ends that attempt and every value
-        costs one ``setdefault`` instead.  Either way a value's code is the
-        position of its first occurrence in the column's history (under
-        Python equality, as the row index compares rows), so dictionary and
-        codes do not depend on how the history was cut into flushes.
+        ``codes`` is what :func:`_probe` found for ``raw`` (-1 for a value
+        the dictionary lacks) and ``whole`` whether it found them all.  Then
+        the codes are appended as they are; otherwise every value costs one
+        ``setdefault``, in order, so a value's code is the position of its
+        first occurrence in the column's history (under Python equality, as
+        the row index compares rows) and dictionary and codes do not depend
+        on how the history was cut into batches.
         """
-        index = self.index
-        try:
-            codes = np.fromiter(
-                map(index.__getitem__, raw), dtype=np.int64, count=len(raw)
-            )
-        except KeyError:
+        if not whole:
             values = self.values
-            assign = index.setdefault
-            codes = []
+            assign = self.index.setdefault
+            assigned = []
             for value in raw:
                 code = assign(value, len(values))
                 if code == len(values):
                     values.append(value)
-                codes.append(code)
-            codes = np.fromiter(codes, dtype=np.int64, count=len(raw))
+                assigned.append(code)
+            codes = np.fromiter(assigned, dtype=np.int64, count=len(raw))
         self._record_exceptions(raw, codes)
         self.codes.extend(codes)
 
@@ -374,13 +424,16 @@ class _ColumnCodes:
         if len(kinds) != 1 or countOf(map(type, raw), next(iter(kinds))) != len(raw):
             kinds.update(map(type, raw))
         values = self.values
-        zero = self.index.get(0.0)
         if len(kinds) == 1:
             # One type: only a float zero of the other sign can differ.
-            if zero is None or not issubclass(next(iter(kinds)), float) or 0.0 not in raw:
+            if not issubclass(next(iter(kinds)), float) or 0.0 not in raw:
+                return
+            zero = self.index.get(0.0)
+            if zero is None:
                 return
             suspects = np.flatnonzero(codes == zero).tolist()
         else:
+            zero = self.index.get(0.0)
             entry_types = map(type, map(values.__getitem__, codes.tolist()))
             flagged = set(compress(range(len(raw)), map(is_not, map(type, raw), entry_types)))
             if zero is not None:
@@ -391,6 +444,54 @@ class _ColumnCodes:
             value = raw[position]
             if not _exact(value, values[codes[position]]):
                 self.exceptions[base + position] = value
+
+    def copy(self) -> "_ColumnCodes":
+        """An independent encoding of the same slots: dictionary, codes and
+        exceptions copied as they are (the float decoding starts afresh)."""
+        clone = _ColumnCodes()
+        clone.values = self.values[:]
+        clone.index = self.index.copy()
+        clone.codes.extend(self.codes.view())
+        clone.exceptions = self.exceptions.copy()
+        clone.kinds = set(self.kinds)
+        return clone
+
+    def compacted(self, slots: np.ndarray) -> "_ColumnCodes":
+        """The encoding of exactly ``slots`` (ascending) that appending their
+        stored values to a fresh column would build: the dictionary cut down
+        to the codes in use, renumbered in order of first occurrence.
+
+        An entry is the value stored at its code's first slot.  Where that
+        slot holds an exception, its value becomes the entry, and the code's
+        other slots are checked against it one by one — the only per-row
+        work, and only where an entry's first holder was swept.
+        """
+        codes = self.codes.view()[slots]
+        exceptions = _remap_exceptions(self.exceptions, slots)
+        used, first = np.unique(codes, return_index=True)
+        order = np.argsort(first)
+        used, first = used[order], first[order]
+        renumber = np.empty(len(self.values), dtype=np.int64)  # read at used codes only
+        renumber[used] = np.arange(used.size, dtype=np.int64)
+        codes = renumber[codes]
+        values = list(map(self.values.__getitem__, used.tolist()))
+        if exceptions:
+            held = np.fromiter(exceptions, dtype=np.int64, count=len(exceptions))
+            for code in np.flatnonzero(np.isin(first, held)).tolist():
+                stale, entry = values[code], exceptions[int(first[code])]
+                values[code] = entry
+                for slot in np.flatnonzero(codes == code).tolist():
+                    value = exceptions.pop(slot, stale)
+                    if not _exact(value, entry):
+                        exceptions[slot] = value
+            exceptions = dict(sorted(exceptions.items()))
+        clone = _ColumnCodes()
+        clone.values = values
+        clone.codes = _GrowArray(np.int64, capacity=max(codes.size, 1))
+        clone.codes.extend(codes)
+        clone.exceptions = exceptions
+        clone._index_values()
+        return clone
 
 
 #: A key index scans at most this many slots past its bucket arrays per
@@ -426,12 +527,12 @@ class _KeyIndex:
     ``positions`` are the key's column positions.  A single-column key's
     codes are that column's codes, so it holds no codes of its own.  Any
     other key numbers the combinations of its columns' codes in order of
-    first occurrence over the encoded slots: ``parts`` holds, per column,
+    first occurrence over the stored slots: ``parts`` holds, per column,
     each combination's column code in code order (the numbering, which is
     history and what a pickle carries), ``combos`` maps a combination (its
     column codes joined into one int, :func:`_joined`) to its code, ``keys``
     lists the decoded key tuples in code order and ``codes`` holds one code
-    per slot.
+    per slot numbered so far (:meth:`catch_up` numbers the rest).
 
     The buckets are derived: ``order`` lists the slots below ``built``
     grouped by code, ascending within a code, and ``starts`` cuts it per
@@ -456,14 +557,14 @@ class _KeyIndex:
         self.starts = np.zeros(1, dtype=np.int64)
         self.built = 0
 
-    def code_columns(self, columns: List[_ColumnCodes], start: int, stop: int) -> None:
-        """Number the combinations of slots ``start..stop`` (already encoded)."""
-        if self.combos is None or stop <= start:
+    def code_columns(
+        self, columns: List[_ColumnCodes], codes: Sequence[np.ndarray], count: int
+    ) -> None:
+        """Number the combinations of the ``count`` slots appended next,
+        given by their ``codes`` in every column of the store."""
+        if self.combos is None or not count:
             return
-        probes = _joined(
-            [columns[position].codes.view()[start:stop] for position in self.positions],
-            stop - start,
-        )
+        probes = _joined([codes[position] for position in self.positions], count)
         combos = self.combos
         try:
             codes = np.fromiter(
@@ -482,6 +583,16 @@ class _KeyIndex:
                 map(combos.__getitem__, probes), dtype=np.int64, count=len(probes)
             )
         self.codes.extend(codes)
+
+    def catch_up(self, columns: List[_ColumnCodes], count: int) -> None:
+        """Number the combinations of the slots stored since the last call
+        (a read, a sweep or a pickle calls it first): the same numbering,
+        in slot order, whenever it runs."""
+        if self.codes is not None and self.codes.size < count:
+            start = self.codes.size
+            self.code_columns(
+                columns, [column.codes.view()[start:count] for column in columns], count - start
+            )
 
     def _add_keys(self, columns: List[_ColumnCodes], combinations: Iterable[Sequence[int]]) -> None:
         self.keys.extend(
@@ -597,12 +708,11 @@ class _KeyIndex:
             joined = _joined([part.view().astype(np.int64) for part in parts], count)
             self.combos = dict(zip(joined, range(count)))
 
-    def rebuild(self, columns: List[_ColumnCodes], count: int) -> None:
-        """After a load: the key tuples of the restored numbering and the
-        codes of all ``count`` slots."""
+    def rebuild(self, columns: List[_ColumnCodes]) -> None:
+        """After a load: the key tuples of the restored numbering (the slots'
+        codes follow on the first read)."""
         if self.combos is not None:
             self._add_keys(columns, zip(*(part.view().tolist() for part in self.parts)))
-            self.code_columns(columns, 0, count)
 
 
 def net_rows(
@@ -620,22 +730,164 @@ def net_rows(
     )
 
 
+#: Rows hashed per step of :meth:`_RowIndex.insert`.
+_INSERT_CHUNK = 8192
+
+
+def _probe(
+    columns: List[_ColumnCodes], values: List[List[object]], count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, unseen)`` of ``count`` rows given column-wise: each value's
+    code in its column's dictionary (-1 where it has none; nothing is added)
+    and where that -1 is, both ``(columns, count)``.  One C-level pass over
+    the whole batch."""
+    codes = np.fromiter(
+        chain.from_iterable(
+            map(column.index.get, column_values, repeat(-1))
+            for column, column_values in zip(columns, values)
+        ),
+        dtype=np.int64, count=len(columns) * count,
+    ).reshape(len(columns), count)
+    return codes, codes < 0
+
+
+def _row_hashes(codes: Sequence[np.ndarray], count: int) -> List[int]:
+    """The hash of each of ``count`` code rows, given column-wise."""
+    if not codes:
+        return [hash(())] * count
+    return list(map(hash, zip(*(column.tolist() for column in codes))))
+
+
+def _code_row(codes: Sequence[np.ndarray], slot: int) -> Tuple[int, ...]:
+    return tuple(int(column[slot]) for column in codes)
+
+
+class _RowIndex:
+    """The live slots of a :class:`TupleStore` by content.
+
+    ``slots`` maps the hash of a live row's code tuple to its slot: one int
+    key and one int per row, no tuple.  A hit is confirmed against the
+    stored codes.  A live row whose hash another live row already holds is
+    kept in ``clashes`` under its code tuple instead (with 64-bit hashes
+    that side table is empty in practice; a probe reads it only when it is
+    not).  The slots from ``covered`` on are not indexed yet: the store
+    indexes them, all live, before its next probe.  Nothing here is pickled:
+    a load rebuilds the index from the codes.
+    """
+
+    __slots__ = ("slots", "clashes", "covered")
+
+    def __init__(self) -> None:
+        self.slots: Dict[int, int] = {}
+        self.clashes: Dict[Tuple[int, ...], int] = {}
+        self.covered = 0            # slots below this one have been indexed
+
+    def copy(self) -> "_RowIndex":
+        clone = _RowIndex()
+        clone.slots = self.slots.copy()
+        clone.clashes = self.clashes.copy()
+        clone.covered = self.covered
+        return clone
+
+    def find(
+        self, columns: List[_ColumnCodes], probed: np.ndarray, fresh: np.ndarray, count: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, slots, hashes)``: which of ``count`` code rows given
+        column-wise (``probed``, see :func:`_probe`) are live, their slots
+        and their hashes (what :meth:`remove` takes back).
+
+        Rows holding a -1 (a value the column never held; ``fresh`` flags
+        them) are new without a lookup; the others cost one C-level hash and
+        dict pass, and the hits one comparison per column against the stored
+        codes.
+        """
+        positions = None
+        if fresh.any():
+            positions = (~fresh).nonzero()[0]
+            count = positions.size
+            probed = probed[:, positions]
+        probes = list(probed)
+        hashes = _row_hashes(probes, count)
+        slots = np.fromiter(map(self.slots.get, hashes, repeat(-1)), dtype=np.int64, count=count)
+        hit = slots >= 0
+        hits = hit.nonzero()[0]
+        if hits.size:
+            stored, wanted = slots[hits], probed[:, hits]
+            same = columns[0].codes.data[stored] == wanted[0] if columns else True
+            for column, codes in zip(columns[1:], wanted[1:]):
+                same &= column.codes.data[stored] == codes
+            hit[hits] = same
+        if self.clashes:
+            for position in (~hit).nonzero()[0].tolist():
+                slot = self.clashes.get(_code_row(probes, position))
+                if slot is not None:
+                    slots[position], hit[position] = slot, True
+        found = hit.nonzero()[0]
+        return (
+            found if positions is None else positions[found], slots[found],
+            np.array(hashes, dtype=np.int64)[found],
+        )
+
+    def insert(self, codes: List[np.ndarray], count: int) -> None:
+        """Index the ``count`` slots from ``covered`` on, whose codes per
+        column are ``codes``: distinct live rows, none of them indexed yet.
+        Hashed :data:`_INSERT_CHUNK` rows at a time, so a bulk insert holds
+        no whole-store list of hashes or row tuples."""
+        slots, start = self.slots, self.covered
+        self.covered += count
+        for low in range(0, count, _INSERT_CHUNK):
+            high = min(low + _INSERT_CHUNK, count)
+            chunk = [column[low:high] for column in codes] if count > _INSERT_CHUNK else codes
+            hashes = _row_hashes(chunk, high - low)
+            if slots.keys().isdisjoint(hashes):
+                before = len(slots)
+                slots.update(zip(hashes, range(start + low, start + high)))
+                if len(slots) - before == high - low:
+                    continue
+                for key in hashes:          # two of these rows share a hash
+                    slots.pop(key, None)
+            for position, key in enumerate(hashes):
+                if key in slots:
+                    self.clashes[_code_row(chunk, position)] = start + low + position
+                else:
+                    slots[key] = start + low + position
+
+    def remove(self, codes: List[np.ndarray], dead: np.ndarray, hashes: np.ndarray) -> None:
+        """Drop the slots ``dead`` (each maybe repeated), which just died,
+        given the hashes :meth:`find` returned for them."""
+        slots = self.slots
+        if not self.clashes:            # every live row is held under its own hash
+            deque(map(slots.pop, hashes.tolist(), repeat(None)), maxlen=0)
+            return
+        for slot, key in zip(dead.tolist(), hashes.tolist()):
+            if slots.get(key) == slot:
+                del slots[key]
+            else:
+                self.clashes.pop(_code_row(codes, slot), None)
+
+    def footprint(self) -> int:
+        """Bytes held: the two dicts, their keys and their slot ints."""
+        size = sys.getsizeof
+        return (
+            size(self.slots) + sum(map(size, self.slots)) + sum(map(size, self.slots.values()))
+            + size(self.clashes) + sum(map(size, self.clashes))
+            + sum(map(size, self.clashes.values()))
+        )
+
+
 class TupleStore:
     """Array-native multiset storage for one relation (see module docstring)."""
 
-    __slots__ = ("schema", "_rows", "_row_index", "_mults", "_columns",
-                 "_encoded_count", "_indexes", "live", "zeros", "total", "version",
-                 "epoch", "pins", "_pin_floor", "_cow_pending")
+    __slots__ = ("schema", "_mults", "_columns", "_code_rows", "_indexes", "live", "zeros",
+                 "total", "version", "epoch", "pins", "_pin_floor", "_cow_pending", "_lost")
 
     def __init__(self, schema) -> None:
         self.schema = schema
-        self._rows: List[Tuple] = []
-        self._row_index: Dict[Tuple, int] = {}     # live rows only
         self._mults = _GrowArray(np.float64)
         self._columns: List[_ColumnCodes] = [_ColumnCodes() for _ in schema.names]
-        # Rows below this position are dictionary-encoded; the tail is
-        # pending and encoded in one vectorised pass on the next snapshot.
-        self._encoded_count = 0
+        # Built from the codes on first need (see _content): a store written
+        # only while it held no live row, a load or a sweep has none yet.
+        self._code_rows: Optional[_RowIndex] = None
         # Key indexes by column positions (see "Key indexes").
         self._indexes: Dict[Tuple[int, ...], _KeyIndex] = {}
         self.live = 0              # distinct rows with non-zero multiplicity
@@ -650,47 +902,83 @@ class TupleStore:
         self.pins = 0
         self._pin_floor = 0
         self._cow_pending = False
+        # Whether the dictionaries may hold values no live row uses (a row
+        # died, or the store was loaded): a copy then compacts them.
+        self._lost = False
 
     # -- basic reads -------------------------------------------------------------------
 
     @property
     def row_count(self) -> int:
         """Stored rows including tombstones (the code/multiplicity array length)."""
-        return len(self._rows)
+        return self._mults.size
+
+    def _codes(self) -> List[np.ndarray]:
+        return [column.codes.view() for column in self._columns]
+
+    def _content(self) -> Optional[_RowIndex]:
+        """The row index, brought up to date: it indexes the slots appended
+        since the last probe, or is built on the first probe of a store with
+        live rows (None while it holds none).  Slots die only after a probe
+        found them, and the index is only dropped while every slot is live
+        (a sweep, a load), so whatever it has not indexed yet is live."""
+        index = self._code_rows
+        if index is None:
+            if not self.live:
+                return None
+            index = self._code_rows = _RowIndex()
+        if index.covered < self.row_count:
+            start = index.covered
+            index.insert([codes[start:] for codes in self._codes()], self.row_count - start)
+        return index
+
+    def _find(
+        self, probed: np.ndarray, unseen: np.ndarray, count: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, slots, hashes)`` of the probed code rows that are
+        live (a batch whose every row holds an unseen value needs no index)."""
+        fresh = unseen.any(axis=0)
+        index = None if fresh.all() else self._content()
+        if index is None:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, none
+        return index.find(self._columns, probed, fresh, count)
+
+    def _slot_of(self, row: Sequence) -> int:
+        """The live slot holding ``row``, -1 for none (its values probed
+        against the dictionaries, then the row index)."""
+        if len(row) != len(self._columns):
+            return -1
+        _positions, slots, _hashes = self._find(
+            *_probe(self._columns, [[value] for value in row], 1), 1
+        )
+        return int(slots[0]) if slots.size else -1
 
     def multiplicity(self, row: Tuple) -> int:
-        slot = self._row_index.get(row)
-        if slot is None:
-            return 0
-        return int(self._mults.data[slot])
+        slot = self._slot_of(row)
+        return 0 if slot < 0 else int(self._mults.data[slot])
 
     def __contains__(self, row: Tuple) -> bool:
-        return row in self._row_index
+        return self._slot_of(row) >= 0
+
+    def rows_at(self, slots: Optional[np.ndarray] = None) -> List[Tuple]:
+        """The stored rows at ``slots`` (every slot, tombstones included,
+        when None), decoded from the codes."""
+        return decode_rows(
+            self.encoded_columns(), slots, self.row_count if slots is None else len(slots)
+        )
 
     def iter_rows(self) -> Iterator[Tuple]:
         """Live rows (non-zero multiplicity), in storage order."""
-        if self.zeros == 0:
-            return iter(self._rows)
-        mults = self._mults.data
-        return (row for slot, row in enumerate(self._rows) if mults[slot] != 0.0)
+        return iter(self.rows_at(self.live_slots() if self.zeros else None))
 
     def iter_items(self) -> Iterator[Tuple[Tuple, int]]:
         """Live ``(row, multiplicity)`` pairs, in storage order."""
-        mults = self._mults.data
-        if self.zeros == 0:
-            for slot, row in enumerate(self._rows):
-                yield row, int(mults[slot])
-        else:
-            for slot, row in enumerate(self._rows):
-                multiplicity = mults[slot]
-                if multiplicity != 0.0:
-                    yield row, int(multiplicity)
+        slots = self.live_slots() if self.zeros else None
+        mults = self._mults.view() if slots is None else self._mults.view()[slots]
+        return zip(self.rows_at(slots), map(int, mults.tolist()))
 
     # -- zero-copy accessors (consumed by ColumnStore.from_tuplestore) ------------------
-
-    def rows_list(self) -> List[Tuple]:
-        """The raw row list, one entry per slot (tombstones included)."""
-        return self._rows
 
     def multiplicities_view(self) -> np.ndarray:
         return self._mults.view()
@@ -699,13 +987,11 @@ class TupleStore:
         """The slots of the dense snapshot: non-zero multiplicity, in order."""
         return _KERNELS.compact_keep(self._mults.view())
 
-    def column_values(self, position: int) -> List[object]:
-        self.flush_encodings()
-        return self._columns[position].values
-
-    def column_codes_view(self, position: int) -> np.ndarray:
-        self.flush_encodings()
-        return self._columns[position].codes.view()
+    def encoded_columns(self) -> List[Tuple[List[object], np.ndarray, Dict[int, object]]]:
+        """Per column: its dictionary, a view of its codes (one per slot)
+        and its exceptions — what a snapshot captures and a decode reads."""
+        return [(column.values, column.codes.view(), column.exceptions)
+                for column in self._columns]
 
     # -- snapshot pinning (consumed by repro.serving.SnapshotManager) -------------------
 
@@ -746,25 +1032,6 @@ class TupleStore:
         self._pin_floor = 0
         tuplestore_stats.bump("mult_copy_on_write")
 
-    def flush_encodings(self) -> None:
-        """Encode the pending row tail into the per-column code arrays.
-
-        One transpose of the pending rows plus one vectorised dictionary
-        merge per column, then each composite key index numbers the new
-        slots — the cost is proportional to the rows appended since the last
-        flush, never to the relation size.
-        """
-        start = self._encoded_count
-        count = len(self._rows)
-        if start >= count:
-            return
-        columns = transpose(self._rows[start:count], len(self._columns))
-        for column, values in zip(self._columns, columns):
-            column.extend_values(values)
-        self._encoded_count = count
-        for index in self._indexes.values():
-            index.code_columns(self._columns, start, count)
-
     # -- key indexes (consumed by repro.ivm.fivm) ---------------------------------------
 
     def add_index(self, attributes: Sequence[str]) -> None:
@@ -775,13 +1042,12 @@ class TupleStore:
         """
         positions = tuple(map(self.schema.index_of, attributes))
         if positions not in self._indexes:
-            self.flush_encodings()
-            index = self._indexes[positions] = _KeyIndex(positions)
-            index.code_columns(self._columns, 0, len(self._rows))
+            self._indexes[positions] = _KeyIndex(positions)
 
     def _index(self, attributes: Sequence[str]) -> _KeyIndex:
-        self.flush_encodings()
-        return self._indexes[tuple(map(self.schema.index_of, attributes))]
+        index = self._indexes[tuple(map(self.schema.index_of, attributes))]
+        index.catch_up(self._columns, self.row_count)
+        return index
 
     def index_codes(self, attributes: Sequence[str]) -> np.ndarray:
         """The key code of every slot, tombstones included."""
@@ -813,7 +1079,6 @@ class TupleStore:
     def floats_at(self, attribute: str, slots: np.ndarray) -> np.ndarray:
         """The stored values of one attribute at ``slots``, as float64 (each
         dictionary entry decoded once; exceptions keep their own value)."""
-        self.flush_encodings()
         return self._columns[self.schema.index_of(attribute)].floats_at(slots)
 
     # -- mutation ----------------------------------------------------------------------
@@ -821,12 +1086,12 @@ class TupleStore:
     def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> None:
         """Apply one signed delta in a single pass (one version bump).
 
-        The rows are resolved against the row index once, in one C-level
-        probe.  Rows the index does not hold are bulk-appended — no per-row
-        loop when they are distinct, the shape the IVM batch path hands over
-        after netting — with their encoding deferred to the next flush.
-        Rows netting into existing slots go through the ``net_deltas``
-        kernel — one vectorised pass with the zero-crossing
+        The rows' values are looked up in the dictionaries (one C-level pass
+        per column, nothing added) and their code rows in the row index.
+        Rows it does not hold are appended and encoded — no per-row loop
+        when they are distinct, the shape the IVM batch path hands over
+        after netting.  Rows netting into existing slots go through the
+        ``net_deltas`` kernel — one vectorised pass with the zero-crossing
         live/tombstone/total bookkeeping folded in.
         """
         self.version += 1
@@ -834,21 +1099,29 @@ class TupleStore:
             kept = [position for position, m in enumerate(multiplicities) if m != 0]
             rows = [rows[position] for position in kept]
             multiplicities = [multiplicities[position] for position in kept]
-        slots = list(map(self._row_index.get, rows))
-        stored = len(rows) - slots.count(None)
-        new_rows, new_mults = rows, multiplicities
-        if stored:
-            new_rows = [row for row, slot in zip(rows, slots) if slot is None]
-            new_mults = [m for m, slot in zip(multiplicities, slots) if slot is None]
-        appended = self._append_rows(new_rows, new_mults)
-        if stored:
-            slots_array = np.asarray(
-                [slot for slot in slots if slot is not None], dtype=np.int64
+        count = len(rows)
+        if not count:
+            return
+        columns = transpose(rows, len(self._columns))
+        probed, unseen = _probe(self._columns, columns, count)
+        netted, slots_array, hashes = self._find(probed, unseen, count)
+        appended = 0
+        if not netted.size:
+            appended = self._append_rows(rows, multiplicities, columns, probed, unseen)
+        elif netted.size < count:
+            fresh = np.ones(count, dtype=bool)
+            fresh[netted] = False
+            new = fresh.nonzero()[0]
+            positions = new.tolist()
+            appended = self._append_rows(
+                list(map(rows.__getitem__, positions)),
+                list(map(multiplicities.__getitem__, positions)),
+                [list(map(values.__getitem__, positions)) for values in columns],
+                probed[:, new],
+                unseen[:, new],
             )
-            deltas = np.asarray(
-                [m for m, slot in zip(multiplicities, slots) if slot is not None],
-                dtype=np.float64,
-            )
+        if netted.size:
+            deltas = np.asarray(multiplicities, dtype=np.float64)[netted]
             if self._cow_pending and int(slots_array.min()) < self._pin_floor:
                 # A netted slot is visible to a pinned snapshot; writing it
                 # in place would tear that snapshot's multiplicities.
@@ -864,11 +1137,10 @@ class TupleStore:
                 # Every netted slot was live (the index holds live rows
                 # only), so a zero here is a slot that died just now; it
                 # leaves the index and is never revived.
-                stored_rows = self._rows
-                drop = self._row_index.pop
-                for slot in slots_array[mults[slots_array] == 0.0].tolist():
-                    drop(stored_rows[slot], None)
-        if len(rows) and appended == len(rows):
+                died = mults[slots_array] == 0.0
+                self._code_rows.remove(self._codes(), slots_array[died], hashes[died])
+                self._lost = True
+        if appended == count:
             tuplestore_stats.bump("batch_appends")
         self._maybe_compact()
 
@@ -876,72 +1148,78 @@ class TupleStore:
         """Drop every row (one version bump, a new physical layout)."""
         self.version += 1
         self.epoch += 1
-        self._rows = []
-        self._row_index = {}
         self._mults = _GrowArray(np.float64)
         self._columns = [_ColumnCodes() for _ in self.schema.names]
-        self._encoded_count = 0
+        self._code_rows = None
         self._indexes = {positions: _KeyIndex(positions) for positions in self._indexes}
         self.live = 0
         self.zeros = 0
         self.total = 0.0
+        self._lost = False
         # All buffers were replaced: pinned snapshots keep the old (now
         # immutable) ones, and nothing references the fresh arrays yet.
         self._cow_pending = False
         self._pin_floor = 0
 
-    def _append_rows(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> int:
-        """Bulk append of rows the index does not hold (non-zero
-        multiplicities; encoding deferred to the next flush).
+    def _append_rows(
+        self,
+        rows: Sequence[Tuple],
+        multiplicities: Sequence[int],
+        columns: List[List[object]],
+        probed: np.ndarray,
+        unseen: np.ndarray,
+    ) -> int:
+        """Append and encode rows the index does not hold (non-zero
+        multiplicities; ``columns`` are their values column-wise, ``probed``
+        and ``unseen`` their dictionary lookups, see :func:`_probe`).
 
         Returns the number of slots appended.  Distinct rows — what netting
-        hands over — cost one C-level index update and no per-row loop; the
-        index growing by less than the row count is what gives repeated
-        rows away.
+        hands over — cost one C-level set build and no per-row loop.
         """
-        index = self._row_index
-        base = len(self._rows)
-        absent = len(index)
-        index.update(zip(rows, range(base, base + len(rows))))
-        if len(index) - absent < len(rows):
+        if len(set(rows)) < len(rows):
             # The same new row repeated inside one delta nets into one
-            # entry; one netting to zero is never stored (a slot that was
-            # never live is invisible to every snapshot).
-            for row in rows:
-                index.pop(row, None)
+            # slot; one netting to zero is never stored (nor encoded: a slot
+            # that was never live is invisible to every snapshot).
             rows, multiplicities = net_rows(rows, multiplicities)
-            index.update(zip(rows, range(base, base + len(rows))))
-        self._rows.extend(rows)
+            if not rows:
+                return 0
+            columns = transpose(rows, len(self._columns))
+            probed, unseen = _probe(self._columns, columns, len(rows))
+        count = len(rows)
+        for column, values, codes, partial in zip(
+            self._columns, columns, probed, unseen.any(axis=1).tolist()
+        ):
+            column.extend_values(values, codes, not partial)
         self._mults.extend(multiplicities)
-        self.live += len(rows)
+        self.live += count
         self.total += float(sum(multiplicities))
-        return len(rows)
+        return count
 
     # -- compaction --------------------------------------------------------------------
 
     def _maybe_compact(self) -> None:
-        if self.zeros >= COMPACT_MIN_ZEROS and self.zeros * 4 >= len(self._rows):
+        if self.zeros >= COMPACT_MIN_ZEROS and self.zeros * 4 >= self.row_count:
             self.compact()
 
     def compact(self) -> None:
         """Drop tombstoned rows, preserving storage order of the survivors.
 
         Space reclamation only: the dense snapshot (and therefore the
-        version) is unchanged, but slots move, so the epoch is bumped.  The
-        sweep *replaces* the row list, multiplicity buffer and code arrays
-        rather than mutating them, so it is safe under snapshot pins — pinned
-        views keep reading their original arrays.
+        version) is unchanged, but slots move, so the epoch is bumped and
+        the row index is rebuilt.  The sweep *replaces* the multiplicity
+        buffer and code arrays rather than mutating them, so it is safe
+        under snapshot pins — pinned views keep reading their original
+        arrays.
         """
         if self.zeros == 0:
             return
         slots = self.live_slots()
-        self._mults, self._columns = self._gather(slots)   # flushes the tail first
-        self._rows = self._gather_rows(slots)
-        self._encoded_count = len(self._rows)
         for index in self._indexes.values():
+            index.catch_up(self._columns, self.row_count)
             index.gather(slots)
+        self._mults, self._columns = self._gather(slots)
         self.zeros = 0
-        self._index_live_rows()
+        self._code_rows = None
         self.epoch += 1
         # The fresh buffers are not referenced by any pinned snapshot (the
         # pins keep the pre-sweep arrays, which are immutable from here on).
@@ -953,7 +1231,6 @@ class TupleStore:
         """A fresh multiplicity array and per-column encodings holding exactly
         the given slots, in the given order: codes gathered, exceptions
         remapped, the dictionary (values, index, types) shared."""
-        self.flush_encodings()
         capacity = max(slots.size, 1)
         mults = _GrowArray(np.float64, capacity=capacity)
         mults.extend(self._mults.view()[slots])
@@ -968,31 +1245,22 @@ class TupleStore:
             columns.append(kept)
         return mults, columns
 
-    def _gather_rows(self, slots: np.ndarray) -> List[Tuple]:
-        rows = self._rows
-        return [rows[slot] for slot in slots.tolist()]
-
-    def _index_live_rows(self) -> None:
-        """Rebuild the row index from the live slots (dead ones stay out)."""
-        rows = self._rows
-        self._row_index = {rows[slot]: slot for slot in self.live_slots().tolist()}
-
     # -- checkpoint pickling -----------------------------------------------------------
 
     def __getstate__(self) -> Dict:
         """The store's state: schema, dense multiplicities, encodings
-        (dictionaries, codes, exceptions) and counters — no row tuples.
+        (dictionaries, codes, exceptions) and counters.
 
-        Tombstones are left out (gathered away, the store itself untouched)
-        and the pending tail is encoded first, so the pickled bytes depend on
-        the update history only, like every other snapshot.  A key index
-        contributes its key columns and, for a combination, its numbering.
-        Everything else is derived or process-local and starts afresh in
-        :meth:`__setstate__`: the rows (decoded exactly from the encodings),
-        the row index, the key codes and buckets, the reader-pin bookkeeping
-        and the physical-layout epoch.
+        Tombstones are left out (gathered away, the store itself untouched),
+        so the pickled bytes depend on the update history only, like every
+        other snapshot.  A key index contributes its key columns and, for a
+        combination, its numbering.  Everything else is derived or
+        process-local and starts afresh in :meth:`__setstate__`: the row
+        index (rebuilt from the codes), the key codes and buckets, the
+        reader-pin bookkeeping and the physical-layout epoch.
         """
-        self.flush_encodings()
+        for index in self._indexes.values():
+            index.catch_up(self._columns, self.row_count)
         mults, columns = self._mults, self._columns
         if self.zeros:
             mults, columns = self._gather(self.live_slots())
@@ -1004,14 +1272,9 @@ class TupleStore:
         self.__init__(state["schema"])  # derived and process-local fields start afresh
         for name, value in state.items():
             setattr(self, name, value)
-        if self._columns:
-            self._rows = list(zip(*(column.decode() for column in self._columns)))
-        else:
-            self._rows = [()] * self._mults.size
-        self._encoded_count = len(self._rows)
-        self._index_live_rows()
+        self._lost = True       # the dictionaries keep the values of swept rows
         for index in self._indexes.values():
-            index.rebuild(self._columns, len(self._rows))
+            index.rebuild(self._columns)
 
     # -- copying -----------------------------------------------------------------------
 
@@ -1019,58 +1282,53 @@ class TupleStore:
         """An independent store holding the live rows, in slot order: what a
         store fed :meth:`iter_items` would hold, built from arrays.
 
-        Without tombstones the row list is sliced, the multiplicities copied
-        and the row index copied as a dict (every slot is live, so it maps
-        exactly the slots); otherwise the live slots are gathered once.  The
-        clone is left unencoded and its first flush encodes its own rows:
-        this store's dictionaries still hold the values of swept rows, and a
-        clone's encoding must not depend on that history.  Version, epoch,
+        While no row ever died, every slot is live and every dictionary entry
+        in use, so the code arrays, dictionaries and row index are copied as
+        they are — no per-row work and nothing to encode.  Otherwise the live
+        slots are gathered and each dictionary is compacted to the values
+        they use (:meth:`_ColumnCodes.compacted`), so a copy's encoding does
+        not depend on the values of rows this store lost.  Version, epoch,
         pins and key indexes start afresh.
         """
         clone = TupleStore(self.schema)
-        if self.zeros:
+        if self._lost:
             slots = self.live_slots()
-            rows = self._gather_rows(slots)
-            mults = self._mults.view()[slots]
-            clone._row_index = dict(zip(rows, range(len(rows))))
+            clone._mults = _GrowArray(np.float64, capacity=max(slots.size, 1))
+            clone._mults.extend(self._mults.view()[slots])
+            clone._columns = [column.compacted(slots) for column in self._columns]
         else:
-            rows = self._rows[:]
-            mults = self._mults.view()
-            clone._row_index = dict(self._row_index)
-        clone._rows = rows
-        clone._mults = _GrowArray(np.float64, capacity=max(len(rows), 1))
-        clone._mults.extend(mults)
-        clone.live = len(rows)
-        clone.total = float(mults.sum())
+            clone._mults = _GrowArray(np.float64, capacity=max(self.row_count, 1))
+            clone._mults.extend(self._mults.view())
+            clone._columns = [column.copy() for column in self._columns]
+            if self._code_rows is not None:
+                clone._code_rows = self._code_rows.copy()
+        clone.live = clone.row_count
+        clone.total = float(clone._mults.view().sum())
         return clone
 
     # -- introspection -----------------------------------------------------------------
 
-    def memory_footprint(self, sample: int = 256) -> int:
-        """Approximate resident bytes of the store (``sys.getsizeof`` sampling).
+    def memory_footprint(self) -> int:
+        """Resident bytes of the store, counted rather than sampled.
 
-        Array buffers are counted exactly; the row tuples and dictionary
-        values are sampled (``sample`` of each) and extrapolated, which keeps
-        the estimate cheap on large relations.
+        Every array buffer (``nbytes``, doubling slack included); per column
+        the dictionary list, its inverse index, its distinct value objects
+        and the exceptions; the row index; and each key index's arrays and,
+        for a combination, its numbering dict and key tuples.  An object
+        held twice (a value in the list and as an index key) counts once.
         """
-        import sys as _sys
-
-        total = _sys.getsizeof(self._rows) + _sys.getsizeof(self._row_index)
-        total += self._mults.data.nbytes
-        row_count = len(self._rows)
-        if row_count:
-            step = max(row_count // max(sample, 1), 1)
-            sampled = self._rows[::step]
-            per_row = sum(
-                _sys.getsizeof(row) + sum(_sys.getsizeof(value) for value in row)
-                for row in sampled
-            ) / len(sampled)
-            total += int(per_row * row_count)
+        size = sys.getsizeof
+        total = self._mults.data.nbytes
+        if self._code_rows is not None:
+            total += self._code_rows.footprint()
         for column in self._columns:
-            total += column.codes.data.nbytes
-            total += _sys.getsizeof(column.values) + _sys.getsizeof(column.index)
+            total += column.codes.data.nbytes + column.floats.data.nbytes
+            total += size(column.values) + size(column.index) + sum(map(size, column.values))
+            total += size(column.exceptions) + sum(map(size, column.exceptions.values()))
         for index in self._indexes.values():
             total += index.order.nbytes + index.starts.nbytes
+            total += sum(part.data.nbytes for part in index.parts)
             if index.codes is not None:
-                total += index.codes.data.nbytes + _sys.getsizeof(index.combos)
+                total += index.codes.data.nbytes + size(index.combos) + size(index.keys)
+                total += sum(map(size, index.combos)) + sum(map(size, index.keys))
         return total

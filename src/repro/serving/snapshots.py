@@ -79,11 +79,8 @@ class SnapshotRelation:
         return self._snapshot
 
     def items(self) -> Iterator[Tuple[Tuple, int]]:
-        """The ``(row, multiplicity)`` pairs of the pinned (dense) snapshot.
-
-        ``zip`` stops at the frozen multiplicity array — the shared row list
-        may have grown past it under the writer's later appends.
-        """
+        """The ``(row, multiplicity)`` pairs of the pinned (dense) snapshot,
+        its rows decoded from the pinned codes (see ``ColumnStore.rows``)."""
         snapshot = self._snapshot
         for row, multiplicity in zip(snapshot.rows, snapshot.multiplicities.tolist()):
             yield row, int(multiplicity)

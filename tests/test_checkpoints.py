@@ -100,7 +100,7 @@ def _assert_same_index(one, other, attributes):
         store.index_lookup(attributes, requested) for store in (one, other)
     )
     assert np.array_equal(items, twin_items)
-    rows, twin_rows = one.rows_list(), other.rows_list()
+    rows, twin_rows = one.rows_at(), other.rows_at()
     assert [rows[slot] for slot in slots.tolist()] == [
         twin_rows[slot] for slot in twin_slots.tolist()
     ]

@@ -74,13 +74,6 @@ def test_empty_like_has_schema_but_no_rows(people):
     assert empty.schema.names == people.schema.names
 
 
-def test_from_dicts_and_from_columns_agree():
-    schema = Schema.from_names(["a", "b"])
-    from_dicts = Relation.from_dicts("R", schema, [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-    from_columns = Relation.from_columns("R", schema, {"a": [1, 3], "b": [2, 4]})
-    assert from_dicts == from_columns
-
-
 def test_from_columns_validates_lengths():
     schema = Schema.from_names(["a", "b"])
     with pytest.raises(RelationError):
@@ -97,11 +90,6 @@ def test_equality_ignores_name(people):
 def test_sample_rows_is_deterministic(people):
     assert people.sample_rows(1, seed=4) == people.sample_rows(1, seed=4)
     assert len(people.sample_rows(10)) == 2
-
-
-def test_row_dicts(people):
-    rows = list(people.row_dicts())
-    assert {"name": "bob", "age": 40} in rows
 
 
 def test_to_table_renders_multiplicity(people):

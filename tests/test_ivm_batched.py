@@ -161,7 +161,7 @@ def _grouped_from_scratch(store, attributes):
     positions = [store.schema.index_of(attribute) for attribute in attributes]
     multiplicities = store.multiplicities_view()
     grouped = {}
-    for slot, row in enumerate(store.rows_list()):
+    for slot, row in enumerate(store.rows_at()):
         if multiplicities[slot] != 0:
             grouped.setdefault(tuple(row[p] for p in positions), []).append(slot)
     return grouped
@@ -172,7 +172,7 @@ def _grouped_by_index(store, attributes):
     size = store.index_size(attributes)
     keys = store.index_keys(attributes, range(size))
     codes = store.index_codes(attributes)
-    for slot, row in enumerate(store.rows_list()):
+    for slot, row in enumerate(store.rows_at()):
         assert keys[codes[slot]] == tuple(
             row[store.schema.index_of(attribute)] for attribute in attributes
         )

@@ -482,7 +482,7 @@ def test_hops_read_the_stored_floats(ivm_source, tmp_path):
     for name, feature in (("Weather", "maxtemp"), ("Inventory", "inventoryunits")):
         store = fused.database.relation(name).store
         position = store.schema.index_of(feature)
-        stored = np.asarray([float(row[position]) for row in store.rows_list()])
+        stored = np.asarray([float(row[position]) for row in store.rows_at()])
         read = store.floats_at(feature, np.arange(store.row_count))
         assert read.tobytes() == stored.tobytes()
         assert np.signbit(read).any() and (read == 1.0).any()

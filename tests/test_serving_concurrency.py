@@ -20,6 +20,7 @@ of hanging.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -403,6 +404,59 @@ def test_an_unread_generation_never_gathers(monkeypatch):
     manager.release(snapshot)
     assert gathered == [read.database.relation("R").column_store()]
     assert unread._dense is None
+    manager.close()
+
+
+def _typed_items(items):
+    """Rows with each value's type and, for a float, its sign."""
+    return [
+        (row, multiplicity, [(type(value), math.copysign(1.0, value) if isinstance(value, float)
+                              else None) for value in row])
+        for row, multiplicity in items
+    ]
+
+
+def test_a_reader_decodes_a_pinned_generation_while_the_writer_appends():
+    """A reader thread decodes ``items()`` of each pinned generation while
+    the writer appends rows, among them values that add per-column
+    exceptions (an ``int`` under the entry ``1.0``, ``-0.0`` under ``0.0``)
+    to the exception tables the reader's decode copies: every read equals
+    the rows, types and signs the writer saw when it published."""
+    relation = Relation("R", SCHEMA)
+    relation.add_batch([("a", 1.0), ("b", 0.0), ("c", 2.5)], [1, 1, 1])
+    manager = SnapshotManager(Database([relation]))
+    expected = {0: _typed_items(relation.items())}
+    manager.publish(prefix=0)
+    stop = threading.Event()
+    mismatches, reads = [], []
+
+    def reader():
+        while not stop.is_set():
+            held = manager.acquire()
+            try:
+                seen = _typed_items(held.database.relation("R").items())
+                if seen != expected[held.prefix]:
+                    mismatches.append(held.prefix)
+                reads.append(held.prefix)
+            except Exception as error:      # noqa: BLE001 - reported below
+                mismatches.append(repr(error))
+            finally:
+                manager.release(held)
+
+    thread = threading.Thread(target=reader, name="decoding-reader")
+    thread.start()
+    try:
+        for step in range(1, 400):
+            value = (1, -0.0, float(step))[step % 3]
+            relation.add_batch([(f"k{step}", value), (f"j{step}", value)], [1, 1])
+            expected[step] = _typed_items(relation.items())
+            manager.publish(prefix=step)
+    finally:
+        stop.set()
+        _join_or_fail([thread])
+    assert mismatches == [] and len(set(reads)) > 1
+    exceptions = relation.store.encoded_columns()[1][2]
+    assert {type(value) for value in exceptions.values()} == {int, float}
     manager.close()
 
 

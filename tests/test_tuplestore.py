@@ -12,9 +12,11 @@ a full IVM insert/delete stream over the store on all three strategies.
 
 from __future__ import annotations
 
+import math
 import operator
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
+from repro.data import tuplestore
 from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
     COMPACT_MIN_ZEROS,
@@ -147,7 +150,7 @@ def test_column_store_is_zero_copy_and_epoch_guarded():
         store.multiplicities, inner.multiplicities_view()
     )
     assert np.shares_memory(
-        store.encoding("v").codes, inner.column_codes_view(1)
+        store.encoding("v").codes, inner.encoded_columns()[1][1]
     )
     # A mutation invalidates the wrapper; the replacement re-wraps the
     # (already encoded) arrays.
@@ -155,7 +158,7 @@ def test_column_store_is_zero_copy_and_epoch_guarded():
     fresh = relation.column_store()
     assert fresh is not store
     assert fresh.row_count == len(relation)
-    assert np.shares_memory(fresh.encoding("v").codes, inner.column_codes_view(1))
+    assert np.shares_memory(fresh.encoding("v").codes, inner.encoded_columns()[1][1])
     relation.add(("c", 3), -1)
     # Over a tombstone the snapshot is a gather: dense, and not an alias.
     handoffs = tuplestore_stats["zero_copy_snapshots"]
@@ -443,15 +446,16 @@ def test_relation_constructors_round_trip():
 @pytest.mark.parametrize("tombstones", [False, True])
 def test_store_copy_is_independent(tombstones):
     """Mutating a clone — netting in place, killing rows, appending,
-    sweeping — leaves the source's rows, multiplicity buffer and row index
-    as they were, whichever way the copy was taken."""
+    sweeping — leaves the source's rows, dictionaries, multiplicity buffer
+    and row index as they were, whichever way the copy was taken."""
     store = TupleStore(SCHEMA)
     store.add_batch([("a", 1)], [2])
     store.add_batch([(f"k{index}", index) for index in range(8)], [1] * 8)
     if tombstones:
         store.add_batch([("k3", 3)], [-1])
         assert store.zeros == 1
-    rows, index = list(store.rows_list()), dict(store._row_index)
+    rows, index = store.rows_at(), store._content().slots.copy()
+    dictionaries = [column.values[:] for column in store._columns]
     mults, buffer = store.multiplicities_view().copy(), store._mults.data
     clone = store.copy()
     clone.add_batch([("a", 1)], [-2])
@@ -460,7 +464,8 @@ def test_store_copy_is_independent(tombstones):
     clone.compact()
     assert store.multiplicity(("a", 1)) == 2
     assert clone.multiplicity(("a", 1)) == 0
-    assert store.rows_list() == rows and store._row_index == index
+    assert store.rows_at() == rows and store._content().slots == index
+    assert [column.values for column in store._columns] == dictionaries
     assert store._mults.data is buffer
     assert np.array_equal(store.multiplicities_view(), mults)
 
@@ -470,6 +475,15 @@ def test_store_copy_is_independent(tombstones):
 #: the copies and flushes below must keep every one where it was.
 NAN_A, NAN_B = float("nan"), float("nan")
 FOLDED = [1, 1.0, True, 0.0, -0.0, NAN_A, NAN_B, "a", "b", 2]
+
+
+def _values(rows):
+    return [value for row in rows for value in row]
+
+
+def _slots_by_row(store):
+    """The slot the row index finds for each stored row (-1: not found)."""
+    return [store._slot_of(row) for row in store.rows_at()]
 
 
 def _snapshot_of(store):
@@ -491,29 +505,25 @@ def _snapshot_of(store):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    flushed=st.integers(min_value=-1, max_value=39),
     sweep=st.booleans(),
     pinned=st.booleans(),
     indexed=st.booleans(),
 )
-@example(seed=3, flushed=39, sweep=False, pinned=False, indexed=False)
-@example(seed=3, flushed=-1, sweep=True, pinned=True, indexed=True)
-def test_a_copy_is_its_live_rows_reappended(seed, flushed, sweep, pinned, indexed):
+@example(seed=3, sweep=False, pinned=False, indexed=False)
+@example(seed=3, sweep=True, pinned=True, indexed=True)
+def test_a_copy_is_its_live_rows_reappended(seed, sweep, pinned, indexed):
     """``copy()`` equals a fresh store fed the source's ``iter_items()``:
     same live rows in slot order, multiplicities and counters, a row index
-    of exactly the live rows at their slots, and — once snapshotted — the
-    same dictionaries, codes and exceptions, whatever the source held: a
-    pending tail (encoded up to batch ``flushed`` only), tombstones, a
-    sweep, a pin, key indexes."""
+    of exactly the live rows at their slots, and the same dictionaries,
+    codes and exceptions, whatever the source held: tombstones, a sweep
+    (whose dictionaries keep the swept values), a pin, key indexes."""
     schema = Schema.from_names(["k", "v"], categorical_names=["k"])
     store = TupleStore(schema)
     if indexed:
         store.add_index(["k"])
         store.add_index(["k", "v"])
-    for position, (rows, multiplicities) in enumerate(random_event_batches(seed, values=7)):
+    for rows, multiplicities in random_event_batches(seed, values=7):
         store.add_batch([(key, FOLDED[value]) for key, value in rows], multiplicities)
-        if position == flushed:
-            store.flush_encodings()
     if sweep:
         store.compact()
     if pinned:
@@ -523,12 +533,15 @@ def test_a_copy_is_its_live_rows_reappended(seed, flushed, sweep, pinned, indexe
     twin = TupleStore(schema)
     twin.add_batch([row for row, _m in items], [m for _row, m in items])
 
-    assert clone.rows_list() == twin.rows_list() == [row for row, _m in items]
-    assert all(map(operator.is_, clone.rows_list(), twin.rows_list()))
+    assert clone.rows_at() == twin.rows_at() == [row for row, _m in items]
+    assert all(map(operator.is_, _values(clone.rows_at()), _values(twin.rows_at())))
     assert clone.multiplicities_view().tolist() == twin.multiplicities_view().tolist()
     assert (clone.live, clone.zeros, clone.total) == (twin.live, twin.zeros, twin.total)
     assert (clone.live, clone.total) == (store.live, store.total) and clone.zeros == 0
-    assert clone._row_index == {row: slot for slot, row in enumerate(clone.rows_list())}
+    assert _slots_by_row(clone) == list(range(clone.row_count))
+    if clone.live:
+        assert (clone._content().slots, clone._content().clashes) == (
+            twin._content().slots, twin._content().clashes)
     assert (clone.pins, clone.version, clone.epoch, clone._indexes) == (0, 0, 0, {})
     assert _snapshot_of(clone) == _snapshot_of(twin)
 
@@ -540,23 +553,22 @@ def test_a_copy_is_its_live_rows_reappended(seed, flushed, sweep, pinned, indexe
                    max_size=60),
     chunk=st.integers(min_value=2, max_value=17),
 )
-def test_one_flush_equals_many(arity, picks, chunk):
-    """A pending tail encoded in one go, in chunks or row by row comes out
-    with the same dictionaries (the very value objects), codes and
-    exceptions, and decodes to the stored values themselves."""
+def test_one_batch_equals_many(arity, picks, chunk):
+    """Rows written in one batch, in chunks or row by row come out with the
+    same dictionaries (the very value objects), codes and exceptions, and
+    decode to the stored values themselves (a repeated row keeps its first
+    occurrence)."""
     schema = Schema.from_names([f"c{position}" for position in range(arity)])
     rows = [tuple(FOLDED[pick] for pick in row[:arity]) for row in picks]
     once, chunked, single = TupleStore(schema), TupleStore(schema), TupleStore(schema)
+    once.add_batch(rows, [1] * len(rows))
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
-        once.add_batch(part, [1] * len(part))
         chunked.add_batch(part, [1] * len(part))
-        chunked.flush_encodings()
     for row in rows:
         single.add_batch([row], [1])
-        single.flush_encodings()
-    once.flush_encodings()
-    assert once.rows_list() == chunked.rows_list() == single.rows_list()
+    stored = list(dict.fromkeys(rows))
+    assert once.rows_at() == chunked.rows_at() == single.rows_at() == stored
     for left, other in ((once, chunked), (once, single)):
         for mine, theirs in zip(left._columns, other._columns):
             assert all(map(operator.is_, mine.values, theirs.values))
@@ -564,9 +576,170 @@ def test_one_flush_equals_many(arity, picks, chunk):
             assert np.array_equal(mine.codes.view(), theirs.codes.view())
             assert mine.exceptions.keys() == theirs.exceptions.keys()
             assert all(map(operator.is_, mine.exceptions.values(), theirs.exceptions.values()))
-    for position, column in enumerate(once._columns):
-        stored = [row[position] for row in once.rows_list()]
-        assert all(map(operator.is_, column.decode(), stored))
+    for store in (once, chunked, single):
+        assert all(map(operator.is_, _values(store.rows_at()), _values(stored)))
+
+
+# -- a row is its codes ----------------------------------------------------------------
+
+#: Values Python equality folds together (``1``/``1.0``/``True``, ``0.0``/
+#: ``-0.0``), one it keeps apart although it prints alike (``"1"``) and one
+#: NaN object, equal to itself only by identity.
+NAN = float("nan")
+EQUAL_UNDER_PYTHON = [1, 1.0, True, 0.0, -0.0, "1", NAN]
+
+
+def _same_value(mine, theirs) -> bool:
+    """Equal in type, value and sign (NaN: both NaN)."""
+    if type(mine) is not type(theirs):
+        return False
+    if isinstance(mine, float):
+        if math.isnan(mine) or math.isnan(theirs):
+            return math.isnan(mine) and math.isnan(theirs)
+        return mine == theirs and math.copysign(1.0, mine) == math.copysign(1.0, theirs)
+    return mine == theirs
+
+
+def _same_items(store, expected) -> bool:
+    items = list(store.iter_items())
+    return len(items) == len(expected) and all(
+        multiplicity == want and all(map(_same_value, row, wanted))
+        for (row, multiplicity), (wanted, want) in zip(items, expected)
+    )
+
+
+def _colliding_hashes(codes, count):
+    """Every code row hashes alike: the row index must still tell them apart."""
+    return [0] * count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, len(EQUAL_UNDER_PYTHON) - 1),
+                      st.integers(0, len(EQUAL_UNDER_PYTHON) - 1),
+                      st.sampled_from([1, 1, -1, 2])),
+            max_size=12,
+        ),
+        max_size=14,
+    ),
+    collide=st.booleans(),
+)
+@example(batches=[[(0, 0, 1)], [(1, 0, -1)], [(2, 0, 1), (4, 5, 1)], [(3, 6, 1), (4, 6, 1)]],
+         collide=True)
+def test_rows_are_their_codes_under_python_equality(batches, collide):
+    """Streams mixing ``1``, ``1.0``, ``True``, ``0.0``, ``-0.0``, ``"1"`` and
+    one reused NaN net like a dict of rows (each batch netted first, a
+    netted row keeping its first occurrence) and decode every stored value
+    with its type and sign: after the writes, in a copy, after a sweep and
+    across a pickle round trip.  With every code row forced onto one hash,
+    distinct rows stay distinct."""
+    schema = Schema.from_names(["a", "b"])
+    store = TupleStore(schema)
+    model: dict = {}
+    expected: list = []
+    with mock.patch("repro.data.tuplestore._row_hashes",
+                    _colliding_hashes if collide else tuplestore._row_hashes):
+        for batch in batches:
+            rows = [(EQUAL_UNDER_PYTHON[a], EQUAL_UNDER_PYTHON[b]) for a, b, _m in batch]
+            multiplicities = [m for _a, _b, m in batch]
+            store.add_batch(rows, multiplicities)
+            netted: dict = {}
+            for row, multiplicity in zip(rows, multiplicities):
+                netted[row] = netted.get(row, 0) + multiplicity
+            for row, multiplicity in netted.items():
+                _reference_apply(model, row, multiplicity)
+            expected = list(model.items())
+            assert _same_items(store, expected)
+            # Identity too: a decoded value is the very object stored.
+            assert all(map(operator.is_, _values(store.iter_rows()), _values(model)))
+            for row, multiplicity in expected:
+                assert store.multiplicity(row) == multiplicity and row in store
+        clone = store.copy()
+        assert _same_items(clone, expected)
+        assert all(map(operator.is_, _values(clone.iter_rows()), _values(model)))
+        store.compact()
+        assert _same_items(store, expected)
+        for row, multiplicity in expected:
+            assert clone.multiplicity(row) == store.multiplicity(row) == multiplicity
+        assert _same_items(pickle.loads(pickle.dumps(store)), expected)
+        assert _same_items(pickle.loads(pickle.dumps(clone)), expected)
+
+
+def test_memory_footprint_counts_what_the_store_holds():
+    """The footprint grows with appends and key indexes and drops when a
+    sweep frees the slots of dead rows; the arrays count exactly."""
+    store = TupleStore(SCHEMA)
+    empty = store.memory_footprint()
+    rows = [(f"k{index % 13}", index) for index in range(2000)]
+    store.add_batch(rows[:1000], [1] * 1000)
+    first = store.memory_footprint()
+    store.add_batch(rows[1000:], [1] * 1000)
+    assert store.multiplicity(rows[0]) == 1          # builds the row index
+    second = store.memory_footprint()
+    store.add_index(["k", "v"])
+    store.index_size(["k", "v"])                     # numbers the combinations
+    indexed = store.memory_footprint()
+    assert empty < first < second < indexed
+    arrays = store._mults.data.nbytes + sum(
+        column.codes.data.nbytes for column in store._columns
+    )
+    assert indexed > arrays
+    epoch = store.epoch
+    store.add_batch(rows[:1800], [-1] * 1800)        # crosses the sweep threshold
+    assert store.epoch == epoch + 1 and store.row_count == 200
+    assert store.memory_footprint() < indexed
+    assert store.memory_footprint() == store.memory_footprint()
+
+
+@pytest.mark.parametrize("history", ["inserts", "deletes", "swept"])
+def test_copying_a_written_database_encodes_nothing(monkeypatch, history):
+    """``Database.copy()`` of a written database calls no encoder and grows
+    no dictionary, yet every copied store equals a store fed the source's
+    ``iter_items()`` — also over tombstones, and after a sweep that left the
+    swept rows' values in the source's dictionaries."""
+    from repro.data.tuplestore import _ColumnCodes
+    from repro.datasets import retailer_database
+
+    database = retailer_database(inventory_rows=300, stores=4, items=8, dates=6, seed=5)
+    for relation in database:
+        rows = relation.rows()
+        relation.add_batch(rows[: len(rows) // 2], [1] * (len(rows) // 2))
+        if history != "inserts":
+            doomed = rows[len(rows) // 2 :: 2]      # multiplicity 1: they die
+            relation.add_batch(doomed, [-1] * len(doomed))
+        if history == "swept":
+            relation.compact_storage()
+    sizes = {
+        relation.name: [len(column.values) for column in relation.store._columns]
+        for relation in database
+    }
+    encodes = []
+    encode = _ColumnCodes.extend_values
+    monkeypatch.setattr(
+        _ColumnCodes, "extend_values",
+        lambda column, *args: encodes.append(column) or encode(column, *args),
+    )
+    copied = database.copy()
+    for relation in copied:
+        relation.column_store()
+    assert encodes == []
+    for relation in copied:
+        source = database.relation(relation.name)
+        clone = relation.store
+        assert [len(column.values) for column in source.store._columns] == sizes[relation.name]
+        assert all(
+            len(mine.values) <= theirs
+            for mine, theirs in zip(clone._columns, sizes[relation.name])
+        )
+        assert source.store._lost == (history != "inserts")
+        monkeypatch.setattr(_ColumnCodes, "extend_values", encode)
+        items = list(source.items())
+        twin = TupleStore(relation.schema)
+        twin.add_batch([row for row, _m in items], [m for _row, m in items])
+        assert _snapshot_of(clone) == _snapshot_of(twin)
+        assert list(relation.items()) == items
 
 
 # -- deterministic canonical orders ----------------------------------------------------
