@@ -32,6 +32,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.data.attribute import Attribute, AttributeType, Schema, SchemaError
 from repro.data.tuplestore import TupleStore
 
@@ -136,7 +138,7 @@ class Relation:
         rows: Sequence[Row],
         multiplicities: Sequence[int],
         validated: bool = False,
-    ) -> None:
+    ) -> np.ndarray:
         """Apply one signed delta (rows + multiplicities) in a single pass.
 
         The one way rows enter the store: every row is arity-checked, the
@@ -144,7 +146,8 @@ class Relation:
         mutation) and the rows it stores are encoded as they are stored.
         ``validated=True`` skips the arity pre-check and tuple coercion for
         callers that already pass checked tuple rows (the IVM batch path
-        validates while netting).
+        validates while netting).  Returns the rows' codes
+        (:meth:`TupleStore.add_batch`).
         """
         arity = self.arity
         if not validated:
@@ -161,7 +164,7 @@ class Relation:
                     )
                 coerced.append(tuple(row))
             rows = coerced
-        self._store.add_batch(rows, multiplicities)
+        return self._store.add_batch(rows, multiplicities)
 
     def clear(self) -> None:
         self._store.clear()

@@ -9,24 +9,25 @@ no row tuple, and F-IVM's delta propagation reads it through key indexes.
 - one **dictionary-encoded code array** per attribute (``values`` in
   first-occurrence order plus an ``int64`` code per row), grown in place at
   the write: :meth:`TupleStore.add_batch` encodes exactly the rows it stores
-  (one C-level lookup pass over the batch, then, in a column holding an
-  unseen value, one ``setdefault`` per value —
+  (one C-level lookup pass over the batch, then, in a column holding unseen
+  values, one C-level pass numbering them —
   :meth:`_ColumnCodes.extend_values`, the only encode path), so neither a
-  snapshot nor a copy ever encodes anything;
+  snapshot nor a copy ever encodes anything, and hands the rows' codes back
+  (F-IVM reads their key codes off them);
 - one **float64 multiplicity array** aligned with the rows (signed —
   multiplicities live in the ring of integers, exactly representable in
   float64 far beyond any realistic count);
-- a **row index** over the *live* slots, driving multiset *netting*: the
-  hash of a row's code tuple maps to its slot, and a hit is confirmed
-  against the stored codes, one vectorised comparison per column.  Codes are
+- a **row index** over the *live* slots, driving multiset *netting*: a
+  dict from each live row's key — the bytes of its codes, cut out of one
+  array by one C-level pass (:func:`_row_keys`) — to its slot.  Codes are
   exact under Python equality (``1``, ``1.0`` and ``True`` share a code, two
-  NaN objects do not), so two rows are equal exactly when their code tuples
-  are.  An update of a stored row adjusts its multiplicity in place; a
+  NaN objects do not), so two rows are equal exactly when their keys are.
+  An update of a stored row adjusts its multiplicity in place; a
   multiplicity reaching zero leaves a **tombstone** and drops the row from
   the index at that moment, so a tombstone is never revived and a re-insert
-  always appends a new slot.  The index holds one int key and one int slot
-  per live row, no tuple (a row whose hash another live row holds waits in
-  a small side table under its code tuple).
+  always appends a new slot.  The index holds one ``bytes`` key and one int
+  slot per live row, no tuple; it is built from the codes on a store's
+  first probe and kept up to date by every append after that.
 
 Rows enter a store one way, :meth:`TupleStore.add_batch` — a one-row
 ``Relation.add`` included; only :meth:`~TupleStore.copy` and a checkpoint
@@ -150,8 +151,6 @@ def transpose(rows: Sequence[Sequence], arity: int) -> List[List[object]]:
     tuple as long as the rows, which every young-generation collection it
     triggers traverses, so its cost grows faster than the row count.
     """
-    if len(rows) == 1 and len(rows[0]) == arity:
-        return [[value] for value in rows[0]]
     return [list(map(itemgetter(position), rows)) for position in range(arity)]
 
 
@@ -229,15 +228,12 @@ class _GrowArray:
         self.data = grown
 
     def extend(self, values) -> None:
-        if len(values) == 1:            # one row: no array conversion
-            self._reserve(1)
-            self.data[self.size] = values[0]
-            self.size += 1
-            return
         values = np.asarray(values, dtype=self.data.dtype)
-        self._reserve(values.shape[0])
-        self.data[self.size : self.size + values.shape[0]] = values
-        self.size += values.shape[0]
+        end = self.size + values.shape[0]
+        if end > self.data.shape[0]:
+            self._reserve(values.shape[0])
+        self.data[self.size : end] = values
+        self.size = end
 
     def view(self) -> np.ndarray:
         return self.data[: self.size]
@@ -385,27 +381,30 @@ class _ColumnCodes:
         self.kinds = set(map(type, self.values))
         self.kinds.update(map(type, self.exceptions.values()))
 
-    def extend_values(self, raw: Sequence[object], codes: np.ndarray, whole: bool) -> None:
+    def extend_values(
+        self, raw: Sequence[object], codes: np.ndarray, unseen: Optional[np.ndarray]
+    ) -> None:
         """Append the codes of ``raw`` — the one encode path.
 
         ``codes`` is what :func:`_probe` found for ``raw`` (-1 for a value
-        the dictionary lacks) and ``whole`` whether it found them all.  Then
-        the codes are appended as they are; otherwise every value costs one
-        ``setdefault``, in order, so a value's code is the position of its
-        first occurrence in the column's history (under Python equality, as
-        the row index compares rows) and dictionary and codes do not depend
-        on how the history was cut into batches.
+        the dictionary lacks) and ``unseen`` flags those -1s (None when there
+        are none).  Only the unseen values are assigned codes, written into
+        ``codes``: one C-level pass keeps the first occurrence of each (under
+        Python equality, as the row index compares rows), those join the
+        dictionary in that order, and their codes are read back.  So a
+        value's code is the position of its first occurrence in the column's
+        history, and dictionary and codes do not depend on how the history
+        was cut into batches.
         """
-        if not whole:
-            values = self.values
-            assign = self.index.setdefault
-            assigned = []
-            for value in raw:
-                code = assign(value, len(values))
-                if code == len(values):
-                    values.append(value)
-                assigned.append(code)
-            codes = np.fromiter(assigned, dtype=np.int64, count=len(raw))
+        if unseen is not None:
+            fresh = list(compress(raw, unseen.tolist()))
+            added = list(dict.fromkeys(fresh))
+            base = len(self.values)
+            self.index.update(zip(added, range(base, base + len(added))))
+            self.values.extend(added)
+            codes[unseen] = np.fromiter(
+                map(self.index.__getitem__, fresh), dtype=np.int64, count=len(fresh)
+            )
         self._record_exceptions(raw, codes)
         self.codes.extend(codes)
 
@@ -621,11 +620,19 @@ class _KeyIndex:
     ) -> np.ndarray:
         """The code of each of ``count`` keys given column-wise (``values[i]``
         holds the ``i``-th attribute of every key); -1 where no row has it."""
-        parts = [
+        return self._coded([
             np.fromiter(map(columns[position].index.get, column, repeat(-1)),
                         dtype=np.int64, count=count)
             for position, column in zip(self.positions, values)
-        ]
+        ], count)
+
+    def encode(self, codes: np.ndarray) -> np.ndarray:
+        """The key code of each row given by its codes in every column (one
+        array row per column, as :meth:`TupleStore.add_batch` returns them)."""
+        return self._coded([codes[position] for position in self.positions], codes.shape[1])
+
+    def _coded(self, parts: List[np.ndarray], count: int) -> np.ndarray:
+        """The key codes of ``count`` keys given by their column codes."""
         if self.combos is None:
             return parts[0]
         # An unknown value (-1) joins into a combination no slot has.
@@ -730,7 +737,7 @@ def net_rows(
     )
 
 
-#: Rows hashed per step of :meth:`_RowIndex.insert`.
+#: Rows keyed per step of a row index build (:meth:`TupleStore._content`).
 _INSERT_CHUNK = 8192
 
 
@@ -751,145 +758,35 @@ def _probe(
     return codes, codes < 0
 
 
-def _row_hashes(codes: Sequence[np.ndarray], count: int) -> List[int]:
-    """The hash of each of ``count`` code rows, given column-wise."""
-    if not codes:
-        return [hash(())] * count
-    return list(map(hash, zip(*(column.tolist() for column in codes))))
-
-
-def _code_row(codes: Sequence[np.ndarray], slot: int) -> Tuple[int, ...]:
-    return tuple(int(column[slot]) for column in codes)
-
-
-class _RowIndex:
-    """The live slots of a :class:`TupleStore` by content.
-
-    ``slots`` maps the hash of a live row's code tuple to its slot: one int
-    key and one int per row, no tuple.  A hit is confirmed against the
-    stored codes.  A live row whose hash another live row already holds is
-    kept in ``clashes`` under its code tuple instead (with 64-bit hashes
-    that side table is empty in practice; a probe reads it only when it is
-    not).  The slots from ``covered`` on are not indexed yet: the store
-    indexes them, all live, before its next probe.  Nothing here is pickled:
-    a load rebuilds the index from the codes.
-    """
-
-    __slots__ = ("slots", "clashes", "covered")
-
-    def __init__(self) -> None:
-        self.slots: Dict[int, int] = {}
-        self.clashes: Dict[Tuple[int, ...], int] = {}
-        self.covered = 0            # slots below this one have been indexed
-
-    def copy(self) -> "_RowIndex":
-        clone = _RowIndex()
-        clone.slots = self.slots.copy()
-        clone.clashes = self.clashes.copy()
-        clone.covered = self.covered
-        return clone
-
-    def find(
-        self, columns: List[_ColumnCodes], probed: np.ndarray, fresh: np.ndarray, count: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(positions, slots, hashes)``: which of ``count`` code rows given
-        column-wise (``probed``, see :func:`_probe`) are live, their slots
-        and their hashes (what :meth:`remove` takes back).
-
-        Rows holding a -1 (a value the column never held; ``fresh`` flags
-        them) are new without a lookup; the others cost one C-level hash and
-        dict pass, and the hits one comparison per column against the stored
-        codes.
-        """
-        positions = None
-        if fresh.any():
-            positions = (~fresh).nonzero()[0]
-            count = positions.size
-            probed = probed[:, positions]
-        probes = list(probed)
-        hashes = _row_hashes(probes, count)
-        slots = np.fromiter(map(self.slots.get, hashes, repeat(-1)), dtype=np.int64, count=count)
-        hit = slots >= 0
-        hits = hit.nonzero()[0]
-        if hits.size:
-            stored, wanted = slots[hits], probed[:, hits]
-            same = columns[0].codes.data[stored] == wanted[0] if columns else True
-            for column, codes in zip(columns[1:], wanted[1:]):
-                same &= column.codes.data[stored] == codes
-            hit[hits] = same
-        if self.clashes:
-            for position in (~hit).nonzero()[0].tolist():
-                slot = self.clashes.get(_code_row(probes, position))
-                if slot is not None:
-                    slots[position], hit[position] = slot, True
-        found = hit.nonzero()[0]
-        return (
-            found if positions is None else positions[found], slots[found],
-            np.array(hashes, dtype=np.int64)[found],
-        )
-
-    def insert(self, codes: List[np.ndarray], count: int) -> None:
-        """Index the ``count`` slots from ``covered`` on, whose codes per
-        column are ``codes``: distinct live rows, none of them indexed yet.
-        Hashed :data:`_INSERT_CHUNK` rows at a time, so a bulk insert holds
-        no whole-store list of hashes or row tuples."""
-        slots, start = self.slots, self.covered
-        self.covered += count
-        for low in range(0, count, _INSERT_CHUNK):
-            high = min(low + _INSERT_CHUNK, count)
-            chunk = [column[low:high] for column in codes] if count > _INSERT_CHUNK else codes
-            hashes = _row_hashes(chunk, high - low)
-            if slots.keys().isdisjoint(hashes):
-                before = len(slots)
-                slots.update(zip(hashes, range(start + low, start + high)))
-                if len(slots) - before == high - low:
-                    continue
-                for key in hashes:          # two of these rows share a hash
-                    slots.pop(key, None)
-            for position, key in enumerate(hashes):
-                if key in slots:
-                    self.clashes[_code_row(chunk, position)] = start + low + position
-                else:
-                    slots[key] = start + low + position
-
-    def remove(self, codes: List[np.ndarray], dead: np.ndarray, hashes: np.ndarray) -> None:
-        """Drop the slots ``dead`` (each maybe repeated), which just died,
-        given the hashes :meth:`find` returned for them."""
-        slots = self.slots
-        if not self.clashes:            # every live row is held under its own hash
-            deque(map(slots.pop, hashes.tolist(), repeat(None)), maxlen=0)
-            return
-        for slot, key in zip(dead.tolist(), hashes.tolist()):
-            if slots.get(key) == slot:
-                del slots[key]
-            else:
-                self.clashes.pop(_code_row(codes, slot), None)
-
-    def footprint(self) -> int:
-        """Bytes held: the two dicts, their keys and their slot ints."""
-        size = sys.getsizeof
-        return (
-            size(self.slots) + sum(map(size, self.slots)) + sum(map(size, self.slots.values()))
-            + size(self.clashes) + sum(map(size, self.clashes))
-            + sum(map(size, self.clashes.values()))
-        )
+def _row_keys(codes: np.ndarray) -> List[bytes]:
+    """The row index's key of each code row of ``codes`` (one array row per
+    column, one array column per row): the bytes of its codes — exact, so
+    two keys are equal exactly when the rows are.  One transposing copy and
+    one C-level split into ``bytes``."""
+    if not len(codes):
+        return [b""] * codes.shape[1]
+    rows = np.ascontiguousarray(codes.T)
+    return rows.view(np.dtype((np.void, rows.itemsize * len(codes)))).ravel().tolist()
 
 
 class TupleStore:
     """Array-native multiset storage for one relation (see module docstring)."""
 
-    __slots__ = ("schema", "_mults", "_columns", "_code_rows", "_indexes", "live", "zeros",
-                 "total", "version", "epoch", "pins", "_pin_floor", "_cow_pending", "_lost")
+    __slots__ = ("schema", "_mults", "_columns", "_code_rows", "_indexes", "_positions", "live",
+                 "zeros", "total", "version", "epoch", "pins", "_pin_floor", "_cow_pending",
+                 "_lost")
 
     def __init__(self, schema) -> None:
         self.schema = schema
         self._mults = _GrowArray(np.float64)
         self._columns: List[_ColumnCodes] = [_ColumnCodes() for _ in schema.names]
-        # Built from the codes on first need (see _content): a store written
-        # only while it held no live row, a load or a sweep has none yet.
-        self._code_rows: Optional[_RowIndex] = None
-        # Key indexes by column positions (see "Key indexes").
+        # Built from the codes on a store's first probe (see _content): a
+        # store only ever appended to, a load or a sweep has none yet.
+        self._code_rows: Optional[Dict[bytes, int]] = None
+        # Key indexes by column positions (see "Key indexes"), and the
+        # positions of each attribute tuple asked for so far.
         self._indexes: Dict[Tuple[int, ...], _KeyIndex] = {}
+        self._positions: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
         self.live = 0              # distinct rows with non-zero multiplicity
         self.zeros = 0              # tombstones awaiting compaction
         self.total = 0.0            # running sum of multiplicities
@@ -916,41 +813,54 @@ class TupleStore:
     def _codes(self) -> List[np.ndarray]:
         return [column.codes.view() for column in self._columns]
 
-    def _content(self) -> Optional[_RowIndex]:
-        """The row index, brought up to date: it indexes the slots appended
-        since the last probe, or is built on the first probe of a store with
-        live rows (None while it holds none).  Slots die only after a probe
-        found them, and the index is only dropped while every slot is live
-        (a sweep, a load), so whatever it has not indexed yet is live."""
+    def _content(self) -> Optional[Dict[bytes, int]]:
+        """The row index — each live row's key (:func:`_row_keys`) to its
+        slot — built from the codes on the first probe of a store with live
+        rows (None while it holds none) and kept up to date by every append
+        from then on.  Slots die only after a probe found them, and the
+        index is only dropped while every slot is live (a sweep, a load), so
+        it is built over live slots only, :data:`_INSERT_CHUNK` at a time."""
         index = self._code_rows
-        if index is None:
-            if not self.live:
-                return None
-            index = self._code_rows = _RowIndex()
-        if index.covered < self.row_count:
-            start = index.covered
-            index.insert([codes[start:] for codes in self._codes()], self.row_count - start)
+        if index is None and self.live:
+            index = self._code_rows = {}
+            codes = self._codes()
+            for low in range(0, self.row_count, _INSERT_CHUNK):
+                high = min(low + _INSERT_CHUNK, self.row_count)
+                chunk = np.empty((len(codes), high - low), dtype=np.int64)
+                for row, column in zip(chunk, codes):
+                    row[:] = column[low:high]
+                index.update(zip(_row_keys(chunk), range(low, high)))
         return index
 
-    def _find(
-        self, probed: np.ndarray, unseen: np.ndarray, count: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(positions, slots, hashes)`` of the probed code rows that are
-        live (a batch whose every row holds an unseen value needs no index)."""
+    def _find(self, probed: np.ndarray, unseen: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, slots)``: which of the code rows ``probed`` (one
+        array row per column, see :func:`_probe`) are live, and their slots.
+        Rows holding an unseen value (``unseen``) are new without a lookup;
+        the others cost one C-level dict pass over their keys (a batch whose
+        every row is new needs no index)."""
         fresh = unseen.any(axis=0)
-        index = None if fresh.all() else self._content()
+        new = int(np.count_nonzero(fresh))
+        index = None if new == fresh.size else self._content()
         if index is None:
             none = np.empty(0, dtype=np.int64)
-            return none, none, none
-        return index.find(self._columns, probed, fresh, count)
+            return none, none
+        positions = None
+        if new:
+            positions = (~fresh).nonzero()[0]
+            probed = probed[:, positions]
+        slots = np.fromiter(
+            map(index.get, _row_keys(probed), repeat(-1)), dtype=np.int64, count=probed.shape[1]
+        )
+        found = (slots >= 0).nonzero()[0]
+        return found if positions is None else positions[found], slots[found]
 
     def _slot_of(self, row: Sequence) -> int:
         """The live slot holding ``row``, -1 for none (its values probed
         against the dictionaries, then the row index)."""
         if len(row) != len(self._columns):
             return -1
-        _positions, slots, _hashes = self._find(
-            *_probe(self._columns, [[value] for value in row], 1), 1
+        _positions, slots = self._find(
+            *_probe(self._columns, [[value] for value in row], 1)
         )
         return int(slots[0]) if slots.size else -1
 
@@ -1045,7 +955,11 @@ class TupleStore:
             self._indexes[positions] = _KeyIndex(positions)
 
     def _index(self, attributes: Sequence[str]) -> _KeyIndex:
-        index = self._indexes[tuple(map(self.schema.index_of, attributes))]
+        names = tuple(attributes)
+        positions = self._positions.get(names)
+        if positions is None:
+            positions = self._positions[names] = tuple(map(self.schema.index_of, names))
+        index = self._indexes[positions]
         index.catch_up(self._columns, self.row_count)
         return index
 
@@ -1068,6 +982,11 @@ class TupleStore:
         attribute; -1 for a key no stored row ever had."""
         return self._index(attributes).probe(self._columns, values, count)
 
+    def index_encode(self, attributes: Sequence[str], codes: np.ndarray) -> np.ndarray:
+        """The key code of each row given by its column codes, as
+        :meth:`add_batch` returns them; -1 for a key no stored row ever had."""
+        return self._index(attributes).encode(codes)
+
     def index_lookup(
         self, attributes: Sequence[str], codes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1083,28 +1002,55 @@ class TupleStore:
 
     # -- mutation ----------------------------------------------------------------------
 
-    def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> None:
+    def add_batch(self, rows: Sequence[Tuple], multiplicities: Sequence[int]) -> np.ndarray:
         """Apply one signed delta in a single pass (one version bump).
 
         The rows' values are looked up in the dictionaries (one C-level pass
-        per column, nothing added) and their code rows in the row index.
+        over the batch, nothing added) and their code rows in the row index.
         Rows it does not hold are appended and encoded — no per-row loop
         when they are distinct, the shape the IVM batch path hands over
         after netting.  Rows netting into existing slots go through the
         ``net_deltas`` kernel — one vectorised pass with the zero-crossing
         live/tombstone/total bookkeeping folded in.
+
+        Returns the rows' codes, one array row per column and one array
+        column per row, in the order given: what :meth:`index_encode` turns
+        into key codes without looking a value up again.  A row the delta
+        does not store (zero multiplicity, or netting to zero inside it)
+        holds -1 where its column lacks its value.
         """
         self.version += 1
+        given = len(rows)
+        kept = None
         if 0 in multiplicities:
             kept = [position for position, m in enumerate(multiplicities) if m != 0]
             rows = [rows[position] for position in kept]
             multiplicities = [multiplicities[position] for position in kept]
         count = len(rows)
-        if not count:
-            return
         columns = transpose(rows, len(self._columns))
         probed, unseen = _probe(self._columns, columns, count)
-        netted, slots_array, hashes = self._find(probed, unseen, count)
+        if count:
+            self._apply(rows, multiplicities, columns, probed, unseen)
+        if kept is None:
+            return probed
+        codes = np.full((len(self._columns), given), -1, dtype=np.int64)
+        codes[:, kept] = probed
+        return codes
+
+    def _apply(
+        self,
+        rows: Sequence[Tuple],
+        multiplicities: Sequence[int],
+        columns: List[List[object]],
+        probed: np.ndarray,
+        unseen: np.ndarray,
+    ) -> None:
+        """The body of :meth:`add_batch` for rows of non-zero multiplicity,
+        given their values column-wise and their dictionary lookups (see
+        :func:`_probe`); the codes of the rows it appends are written into
+        ``probed``."""
+        count = len(rows)
+        netted, slots_array = self._find(probed, unseen)
         appended = 0
         if not netted.size:
             appended = self._append_rows(rows, multiplicities, columns, probed, unseen)
@@ -1113,13 +1059,15 @@ class TupleStore:
             fresh[netted] = False
             new = fresh.nonzero()[0]
             positions = new.tolist()
+            codes = probed[:, new]
             appended = self._append_rows(
                 list(map(rows.__getitem__, positions)),
                 list(map(multiplicities.__getitem__, positions)),
                 [list(map(values.__getitem__, positions)) for values in columns],
-                probed[:, new],
+                codes,
                 unseen[:, new],
             )
+            probed[:, new] = codes
         if netted.size:
             deltas = np.asarray(multiplicities, dtype=np.float64)[netted]
             if self._cow_pending and int(slots_array.min()) < self._pin_floor:
@@ -1137,8 +1085,8 @@ class TupleStore:
                 # Every netted slot was live (the index holds live rows
                 # only), so a zero here is a slot that died just now; it
                 # leaves the index and is never revived.
-                died = mults[slots_array] == 0.0
-                self._code_rows.remove(self._codes(), slots_array[died], hashes[died])
+                died = netted[mults[slots_array] == 0.0]
+                deque(map(self._code_rows.pop, _row_keys(probed[:, died]), repeat(None)), maxlen=0)
                 self._lost = True
         if appended == count:
             tuplestore_stats.bump("batch_appends")
@@ -1171,7 +1119,8 @@ class TupleStore:
     ) -> int:
         """Append and encode rows the index does not hold (non-zero
         multiplicities; ``columns`` are their values column-wise, ``probed``
-        and ``unseen`` their dictionary lookups, see :func:`_probe`).
+        and ``unseen`` their dictionary lookups, see :func:`_probe`), and
+        complete ``probed`` with the codes the encode assigned.
 
         Returns the number of slots appended.  Distinct rows — what netting
         hands over — cost one C-level set build and no per-row loop.
@@ -1180,16 +1129,23 @@ class TupleStore:
             # The same new row repeated inside one delta nets into one
             # slot; one netting to zero is never stored (nor encoded: a slot
             # that was never live is invisible to every snapshot).
-            rows, multiplicities = net_rows(rows, multiplicities)
-            if not rows:
-                return 0
-            columns = transpose(rows, len(self._columns))
-            probed, unseen = _probe(self._columns, columns, len(rows))
+            distinct, netted = net_rows(rows, multiplicities)
+            if distinct:
+                values = transpose(distinct, len(self._columns))
+                self._append_rows(
+                    distinct, netted, values, *_probe(self._columns, values, len(distinct))
+                )
+            probed[...] = _probe(self._columns, columns, len(rows))[0]
+            return len(distinct)
         count = len(rows)
-        for column, values, codes, partial in zip(
-            self._columns, columns, probed, unseen.any(axis=1).tolist()
+        for column, values, codes, missing, partial in zip(
+            self._columns, columns, probed, unseen, unseen.any(axis=1).tolist()
         ):
-            column.extend_values(values, codes, not partial)
+            column.extend_values(values, codes, missing if partial else None)
+        if self._code_rows is not None:
+            self._code_rows.update(
+                zip(_row_keys(probed), range(self.row_count, self.row_count + count))
+            )
         self._mults.extend(multiplicities)
         self.live += count
         self.total += float(sum(multiplicities))
@@ -1319,8 +1275,10 @@ class TupleStore:
         """
         size = sys.getsizeof
         total = self._mults.data.nbytes
-        if self._code_rows is not None:
-            total += self._code_rows.footprint()
+        row_index = self._code_rows
+        if row_index is not None:
+            total += size(row_index) + sum(map(size, row_index))
+            total += sum(map(size, row_index.values()))
         for column in self._columns:
             total += column.codes.data.nbytes + column.floats.data.nbytes
             total += size(column.values) + size(column.index) + sum(map(size, column.values))

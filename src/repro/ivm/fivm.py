@@ -318,11 +318,9 @@ class FIVM(CovarianceMaintainer):
             features, multiplicities, [target for _source, target in plan]
         )
         store = relation.store
-        first, epoch = store.row_count, store.epoch
-        relation.add_batch(rows, netted, validated=True)
-        # A group of new rows only (a bulk load) is the store's tail, in
-        # order, and its key codes are read there instead of probed.
-        appended = store.epoch == epoch and store.row_count - first == len(rows)
+        # The store hands back the rows' codes, so their key codes are read
+        # off those, never looked up again.
+        row_codes = relation.add_batch(rows, netted, validated=True)
 
         # Join the lifted delta against the children's views: the rows' key
         # codes gathered through the slot maps the hops share; rows whose
@@ -330,14 +328,7 @@ class FIVM(CovarianceMaintainer):
         alive = np.arange(len(rows), dtype=np.int64)
         gathers: List[Tuple[PayloadStore, np.ndarray]] = []
         for child in node.children:
-            attributes = self._conn_attrs[child.relation_name]
-            if appended:
-                codes = store.index_codes(attributes)[first:]
-            else:
-                positions = self._child_key_positions[(relation_name, child.relation_name)]
-                codes = store.index_probe(
-                    attributes, [columns[position] for position in positions], len(rows)
-                )
+            codes = store.index_encode(self._conn_attrs[child.relation_name], row_codes)
             slots = self._slot_map(relation_name, child.relation_name).lookup()[codes]
             live = slots >= 0
             if not live.all():

@@ -270,9 +270,9 @@ def test_checkpoint_pickle_sheds_process_local_state(source):
         state = view.__getstate__()
         assert "_slots" not in state and len(state["counts"]) == len(view)
     state = relation._store.__getstate__()
-    assert not {"_row_index", "pins"} & set(state)
+    assert not {"_row_index", "_code_rows", "pins"} & set(state)
     blob = pickle.dumps(maintainer, protocol=4)
-    for name in (b"order", b"starts", b"_slots", b"_row_index"):
+    for name in (b"order", b"starts", b"_slots", b"_row_index", b"_code_rows"):
         assert name not in blob
 
 

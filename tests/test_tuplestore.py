@@ -16,7 +16,6 @@ import math
 import operator
 import pickle
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, Schema
-from repro.data import tuplestore
 from repro.data.colstore import ColumnStore
 from repro.data.tuplestore import (
     COMPACT_MIN_ZEROS,
@@ -454,7 +452,7 @@ def test_store_copy_is_independent(tombstones):
     if tombstones:
         store.add_batch([("k3", 3)], [-1])
         assert store.zeros == 1
-    rows, index = store.rows_at(), store._content().slots.copy()
+    rows, index = store.rows_at(), store._content().copy()
     dictionaries = [column.values[:] for column in store._columns]
     mults, buffer = store.multiplicities_view().copy(), store._mults.data
     clone = store.copy()
@@ -464,7 +462,7 @@ def test_store_copy_is_independent(tombstones):
     clone.compact()
     assert store.multiplicity(("a", 1)) == 2
     assert clone.multiplicity(("a", 1)) == 0
-    assert store.rows_at() == rows and store._content().slots == index
+    assert store.rows_at() == rows and store._content() == index
     assert [column.values for column in store._columns] == dictionaries
     assert store._mults.data is buffer
     assert np.array_equal(store.multiplicities_view(), mults)
@@ -540,8 +538,7 @@ def test_a_copy_is_its_live_rows_reappended(seed, sweep, pinned, indexed):
     assert (clone.live, clone.total) == (store.live, store.total) and clone.zeros == 0
     assert _slots_by_row(clone) == list(range(clone.row_count))
     if clone.live:
-        assert (clone._content().slots, clone._content().clashes) == (
-            twin._content().slots, twin._content().clashes)
+        assert clone._content() == twin._content()
     assert (clone.pins, clone.version, clone.epoch, clone._indexes) == (0, 0, 0, {})
     assert _snapshot_of(clone) == _snapshot_of(twin)
 
@@ -608,11 +605,6 @@ def _same_items(store, expected) -> bool:
     )
 
 
-def _colliding_hashes(codes, count):
-    """Every code row hashes alike: the row index must still tell them apart."""
-    return [0] * count
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     batches=st.lists(
@@ -624,47 +616,45 @@ def _colliding_hashes(codes, count):
         ),
         max_size=14,
     ),
-    collide=st.booleans(),
 )
-@example(batches=[[(0, 0, 1)], [(1, 0, -1)], [(2, 0, 1), (4, 5, 1)], [(3, 6, 1), (4, 6, 1)]],
-         collide=True)
-def test_rows_are_their_codes_under_python_equality(batches, collide):
+@example(batches=[[(0, 0, 1)], [(1, 0, -1)], [(2, 0, 1), (4, 5, 1)], [(3, 6, 1), (4, 6, 1)]])
+def test_rows_are_their_codes_under_python_equality(batches):
     """Streams mixing ``1``, ``1.0``, ``True``, ``0.0``, ``-0.0``, ``"1"`` and
     one reused NaN net like a dict of rows (each batch netted first, a
     netted row keeping its first occurrence) and decode every stored value
     with its type and sign: after the writes, in a copy, after a sweep and
-    across a pickle round trip.  With every code row forced onto one hash,
-    distinct rows stay distinct."""
+    across a pickle round trip.  The row index holds one key per live row,
+    each mapping to that row's slot."""
     schema = Schema.from_names(["a", "b"])
     store = TupleStore(schema)
     model: dict = {}
     expected: list = []
-    with mock.patch("repro.data.tuplestore._row_hashes",
-                    _colliding_hashes if collide else tuplestore._row_hashes):
-        for batch in batches:
-            rows = [(EQUAL_UNDER_PYTHON[a], EQUAL_UNDER_PYTHON[b]) for a, b, _m in batch]
-            multiplicities = [m for _a, _b, m in batch]
-            store.add_batch(rows, multiplicities)
-            netted: dict = {}
-            for row, multiplicity in zip(rows, multiplicities):
-                netted[row] = netted.get(row, 0) + multiplicity
-            for row, multiplicity in netted.items():
-                _reference_apply(model, row, multiplicity)
-            expected = list(model.items())
-            assert _same_items(store, expected)
-            # Identity too: a decoded value is the very object stored.
-            assert all(map(operator.is_, _values(store.iter_rows()), _values(model)))
-            for row, multiplicity in expected:
-                assert store.multiplicity(row) == multiplicity and row in store
-        clone = store.copy()
-        assert _same_items(clone, expected)
-        assert all(map(operator.is_, _values(clone.iter_rows()), _values(model)))
-        store.compact()
+    for batch in batches:
+        rows = [(EQUAL_UNDER_PYTHON[a], EQUAL_UNDER_PYTHON[b]) for a, b, _m in batch]
+        multiplicities = [m for _a, _b, m in batch]
+        store.add_batch(rows, multiplicities)
+        netted: dict = {}
+        for row, multiplicity in zip(rows, multiplicities):
+            netted[row] = netted.get(row, 0) + multiplicity
+        for row, multiplicity in netted.items():
+            _reference_apply(model, row, multiplicity)
+        expected = list(model.items())
         assert _same_items(store, expected)
+        # Identity too: a decoded value is the very object stored.
+        assert all(map(operator.is_, _values(store.iter_rows()), _values(model)))
         for row, multiplicity in expected:
-            assert clone.multiplicity(row) == store.multiplicity(row) == multiplicity
-        assert _same_items(pickle.loads(pickle.dumps(store)), expected)
-        assert _same_items(pickle.loads(pickle.dumps(clone)), expected)
+            assert store.multiplicity(row) == multiplicity and row in store
+        if store.live:
+            assert sorted(store._content().values()) == store.live_slots().tolist()
+    clone = store.copy()
+    assert _same_items(clone, expected)
+    assert all(map(operator.is_, _values(clone.iter_rows()), _values(model)))
+    store.compact()
+    assert _same_items(store, expected)
+    for row, multiplicity in expected:
+        assert clone.multiplicity(row) == store.multiplicity(row) == multiplicity
+    assert _same_items(pickle.loads(pickle.dumps(store)), expected)
+    assert _same_items(pickle.loads(pickle.dumps(clone)), expected)
 
 
 def test_memory_footprint_counts_what_the_store_holds():
