@@ -126,7 +126,7 @@ def as_sortable_array(values: Sequence[object]) -> Optional[np.ndarray]:
             # equate distinct values beyond 2**53.
             array = np.asarray(values, dtype=np.int64)
         elif kinds <= {int, bool, float}:
-            if _ints_exceed_float64_precision(values):
+            if int in kinds and _ints_exceed_float64_precision(values):
                 return None
             array = np.asarray(values, dtype=np.float64)
         elif kinds == {str}:
@@ -217,6 +217,10 @@ class KeyTuples(SequenceABC):
 
     def __len__(self) -> int:
         return self._combos.shape[0]
+
+    def dictionary_codes(self, position: int) -> np.ndarray:
+        """Per key, in code order: the dictionary code of its ``position``-th value."""
+        return self._combos[:, position]
 
     def _decoded(self) -> List[Tuple]:
         tuples = self._tuples
@@ -399,8 +403,9 @@ class ColumnStore:
         :mod:`repro.engine.statistics`): a child view keyed on these
         attributes has exactly this many entries.  When the combined key data
         is already cached it is reused; otherwise the count is derived from
-        the code arrays alone (one ``np.unique``), without materialising the
-        distinct value tuples a planner never reads.
+        the code arrays alone (the codes present in one attribute's
+        dictionary, the combined codes of several), without materialising
+        the distinct value tuples a planner never reads.
         """
         key = tuple(attributes)
         cached = self._key_cache.get(key)
@@ -412,7 +417,8 @@ class ColumnStore:
         if not key:
             count = 1
         elif len(key) == 1:
-            count = int(np.unique(self.encoding(key[0]).codes).size)
+            encoding = self.encoding(key[0])
+            count = int(np.count_nonzero(np.bincount(encoding.codes, minlength=encoding.cardinality)))
         else:
             encodings = [self.encoding(attribute) for attribute in key]
             _codes, combos = combine_codes(

@@ -36,11 +36,13 @@ them, are reported through the ``stats`` dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as _np
 
-from repro.aggregates.spec import FilterOp
+from repro.aggregates.spec import Filter, FilterOp
 from repro.data.colstore import ColumnEncoding, ColumnStore, combine_codes
 from repro.data.relation import Relation
 from repro.engine.deltas import match_key_columns as _match_key_columns
@@ -146,28 +148,45 @@ class _ViewBundle:
     shape is built once per distinct presence and shared by the columns.
     """
 
-    __slots__ = ("conn_ids", "group_ids", "conn_keys", "group_keys",
-                 "group_attrs", "conn_store", "flat", "_shapes")
+    __slots__ = ("conn_ids", "group_ids", "conn_keys", "_group_keys", "group_attrs",
+                 "conn_store", "base", "base_groups", "flat", "_shapes", "_accepted")
 
     def __init__(
         self,
         conn_ids: _np.ndarray,
         group_ids: _np.ndarray,
         conn_keys: Sequence[Tuple],
-        group_keys: List[Tuple],
+        group_keys: Optional[List[Tuple]],
         group_attrs: Optional[Tuple[str, ...]],
         conn_store: ColumnStore,
+        base: "_BaseKeys",
         flat: bool = False,
+        base_groups: Optional[_np.ndarray] = None,
     ) -> None:
         self.conn_ids = conn_ids
         self.group_ids = group_ids
         self.conn_keys = conn_keys
-        self.group_keys = group_keys
+        self._group_keys = group_keys
         self.group_attrs = group_attrs
         self.conn_store = conn_store
+        #: The store's key coding the views were computed over.  Without grouped
+        #: child views the group ids are its local group ids and its group keys
+        #: are the bundle's (``group_keys`` is then None); with them,
+        #: ``base_groups`` maps each group id to its local group id.
+        self.base = base
+        self.base_groups = base_groups
         self.flat = flat
         # id(presence mask) -> (the mask, pinned so the id stays unique; CSR shape)
         self._shapes: Dict[int, Tuple] = {}
+        # (attribute, conditions, id(presence mask)) -> (the mask, pinned; group
+        # ids of the entries it keeps; which of them each condition accepts)
+        self._accepted: Dict[Tuple, Tuple] = {}
+
+    @property
+    def group_keys(self) -> List[Tuple]:
+        """Per group id, its (attribute, value) pairs."""
+        keys = self._group_keys
+        return self.base.group_keys if keys is None else keys
 
     def table(self, sums: _np.ndarray, present: Optional[_np.ndarray]) -> _ChildTable:
         """CSR form of one column, grouped by connection key."""
@@ -207,6 +226,32 @@ class _ViewBundle:
             distinct,
             (self.conn_store, len(self.conn_keys)),
         )
+
+    def accepted(
+        self, attribute: str, conditions: Tuple[Filter, ...], present: Optional[_np.ndarray]
+    ) -> Tuple[_np.ndarray, _np.ndarray]:
+        """The group ids of the entries ``present`` keeps, and a row per
+        condition on ``attribute`` saying which of those entries it accepts.
+
+        ``attribute`` is one of the store's own group-by attributes (the plan
+        roots a filter family at its attribute's relation), so a group id's
+        local key gives the attribute's dictionary code, and the code selects
+        from the dictionary-value mask the store's filter masks are gathered
+        from.  Memoised per presence, as :meth:`table` is: the views of a
+        filter family per product share their presence, so they share the
+        masks.
+        """
+        key = (attribute, conditions, id(present))
+        cached = self._accepted.get(key)
+        if cached is None:
+            group_ids = self.group_ids if present is None else self.group_ids[present]
+            base = self.base
+            codes = base.local_tuples.dictionary_codes(base.local.index(attribute))
+            if self.base_groups is not None:
+                codes = codes[self.base_groups]
+            per_value = _np.array([_value_mask(self.conn_store, c) for c in conditions])
+            cached = self._accepted[key] = (present, group_ids, per_value[:, codes[group_ids]])
+        return cached[1], cached[2]
 
 
 class ColumnarView:
@@ -280,11 +325,12 @@ class _BaseKeys:
     """
 
     __slots__ = ("codes", "size", "conn_ids", "group_ids", "conn_keys",
-                 "group_keys", "group_attrs")
+                 "group_attrs", "local", "local_tuples", "_group_keys")
 
     def __init__(self, store: ColumnStore, conn: Tuple[str, ...], local: Tuple[str, ...]):
         conn_row_codes, conn_tuples = store.codes_for(conn)
         self.group_attrs = tuple(sorted(local))
+        self.local = local
         joint = conn + tuple(a for a in local if a not in conn)
         joint_codes, joint_tuples = store.codes_for(joint)
         size = len(joint_tuples)
@@ -294,38 +340,60 @@ class _BaseKeys:
         conn_ids = _np.zeros(size, dtype=_np.int64)
         conn_ids[joint_codes] = conn_row_codes
         self.conn_ids = conn_ids
+        local_row_codes, local_tuples = store.codes_for(local)
+        #: The distinct local group-by keys the group ids index.
+        self.local_tuples = local_tuples
+        self.group_ids = _np.zeros(size, dtype=_np.int64)
         if local:
-            local_row_codes, local_tuples = store.codes_for(local)
-            group_ids = _np.zeros(size, dtype=_np.int64)
-            group_ids[joint_codes] = local_row_codes
-            self.group_ids = group_ids
-            self.group_keys = [
-                tuple(sorted(zip(local, values))) for values in local_tuples
-            ]
-        else:
-            self.group_ids = _np.zeros(size, dtype=_np.int64)
-            self.group_keys = [EMPTY_GROUP]
+            self.group_ids[joint_codes] = local_row_codes
+        self._group_keys: Optional[List[Tuple]] = None
+
+    @property
+    def group_keys(self) -> List[Tuple]:
+        """Per group id, its sorted (attribute, value) pairs.
+
+        Decoded on first read: a filter family's root view is read through
+        its group ids alone.  Published with one assignment, as the store's
+        own caches are.
+        """
+        keys = self._group_keys
+        if keys is None:
+            keys = [tuple(sorted(zip(self.local, values))) for values in self.local_tuples]
+            self._group_keys = keys
+        return keys
 
 
-def _filter_mask(store: ColumnStore, condition) -> _np.ndarray:
-    """Boolean row mask for one filter, evaluated over the dictionary.
+def _value_mask(store: ColumnStore, condition: Filter) -> _np.ndarray:
+    """Boolean mask over the store's dictionary of one filter's attribute.
 
     Comparison filters against typed dictionaries are pure array operations;
-    anything else runs the condition's Python test once per *distinct*
-    value, never per row.
+    anything else runs the condition's Python test once per value.  Memoised
+    on the store: filter masks and filter families both read it.
     """
-    key = ("filter", condition.attribute, condition.op, repr(condition.value))
+    key = ("values", condition.attribute, condition.op, repr(condition.value))
     mask = store.derived.get(key)
     if mask is None:
         encoding = store.encoding(condition.attribute)
-        value_mask = _vectorised_value_mask(encoding, condition)
-        if value_mask is None:
-            value_mask = _np.fromiter(
+        mask = _vectorised_value_mask(encoding, condition)
+        if mask is None:
+            mask = _np.fromiter(
                 (bool(condition.test(value)) for value in encoding.values),
                 dtype=bool,
                 count=encoding.cardinality,
             )
-        mask = value_mask[encoding.codes]
+        store.derived[key] = mask
+    return mask
+
+
+def _filter_mask(store: ColumnStore, condition: Filter) -> _np.ndarray:
+    """Boolean row mask for one filter: its dictionary-value mask, gathered by code.
+
+    The condition is evaluated per *distinct* value, never per row.
+    """
+    key = ("filter", condition.attribute, condition.op, repr(condition.value))
+    mask = store.derived.get(key)
+    if mask is None:
+        mask = _value_mask(store, condition)[store.encoding(condition.attribute).codes]
         store.derived[key] = mask
     return mask
 
@@ -618,7 +686,9 @@ def _evaluate_family(
         if rows is not None:       # else every code still has the rows that defined it
             everywhere = _np.bincount(codes, minlength=size) != 0
         conn_ids, group_ids = base.conn_ids, base.group_ids
-        conn_keys, group_keys = base.conn_keys, base.group_keys
+        conn_keys = base.conn_keys
+        group_keys: Optional[List[Tuple]] = None      # the base's, see _ViewBundle.base
+        base_groups: Optional[_np.ndarray] = None
         group_attrs: Optional[Tuple[str, ...]] = base.group_attrs
     else:
         columns = [codes] + components
@@ -633,12 +703,13 @@ def _evaluate_family(
         group_columns = [base.group_ids[combos[:, 0]]] + [
             combos[:, position] for position in range(1, combos.shape[1])
         ]
-        group_cardinalities = [max(len(base.group_keys), 1)] + [
+        group_cardinalities = [max(len(base.local_tuples), 1)] + [
             max(len(decoder), 1) for decoder in decoders
         ]
         group_ids, group_combos = combine_codes(group_columns, group_cardinalities)
+        base_groups = group_combos[:, 0]
         base_group_keys = base.group_keys
-        group_keys = []
+        keys: List[Tuple] = []
         # When every child's group pairs have one attribute sequence, the pairs
         # stay in concatenation order: the sequence travels with the bundle,
         # and readers that need canonical (attribute-sorted) keys sort them.
@@ -653,10 +724,11 @@ def _evaluate_family(
                 pairs = pairs + decoder[pair_code]
             if group_attrs is None:
                 pairs = tuple(sorted(pairs)) if pairs else EMPTY_GROUP
-            group_keys.append(pairs)
+            keys.append(pairs)
+        group_keys = keys
     bundle = _ViewBundle(
-        conn_ids, group_ids, conn_keys, group_keys, group_attrs, store,
-        flat=not components and not family.local_attributes,
+        conn_ids, group_ids, conn_keys, group_keys, group_attrs, store, base,
+        flat=not components and not family.local_attributes, base_groups=base_groups,
     )
 
     def alive_rows(filters: Tuple, member: int) -> Optional[_np.ndarray]:
@@ -738,11 +810,56 @@ def _empty_views(
     key coding, so a parent joins them like any other view of the store.
     """
     bundle = _ViewBundle(
-        base.conn_ids, base.group_ids, base.conn_keys, base.group_keys, base.group_attrs,
-        store, flat=not family.local_attributes,
+        base.conn_ids, base.group_ids, base.conn_keys, None, base.group_attrs, store, base,
+        flat=not family.local_attributes,
     )
     view = ColumnarView(bundle, _np.zeros(base.size), _np.zeros(base.size, dtype=bool))
     return {signature: view for signature in family.signatures}
+
+
+def filter_family_values(
+    view: ColumnarView,
+    attribute: str,
+    group_by: Sequence[str],
+    conditions: Sequence[Filter],
+) -> List[Union[float, Dict[Tuple, float]]]:
+    """The members' values of a filter family, read off its root view.
+
+    ``view`` is the root view of the family's aggregate, grouped by
+    ``attribute`` on top of the members' ``group_by``; a member is a masked
+    sum over the view's entries whose attribute value its condition accepts.
+    The mask selects with ``np.where``, so an ``inf`` or ``NaN`` entry the
+    condition rejects stays out, as rows it rejects stay out of a view of
+    the member's own; a member's group exists iff one of its accepted
+    entries does.
+    """
+    group_ids, accepted = view.bundle.accepted(attribute, tuple(conditions), view.present)
+    sums = view.sums if view.present is None else view.sums[view.present]
+    if not group_by:
+        return _np.where(accepted, sums, 0.0).sum(axis=1).tolist()
+    if not group_ids.size:
+        return [{} for _condition in conditions]
+    # Per group id, the member's key: its group-by values in its own order.
+    keys: Dict[Tuple, int] = {}
+    key_of_group = _np.fromiter(
+        (
+            keys.setdefault(tuple(map(dict(pairs).__getitem__, group_by)), len(keys))
+            for pairs in view.bundle.group_keys
+        ),
+        dtype=_np.int64,
+        count=len(view.bundle.group_keys),
+    )
+    key_ids = key_of_group[group_ids]
+    ordered = list(keys)
+    values: List[Union[float, Dict[Tuple, float]]] = []
+    for alive in accepted:
+        totals = _np.bincount(key_ids, weights=_np.where(alive, sums, 0.0), minlength=len(keys))
+        present = _np.bincount(key_ids[alive], minlength=len(keys)) != 0
+        values.append(dict(zip(
+            [ordered[key] for key in _np.nonzero(present)[0].tolist()],
+            totals[present].tolist(),
+        )))
+    return values
 
 
 def compute_node_views(

@@ -27,10 +27,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.engine.executor import ColumnarView, compute_node_views
+from repro.engine.executor import ColumnarView, compute_node_views, filter_family_values
 from repro.engine.plan import BatchPlan, Direction, ViewSignature, plan_batch
 from repro.engine.naive import evaluate_aggregate_over_rows
-from repro.engine.statistics import RootChoice, choose_root
+from repro.engine.statistics import RootChoice, choose_root, grouping_pays
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 
@@ -188,13 +188,21 @@ class LMFAOEngine:
     # -- evaluation ------------------------------------------------------------------------
 
     def plan(self, batch: AggregateBatch) -> BatchPlan:
-        """Plan ``batch``; the plan picks the roots unless one is forced."""
-        if self.root_relation is not None:
-            return plan_batch(batch, self.join_tree)
-        row_counts = {
-            name: len(self.database.relation(name)) for name in self.join_tree.relation_names
-        }
-        return plan_batch(batch, self.join_tree, row_counts)
+        """Plan ``batch``; the plan picks the roots unless one is forced.
+
+        Filter families form either way, where the relation owning the
+        attribute says grouping pays (:func:`grouping_pays`).
+        """
+        row_counts = None
+        if self.root_relation is None:
+            row_counts = {
+                name: len(self.database.relation(name)) for name in self.join_tree.relation_names
+            }
+        return plan_batch(batch, self.join_tree, row_counts, self._grouping_pays)
+
+    def _grouping_pays(self, relation: str, attribute: str, members: int) -> bool:
+        store = self.database.relation(relation).column_store()
+        return grouping_pays(len(store), store.distinct_count((attribute,)), members)
 
     def evaluate(self, batch: AggregateBatch) -> BatchResult:
         """Evaluate all aggregates of ``batch`` and return their values.
@@ -208,13 +216,24 @@ class LMFAOEngine:
         stats: Dict[str, int] = {}
         views = self._evaluate_views(plan, stats)
 
-        values: Dict[str, AggregateValue] = {}
+        # By identity: the plan holds the batch's own aggregate objects.
+        answers: Dict[int, AggregateValue] = {}
         for decomposition in plan.decompositions:
-            aggregate = decomposition.aggregate
             root_view = views[(decomposition.root, None, decomposition.root_signature)]
-            values[_unique_name(aggregate, values)] = self._extract(
-                aggregate, root_view.group_items(), root_view.group_attrs
-            )
+            family = decomposition.family
+            if family is None:
+                answers[id(decomposition.aggregate)] = self._extract(
+                    decomposition.aggregate, root_view.group_items(), root_view.group_attrs
+                )
+                continue
+            members, conditions = zip(*family.members)
+            answers.update(zip(map(id, members), filter_family_values(
+                root_view, family.attribute, members[0].group_by, conditions
+            )))
+        values: Dict[str, AggregateValue] = {}
+        for aggregate in batch:
+            if aggregate.inequality is None:
+                values[_unique_name(aggregate, values)] = answers[id(aggregate)]
 
         if plan.unsupported:
             self._evaluate_unsupported(plan.unsupported, values)

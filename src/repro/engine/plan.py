@@ -21,12 +21,21 @@ None)`` at a root — so every root on ``p``'s side of the edge reads the same
 ones.  Signatures are the keys views are shared and looked up under, which
 is why they are immutable, hash-cached and independent of any particular
 batch object.
+
+Before any of that, aggregates that differ only in one condition on one
+attribute — a CART node's eight thresholds of a feature — are planned as one
+:class:`FilterFamily` where the statistics say grouping pays: one aggregate
+additionally grouped by that attribute, whose root view answers every
+member.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.aggregates.spec import Aggregate, AggregateBatch, Filter
 from repro.engine.statistics import estimate_plan_cost
@@ -65,6 +74,21 @@ class ViewSignature:
 
 
 @dataclass
+class FilterFamily:
+    """Aggregates of one batch that differ only in one condition on one attribute.
+
+    The members agree on product, group-by and every other filter; the plan
+    evaluates them as one aggregate additionally grouped by ``attribute``,
+    and each member is read off that aggregate's root view as a masked sum
+    over the attribute values its own condition accepts.
+    """
+
+    attribute: str
+    #: Per member: the batch's aggregate and the condition only it carries.
+    members: List[Tuple[Aggregate, Filter]]
+
+
+@dataclass
 class AggregateDecomposition:
     """Where each attribute of one aggregate is handled in the join tree."""
 
@@ -73,6 +97,8 @@ class AggregateDecomposition:
     #: (in that tree's pre-order).
     signatures: Dict[str, ViewSignature]
     root_signature: ViewSignature
+    #: The family ``aggregate`` answers for, when it is a family's grouped one.
+    family: Optional[FilterFamily] = None
 
     @property
     def root(self) -> str:
@@ -108,12 +134,23 @@ class BatchPlan:
         return per_node
 
     @property
+    def families(self) -> List[FilterFamily]:
+        """The filter families planned as one grouped aggregate each."""
+        return [d.family for d in self.decompositions if d.family is not None]
+
+    @property
     def roots(self) -> Dict[str, int]:
-        """Root relation -> how many aggregates are rooted there."""
+        """Root relation -> how many of the batch's aggregates are rooted there."""
         roots: Dict[str, int] = {}
         for decomposition in self.decompositions:
-            roots[decomposition.root] = roots.get(decomposition.root, 0) + 1
+            answered = 1 if decomposition.family is None else len(decomposition.family.members)
+            roots[decomposition.root] = roots.get(decomposition.root, 0) + answered
         return roots
+
+    @property
+    def aggregate_count(self) -> int:
+        """The batch's pushed-down aggregates, family members counted one by one."""
+        return sum(self.roots.values())
 
     @property
     def total_views(self) -> int:
@@ -121,7 +158,7 @@ class BatchPlan:
 
     @property
     def total_views_without_sharing(self) -> int:
-        return len(self.decompositions) * len(self.join_tree.relation_names)
+        return self.aggregate_count * len(self.join_tree.relation_names)
 
     def sharing_factor(self) -> float:
         """How many per-aggregate views collapse into one shared view on average."""
@@ -131,7 +168,8 @@ class BatchPlan:
 
     def summary(self) -> Dict[str, object]:
         summary: Dict[str, object] = {
-            "aggregates": len(self.decompositions),
+            "aggregates": self.aggregate_count,
+            "families": len(self.families),
             "nodes": len(self.join_tree.relation_names),
             "views": self.total_views,
             "views_without_sharing": self.total_views_without_sharing,
@@ -173,6 +211,25 @@ def designate_attributes(join_tree: JoinTree) -> Dict[str, str]:
     return designation
 
 
+def _canonical_product(product: Tuple[str, ...]) -> Tuple[Tuple[str, int], ...]:
+    """A product as sorted ``(attribute, exponent)`` pairs."""
+    counts: Dict[str, int] = {}
+    for attribute in product:
+        counts[attribute] = counts.get(attribute, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _canonical_filters(filters: Tuple[Filter, ...]) -> Tuple[Filter, ...]:
+    """Filters sorted, each condition once."""
+    if len(filters) > 1:
+        filters = tuple(
+            sorted(
+                dict.fromkeys(filters), key=lambda c: (c.attribute, c.op.value, str(c.value))
+            )
+        )
+    return filters
+
+
 def _canonical_parts(aggregate: Aggregate) -> Tuple[Tuple, Tuple, Tuple]:
     """The aggregate's product, group-by and filters in signature form.
 
@@ -183,17 +240,11 @@ def _canonical_parts(aggregate: Aggregate) -> Tuple[Tuple, Tuple, Tuple]:
     already took (``prize >= 134`` under the path ``prize >= 134``) asks for
     the node's own statistics, not for a second set of views.
     """
-    counts: Dict[str, int] = {}
-    for attribute in aggregate.product:
-        counts[attribute] = counts.get(attribute, 0) + 1
-    filters = aggregate.filters
-    if len(filters) > 1:
-        filters = tuple(
-            sorted(
-                dict.fromkeys(filters), key=lambda c: (c.attribute, c.op.value, str(c.value))
-            )
-        )
-    return tuple(sorted(counts.items())), tuple(sorted(aggregate.group_by)), filters
+    return (
+        _canonical_product(aggregate.product),
+        tuple(sorted(aggregate.group_by)),
+        _canonical_filters(aggregate.filters),
+    )
 
 
 class _Decomposer:
@@ -355,13 +406,20 @@ class _Decomposer:
         return signature
 
     def decomposition(
-        self, aggregate: Aggregate, root: str, serials: Sequence[int]
+        self,
+        aggregate: Aggregate,
+        root: str,
+        serials: Sequence[int],
+        family: Optional[FilterFamily] = None,
     ) -> AggregateDecomposition:
         """The decomposition object of ``serials``, all built by :meth:`signature` before."""
         names = [name for name, _towards in self.directions(root)]
         signatures = dict(zip(names, map(self._signatures.__getitem__, serials)))
         return AggregateDecomposition(
-            aggregate=aggregate, signatures=signatures, root_signature=signatures[root]
+            aggregate=aggregate,
+            signatures=signatures,
+            root_signature=signatures[root],
+            family=family,
         )
 
 
@@ -389,6 +447,7 @@ def _move_groups_to_cheaper_roots(
     decomposer: _Decomposer,
     default_root: str,
     parts: Sequence[Tuple[int, int, int]],
+    preferred: Sequence[str],
     roots: List[str],
     serials: List[List[int]],
     row_counts: Mapping[str, int],
@@ -396,13 +455,14 @@ def _move_groups_to_cheaper_roots(
     """Re-root, in place, the groups of aggregates the plan estimate says to.
 
     ``roots`` and ``serials`` hold every aggregate rooted at the default root.
-    The aggregates preferring one other root form a group; in name order each
-    group is decomposed at its own root and kept there if the estimate of the
-    whole plan — every group where it currently stands — gets strictly lower.
-    Returns the estimates of the assignment arrived at and of the single root.
+    The aggregates preferring (``preferred``) one other root form a group; in
+    name order each group is decomposed at its own root and kept there if the
+    estimate of the whole plan — every group where it currently stands —
+    gets strictly lower.  Returns the estimates of the assignment arrived at
+    and of the single root.
     """
     groups: Dict[str, List[int]] = {}
-    for position, root in enumerate(decomposer.preferred_roots(parts, default_root)):
+    for position, root in enumerate(preferred):
         if root != default_root:
             groups.setdefault(root, []).append(position)
     moving = {position for positions in groups.values() for position in positions}
@@ -440,10 +500,80 @@ def _move_groups_to_cheaper_roots(
     return estimated_cost, single_root_cost
 
 
+def _filter_families(
+    aggregates: Sequence[Aggregate],
+    designation: Mapping[str, str],
+    groups_well: Callable[[str, str, int], bool],
+) -> List[Tuple[Aggregate, Optional[FilterFamily]]]:
+    """The aggregates to plan: each family's grouped aggregate in place of its members.
+
+    Dropping one of an aggregate's filters gives the key of a family it may
+    join: its canonical product, its group-by, the filters left and the
+    dropped condition's attribute.  Every aggregate joins the largest family
+    it may join (the first of its filters on ties).  A family forms where two
+    or more joined and ``groups_well(owner, attribute, members)`` says one
+    aggregate grouped by the attribute beats that many filtered ones; its
+    grouped aggregate takes the place of its first member, and the members
+    of every other key keep their own plan.
+    """
+    # A node batch repeats a few products and filter sets hundreds of times:
+    # each distinct one is canonicalised once, and the filters a family's
+    # members share are keyed by a small integer.
+    products: Dict[Tuple[str, ...], Tuple] = {}
+    dropped: Dict[Tuple[Filter, ...], List[Tuple[int, Filter]]] = {}
+    shared: Dict[Tuple[Filter, ...], int] = {}
+    options: List[List[Tuple[Tuple, Filter]]] = []
+    for aggregate in aggregates:
+        keyed = dropped.get(aggregate.filters)
+        if keyed is None:
+            filters = _canonical_filters(aggregate.filters)
+            keyed = dropped[aggregate.filters] = [
+                (shared.setdefault(filters[:position] + filters[position + 1:], len(shared)),
+                 condition)
+                for position, condition in enumerate(filters)
+            ]
+        product = products.get(aggregate.product)
+        if product is None:
+            product = products[aggregate.product] = _canonical_product(aggregate.product)
+        options.append([
+            ((product, aggregate.group_by, rest, condition.attribute), condition)
+            for rest, condition in keyed
+        ])
+    sizes = Counter(key for keyed in options for key, _condition in keyed)
+    joined: Dict[Tuple, List[Tuple[int, Filter]]] = {}
+    for position, keyed in enumerate(options):
+        if keyed:
+            key, condition = max(keyed, key=lambda option: sizes[option[0]])
+            joined.setdefault(key, []).append((position, condition))
+    grouped_at: Dict[int, Tuple[Aggregate, FilterFamily]] = {}
+    absorbed: Set[int] = set()
+    rests = list(shared)
+    for (product, group_by, rest, attribute), members in joined.items():
+        if len(members) < 2 or not groups_well(designation[attribute], attribute, len(members)):
+            continue
+        grouped = Aggregate(
+            product=tuple(a for a, exponent in product for _ in range(exponent)),
+            group_by=group_by if attribute in group_by else group_by + (attribute,),
+            filters=rests[rest],
+            name=f"family:{attribute}",
+        )
+        family = FilterFamily(
+            attribute, [(aggregates[position], condition) for position, condition in members]
+        )
+        grouped_at[members[0][0]] = (grouped, family)
+        absorbed.update(position for position, _condition in members)
+    return [
+        grouped_at.get(position, (aggregate, None))
+        for position, aggregate in enumerate(aggregates)
+        if position in grouped_at or position not in absorbed
+    ]
+
+
 def plan_batch(
     batch: AggregateBatch,
     join_tree: JoinTree,
     row_counts: Optional[Mapping[str, int]] = None,
+    groups_well: Optional[Callable[[str, str, int], bool]] = None,
 ) -> BatchPlan:
     """Plan a batch over a join tree.
 
@@ -452,6 +582,15 @@ def plan_batch(
     aggregate at a time.  Aggregates with additive-inequality conditions
     cannot be pushed past joins and are reported in ``unsupported`` so the
     engine can fall back to evaluation over the join for them.
+
+    With ``groups_well`` — ``(relation, attribute, members) -> bool``, the
+    cost choice of :func:`~repro.engine.statistics.grouping_pays` over the
+    relation owning the attribute — aggregates that differ in one condition
+    on one attribute are planned as :class:`FilterFamily` members (see
+    :func:`_filter_families`); without it every aggregate is planned as it
+    is.  A family's aggregate prefers its attribute's relation as its root,
+    and one that ends up rooted anywhere else is planned as its members
+    instead, and the batch rooted again.
 
     Without ``row_counts`` every aggregate is rooted at the tree's root.  With
     them (relation name -> cardinality) the plan is *multi-root*: aggregates
@@ -465,30 +604,58 @@ def plan_batch(
     designation = designate_attributes(join_tree)
     default_root = join_tree.root.relation_name
     decomposer = _Decomposer(join_tree, designation)
-    supported: List[Aggregate] = []
-    unsupported: List[Aggregate] = []
-    parts: List[Tuple[int, int, int]] = []
-    for aggregate in batch:
-        if aggregate.inequality is not None:
-            unsupported.append(aggregate)
-            continue
-        try:
-            parts.append(decomposer.intern(aggregate))
-        except KeyError:
-            missing = [a for a in aggregate.attributes() if a not in designation]
-            raise ValueError(
-                f"aggregate {aggregate.name!r} references attributes {missing} "
-                "that do not occur in the query"
-            ) from None
-        supported.append(aggregate)
-
-    roots = [default_root] * len(supported)
-    serials = [decomposer.decompose(part_ids, default_root) for part_ids in parts]
-    estimated_cost = single_root_cost = None
-    if row_counts is not None:
-        estimated_cost, single_root_cost = _move_groups_to_cheaper_roots(
-            decomposer, default_root, parts, roots, serials, row_counts
+    supported = [aggregate for aggregate in batch if aggregate.inequality is None]
+    unsupported = [aggregate for aggregate in batch if aggregate.inequality is not None]
+    try:
+        planned: List[Tuple[Aggregate, Optional[FilterFamily]]] = (
+            [(aggregate, None) for aggregate in supported]
+            if groups_well is None
+            else _filter_families(supported, designation, groups_well)
         )
+        while True:
+            parts = [decomposer.intern(aggregate) for aggregate, _family in planned]
+            roots = [default_root] * len(planned)
+            serials = [decomposer.decompose(part_ids, default_root) for part_ids in parts]
+            estimated_cost = single_root_cost = None
+            if row_counts is not None:
+                # A family prefers its attribute's relation over its group-by's.
+                preferred = [
+                    root if family is None else designation[family.attribute]
+                    for (_aggregate, family), root in zip(
+                        planned, decomposer.preferred_roots(parts, default_root)
+                    )
+                ]
+                estimated_cost, single_root_cost = _move_groups_to_cheaper_roots(
+                    decomposer, default_root, parts, preferred, roots, serials, row_counts
+                )
+            # A family is read off a root view that groups by its attribute at
+            # the attribute's own relation; rooted anywhere else, the grouping
+            # would be carried across the joins, so its members go one by one.
+            stray = {
+                position
+                for position, ((_aggregate, family), root) in enumerate(zip(planned, roots))
+                if family is not None and designation[family.attribute] != root
+            }
+            if not stray:
+                break
+            planned = [
+                entry
+                for position, (aggregate, family) in enumerate(planned)
+                for entry in (
+                    [(member, None) for member, _condition in family.members]  # type: ignore[union-attr]
+                    if position in stray
+                    else [(aggregate, family)]
+                )
+            ]
+    except KeyError:
+        for aggregate in supported:
+            missing = [a for a in aggregate.attributes() if a not in designation]
+            if missing:
+                raise ValueError(
+                    f"aggregate {aggregate.name!r} references attributes {missing} "
+                    "that do not occur in the query"
+                ) from None
+        raise
 
     # Distinct serials per direction in first-use order, one root at a time
     # (the default root's aggregates first).
@@ -505,8 +672,8 @@ def plan_batch(
         join_tree=join_tree,
         designation=designation,
         decompositions=[
-            decomposer.decomposition(aggregate, root, decomposition)
-            for aggregate, root, decomposition in zip(supported, roots, serials)
+            decomposer.decomposition(aggregate, root, decomposition, family)
+            for (aggregate, family), root, decomposition in zip(planned, roots, serials)
         ],
         views=planned_views,
         unsupported=unsupported,

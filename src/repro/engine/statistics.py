@@ -29,6 +29,12 @@ single-relation (non-join) attributes as a feature proxy.  The model is
 deliberately batch-independent so the engine can pick the root once at
 construction time; comparing against the seed heuristic is a matter of
 passing ``root_relation=widest_relation(...)``.
+
+Two per-batch choices read the same statistics: :func:`estimate_plan_cost`
+weighs root assignments of one plan, and :func:`grouping_pays` decides
+whether a filter family (aggregates differing in one condition on one
+attribute) is evaluated as one aggregate grouped by the attribute, from
+the attribute's distinct count against the family's size.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "estimate_root_costs",
     "choose_root",
     "estimate_plan_cost",
+    "grouping_pays",
     "widest_relation",
 ]
 
@@ -193,6 +200,33 @@ def estimate_plan_cost(
     return float(
         sum(row_counts[node] * len(signatures) for (node, _towards), signatures in views.items())
     )
+
+
+#: What one distinct value costs a filter family's grouped view, in rows one
+#: filtered aggregate scans: its key code, its entry of the grouped
+#: ``bincount`` and of the presence count, and every member's masked sum
+#: over it.
+GROUPED_VALUE_COST = 5
+#: What one more view costs beyond the rows it scans — planning it, its
+#: pipeline column, reading its value off the root — in the same rows:
+#: about 65 us against 26 ns a row.  Both constants are fitted to a family
+#: over a unique-valued attribute of 30 to 200k rows (the table under "The
+#: cost choice" in ``docs/benchmarks.md``).
+VIEW_COST_ROWS = 2500
+
+
+def grouping_pays(rows: int, distinct: int, members: int) -> bool:
+    """Whether ``members`` aggregates filtered on one attribute are cheaper grouped.
+
+    Evaluated one by one, every member is a view of its own over the
+    ``rows`` of the relation owning the attribute; grouped by the attribute,
+    one view serves them all, holding one entry per ``distinct`` value.  So
+    a low-cardinality attribute groups from two members on, and a
+    unique-valued one only where the family outweighs
+    :data:`GROUPED_VALUE_COST` (fewer members on a small relation, whose
+    rows cost less than a view's fixed :data:`VIEW_COST_ROWS`).
+    """
+    return GROUPED_VALUE_COST * distinct < (members - 1) * (rows + VIEW_COST_ROWS)
 
 
 def widest_relation(database: Database, relation_names) -> str:

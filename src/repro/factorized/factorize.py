@@ -136,6 +136,11 @@ def factorize_join(
     ``order`` may supply an explicit variable order; otherwise one is derived
     from a join tree of the (acyclic) query, optionally rooted at
     ``root_relation``.
+
+    The factorisation is a *set*: it represents the distinct join tuples and
+    ignores multiplicities, so a row stored twice (or with multiplicity 2)
+    joins once, where the engine's aggregates count it twice.  ROADMAP item
+    14 is to read models' join input from the engine, with multiplicities.
     """
     if order is None:
         order = build_variable_order(query, database, root_relation=root_relation)

@@ -134,7 +134,12 @@ class FactorizedRelation:
     # -- enumeration --------------------------------------------------------------------
 
     def tuples(self) -> Iterator[Tuple]:
-        """Enumerate the flat tuples (each as a tuple aligned with ``variables``)."""
+        """Enumerate the flat tuples (each as a tuple aligned with ``variables``).
+
+        Each *distinct* join tuple once: multiplicities are ignored, as in
+        :func:`~repro.factorized.factorize.factorize_join`, so the count is
+        ``flat_size()``, not the engine's bag count (ROADMAP item 14).
+        """
         order = {variable: index for index, variable in enumerate(self.variables)}
 
         def enumerate_node(node: FactorizedNode) -> Iterator[Dict[str, object]]:

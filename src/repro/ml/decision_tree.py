@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.batch import decision_tree_node_batch, split_candidate_suffix
 from repro.aggregates.spec import Aggregate, AggregateBatch, Filter, FilterOp
 from repro.data.database import Database
@@ -157,7 +159,12 @@ class _TreeLearnerBase:
     # -- candidate generation ----------------------------------------------------------------
 
     def _thresholds(self, database: Database, query: ConjunctiveQuery) -> Dict[str, List[float]]:
-        """Equi-spaced thresholds over each feature's active domain."""
+        """Equi-spaced thresholds over each feature's finite values.
+
+        A ``NaN`` or ``inf`` would make every threshold one (NaN or inf) value;
+        rows holding one still split like any other: ``NaN >= t`` is false,
+        ``inf >= t`` true.
+        """
         thresholds: Dict[str, List[float]] = {}
         for feature in self.continuous:
             owners = database.relations_with_attribute(feature)
@@ -166,6 +173,7 @@ class _TreeLearnerBase:
             values = owners[0].column_store().float_column(feature)
             if values is None:
                 raise ValueError(f"continuous feature {feature!r} is not numeric")
+            values = values[np.isfinite(values)]
             if not values.size:
                 continue
             low, high = float(values.min()), float(values.max())

@@ -517,6 +517,38 @@ def _tree_node_batch(database, query, spec, node_filters=(), grouped_extras=True
     return batch
 
 
+def _binned_node_batch(database, query, spec, node_filters=(), grouped_extras=True):
+    """A node batch whose candidate splits are bins: two conditions each.
+
+    A tree batch's candidates differ in one condition on one attribute, so
+    the engine answers them as filter families, from one grouped view per
+    attribute.  A bin (``low <= x < high``, ``x = v and x != w``) carries two
+    conditions of its own, so every candidate keeps its own filtered views —
+    the hundreds of signatures per node, differing in one child view each,
+    that the bundle-shape tests below are about.  Same products, node
+    filters and grouped extras as :func:`_tree_node_batch`.
+    """
+    learner = DecisionTreeRegressor(spec["target"], spec["continuous"], spec["categorical"])
+    bins = [
+        (Filter(feature, FilterOp.GE, low), Filter(feature, FilterOp.LT, high))
+        for feature, thresholds in learner._thresholds(database, query).items()
+        for low, high in zip(thresholds, thresholds[1:])
+    ] + [
+        (Filter(feature, FilterOp.EQ, value), Filter(feature, FilterOp.NE, other))
+        for feature, values in learner._categories(database).items()
+        for value, other in zip(values, values[1:] + values[:1])
+    ]
+    batch = _tree_node_batch(database, query, spec, node_filters, grouped_extras)
+    target = spec["target"]
+    binned = AggregateBatch("binned_node", [a for a in batch if "|" not in a.name])
+    for position, conditions in enumerate(bins):
+        filters = tuple(node_filters) + conditions
+        binned.add(Aggregate.sum_of([target, target], filters=filters, name=f"sum_y2|bin{position}"))
+        binned.add(Aggregate.sum_of([target], filters=filters, name=f"sum_y|bin{position}"))
+        binned.add(Aggregate.count(filters=filters, name=f"count|bin{position}"))
+    return binned
+
+
 @pytest.mark.parametrize("filtered", [False, True], ids=["depth0", "two-node-filters"])
 @pytest.mark.parametrize("dataset", ["retailer", "favorita"])
 def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
@@ -525,10 +557,12 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
     Hundreds of signatures per node that differ in one child view each: the
     bundled pipeline must still give every output its own presence (a
     candidate filter can empty a key its siblings keep) and must join the
-    grouped child views next to the flat ones.
+    grouped child views next to the flat ones.  The candidates are bins, so
+    that no filter family takes those signatures away.
     """
     database, query, spec, node_filters = _tree_case(dataset)
-    batch = _tree_node_batch(database, query, spec, node_filters if filtered else ())
+    batch = _binned_node_batch(database, query, spec, node_filters if filtered else ())
+    assert not LMFAOEngine(database, query).plan(batch).families
     outcome = _evaluate_checked(database, query, batch)
     naive = MaterializedJoinEngine(database, query).evaluate(batch)
     for name, value in outcome.values.items():
@@ -560,15 +594,18 @@ def test_tree_node_batch_bundles_match_the_tuple_scan(dataset, filtered):
 def test_retailer_tree_batch_runs_one_pipeline_per_node_and_key_shape():
     """The root-node tree batch scans each relation once per key shape.
 
-    At the parent commit this batch (rooted at Stores) ran 319 pipelines —
-    one per distinct combination of child signatures: 1 + 14 + 1 + 42 + 261
-    over Items, Inventory, Demographics, Weather, Stores.
+    Before view bundles this batch's tree-split original (rooted at Stores)
+    ran 319 pipelines — one per distinct combination of child signatures:
+    1 + 14 + 1 + 42 + 261 over Items, Inventory, Demographics, Weather,
+    Stores.  Its candidates are bins, so no filter family takes those
+    signatures away.
     """
     database = retailer_database(inventory_rows=3000, stores=60, items=80, dates=20, seed=1)
     query = retailer_query()
-    batch = _tree_node_batch(database, query, RETAILER_FEATURES, grouped_extras=False)
+    batch = _binned_node_batch(database, query, RETAILER_FEATURES, grouped_extras=False)
     assert len(batch) > 300
     engine = LMFAOEngine(database, query, root_relation="Stores")
+    assert not engine.plan(batch).families
     result = engine.evaluate(batch)
     assert result.executor_stats[STAT_COLUMNAR] == result.views_computed
     assert result.executor_stats[STAT_PIPELINES] <= 16
@@ -617,3 +654,185 @@ def test_dead_rows_with_nonfinite_weights_do_not_poison_bundled_sums():
     result = _evaluate_checked(database, query, batch, root_relation="F")
     assert result.scalar("sum_x_small") == pytest.approx(2.0)
     assert result.scalar("count") == pytest.approx(3.0)
+
+
+# -- filter families ------------------------------------------------------------------------
+
+
+def _assert_members_equal_their_own_batches(database, query, batch, root_relation=None):
+    """Evaluate ``batch`` and every filter-family member of its plan on its own.
+
+    A member's one-aggregate batch forms no family, so the engine answers it
+    from a filtered view of its own — the path every member took before
+    families.  Counts must agree exactly, sums within ``_tolerant_equal``;
+    the batch's views, the families' grouped ones included, are checked
+    against the tuple scan on the way.  Returns the batch's plan.
+    """
+    engine = LMFAOEngine(database, query, root_relation)
+    plan = engine.plan(batch)
+    result = _evaluate_checked(database, query, batch, root_relation)
+    for family in plan.families:
+        for member, _condition in family.members:
+            alone = engine.evaluate(AggregateBatch("alone", [member]))
+            assert not engine.plan(AggregateBatch("alone", [member])).families
+            value, expected = result.values[member.name], alone.values[member.name]
+            if member.product:
+                assert _tolerant_equal(value, expected), (member.name, value, expected)
+            else:
+                assert value == expected, (member.name, value, expected)
+    return plan
+
+
+_FIGURE4_SCALES = {
+    "retailer": dict(inventory_rows=400, stores=6, items=15, dates=8, seed=3),
+    "favorita": dict(sales_rows=300, stores=6, items=20, dates=10, seed=5),
+    "yelp": dict(review_rows=300, businesses=30, users=40),
+    "tpcds": dict(sales_rows=300, items=20, customers=30, stores=5, dates=10),
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(_FIGURE4_SCALES))
+def test_family_members_equal_their_own_batches_on_the_figure4_r_batch(dataset):
+    """Figure 4's R batch: four thresholds per continuous feature, grouped categoricals."""
+    from repro.datasets import load_dataset
+
+    database, query, spec = load_dataset(dataset, **_FIGURE4_SCALES[dataset])
+    features = [feature for feature in spec.continuous_features if feature != spec.target]
+    thresholds = {}
+    for feature in features:
+        owners = database.relations_with_attribute(feature)
+        values = sorted(float(value) for value in owners[0].column(feature)) if owners else []
+        if values and values[0] != values[-1]:
+            step = (values[-1] - values[0]) / 5
+            thresholds[feature] = [round(values[0] + step * index, 6) for index in range(1, 5)]
+    batch = decision_tree_node_batch(
+        spec.target, features, spec.categorical_features, thresholds=thresholds
+    )
+    plan = _assert_members_equal_their_own_batches(database, query, batch)
+    assert plan.families
+    assert plan.aggregate_count == len(batch)
+    assert plan.roots == LMFAOEngine(database, query).evaluate(batch).plan_summary["roots"]
+
+
+def _adversarial_filter_columns():
+    """``F(k, x, w, y)``: ``x`` and ``w`` hold NaN, ±inf, -0.0 next to 0.0 and
+    ints next to floats — ``x`` one int beyond 2**53 too, which sends its
+    filters to the per-value Python test; ``y`` holds one ``inf``."""
+    from repro.query import ConjunctiveQuery
+
+    nan = float("nan")
+    values = [nan, float("inf"), float("-inf"), -0.0, 0.0, 1, 1.0, 2, 2.5, -5, 3, 3.0]
+    rows = [
+        (position % 3, value if position != 5 else 2 ** 60, value, float(position + 1))
+        for position, value in enumerate(values)
+    ]
+    rows.append((1, -5.5, -5.5, float("inf")))    # y = inf where x < 0
+    database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "x", "w", "y"], ["k"]), rows=rows),
+            Relation("D", Schema.from_names(["k", "z"], ["k"]),
+                     rows=[(0, 1.0), (1, 2.0), (2, 3.0)]),
+        ]
+    )
+    return database, ConjunctiveQuery(["F", "D"])
+
+
+def test_family_members_equal_their_own_batches_over_adversarial_filter_columns():
+    """NaN, ±inf, -0.0, mixed int/float, and an ``=`` against a value not in the dictionary.
+
+    Each member's mask is its own condition over the dictionary values, so
+    NaN passes ``!=`` only, -0.0 is 0.0, and the ``inf`` in ``y`` reaches
+    exactly the members whose condition accepts its row's ``x``.  With ``D``
+    forced as the root a family would be read off a view grouped by ``x``
+    one join away, so the plan keeps the members apart there.
+    """
+    database, query = _adversarial_filter_columns()
+    shared = (Filter("z", FilterOp.LE, 2.5),)
+    batch = AggregateBatch("adversarial", [Aggregate.count(filters=shared, name="node")])
+    for attribute in ("x", "w"):
+        conditions = [
+            Filter(attribute, FilterOp.GE, 0.0), Filter(attribute, FilterOp.LT, 1),
+            Filter(attribute, FilterOp.EQ, -0.0), Filter(attribute, FilterOp.EQ, 2),
+            Filter(attribute, FilterOp.EQ, 7.25), Filter(attribute, FilterOp.NE, 2.5),
+            Filter(attribute, FilterOp.GT, float("-inf")),
+            Filter(attribute, FilterOp.LE, float("inf")),
+            Filter(attribute, FilterOp.GE, float("nan")), Filter(attribute, FilterOp.IN, (1, 3)),
+        ]
+        for position, condition in enumerate(conditions):
+            filters = shared + (condition,)
+            batch.add(Aggregate.count(filters=filters, name=f"count|{attribute}{position}"))
+            batch.add(Aggregate.sum_of(["y"], filters=filters, name=f"sum|{attribute}{position}"))
+    for root, attributes in ((None, ["w", "w", "x", "x"]), ("F", ["w", "w", "x", "x"]), ("D", [])):
+        plan = _assert_members_equal_their_own_batches(database, query, batch, root)
+        assert sorted(family.attribute for family in plan.families) == attributes
+    result = LMFAOEngine(database, query).evaluate(batch)
+    for attribute in ("x", "w"):
+        assert result.scalar(f"count|{attribute}4") == 0.0           # = 7.25: no such value
+        assert result.scalar(f"count|{attribute}8") == 0.0           # >= NaN: nothing
+        assert result.scalar(f"sum|{attribute}0") != float("inf")    # x >= 0 skips the inf row
+        assert result.scalar(f"sum|{attribute}1") == float("inf")    # x < 1 keeps it
+
+
+def test_a_grouped_member_keeps_the_groups_its_own_condition_leaves():
+    """The classifier's ``GROUP BY target``: one candidate empties a class its siblings keep."""
+    from repro.ml import DecisionTreeClassifier
+    from repro.ml.decision_tree import _Fit
+    from repro.query import ConjunctiveQuery
+
+    rows = [
+        (key % 2, float(key % 6), "b" if key % 6 < 2 else ("a", "c")[key % 2])
+        for key in range(24)
+    ]
+    database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "x", "label"], ["k", "label"]), rows=rows),
+            Relation("D", Schema.from_names(["k", "z"], ["k"]), rows=[(0, 1.0), (1, 2.0)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
+    learner = DecisionTreeClassifier("label", ["x"], max_depth=2, min_samples=1)
+    fit = _Fit(LMFAOEngine(database, query), {"x": [1.0, 2.0, 3.0, 4.0, 5.0]}, {})
+    batch = learner._node_batch(fit, (Filter("z", FilterOp.GE, 1.0),), 0)
+    for root, sizes in ((None, [5]), ("F", [5]), ("D", [])):
+        plan = _assert_members_equal_their_own_batches(database, query, batch, root)
+        assert [len(family.members) for family in plan.families] == sizes
+    result = LMFAOEngine(database, query).evaluate(batch)
+    assert ("b",) in result.grouped("left:0") and ("b",) not in result.grouped("left:1")
+    assert result.grouped("left:1") == {("a",): 8.0, ("c",): 8.0}
+
+
+def test_a_family_over_a_unique_valued_attribute_groups_only_when_large():
+    """The cost choice on an attribute with one value per row, pinned both ways.
+
+    Grouped by a unique attribute the view holds an entry per row, each
+    costing ``GROUPED_VALUE_COST`` rows, against one view (its rows plus
+    ``VIEW_COST_ROWS``) saved per member beyond the first: over 1,000 rows
+    two thresholds stay two filtered aggregates, three become one grouped.
+    """
+    from repro.engine.statistics import grouping_pays
+    from repro.query import ConjunctiveQuery
+
+    rows = [(key % 4, key * 0.5 + 0.25, float(key % 7)) for key in range(1000)]
+    database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "u", "y"], ["k"]), rows=rows),
+            Relation("D", Schema.from_names(["k", "z"], ["k"]), rows=[(k, 1.0) for k in range(4)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
+    assert not grouping_pays(1000, 1000, 2) and grouping_pays(1000, 1000, 3)
+    assert grouping_pays(15, 15, 2)          # a small relation groups whatever its values
+    families = []
+    for count in (2, 3):
+        batch = AggregateBatch("unique", [Aggregate.count(name="node")])
+        for position in range(count):
+            condition = Filter("u", FilterOp.GE, 500.0 * (position + 1) / (count + 1))
+            batch.add(Aggregate.count(filters=[condition], name=f"count|{position}"))
+            batch.add(Aggregate.sum_of(["y"], filters=[condition], name=f"sum|{position}"))
+        plan = _assert_members_equal_their_own_batches(database, query, batch)
+        families.append([(family.attribute, len(family.members)) for family in plan.families])
+        naive = MaterializedJoinEngine(database, query).evaluate(batch)
+        outcome = LMFAOEngine(database, query).evaluate(batch)
+        for name, value in outcome.values.items():
+            assert _tolerant_equal(value, naive.values[name]), name
+    assert families == [[], [("u", 3), ("u", 3)]]

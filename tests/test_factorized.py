@@ -105,6 +105,34 @@ def test_dangling_tuples_are_pruned(toy_database, toy_query):
     assert all("pizza" not in row for row in factorization.tuples())
 
 
+def test_factorized_join_ignores_multiplicities_unlike_the_engine(toy_database, toy_query):
+    """The marked starting point of ROADMAP item 14: a set, not a bag.
+
+    One Orders row stored a second time doubles its join tuples in the
+    engine's count; the factorisation, its ``tuples()`` and the aggregates
+    over it still see each distinct tuple once.  Item 14 makes models read
+    the join with multiplicities; this test changes with it.
+    """
+    from repro.aggregates import Aggregate, AggregateBatch
+    from repro.engine import LMFAOEngine
+
+    before = factorize_join(toy_query, toy_database)
+    orders = toy_database["Orders"]
+    row = orders.rows()[0]
+    orders.add(row)
+    assert orders.multiplicity(row) == 2
+    after = factorize_join(toy_query, toy_database)
+    assert sorted(after.tuples()) == sorted(before.tuples())
+    assert after.flat_size() == count_over_factorization(after) == 12
+    count = AggregateBatch("count", [Aggregate.count(name="count")])
+    engine_count = LMFAOEngine(toy_database, toy_query).evaluate(count).scalar("count")
+    positions = [after.variables.index(name) for name in orders.schema.names]
+    joined_by_row = sum(
+        1 for tuple_ in after.tuples() if tuple(tuple_[p] for p in positions) == row
+    )
+    assert engine_count == 12 + joined_by_row > 12
+
+
 def test_factorization_respects_explicit_root(small_retailer, small_retailer_query):
     fact_rooted = factorize_join(small_retailer_query, small_retailer, root_relation="Inventory")
     joined = small_retailer_query.evaluate(small_retailer)

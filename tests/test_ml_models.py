@@ -383,6 +383,35 @@ def test_tree_falls_back_to_direct_evaluation_on_non_finite_sums(
         assert node.prediction == pytest.approx(expected.prediction, rel=1e-9, nan_ok=True)
 
 
+def test_tree_thresholds_skip_nan_and_inf_feature_values():
+    """One NaN and one ``inf`` among a feature's values leave its thresholds finite.
+
+    Thresholds over every value were all NaN (``min`` and ``max`` of a
+    column holding NaN), and the node batch raised on its repeated names.
+    """
+    from repro.datasets.retailer import retailer_database, retailer_query
+
+    database = retailer_database(inventory_rows=2000, seed=3)
+    query = retailer_query()
+    for relation_name, feature, value in (("Items", "prize", float("nan")),
+                                          ("Weather", "maxtemp", float("inf"))):
+        relation = database.relation(relation_name)
+        position = relation.schema.index_of(feature)
+        row = relation.rows()[0]
+        relation.remove(row)
+        relation.add(row[:position] + (value,) + row[position + 1:])
+    learner = DecisionTreeRegressor(
+        "inventoryunits", ["prize", "maxtemp", "rain"], ["category"], max_depth=3
+    )
+    thresholds = learner._thresholds(database, query)
+    assert all(np.isfinite(thresholds[feature]).all() for feature in ("prize", "maxtemp"))
+    root = learner.fit(database, query)
+    assert not root.is_leaf
+    for node in root.walk():
+        if not node.is_leaf:
+            assert node.left.count + node.right.count == node.count
+
+
 def test_tree_scores_every_threshold_of_a_narrow_range_with_its_own_statistics():
     """Eight thresholds within ``[1000.0, 1000.05]`` are eight names, not four."""
     from repro.data.relation import relation_from_rows

@@ -540,7 +540,9 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     for ``B`` (over ``A`` and ``C``) and for ``C`` (over ``A`` and ``B``)
     have the same connection attributes and, here, equal signatures.  Keyed
     by connection attributes their restricted child signatures would be
-    each other's.
+    each other's.  The candidates are bins (two conditions each), so no
+    filter family stands in for them: ``b``'s are rooted at ``B``, ``c``'s
+    at ``C``.
     """
     rng = random.Random(11)
     database = Database(
@@ -555,13 +557,14 @@ def test_neighbours_sharing_one_connection_key_keep_their_views_apart():
     )
     query = ConjunctiveQuery(["B", "A", "C"])       # GYO hangs B and C off the second one
     batch = AggregateBatch("two-sided", [Aggregate.sum_of(["a"], name="sum_a")])
-    for attribute, thresholds in (("b", (1.5, 2.5)), ("c", (6.0,))):
-        for threshold in thresholds:
-            condition = Filter(attribute, FilterOp.GE, threshold)
-            batch.add(Aggregate.sum_of(["a"], filters=[condition], name=f"a|{condition}"))
-            batch.add(Aggregate.count(filters=[condition], name=f"n|{condition}"))
+    for attribute, bins in (("b", ((1.5, 2.5), (2.5, 9.0))), ("c", ((6.0, 9.0),))):
+        for low, high in bins:
+            conditions = [Filter(attribute, FilterOp.GE, low), Filter(attribute, FilterOp.LT, high)]
+            batch.add(Aggregate.sum_of(["a"], filters=conditions, name=f"a|{attribute}{low}"))
+            batch.add(Aggregate.count(filters=conditions, name=f"n|{attribute}{low}"))
     engine = LMFAOEngine(database, query)
     plan = engine.plan(batch)
+    assert not plan.families
     assert {("A", "B"), ("A", "C")} <= set(plan.views), plan.views.keys()
     first = _assert_every_rooting_agrees(database, query, batch)
     # ... and again once both directions' derivations sit on the snapshots.
@@ -583,9 +586,11 @@ def test_one_bundle_per_direction_serves_every_root_beyond_it():
 
     Rooted at one relation a retailer node batch needs 42 signatures at
     Inventory (three products times the fourteen candidate splits owned by
-    Items).  Per-aggregate roots leave the three products towards Weather —
-    read by the aggregates rooted at Weather, Stores and Demographics alike —
-    and three towards Items.
+    Items: a filter family is read off its attribute's own relation, so
+    with Stores forced as the root these candidates stay apart).
+    Per-aggregate roots leave the three products towards Weather — read by
+    the aggregates rooted at Weather, Stores and Demographics alike — and
+    three towards Items.
     """
     database, query = _retailer_at_harness_shape(3000)
     batch = _tree_node_batch(database, query, RETAILER_FEATURES)
@@ -709,8 +714,11 @@ def test_plan_estimates_are_deterministic_and_explained():
     assert plans[0].views == plans[1].views
     row_counts = {name: len(database.relation(name)) for name in query.relation_names}
     assert plans[0].estimated_cost == estimate_plan_cost(row_counts, plans[0].views)
-    single = plan_batch(batch, engine.join_tree)
-    assert single.roots == {"Stores": len(batch)} and single.estimated_cost is None
+    # The single-root estimate is of the aggregates the plan planned (a filter
+    # family's grouped one in place of its members), all at the tree's root.
+    planned = AggregateBatch("planned", [d.aggregate for d in plans[0].decompositions])
+    single = plan_batch(planned, engine.join_tree)
+    assert single.roots == {"Stores": len(planned)} and single.estimated_cost is None
     assert plans[0].single_root_cost == estimate_plan_cost(row_counts, single.views)
     # The default root's evidence stays on the engine.
     assert engine.root_choice.root == "Stores"
