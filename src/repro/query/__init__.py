@@ -1,17 +1,10 @@
-"""Query layer: conjunctive queries, hypergraphs, join trees, variable orders,
-and width measures (Section 3.2 of the paper)."""
+"""Query layer: conjunctive queries, hypergraphs, join trees and variable
+orders (Section 3.2 of the paper)."""
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.hypergraph import Hypergraph, gyo_reduction, is_acyclic
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
 from repro.query.variable_order import VariableOrder, build_variable_order
-from repro.query.widths import (
-    fractional_edge_cover_number,
-    fractional_hypertree_width,
-    factorization_width,
-    integral_edge_cover_number,
-)
-from repro.query.decompositions import HypertreeDecomposition, enumerate_tree_decompositions
 
 __all__ = [
     "ConjunctiveQuery",
@@ -23,10 +16,4 @@ __all__ = [
     "build_join_tree",
     "VariableOrder",
     "build_variable_order",
-    "fractional_edge_cover_number",
-    "fractional_hypertree_width",
-    "factorization_width",
-    "integral_edge_cover_number",
-    "HypertreeDecomposition",
-    "enumerate_tree_decompositions",
 ]

@@ -10,11 +10,17 @@ parts of the propagation (a thread-pooled delta pass measured wall-clock
 neutral, ``docs/archive/pre-harness.md``, and was removed).  Shard
 parallelism therefore uses ``multiprocessing`` with the
 ``spawn`` start method — workers are clean interpreters (no forked locks or
-thread state), at the cost of a one-time import+ship warm-up per worker.
+thread state), at the cost of an ``import repro`` in each.  The pool starts
+every worker before it ships anything, so the imports run side by side and
+start-up costs about one import plus the ships, not one per worker: a
+2-shard pool over the harness's full-size ``ingest_sharded`` database starts
+in 0.19-0.20 s on a 2-core Xeon (medians of seeds 1 and 2), against
+0.84-0.90 s when each worker was started, shipped and awaited before the
+next and ``import repro`` still loaded scipy.
 
 **Ship the maintainer once, groups forever after.**  PR 9's
 ``__getstate__``/``__setstate__`` hooks make maintainers picklable; each
-worker receives its shard maintainer exactly once at warm-up and holds it
+worker receives its shard maintainer exactly once at start-up and holds it
 resident.  Every batch thereafter ships only the *netted, routed delta
 groups* down the pipe and gets the shard's root payload (a ``(1 + d + d²)``
 float block), executor-stat counters, and fact row count back.  The
@@ -129,14 +135,18 @@ def _shard_report(maintainer, applied: int, fact_relation: str):
 class ProcessPoolShardExecutor:
     """Persistent worker processes, one resident shard maintainer each.
 
-    Warm-up ships each maintainer to its worker exactly once; afterwards a
-    batch is one ``("apply", groups)`` message per *touched* shard (untouched
-    shards see no traffic at all), answered with the shard's root payload,
-    stats and fact row count.  All sends go out before any reply is awaited,
-    so on a multi-core host the shards genuinely overlap; on the single-core
-    reference container the pool degrades to serial throughput plus pickling
-    overhead — measured, not hidden, by the harness's ``ingest_sharded``
-    workload (``docs/architecture.md#what-sharding-costs-on-one-core``).
+    Start-up launches every worker, then ships each its maintainer exactly
+    once, then awaits every load reply, so the workers' imports and
+    unpickling overlap (about 0.2 s for two shards in the harness's
+    ``ingest_sharded``); any failure closes every worker started so far.
+    Afterwards a batch is one ``("apply", groups)`` message per *touched*
+    shard (untouched shards see no traffic at all), answered with the
+    shard's root payload, stats and fact row count.  All sends go out before
+    any reply is awaited, so on a multi-core host the shards genuinely
+    overlap; on a single core the pool degrades to serial throughput plus
+    pickling overhead — measured, not hidden, by the harness's
+    ``ingest_sharded`` workload
+    (``docs/architecture.md#what-sharding-costs-on-one-core``).
     """
 
     mode = "processpool"
@@ -156,7 +166,7 @@ class ProcessPoolShardExecutor:
         self._stats: List[Dict[str, int]] = []
         self._fact_rows: List[int] = []
         try:
-            for maintainer in maintainers:
+            for _maintainer in maintainers:
                 parent_end, child_end = context.Pipe()
                 worker = context.Process(
                     target=_shard_worker,
@@ -165,13 +175,15 @@ class ProcessPoolShardExecutor:
                 )
                 worker.start()
                 child_end.close()
-                parent_end.send(("load", maintainer))
-                status, _body = parent_end.recv()
-                if status != "ok":
-                    raise RuntimeError(f"shard worker failed to load: {_body}")
-                self.maintainer_ships += 1
                 self._workers.append(worker)
                 self._connections.append(parent_end)
+            for connection, maintainer in zip(self._connections, maintainers):
+                connection.send(("load", maintainer))
+            for connection, maintainer in zip(self._connections, maintainers):
+                status, body = connection.recv()
+                if status != "ok":
+                    raise RuntimeError(f"shard worker failed to load: {body}")
+                self.maintainer_ships += 1
                 self._payloads.append(maintainer.statistics())
                 self._stats.append(dict(maintainer.executor_stats))
                 self._fact_rows.append(

@@ -1,6 +1,4 @@
-"""Tests for hypergraphs, acyclicity, join trees, variable orders and widths."""
-
-import math
+"""Tests for hypergraphs, acyclicity, join trees, variable orders and queries."""
 
 import pytest
 
@@ -10,18 +8,12 @@ from repro.query import (
     JoinTree,
     build_join_tree,
     build_variable_order,
-    factorization_width,
-    fractional_edge_cover_number,
-    fractional_hypertree_width,
     gyo_reduction,
-    integral_edge_cover_number,
     is_acyclic,
 )
 from repro.query.conjunctive import QueryError
-from repro.query.decompositions import best_decomposition, materialize_bags
 from repro.query.join_tree import JoinTreeError
 from repro.query.variable_order import VariableOrderError, order_from_nested
-from repro.query.widths import agm_bound, variable_order_width
 
 
 TRIANGLE = Hypergraph({"R": {"a", "b"}, "S": {"b", "c"}, "T": {"a", "c"}})
@@ -166,77 +158,6 @@ def test_invalid_variable_order_is_rejected(toy_database, toy_query):
         order_from_nested(
             {"dish": {"day": {"customer": {}}, "item": {}, "price": {}}}, hypergraph
         )
-
-
-# -- width measures -----------------------------------------------------------------------------------
-
-
-def test_fractional_edge_cover_of_triangle_is_three_halves():
-    assert math.isclose(fractional_edge_cover_number(TRIANGLE), 1.5, rel_tol=1e-6)
-
-
-def test_integral_edge_cover_of_triangle_is_two():
-    assert integral_edge_cover_number(TRIANGLE) == 2
-
-
-def test_fractional_edge_cover_of_acyclic_path():
-    assert math.isclose(fractional_edge_cover_number(PATH), 2.0, rel_tol=1e-6)
-
-
-def test_fractional_edge_cover_uncoverable_vertex_is_infinite():
-    assert fractional_edge_cover_number(PATH, ["z"]) == float("inf")
-
-
-def test_fractional_hypertree_width_acyclic_is_one():
-    assert math.isclose(fractional_hypertree_width(STAR), 1.0, rel_tol=1e-6)
-
-
-def test_fractional_hypertree_width_triangle_is_three_halves():
-    assert math.isclose(fractional_hypertree_width(TRIANGLE), 1.5, rel_tol=1e-6)
-
-
-def test_agm_bound_triangle():
-    sizes = {"R": 100, "S": 100, "T": 100}
-    assert math.isclose(agm_bound(TRIANGLE, sizes), 1000.0, rel_tol=1e-6)
-
-
-def test_factorization_width_of_acyclic_query_is_one(toy_database, toy_query):
-    hypergraph = toy_query.hypergraph(toy_database)
-    orders = [
-        build_variable_order(toy_query, toy_database, root_relation=name)
-        for name in toy_query.relation_names
-    ]
-    assert math.isclose(factorization_width(hypergraph, orders), 1.0, rel_tol=1e-6)
-    for order in orders:
-        assert variable_order_width(order, hypergraph) >= 1.0
-
-
-# -- decompositions -------------------------------------------------------------------------------------
-
-
-def test_best_decomposition_of_triangle_has_width_two():
-    decomposition = best_decomposition(TRIANGLE)
-    assert decomposition.width == 2
-    assert decomposition.fractional_width(TRIANGLE) >= 1.0
-
-
-def test_materialize_bags_turns_triangle_acyclic():
-    from repro.data import Database
-    from repro.data.relation import relation_from_rows
-
-    r = relation_from_rows("R", ["a", "b"], [(1, 1), (1, 2), (2, 1)])
-    s = relation_from_rows("S", ["b", "c"], [(1, 5), (2, 6)])
-    t = relation_from_rows("T", ["a", "c"], [(1, 5), (2, 6), (1, 6)])
-    database = Database([r, s, t])
-    decomposition = best_decomposition(TRIANGLE)
-    bag_database, bag_hypergraph = materialize_bags(database, TRIANGLE, decomposition)
-    assert is_acyclic(bag_hypergraph)
-    # The join over the bags equals the join over the original relations.
-    original = database.natural_join()
-    bags_joined = bag_database.natural_join()
-    projected = {tuple(sorted(zip(bags_joined.schema.names, row))) for row in bags_joined}
-    expected = {tuple(sorted(zip(original.schema.names, row))) for row in original}
-    assert projected == expected
 
 
 # -- conjunctive queries -----------------------------------------------------------------------------------

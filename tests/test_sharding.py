@@ -11,13 +11,15 @@ The load-bearing claims, each pinned here:
   hypothesis invariant checks a netted batch never splits one key across
   shards.
 - **Process-pool contract** — each worker receives its maintainer exactly
-  once (``maintainer_ships``), then only netted delta groups per batch.
+  once (``maintainer_ships``), then only netted delta groups per batch; a
+  pool that fails to start leaves no worker behind.
 - **Aggregation** — per-shard kernel/executor counters sum into
   ``executor_stats``; ``serving_stats()`` gains the sharding block.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.ivm import FIVM, Update
 from repro.kernels import enable_kernel_stats, reset_kernel_stats
 from repro.serving import QueryServer
 from repro.sharding import ShardedMaintainer, ShardRouter, merge_payloads, stable_hash
+from repro.sharding import maintainer as sharded_module
 from streams import random_update_stream
 
 FEATURES = RETAILER_FEATURES["continuous"]
@@ -125,6 +128,26 @@ def test_processpool_ships_maintainer_once(retailer_source):
         assert sum(stats["fact_rows_per_shard"]) == len(
             pooled.database.relation(pooled.fact_relation)
         )
+
+
+def test_processpool_start_failure_leaves_no_worker(retailer_source, monkeypatch):
+    """A maintainer that cannot be shipped stops the whole pool, fail-stop."""
+    database, query = retailer_source
+    built = []
+
+    def build(*args, **kwargs):
+        maintainer = FIVM(*args, **kwargs)
+        built.append(maintainer)
+        if len(built) == 2:
+            maintainer.unshippable = lambda: None
+        return maintainer
+
+    monkeypatch.setattr(sharded_module, "FIVM", build)
+    before = set(multiprocessing.active_children())
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        ShardedMaintainer(database, query, FEATURES, shards=2, executor="processpool")
+    assert len(built) == 2
+    assert set(multiprocessing.active_children()) <= before
 
 
 # -- routing determinism ---------------------------------------------------------------
