@@ -20,6 +20,7 @@ The load-bearing claims, each pinned here:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -148,6 +149,98 @@ def test_processpool_start_failure_leaves_no_worker(retailer_source, monkeypatch
         ShardedMaintainer(database, query, FEATURES, shards=2, executor="processpool")
     assert len(built) == 2
     assert set(multiprocessing.active_children()) <= before
+
+
+def test_processpool_first_shard_start_failure_leaves_no_worker(retailer_source, monkeypatch):
+    """Failing on the first ship still closes every worker already started."""
+    database, query = retailer_source
+    built = []
+
+    def build(*args, **kwargs):
+        maintainer = FIVM(*args, **kwargs)
+        built.append(maintainer)
+        if len(built) == 1:
+            maintainer.unshippable = lambda: None
+        return maintainer
+
+    monkeypatch.setattr(sharded_module, "FIVM", build)
+    before = set(multiprocessing.active_children())
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        ShardedMaintainer(database, query, FEATURES, shards=3, executor="processpool")
+    assert len(built) == 3
+    assert set(multiprocessing.active_children()) <= before
+
+
+class _ExitOnLoad:
+    """Pickles fine here; unpickling it ends the receiving process."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_processpool_worker_dying_at_load_leaves_no_worker(retailer_source, monkeypatch):
+    """A worker that dies before its load reply fails the start, fail-stop."""
+    database, query = retailer_source
+    built = []
+
+    def build(*args, **kwargs):
+        maintainer = FIVM(*args, **kwargs)
+        built.append(maintainer)
+        if len(built) == 2:
+            maintainer.exit_on_load = _ExitOnLoad()
+        return maintainer
+
+    monkeypatch.setattr(sharded_module, "FIVM", build)
+    before = set(multiprocessing.active_children())
+    with pytest.raises(EOFError):
+        ShardedMaintainer(database, query, FEATURES, shards=2, executor="processpool")
+    assert set(multiprocessing.active_children()) <= before
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_processpool_ships_each_shard_once_and_matches_serial(retailer_source, shards):
+    database, query = retailer_source
+    stream = random_update_stream(database, seed=61 + shards, length=240)
+    serial = ShardedMaintainer(database, query, FEATURES, shards=shards)
+    _replay(serial, stream)
+    with ShardedMaintainer(
+        database, query, FEATURES, shards=shards, executor="processpool"
+    ) as pooled:
+        assert pooled.shard_count == shards
+        assert pooled.sharding_stats()["maintainer_ships"] == shards
+        _replay(pooled, stream)
+        assert pooled.sharding_stats()["maintainer_ships"] == shards
+        assert _payloads_identical(pooled.statistics(), serial.statistics())
+        assert (
+            pooled.sharding_stats()["fact_rows_per_shard"]
+            == serial.sharding_stats()["fact_rows_per_shard"]
+        )
+
+
+@pytest.mark.parametrize("executor", ["serial", "processpool"])
+def test_a_batch_messages_only_the_shards_it_touches(retailer_source, executor):
+    database, query = retailer_source
+    row = next(iter(database.relation("Inventory")))
+    with ShardedMaintainer(
+        database, query, FEATURES, shards=2, executor=executor
+    ) as maintainer:
+        before = maintainer.sharding_stats()["group_messages"]
+        maintainer.apply_batch([Update("Inventory", row, 1)])
+        assert maintainer.sharding_stats()["group_messages"] == before + 1
+        maintainer.apply_batch([])
+        assert maintainer.sharding_stats()["group_messages"] == before + 1
+
+
+def test_a_closed_processpool_refuses_work_and_closes_once(retailer_source):
+    database, query = retailer_source
+    before = set(multiprocessing.active_children())
+    pooled = ShardedMaintainer(database, query, FEATURES, shards=2, executor="processpool")
+    row = next(iter(database.relation("Inventory")))
+    pooled.close()
+    assert set(multiprocessing.active_children()) <= before
+    pooled.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        pooled.apply_batch([Update("Inventory", row, 1)])
 
 
 # -- routing determinism ---------------------------------------------------------------
