@@ -3,17 +3,19 @@
 Demonstrates the breadth of models the aggregate-based approach covers:
 ridge regression and PCA from the sigma matrix, model selection over feature
 subsets, a Chow-Liu tree from mutual-information aggregates, relational
-k-means over a grid coreset, and a linear SVM trained with additive-inequality
-aggregates.
+k-means over a grid coreset, a linear SVM trained with additive-inequality
+aggregates, and a factorisation machine trained by SGD over the join.
 
 Run with:  python examples/yelp_model_zoo.py
 """
 
 import numpy as np
 
+from repro.data.relation import relation_from_rows
 from repro.datasets import YELP_FEATURES, yelp_database, yelp_query
 from repro.ml import (
     ChowLiuTree,
+    FactorizationMachine,
     LinearSVM,
     ModelSelector,
     PrincipalComponentAnalysis,
@@ -21,6 +23,7 @@ from repro.ml import (
     RidgeRegression,
     compute_sigma,
 )
+from repro.query import ConjunctiveQuery
 
 
 def main() -> None:
@@ -72,21 +75,31 @@ def main() -> None:
         print(f"  centroid: {np.round(centroid, 2)}")
 
     print("\n-- linear SVM: is this a 4+ star review? --")
+    # The label is one more relation of the feature-extraction join.
+    stars = sorted(set(database.relation("Reviews").column("review_stars")))
+    labelled = database.copy()
+    labelled.add_relation(relation_from_rows(
+        "Ratings", ["review_stars", "high_rating"],
+        [(value, 1.0 if value >= 4.0 else -1.0) for value in stars],
+    ))
+    labelled_query = ConjunctiveQuery(query.relation_names + ("Ratings",), name="labelled")
     svm = LinearSVM(
         target="high_rating",
         features=["business_stars", "user_average_stars", "useful"],
         iterations=150,
     )
-    joined = query.evaluate(database)
-    rows = [dict(zip(joined.schema.names, row)) for row in joined.rows()]
-    features = np.array(
-        [[row["business_stars"], row["user_average_stars"], row["useful"]] for row in rows],
-        dtype=float,
+    svm.fit(labelled, labelled_query)
+    joined = labelled_query.evaluate(labelled)
+    rows = [dict(zip(joined.schema.names, row)) for row in joined.expanded_rows()]
+    accuracy = svm.accuracy(rows, [row["high_rating"] for row in rows])
+    print(f"  training accuracy: {accuracy:.2%} over {len(rows)} join tuples")
+
+    print("\n-- factorisation machine for review stars (SGD over the join) --")
+    machine = FactorizationMachine(
+        target, ["business_stars", "user_average_stars"], rank=2, learning_rate=1e-3, epochs=3
     )
-    labels = np.where(np.array([row["review_stars"] for row in rows], dtype=float) >= 4.0, 1.0, -1.0)
-    svm.fit_matrix(features, labels)
-    predictions = np.where(features @ svm.weights + svm.bias >= 0, 1.0, -1.0)
-    print(f"  training accuracy: {(predictions == labels).mean():.2%}")
+    report = machine.fit(database, query)
+    print(f"  mean squared loss per epoch: {np.round(report.losses, 3)}")
 
 
 if __name__ == "__main__":

@@ -139,8 +139,8 @@ def factorize_join(
 
     The factorisation is a *set*: it represents the distinct join tuples and
     ignores multiplicities, so a row stored twice (or with multiplicity 2)
-    joins once, where the engine's aggregates count it twice.  ROADMAP item
-    14 is to read models' join input from the engine, with multiplicities.
+    joins once, where the engine's aggregates count it twice.  That is why
+    no model in :mod:`repro.ml` reads it: they read the engine's bag join.
     """
     if order is None:
         order = build_variable_order(query, database, root_relation=root_relation)

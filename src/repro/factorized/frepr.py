@@ -138,7 +138,7 @@ class FactorizedRelation:
 
         Each *distinct* join tuple once: multiplicities are ignored, as in
         :func:`~repro.factorized.factorize.factorize_join`, so the count is
-        ``flat_size()``, not the engine's bag count (ROADMAP item 14).
+        ``flat_size()``, not the engine's bag count.
         """
         order = {variable: index for index, variable in enumerate(self.variables)}
 

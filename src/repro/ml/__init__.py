@@ -1,11 +1,12 @@
 """Machine learning over relational data, trained from aggregate batches.
 
-Every model in this package consumes sufficient statistics computed by the
-LMFAO-style engine (or the factorised join) instead of a materialised data
-matrix: ridge linear regression and PCA use the covariance matrix, decision
-trees use filtered variance/count batches, k-means uses per-dimension
-statistics and grid coresets, SVMs use additive-inequality aggregates, and
-Chow–Liu trees use mutual-information batches.
+Most models in this package consume sufficient statistics computed by the
+LMFAO-style engine instead of a materialised data matrix: ridge linear
+regression and PCA use the covariance matrix, decision trees use filtered
+variance/count batches, Rk-means builds its grid coreset from grouped counts,
+and Chow–Liu trees use mutual-information batches.  SVMs (additive-inequality
+aggregates over the rows) and factorisation machines (SGD) read the bag
+join's columns.  Every model counts a join row as often as its multiplicity.
 """
 
 from repro.ml.statistics import compute_sigma, sigma_from_data_matrix

@@ -1,24 +1,24 @@
-"""Degree-2 factorisation machines trained over the factorised join.
+"""Degree-2 factorisation machines trained over the join.
 
 The model is ``ŷ = w0 + Σ_i w_i x_i + Σ_{i<j} <v_i, v_j> x_i x_j`` with rank-r
-latent factors.  Training streams tuples from the factorised join (the flat
-data matrix is never held in memory) and uses stochastic gradient descent on
-the squared loss.  This mirrors the F/AC-DC lineage: the aggregates needed by
-the closed-form treatment of FMs are the same sparse tensors as for polynomial
-regression (Section 2.1); the SGD-over-factorisation variant implemented here
-keeps the code short while still avoiding join materialisation.
+latent factors, trained by stochastic gradient descent on the squared loss.
+The aggregates needed by the closed-form treatment of FMs are the same sparse
+tensors as for polynomial regression (Section 2.1, the F/AC-DC lineage); the
+SGD variant implemented here keeps the code short and reads the bag join's
+float columns (:func:`repro.ml.statistics.join_columns`), one step per join
+tuple.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.data.database import Database
-from repro.factorized.factorize import factorize_join
+from repro.ml.statistics import join_columns
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -105,25 +105,15 @@ class FactorizationMachine:
         return self.report
 
     def fit(self, database: Database, query: ConjunctiveQuery) -> FMTrainingReport:
-        """Train by streaming tuples out of the factorised join.
-
-        The factorised representation is typically far smaller than the flat
-        join; its tuples are enumerated lazily, so the flat data matrix never
-        exists in memory.
-        """
-        factorization = factorize_join(query, database)
-        variables = factorization.variables
+        """Train over the bag join: a row of multiplicity m is m steps an epoch."""
+        data, multiplicities = join_columns(database, query, self.features + [self.target])
+        order = np.repeat(np.arange(len(data)), multiplicities)
         losses: List[float] = []
         for _epoch in range(self.epochs):
             total = 0.0
-            count = 0
-            for row in factorization.tuples():
-                assignment = dict(zip(variables, row))
-                total += self._sgd_step(
-                    self._vector(assignment), float(assignment[self.target])  # type: ignore[arg-type]
-                )
-                count += 1
-            losses.append(total / max(count, 1))
+            for row in order:
+                total += self._sgd_step(data[row, :-1], float(data[row, -1]))
+            losses.append(total / len(order))
         self.report = FMTrainingReport(self.epochs, losses)
         return self.report
 

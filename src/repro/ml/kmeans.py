@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.factorized.aggregates import group_by_sum_over_factorization
-from repro.factorized.factorize import factorize_join
+from repro.engine.lmfao import LMFAOEngine
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -100,7 +100,7 @@ class KMeans:
 
 
 class RelationalKMeans:
-    """Rk-means: k-means over a grid coreset built from the factorised join."""
+    """Rk-means: k-means over a grid coreset built from grouped counts of the join."""
 
     def __init__(
         self,
@@ -115,6 +115,8 @@ class RelationalKMeans:
         self.grid_size = grid_size
         self.max_iterations = max_iterations
         self.seed = seed
+        #: Per feature, the sorted centres of its 1-D k-means: the grid's lines.
+        self.dimension_centres: Optional[List[List[float]]] = None
         self.coreset_points: Optional[np.ndarray] = None
         self.coreset_weights: Optional[np.ndarray] = None
         self.result: Optional[KMeansResult] = None
@@ -132,35 +134,43 @@ class RelationalKMeans:
     def build_coreset(
         self, database: Database, query: ConjunctiveQuery
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Build the weighted grid coreset from per-dimension aggregates."""
-        factorization = factorize_join(query, database)
+        """Build the weighted grid coreset from one batch of grouped counts.
+
+        The batch holds ``COUNT(*) GROUP BY f`` for each feature (the histogram
+        its 1-D k-means runs on) and ``COUNT(*) GROUP BY f1, ..., fk`` (the
+        grid).  Each grid group goes, dimension by dimension, to its nearest
+        centre; a cell weighs the counts of its groups, so a join row of
+        multiplicity m weighs m, as in every aggregate the engine computes.
+        """
+        batch = AggregateBatch(name="rk-means", description="histograms and grid for Rk-means")
+        for feature in self.features:
+            batch.add(Aggregate.count(group_by=[feature], name=f"count@{feature}"))
+        batch.add(Aggregate.count(group_by=self.features, name="grid"))
+        result = LMFAOEngine(database, query).evaluate(batch)
+        grid = result.grouped("grid")
+        if not grid:
+            raise ValueError("RelationalKMeans: the join is empty, there is nothing to cluster")
 
         centres_per_dimension: List[List[float]] = []
         for feature in self.features:
-            histogram = group_by_sum_over_factorization(factorization, [feature], [])
+            histogram = result.grouped(f"count@{feature}")
             values = [float(key[0]) for key in histogram]
-            counts = [histogram[key] for key in histogram]
-            centres_per_dimension.append(self._dimension_centres(values, counts))
+            centres_per_dimension.append(self._dimension_centres(values, list(histogram.values())))
 
-        # Assign every tuple of the join to its nearest grid cell, one dimension
-        # at a time, and count the tuples per cell.  The counting is again a
-        # group-by aggregate over the factorisation (by the quantised values).
-        cell_weights: Dict[Tuple[int, ...], float] = {}
-        for row in factorization.tuples():
-            assignment = dict(zip(factorization.variables, row))
-            cell = tuple(
-                int(np.argmin([abs(float(assignment[feature]) - centre) for centre in centres]))
-                for feature, centres in zip(self.features, centres_per_dimension)
-            )
-            cell_weights[cell] = cell_weights.get(cell, 0.0) + 1.0
-
-        points = np.array(
-            [
-                [centres_per_dimension[dimension][cell[dimension]] for dimension in range(len(self.features))]
-                for cell in cell_weights
-            ]
-        )
-        weights = np.array(list(cell_weights.values()))
+        # One mixed-radix cell id per grid group, then one weighted count per cell.
+        groups = np.array(list(grid), dtype=float)
+        cells = np.zeros(len(grid), dtype=np.int64)
+        for dimension, centres in enumerate(centres_per_dimension):
+            distances = np.abs(groups[:, dimension, None] - np.asarray(centres)[None, :])
+            cells = cells * len(centres) + distances.argmin(axis=1)
+        occupied, inverse = np.unique(cells, return_inverse=True)
+        weights = np.bincount(inverse, weights=np.fromiter(grid.values(), float, len(grid)))
+        positions = np.unravel_index(occupied, [len(centres) for centres in centres_per_dimension])
+        points = np.column_stack([
+            np.asarray(centres)[position]
+            for centres, position in zip(centres_per_dimension, positions)
+        ])
+        self.dimension_centres = centres_per_dimension
         self.coreset_points = points
         self.coreset_weights = weights
         return points, weights

@@ -5,6 +5,8 @@ covariance batch, evaluate it with the LMFAO-style engine directly over the
 input database, and assemble the sparse results into a :class:`SigmaMatrix`.
 ``sigma_from_data_matrix`` is the structure-agnostic reference used in tests:
 it computes the same matrix from an explicit (one-hot encoded) data matrix.
+``join_columns`` is what the per-row learners (SVM, factorisation machines)
+read: the bag join's float columns and multiplicities.
 """
 
 from __future__ import annotations
@@ -32,6 +34,27 @@ def compute_sigma(
     batch = covariance_batch(continuous, categorical)
     result = engine.evaluate(batch)
     return sigma_from_batch_results(result.as_mapping(), continuous, categorical)
+
+
+def join_columns(
+    database: Database, query: ConjunctiveQuery, attributes: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The join's float columns, one row per distinct join row, and its multiplicities.
+
+    The bag join :func:`repro.ivm.base.recompute_covariance` reads: a row of
+    multiplicity ``m`` stands for ``m`` join tuples, as in the engine's counts.
+    Raises ``ValueError`` when the join is empty or an attribute is not numeric.
+    """
+    store = query.evaluate(database).column_store()
+    if not store.row_count:
+        raise ValueError(f"the join {query.name!r} is empty: there is nothing to train on")
+    columns = []
+    for attribute in attributes:
+        column = store.float_column(attribute)
+        if column is None:
+            raise ValueError(f"feature {attribute!r} has non-numeric values")
+        columns.append(column)
+    return np.stack(columns, axis=1), store.multiplicities.astype(np.int64)
 
 
 def one_hot_rows(

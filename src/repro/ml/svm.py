@@ -11,13 +11,13 @@ better-than-scan algorithm for low dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.data.database import Database
-from repro.factorized.factorize import factorize_join
 from repro.inequality.algorithms import AdditiveInequalityEvaluator
+from repro.ml.statistics import join_columns
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -46,21 +46,6 @@ class LinearSVM:
         self.weights = np.zeros(len(self.features))
         self.bias = 0.0
         self.report: Optional[SVMTrainingReport] = None
-
-    # -- data access ----------------------------------------------------------------------------
-
-    def _design(self, database: Database, query: ConjunctiveQuery) -> Tuple[np.ndarray, np.ndarray]:
-        """Feature matrix and ±1 labels streamed out of the factorised join."""
-        factorization = factorize_join(query, database)
-        variables = factorization.variables
-        rows: List[List[float]] = []
-        labels: List[float] = []
-        for row in factorization.tuples():
-            assignment = dict(zip(variables, row))
-            rows.append([float(assignment[feature]) for feature in self.features])  # type: ignore[arg-type]
-            raw = assignment[self.target]
-            labels.append(1.0 if float(raw) > 0 else -1.0)  # type: ignore[arg-type]
-        return np.asarray(rows), np.asarray(labels)
 
     # -- training ---------------------------------------------------------------------------------
 
@@ -101,8 +86,10 @@ class LinearSVM:
         return self.report
 
     def fit(self, database: Database, query: ConjunctiveQuery) -> SVMTrainingReport:
-        features, labels = self._design(database, query)
-        return self.fit_matrix(features, labels)
+        """Train on the bag join: a row of multiplicity m is m rows of the matrix."""
+        data, multiplicities = join_columns(database, query, self.features + [self.target])
+        rows = np.repeat(data, multiplicities, axis=0)
+        return self.fit_matrix(rows[:, :-1], np.where(rows[:, -1] > 0, 1.0, -1.0))
 
     # -- inference ----------------------------------------------------------------------------------
 

@@ -27,28 +27,10 @@ def dishes():
     )
 
 
-def test_select_keeps_matching_rows(orders):
-    cheap = algebra.select(orders, lambda row: row["dish"] == "hotdog")
-    assert len(cheap) == 2
-    assert all(row[1] == "hotdog" for row in cheap)
-
-
-def test_select_equals_fast_path_matches_generic(orders):
-    generic = algebra.select(orders, lambda row: row["customer"] == "joe")
-    fast = algebra.select_equals(orders, "customer", "joe")
-    assert generic == fast
-
-
 def test_project_accumulates_multiplicities(orders):
     projected = algebra.project(orders, ["dish"])
     assert projected.multiplicity(("hotdog",)) == 2
     assert projected.schema.names == ("dish",)
-
-
-def test_rename(orders):
-    renamed = algebra.rename(orders, {"customer": "person"})
-    assert renamed.schema.names == ("person", "dish")
-    assert len(renamed) == len(orders)
 
 
 def test_union_adds_multiplicities(orders):
@@ -59,11 +41,6 @@ def test_union_adds_multiplicities(orders):
 def test_union_requires_same_schema(orders, dishes):
     with pytest.raises(SchemaError):
         algebra.union(orders, dishes)
-
-
-def test_difference_cancels_tuples(orders):
-    empty = algebra.difference(orders, orders)
-    assert len(empty) == 0
 
 
 def test_cartesian_product_multiplies(orders):
@@ -105,24 +82,6 @@ def test_natural_join_all_left_deep(orders, dishes):
     assert set(joined.schema.names) == {"customer", "dish", "price", "calories"}
 
 
-def test_semi_join(orders, dishes):
-    only_known = algebra.semi_join(dishes, orders)
-    assert set(row[0] for row in only_known) == {"burger", "hotdog"}
-
-
-def test_group_by_aggregate_sums_with_multiplicity(orders, dishes):
-    joined = algebra.natural_join(orders, dishes)
-    totals = algebra.group_by_aggregate(joined, ["dish"], lambda row: row["price"], "total")
-    values = {row[0]: row[1] for row in totals}
-    assert values == {"burger": 8.0, "hotdog": 10.0}
-
-
-def test_aggregate_scalar_and_count(orders, dishes):
-    joined = algebra.natural_join(orders, dishes)
-    assert algebra.aggregate_scalar(joined, lambda row: row["price"]) == 18.0
-    assert algebra.count_rows(joined) == 3
-
-
 def test_join_is_commutative_on_content(orders, dishes):
     left = algebra.natural_join(orders, dishes)
     right = algebra.natural_join(dishes, orders)
@@ -136,19 +95,11 @@ def test_every_result_is_one_batch(orders, dishes):
     tags = relation_from_rows("Tags", ["tag"], [("a",), ("b",)], categorical=["tag"])
     joined = algebra.natural_join(orders, dishes)
     results = {
-        "select": algebra.select(orders, lambda row: row["dish"] == "hotdog"),
-        "select_equals": algebra.select_equals(orders, "customer", "joe"),
         "project": algebra.project(orders, ["dish"]),
-        "rename": algebra.rename(orders, {"customer": "person"}),
         "union": algebra.union(orders, orders),
-        "difference": algebra.difference(orders, orders),
         "cartesian_product": algebra.cartesian_product(orders, tags),
         "natural_join": joined,
         "natural_join_all": algebra.natural_join_all([orders, dishes, tags]),
-        "semi_join": algebra.semi_join(dishes, orders),
-        "group_by_aggregate": algebra.group_by_aggregate(
-            joined, ["dish"], lambda row: row["price"], "total"
-        ),
     }
     assert {name: result.version for name, result in results.items()} == dict.fromkeys(
         results, 1

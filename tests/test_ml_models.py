@@ -1,9 +1,13 @@
 """Tests for the models trained from aggregate batches."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix
+from repro.aggregates.spec import Aggregate, AggregateBatch
+from repro.datasets import retailer_database, retailer_query
 from repro.engine.lmfao import LMFAOEngine
 from repro.inequality import NaiveInequalityEvaluator, SortedInequalityEvaluator
 from repro.ml import (
@@ -582,7 +586,7 @@ def test_factorization_machine_learns_interaction():
     assert model.rmse(rows) < 1.0
 
 
-def test_factorization_machine_streams_from_factorized_join(sri_database, sri_query):
+def test_factorization_machine_fits_from_the_join(sri_database, sri_query):
     model = FactorizationMachine("u", ["i", "s", "c", "p"], rank=2, learning_rate=5e-4, epochs=20)
     report = model.fit(sri_database, sri_query)
     assert len(report.losses) == 20
@@ -610,6 +614,86 @@ def test_svm_fit_from_join(sri_database, sri_query):
     svm = LinearSVM("u", ["i", "s", "c", "p"], iterations=50)
     svm.fit(sri_database, sri_query)
     assert svm.weights.shape == (4,)
+
+
+# -- every model reads the bag join ----------------------------------------------------------------------------
+
+
+def _retailer_with_a_duplicated_inventory_row():
+    database = retailer_database(inventory_rows=300, seed=1)
+    inventory = database.relation("Inventory")
+    row, multiplicity = next(iter(inventory.items()))
+    assert multiplicity == 1
+    inventory.add(row, 1)
+    return database, retailer_query()
+
+
+def _join_count(database, query) -> float:
+    batch = AggregateBatch(name="count")
+    batch.add(Aggregate.count(name="count"))
+    return LMFAOEngine(database, query).evaluate(batch).scalar("count")
+
+
+def test_models_count_a_duplicated_join_row_as_often_as_the_engine(monkeypatch):
+    database, query = _retailer_with_a_duplicated_inventory_row()
+    count = _join_count(database, query)
+    assert count == len(query.evaluate(database)) + 1
+
+    clustering = RelationalKMeans(["inventoryunits", "prize"], clusters=3)
+    _points, weights = clustering.build_coreset(database, query)
+    assert weights.sum() == count
+
+    handed = []
+    monkeypatch.setattr(LinearSVM, "fit_matrix",
+                        lambda self, features, labels: handed.append(len(features)))
+    LinearSVM("inventoryunits", ["prize", "maxtemp"]).fit(database, query)
+    assert handed == [count]
+
+    steps = []
+    monkeypatch.setattr(FactorizationMachine, "_sgd_step",
+                        lambda self, x, target: steps.append(1) or 0.0)
+    FactorizationMachine("inventoryunits", ["prize", "maxtemp"], epochs=1).fit(database, query)
+    assert len(steps) == count
+
+
+def test_relational_kmeans_coreset_is_the_nearest_centre_grid_of_the_bag_join():
+    database, query = _retailer_with_a_duplicated_inventory_row()
+    features = ["inventoryunits", "prize", "maxtemp"]
+    clustering = RelationalKMeans(features, clusters=3, grid_size=4)
+    points, weights = clustering.build_coreset(database, query)
+
+    joined = query.evaluate(database)
+    positions = [joined.schema.names.index(feature) for feature in features]
+    expected = Counter(
+        tuple(
+            min(centres, key=lambda centre: abs(float(row[position]) - centre))
+            for position, centres in zip(positions, clustering.dimension_centres)
+        )
+        for row in joined.expanded_rows()
+    )
+    assert dict(zip(map(tuple, points), weights)) == expected
+    assert clustering.coreset_size() == len(expected)
+
+
+def test_models_over_an_empty_join_say_so():
+    database = retailer_database(inventory_rows=300, seed=1)
+    query = retailer_query()
+    inventory = database.relation("Inventory")
+    items = list(inventory.items())
+    inventory.add_batch([row for row, _ in items], [-multiplicity for _, multiplicity in items])
+    assert len(query.evaluate(database)) == 0
+    with pytest.raises(ValueError, match="join .*is empty"):
+        RelationalKMeans(["inventoryunits", "prize"], clusters=3).fit(database, query)
+    with pytest.raises(ValueError, match="join .*is empty"):
+        LinearSVM("inventoryunits", ["prize", "maxtemp"]).fit(database, query)
+
+
+def test_per_row_models_name_a_non_numeric_feature():
+    database = retailer_database(inventory_rows=300, seed=1)
+    with pytest.raises(ValueError, match="'category'"):
+        LinearSVM("inventoryunits", ["prize", "category"]).fit(database, retailer_query())
+    with pytest.raises(ValueError, match="'category'"):
+        FactorizationMachine("inventoryunits", ["category"]).fit(database, retailer_query())
 
 
 # -- Chow-Liu / mutual information ------------------------------------------------------------------------------------
