@@ -28,7 +28,7 @@ from repro.ml import (
 )
 from repro.ml.decision_tree import _Fit
 from repro.ml.model_selection import training_mse
-from repro.ml.statistics import one_hot_rows, sigma_from_data_matrix
+from repro.ml.statistics import join_columns, one_hot_rows, sigma_from_data_matrix
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +673,37 @@ def test_relational_kmeans_coreset_is_the_nearest_centre_grid_of_the_bag_join():
     )
     assert dict(zip(map(tuple, points), weights)) == expected
     assert clustering.coreset_size() == len(expected)
+
+
+def test_join_columns_are_the_bag_join_in_the_order_asked():
+    database, query = _retailer_with_a_duplicated_inventory_row()
+    attributes = ["maxtemp", "inventoryunits", "prize"]
+    columns, multiplicities = join_columns(database, query, attributes)
+    assert columns.shape == (len(multiplicities), len(attributes))
+    assert multiplicities.dtype == np.int64
+    assert int(multiplicities.sum()) == _join_count(database, query)
+
+    joined = query.evaluate(database)
+    positions = [joined.schema.names.index(attribute) for attribute in attributes]
+    expected = Counter(
+        tuple(float(row[position]) for position in positions) for row in joined.expanded_rows()
+    )
+    assert Counter(map(tuple, np.repeat(columns, multiplicities, axis=0).tolist())) == expected
+
+
+def test_doubling_every_join_row_doubles_the_coreset_weights_and_keeps_its_points():
+    features = ["inventoryunits", "prize", "maxtemp"]
+    database = retailer_database(inventory_rows=300, seed=1)
+    query = retailer_query()
+    points, weights = RelationalKMeans(features, clusters=3, grid_size=4).build_coreset(database, query)
+
+    inventory = database.relation("Inventory")
+    items = list(inventory.items())
+    inventory.add_batch([row for row, _ in items], [multiplicity for _, multiplicity in items])
+    doubled_points, doubled_weights = RelationalKMeans(
+        features, clusters=3, grid_size=4).build_coreset(database, query)
+    np.testing.assert_array_equal(doubled_points, points)
+    np.testing.assert_array_equal(doubled_weights, 2 * weights)
 
 
 def test_models_over_an_empty_join_say_so():
