@@ -9,8 +9,9 @@ a multiplicative win.  (Multi-root moves a group of aggregates only where the
 plan estimate says the batch gets cheaper, so on a batch it leaves alone the
 step costs the comparison and nothing else.  Parallelisation uses threads and
 is GIL-bound in pure Python: on ``train_models``' own work it measured x0.96
-against one thread, docs/benchmarks.md#pr-23, which is why the engine has no
-pool and the step is printed here without a bound on the clock.)
+against one thread (measured where the engine's pool was deleted, in
+docs/archive/benchmarks-history.md), which is why the engine has no pool and
+the step is printed here without a bound on the clock.)
 
 The engine itself has no switches for the steps it ablates: the staircase is
 assembled here.  The two scan-based steps drive the planner bottom-up with a
@@ -294,8 +295,9 @@ def test_figure6_optimisation_ablation(benchmark, bench_datasets, dataset_name):
     # is not.  Where the plan keeps the whole batch at one root — every
     # covariance batch at these scales — the step is ``+sharing`` plus picking
     # the default root at construction and weighing the alternatives in the
-    # plan: 0.3-0.8 ms, 3-10 % of these 4-13 ms runs (docs/benchmarks.md#pr-21),
-    # which the 5 % the other steps are held to cannot accommodate.
+    # plan: 0.3-0.8 ms, 3-10 % of these 4-13 ms runs (measured where the plan
+    # took over the root, in docs/archive/benchmarks-history.md), which the
+    # 5 % the other steps are held to cannot accommodate.
     steps = dict(CONFIGURATIONS)
     (pinned,) = steps["+sharing"](database, query, root, batch)
     (planned,) = steps["+multi-root"](database, query, root, batch)

@@ -165,25 +165,6 @@ class Aggregate:
     def filters_on(self, attribute: str) -> Tuple[Filter, ...]:
         return tuple(condition for condition in self.filters if condition.attribute == attribute)
 
-    def to_sql(self, query_name: str = "Q") -> str:
-        """Render the aggregate as SQL over the feature-extraction query."""
-        if self.product:
-            expression = "SUM(" + "*".join(self.product) + ")"
-        else:
-            expression = "SUM(1)"
-        sql = f"SELECT {', '.join(self.group_by) + ', ' if self.group_by else ''}{expression} FROM {query_name}"
-        conditions = [str(condition) for condition in self.filters]
-        if self.inequality is not None:
-            conditions.append(str(self.inequality))
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        if self.group_by:
-            sql += " GROUP BY " + ", ".join(self.group_by)
-        return sql
-
-    def __str__(self) -> str:
-        return self.to_sql()
-
 
 @dataclass
 class AggregateBatch:

@@ -12,7 +12,7 @@ arrays zero-copy.
 from repro.data.attribute import Attribute, AttributeType, Schema
 from repro.data.relation import Relation
 from repro.data.colstore import ColumnEncoding, ColumnStore
-from repro.data.database import Database, FunctionalDependency
+from repro.data.database import Database
 from repro.data.tuplestore import TupleStore, tuplestore_stats
 from repro.data import algebra
 from repro.data.csv_io import read_csv, write_csv
@@ -27,7 +27,6 @@ __all__ = [
     "TupleStore",
     "tuplestore_stats",
     "Database",
-    "FunctionalDependency",
     "algebra",
     "read_csv",
     "write_csv",

@@ -1,9 +1,9 @@
 """Relational-algebra operators over multiset relations.
 
 All operators respect multiplicities: projection adds them up per surviving
-tuple, joins and products multiply them, and union adds them.  These are
-exactly the semantics of the relational semiring / integer-ring view used
-throughout the paper.
+tuple, and joins and products multiply them.  These are the semantics of the
+integer-ring view used throughout the paper.  They are what
+:meth:`~repro.query.conjunctive.ConjunctiveQuery.evaluate` calls.
 
 Each operator collects its result as one ``(rows, multiplicities)`` delta and
 lands it with a single :meth:`~repro.data.relation.Relation.add_batch`, so a
@@ -46,17 +46,6 @@ def project(relation: Relation, names: Sequence[str],
         for row, multiplicity in relation.items()
     ]
     return _relation(name or f"project({relation.name})", schema, projected)
-
-
-def union(left: Relation, right: Relation, name: Optional[str] = None) -> Relation:
-    """Multiset union: multiplicities add up."""
-    if left.schema.names != right.schema.names:
-        raise SchemaError(
-            f"union requires identical schemas: {left.schema.names} vs {right.schema.names}"
-        )
-    result = left.copy(name or f"union({left.name},{right.name})")
-    _add_items(result, right.items())
-    return result
 
 
 def cartesian_product(left: Relation, right: Relation,

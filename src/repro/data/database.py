@@ -1,51 +1,27 @@
-"""Databases: named relations plus integrity metadata (functional dependencies).
+"""Databases: named relations.
 
 A :class:`Database` groups the relations referenced by a feature-extraction
-query.  It also records functional dependencies, which the learning layer can
-exploit to reparameterise models with fewer parameters (Section 3.2).
+query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.data.attribute import Schema
 from repro.data.relation import Relation, RelationError
-from repro.data import algebra
-
-
-@dataclass(frozen=True)
-class FunctionalDependency:
-    """A functional dependency ``determinant -> dependent`` between attributes."""
-
-    determinant: Tuple[str, ...]
-    dependent: str
-
-    @staticmethod
-    def of(determinant, dependent: str) -> "FunctionalDependency":
-        if isinstance(determinant, str):
-            determinant = (determinant,)
-        return FunctionalDependency(tuple(determinant), dependent)
-
-    def __str__(self) -> str:
-        return f"{','.join(self.determinant)} -> {self.dependent}"
 
 
 class Database:
-    """A collection of named relations with optional functional dependencies."""
+    """A collection of named relations."""
 
     def __init__(
         self,
         relations: Optional[Iterable[Relation]] = None,
-        functional_dependencies: Optional[Iterable[FunctionalDependency]] = None,
         name: str = "database",
     ) -> None:
         self.name = name
         self._relations: Dict[str, Relation] = {}
-        self.functional_dependencies: List[FunctionalDependency] = list(
-            functional_dependencies or ()
-        )
         for relation in relations or ():
             self.add_relation(relation)
 
@@ -90,24 +66,13 @@ class Database:
         return list(self._relations.values())
 
     def copy(self, name: Optional[str] = None) -> "Database":
-        return Database(
-            [relation.copy() for relation in self],
-            list(self.functional_dependencies),
-            name or self.name,
-        )
+        return Database([relation.copy() for relation in self], name or self.name)
 
     def empty_copy(self, name: Optional[str] = None) -> "Database":
         """A database with the same schemas but no tuples (used by IVM benches)."""
-        return Database(
-            [relation.empty_like() for relation in self],
-            list(self.functional_dependencies),
-            name or self.name,
-        )
+        return Database([relation.empty_like() for relation in self], name or self.name)
 
     # -- metadata ------------------------------------------------------------------
-
-    def add_functional_dependency(self, dependency: FunctionalDependency) -> None:
-        self.functional_dependencies.append(dependency)
 
     def attribute_names(self) -> Tuple[str, ...]:
         """All attribute names across relations (first occurrence order)."""
@@ -136,14 +101,6 @@ class Database:
     def size_summary(self) -> Dict[str, Tuple[int, int]]:
         """Map relation name -> (distinct tuples, arity)."""
         return {relation.name: (len(relation), relation.arity) for relation in self}
-
-    # -- full join ------------------------------------------------------------------
-
-    def natural_join(self, relation_names: Optional[Sequence[str]] = None) -> Relation:
-        """Materialise the natural join of the given (or all) relations."""
-        names = list(relation_names) if relation_names is not None else list(self._relations)
-        relations = [self.relation(name) for name in names]
-        return algebra.natural_join_all(relations, name=f"join({self.name})")
 
     def __repr__(self) -> str:
         summary = ", ".join(f"{relation.name}[{len(relation)}]" for relation in self)

@@ -310,24 +310,6 @@ class Relation:
             return rows
         return rng.sample(rows, count)
 
-    # -- convenience constructors -------------------------------------------------
-
-    @staticmethod
-    def from_columns(
-        name: str,
-        schema: Schema,
-        columns: Mapping[str, Sequence[RowValue]],
-    ) -> "Relation":
-        names = schema.names
-        missing = [column for column in names if column not in columns]
-        if missing:
-            raise RelationError(f"missing columns {missing} for relation {name!r}")
-        lengths = {len(columns[column]) for column in names}
-        if len(lengths) > 1:
-            raise RelationError(f"columns have inconsistent lengths: {lengths}")
-        rows = list(zip(*(columns[column] for column in names))) if names else []
-        return Relation(name, schema, rows=rows)
-
     # -- pretty printing -----------------------------------------------------------
 
     def to_table(self, limit: int = 10) -> str:

@@ -78,11 +78,6 @@ class SyntheticGenerator:
         count = min(count, len(options))
         return self.rng.sample(list(options), count)
 
-    def shuffled(self, options: Sequence) -> List:
-        values = list(options)
-        self.rng.shuffle(values)
-        return values
-
     def zipf(self, count: int, alpha: float) -> int:
         """A Zipf-distributed rank in ``[0, count)`` (sampler cached per shape)."""
         sampler = self._zipf_cache.get((count, alpha))
@@ -91,10 +86,6 @@ class SyntheticGenerator:
                 count, alpha, self.rng
             )
         return sampler.sample()
-
-    def zipf_choice(self, options: Sequence, alpha: float):
-        """One of ``options`` with Zipf(alpha) weight on its position."""
-        return options[self.zipf(len(options), alpha)]
 
 
 def skewed_update_stream(

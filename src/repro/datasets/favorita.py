@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.data.attribute import Schema
-from repro.data.database import Database, FunctionalDependency
+from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.datasets._synthetic import SyntheticGenerator
@@ -115,10 +115,6 @@ def favorita_database(
             transactions_relation,
             oil_relation,
             holidays_relation,
-        ],
-        functional_dependencies=[
-            FunctionalDependency.of("item", "family"),
-            FunctionalDependency.of("store", "city"),
         ],
         name="favorita",
     )

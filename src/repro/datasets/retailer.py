@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.data.attribute import Schema
-from repro.data.database import Database, FunctionalDependency
+from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.datasets._synthetic import SyntheticGenerator
@@ -153,11 +153,6 @@ def retailer_database(
             items_relation,
             weather_relation,
             demographics_relation,
-        ],
-        functional_dependencies=[
-            FunctionalDependency.of("locn", "zip"),
-            FunctionalDependency.of("ksn", "category"),
-            FunctionalDependency.of("ksn", "subcategory"),
         ],
         name="retailer",
     )

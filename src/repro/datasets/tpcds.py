@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.data.attribute import Schema
-from repro.data.database import Database, FunctionalDependency
+from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.datasets._synthetic import SyntheticGenerator
@@ -144,10 +144,6 @@ def tpcds_database(
 
     return Database(
         [sales_relation, date_relation, item_relation, customer_relation, store_relation],
-        functional_dependencies=[
-            FunctionalDependency.of("item_sk", "item_category"),
-            FunctionalDependency.of("store_sk", "store_state"),
-        ],
         name="tpcds",
     )
 

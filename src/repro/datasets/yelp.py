@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.data.attribute import Schema
-from repro.data.database import Database, FunctionalDependency
+from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.datasets._synthetic import SyntheticGenerator
@@ -115,7 +115,6 @@ def yelp_database(
 
     return Database(
         [review_relation, business_relation, user_relation, checkin_relation],
-        functional_dependencies=[FunctionalDependency.of("business", "city")],
         name="yelp",
     )
 

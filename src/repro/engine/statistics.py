@@ -211,7 +211,7 @@ GROUPED_VALUE_COST = 5
 #: pipeline column, reading its value off the root — in the same rows:
 #: about 65 us against 26 ns a row.  Both constants are fitted to a family
 #: over a unique-valued attribute of 30 to 200k rows (the table under "The
-#: cost choice" in ``docs/benchmarks.md``).
+#: cost choice" in ``docs/archive/benchmarks-history.md``).
 VIEW_COST_ROWS = 2500
 
 

@@ -72,26 +72,14 @@ def sum_product_over_factorization(
     """SUM of the product of the given continuous variables over all tuples.
 
     ``variables=[]`` degenerates to COUNT, ``variables=['price']`` computes
-    SUM(price), ``variables=['price', 'price']`` is not supported (squares are
-    handled by lifting, see :func:`sum_of_squares_over_factorization`).
+    SUM(price), ``variables=['price', 'price']`` is not supported (a square
+    needs its own lift).
     """
     wanted = set(variables)
     ring = RealRing()
 
     def lift(variable: str, value: object) -> float:
         return float(value) if variable in wanted else 1.0
-
-    return aggregate_over_factorization(factorization, ring, lift)
-
-
-def sum_of_squares_over_factorization(
-    factorization: FactorizedRelation, variable: str
-) -> float:
-    """SUM(variable * variable) over all tuples of the join."""
-    ring = RealRing()
-
-    def lift(current: str, value: object) -> float:
-        return float(value) ** 2 if current == variable else 1.0
 
     return aggregate_over_factorization(factorization, ring, lift)
 

@@ -167,9 +167,6 @@ class FactorizedRelation:
         for assignment in enumerate_node(self.root):
             yield tuple(assignment.get(variable) for variable in self.variables)
 
-    def to_rows(self) -> List[Tuple]:
-        return list(self.tuples())
-
     def __len__(self) -> int:
         return self.flat_size()
 

@@ -28,7 +28,6 @@ from repro.ifaq.expr import (
     evaluate,
 )
 from repro.ifaq.transforms import (
-    factor_out_invariant,
     hoist_invariant_lets,
     specialize_field_access,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "IterateLoop",
     "OperationCounter",
     "evaluate",
-    "factor_out_invariant",
     "hoist_invariant_lets",
     "specialize_field_access",
     "GradientProgramStages",

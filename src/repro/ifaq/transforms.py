@@ -1,12 +1,10 @@
 """Equivalence-preserving IFAQ transformations.
 
-Three of the rewrites from Figure 11 are implemented generically over the IR:
+Two of the rewrites from Figure 11 are implemented generically over the IR:
 
 * :func:`hoist_invariant_lets` — loop-invariant code motion: a ``Let`` at the
   top of a loop body whose bound expression does not depend on the loop state
   is moved out of the loop;
-* :func:`factor_out_invariant` — distributivity: multiplicative factors that do
-  not depend on a summation variable are pulled out of the ``SumOver``;
 * :func:`specialize_field_access` — schema specialisation: dynamic record
   lookups with statically known keys become static field accesses with
   resolved positions.
@@ -17,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ifaq.expr import (
-    BinOp,
     Const,
     DictOver,
     Expr,
@@ -25,7 +22,6 @@ from repro.ifaq.expr import (
     IterateLoop,
     Let,
     Lookup,
-    SumOver,
     Var,
 )
 
@@ -63,43 +59,6 @@ def hoist_invariant_lets(expression: Expr) -> Expr:
         for name, bound in reversed(hoisted):
             result = Let(name, bound, result)
         return result
-
-    return _transform_bottom_up(expression, rule)
-
-
-# -- distributivity / factoring ---------------------------------------------------------------------
-
-
-def _flatten_product(expression: Expr) -> List[Expr]:
-    if isinstance(expression, BinOp) and expression.op == "*":
-        return _flatten_product(expression.left) + _flatten_product(expression.right)
-    return [expression]
-
-
-def _rebuild_product(factors: Sequence[Expr]) -> Expr:
-    if not factors:
-        return Const(1.0)
-    result = factors[0]
-    for factor in factors[1:]:
-        result = BinOp("*", result, factor)
-    return result
-
-
-def factor_out_invariant(expression: Expr) -> Expr:
-    """Pull factors independent of the summation variable out of ``SumOver``."""
-
-    def rule(node: Expr) -> Expr:
-        if not isinstance(node, SumOver):
-            return node
-        factors = _flatten_product(node.body)
-        if len(factors) < 2:
-            return node
-        dependent = [factor for factor in factors if node.variable in factor.free_variables()]
-        independent = [factor for factor in factors if node.variable not in factor.free_variables()]
-        if not independent:
-            return node
-        inner: Expr = SumOver(node.variable, node.domain, _rebuild_product(dependent))
-        return BinOp("*", _rebuild_product(independent), inner)
 
     return _transform_bottom_up(expression, rule)
 

@@ -72,11 +72,6 @@ class AdditiveInequalityEvaluator:
     ) -> List[int]:
         return [self.count_above(weights, threshold, strict) for threshold in thresholds]
 
-    def sum_above_many(
-        self, weights: Sequence[float], thresholds: Sequence[float], strict: bool = True
-    ) -> List[np.ndarray]:
-        return [self.sum_above(weights, threshold, strict) for threshold in thresholds]
-
 
 class NaiveInequalityEvaluator(AdditiveInequalityEvaluator):
     """Per-query scan over the point set (pure Python inner loop).

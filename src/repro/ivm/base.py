@@ -114,6 +114,16 @@ def net_update_stream(
     return groups
 
 
+def largest_relation(database: Database, query: ConjunctiveQuery) -> str:
+    """The query relation with the most rows in ``database`` (ties: wider, then
+    later by name): the root of every maintainer's join tree, and the sharded
+    facade's fact relation, unless the caller names another."""
+    return max(
+        query.relation_names,
+        key=lambda name: (len(database.relation(name)), database.relation(name).arity, name),
+    )
+
+
 def recompute_covariance(
     query: ConjunctiveQuery,
     database: Database,
@@ -126,28 +136,25 @@ def recompute_covariance(
     :meth:`CovarianceMaintainer.recompute_statistics` and the sharded facade:
     the join result is read through its dictionary-encoded column store, so
     count, sums and the quadratic form are three matrix expressions over the
-    feature columns instead of a Python loop over tuples.
+    feature columns instead of a Python loop over tuples.  An empty join is
+    the ring's zero; a feature with a non-numeric value in the join raises
+    ``ValueError`` naming it.
     """
-    joined = query.evaluate(database)
-    store = joined.column_store()
-    columns = [store.float_column(feature) for feature in features]
-    if store.row_count and all(column is not None for column in columns):
-        weights = store.multiplicities
-        if columns:
-            data = np.stack(columns, axis=1)          # (rows, features)
-            weighted = data * weights[:, None]
-            return CovariancePayload(
-                float(weights.sum()), weighted.sum(axis=0), data.T @ weighted
-            )
+    store = query.evaluate(database).column_store()
+    if not store.row_count:
+        return ring.zero()
+    columns = []
+    for feature in features:
+        column = store.float_column(feature)
+        if column is None:
+            raise ValueError(f"feature {feature!r} has non-numeric values")
+        columns.append(column)
+    weights = store.multiplicities
+    if not columns:
         return CovariancePayload(float(weights.sum()), np.zeros(0), np.zeros((0, 0)))
-    names = joined.schema.names
-    positions = [names.index(feature) for feature in features]
-    total = ring.zero()
-    for row, multiplicity in joined.items():
-        vector = np.array([float(row[position]) for position in positions])
-        payload = CovariancePayload(1.0, vector.copy(), np.outer(vector, vector))
-        total = ring.add(total, ring.scale(payload, multiplicity))
-    return total
+    data = np.stack(columns, axis=1)          # (rows, features)
+    weighted = data * weights[:, None]
+    return CovariancePayload(float(weights.sum()), weighted.sum(axis=0), data.T @ weighted)
 
 
 class CovarianceMaintainer(abc.ABC):
@@ -163,7 +170,8 @@ class CovarianceMaintainer(abc.ABC):
         """Set up the maintained state.
 
         ``root_relation`` forces the join-tree root.  Otherwise the tree is
-        rooted at the relation with the most rows in ``schema_database``:
+        rooted at the relation with the most rows in ``schema_database``
+        (:func:`largest_relation`):
         for *maintenance* (as opposed to batch evaluation) the dominant cost
         is the leaf-to-root propagation distance weighted by each relation's
         update mass, and absent a workload trace the representative row
@@ -193,14 +201,7 @@ class CovarianceMaintainer(abc.ABC):
         hypergraph = query.hypergraph(schema_database)
         root = root_relation
         if root is None:
-            root = max(
-                query.relation_names,
-                key=lambda name: (
-                    len(schema_database.relation(name)),
-                    schema_database.relation(name).arity,
-                    name,
-                ),
-            )
+            root = largest_relation(schema_database, query)
         self.join_tree: JoinTree = build_join_tree(hypergraph, root=root)
         self._designation = self._designate_features()
         self._feature_positions = {

@@ -10,7 +10,7 @@ join's columns.  Every model counts a join row as often as its multiplicity.
 """
 
 from repro.ml.statistics import compute_sigma, sigma_from_data_matrix
-from repro.ml.linear_regression import RidgeRegression, train_ridge_regression
+from repro.ml.linear_regression import RidgeRegression
 from repro.ml.decision_tree import DecisionTreeRegressor, DecisionTreeClassifier
 from repro.ml.pca import PrincipalComponentAnalysis
 from repro.ml.kmeans import KMeans, RelationalKMeans
@@ -18,13 +18,11 @@ from repro.ml.factorization_machine import FactorizationMachine
 from repro.ml.svm import LinearSVM
 from repro.ml.chow_liu import ChowLiuTree, mutual_information_matrix
 from repro.ml.model_selection import ModelSelector
-from repro.ml.fd_reparam import FDReparameterization
 
 __all__ = [
     "compute_sigma",
     "sigma_from_data_matrix",
     "RidgeRegression",
-    "train_ridge_regression",
     "DecisionTreeRegressor",
     "DecisionTreeClassifier",
     "PrincipalComponentAnalysis",
@@ -35,5 +33,4 @@ __all__ = [
     "ChowLiuTree",
     "mutual_information_matrix",
     "ModelSelector",
-    "FDReparameterization",
 ]

@@ -19,9 +19,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix
-from repro.data.database import Database
-from repro.ml.statistics import compute_sigma
-from repro.query.conjunctive import ConjunctiveQuery
 
 
 @dataclass
@@ -224,24 +221,3 @@ class RidgeRegression:
         truth = np.array([float(row[self.target]) for row in rows])  # type: ignore[arg-type]
         return float(np.sqrt(np.mean((predictions - truth) ** 2)))
 
-
-def train_ridge_regression(
-    database: Database,
-    query: ConjunctiveQuery,
-    target: str,
-    continuous: Sequence[str],
-    categorical: Sequence[str] = (),
-    regularization: float = 1e-3,
-    closed_form: bool = False,
-    root_relation: Optional[str] = None,
-) -> Tuple[RidgeRegression, SigmaMatrix]:
-    """End-to-end structure-aware training: engine batch, then optimiser."""
-    if target not in continuous:
-        raise ValueError("the target must be listed among the continuous features")
-    sigma = compute_sigma(database, query, continuous, categorical, root_relation)
-    model = RidgeRegression(target, regularization)
-    if closed_form:
-        model.fit_closed_form(sigma)
-    else:
-        model.fit(sigma)
-    return model, sigma

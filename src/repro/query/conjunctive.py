@@ -104,10 +104,6 @@ class ConjunctiveQuery:
             joined = algebra.project(joined, output, name=self.name)
         return joined
 
-    def result_size(self, database: Database) -> int:
-        """Number of distinct tuples in the materialised result."""
-        return len(self.evaluate(database))
-
     def __str__(self) -> str:
         head = ", ".join(self.free_variables) if self.free_variables else "*"
         return f"{self.name}({head}) :- {' ⋈ '.join(self.relation_names)}"

@@ -30,25 +30,11 @@ class Hypergraph:
             result |= vertices
         return frozenset(result)
 
-    @property
-    def edge_names(self) -> Tuple[str, ...]:
-        return tuple(self.edges)
-
     def edge(self, name: str) -> FrozenSet[str]:
         return self.edges[name]
 
     def edges_containing(self, vertex: str) -> List[str]:
         return [name for name, vertices in self.edges.items() if vertex in vertices]
-
-    def restrict_to_vertices(self, keep: Iterable[str]) -> "Hypergraph":
-        """Induced sub-hypergraph on ``keep`` (empty edges are dropped)."""
-        keep_set = set(keep)
-        restricted = {
-            name: vertices & keep_set
-            for name, vertices in self.edges.items()
-            if vertices & keep_set
-        }
-        return Hypergraph(restricted)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -104,28 +90,3 @@ def is_acyclic(hypergraph: Hypergraph) -> bool:
     """Whether the hypergraph (query) is alpha-acyclic."""
     residual, _ = gyo_reduction(hypergraph)
     return len(residual) <= 1
-
-
-def connected_components(hypergraph: Hypergraph) -> List[List[str]]:
-    """Connected components of the hypergraph, as lists of edge names."""
-    names = list(hypergraph.edges)
-    parent = {name: name for name in names}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    def join(left: str, right: str) -> None:
-        parent[find(left)] = find(right)
-
-    for index, left in enumerate(names):
-        for right in names[index + 1:]:
-            if hypergraph.edges[left] & hypergraph.edges[right]:
-                join(left, right)
-
-    groups: Dict[str, List[str]] = {}
-    for name in names:
-        groups.setdefault(find(name), []).append(name)
-    return list(groups.values())

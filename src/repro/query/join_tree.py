@@ -54,12 +54,6 @@ class JoinTreeNode:
             nodes.extend(child.subtree_nodes())
         return nodes
 
-    def subtree_attributes(self) -> FrozenSet[str]:
-        attributes: Set[str] = set(self.attributes)
-        for child in self.children:
-            attributes |= child.subtree_attributes()
-        return frozenset(attributes)
-
     def connection_attributes(self) -> FrozenSet[str]:
         """Attributes shared with the parent (the node's outgoing join key)."""
         if self.parent is None:
@@ -122,26 +116,6 @@ class JoinTree:
 
         visit(self.root)
         return order
-
-    def attributes(self) -> FrozenSet[str]:
-        return self.root.subtree_attributes()
-
-    def path_to_root(self, relation_name: str) -> List[JoinTreeNode]:
-        """Nodes from the given relation up to (and including) the root."""
-        node: Optional[JoinTreeNode] = self.node(relation_name)
-        path = []
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        return path
-
-    def depth(self) -> int:
-        def node_depth(node: JoinTreeNode) -> int:
-            if not node.children:
-                return 1
-            return 1 + max(node_depth(child) for child in node.children)
-
-        return node_depth(self.root)
 
     # -- validation -------------------------------------------------------------------
 
@@ -235,19 +209,6 @@ class JoinTree:
                 for node in self.oriented(relation_name, towards).subtree_nodes()
             )
         return side
-
-    def render(self) -> str:
-        """ASCII rendering used in examples and documentation."""
-        lines: List[str] = []
-
-        def visit(node: JoinTreeNode, depth: int) -> None:
-            prefix = "  " * depth + ("- " if depth else "")
-            lines.append(f"{prefix}{node.relation_name} {sorted(node.attributes)}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
-        return "\n".join(lines)
 
 
 def build_join_tree(hypergraph: Hypergraph, root: Optional[str] = None) -> JoinTree:

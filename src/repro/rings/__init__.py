@@ -14,8 +14,6 @@ from repro.rings.numeric import (
     RealRing,
 )
 from repro.rings.covariance import CovarianceRing, CovariancePayload
-from repro.rings.relational import RelationalSemiring
-from repro.rings.product import ProductRing
 from repro.rings.groupby import GroupByRing
 
 __all__ = [
@@ -30,6 +28,4 @@ __all__ = [
     "MaxPlusSemiring",
     "CovarianceRing",
     "CovariancePayload",
-    "RelationalSemiring",
-    "ProductRing",
 ]

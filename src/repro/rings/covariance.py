@@ -140,21 +140,6 @@ class CovarianceRing(Ring):
         moments[feature_index, feature_index] = value * value
         return CovariancePayload(1.0, sums, moments)
 
-    def from_rows(self, rows: Sequence[Sequence[float]]) -> CovariancePayload:
-        """Aggregate an explicit data matrix into a single payload (reference)."""
-        total = self.zero()
-        for row in rows:
-            if len(row) != self.dimension:
-                raise ValueError(
-                    f"row has {len(row)} features, ring has dimension {self.dimension}"
-                )
-            vector = np.asarray(row, dtype=float)
-            total = self.add(
-                total,
-                CovariancePayload(1.0, vector.copy(), np.outer(vector, vector)),
-            )
-        return total
-
 
 class PayloadScratch:
     """Reusable ``(count, sums, moments)`` buffers for the per-tuple delta kernel.
@@ -245,14 +230,6 @@ class CovarianceBlock:
     def zeros(size: int, dimension: int) -> "CovarianceBlock":
         return CovarianceBlock(
             np.zeros(size),
-            np.zeros((size, dimension)),
-            np.zeros((size, dimension, dimension)),
-        )
-
-    @staticmethod
-    def ones(size: int, dimension: int) -> "CovarianceBlock":
-        return CovarianceBlock(
-            np.ones(size),
             np.zeros((size, dimension)),
             np.zeros((size, dimension, dimension)),
         )
@@ -491,14 +468,6 @@ class CovarianceBlock:
             self.counts.sum(keepdims=True),
             self.sums.sum(axis=0, keepdims=True),
             self.moments.sum(axis=0, keepdims=True),
-        )
-
-    def total(self) -> CovariancePayload:
-        """The ring sum of every row, as one scalar payload."""
-        return CovariancePayload(
-            float(self.counts.sum()),
-            self.sums.sum(axis=0),
-            self.moments.sum(axis=0),
         )
 
     def payload_at(self, index: int) -> CovariancePayload:

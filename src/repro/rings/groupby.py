@@ -82,7 +82,3 @@ class GroupByRing(Ring):
     def lift_value(self, value: Any) -> Dict[GroupKey, Any]:
         """Lift a numeric contribution with an empty group key."""
         return {frozenset(): value}
-
-    @staticmethod
-    def key_as_dict(key: GroupKey) -> Dict[str, object]:
-        return dict(key)

@@ -40,6 +40,7 @@ from repro.data.tuplestore import StatsCounters
 from repro.ivm.base import (
     Update,
     coerce_groups,
+    largest_relation,
     net_update_stream,
     recompute_covariance,
 )
@@ -69,8 +70,9 @@ class ShardedMaintainer:
         """Build ``shards`` private maintainers plus the routing layer.
 
         ``fact_relation`` defaults to the largest relation of
-        ``schema_database`` among the query's relations (the same
-        update-mass proxy that roots :class:`~repro.ivm.fivm.FIVM`).
+        ``schema_database`` among the query's relations
+        (:func:`~repro.ivm.base.largest_relation`, which also roots every
+        shard's :class:`~repro.ivm.fivm.FIVM`).
         ``shard_key`` defaults to the fact relation's first *join* attribute
         — one it shares with another relation of the query — and may name
         any subset of the fact schema.  Each shard is a
@@ -128,14 +130,7 @@ class ShardedMaintainer:
                     f"(relations: {sorted(query.relation_names)})"
                 )
             return fact_relation
-        return max(
-            query.relation_names,
-            key=lambda name: (
-                len(schema_database.relation(name)),
-                schema_database.relation(name).arity,
-                name,
-            ),
-        )
+        return largest_relation(schema_database, query)
 
     def _resolve_key(
         self,

@@ -55,15 +55,6 @@ def test_aggregate_constructors_and_accessors():
     assert sum_xy.filters_on("z")[0].op is FilterOp.GE
 
 
-def test_aggregate_to_sql_rendering():
-    aggregate = Aggregate.sum_of(["x", "y"], group_by=["g"], filters=[Filter("z", FilterOp.GE, 1)])
-    sql = aggregate.to_sql("Q")
-    assert "SUM(x*y)" in sql
-    assert "GROUP BY g" in sql
-    assert "z >= 1" in sql
-    assert "SUM(1)" in Aggregate.count().to_sql()
-
-
 def test_batch_summary_and_accessors():
     batch = AggregateBatch("demo")
     batch.add(Aggregate.count())

@@ -33,16 +33,6 @@ def test_project_accumulates_multiplicities(orders):
     assert projected.schema.names == ("dish",)
 
 
-def test_union_adds_multiplicities(orders):
-    doubled = algebra.union(orders, orders)
-    assert doubled.multiplicity(("joe", "hotdog")) == 2
-
-
-def test_union_requires_same_schema(orders, dishes):
-    with pytest.raises(SchemaError):
-        algebra.union(orders, dishes)
-
-
 def test_cartesian_product_multiplies(orders):
     tags = relation_from_rows("Tags", ["tag"], [("a",), ("b",)], categorical=["tag"])
     product = algebra.cartesian_product(orders, tags)
@@ -96,7 +86,6 @@ def test_every_result_is_one_batch(orders, dishes):
     joined = algebra.natural_join(orders, dishes)
     results = {
         "project": algebra.project(orders, ["dish"]),
-        "union": algebra.union(orders, orders),
         "cartesian_product": algebra.cartesian_product(orders, tags),
         "natural_join": joined,
         "natural_join_all": algebra.natural_join_all([orders, dishes, tags]),

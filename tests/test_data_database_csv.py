@@ -1,8 +1,8 @@
-"""Tests for Database, functional dependencies and CSV I/O."""
+"""Tests for Database and CSV I/O."""
 
 import pytest
 
-from repro.data import Database, FunctionalDependency, Relation, Schema, read_csv, write_csv
+from repro.data import Database, Relation, Schema, read_csv, write_csv
 from repro.data.relation import RelationError, relation_from_rows
 
 
@@ -15,7 +15,7 @@ def database():
     dishes = relation_from_rows(
         "Dishes", ["dish", "price"], [("burger", 8), ("hotdog", 5)], categorical=["dish"]
     )
-    return Database([orders, dishes], [FunctionalDependency.of("dish", "price")], name="diner")
+    return Database([orders, dishes], name="diner")
 
 
 def test_database_lookup_and_contains(database):
@@ -60,18 +60,6 @@ def test_copy_and_empty_copy(database):
     empty = database.empty_copy()
     assert all(len(relation) == 0 for relation in empty)
     assert empty.relation_names == database.relation_names
-
-
-def test_natural_join_of_database(database):
-    joined = database.natural_join()
-    assert len(joined) == 2
-    assert set(joined.schema.names) == {"customer", "dish", "price"}
-
-
-def test_functional_dependency_formatting(database):
-    dependency = database.functional_dependencies[0]
-    assert str(dependency) == "dish -> price"
-    assert FunctionalDependency.of(("a", "b"), "c").determinant == ("a", "b")
 
 
 def test_size_summary_and_total_tuples(database):

@@ -74,14 +74,6 @@ def test_empty_like_has_schema_but_no_rows(people):
     assert empty.schema.names == people.schema.names
 
 
-def test_from_columns_validates_lengths():
-    schema = Schema.from_names(["a", "b"])
-    with pytest.raises(RelationError):
-        Relation.from_columns("R", schema, {"a": [1], "b": [2, 3]})
-    with pytest.raises(RelationError):
-        Relation.from_columns("R", schema, {"a": [1]})
-
-
 def test_equality_ignores_name(people):
     clone = people.copy("Other")
     assert clone == people

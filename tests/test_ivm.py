@@ -11,6 +11,7 @@ from repro.data import Database, Relation, Schema
 from repro.datasets import retailer_database, retailer_query
 from repro.ivm import FIVM, Update
 from repro.query import ConjunctiveQuery
+from repro.sharding import ShardedMaintainer
 
 FEATURES = ["inventoryunits", "prize", "maxtemp"]
 STRATEGIES = [FIVM]
@@ -95,6 +96,57 @@ def test_unknown_feature_is_rejected(ivm_source):
     database, query = ivm_source
     with pytest.raises(ValueError):
         FIVM(database, query, ["no_such_feature"])
+
+
+# -- recomputation: the ground truth's edge cases ----------------------------------------
+
+#: Every maintainer with ``recompute_statistics``: the unsharded one and the
+#: sharded facade, which recomputes over its own base-relation copy.
+RECOMPUTING = {
+    "fivm": lambda database, query, features: FIVM(database, query, features),
+    "sharded-1": lambda database, query, features: ShardedMaintainer(
+        database, query, features, shards=1
+    ),
+    "sharded-2": lambda database, query, features: ShardedMaintainer(
+        database, query, features, shards=2
+    ),
+}
+
+
+def _fact_and_dimension():
+    schema_database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "x"], categorical_names=["k"])),
+            Relation("D", Schema.from_names(["k", "y"], categorical_names=["k"])),
+        ]
+    )
+    return schema_database, ConjunctiveQuery(["F", "D"])
+
+
+@pytest.mark.parametrize("kind", RECOMPUTING)
+@pytest.mark.parametrize(
+    "updates", [[], [Update("D", ("a", 2.0))]], ids=["no-rows", "dimension-only"]
+)
+def test_recompute_over_an_empty_join_is_the_ring_zero(kind, updates):
+    database, query = _fact_and_dimension()
+    maintainer = RECOMPUTING[kind](database, query, ["x", "y"])
+    maintainer.apply_batch(updates)
+    payload = maintainer.recompute_statistics()
+    assert payload.count == 0.0
+    assert np.array_equal(payload.sums, np.zeros(2))
+    assert np.array_equal(payload.moments, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kind", RECOMPUTING)
+def test_recompute_names_a_non_numeric_feature(kind):
+    database, query = _fact_and_dimension()
+    maintainer = RECOMPUTING[kind](database, query, ["x", "y"])
+    maintainer.apply_batch([Update("F", ("a", 1.0)), Update("D", ("a", 2.0))])
+    # Behind the maintainer's back: its lift would refuse the value first.
+    maintainer.database.relation("F").add(("b", "oops"))
+    maintainer.database.relation("D").add(("b", 3.0))
+    with pytest.raises(ValueError, match="feature 'x' has non-numeric values"):
+        maintainer.recompute_statistics()
 
 
 @st.composite

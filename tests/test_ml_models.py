@@ -15,7 +15,6 @@ from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     FactorizationMachine,
-    FDReparameterization,
     KMeans,
     LinearSVM,
     ModelSelector,
@@ -24,7 +23,6 @@ from repro.ml import (
     RidgeRegression,
     compute_sigma,
     mutual_information_matrix,
-    train_ridge_regression,
 )
 from repro.ml.decision_tree import _Fit
 from repro.ml.model_selection import training_mse
@@ -70,23 +68,6 @@ def test_sigma_via_engine_matches_sigma_via_data_matrix(retailer_setup):
     _db, _query, continuous, categorical, sigma, rows = retailer_setup
     reference = sigma_from_data_matrix(rows, continuous, categorical)
     assert np.allclose(sigma.matrix, reference.matrix)
-
-
-def test_train_ridge_regression_end_to_end(small_retailer, small_retailer_query):
-    model, sigma = train_ridge_regression(
-        small_retailer,
-        small_retailer_query,
-        target="inventoryunits",
-        continuous=["inventoryunits", "prize", "maxtemp"],
-        categorical=["category"],
-        closed_form=True,
-    )
-    assert sigma.dimension == 1 + 3 + 5  # intercept + continuous + categories
-    assert len(model.coefficients()) == sigma.dimension - 1
-    with pytest.raises(ValueError):
-        train_ridge_regression(
-            small_retailer, small_retailer_query, "prize", ["inventoryunits"], []
-        )
 
 
 def test_warm_start_converges_faster_than_cold(retailer_setup):
@@ -755,45 +736,6 @@ def test_mutual_information_of_dependent_attributes_is_higher(small_retailer, sm
         small_retailer, small_retailer_query, ["category", "zip"]
     )
     assert matrix[0, 1] >= 0.0
-
-
-# -- FD reparameterisation -----------------------------------------------------------------------------------------------
-
-
-def test_fd_reparameterisation_round_trip(small_retailer, small_retailer_query):
-    fd = FDReparameterization.from_database(small_retailer, "ksn", "category")
-    assert fd.mapping  # every sku maps to one category
-
-    continuous = ["inventoryunits", "prize"]
-    categorical_full = ["ksn", "category"]
-    sigma_full = compute_sigma(small_retailer, small_retailer_query, continuous, categorical_full)
-    full_model = RidgeRegression("inventoryunits", regularization=1e-6).fit_closed_form(sigma_full)
-
-    reduced_continuous, reduced_categorical = fd.reduced_feature_lists(continuous, categorical_full)
-    assert "category" not in reduced_categorical
-    sigma_reduced = compute_sigma(
-        small_retailer, small_retailer_query, reduced_continuous, reduced_categorical
-    )
-    reduced_model = RidgeRegression("inventoryunits", regularization=1e-6).fit_closed_form(sigma_reduced)
-
-    assert fd.parameter_savings(sigma_full) == len(sigma_full.index.positions_of_feature("category"))
-    recovered = fd.recover_full_model(reduced_model, sigma_reduced)
-    assert any(name.startswith("category=") for name in recovered)
-
-    joined = small_retailer_query.evaluate(small_retailer)
-    rows = [dict(zip(joined.schema.names, row)) for row in joined.sample_rows(100, seed=2)]
-    # The reduced model predicts (numerically) as well as the full one.
-    assert reduced_model.rmse(rows) == pytest.approx(full_model.rmse(rows), rel=0.05, abs=0.5)
-
-
-def test_fd_violation_is_detected():
-    from repro.data.relation import relation_from_rows
-
-    relation = relation_from_rows(
-        "R", ["city", "country"], [("paris", "fr"), ("paris", "de")], categorical=["city", "country"]
-    )
-    with pytest.raises(ValueError):
-        FDReparameterization.from_relation(relation, "city", "country")
 
 
 # -- inequality evaluators (property) ----------------------------------------------------------------------------------------

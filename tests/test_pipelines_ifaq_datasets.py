@@ -18,7 +18,6 @@ from repro.ifaq import (
     Var,
     compile_and_run,
     evaluate,
-    factor_out_invariant,
     hoist_invariant_lets,
 )
 from repro.ifaq.transforms import specialize_field_access
@@ -130,17 +129,6 @@ def test_hoist_keeps_state_dependent_lets_inside():
         Let("c", BinOp("*", Var("state"), Const(2.0)), Var("c")),
     )
     assert isinstance(hoist_invariant_lets(loop), IterateLoop)
-
-
-def test_factor_out_invariant_preserves_value():
-    domain = Const({1: None, 2: None, 3: None})
-    original = SumOver("x", domain, BinOp("*", Var("a"), Var("x")))
-    factored = factor_out_invariant(original)
-    assert isinstance(factored, BinOp) and factored.op == "*"
-    environment = {"a": 4.0}
-    before, after = OperationCounter(), OperationCounter()
-    assert evaluate(original, environment, before) == evaluate(factored, environment, after)
-    assert after.arithmetic < before.arithmetic
 
 
 def test_specialize_field_access_changes_lookup_kind():

@@ -45,9 +45,8 @@ def test_gyo_reduction_eliminates_all_but_one_edge_for_acyclic():
 def test_hypergraph_accessors():
     assert TRIANGLE.vertices == frozenset({"a", "b", "c"})
     assert set(TRIANGLE.edges_containing("a")) == {"R", "T"}
-    restricted = TRIANGLE.restrict_to_vertices({"a", "b"})
-    assert restricted.edge("R") == frozenset({"a", "b"})
-    assert len(restricted) == 3  # T keeps its 'a' vertex
+    assert TRIANGLE.edge("R") == frozenset({"a", "b"})
+    assert len(TRIANGLE) == 3
 
 
 # -- join trees --------------------------------------------------------------------------------

@@ -73,14 +73,37 @@ def _after():
     return 2
 
 
+def _outer_hook(_frame, _event, _arg):
+    return None
+
+
 def test_profiled_records_calls_in_threads_and_unsets_its_hook():
-    called = set()
-    with reachability._profiled(called):
-        # Only the thread calls _traced: seeing it proves the thread hook.
-        worker = threading.Thread(target=_traced)
-        worker.start()
-        worker.join()
-    _after()
-    assert (_traced.__code__.co_filename, _traced.__code__.co_firstlineno) in called
-    assert (_after.__code__.co_filename, _after.__code__.co_firstlineno) not in called
-    assert sys.getprofile() is None
+    # Whatever profiles this run (a trace of the suite itself) is set aside,
+    # so that the first block starts with no hook at all, and put back last.
+    saved, saved_threads = sys.getprofile(), threading.getprofile()
+    sys.setprofile(None)
+    threading.setprofile(None)
+    try:
+        called = set()
+        with reachability._profiled(called):
+            # Only the thread calls _traced: seeing it proves the thread hook.
+            worker = threading.Thread(target=_traced)
+            worker.start()
+            worker.join()
+        _after()
+        assert (_traced.__code__.co_filename, _traced.__code__.co_firstlineno) in called
+        assert (_after.__code__.co_filename, _after.__code__.co_firstlineno) not in called
+        assert sys.getprofile() is None
+
+        # An outer hook is put back, not cleared, for this thread and new ones.
+        sys.setprofile(_outer_hook)
+        threading.setprofile(_outer_hook)
+        inner = set()
+        with reachability._profiled(inner):
+            _traced()
+        assert (_traced.__code__.co_filename, _traced.__code__.co_firstlineno) in inner
+        assert sys.getprofile() is _outer_hook
+        assert threading.getprofile() is _outer_hook
+    finally:
+        sys.setprofile(saved)
+        threading.setprofile(saved_threads)

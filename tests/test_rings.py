@@ -12,9 +12,7 @@ from repro.rings import (
     GroupByRing,
     IntegerRing,
     MaxPlusSemiring,
-    ProductRing,
     RealRing,
-    RelationalSemiring,
     check_ring_axioms,
     check_semiring_axioms,
 )
@@ -79,16 +77,6 @@ def test_covariance_ring_axioms(elements):
     assert check_ring_axioms(ring, elements) == []
 
 
-def test_covariance_ring_from_rows_matches_numpy():
-    ring = CovarianceRing(3)
-    rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.5, -1.0, 2.0]]
-    payload = ring.from_rows(rows)
-    matrix = np.array(rows)
-    assert payload.count == 3
-    assert np.allclose(payload.sums, matrix.sum(axis=0))
-    assert np.allclose(payload.moments, matrix.T @ matrix)
-
-
 def test_covariance_ring_lift_and_product_is_one_tuple():
     ring = CovarianceRing(2)
     combined = ring.multiply(ring.lift(0, 3.0), ring.lift(1, 4.0))
@@ -103,8 +91,6 @@ def test_covariance_ring_lift_bounds():
         ring.lift(2, 1.0)
     with pytest.raises(ValueError):
         CovarianceRing(-1)
-    with pytest.raises(ValueError):
-        ring.from_rows([[1.0]])
 
 
 # -- group-by ring -----------------------------------------------------------------------------------
@@ -145,42 +131,3 @@ def test_groupby_ring_product_combines_disjoint_attributes():
     right = ring.lift_group("h", "x")
     product = ring.multiply(left, right)
     assert product == {frozenset({("g", "a"), ("h", "x")}): 1.0}
-
-
-# -- relational semiring ------------------------------------------------------------------------------
-
-
-def test_relational_semiring_zero_one_behaviour():
-    semiring = RelationalSemiring()
-    singleton = RelationalSemiring.singleton("a", 1)
-    assert semiring.equal(semiring.add(semiring.zero(), singleton), singleton)
-    assert semiring.equal(semiring.multiply(semiring.one(), singleton), singleton)
-    assert len(semiring.multiply(semiring.zero(), singleton)) == 0
-
-
-def test_relational_semiring_distributivity_example():
-    semiring = RelationalSemiring()
-    r1 = RelationalSemiring.singleton("a", 1)
-    r2 = RelationalSemiring.singleton("a", 2)
-    s = RelationalSemiring.singleton("b", 9)
-    left = semiring.multiply(semiring.add(r1, r2), s)
-    right = semiring.add(semiring.multiply(r1, s), semiring.multiply(r2, s))
-    assert semiring.equal(left, right)
-    assert len(left) == 2
-
-
-# -- product ring --------------------------------------------------------------------------------------
-
-
-@given(st.lists(st.tuples(small_ints, small_floats), min_size=3, max_size=3))
-def test_product_ring_axioms(elements):
-    ring = ProductRing([IntegerRing(), RealRing()])
-    assert check_ring_axioms(ring, elements) == []
-
-
-def test_product_ring_requires_factor_rings_for_negation():
-    ring = ProductRing([CountingSemiring()])
-    with pytest.raises(TypeError):
-        ring.negate((1,))
-    with pytest.raises(ValueError):
-        ProductRing([])

@@ -19,6 +19,7 @@ The load-bearing claims, each pinned here:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -28,9 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import datasets
 from repro.aggregates import covariance_batch
 from repro.datasets import RETAILER_FEATURES, retailer_database, retailer_query
 from repro.datasets._synthetic import ZipfSampler, skewed_update_stream
+from repro.durability import DurabilityOptions, recover
 from repro.ivm import FIVM, Update
 from repro.kernels import enable_kernel_stats, reset_kernel_stats
 from repro.serving import QueryServer
@@ -397,6 +400,74 @@ def test_a_raising_shard_leaves_the_base_copy_untouched(retailer_source):
             [Update("Inventory", fact[0], 1), Update("Inventory", unliftable, 1)]
         )
     assert contents() == before
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_apply_lands_where_a_one_update_batch_does(retailer_source, shards):
+    database, query = retailer_source
+    stream = random_update_stream(database, seed=58, length=90, cancel_fraction=0.3)
+    single = ShardedMaintainer(database, query, FEATURES, shards=shards)
+    batched = ShardedMaintainer(database, query, FEATURES, shards=shards)
+    for update in stream:
+        single.apply(update)
+        batched.apply_batch([update])
+    assert _payloads_identical(single.statistics(), batched.statistics())
+    for relation in single.database:
+        assert dict(relation.items()) == dict(batched.database.relation(relation.name).items())
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_durable_sharded_server_recovers_bitwise(tmp_path, retailer_source, shards):
+    """A durable QueryServer over the sharded facade, dropped without
+    close(), recovers to the bits of an uninterrupted sharded run."""
+    database, query = retailer_source
+
+    def sharded():
+        return ShardedMaintainer(database, query, FEATURES, shards=shards)
+
+    stream = random_update_stream(
+        database, seed=60 + shards, length=300, delete_fraction=0.35, cancel_fraction=0.3
+    )[:300]
+    batches = [stream[start : start + 30] for start in range(0, len(stream), 30)]
+    uninterrupted = sharded()
+    for batch in batches:
+        uninterrupted.apply_batch(batch)
+
+    options = DurabilityOptions(tmp_path, sync="batch", checkpoint_interval=3)
+    server = QueryServer(sharded(), readers=1, durability=options)
+    for batch in batches:
+        server.apply_batch(batch)
+    # The unclean stop: the last periodic checkpoint is after batch 9, so
+    # recovery replays batch 10 from the journal on top of it.
+    del server
+    gc.collect()
+    assert recover(options).replayed_batches == len(batches) % 3 == 1
+    revived = QueryServer.recover(options, maintainer_factory=sharded, readers=1)
+    try:
+        assert revived.prefix == len(batches)
+        assert isinstance(revived.maintainer, ShardedMaintainer)
+        assert _payloads_identical(revived.statistics().value, uninterrupted.statistics())
+    finally:
+        revived.close()
+
+
+@pytest.mark.parametrize(
+    "dataset, build",
+    [
+        ("retailer", lambda: datasets.retailer_database(inventory_rows=300, seed=7)),
+        ("favorita", lambda: datasets.favorita_database(sales_rows=300)),
+        ("yelp", lambda: datasets.yelp_database(review_rows=300)),
+        ("tpcds", lambda: datasets.tpcds_database(sales_rows=300)),
+    ],
+)
+def test_default_fact_relation_is_the_maintainers_root(dataset, build):
+    """The facade routes by the relation its shards are rooted at."""
+    database = build()
+    query = getattr(datasets, f"{dataset}_query")()
+    features = getattr(datasets, f"{dataset.upper()}_FEATURES")["continuous"]
+    facade = ShardedMaintainer(database, query, features, shards=2)
+    root = FIVM(database, query, features).join_tree.root.relation_name
+    assert facade.fact_relation == root == facade.join_tree.root.relation_name
 
 
 def test_bad_configuration_raises(retailer_source):

@@ -79,14 +79,17 @@ def _recorder(called: Called):
 
 @contextlib.contextmanager
 def _profiled(called: Called) -> Iterator[None]:
+    """Record calls while the block runs, then put back the hooks it replaced
+    (an outer profiler, such as a trace of the test suite, keeps running)."""
+    outer, outer_threads = sys.getprofile(), threading.getprofile()
     hook = _recorder(called)
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
         yield
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(outer)
+        threading.setprofile(outer_threads)
 
 
 def _quietly(action) -> str:
