@@ -96,9 +96,6 @@ class InequalityCondition:
     def attributes(self) -> Tuple[str, ...]:
         return tuple(attribute for attribute, _weight in self.weights)
 
-    def weight_map(self) -> Dict[str, float]:
-        return dict(self.weights)
-
     def test(self, row: Mapping[str, object]) -> bool:
         total = sum(weight * float(row[attribute]) for attribute, weight in self.weights)  # type: ignore[arg-type]
         return total > self.threshold if self.strict else total >= self.threshold

@@ -42,7 +42,7 @@ from typing import (
 
 import numpy as _np
 
-from repro.aggregates.spec import Filter, FilterOp
+from repro.aggregates.spec import Filter, FilterOp, InequalityCondition
 from repro.data.colstore import ColumnEncoding, ColumnStore, combine_codes
 from repro.data.relation import Relation
 from repro.engine.deltas import match_key_columns as _match_key_columns
@@ -828,18 +828,57 @@ def filter_family_values(
     ``view`` is the root view of the family's aggregate, grouped by
     ``attribute`` on top of the members' ``group_by``; a member is a masked
     sum over the view's entries whose attribute value its condition accepts.
-    The mask selects with ``np.where``, so an ``inf`` or ``NaN`` entry the
-    condition rejects stays out, as rows it rejects stay out of a view of
-    the member's own; a member's group exists iff one of its accepted
-    entries does.
     """
     group_ids, accepted = view.bundle.accepted(attribute, tuple(conditions), view.present)
+    return _masked_values(view, group_ids, accepted, group_by)
+
+
+def inequality_value(
+    view: ColumnarView, condition: InequalityCondition, group_by: Sequence[str]
+) -> Union[float, Dict[Tuple, float]]:
+    """An additive-inequality aggregate's value, read off its root view.
+
+    ``view`` is grouped by the condition's attributes on top of ``group_by``
+    (:func:`repro.engine.plan.planned_group_by`).  The condition is tested
+    once per distinct group key, summed in :meth:`InequalityCondition.test`'s
+    order (a ``NaN`` fails it); a non-numeric value raises ``ValueError``.
+    """
+    group_ids = view.bundle.group_ids
+    if view.present is not None:
+        group_ids = group_ids[view.present]
+    distinct, inverse = _np.unique(group_ids, return_inverse=True)
+    group_keys = view.bundle.group_keys
+    assignments = [dict(group_keys[group_id]) for group_id in distinct.tolist()]
+    total = _np.zeros(len(assignments))
+    with _np.errstate(invalid="ignore", over="ignore"):
+        for attribute, weight in condition.weights:
+            try:
+                total += weight * _np.array([float(a[attribute]) for a in assignments])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"inequality {condition}: attribute {attribute!r} is not numeric"
+                ) from None
+        accepted = total > condition.threshold if condition.strict else total >= condition.threshold
+    return _masked_values(view, group_ids, accepted[inverse][None, :], group_by)[0]
+
+
+def _masked_values(
+    view: ColumnarView,
+    group_ids: _np.ndarray,
+    accepted: _np.ndarray,
+    group_by: Sequence[str],
+) -> List[Union[float, Dict[Tuple, float]]]:
+    """Per boolean row of ``accepted`` (over the present entries, whose group
+    ids are ``group_ids``), the masked sum of a root view, scalar or keyed by
+    ``group_by``.  ``np.where`` keeps a rejected ``inf``/``NaN`` entry out,
+    and a group exists iff one of its accepted entries does.
+    """
     sums = view.sums if view.present is None else view.sums[view.present]
     if not group_by:
         return _np.where(accepted, sums, 0.0).sum(axis=1).tolist()
     if not group_ids.size:
-        return [{} for _condition in conditions]
-    # Per group id, the member's key: its group-by values in its own order.
+        return [{} for _mask in accepted]
+    # Per group id, the key: its group-by values in the order asked for.
     keys: Dict[Tuple, int] = {}
     key_of_group = _np.fromiter(
         (

@@ -10,7 +10,9 @@ over a feature-extraction query without materialising the join:
    deduplicate identical signatures per direction (sharing);
 3. evaluate views bottom-up, sharing the scan of each relation across the
    views it computes for one neighbour;
-4. assemble each aggregate's value at its root.
+4. assemble each aggregate's value at its root — an additive inequality's
+   too: it is planned grouped by the condition's attributes, and the
+   condition is tested once per entry of its root view.
 
 Specialisation (the vectorised columnar executor) and sharing are always on
 and one thread evaluates a batch; the Figure-6 steps that take the former
@@ -27,9 +29,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.engine.executor import ColumnarView, compute_node_views, filter_family_values
+from repro.engine.executor import (
+    ColumnarView, compute_node_views, filter_family_values, inequality_value,
+)
 from repro.engine.plan import BatchPlan, Direction, ViewSignature, plan_batch
-from repro.engine.naive import evaluate_aggregate_over_rows
 from repro.engine.statistics import RootChoice, choose_root, grouping_pays
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
@@ -103,10 +106,8 @@ class BatchResult:
         if self.values.keys() != other.values.keys():
             raise ValueError("minus() needs two results over the same aggregate names")
         started = time.perf_counter()
-        # The names evaluate() gave: pushed-down aggregates first, in batch
-        # order, then those it evaluated over the join.
         names: Dict[str, Aggregate] = {}
-        for aggregate in sorted(self.batch, key=lambda a: a.inequality is not None):
+        for aggregate in self.batch:
             names[_unique_name(aggregate, names)] = aggregate
         counts = {name for name, aggregate in names.items() if not aggregate.product}
         values: Dict[str, AggregateValue] = {}
@@ -220,23 +221,23 @@ class LMFAOEngine:
         answers: Dict[int, AggregateValue] = {}
         for decomposition in plan.decompositions:
             root_view = views[(decomposition.root, None, decomposition.root_signature)]
-            family = decomposition.family
-            if family is None:
-                answers[id(decomposition.aggregate)] = self._extract(
-                    decomposition.aggregate, root_view.group_items(), root_view.group_attrs
+            aggregate, family = decomposition.aggregate, decomposition.family
+            if family is not None:
+                members, conditions = zip(*family.members)
+                answers.update(zip(map(id, members), filter_family_values(
+                    root_view, family.attribute, members[0].group_by, conditions
+                )))
+            elif aggregate.inequality is not None:
+                answers[id(aggregate)] = inequality_value(
+                    root_view, aggregate.inequality, aggregate.group_by
                 )
-                continue
-            members, conditions = zip(*family.members)
-            answers.update(zip(map(id, members), filter_family_values(
-                root_view, family.attribute, members[0].group_by, conditions
-            )))
+            else:
+                answers[id(aggregate)] = self._extract(
+                    aggregate, root_view.group_items(), root_view.group_attrs
+                )
         values: Dict[str, AggregateValue] = {}
         for aggregate in batch:
-            if aggregate.inequality is None:
-                values[_unique_name(aggregate, values)] = answers[id(aggregate)]
-
-        if plan.unsupported:
-            self._evaluate_unsupported(plan.unsupported, values)
+            values[_unique_name(aggregate, values)] = answers[id(aggregate)]
 
         elapsed = time.perf_counter() - started
         return BatchResult(
@@ -321,22 +322,3 @@ class LMFAOEngine:
             key = tuple(assignment[attribute] for attribute in aggregate.group_by)
             result[key] = result.get(key, 0.0) + value
         return result
-
-    def _evaluate_unsupported(
-        self, aggregates: Sequence[Aggregate], values: Dict[str, AggregateValue]
-    ) -> None:
-        """Fallback for additive-inequality aggregates: evaluate over the join.
-
-        Inequality conditions mix attributes of several relations and cannot be
-        pushed past the joins by this engine; Section 2.3's dedicated
-        algorithms live in :mod:`repro.inequality`.
-        """
-        joined = self.query.evaluate(self.database)
-        names = joined.schema.names
-        rows = [
-            (dict(zip(names, row)), multiplicity) for row, multiplicity in joined.items()
-        ]
-        for aggregate in aggregates:
-            values[_unique_name(aggregate, values)] = evaluate_aggregate_over_rows(
-                aggregate, rows
-            )

@@ -23,6 +23,7 @@ from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.executor import EMPTY_GROUP, ColumnarView, restrict_signature
+from repro.engine.lmfao import _unique_name
 from repro.engine.plan import ViewSignature
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTreeNode
@@ -276,13 +277,9 @@ class MaterializedJoinEngine:
         values: Dict[str, AggregateValue] = {}
         started = time.perf_counter()
         for aggregate in batch:
-            name = aggregate.name or "aggregate"
-            if name in values:
-                suffix = 2
-                while f"{name}#{suffix}" in values:
-                    suffix += 1
-                name = f"{name}#{suffix}"
-            values[name] = evaluate_aggregate_over_rows(aggregate, self._rows)
+            values[_unique_name(aggregate, values)] = evaluate_aggregate_over_rows(
+                aggregate, self._rows
+            )
         aggregate_seconds = time.perf_counter() - started
 
         return NaiveBatchResult(

@@ -26,13 +26,15 @@ Before any of that, aggregates that differ only in one condition on one
 attribute — a CART node's eight thresholds of a feature — are planned as one
 :class:`FilterFamily` where the statistics say grouping pays: one aggregate
 additionally grouped by that attribute, whose root view answers every
-member.
+member.  An additive inequality (Section 2.3) mixes relations and is not
+pushed past a join: its aggregate is planned grouped by the condition's
+attributes (:func:`planned_group_by`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -92,6 +94,8 @@ class FilterFamily:
 class AggregateDecomposition:
     """Where each attribute of one aggregate is handled in the join tree."""
 
+    #: The batch's aggregate, or a family's grouped one; the signatures follow
+    #: its :func:`planned_group_by`.
     aggregate: Aggregate
     #: relation name -> signature at that node, the tree hanging from ``root``
     #: (in that tree's pre-order).
@@ -117,7 +121,6 @@ class BatchPlan:
     designation: Dict[str, str]                               # attribute -> relation name
     decompositions: List[AggregateDecomposition]
     views: Dict[Direction, List[ViewSignature]]               # direction -> distinct signatures
-    unsupported: List[Aggregate] = field(default_factory=list)
     #: The plan estimate of the chosen root assignment and of rooting the whole
     #: batch at the tree's root (None when planned without row counts).
     estimated_cost: Optional[float] = None
@@ -174,7 +177,6 @@ class BatchPlan:
             "views": self.total_views,
             "views_without_sharing": self.total_views_without_sharing,
             "sharing_factor": round(self.sharing_factor(), 2),
-            "unsupported": len(self.unsupported),
             "roots": self.roots,
         }
         if self.estimated_cost is not None:
@@ -230,6 +232,16 @@ def _canonical_filters(filters: Tuple[Filter, ...]) -> Tuple[Filter, ...]:
     return filters
 
 
+def planned_group_by(aggregate: Aggregate) -> Tuple[str, ...]:
+    """The group-by ``aggregate`` is planned with: its own, plus its
+    inequality's attributes, which :func:`repro.engine.executor.inequality_value`
+    tests once per entry of the root view."""
+    group_by = aggregate.group_by
+    if aggregate.inequality is None:
+        return group_by
+    return group_by + tuple(a for a in aggregate.inequality.attributes if a not in group_by)
+
+
 def _canonical_parts(aggregate: Aggregate) -> Tuple[Tuple, Tuple, Tuple]:
     """The aggregate's product, group-by and filters in signature form.
 
@@ -242,7 +254,7 @@ def _canonical_parts(aggregate: Aggregate) -> Tuple[Tuple, Tuple, Tuple]:
     """
     return (
         _canonical_product(aggregate.product),
-        tuple(sorted(aggregate.group_by)),
+        tuple(sorted(planned_group_by(aggregate))),
         _canonical_filters(aggregate.filters),
     )
 
@@ -305,7 +317,7 @@ class _Decomposer:
         Raises ``KeyError`` for an attribute the query does not have.
         """
         products, groups, filters = self._part_ids
-        raw = (aggregate.product, aggregate.group_by, aggregate.filters)
+        raw = (aggregate.product, planned_group_by(aggregate), aggregate.filters)
         ids = (products.get(raw[0]), groups.get(raw[1]), filters.get(raw[2]))
         if None in ids:
             canonical = _canonical_parts(aggregate)
@@ -524,6 +536,9 @@ def _filter_families(
     shared: Dict[Tuple[Filter, ...], int] = {}
     options: List[List[Tuple[Tuple, Filter]]] = []
     for aggregate in aggregates:
+        if aggregate.inequality is not None:   # read off its own grouped root view
+            options.append([])
+            continue
         keyed = dropped.get(aggregate.filters)
         if keyed is None:
             filters = _canonical_filters(aggregate.filters)
@@ -579,9 +594,8 @@ def plan_batch(
 
     The signatures per direction are deduplicated across the batch (LMFAO's
     sharing); an engine without sharing is modelled by planning one
-    aggregate at a time.  Aggregates with additive-inequality conditions
-    cannot be pushed past joins and are reported in ``unsupported`` so the
-    engine can fall back to evaluation over the join for them.
+    aggregate at a time.  An aggregate with an additive inequality is
+    planned grouped by :func:`planned_group_by` and joins no family.
 
     With ``groups_well`` — ``(relation, attribute, members) -> bool``, the
     cost choice of :func:`~repro.engine.statistics.grouping_pays` over the
@@ -604,13 +618,11 @@ def plan_batch(
     designation = designate_attributes(join_tree)
     default_root = join_tree.root.relation_name
     decomposer = _Decomposer(join_tree, designation)
-    supported = [aggregate for aggregate in batch if aggregate.inequality is None]
-    unsupported = [aggregate for aggregate in batch if aggregate.inequality is not None]
     try:
         planned: List[Tuple[Aggregate, Optional[FilterFamily]]] = (
-            [(aggregate, None) for aggregate in supported]
+            [(aggregate, None) for aggregate in batch]
             if groups_well is None
-            else _filter_families(supported, designation, groups_well)
+            else _filter_families(list(batch), designation, groups_well)
         )
         while True:
             parts = [decomposer.intern(aggregate) for aggregate, _family in planned]
@@ -648,7 +660,7 @@ def plan_batch(
                 )
             ]
     except KeyError:
-        for aggregate in supported:
+        for aggregate in batch:
             missing = [a for a in aggregate.attributes() if a not in designation]
             if missing:
                 raise ValueError(
@@ -676,7 +688,6 @@ def plan_batch(
             for (aggregate, family), root, decomposition in zip(planned, roots, serials)
         ],
         views=planned_views,
-        unsupported=unsupported,
         estimated_cost=estimated_cost,
         single_root_cost=single_root_cost,
     )

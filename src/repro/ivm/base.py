@@ -31,8 +31,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.aggregates.batch import covariance_batch
+from repro.aggregates.sparse_tensor import sigma_from_batch_results
 from repro.data.database import Database
 from repro.data.tuplestore import net_rows
+from repro.engine.lmfao import LMFAOEngine
 from repro.kernels import kernel_stats, kernel_stats_enabled
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
@@ -130,31 +133,26 @@ def recompute_covariance(
     features: Sequence[str],
     ring: CovarianceRing,
 ) -> CovariancePayload:
-    """Evaluate ``query`` over ``database`` and lift the result into the ring.
+    """The covariance statistics of ``query`` over ``database``, from scratch.
 
-    The from-scratch ground truth shared by
-    :meth:`CovarianceMaintainer.recompute_statistics` and the sharded facade:
-    the join result is read through its dictionary-encoded column store, so
-    count, sums and the quadratic form are three matrix expressions over the
-    feature columns instead of a Python loop over tuples.  An empty join is
-    the ring's zero; a feature with a non-numeric value in the join raises
-    ``ValueError`` naming it.
+    The ground truth shared by :meth:`CovarianceMaintainer.recompute_statistics`
+    and the sharded facade: one :func:`~repro.aggregates.batch.covariance_batch`
+    evaluated by :class:`~repro.engine.lmfao.LMFAOEngine`, which never
+    materialises the join.  An empty join is the ring's zero; a feature with
+    a non-numeric value in a relation of the query raises ``ValueError``
+    naming it.
     """
-    store = query.evaluate(database).column_store()
-    if not store.row_count:
-        return ring.zero()
-    columns = []
     for feature in features:
-        column = store.float_column(feature)
-        if column is None:
+        if any(
+            feature in relation.schema.names and relation.column_store().float_column(feature) is None
+            for relation in map(database.relation, query.relation_names)
+        ):
             raise ValueError(f"feature {feature!r} has non-numeric values")
-        columns.append(column)
-    weights = store.multiplicities
-    if not columns:
-        return CovariancePayload(float(weights.sum()), np.zeros(0), np.zeros((0, 0)))
-    data = np.stack(columns, axis=1)          # (rows, features)
-    weighted = data * weights[:, None]
-    return CovariancePayload(float(weights.sum()), weighted.sum(axis=0), data.T @ weighted)
+    values = LMFAOEngine(database, query).evaluate(covariance_batch(features)).values
+    sigma = sigma_from_batch_results(values, features).matrix      # the intercept first
+    if not sigma[0, 0]:
+        return ring.zero()
+    return CovariancePayload(float(sigma[0, 0]), sigma[0, 1:].copy(), sigma[1:, 1:].copy())
 
 
 class CovarianceMaintainer(abc.ABC):

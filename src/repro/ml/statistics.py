@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.aggregates.batch import covariance_batch
+from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix, sigma_from_batch_results
 from repro.data.database import Database
 from repro.engine.lmfao import LMFAOEngine
@@ -39,22 +40,24 @@ def compute_sigma(
 def join_columns(
     database: Database, query: ConjunctiveQuery, attributes: Sequence[str]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The join's float columns, one row per distinct join row, and its multiplicities.
-
-    The bag join :func:`repro.ivm.base.recompute_covariance` reads: a row of
-    multiplicity ``m`` stands for ``m`` join tuples, as in the engine's counts.
-    Raises ``ValueError`` when the join is empty or an attribute is not numeric.
+    """The join's float columns, one row per distinct value combination, and
+    its multiplicities: one ``COUNT(*) GROUP BY attributes`` on the engine, so
+    a row of multiplicity ``m`` stands for ``m`` join tuples.  Raises
+    ``ValueError`` when the join is empty or an attribute is not numeric.
     """
-    store = query.evaluate(database).column_store()
-    if not store.row_count:
+    grouped = list(dict.fromkeys(attributes))
+    batch = AggregateBatch("join columns", [Aggregate.count(group_by=grouped, name="rows")])
+    counts = LMFAOEngine(database, query).evaluate(batch).grouped("rows")
+    if not counts:
         raise ValueError(f"the join {query.name!r} is empty: there is nothing to train on")
     columns = []
     for attribute in attributes:
-        column = store.float_column(attribute)
-        if column is None:
-            raise ValueError(f"feature {attribute!r} has non-numeric values")
-        columns.append(column)
-    return np.stack(columns, axis=1), store.multiplicities.astype(np.int64)
+        position = grouped.index(attribute)
+        try:
+            columns.append([float(key[position]) for key in counts])
+        except (TypeError, ValueError):
+            raise ValueError(f"feature {attribute!r} has non-numeric values") from None
+    return np.column_stack(columns), np.array(list(counts.values())).astype(np.int64)
 
 
 def one_hot_rows(

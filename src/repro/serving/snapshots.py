@@ -47,12 +47,14 @@ class SnapshotRelation:
     """A read-only relation façade over one pinned columnar snapshot.
 
     Exposes exactly the surface the engine's evaluation path consumes —
-    ``schema``/``version``/``column_store()``/``items()`` — backed by the
+    ``schema``/``version``/``len``/``column_store()`` — backed by the
     generation's pinned :class:`~repro.data.colstore.ColumnStore` instead of
-    live storage.  Mutation is structurally impossible (there is no store
-    reference here).  A relation unchanged across generations hands every
-    one of them the same snapshot, so reads of any of them share what the
-    engine derived from it (:attr:`~repro.data.colstore.ColumnStore.derived`).
+    live storage; its rows, when a reader wants them, are the snapshot's
+    (``column_store().rows``).  Mutation is structurally impossible (there
+    is no store reference here).  A relation unchanged across generations
+    hands every one of them the same snapshot, so reads of any of them
+    share what the engine derived from it
+    (:attr:`~repro.data.colstore.ColumnStore.derived`).
     """
 
     __slots__ = ("name", "schema", "version", "_snapshot", "_live")
@@ -64,30 +66,11 @@ class SnapshotRelation:
         self._snapshot = snapshot
         self._live = live
 
-    @property
-    def arity(self) -> int:
-        return len(self.schema)
-
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        return self.schema.names
-
     def __len__(self) -> int:
         return self._live
 
     def column_store(self):
         return self._snapshot
-
-    def items(self) -> Iterator[Tuple[Tuple, int]]:
-        """The ``(row, multiplicity)`` pairs of the pinned (dense) snapshot,
-        its rows decoded from the pinned codes (see ``ColumnStore.rows``)."""
-        snapshot = self._snapshot
-        for row, multiplicity in zip(snapshot.rows, snapshot.multiplicities.tolist()):
-            yield row, int(multiplicity)
-
-    def __iter__(self) -> Iterator[Tuple]:
-        for row, _multiplicity in self.items():
-            yield row
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -109,24 +92,8 @@ class SnapshotDatabase:
         except KeyError:
             raise KeyError(f"no relation {name!r} in snapshot database {self.name!r}")
 
-    def __getitem__(self, name: str) -> SnapshotRelation:
-        return self.relation(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations
-
     def __iter__(self) -> Iterator[SnapshotRelation]:
         return iter(self._relations.values())
-
-    def __len__(self) -> int:
-        return len(self._relations)
-
-    @property
-    def relation_names(self) -> Tuple[str, ...]:
-        return tuple(self._relations)
-
-    def relations(self) -> List[SnapshotRelation]:
-        return list(self._relations.values())
 
 
 class Snapshot:

@@ -113,14 +113,27 @@ def test_plan_rejects_unknown_attributes(toy_database, toy_query):
         plan_batch(batch, tree)
 
 
-def test_plan_marks_inequality_aggregates_unsupported(toy_database, toy_query):
+def test_plan_groups_an_inequality_aggregate_by_its_attributes(toy_database, toy_query):
+    """No fallback: an inequality aggregate is planned as the same aggregate
+    grouped by the condition's attributes too, and counted like any other."""
+    from repro.engine.plan import decompose_aggregate
+
     tree = build_join_tree(toy_query.hypergraph(toy_database), root="Orders")
     aggregate = Aggregate(
-        product=(), group_by=(), filters=(),
+        product=(), group_by=("dish",), filters=(),
         inequality=InequalityCondition.of({"price": 1.0}, 3.0), name="violators",
     )
     plan = plan_batch(AggregateBatch("ineq", [aggregate]), tree)
-    assert plan.unsupported == [aggregate]
+    assert not hasattr(plan, "unsupported")
+    assert "unsupported" not in plan.summary()
+    assert plan.summary()["aggregates"] == 1
+    [decomposition] = plan.decompositions
+    assert decomposition.aggregate is aggregate
+    assert decomposition.root_signature.group_by == ("dish", "price")
+    grouped = Aggregate.count(group_by=["dish", "price"])
+    assert decomposition.signatures == decompose_aggregate(
+        grouped, tree, plan.designation
+    ).signatures
 
 
 # -- correctness against the materialised baseline ------------------------------------------------------------

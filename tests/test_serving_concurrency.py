@@ -178,6 +178,13 @@ def test_concurrent_reads_bit_identical_to_serial_replay(serving_source, seed):
     assert stats["writes"] == batches
 
 
+def _pinned_items(relation):
+    """The ``(row, multiplicity)`` pairs of a generation's relation, its rows
+    decoded from the pinned codes."""
+    snapshot = relation.column_store()
+    return list(zip(snapshot.rows, snapshot.multiplicities.tolist()))
+
+
 def test_snapshot_held_across_writes_stays_frozen(serving_source):
     """A generation pinned before a burst of writes answers from the past."""
     source, query = serving_source
@@ -187,15 +194,13 @@ def test_snapshot_held_across_writes_stays_frozen(serving_source):
     server.apply_batch(stream[:40])
     held = server.manager.acquire()
     frozen_statistics = held.statistics.copy()
-    frozen_items = {
-        relation.name: dict(relation.items()) for relation in held.database
-    }
+    frozen_items = {relation.name: dict(_pinned_items(relation)) for relation in held.database}
     for start in range(40, len(stream), 10):
         server.apply_batch(stream[start : start + 10])
     # The held generation is bitwise frozen: same payload, same rows.
     assert _payloads_identical(held.statistics, frozen_statistics)
     for relation in held.database:
-        assert dict(relation.items()) == frozen_items[relation.name]
+        assert dict(_pinned_items(relation)) == frozen_items[relation.name]
     # Current reads meanwhile moved on to the full prefix.
     assert server.statistics().prefix == server.prefix
     server.manager.release(held)
@@ -400,7 +405,7 @@ def test_an_unread_generation_never_gathers(monkeypatch):
     assert gathered == []
     snapshot = manager.acquire()
     assert snapshot is read
-    assert dict(snapshot.database.relation("R").items())[("late", 0)] == 1
+    assert dict(_pinned_items(snapshot.database.relation("R")))[("late", 0)] == 1
     manager.release(snapshot)
     assert gathered == [read.database.relation("R").column_store()]
     assert unread._dense is None
@@ -417,7 +422,7 @@ def _typed_items(items):
 
 
 def test_a_reader_decodes_a_pinned_generation_while_the_writer_appends():
-    """A reader thread decodes ``items()`` of each pinned generation while
+    """A reader thread decodes the rows of each pinned generation while
     the writer appends rows, among them values that add per-column
     exceptions (an ``int`` under the entry ``1.0``, ``-0.0`` under ``0.0``)
     to the exception tables the reader's decode copies: every read equals
@@ -434,7 +439,7 @@ def test_a_reader_decodes_a_pinned_generation_while_the_writer_appends():
         while not stop.is_set():
             held = manager.acquire()
             try:
-                seen = _typed_items(held.database.relation("R").items())
+                seen = _typed_items(_pinned_items(held.database.relation("R")))
                 if seen != expected[held.prefix]:
                     mismatches.append(held.prefix)
                 reads.append(held.prefix)
