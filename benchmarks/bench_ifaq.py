@@ -3,25 +3,30 @@
 Regenerates the walk-through's bottom line: successive rewrites (static
 memoisation, loop-invariant code motion, schema specialisation, aggregate
 pushdown) turn a per-iteration scan over the join into a one-off aggregate
-computation, and the final stage no longer needs the join dictionary at all.
+computation.  The final stage is stage 3 lowered by ``lower_to_batch``: M and
+C are one aggregate batch on the LMFAO engine, so it no longer needs the join
+dictionary and interprets only the convergence loop.  A second row lowers the
+same program at 100k ``S`` rows and holds M and C to ``compute_sigma``.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from repro.data import Database, Relation, Schema
-from repro.ifaq import compile_and_run
+from repro.ifaq import compile_and_run, lower_to_batch
+from repro.ifaq.gradient_program import specialised_program
+from repro.ml import compute_sigma
 from repro.query import ConjunctiveQuery
 
 
-@pytest.fixture(scope="module")
-def ifaq_database():
+def _ifaq_database(sales: int) -> Database:
     rng = random.Random(3)
     sales_rows = []
-    for _ in range(400):
+    for _ in range(sales):
         item = rng.randrange(30)
         store = rng.randrange(10)
         units = round(4.0 + 0.6 * item - 0.2 * store + rng.gauss(0, 1), 3)
@@ -36,7 +41,12 @@ def ifaq_database():
         ],
         name="ifaq_bench",
     )
-    return database, ConjunctiveQuery(["S", "R", "I"], name="Q")
+    return database
+
+
+@pytest.fixture(scope="module")
+def ifaq_database():
+    return _ifaq_database(400), ConjunctiveQuery(["S", "R", "I"], name="Q")
 
 
 def test_ifaq_compilation_stages(benchmark, ifaq_database):
@@ -68,3 +78,30 @@ def test_ifaq_compilation_stages(benchmark, ifaq_database):
         < by_name["2_hoisted"].operations["dynamic_lookups"]
     )
     assert not by_name["4_pushed_down"].needs_join
+    # Lowering leaves the interpreter only the convergence loop.
+    assert (
+        by_name["4_pushed_down"].operations["total"]
+        < by_name["3_specialised"].operations["total"]
+    )
+
+
+def test_ifaq_lowered_at_scale(benchmark):
+    """The lowered program at 100k S rows: M and C are compute_sigma's entries."""
+    database = _ifaq_database(100_000)
+    query = ConjunctiveQuery(["S", "R", "I"], name="Q")
+    started = time.perf_counter()
+    lowered = benchmark.pedantic(
+        lower_to_batch,
+        args=(specialised_program(20, 1e-6), database, query),
+        rounds=1,
+        iterations=1,
+    )
+    seconds = time.perf_counter() - started
+    covariance, correlation = lowered.bound.value, lowered.body.bound.value
+    print(f"\n=== Section 5.3: stage 4 lowered at 100k S rows: {seconds * 1e3:.1f} ms ===")
+
+    sigma = compute_sigma(database, query, ["i", "s", "u", "c", "p"])
+    for left in ("i", "s", "c", "p"):
+        assert correlation[left] == pytest.approx(sigma.entry(left, "u"), rel=1e-12)
+        for right in ("i", "s", "c", "p"):
+            assert covariance[left][right] == pytest.approx(sigma.entry(left, right), rel=1e-12)

@@ -3,11 +3,14 @@
 Programs mixing database and ML workloads (here: gradient descent for linear
 regression over a join) are expressed in a small functional IR over
 dictionaries, sums and loops.  Equivalence-preserving transformations —
-loop-invariant code motion, static memoisation, loop unrolling / schema
-specialisation, aggregate pushdown and fusion — rewrite the program from a
-per-iteration scan over the join into a one-off aggregate batch followed by a
-cheap convergence loop.  An instrumented interpreter counts operations so the
-effect of every stage is measurable.
+loop-invariant code motion, static memoisation, schema specialisation and
+aggregate pushdown — rewrite the program from a per-iteration scan over the
+join into a one-off aggregate batch followed by a cheap convergence loop.
+The last rewrite, :func:`lower_to_batch`, hands that batch to the LMFAO
+engine, which evaluates it over the base relations; the interpreter then runs
+only the loop.  An instrumented interpreter counts operations so the effect
+of every stage is measurable.  The join dictionary Q of the earlier stages is
+the engine's ``COUNT(*) GROUP BY`` (:func:`join_as_dictionary`).
 """
 
 from repro.ifaq.expr import (
@@ -15,11 +18,9 @@ from repro.ifaq.expr import (
     Const,
     DictOver,
     FieldOf,
-    GroupSum,
     IterateLoop,
     Let,
     Lookup,
-    MakeDict,
     MakeRecord,
     OperationCounter,
     Record,
@@ -29,10 +30,10 @@ from repro.ifaq.expr import (
 )
 from repro.ifaq.transforms import (
     hoist_invariant_lets,
+    lower_to_batch,
     specialize_field_access,
 )
 from repro.ifaq.gradient_program import (
-    GradientProgramStages,
     build_stage_programs,
     join_as_dictionary,
 )
@@ -43,8 +44,6 @@ __all__ = [
     "Var",
     "Record",
     "MakeRecord",
-    "MakeDict",
-    "GroupSum",
     "FieldOf",
     "Lookup",
     "BinOp",
@@ -56,7 +55,7 @@ __all__ = [
     "evaluate",
     "hoist_invariant_lets",
     "specialize_field_access",
-    "GradientProgramStages",
+    "lower_to_batch",
     "build_stage_programs",
     "join_as_dictionary",
     "CompilationReport",

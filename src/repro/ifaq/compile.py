@@ -9,17 +9,16 @@ quantitative effect of each rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.data.database import Database
 from repro.ifaq.expr import OperationCounter, evaluate
 from repro.ifaq.gradient_program import (
     EXAMPLE_FIELD_ORDER,
-    GradientProgramStages,
     build_stage_programs,
     join_as_dictionary,
-    relation_as_dictionary,
 )
+from repro.ifaq.transforms import JOIN_VARIABLE, lower_to_batch
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -35,11 +34,10 @@ class StageOutcome:
 
 @dataclass
 class CompilationReport:
-    """All stage outcomes plus the sizes of the inputs each stage needs."""
+    """All stage outcomes plus the size of the join dictionary Q."""
 
     stages: List[StageOutcome] = field(default_factory=list)
     join_size: int = 0
-    base_sizes: Dict[str, int] = field(default_factory=dict)
 
     def stage(self, name: str) -> StageOutcome:
         for outcome in self.stages:
@@ -75,31 +73,20 @@ def compile_and_run(
     query: ConjunctiveQuery,
     iterations: int = 10,
     learning_rate: float = 1e-6,
-    relation_roles: Optional[Mapping[str, str]] = None,
 ) -> CompilationReport:
     """Evaluate every stage of the gradient program over ``database``.
 
-    ``relation_roles`` maps the IR relation names ``S``, ``R`` and ``I`` to the
-    database's relation names (defaults to identical names).
+    Stage 4 is stage 3 lowered over ``database`` (:func:`lower_to_batch`): its
+    M and C are already constants, so it interprets only the loop.
     """
-    roles = dict(relation_roles or {"S": "S", "R": "R", "I": "I"})
-    stages: GradientProgramStages = build_stage_programs(iterations, learning_rate)
+    stages = build_stage_programs(iterations, learning_rate)
+    stages["4_pushed_down"] = lower_to_batch(stages["3_specialised"], database, query)
 
     join_dictionary = join_as_dictionary(database, query, EXAMPLE_FIELD_ORDER)
-    base_dictionaries = {
-        ir_name: relation_as_dictionary(database, database_name)
-        for ir_name, database_name in roles.items()
-    }
-
-    report = CompilationReport(
-        join_size=len(join_dictionary),
-        base_sizes={name: len(dictionary) for name, dictionary in base_dictionaries.items()},
-    )
-    for name, program in stages.stages.items():
-        needs_join = "Q" in program.free_variables()
-        environment: Dict[str, object] = dict(base_dictionaries)
-        if needs_join:
-            environment["Q"] = join_dictionary
+    report = CompilationReport(join_size=len(join_dictionary))
+    for name, program in stages.items():
+        needs_join = JOIN_VARIABLE in program.free_variables()
+        environment = {JOIN_VARIABLE: join_dictionary} if needs_join else {}
         counter = OperationCounter()
         parameters = evaluate(program, environment, counter)
         report.stages.append(

@@ -10,8 +10,8 @@ accesses, so the benefit of each compilation stage can be quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 
 class Record:
@@ -199,49 +199,6 @@ class DictOver(Expr):
 
 
 @dataclass
-class MakeDict(Expr):
-    """A dictionary literal with statically known keys and expression values."""
-
-    entries: Tuple[Tuple[Any, Expr], ...]
-
-    def __init__(self, mapping: Mapping[Any, Expr]) -> None:
-        self.entries = tuple(mapping.items())
-
-    def children(self) -> Tuple[Expr, ...]:
-        return tuple(expr for _key, expr in self.entries)
-
-    def rebuild(self, children: Sequence[Expr]) -> "MakeDict":
-        return MakeDict({key: child for (key, _old), child in zip(self.entries, children)})
-
-
-@dataclass
-class GroupSum(Expr):
-    """``Σ_{variable ∈ sup(domain)} {key(variable) -> value(variable)}``.
-
-    Builds a dictionary by grouping: for every element of the domain the key
-    expression selects the group and the value expression is summed within it.
-    This is the IR form of the partial-aggregate views V_R / V_I of Section 5.3.
-    """
-
-    variable: str
-    domain: Expr
-    key: Expr
-    value: Expr
-
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.domain, self.key, self.value)
-
-    def rebuild(self, children: Sequence[Expr]) -> "GroupSum":
-        return GroupSum(self.variable, children[0], children[1], children[2])
-
-    def free_variables(self) -> frozenset:
-        bound = {self.variable}
-        return self.domain.free_variables() | (
-            (self.key.free_variables() | self.value.free_variables()) - bound
-        )
-
-
-@dataclass
 class Let(Expr):
     name: str
     bound: Expr
@@ -347,22 +304,6 @@ def _evaluate(expression: Expr, environment: Dict[str, Any], counter: OperationC
             result[key] = _evaluate(expression.body, environment, counter)
         environment.pop(expression.variable, None)
         return result
-    if isinstance(expression, MakeDict):
-        return {
-            key: _evaluate(child, environment, counter) for key, child in expression.entries
-        }
-    if isinstance(expression, GroupSum):
-        domain = _evaluate(expression.domain, environment, counter)
-        keys = domain.keys() if isinstance(domain, dict) else domain
-        grouped: Dict[Any, Any] = {}
-        for element in keys:
-            environment[expression.variable] = element
-            group = _evaluate(expression.key, environment, counter)
-            value = _evaluate(expression.value, environment, counter)
-            counter.arithmetic += 1
-            grouped[group] = grouped.get(group, 0.0) + value
-        environment.pop(expression.variable, None)
-        return grouped
     if isinstance(expression, Let):
         environment[expression.name] = _evaluate(expression.bound, environment, counter)
         value = _evaluate(expression.body, environment, counter)

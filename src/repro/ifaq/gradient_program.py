@@ -3,8 +3,9 @@
 The running example learns a linear regression model over the join
 ``Q = S(i, s, u) ⋈ R(s, c) ⋈ I(i, p)`` with features ``{i, s, c, p}`` and
 response ``u``.  Five stages of the same program are provided; every stage is
-an IR expression that evaluates to the parameter dictionary θ, and each stage
-does strictly less interpreter work than the previous one:
+an IR expression that evaluates to the parameter dictionary θ.  Stage 1 does
+more interpreter work than stage 0 (it rebuilds M and C in every iteration);
+each later stage does less than the one before:
 
 0. ``naive``            — every gradient-descent iteration scans sup(Q);
 1. ``memoised``         — the covariance dictionary M and the correlation
@@ -16,15 +17,21 @@ does strictly less interpreter work than the previous one:
 3. ``specialised``      — record accesses become static field accesses
                           (derived from stage 2 by
                           :func:`repro.ifaq.transforms.specialize_field_access`);
-4. ``pushed_down``      — M and C are computed by sum-product expressions over
-                          the base relations (aggregate pushdown past the
-                          join), so sup(Q) is never enumerated.
+4. ``pushed_down``      — M and C are one aggregate batch the LMFAO engine
+                          evaluates over the base relations, so sup(Q) is
+                          never enumerated and only the convergence loop is
+                          interpreted (derived from stage 3 by
+                          :func:`repro.ifaq.transforms.lower_to_batch`;
+                          :func:`repro.ifaq.compile.compile_and_run` does it,
+                          as lowering evaluates the batch over the database).
+
+Q itself, for stages 0-3, is the engine's ``COUNT(*) GROUP BY`` over the
+fields (:func:`join_as_dictionary`), not a Python tuple join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.data.database import Database
 from repro.ifaq.expr import (
@@ -32,16 +39,15 @@ from repro.ifaq.expr import (
     Const,
     DictOver,
     Expr,
-    GroupSum,
     IterateLoop,
     Let,
     Lookup,
-    MakeDict,
     Record,
     SumOver,
     Var,
 )
 from repro.ifaq.transforms import hoist_invariant_lets, specialize_field_access
+from repro.ml.statistics import join_counts
 from repro.query.conjunctive import ConjunctiveQuery
 
 #: The features of the Section 5.3 example (the response ``u`` is excluded).
@@ -53,26 +59,12 @@ EXAMPLE_FIELD_ORDER: Tuple[str, ...] = ("i", "s", "u", "c", "p")
 def join_as_dictionary(
     database: Database, query: ConjunctiveQuery, fields: Sequence[str] = EXAMPLE_FIELD_ORDER
 ) -> Dict[Record, int]:
-    """Materialise the join as an IFAQ dictionary mapping records to multiplicities."""
-    joined = query.evaluate(database)
-    names = joined.schema.names
-    result: Dict[Record, int] = {}
-    for row, multiplicity in joined.items():
-        assignment = dict(zip(names, row))
-        record = Record({field: float(assignment[field]) for field in fields})
-        result[record] = result.get(record, 0) + multiplicity
-    return result
-
-
-def relation_as_dictionary(database: Database, relation_name: str) -> Dict[Record, int]:
-    """One base relation as an IFAQ dictionary (numeric fields only)."""
-    relation = database.relation(relation_name)
-    names = relation.schema.names
-    result: Dict[Record, int] = {}
-    for row, multiplicity in relation.items():
-        record = Record({name: float(value) for name, value in zip(names, row)})
-        result[record] = result.get(record, 0) + multiplicity
-    return result
+    """The join as an IFAQ dictionary mapping records to multiplicities: one
+    ``COUNT(*) GROUP BY fields`` on the engine (:func:`join_counts`)."""
+    return {
+        Record({field: float(value) for field, value in zip(fields, key)}): int(count)
+        for key, count in join_counts(database, query, fields).items()
+    }
 
 
 # -- building blocks --------------------------------------------------------------------------------
@@ -220,111 +212,15 @@ def specialised_program(iterations: int, learning_rate: float) -> Expr:
     )
 
 
-#: Which base relation owns each field of the example schema.
-_FIELD_OWNER: Dict[str, str] = {"i": "S", "s": "S", "u": "S", "c": "R", "p": "I"}
-#: The join key of each dimension relation (looked up from the S tuple).
-_DIMENSION_KEY: Dict[str, str] = {"R": "s", "I": "i"}
-
-
-def _partial_view(relation: str, fields: Tuple[str, ...]) -> GroupSum:
-    """``V = Σ_{x∈relation} {x.key -> relation(x) * Π fields}`` (a keyed partial aggregate)."""
-    variable = f"x{relation.lower()}"
-    key_field = _DIMENSION_KEY[relation]
-    value: Expr = Lookup(Var(relation), Var(variable))
-    for field in fields:
-        value = BinOp("*", value, Lookup(Var(variable), Const(field)))
-    return GroupSum(
-        variable,
-        Var(relation),
-        Lookup(Var(variable), Const(key_field)),
-        value,
-    )
-
-
-def _pushed_down_entry(left_field: str, right_field: str) -> Expr:
-    """One sigma entry computed by aggregate pushdown with keyed partial views.
-
-    The entry ``Σ_Q Q(x) * x(left) * x(right)`` becomes a single scan of S that
-    multiplies the locally available factors with lookups into the partial
-    views of R and I (grouped by their join keys), exactly as in the paper's
-    V_R / V_I rewriting of Section 5.3.
-    """
-    dimension_fields: Dict[str, List[str]] = {"R": [], "I": []}
-    local_fields: List[str] = []
-    for field in (left_field, right_field):
-        owner = _FIELD_OWNER[field]
-        if owner == "S":
-            local_fields.append(field)
-        else:
-            dimension_fields[owner].append(field)
-
-    lets: List[Tuple[str, Expr]] = []
-    body: Expr = _lookup("S", Var("xs"))
-    for field in local_fields:
-        body = BinOp("*", body, Lookup(Var("xs"), Const(field)))
-    for relation in ("R", "I"):
-        fields = tuple(dimension_fields[relation])
-        view_name = f"V_{relation}_{'_'.join(fields) if fields else 'count'}"
-        lets.append((view_name, _partial_view(relation, fields)))
-        key_field = _DIMENSION_KEY[relation]
-        body = BinOp(
-            "*", body, Lookup(Var(view_name), Lookup(Var("xs"), Const(key_field)))
-        )
-
-    entry: Expr = SumOver("xs", Var("S"), body)
-    for name, bound in reversed(lets):
-        entry = Let(name, bound, entry)
-    return entry
-
-
-def pushed_down_program(iterations: int, learning_rate: float) -> Expr:
-    """Stage 4: M and C computed over the base relations (aggregate pushdown).
-
-    The join dictionary Q is never referenced: every sigma entry scans S once
-    and probes keyed partial aggregates of R and I.
-    """
-    covariance = MakeDict(
-        {
-            left: MakeDict(
-                {right: _pushed_down_entry(left, right) for right in EXAMPLE_FEATURES}
-            )
-            for left in EXAMPLE_FEATURES
-        }
-    )
-    correlation = MakeDict(
-        {feature: _pushed_down_entry(feature, EXAMPLE_RESPONSE) for feature in EXAMPLE_FEATURES}
-    )
-
-    step = _theta_update(_gradient_from_statistics(), learning_rate)
-    loop = IterateLoop("theta", _initial_theta(), iterations, step)
-    return Let("M", covariance, Let("C", correlation, loop))
-
-
 # -- stage registry ----------------------------------------------------------------------------------------
 
 
-@dataclass
-class GradientProgramStages:
-    """All compilation stages of the Section 5.3 program."""
-
-    iterations: int
-    learning_rate: float
-    stages: Dict[str, Expr]
-
-    def names(self) -> List[str]:
-        return list(self.stages)
-
-
-def build_stage_programs(iterations: int = 10, learning_rate: float = 0.05) -> GradientProgramStages:
-    """Build the five stages of the gradient-descent program."""
-    return GradientProgramStages(
-        iterations=iterations,
-        learning_rate=learning_rate,
-        stages={
-            "0_naive": naive_program(iterations, learning_rate),
-            "1_memoised": memoised_program(iterations, learning_rate),
-            "2_hoisted": hoisted_program(iterations, learning_rate),
-            "3_specialised": specialised_program(iterations, learning_rate),
-            "4_pushed_down": pushed_down_program(iterations, learning_rate),
-        },
-    )
+def build_stage_programs(iterations: int = 10, learning_rate: float = 0.05) -> Dict[str, Expr]:
+    """Stages 0-3 of the gradient-descent program, by name (stage 4 lowers
+    stage 3 over a database: :func:`repro.ifaq.transforms.lower_to_batch`)."""
+    return {
+        "0_naive": naive_program(iterations, learning_rate),
+        "1_memoised": memoised_program(iterations, learning_rate),
+        "2_hoisted": hoisted_program(iterations, learning_rate),
+        "3_specialised": specialised_program(iterations, learning_rate),
+    }

@@ -5,8 +5,10 @@ covariance batch, evaluate it with the LMFAO-style engine directly over the
 input database, and assemble the sparse results into a :class:`SigmaMatrix`.
 ``sigma_from_data_matrix`` is the structure-agnostic reference used in tests:
 it computes the same matrix from an explicit (one-hot encoded) data matrix.
-``join_columns`` is what the per-row learners (SVM, factorisation machines)
-read: the bag join's float columns and multiplicities.
+``join_counts`` is the bag join as one ``COUNT(*) GROUP BY`` on the engine:
+``join_columns`` (what the per-row learners, SVM and factorisation machines,
+read), IFAQ's join dictionary and Figure 3's structure-agnostic baseline all
+take the join from it.
 """
 
 from __future__ import annotations
@@ -37,17 +39,34 @@ def compute_sigma(
     return sigma_from_batch_results(result.as_mapping(), continuous, categorical)
 
 
+def join_counts(
+    database: Database, query: ConjunctiveQuery, attributes: Sequence[str]
+) -> Dict[Tuple, float]:
+    """The bag join as ``{value combination: multiplicity}``: one
+    ``COUNT(*) GROUP BY attributes`` on the engine, in the engine's group
+    order.  The Python tuple join (:meth:`ConjunctiveQuery.evaluate`) is not
+    involved.
+
+    A key takes its column dictionary's first-occurrence value, so values
+    equal under Python ``==`` but not identical (``-0.0`` and ``0.0``, ``1``
+    and ``1.0``) fall into one group that shows whichever was stored first,
+    exactly as one :class:`~repro.data.relation.Relation` nets them.
+    """
+    batch = AggregateBatch("join counts", [Aggregate.count(group_by=attributes, name="rows")])
+    return LMFAOEngine(database, query).evaluate(batch).grouped("rows")
+
+
 def join_columns(
     database: Database, query: ConjunctiveQuery, attributes: Sequence[str]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The join's float columns, one row per distinct value combination, and
-    its multiplicities: one ``COUNT(*) GROUP BY attributes`` on the engine, so
-    a row of multiplicity ``m`` stands for ``m`` join tuples.  Raises
-    ``ValueError`` when the join is empty or an attribute is not numeric.
+    its multiplicities (:func:`join_counts`), so a row of multiplicity ``m``
+    stands for ``m`` join tuples.  Values equal under ``==`` share a row, as
+    :func:`join_counts` says.  Raises ``ValueError`` when the join is empty
+    or an attribute is not numeric.
     """
     grouped = list(dict.fromkeys(attributes))
-    batch = AggregateBatch("join columns", [Aggregate.count(group_by=grouped, name="rows")])
-    counts = LMFAOEngine(database, query).evaluate(batch).grouped("rows")
+    counts = join_counts(database, query, grouped)
     if not counts:
         raise ValueError(f"the join {query.name!r} is empty: there is nothing to train on")
     columns = []

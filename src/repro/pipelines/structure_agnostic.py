@@ -3,7 +3,9 @@
 The pipeline does exactly what the PostgreSQL + TensorFlow setup of the paper
 does, with each shortcoming of Section 1.2 as an explicit, timed stage:
 
-1. *materialise* the feature-extraction join (shortcoming 1);
+1. *materialise* the feature-extraction join (shortcoming 1), here from the
+   engine's ``COUNT(*) GROUP BY`` over every attribute
+   (:func:`repro.ml.statistics.join_counts`) into one bag relation;
 2. *export* it out of the query engine into an ML-friendly representation —
    here a list of dictionary rows, i.e. a format conversion and copy
    (shortcoming 2);
@@ -26,7 +28,8 @@ import numpy as np
 from repro.aggregates.sparse_tensor import FeatureIndex
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.database import Database
-from repro.ml.statistics import one_hot_rows
+from repro.data.relation import Relation
+from repro.ml.statistics import join_counts, one_hot_rows
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -55,6 +58,40 @@ class StructureAgnosticReport:
             ("gradient descent", self.train_seconds),
             ("total", self.total_seconds),
         ]
+
+
+def materialise_join(database: Database, query: ConjunctiveQuery) -> Relation:
+    """The full bag join over every attribute of ``query``, as one relation.
+
+    The rows are :func:`~repro.ml.statistics.join_counts`' groups (so values
+    equal under ``==`` share a row, see there), ordered as a left-deep hash
+    join over ``query.relation_names`` emits them: by the position of each
+    joined relation row in its relation's ``items()``, left to right.  The
+    seeded mini-batch order then picks the same data-matrix rows whatever
+    order the engine's groups come in.
+    """
+    relations = query.relations(database)
+    attributes = query.variables(database)
+    counts = join_counts(database, query, attributes)
+    ranks = [
+        (
+            [attributes.index(name) for name in relation.schema.names],
+            {row: rank for rank, (row, _multiplicity) in enumerate(relation.items())},
+        )
+        for relation in relations
+    ]
+    rows = sorted(
+        counts,
+        key=lambda key: tuple(
+            rank[tuple(key[position] for position in positions)] for positions, rank in ranks
+        ),
+    )
+    schema = relations[0].schema
+    for relation in relations[1:]:
+        schema = schema.union(relation.schema)
+    joined = Relation(query.name, schema)
+    joined.add_batch(rows, [int(counts[row]) for row in rows], validated=True)
+    return joined
 
 
 class StructureAgnosticPipeline:
@@ -89,7 +126,7 @@ class StructureAgnosticPipeline:
         report = StructureAgnosticReport()
 
         started = time.perf_counter()
-        joined = query.evaluate(database)
+        joined = materialise_join(database, query)
         report.join_seconds = time.perf_counter() - started
         report.join_rows = len(joined)
 

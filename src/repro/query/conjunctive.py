@@ -95,8 +95,11 @@ class ConjunctiveQuery:
     def evaluate(self, database: Database) -> Relation:
         """Materialise the query result with a left-deep hash join plan.
 
-        This is the *structure-agnostic* evaluation used by baselines; the
-        structure-aware path never materialises this result.
+        The reference join only: the oracle
+        (:class:`~repro.engine.naive.MaterializedJoinEngine`) and the tests
+        call it.  Every production read, the structure-agnostic baseline's
+        materialised join included, takes the join from the engine
+        (:func:`repro.ml.statistics.join_counts`).
         """
         joined = algebra.natural_join_all(self.relations(database), name=self.name)
         output = self.output_variables(database)

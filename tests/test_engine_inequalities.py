@@ -21,8 +21,10 @@ from repro.data import Database, Relation, Schema
 from repro.datasets import orders_database, orders_query, retailer_database, retailer_query
 from repro.datasets.registry import DATASETS
 from repro.engine import LMFAOEngine, MaterializedJoinEngine
+from repro.ifaq import compile_and_run
 from repro.ivm import FIVM, Update
 from repro.ml.statistics import join_columns
+from repro.pipelines import StructureAgnosticPipeline
 from repro.query import ConjunctiveQuery
 from repro.serving import QueryServer
 from repro.sharding import ShardedMaintainer
@@ -227,9 +229,10 @@ def test_inequalities_match_the_join_on_every_dataset(name):
 # -- no production read materialises the join -----------------------------------------------------
 
 
-def test_no_production_read_materialises_the_join(monkeypatch):
+def test_no_production_read_materialises_the_join(monkeypatch, sri_database, sri_query):
     """Statistics recomputed from scratch, the per-row learners' columns, an
-    inequality batch and a served inequality read all run on the engine."""
+    inequality batch, a served inequality read, Figure 3's structure-agnostic
+    baseline and every IFAQ stage all run on the engine."""
     database = retailer_database(inventory_rows=300, seed=1)
     updates = [
         Update(relation.name, row, count)
@@ -261,3 +264,7 @@ def test_no_production_read_materialises_the_join(monkeypatch):
     assert values["above"] == expected["above"] > 0
     with QueryServer(maintainer, readers=1) as server:
         assert server.query(batch).value["above"] == expected["above"]
+    report = StructureAgnosticPipeline("inventoryunits", FEATURES[1:], ["category"]).run(
+        database, retailer_query())
+    assert report.data_matrix_shape[0] == maintainer.statistics().count
+    assert compile_and_run(sri_database, sri_query, iterations=2).parameters_agree()

@@ -7,8 +7,9 @@ import pytest
 
 from repro.aggregates.sparse_tensor import FeatureIndex, SigmaMatrix
 from repro.aggregates.spec import Aggregate, AggregateBatch
+from repro.data import Database, Relation, Schema
 from repro.datasets import retailer_database, retailer_query
-from repro.engine.lmfao import LMFAOEngine
+from repro.engine import LMFAOEngine, MaterializedJoinEngine
 from repro.inequality import NaiveInequalityEvaluator, SortedInequalityEvaluator
 from repro.ml import (
     ChowLiuTree,
@@ -26,7 +27,8 @@ from repro.ml import (
 )
 from repro.ml.decision_tree import _Fit
 from repro.ml.model_selection import training_mse
-from repro.ml.statistics import join_columns, one_hot_rows, sigma_from_data_matrix
+from repro.ml.statistics import join_columns, join_counts, one_hot_rows, sigma_from_data_matrix
+from repro.query import ConjunctiveQuery
 
 
 @pytest.fixture(scope="module")
@@ -670,6 +672,26 @@ def test_join_columns_are_the_bag_join_in_the_order_asked():
         tuple(float(row[position]) for position in positions) for row in joined.expanded_rows()
     )
     assert Counter(map(tuple, np.repeat(columns, multiplicities, axis=0).tolist())) == expected
+
+
+def test_join_counts_collapse_equal_values_as_the_materialised_join_does():
+    """``0.0``/``-0.0`` and ``1``/``1.0`` are one value under ``==``: a grouped
+    key shows one of them, and the multiset is the materialised join's."""
+    database = Database([
+        Relation("A", Schema.from_names(["k", "x"]),
+                 rows=[(1, 0.0), (1.0, -0.0), (2, -0.0), (2.0, 5.0), (3, 0.0)]),
+        Relation("B", Schema.from_names(["k", "y"]),
+                 rows=[(1.0, 7), (2, 1), (2.0, 1.0), (3, -0.0), (3.0, 0.0)]),
+    ])
+    query = ConjunctiveQuery(["A", "B"])
+    joined = MaterializedJoinEngine(database, query).materialize()
+    assert join_counts(database, query, joined.schema.names) == dict(joined.items())
+
+    by_x = {}
+    for row, multiplicity in joined.items():
+        by_x[row[1],] = by_x.get((row[1],), 0) + multiplicity
+    assert len(by_x) == 2
+    assert join_counts(database, query, ["x"]) == by_x
 
 
 def test_doubling_every_join_row_doubles_the_coreset_weights_and_keeps_its_points():

@@ -12,6 +12,7 @@ from repro.ifaq import (
     IterateLoop,
     Let,
     Lookup,
+    MakeRecord,
     OperationCounter,
     Record,
     SumOver,
@@ -19,7 +20,10 @@ from repro.ifaq import (
     compile_and_run,
     evaluate,
     hoist_invariant_lets,
+    join_as_dictionary,
+    lower_to_batch,
 )
+from repro.ifaq.gradient_program import specialised_program
 from repro.ifaq.transforms import specialize_field_access
 from repro.pipelines import StructureAgnosticPipeline, StructureAwarePipeline
 from repro.query import ConjunctiveQuery, is_acyclic
@@ -154,21 +158,42 @@ def test_ifaq_compilation_stages_agree(sri_database, sri_query):
 
 
 def test_ifaq_pushed_down_matches_engine_sigma(sri_database, sri_query):
-    """The pushed-down M dictionary equals the engine's sigma entries."""
+    """Stage 4 is stage 3 lowered: M and C are constants holding the engine's
+    sigma entries, and only the loop still reads anything."""
     from repro.ml import compute_sigma
-    from repro.ifaq.gradient_program import pushed_down_program
-    from repro.ifaq.gradient_program import relation_as_dictionary
 
-    program = pushed_down_program(iterations=1, learning_rate=0.0)
-    environment = {
-        name: relation_as_dictionary(sri_database, name) for name in ("S", "R", "I")
-    }
-    # Evaluate only the M binding by digging into the Let structure.
-    m_value = evaluate(program.bound, environment)
+    lowered = lower_to_batch(specialised_program(1, 0.0), sri_database, sri_query)
+    covariance, correlation = lowered, lowered.body
+    assert (covariance.name, correlation.name) == ("M", "C")
+    assert isinstance(covariance.bound, Const) and isinstance(correlation.bound, Const)
+    assert isinstance(correlation.body, IterateLoop)
+    assert "Q" not in lowered.free_variables()
     sigma = compute_sigma(sri_database, sri_query, ["i", "s", "u", "c", "p"], [])
     for left in ("i", "s", "c", "p"):
+        assert correlation.bound.value[left] == pytest.approx(sigma.entry(left, "u"), rel=1e-12)
         for right in ("i", "s", "c", "p"):
-            assert m_value[left][right] == pytest.approx(sigma.entry(left, right))
+            assert covariance.bound.value[left][right] == pytest.approx(
+                sigma.entry(left, right), rel=1e-12)
+
+
+def test_lower_to_batch_keeps_what_the_interpreter_computes(sri_database, sri_query):
+    """A lowered sum-product binding evaluates to what the interpreter sums
+    over Q; a binding that is not a weighted sum over Q stays as it is."""
+    weighted = SumOver("x", Var("Q"), BinOp(
+        "*", BinOp("*", Lookup(Var("x"), Const("u")), Lookup(Var("Q"), Var("x"))),
+        Lookup(Var("x"), Var("f"))))
+    unweighted = DictOver("f", Const(["c"]), SumOver("x", Var("Q"), Lookup(Var("x"), Var("f"))))
+    program = Let("V", DictOver("f", Const(["c", "p", "u"]), weighted),
+                  Let("W", unweighted, MakeRecord({"V": Var("V"), "W": Var("W")})))
+    lowered = lower_to_batch(program, sri_database, sri_query)
+    assert isinstance(lowered.bound, Const)
+    assert lowered.body == program.body
+
+    environment = {"Q": join_as_dictionary(sri_database, sri_query)}
+    expected = evaluate(program, environment).as_dict()
+    result = evaluate(lowered, environment).as_dict()
+    assert result["W"] == expected["W"]
+    assert result["V"] == pytest.approx(expected["V"], rel=1e-12)
 
 
 # -- datasets ---------------------------------------------------------------------------------------
