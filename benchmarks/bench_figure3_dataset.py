@@ -8,11 +8,12 @@ result, unlike the 10x larger CSV of the materialised join).
 
 from __future__ import annotations
 
+from repro.engine import MaterializedJoinEngine
 from repro.factorized import factorize_join
 
 
 def _characteristics(database, query):
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     factorization = factorize_join(query, database)
     rows = [
         (relation.name, len(relation), relation.arity)

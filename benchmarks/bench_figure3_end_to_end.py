@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import RETAILER_FEATURES
+from repro.engine import MaterializedJoinEngine
 from repro.pipelines import StructureAgnosticPipeline, StructureAwarePipeline
 
 
@@ -26,7 +27,7 @@ def pipeline_inputs(bench_datasets):
     database, query, spec = load_dataset(
         "retailer", inventory_rows=8000, stores=15, items=60, dates=40
     )
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     test_rows = [dict(zip(joined.schema.names, row)) for row in joined.sample_rows(300, seed=5)]
     return database, query, spec, test_rows
 

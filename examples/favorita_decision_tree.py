@@ -14,6 +14,7 @@ Run with:  python examples/favorita_decision_tree.py
 from collections import Counter
 
 from repro.datasets import FAVORITA_FEATURES, favorita_database, favorita_query
+from repro.engine import MaterializedJoinEngine
 from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
 
 
@@ -47,7 +48,7 @@ def main() -> None:
     print(root.render())
     print("\n" + describe_batches(regressor))
 
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.sample_rows(300, seed=3)]
     residuals = [
         (regressor.predict_row(row) - float(row[target])) ** 2 for row in rows

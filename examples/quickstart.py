@@ -13,7 +13,7 @@ Run with:  python examples/quickstart.py
 from repro.aggregates import covariance_batch
 from repro.aggregates.sparse_tensor import sigma_from_batch_results
 from repro.datasets import retailer_database, retailer_query, RETAILER_FEATURES
-from repro.engine import LMFAOEngine
+from repro.engine import LMFAOEngine, MaterializedJoinEngine
 from repro.ml import RidgeRegression
 
 
@@ -53,7 +53,7 @@ def main() -> None:
         print(f"  {name:30s} {value:+.4f}")
 
     # Sanity check the model on a sample of join tuples.
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.sample_rows(200, seed=1)]
     print(f"training RMSE on 200 sampled join tuples: {model.rmse(rows):.3f}")
 

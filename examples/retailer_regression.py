@@ -10,6 +10,7 @@ Run with:  python examples/retailer_regression.py
 """
 
 from repro.datasets import RETAILER_FEATURES, retailer_database, retailer_query
+from repro.engine import MaterializedJoinEngine
 from repro.pipelines import StructureAgnosticPipeline, StructureAwarePipeline
 
 
@@ -21,7 +22,7 @@ def main() -> None:
     categorical = RETAILER_FEATURES["categorical"]
 
     print("== dataset characteristics (cf. Figure 3, left) ==")
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     for relation in database:
         print(f"  {relation.name:13s} {len(relation):8d} tuples / {relation.arity} attributes")
     print(f"  {'Join':13s} {len(joined):8d} tuples / {joined.arity} attributes")

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.data.relation import relation_from_rows
 from repro.datasets import YELP_FEATURES, yelp_database, yelp_query
+from repro.engine import MaterializedJoinEngine
 from repro.ml import (
     ChowLiuTree,
     FactorizationMachine,
@@ -89,7 +90,7 @@ def main() -> None:
         iterations=150,
     )
     svm.fit(labelled, labelled_query)
-    joined = labelled_query.evaluate(labelled)
+    joined = MaterializedJoinEngine(labelled, labelled_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.expanded_rows()]
     accuracy = svm.accuracy(rows, [row["high_rating"] for row in rows])
     print(f"  training accuracy: {accuracy:.2%} over {len(rows)} join tuples")

@@ -14,7 +14,6 @@ from repro.data.relation import Relation
 from repro.data.colstore import ColumnEncoding, ColumnStore
 from repro.data.database import Database
 from repro.data.tuplestore import TupleStore, tuplestore_stats
-from repro.data import algebra
 from repro.data.csv_io import read_csv, write_csv
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "TupleStore",
     "tuplestore_stats",
     "Database",
-    "algebra",
     "read_csv",
     "write_csv",
 ]

@@ -151,10 +151,6 @@ class Schema:
 
     # -- schema algebra ---------------------------------------------------------
 
-    def project(self, names: Sequence[str]) -> "Schema":
-        """Return a new schema restricted to ``names``, in the given order."""
-        return Schema(tuple(self.attribute(name) for name in names))
-
     def rename(self, mapping: dict) -> "Schema":
         """Return a schema with attributes renamed according to ``mapping``."""
         return Schema(

@@ -13,8 +13,9 @@ by the store's amortised compaction, which no reader can observe).
 The columnar view (:meth:`column_store`) is the store's dense snapshot — a
 zero-copy alias of its arrays, or one gather of the live slots while
 tombstones exist — never an encode; the tuple-at-a-time protocol
-(``items``, ``expanded_rows`` & co.) survives for the naive engine and the
-algebra layer, over row tuples decoded from the codes on demand.
+(``items``, ``expanded_rows`` & co.) survives for the naive engine, CSV
+export and the benchmark harness, over row tuples decoded from the codes
+on demand.
 """
 
 from __future__ import annotations

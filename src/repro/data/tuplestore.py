@@ -33,7 +33,7 @@ Rows enter a store one way, :meth:`TupleStore.add_batch` — a one-row
 ``Relation.add`` included; only :meth:`~TupleStore.copy` and a checkpoint
 load build a store otherwise, and they rebuild one whole from codes.
 
-Tuple consumers — the relational algebra, the naive engine,
+Tuple consumers — the naive engine's join and scans,
 ``Relation.items()`` — decode on demand (:func:`decode_rows`: one dictionary
 take per column, then one ``zip``); everything vectorised reads the code and
 multiplicity arrays directly.  Decoding is exact: per column, the slots whose

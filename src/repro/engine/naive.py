@@ -4,7 +4,10 @@
 PostgreSQL-based pipeline of Figure 3) does with an aggregate batch: compute
 the feature-extraction join once, then answer every aggregate with an
 independent scan of the materialised result.  There is no cross-aggregate
-sharing, which is exactly what Figure 4 (left) isolates.
+sharing, which is exactly what Figure 4 (left) isolates.  Its left-deep
+tuple join (:meth:`MaterializedJoinEngine.materialize`) is the only tuple
+join in the package: every production read takes the join from the engine
+(:func:`repro.ml.statistics.join_counts`).
 
 :func:`scan_node_views` computes one node's views by scanning its relation a
 tuple at a time with pre-resolved column positions: the semantics the
@@ -21,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.spec import Aggregate, AggregateBatch
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, Row
 from repro.engine.executor import EMPTY_GROUP, ColumnarView, restrict_signature
 from repro.engine.lmfao import _unique_name
 from repro.engine.plan import ViewSignature
@@ -210,6 +213,45 @@ def evaluate_aggregate_over_rows(
     return grouped if aggregate.group_by else scalar
 
 
+def _natural_join(relations: Sequence[Relation], name: str) -> Relation:
+    """Left-deep hash join of ``relations`` on their shared attribute names.
+
+    A step that shares no attribute with the result so far is the product.
+    Multiplicities multiply.  Rows come out in the order of the left-deep
+    plan (left rows outer, each probing a hash index over the next
+    relation's ``items()``), and the result lands with one ``add_batch``.
+    """
+    schema = relations[0].schema
+    pairs: List[Tuple[Row, int]] = list(relations[0].items())
+    for relation in relations[1:]:
+        shared = schema.common_names(relation.schema)
+        left_shared = schema.indices_of(shared)
+        right_shared = relation.schema.indices_of(shared)
+        right_extra = relation.schema.indices_of(
+            [column for column in relation.schema.names if column not in shared]
+        )
+        schema = schema.union(relation.schema)
+        index: Dict[Tuple, List[Tuple[Row, int]]] = {}
+        for row, multiplicity in relation.items():
+            key = tuple(row[position] for position in right_shared)
+            index.setdefault(key, []).append((row, multiplicity))
+        pairs = [
+            (row + tuple(other_row[position] for position in right_extra),
+             multiplicity * other_multiplicity)
+            for row, multiplicity in pairs
+            for other_row, other_multiplicity in index.get(
+                tuple(row[position] for position in left_shared), ()
+            )
+        ]
+    result = Relation(name, schema)
+    result.add_batch(
+        [row for row, _multiplicity in pairs],
+        [multiplicity for _row, multiplicity in pairs],
+        validated=True,
+    )
+    return result
+
+
 @dataclass
 class NaiveBatchResult:
     """Results plus timing split into join materialisation and aggregate scans."""
@@ -253,9 +295,10 @@ class MaterializedJoinEngine:
         self._rows: Optional[List[Tuple[Dict[str, object], int]]] = None
 
     def materialize(self) -> Relation:
-        """Materialise (and cache) the feature-extraction join."""
+        """Materialise (and cache) the feature-extraction join: a left-deep
+        hash join over ``query.relation_names`` in their order."""
         if self._join is None:
-            self._join = self.query.evaluate(self.database)
+            self._join = _natural_join(self.query.relations(self.database), self.query.name)
             names = self._join.schema.names
             self._rows = [
                 (dict(zip(names, row)), multiplicity)

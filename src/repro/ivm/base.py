@@ -36,9 +36,10 @@ from repro.aggregates.sparse_tensor import sigma_from_batch_results
 from repro.data.database import Database
 from repro.data.tuplestore import net_rows
 from repro.engine.lmfao import LMFAOEngine
+from repro.engine.plan import designate_attributes
 from repro.kernels import kernel_stats, kernel_stats_enabled
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.join_tree import JoinTree, JoinTreeNode, build_join_tree
+from repro.query.join_tree import JoinTree, build_join_tree
 from repro.rings.covariance import CovariancePayload, CovarianceRing
 
 
@@ -218,27 +219,14 @@ class CovarianceMaintainer(abc.ABC):
     # -- feature designation -----------------------------------------------------------
 
     def _designate_features(self) -> Dict[str, str]:
-        """Assign each feature to the deepest join-tree node containing it."""
-        depths: Dict[str, int] = {}
-
-        def assign(node: JoinTreeNode, depth: int) -> None:
-            depths[node.relation_name] = depth
-            for child in node.children:
-                assign(child, depth + 1)
-
-        assign(self.join_tree.root, 0)
-
-        designation: Dict[str, str] = {}
-        for feature in self.features:
-            owners = [
-                node.relation_name
-                for node in self.join_tree.nodes()
-                if feature in node.attributes
-            ]
-            if not owners:
-                raise ValueError(f"feature {feature!r} does not occur in the query")
-            designation[feature] = max(owners, key=lambda name: (depths[name], name))
-        return designation
+        """Assign each feature to the relation the engine designates it to
+        (:func:`~repro.engine.plan.designate_attributes`: the deepest
+        join-tree node containing it, ties broken by relation name)."""
+        every = designate_attributes(self.join_tree)
+        missing = [feature for feature in self.features if feature not in every]
+        if missing:
+            raise ValueError(f"feature {missing[0]!r} does not occur in the query")
+        return {feature: every[feature] for feature in self.features}
 
     def features_of(self, relation_name: str) -> List[str]:
         return [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -25,10 +25,9 @@ def mutual_information_matrix(
     database: Database,
     query: ConjunctiveQuery,
     categorical: Sequence[str],
-    root_relation: Optional[str] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """Pairwise mutual information (in nats) between categorical features."""
-    engine = LMFAOEngine(database, query, root_relation)
+    engine = LMFAOEngine(database, query)
     batch = mutual_information_batch(list(categorical))
     result = engine.evaluate(batch)
 
@@ -73,9 +72,8 @@ class ChowLiuTree:
         database: Database,
         query: ConjunctiveQuery,
         categorical: Sequence[str],
-        root_relation: Optional[str] = None,
     ) -> "ChowLiuTree":
-        matrix, features = mutual_information_matrix(database, query, categorical, root_relation)
+        matrix, features = mutual_information_matrix(database, query, categorical)
         graph = nx.Graph()
         graph.add_nodes_from(features)
         for left_position, left in enumerate(features):

@@ -30,10 +30,9 @@ def compute_sigma(
     query: ConjunctiveQuery,
     continuous: Sequence[str],
     categorical: Sequence[str] = (),
-    root_relation: Optional[str] = None,
 ) -> SigmaMatrix:
     """Compute the sigma matrix of the feature-extraction query via the engine."""
-    engine = LMFAOEngine(database, query, root_relation)
+    engine = LMFAOEngine(database, query)
     batch = covariance_batch(continuous, categorical)
     result = engine.evaluate(batch)
     return sigma_from_batch_results(result.as_mapping(), continuous, categorical)
@@ -44,7 +43,8 @@ def join_counts(
 ) -> Dict[Tuple, float]:
     """The bag join as ``{value combination: multiplicity}``: one
     ``COUNT(*) GROUP BY attributes`` on the engine, in the engine's group
-    order.  The Python tuple join (:meth:`ConjunctiveQuery.evaluate`) is not
+    order.  The Python tuple join
+    (:meth:`~repro.engine.naive.MaterializedJoinEngine.materialize`) is not
     involved.
 
     A key takes its column dictionary's first-occurrence value, so values

@@ -56,7 +56,6 @@ class StructureAwarePipeline:
         continuous: Sequence[str],
         categorical: Sequence[str] = (),
         regularization: float = 1e-3,
-        root_relation: Optional[str] = None,
         closed_form: bool = False,
     ) -> None:
         if target not in continuous:
@@ -65,7 +64,6 @@ class StructureAwarePipeline:
         self.continuous = list(continuous)
         self.categorical = list(categorical)
         self.regularization = regularization
-        self.root_relation = root_relation
         self.closed_form = closed_form
         self.model: Optional[RidgeRegression] = None
         self.sigma: Optional[SigmaMatrix] = None
@@ -75,7 +73,7 @@ class StructureAwarePipeline:
         report = StructureAwareReport()
 
         started = time.perf_counter()
-        engine = LMFAOEngine(database, query, self.root_relation)
+        engine = LMFAOEngine(database, query)
         batch = covariance_batch(self.continuous, self.categorical)
         result = engine.evaluate(batch)
         sigma = sigma_from_batch_results(result.as_mapping(), self.continuous, self.categorical)

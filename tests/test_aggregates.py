@@ -16,7 +16,7 @@ from repro.aggregates import (
     mutual_information_batch,
 )
 from repro.aggregates.sparse_tensor import FeatureIndex, sigma_from_batch_results
-from repro.engine import LMFAOEngine
+from repro.engine import LMFAOEngine, MaterializedJoinEngine
 from repro.ml.statistics import sigma_from_data_matrix
 
 
@@ -159,7 +159,7 @@ def test_sigma_from_batch_results_matches_data_matrix(small_retailer, small_reta
     result = engine.evaluate(covariance_batch(continuous, categorical))
     sigma = sigma_from_batch_results(result.as_mapping(), continuous, categorical)
 
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.expanded_rows()]
     reference = sigma_from_data_matrix(rows, continuous, categorical)
 

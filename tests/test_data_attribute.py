@@ -51,13 +51,6 @@ def test_schema_lookup_and_indexing():
         schema.index_of("z")
 
 
-def test_schema_project_preserves_order_and_types():
-    schema = Schema.from_names(["a", "b", "c"], categorical_names=["c"])
-    projected = schema.project(["c", "a"])
-    assert projected.names == ("c", "a")
-    assert projected.is_categorical("c")
-
-
 def test_schema_rename():
     schema = Schema.from_names(["a", "b"], categorical_names=["b"])
     renamed = schema.rename({"a": "x"})

@@ -20,7 +20,7 @@ from repro.aggregates import Aggregate, AggregateBatch, Filter, FilterOp, Inequa
 from repro.data import Database, Relation, Schema
 from repro.datasets import orders_database, orders_query, retailer_database, retailer_query
 from repro.datasets.registry import DATASETS
-from repro.engine import LMFAOEngine, MaterializedJoinEngine
+from repro.engine import LMFAOEngine, MaterializedJoinEngine, naive
 from repro.ifaq import compile_and_run
 from repro.ivm import FIVM, Update
 from repro.ml.statistics import join_columns
@@ -249,10 +249,11 @@ def test_no_production_read_materialises_the_join(monkeypatch, sri_database, sri
     ])
     expected = MaterializedJoinEngine(database, retailer_query()).evaluate(batch).values
 
-    def refuse(self, database):
+    def refuse(*_args):
         raise AssertionError("the join was materialised")
 
-    monkeypatch.setattr(ConjunctiveQuery, "evaluate", refuse)
+    monkeypatch.setattr(MaterializedJoinEngine, "materialize", refuse)
+    monkeypatch.setattr(naive, "_natural_join", refuse)
     assert maintainer.recompute_statistics() == maintainer.statistics()
     with ShardedMaintainer(database, retailer_query(), FEATURES, executor="serial") as sharded:
         sharded.apply_batch(updates)

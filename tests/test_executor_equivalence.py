@@ -431,6 +431,40 @@ def test_non_numeric_product_column_falls_back_to_the_tuple_scan():
         LMFAOEngine(database, query).evaluate(batch([]))
 
 
+def test_a_non_numeric_value_in_a_dangling_row_raises_where_the_join_does_not():
+    """A product value is checked in every row the local filters keep,
+    joining or not: the engine and the tuple scan raise on ``'n/a'`` in an
+    ``F`` row no ``D`` row matches, while the materialised join never meets
+    that row and sums the rest.  So the engine and the materialised join are
+    compared only where product values are numeric in every row the local
+    filters keep."""
+    from repro.query import ConjunctiveQuery
+
+    database = Database(
+        [
+            Relation("F", Schema.from_names(["k", "m"], ["k"]), rows=[(1, 2.0), (9, "n/a")]),
+            Relation("D", Schema.from_names(["k", "x"], ["k"]), rows=[(1, 7)]),
+        ]
+    )
+    query = ConjunctiveQuery(["F", "D"])
+    batch = AggregateBatch("dangling", [Aggregate.sum_of(["m"], name="sum_m")])
+    message = "relation 'F': product attribute 'm' holds the non-numeric value 'n/a'"
+
+    with pytest.raises(TypeError, match=message):
+        LMFAOEngine(database, query).evaluate(batch)
+    # Rooted at D, F is a leaf: its scan needs no child view.
+    engine = LMFAOEngine(database, query, root_relation="D")
+    with pytest.raises(TypeError, match=message):
+        engine.evaluate(batch)
+    plan = engine.plan(batch)
+    with pytest.raises(ValueError, match="could not convert string to float: 'n/a'"):
+        scan_node_views(
+            engine.join_tree.oriented("F", "D"), database.relation("F"),
+            plan.views[("F", "D")], plan.designation, {},
+        )
+    assert MaterializedJoinEngine(database, query).evaluate(batch).scalar("sum_m") == 2.0
+
+
 def test_a_stored_nan_beside_a_non_numeric_value_is_a_number():
     """The non-numeric mask marks what ``float()`` rejects, not what is NaN.
 

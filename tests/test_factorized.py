@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Database, Relation, Schema, algebra
+from repro.data import Database, Relation, Schema
 from repro.datasets import orders_database, orders_query
 from repro.datasets.toy import orders_variable_order_spec
+from repro.engine import MaterializedJoinEngine
 from repro.factorized import factorize_join
 from repro.factorized.aggregates import (
     count_over_factorization,
@@ -29,7 +30,7 @@ from repro.query.variable_order import order_from_nested
 
 
 def _flat_rows(query, database):
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     return joined, list(joined.expanded_rows())
 
 
@@ -38,7 +39,7 @@ def _flat_rows(query, database):
 
 def test_factorized_join_represents_flat_join(toy_database, toy_query):
     factorization = factorize_join(toy_query, toy_database)
-    joined = toy_query.evaluate(toy_database)
+    joined = MaterializedJoinEngine(toy_database, toy_query).materialize()
     flat = {tuple(sorted(zip(joined.schema.names, row))) for row in joined}
     factored = {
         tuple(sorted(zip(factorization.variables, row))) for row in factorization.tuples()
@@ -132,7 +133,7 @@ def test_factorized_join_ignores_multiplicities_unlike_the_engine(toy_database, 
 
 def test_factorization_respects_explicit_root(small_retailer, small_retailer_query):
     fact_rooted = factorize_join(small_retailer_query, small_retailer, root_relation="Inventory")
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     assert fact_rooted.flat_size() == len(joined)
 
 
@@ -165,7 +166,7 @@ def random_three_relation_database(draw):
 def test_factorized_join_equals_flat_join_property(database):
     query = ConjunctiveQuery(["R", "S", "T"])
     factorization = factorize_join(query, database)
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     flat = sorted(
         tuple(sorted(zip(joined.schema.names, row))) for row in joined.expanded_rows()
     )
@@ -180,7 +181,7 @@ def test_factorized_join_equals_flat_join_property(database):
 def test_aggregates_over_factorization_match_flat_property(database):
     query = ConjunctiveQuery(["R", "S", "T"])
     factorization = factorize_join(query, database)
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     rows = list(joined.expanded_rows())
     names = joined.schema.names
 
@@ -205,7 +206,7 @@ def test_aggregates_over_factorization_match_flat_property(database):
 def test_covariance_payload_matches_reference_property(database):
     query = ConjunctiveQuery(["R", "S", "T"])
     factorization = factorize_join(query, database)
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     names = joined.schema.names
     rows = [
         [float(row[names.index(feature)]) for feature in ("a", "d")]

@@ -94,8 +94,38 @@ def test_fivm_views_stay_small(ivm_source):
 
 def test_unknown_feature_is_rejected(ivm_source):
     database, query = ivm_source
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'no_such_feature' does not occur in the query"):
         FIVM(database, query, ["no_such_feature"])
+
+
+def _deepest_owner(join_tree, attribute):
+    """The deepest join-tree node holding ``attribute``; at equal depth the
+    larger relation name wins."""
+    ranked = []
+    frontier = [(join_tree.root, 0)]
+    while frontier:
+        node, depth = frontier.pop()
+        if attribute in node.attributes:
+            ranked.append((depth, node.relation_name))
+        frontier.extend((child, depth + 1) for child in node.children)
+    return max(ranked)[1]
+
+
+def test_features_are_designated_to_the_deepest_owner_at_every_root(ivm_source):
+    """Join attributes included, whatever the root: the maintainer's lift
+    designation is the engine's rule, ties between siblings included."""
+    database, query = ivm_source
+    features = FEATURES + ["locn", "dateid", "ksn", "zip"]
+    for root in query.relation_names:
+        maintainer = FIVM(database, query, features, root_relation=root)
+        assert maintainer._designation == {
+            feature: _deepest_owner(maintainer.join_tree, feature) for feature in features
+        }
+    # Rooted at Weather, Inventory and Stores are siblings that both hold
+    # locn: the larger name breaks the tie.
+    assert FIVM(database, query, ["locn"], root_relation="Weather")._designation == {
+        "locn": "Stores"
+    }
 
 
 # -- recomputation: the ground truth's edge cases ----------------------------------------

@@ -36,7 +36,7 @@ def retailer_setup(small_retailer, small_retailer_query):
     continuous = ["inventoryunits", "prize", "maxtemp", "rain", "population"]
     categorical = ["category", "snow"]
     sigma = compute_sigma(small_retailer, small_retailer_query, continuous, categorical)
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.rows()]
     return small_retailer, small_retailer_query, continuous, categorical, sigma, rows
 
@@ -144,7 +144,7 @@ def test_regression_tree_reduces_variance(small_retailer, small_retailer_query):
     )
     root = tree.fit(small_retailer, small_retailer_query)
     assert root.count > 0
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.rows()]
     targets = np.array([row["inventoryunits"] for row in rows])
     predictions = np.array(tree.predict(rows))
@@ -172,7 +172,7 @@ def test_classification_tree_beats_majority_class(small_favorita, small_favorita
         min_samples=20,
     )
     tree.fit(small_favorita, small_favorita_query)
-    joined = small_favorita_query.evaluate(small_favorita)
+    joined = MaterializedJoinEngine(small_favorita, small_favorita_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.rows()]
     truth = [row["holiday_type"] for row in rows]
     majority = max(set(truth), key=truth.count)
@@ -528,7 +528,7 @@ def test_kmeans_clusters_separated_blobs():
 def test_relational_kmeans_coreset_is_smaller_than_join(small_retailer, small_retailer_query):
     clustering = RelationalKMeans(["prize", "maxtemp"], clusters=3, grid_size=3, seed=2)
     result = clustering.fit(small_retailer, small_retailer_query)
-    join_size = len(small_retailer_query.evaluate(small_retailer))
+    join_size = len(MaterializedJoinEngine(small_retailer, small_retailer_query).materialize())
     assert 0 < clustering.coreset_size() <= 9
     assert clustering.coreset_size() < join_size
     assert result.inertia >= 0
@@ -536,7 +536,7 @@ def test_relational_kmeans_coreset_is_smaller_than_join(small_retailer, small_re
 
 def test_relational_kmeans_approximates_full_kmeans(small_retailer, small_retailer_query):
     features = ["prize", "maxtemp"]
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.expanded_rows()]
     points = np.array([[row[feature] for feature in features] for row in rows], dtype=float)
     exact = KMeans(3, seed=0).fit(points)
@@ -620,7 +620,7 @@ def _join_count(database, query) -> float:
 def test_models_count_a_duplicated_join_row_as_often_as_the_engine(monkeypatch):
     database, query = _retailer_with_a_duplicated_inventory_row()
     count = _join_count(database, query)
-    assert count == len(query.evaluate(database)) + 1
+    assert count == len(MaterializedJoinEngine(database, query).materialize()) + 1
 
     clustering = RelationalKMeans(["inventoryunits", "prize"], clusters=3)
     _points, weights = clustering.build_coreset(database, query)
@@ -645,7 +645,7 @@ def test_relational_kmeans_coreset_is_the_nearest_centre_grid_of_the_bag_join():
     clustering = RelationalKMeans(features, clusters=3, grid_size=4)
     points, weights = clustering.build_coreset(database, query)
 
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     positions = [joined.schema.names.index(feature) for feature in features]
     expected = Counter(
         tuple(
@@ -666,7 +666,7 @@ def test_join_columns_are_the_bag_join_in_the_order_asked():
     assert multiplicities.dtype == np.int64
     assert int(multiplicities.sum()) == _join_count(database, query)
 
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     positions = [joined.schema.names.index(attribute) for attribute in attributes]
     expected = Counter(
         tuple(float(row[position]) for position in positions) for row in joined.expanded_rows()
@@ -715,7 +715,7 @@ def test_models_over_an_empty_join_say_so():
     inventory = database.relation("Inventory")
     items = list(inventory.items())
     inventory.add_batch([row for row, _ in items], [-multiplicity for _, multiplicity in items])
-    assert len(query.evaluate(database)) == 0
+    assert len(MaterializedJoinEngine(database, query).materialize()) == 0
     with pytest.raises(ValueError, match="join .*is empty"):
         RelationalKMeans(["inventoryunits", "prize"], clusters=3).fit(database, query)
     with pytest.raises(ValueError, match="join .*is empty"):

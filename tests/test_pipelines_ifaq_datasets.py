@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import Database, Relation, Schema
 from repro.datasets import DATASETS, load_dataset, orders_database, orders_query
+from repro.engine import MaterializedJoinEngine
 from repro.ifaq import (
     BinOp,
     Const,
@@ -35,7 +36,7 @@ from repro.query import ConjunctiveQuery, is_acyclic
 def test_pipelines_produce_comparable_models(small_retailer, small_retailer_query):
     continuous = ["inventoryunits", "prize", "maxtemp", "rain"]
     categorical = ["category"]
-    joined = small_retailer_query.evaluate(small_retailer)
+    joined = MaterializedJoinEngine(small_retailer, small_retailer_query).materialize()
     rows = [dict(zip(joined.schema.names, row)) for row in joined.sample_rows(150, seed=8)]
 
     aware = StructureAwarePipeline("inventoryunits", continuous, categorical, closed_form=True)
@@ -204,7 +205,7 @@ def test_toy_database_matches_paper_figures():
     assert len(database["Orders"]) == 4
     assert len(database["Dish"]) == 6
     assert len(database["Items"]) == 4
-    joined = orders_query().evaluate(database)
+    joined = MaterializedJoinEngine(database, orders_query()).materialize()
     assert len(joined) == 12
 
 
@@ -213,7 +214,7 @@ def test_dataset_generators_produce_acyclic_joinable_schemas(name):
     database, query, spec = load_dataset(name, **_small_scale(name))
     hypergraph = query.hypergraph(database)
     assert is_acyclic(hypergraph)
-    joined = query.evaluate(database)
+    joined = MaterializedJoinEngine(database, query).materialize()
     assert len(joined) > 0
     # Every declared feature must occur in the join schema.
     for feature in spec.continuous_features + spec.categorical_features + [spec.target]:

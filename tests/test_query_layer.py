@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import MaterializedJoinEngine
 from repro.query import (
     ConjunctiveQuery,
     Hypergraph,
@@ -162,26 +163,14 @@ def test_invalid_variable_order_is_rejected(toy_database, toy_query):
 # -- conjunctive queries -----------------------------------------------------------------------------------
 
 
-def test_query_evaluation_and_output_variables(toy_database, toy_query):
-    joined = toy_query.evaluate(toy_database)
+def test_query_variables_and_materialised_join(toy_database, toy_query):
+    """A query joins over every attribute of its relations; the reference
+    evaluator materialises it."""
+    joined = MaterializedJoinEngine(toy_database, toy_query).materialize()
     assert len(joined) == 12
-    restricted = ConjunctiveQuery(["Orders", "Dish"], free_variables=["customer", "item"])
-    projected = restricted.evaluate(toy_database)
-    assert set(projected.schema.names) == {"customer", "item"}
-
-
-def test_query_unknown_free_variable_raises(toy_database):
-    query = ConjunctiveQuery(["Orders"], free_variables=["nope"])
-    with pytest.raises(QueryError):
-        query.evaluate(toy_database)
+    assert set(joined.schema.names) == set(toy_query.variables(toy_database))
 
 
 def test_query_requires_relations():
     with pytest.raises(QueryError):
         ConjunctiveQuery([])
-
-
-def test_query_join_attributes(toy_database, toy_query):
-    membership = toy_query.join_attributes(toy_database)
-    assert membership["dish"] == {"Orders", "Dish"}
-    assert membership["item"] == {"Dish", "Items"}
